@@ -140,10 +140,6 @@ def _emit(report_doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _frac_str(x: Fraction) -> str:
-    return format_rational(x)
-
-
 # -- subcommand handlers -----------------------------------------------------------
 
 
@@ -171,7 +167,7 @@ def _cmd_net(args, cfg: RunConfig, report: Report) -> int:
                 skipped="exhaustive net search is capped at 24 points",
             )
     report.result(
-        epsilon=_frac_str(eps),
+        epsilon=format_rational(eps),
         centers=list(cert.centers),
     )
     return 0 if report.all_passed else 1
@@ -201,7 +197,7 @@ def _cmd_decompose(args, cfg: RunConfig, report: Report) -> int:
         chain=jsonio.chain_to_json(dec)["chain"],
         tail_start_max=max(dec.tail_start),
         certificates={
-            f"{n}@{_frac_str(e)}": list(c.centers)
+            f"{n}@{format_rational(e)}": list(c.centers)
             for (n, e), c in sorted(dec.certificates.items(), key=lambda kv: (kv[0][0], kv[0][1]))
         },
     )
@@ -244,10 +240,10 @@ def _cmd_refine(args, cfg: RunConfig, report: Report) -> int:
         all(
             pairwise_disjoint_check(fam.regions, margin).ok for fam in families
         ),
-        margin=_frac_str(margin),
+        margin=format_rational(margin),
     )
     report.result(
-        lebesgue=_frac_str(lebesgue_number(cover)),
+        lebesgue=format_rational(lebesgue_number(cover)),
         families=[
             [jsonio.region_to_json(r) for r in fam.regions] for fam in families
         ],
@@ -271,7 +267,7 @@ def _cmd_scfin(args, cfg: RunConfig, report: Report) -> int:
             pairwise_disjoint_check(fam.regions, margin).ok
             for fam in sel.families
         ),
-        margin=_frac_str(margin),
+        margin=format_rational(margin),
     )
     report.result(
         block_starts=list(sel.block_starts),
@@ -324,11 +320,11 @@ def _cmd_haver(args, cfg: RunConfig, report: Report) -> int:
     report.check("diameters_below_schedule", diam_ok)
     report.check("claim_replay_full", len(witness.traces) == space.n)
     report.result(
-        epsilons=[_frac_str(e) for e in sched.values],
-        deltas=[_frac_str(d) for d in witness.stage_covers.deltas],
+        epsilons=[format_rational(e) for e in sched.values],
+        deltas=[format_rational(d) for d in witness.stage_covers.deltas],
         blocks=list(witness.blocks),
         family_sizes=[len(f) for f in witness.families],
-        diam_bounds=[_frac_str(d) for d in witness.diam_bounds],
+        diam_bounds=[format_rational(d) for d in witness.diam_bounds],
         traces=[
             {
                 "point": t.point,
@@ -465,8 +461,8 @@ def pipeline_demo(space_label: str, horizon: int, report: Report) -> int:
     report.result(
         space=space_label,
         horizon=horizon,
-        epsilons=[_frac_str(e) for e in sched.values],
-        diam_bounds=[_frac_str(x) for x in witness.diam_bounds],
+        epsilons=[format_rational(e) for e in sched.values],
+        diam_bounds=[format_rational(x) for x in witness.diam_bounds],
     )
     return 0 if report.all_passed else 1
 

@@ -281,10 +281,6 @@ def covers_check(cover: Cover) -> CoverageReport:
 # -- analytic containment (sufficient tests) ---------------------------------------
 
 
-def _dist_sq(space: SampledSpace, i: int, j: int) -> Fraction:
-    return space.distance_sq(i, j)
-
-
 def _axis_interval(region: Ball) -> tuple[list[Fraction], list[Fraction]]:
     space = region.space
     c = space.points[region.center]
@@ -334,11 +330,11 @@ def analytic_contains(inner: OpenRegion, outer: OpenRegion) -> bool:
         if metric == "cantor_2adic":
             # ultrametric: B(c1,r1) centered anywhere inside B(c2,r2) with
             # r1 <= r2 and d(c1,c2) < r2 is contained
-            d_sq = _dist_sq(space, inner.center, outer.center)
+            d_sq = space.distance_sq(inner.center, outer.center)
             return inner.radius <= outer.radius and d_sq < outer.radius**2
         if inner.radius > outer.radius:
             return False
-        d_sq = _dist_sq(space, inner.center, outer.center)
+        d_sq = space.distance_sq(inner.center, outer.center)
         return d_sq <= (outer.radius - inner.radius) ** 2
 
     if metric == "cantor_2adic":
@@ -355,7 +351,7 @@ def analytic_contains(inner: OpenRegion, outer: OpenRegion) -> bool:
 
     if isinstance(inner, Ball) and isinstance(outer, CoClosedBalls):
         for c, r in outer.balls:
-            d_sq = _dist_sq(space, inner.center, c)
+            d_sq = space.distance_sq(inner.center, c)
             if d_sq < (inner.radius + r) ** 2:
                 return False
         return True
@@ -506,7 +502,7 @@ def analytic_gap_ge(
         return None
 
     if isinstance(r1, Ball) and isinstance(r2, Ball):
-        d_sq = _dist_sq(space, r1.center, r2.center)
+        d_sq = space.distance_sq(r1.center, r2.center)
         need = r1.radius + r2.radius + margin
         return d_sq >= need * need
 
@@ -678,9 +674,9 @@ def lebesgue_number(cover: Cover) -> Fraction:
     lam: Fraction | None = None
     for p in t_idx:
         p = int(p)
-        best: Fraction | None = None
         local_tol = tol
         while True:
+            best: Fraction | None = None
             for ridx, region in enumerate(cover.regions):
                 if not masks[ridx][p]:
                     continue
@@ -690,10 +686,10 @@ def lebesgue_number(cover: Cover) -> Fraction:
             if best is not None and best > 0:
                 break
             # true radius is positive; refine the sqrt tolerance and retry
-            local_tol /= 2**20
-            best = None
+            local_tol = _finer_tolerance(space, p, local_tol)
         lam = best if lam is None else min(lam, best)
-    assert lam is not None and lam > 0
+    if lam is None:
+        raise AssertionError("a validated cover with an empty target")
     cover._lebesgue = lam
     return lam
 
@@ -714,11 +710,21 @@ def lebesgue_argmax_region(cover: Cover, p: int, lam: Fraction) -> int:
             cr = _containment_radius_lb(region, p, tol)
             if cr is not None and cr >= lam:
                 return ridx
-        tol /= 2**20
-        if tol < space.mesh / 2**400:
-            raise CheckFailure(
-                f"no region certifies the Lebesgue ball at point {p}", witness=p
-            )
+        tol = _finer_tolerance(space, p, tol)
+
+
+def _finer_tolerance(space: SampledSpace, p: int, tol: Fraction) -> Fraction:
+    """The next sqrt tolerance, tol / 2**20.
+
+    Below the floor mesh / 2**400 no region certifies a ball at p, which is
+    a check failure rather than a reason to refine forever.
+    """
+    tol /= 2**20
+    if tol < space.mesh / 2**400:
+        raise CheckFailure(
+            f"no region certifies the Lebesgue ball at point {p}", witness=p
+        )
+    return tol
 
 
 # -- families -------------------------------------------------------------------------

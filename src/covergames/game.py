@@ -173,7 +173,8 @@ def covering_two_policy(
             gain = int((mask & uncovered).sum())
             if gain > best_gain:
                 best, best_gain = (n, ridx, mask), gain
-        assert best is not None
+        if best is None:
+            raise AssertionError("uncovered points remain but no pick gains any")
         n, ridx, mask = best
         picks.append((n, ridx))
         uncovered &= ~mask

@@ -75,8 +75,10 @@ def normalize_epsilons(raw: Sequence[Fraction]) -> Schedule:
         out.append(v if v < prev / 2 else prev / 4)
     sched = epsilon_schedule(out)
     for n in range(1, sched.horizon):
-        assert sched.value(n + 1) < sched.value(n) / 2
-        assert sched.value(n) <= vals[n - 1] or n == 1
+        if not sched.value(n + 1) < sched.value(n) / 2:
+            raise AssertionError(f"normalized epsilon {n + 1} does not halve term {n}")
+        if not (sched.value(n) <= vals[n - 1] or n == 1):
+            raise AssertionError(f"normalized epsilon {n} exceeds its raw value")
     return sched
 
 
@@ -122,7 +124,8 @@ def build_stage_covers(
     for n in range(1, schedule.horizon + 1):
         eps_n = schedule.value(n)
         delta_n = deltas.value(n)
-        assert delta_n < eps_n / 2
+        if not delta_n < eps_n / 2:
+            raise AssertionError(f"stage {n} net radius is not below epsilon / 2")
         stage = chain.stage(n)
         if stage.is_empty():
             raise CheckFailure(
@@ -266,7 +269,8 @@ def build_haver_witness(
     covered = np.zeros(space.n, dtype=bool)
     for fam in families:
         covered |= fam.union_mask()
-    assert covered.all(), "claim replay succeeded but the union misses a point"
+    if not covered.all():
+        raise AssertionError("claim replay succeeded but the union misses a point")
 
     return HaverWitness(
         schedule,

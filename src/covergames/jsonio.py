@@ -53,10 +53,18 @@ def space_to_json(space: SampledSpace) -> dict:
 
 
 def space_from_json(doc: dict) -> SampledSpace:
+    parsed = {}  # coordinate text -> value; a grid repeats few distinct texts
+
+    def coord(text):
+        if not isinstance(text, str):
+            return parse_rational(text)
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_rational(text)
+        return value
+
     try:
-        points = [
-            tuple(parse_rational(c) for c in p) for p in doc["points"]
-        ]
+        points = [tuple(coord(c) for c in p) for p in doc["points"]]
         return SampledSpace(
             points,
             doc["metric"],

@@ -177,7 +177,8 @@ def _tail_start(chain: Sequence[SubsetHandle], space: SampledSpace) -> tuple[int
         k = next(
             (n + 1 for n, h in enumerate(chain) if h.contains_index(p)), None
         )
-        assert k is not None
+        if k is None:
+            raise AssertionError(f"point {p} lies in no chain stage")
         out.append(k)
     return tuple(out)
 

@@ -195,7 +195,8 @@ def _cantor_level_family(
         box = Box(space, tuple(c - gamma for c in p), tuple(c + gamma for c in p))
         return _witness_class([box], cover, lam)
     st = space.structure
-    assert isinstance(st, CantorStructure)
+    if not isinstance(st, CantorStructure):
+        raise AssertionError(f"Cantor brick class on a space with structure {st!r}")
     depth = st.depth
     level = None
     for L in range(depth + 1):
@@ -343,7 +344,8 @@ def _sc_fin_families(
     infeasible and the fallback is not allowed."""
     _require_screenable(space)
     d = space.screen_dim
-    assert d is not None
+    if d is None:
+        raise AssertionError("screenable space without a screening dimension")
     width = d + 1
     families: list[DisjointFamily] = []
     block_starts: list[int] = []
@@ -395,7 +397,8 @@ def _assert_block_covers(space, block_families) -> None:
     union = np.zeros(space.n, dtype=bool)
     for fam in block_families:
         union |= fam.union_mask()
-    assert union.all(), "a full brick block must cover the sample"
+    if not union.all():
+        raise AssertionError("a full brick block must cover the sample")
 
 
 @dataclass(frozen=True)

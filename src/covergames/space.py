@@ -23,7 +23,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm, prod
 
 import numpy as np
 
@@ -60,8 +60,14 @@ def default_point_cap() -> int:
     return cap
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+def _integer_table(points) -> tuple[int, list[tuple[int, ...]]]:
+    """(scale, rows): the lcm of all coordinate denominators, and every
+    point's coordinates times it as a tuple of ints."""
+    dens = {c.denominator for p in points for c in p}
+    scale = lcm(*dens)
+    factor = {den: scale // den for den in dens}
+    rows = [tuple(c.numerator * factor[c.denominator] for c in p) for p in points]
+    return scale, rows
 
 
 @dataclass(frozen=True)
@@ -94,13 +100,16 @@ class SampledSpace:
     ):
         if metric_kind not in METRIC_KINDS:
             raise InputError(f"unknown metric kind {metric_kind!r}")
-        pts = tuple(tuple(Fraction(c) for c in p) for p in points)
+        pts = tuple(
+            tuple(c if type(c) is Fraction else Fraction(c) for c in p) for p in points
+        )
         if not pts:
             raise InputError("a space needs at least one point")
         dims = {len(p) for p in pts}
         if len(dims) != 1 or dims == {0}:
             raise InputError("all points must share one positive coordinate dimension")
-        if len(set(pts)) != len(pts):
+        scale, rows = _integer_table(pts)
+        if len(set(rows)) != len(rows):
             raise InputError("point identifiers (coordinates) must be unique")
         mesh = Fraction(mesh)
         if mesh <= 0:
@@ -111,23 +120,22 @@ class SampledSpace:
         self.mesh = mesh
         self.label = label
         self.n = len(pts)
-
-        scale = 1
-        for p in pts:
-            for c in p:
-                scale = _lcm(scale, c.denominator)
         self.scale = scale
-        self._icoords = np.array(
-            [[int(c * scale) for c in p] for p in pts], dtype=object
+
+        cols = list(zip(*rows))
+        lo = [min(col) for col in cols]
+        hi = [max(col) for col in cols]
+        self.axis_min = tuple(Fraction(v, scale) for v in lo)
+        self.axis_max = tuple(Fraction(v, scale) for v in hi)
+        # int64 fast path only when the table fits and squared scaled
+        # distances cannot overflow
+        span = max(b - a for a, b in zip(lo, hi))
+        self._fast = (
+            span * span * self.coord_dim < 2**62
+            and -(2**63) <= min(lo)
+            and max(hi) < 2**63
         )
-        # int64 fast path only when squared scaled distances cannot overflow
-        span = max(
-            (max(int(c * scale) for c in p) - min(int(c * scale) for c in p))
-            for p in zip(*pts)
-        ) if self.coord_dim else 0
-        self._fast = span * span * self.coord_dim < 2**62
-        if self._fast:
-            self._icoords = self._icoords.astype(np.int64)
+        self._icoords = np.array(rows, dtype=np.int64 if self._fast else object)
 
         if metric_kind == "cantor_2adic":
             self._init_cantor_bits()
@@ -136,16 +144,14 @@ class SampledSpace:
             self.dist_scale_sq = scale * scale
 
         if structure is None and detect:
-            structure = detect_structure(pts)
+            structure = _table_structure(cols, scale)
         self.structure = structure
-        self._index = {p: i for i, p in enumerate(pts)}
+        self._index: dict[tuple[Fraction, ...], int] | None = None
         self._mask_cache: dict[object, np.ndarray] = {}
         self._row_cache: dict[int, np.ndarray] = {}
         self._min_gap_sq: Fraction | None = None
         self._diam_sq: Fraction | None = None
         self._diam_ub: Fraction | None = None
-        self.axis_min = tuple(min(col) for col in zip(*pts))
-        self.axis_max = tuple(max(col) for col in zip(*pts))
 
     # -- structural metadata -------------------------------------------------
 
@@ -197,14 +203,25 @@ class SampledSpace:
     # -- exact distances ------------------------------------------------------
 
     def index_of(self, coords) -> int:
+        if self._index is None:
+            self._index = {p: i for i, p in enumerate(self.points)}
         key = tuple(Fraction(c) for c in coords)
         if key not in self._index:
             raise InputError(f"no sample point at {key}")
         return self._index[key]
 
     def distance_sq(self, i: int, j: int) -> Fraction:
-        """Exact squared distance between sample points i and j."""
-        return Fraction(int(self.dist_sq_row(i)[j]), self.dist_scale_sq)
+        """Exact squared distance between sample points i and j, in O(dim)."""
+        if self.metric_kind == "cantor_2adic":
+            msb = _msb(int(self._cantor_bits[i] ^ self._cantor_bits[j]))
+            return Fraction(msb * msb, self.dist_scale_sq)
+        pi, pj = self._icoords[i].tolist(), self._icoords[j].tolist()
+        deltas = [a - b for a, b in zip(pi, pj)]
+        if self.metric_kind == "euclidean":
+            dsq = sum(x * x for x in deltas)
+        else:
+            dsq = max(abs(x) for x in deltas) ** 2
+        return Fraction(dsq, self.dist_scale_sq)
 
     def distance_exact(self, i: int, j: int) -> Fraction | None:
         """Exact distance when rational (always, except euclidean dim>=2)."""
@@ -248,25 +265,58 @@ class SampledSpace:
         return np.asarray(self.dist_sq_row(i) <= bound, dtype=bool)
 
     def min_positive_gap_sq(self) -> Fraction:
-        """Smallest positive squared distance between sample points."""
+        """Smallest positive squared distance between sample points (1 for a
+        single point).
+
+        2-adic: the smallest xor sits between neighbours in sorted order.
+        When the sample is the full product of its per-axis value sets
+        (every 1-D sample, every grid), two points differ on some axis by at
+        least that axis's smallest step, and neighbours along one axis attain
+        it, so the gap is the smallest axis step.  Other samples scan every
+        distance row.
+        """
         if self._min_gap_sq is None:
-            best = None
-            for i in range(self.n):
-                row = self.dist_sq_row(i)
-                pos = row[row > 0]
-                if pos.size:
-                    m = int(pos.min())
-                    best = m if best is None else min(best, m)
-            if best is None:  # single point
-                best = self.dist_scale_sq  # gap 1 by convention
+            if self.n == 1:
+                best = self.dist_scale_sq
+            elif self.metric_kind == "cantor_2adic":
+                bits = np.sort(self._cantor_bits)
+                best = _msb(int((bits[1:] ^ bits[:-1]).min())) ** 2
+            else:
+                axes = [np.unique(col) for col in self._icoords.T]
+                if prod(len(a) for a in axes) == self.n:
+                    step = min(int(np.diff(a).min()) for a in axes if len(a) > 1)
+                    best = step * step
+                else:
+                    rows = map(self.dist_sq_row, range(self.n))
+                    best = min(int(row[row > 0].min()) for row in rows)
             self._min_gap_sq = Fraction(best, self.dist_scale_sq)
         return self._min_gap_sq
 
     def diameter_sq(self) -> Fraction:
+        """Exact squared diameter of the sample.
+
+        2-adic: the highest bit on which some two points disagree.
+        Chebyshev: the largest axis extent.  Euclidean: the bounding-box
+        diagonal, which is attained exactly when two opposite box corners
+        are sample points (always in dimension 1, and on every grid); other
+        samples scan every distance row.
+        """
         if self._diam_sq is None:
-            worst = 0
-            for i in range(self.n):
-                worst = max(worst, int(self.dist_sq_row(i).max()))
+            if self.metric_kind == "cantor_2adic":
+                bits = self._cantor_bits
+                worst = _msb(
+                    int(np.bitwise_or.reduce(bits) ^ np.bitwise_and.reduce(bits))
+                ) ** 2
+            else:
+                table = self._icoords
+                lo, hi = table.min(axis=0), table.max(axis=0)
+                extents = [b - a for a, b in zip(lo.tolist(), hi.tolist())]
+                if self.metric_kind == "chebyshev":
+                    worst = max(extents) ** 2
+                elif _has_opposite_corners(table, lo, hi):
+                    worst = sum(e * e for e in extents)
+                else:
+                    worst = max(int(self.dist_sq_row(i).max()) for i in range(self.n))
             self._diam_sq = Fraction(worst, self.dist_scale_sq)
         return self._diam_sq
 
@@ -313,6 +363,27 @@ class SampledSpace:
             f"SampledSpace({self.label or 'unlabeled'}, n={self.n}, "
             f"metric={self.metric_kind}, mesh={self.mesh})"
         )
+
+
+def _msb(x: int) -> int:
+    """Value of the highest set bit of x >= 0 (0 for 0)."""
+    return 1 << (x.bit_length() - 1) if x else 0
+
+
+def _has_opposite_corners(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether two sample points sit at opposite corners of the bounding box.
+
+    A corner is coded by the set of axes on which it takes the maximum;
+    axes of zero extent are left out, since every point is at both ends.
+    """
+    live = np.asarray(hi > lo, dtype=bool)
+    table, lo, hi = table[:, live], lo[live], hi[live]
+    at_lo = np.asarray(table == lo, dtype=bool)
+    at_hi = np.asarray(table == hi, dtype=bool)
+    corner = (at_lo | at_hi).all(axis=1)
+    codes = set((at_hi[corner] @ (1 << np.arange(table.shape[1]))).tolist())
+    full = (1 << table.shape[1]) - 1
+    return any(full ^ code in codes for code in codes)
 
 
 def _ternary_digits(c: Fraction) -> list[int] | None:
@@ -526,28 +597,45 @@ def build_single_point_space() -> SampledSpace:
 
 
 def detect_structure(points) -> GridStructure | CantorStructure | None:
-    """Recognize the built-in grid / Cantor samples from raw coordinates."""
-    dim = len(points[0])
-    pset = set(points)
-    if dim == 1:
-        n = len(points)
-        if n and n & (n - 1) == 0:
-            depth = n.bit_length() - 1
-            if depth >= 1 and pset == set(cantor_points(depth)):
-                return CantorStructure(depth)
-    axis_vals = sorted({p[0] for p in points})
-    if len(axis_vals) >= 2 and axis_vals[0] == 0 and axis_vals[-1] == 1:
-        h = axis_vals[1] - axis_vals[0]
-        if h > 0 and all(
-            axis_vals[k] == k * h for k in range(len(axis_vals))
+    """Recognize the built-in grid / Cantor samples from distinct raw
+    coordinates."""
+    scale, rows = _integer_table(points)
+    return _table_structure(list(zip(*rows)), scale)
+
+
+def _table_structure(cols, scale: int) -> GridStructure | CantorStructure | None:
+    """detect_structure on the integer table of distinct points: cols[k]
+    holds every point's k-th coordinate times `scale`."""
+    n, dim = len(cols[0]), len(cols)
+    if dim == 1 and n > 1 and n & (n - 1) == 0:
+        # the 2**depth distinct points are the depth-level Cantor endpoints
+        # iff each is k / 3**depth with base-3 digits of k in {0, 2}
+        depth = n.bit_length() - 1
+        if scale == 3**depth and all(_cantor_int(k, scale) for k in cols[0]):
+            return CantorStructure(depth)
+    axis = sorted(set(cols[0]))
+    if len(axis) >= 2 and axis[0] == 0 and axis[-1] == scale:
+        # n distinct points inside {0, h, ..., 1}**dim, a set of n points
+        step = axis[1]
+        values = {k * step for k in range(len(axis))}
+        if (
+            axis == sorted(values)
+            and n == len(axis) ** dim
+            and all(values.issuperset(col) for col in cols[1:])
         ):
-            expected = set(
-                itertools.product([Fraction(k) * h for k in range(len(axis_vals))],
-                                  repeat=dim)
-            )
-            if pset == expected:
-                return GridStructure(dim, h)
+            return GridStructure(dim, Fraction(step, scale))
     return None
+
+
+def _cantor_int(k: int, bound: int) -> bool:
+    """Whether 0 <= k < bound and k has only base-3 digits 0 and 2."""
+    if not 0 <= k < bound:
+        return False
+    while k:
+        k, digit = divmod(k, 3)
+        if digit == 1:
+            return False
+    return True
 
 
 # -- schedules -------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covergames.covers as covers_module
 from covergames.covers import (
     Ball,
     Box,
@@ -371,6 +372,25 @@ class TestLebesgue:
         s = square_8
         cover = Cover(s, [Ball(s, s.index_of((F(1, 2), F(1, 2))), F(2))])
         assert lebesgue_number(cover) > 0
+
+    def test_tolerance_floor_fails_instead_of_looping(self, interval_8, monkeypatch):
+        s = interval_8
+        tols = []
+
+        def no_radius(region, p, tol):
+            tols.append(tol)
+            if len(tols) > 1000:
+                raise RuntimeError("the sqrt tolerance refinement has no floor")
+            return F(0)
+
+        monkeypatch.setattr(covers_module, "_containment_radius_lb", no_radius)
+        with pytest.raises(CheckFailure):
+            lebesgue_number(Cover(s, [Ball(s, 4, F(3, 4))]))
+        assert min(tols) == s.mesh / 2**400
+        tols.clear()
+        with pytest.raises(CheckFailure):
+            lebesgue_argmax_region(Cover(s, [Ball(s, 4, F(3, 4))]), 0, F(1, 4))
+        assert min(tols) == s.mesh / 2**400
 
 
 class TestDisjointFamily:
