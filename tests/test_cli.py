@@ -214,6 +214,9 @@ class TestSubcommands:
         assert code == 0
         by_name = {c["name"]: c for c in doc["checks"]}
         assert by_name["first_block_family_count"]["families"] == 3
+        from test_golden import assert_golden
+
+        assert_golden("demo_unit_square_64", doc)
 
     def test_builtin_space_names_resolve(self):
         for name in builtin_names():
