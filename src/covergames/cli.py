@@ -20,7 +20,6 @@ from pathlib import Path
 from . import jsonio
 from .covers import (
     Ball,
-    Cover,
     CoverSeq,
     covers_check,
     lebesgue_number,
@@ -65,7 +64,6 @@ class RunConfig:
     margin: Fraction | None = None  # default: the space mesh
     tail_slack: int = 1
     point_cap: int = field(default_factory=default_point_cap)
-    seed: int = 0
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -76,10 +74,14 @@ class RunConfig:
     @staticmethod
     def from_file(path) -> "RunConfig":
         doc = jsonio.load_json(path)
+        if not isinstance(doc, dict):
+            raise InputError(f"config {path} must hold a JSON object")
         kwargs = {}
-        for key in ("horizon", "tail_slack", "point_cap", "seed"):
+        for key in ("horizon", "tail_slack", "point_cap"):
             if key in doc:
-                kwargs[key] = int(doc[key])
+                if type(doc[key]) is not int:
+                    raise InputError(f"config {key} must be an integer: {doc[key]!r}")
+                kwargs[key] = doc[key]
         if "margin" in doc:
             kwargs["margin"] = parse_rational(doc["margin"])
         return RunConfig(**kwargs)
@@ -121,15 +123,54 @@ class Report:
         return all(c["pass"] for c in self.doc["checks"])
 
 
-def _load_space(spec: str, cfg: RunConfig | None = None) -> SampledSpace:
-    if spec in builtin_names():
+def _parsed(name: str, spec: str, parse, *args):
+    """parse(*args), turning a malformed document into an input error that
+    names the input."""
+    try:
+        return parse(*args)
+    except InputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed {name} input {spec}: {exc!r}") from exc
+
+
+def _load_space(spec: str, cfg: RunConfig, builtin_only: bool) -> SampledSpace:
+    if builtin_only or spec in builtin_names():
         space = builtin_space(spec)
     else:
-        space = jsonio.space_from_json(jsonio.load_json(spec))
-    cap = cfg.point_cap if cfg is not None else default_point_cap()
-    if space.n > cap:
-        raise ResourceError(f"space has {space.n} points, cap is {cap}")
+        doc = jsonio.load_json(spec)
+        space = _parsed("space", spec, jsonio.space_from_json, doc)
+    if space.n > cfg.point_cap:
+        raise ResourceError(f"space has {space.n} points, cap is {cfg.point_cap}")
     return space
+
+
+# input name -> parse(space, doc); the space itself comes first
+_PARSERS = {
+    "cover": jsonio.cover_from_json,
+    "covers": jsonio.coverseq_from_json,
+    "chain": jsonio.chain_from_json,
+    "selections": jsonio.selections_from_json,
+    "picks": lambda space, doc: jsonio.picks_from_json(doc),
+}
+
+
+def _load_inputs(args, cfg: RunConfig, report: Report) -> list:
+    """The subcommand's inputs in their declared order.  Each is loaded,
+    point-capped (a space), digested into the report, then parsed.  A space
+    given by --label must be a built-in one."""
+    loaded = []
+    for name in COMMANDS[args.cmd][1]:
+        spec = getattr(args, name)
+        if name in ("space", "label"):
+            space = _load_space(spec, cfg, builtin_only=name == "label")
+            report.add_input("space", jsonio.space_to_json(space))
+            loaded.append(space)
+            continue
+        doc = jsonio.load_json(spec)
+        report.add_input(name, doc)
+        loaded.append(_parsed(name, spec, _PARSERS[name], space, doc))
+    return loaded
 
 
 def _emit(report_doc: dict, out: str | None) -> None:
@@ -140,12 +181,23 @@ def _emit(report_doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _families_json(families) -> list:
+    return [[jsonio.region_to_json(r) for r in fam.regions] for fam in families]
+
+
+def _check_margin_disjoint(report: Report, cfg: RunConfig, space, families) -> None:
+    margin = cfg.margin if cfg.margin is not None else space.mesh
+    report.check(
+        "families_margin_disjoint",
+        all(pairwise_disjoint_check(fam.regions, margin).ok for fam in families),
+        margin=format_rational(margin),
+    )
+
+
 # -- subcommand handlers -----------------------------------------------------------
 
 
-def _cmd_net(args, cfg: RunConfig, report: Report) -> int:
-    space = _load_space(args.space, cfg)
-    report.add_input("space", jsonio.space_to_json(space))
+def _cmd_net(args, cfg: RunConfig, report: Report, space) -> int:
     eps = parse_rational(args.epsilon)
     subset = space.subset_all()
     cert = greedy_net(space, subset, eps)
@@ -173,12 +225,7 @@ def _cmd_net(args, cfg: RunConfig, report: Report) -> int:
     return 0 if report.all_passed else 1
 
 
-def _cmd_decompose(args, cfg: RunConfig, report: Report) -> int:
-    space = _load_space(args.space, cfg)
-    report.add_input("space", jsonio.space_to_json(space))
-    doc = jsonio.load_json(args.selections)
-    report.add_input("selections", doc)
-    selections = jsonio.selections_from_json(space, doc)
+def _cmd_decompose(args, cfg: RunConfig, report: Report, space, selections) -> int:
     horizon = args.horizon or cfg.horizon
     epsilons = [parse_rational(e) for e in args.epsilons.split(",")] if args.epsilons else []
     dec = decompose_from_hurewicz(space, selections, horizon, epsilons)
@@ -204,15 +251,7 @@ def _cmd_decompose(args, cfg: RunConfig, report: Report) -> int:
     return 0 if report.all_passed else 1
 
 
-def _cmd_select(args, cfg: RunConfig, report: Report) -> int:
-    space = _load_space(args.space, cfg)
-    report.add_input("space", jsonio.space_to_json(space))
-    chain_doc = jsonio.load_json(args.chain)
-    report.add_input("chain", chain_doc)
-    dec = jsonio.chain_from_json(space, chain_doc)
-    covers_doc = jsonio.load_json(args.covers)
-    report.add_input("covers", covers_doc)
-    covers = jsonio.coverseq_from_json(space, covers_doc)
+def _cmd_select(args, cfg: RunConfig, report: Report, space, dec, covers) -> int:
     sel = select_from_decomposition(space, dec, covers)
     tail = hurewicz_selection_check(space, covers, sel.picks)
     report.check("tail_condition", tail.ok)
@@ -225,89 +264,43 @@ def _cmd_select(args, cfg: RunConfig, report: Report) -> int:
     return 0 if report.all_passed else 1
 
 
-def _cmd_refine(args, cfg: RunConfig, report: Report) -> int:
-    space = _load_space(args.space, cfg)
-    report.add_input("space", jsonio.space_to_json(space))
-    doc = jsonio.load_json(args.cover)
-    report.add_input("cover", doc)
-    cover = jsonio.cover_from_json(space, doc)
+def _cmd_refine(args, cfg: RunConfig, report: Report, space, cover) -> int:
     report.check("cover_validates", covers_check(cover).ok)
     families = brick_refinement(space, cover)
     report.check("family_count", True, count=len(families))
-    margin = cfg.margin if cfg.margin is not None else space.mesh
-    report.check(
-        "families_margin_disjoint",
-        all(
-            pairwise_disjoint_check(fam.regions, margin).ok for fam in families
-        ),
-        margin=format_rational(margin),
-    )
+    _check_margin_disjoint(report, cfg, space, families)
     report.result(
         lebesgue=format_rational(lebesgue_number(cover)),
-        families=[
-            [jsonio.region_to_json(r) for r in fam.regions] for fam in families
-        ],
+        families=_families_json(families),
         witnesses=[list(fam.witness) for fam in families],
     )
     return 0 if report.all_passed else 1
 
 
-def _cmd_scfin(args, cfg: RunConfig, report: Report) -> int:
-    space = _load_space(args.space, cfg)
-    report.add_input("space", jsonio.space_to_json(space))
-    doc = jsonio.load_json(args.covers)
-    report.add_input("covers", doc)
-    covers = jsonio.coverseq_from_json(space, doc)
+def _cmd_scfin(args, cfg: RunConfig, report: Report, space, covers) -> int:
     sel = sc_fin_select(space, covers)
     report.check("selection_covers", True)
-    margin = cfg.margin if cfg.margin is not None else space.mesh
-    report.check(
-        "families_margin_disjoint",
-        all(
-            pairwise_disjoint_check(fam.regions, margin).ok
-            for fam in sel.families
-        ),
-        margin=format_rational(margin),
-    )
+    _check_margin_disjoint(report, cfg, space, sel.families)
     report.result(
         block_starts=list(sel.block_starts),
-        families=[
-            [jsonio.region_to_json(r) for r in fam.regions]
-            for fam in sel.families
-        ],
+        families=_families_json(sel.families),
         witnesses=[list(fam.witness) for fam in sel.families],
     )
     return 0 if report.all_passed else 1
 
 
-def _cmd_fincspace(args, cfg: RunConfig, report: Report) -> int:
-    space = _load_space(args.space, cfg)
-    report.add_input("space", jsonio.space_to_json(space))
-    doc = jsonio.load_json(args.covers)
-    report.add_input("covers", doc)
-    covers = jsonio.coverseq_from_json(space, doc)
+def _cmd_fincspace(args, cfg: RunConfig, report: Report, space, covers) -> int:
     res = finite_c_search(space, covers)
     if isinstance(res, FiniteCWitness):
         report.check("witness_found", True, n=res.n)
-        report.result(
-            n=res.n,
-            families=[
-                [jsonio.region_to_json(r) for r in fam.regions]
-                for fam in res.families
-            ],
-        )
+        report.result(n=res.n, families=_families_json(res.families))
     else:
         report.check("witness_found", False, candidates_refuted=res.candidates_refuted)
         report.result(no_witness_at_horizon=res.horizon)
     return 0 if report.all_passed else 1
 
 
-def _cmd_haver(args, cfg: RunConfig, report: Report) -> int:
-    space = _load_space(args.space, cfg)
-    report.add_input("space", jsonio.space_to_json(space))
-    chain_doc = jsonio.load_json(args.chain)
-    report.add_input("chain", chain_doc)
-    dec = jsonio.chain_from_json(space, chain_doc)
+def _cmd_haver(args, cfg: RunConfig, report: Report, space, dec) -> int:
     raw = [parse_rational(e) for e in args.epsilons.split(",")]
     horizon = args.horizon or len(raw)
     sched = normalize_epsilons(raw[:horizon])
@@ -338,18 +331,27 @@ def _cmd_haver(args, cfg: RunConfig, report: Report) -> int:
     return 0 if report.all_passed else 1
 
 
-def _cmd_game(args, cfg: RunConfig, report: Report) -> int:
-    space = _load_space(args.space, cfg)
-    report.add_input("space", jsonio.space_to_json(space))
-    doc = jsonio.load_json(args.covers)
-    report.add_input("covers", doc)
-    covers = jsonio.coverseq_from_json(space, doc)
-    if args.two == "covering":
-        policy = None
-    elif args.two.startswith("adversarial:"):
-        policy = adversarial_two_policy(int(args.two.split(":", 1)[1]))
-    else:
+def _two_policy(spec: str, space: SampledSpace):
+    """TWO's policy named by --two: None for the covering policy."""
+    if spec == "covering":
+        return None
+    if not spec.startswith("adversarial:"):
         raise InputError("--two must be 'covering' or 'adversarial:<point>'")
+    point = spec.split(":", 1)[1]
+    try:
+        p = int(point)
+    except ValueError:
+        p = -1
+    if not 0 <= p < space.n:
+        raise InputError(
+            f"--two adversarial:<point> needs a point index in 0..{space.n - 1}, "
+            f"got {point!r}"
+        )
+    return adversarial_two_policy(p)
+
+
+def _cmd_game(args, cfg: RunConfig, report: Report, space, covers) -> int:
+    policy = _two_policy(args.two, space)
     horizon = args.horizon or covers.horizon
     transcript = play_hurewicz_game(space, covers, policy, horizon)
     loss = transcript_loss_report(transcript, cfg.tail_slack)
@@ -362,10 +364,7 @@ def _cmd_game(args, cfg: RunConfig, report: Report) -> int:
         moves=[
             {
                 "start": r.start_index,
-                "one": [
-                    [jsonio.region_to_json(reg) for reg in fam.regions]
-                    for fam in r.one_move
-                ],
+                "one": _families_json(r.one_move),
                 "two": [list(ref) for ref in r.two_refs],
                 "block": r.block,
             }
@@ -375,12 +374,7 @@ def _cmd_game(args, cfg: RunConfig, report: Report) -> int:
     return 0 if report.all_passed else 1
 
 
-def _cmd_scplus(args, cfg: RunConfig, report: Report) -> int:
-    space = _load_space(args.space, cfg)
-    report.add_input("space", jsonio.space_to_json(space))
-    doc = jsonio.load_json(args.covers)
-    report.add_input("covers", doc)
-    covers = jsonio.coverseq_from_json(space, doc)
+def _cmd_scplus(args, cfg: RunConfig, report: Report, space, covers) -> int:
     res = sc_plus_select(space, covers, cfg.tail_slack)
     report.check("blocks_increasing", all(a < b for a, b in zip(res.blocks, res.blocks[1:])))
     report.check("tail_index_bounded", max(res.tail_index) <= 2, max_tail=max(res.tail_index))
@@ -392,15 +386,7 @@ def _cmd_scplus(args, cfg: RunConfig, report: Report) -> int:
     return 0 if report.all_passed else 1
 
 
-def _cmd_check(args, cfg: RunConfig, report: Report) -> int:
-    space = _load_space(args.space, cfg)
-    report.add_input("space", jsonio.space_to_json(space))
-    covers_doc = jsonio.load_json(args.covers)
-    report.add_input("covers", covers_doc)
-    covers = jsonio.coverseq_from_json(space, covers_doc)
-    picks_doc = jsonio.load_json(args.picks)
-    report.add_input("picks", picks_doc)
-    picks = jsonio.picks_from_json(picks_doc)
+def _cmd_check(args, cfg: RunConfig, report: Report, space, covers, picks) -> int:
     if args.kind == "menger":
         rep = menger_selection_check(space, covers, picks)
         report.check("menger", rep.ok, failure_point=rep.failure_point)
@@ -412,13 +398,10 @@ def _cmd_check(args, cfg: RunConfig, report: Report) -> int:
     return 0 if report.all_passed else 1
 
 
-def pipeline_demo(space_label: str, horizon: int, report: Report) -> int:
+def pipeline_demo(space: SampledSpace, horizon: int, report: Report) -> int:
     """Chain-build, block-selection and small-diameter witness end to end on
     a built-in space: the executable composite of the main implication chain
     up to its externally-cited final step."""
-    space = builtin_space(space_label)
-    report.add_input("space", jsonio.space_to_json(space))
-
     # stage 1: chain from greedy selections at the doubling radii
     selections = {}
     for m in range(1, horizon + 1):
@@ -459,7 +442,7 @@ def pipeline_demo(space_label: str, horizon: int, report: Report) -> int:
         )
 
     report.result(
-        space=space_label,
+        space=space.label,
         horizon=horizon,
         epsilons=[format_rational(e) for e in sched.values],
         diam_bounds=[format_rational(x) for x in witness.diam_bounds],
@@ -467,11 +450,46 @@ def pipeline_demo(space_label: str, horizon: int, report: Report) -> int:
     return 0 if report.all_passed else 1
 
 
-def _cmd_demo(args, cfg: RunConfig, report: Report) -> int:
-    return pipeline_demo(args.label, args.horizon or 6, report)
+def _cmd_demo(args, cfg: RunConfig, report: Report, space) -> int:
+    return pipeline_demo(space, args.horizon or 6, report)
 
 
-# -- parser ------------------------------------------------------------------------
+# -- subcommand table and parser -----------------------------------------------------
+
+_REQUIRED = {"required": True}
+_HORIZON = {"type": int, "default": 0}
+
+# name -> (handler, inputs in load order, other flags); each input is a
+# required --<input> flag, and the handler receives the loaded inputs
+COMMANDS = {
+    "net": (
+        _cmd_net,
+        ("space",),
+        {"--epsilon": _REQUIRED, "--oracle": {"action": "store_true"}},
+    ),
+    "decompose": (
+        _cmd_decompose,
+        ("space", "selections"),
+        {"--horizon": _HORIZON, "--epsilons": {"default": ""}},
+    ),
+    "select": (_cmd_select, ("space", "chain", "covers"), {}),
+    "refine": (_cmd_refine, ("space", "cover"), {}),
+    "scfin": (_cmd_scfin, ("space", "covers"), {}),
+    "fincspace": (_cmd_fincspace, ("space", "covers"), {}),
+    "haver": (
+        _cmd_haver,
+        ("space", "chain"),
+        {"--epsilons": _REQUIRED, "--horizon": _HORIZON},
+    ),
+    "game": (
+        _cmd_game,
+        ("space", "covers"),
+        {"--two": {"default": "covering"}, "--horizon": _HORIZON},
+    ),
+    "scplus": (_cmd_scplus, ("space", "covers"), {}),
+    "check": (_cmd_check, ("space", "covers", "picks"), {"--kind": _REQUIRED}),
+    "demo": (_cmd_demo, ("label",), {"--horizon": _HORIZON}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,81 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def add(name, fn, **arguments):
+    for name, (_, inputs, flags) in COMMANDS.items():
         sp = sub.add_parser(name, parents=[common])
-        for arg, kw in arguments.items():
-            sp.add_argument(arg, **kw)
-        sp.set_defaults(fn=fn)
-        return sp
-
-    add(
-        "net",
-        _cmd_net,
-        **{
-            "--space": {"required": True},
-            "--epsilon": {"required": True},
-            "--oracle": {"action": "store_true"},
-        },
-    )
-    add(
-        "decompose",
-        _cmd_decompose,
-        **{
-            "--space": {"required": True},
-            "--selections": {"required": True},
-            "--horizon": {"type": int, "default": 0},
-            "--epsilons": {"default": ""},
-        },
-    )
-    add(
-        "select",
-        _cmd_select,
-        **{
-            "--space": {"required": True},
-            "--chain": {"required": True},
-            "--covers": {"required": True},
-        },
-    )
-    add("refine", _cmd_refine, **{"--space": {"required": True}, "--cover": {"required": True}})
-    add("scfin", _cmd_scfin, **{"--space": {"required": True}, "--covers": {"required": True}})
-    add(
-        "fincspace",
-        _cmd_fincspace,
-        **{"--space": {"required": True}, "--covers": {"required": True}},
-    )
-    add(
-        "haver",
-        _cmd_haver,
-        **{
-            "--space": {"required": True},
-            "--chain": {"required": True},
-            "--epsilons": {"required": True},
-            "--horizon": {"type": int, "default": 0},
-        },
-    )
-    add(
-        "game",
-        _cmd_game,
-        **{
-            "--space": {"required": True},
-            "--covers": {"required": True},
-            "--two": {"default": "covering"},
-            "--horizon": {"type": int, "default": 0},
-        },
-    )
-    add("scplus", _cmd_scplus, **{"--space": {"required": True}, "--covers": {"required": True}})
-    add(
-        "check",
-        _cmd_check,
-        **{
-            "--kind": {"required": True},
-            "--space": {"required": True},
-            "--covers": {"required": True},
-            "--picks": {"required": True},
-        },
-    )
-    add("demo", _cmd_demo, **{"--label": {"required": True}, "--horizon": {"type": int, "default": 0}})
+        for inp in inputs:
+            sp.add_argument(f"--{inp}", required=True)
+        for flag, kw in flags.items():
+            sp.add_argument(flag, **kw)
     return p
 
 
@@ -581,7 +530,8 @@ def run(argv: list[str]) -> tuple[int, dict]:
     try:
         config_path = getattr(args, "config", None)
         cfg = RunConfig.from_file(config_path) if config_path else RunConfig()
-        code = args.fn(args, cfg, report)
+        handler = COMMANDS[args.cmd][0]
+        code = handler(args, cfg, report, *_load_inputs(args, cfg, report))
     except CheckFailure as exc:
         report.check("precondition", False, error=str(exc), witness=repr(exc.witness))
         return 1, report.finish(1)

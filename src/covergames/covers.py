@@ -29,7 +29,7 @@ from .exact import (
     sqrt_lower,
     sqrt_upper,
 )
-from .space import SampledSpace, SubsetHandle
+from .space import SampledSpace, SubsetHandle, first_hit
 
 UNCOVERED_REPORT_CAP = 16
 
@@ -245,11 +245,13 @@ class Cover:
             self._masks = [region_mask(r) for r in self.regions]
         return self._masks
 
-    def union_mask(self) -> np.ndarray:
-        out = np.zeros(self.space.n, dtype=bool)
-        for m in self.masks():
-            out |= m
-        return out
+
+def union_mask(space: SampledSpace, regions) -> np.ndarray:
+    """Boolean mask of the sample points lying in some region."""
+    out = np.zeros(space.n, dtype=bool)
+    for r in regions:
+        out |= region_mask(r)
+    return out
 
 
 def covers_check(cover: Cover) -> CoverageReport:
@@ -259,23 +261,18 @@ def covers_check(cover: Cover) -> CoverageReport:
     failure point is the lowest-index uncovered point, with further uncovered
     points reported up to a cap.
     """
-    space = cover.space
     tmask = cover.target.mask()
-    assignment = np.full(space.n, -1, dtype=np.int64)
-    remaining = tmask.copy()
-    for idx, m in enumerate(cover.masks()):
-        hit = remaining & m
-        assignment[hit] = idx
-        remaining &= ~m
-    uncovered = np.flatnonzero(remaining)
+    assignment = first_hit(cover.masks(), cover.space.n)
+    uncovered = np.flatnonzero(tmask & (assignment < 0))
     if uncovered.size:
         return CoverageReport(
             False,
             None,
             int(uncovered[0]),
-            tuple(int(u) for u in uncovered[:UNCOVERED_REPORT_CAP]),
+            tuple(uncovered[:UNCOVERED_REPORT_CAP].tolist()),
         )
-    return CoverageReport(True, tuple(int(a) for a in assignment), None, ())
+    assignment[~tmask] = -1
+    return CoverageReport(True, tuple(assignment.tolist()), None, ())
 
 
 # -- analytic containment (sufficient tests) ---------------------------------------
@@ -781,10 +778,7 @@ class DisjointFamily:
                     )
 
     def union_mask(self) -> np.ndarray:
-        out = np.zeros(self.space.n, dtype=bool)
-        for r in self.regions:
-            out |= region_mask(r)
-        return out
+        return union_mask(self.space, self.regions)
 
     def __len__(self) -> int:
         return len(self.regions)

@@ -27,15 +27,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .covers import (
-    Cover,
     CoverSeq,
     DisjointFamily,
     OpenRegion,
     region_mask,
+    union_mask,
 )
 from .exact import CheckFailure, InputError
 from .screenability import _sc_fin_families
-from .space import SampledSpace
+from .space import SampledSpace, first_hit, tail_start
 
 DEFAULT_TAIL_SLACK = 1
 
@@ -60,9 +60,11 @@ class Transcript:
     def move_families(self, k: int) -> dict[int, DisjointFamily]:
         """Round k's families keyed by their cover stage."""
         rnd = self.rounds[k - 1]
-        return {
-            rnd.start_index + off: fam for off, fam in enumerate(rnd.one_move)
-        }
+        return _by_stage(rnd.start_index, rnd.one_move)
+
+
+def _by_stage(start: int, move) -> dict[int, DisjointFamily]:
+    return {start + off: fam for off, fam in enumerate(move)}
 
 
 TwoPolicy = Callable[[dict[int, DisjointFamily]], list[tuple[int, int]]]
@@ -72,7 +74,6 @@ def strategy_F_move(
     space: SampledSpace,
     covers: CoverSeq,
     start_index: int,
-    sc=None,
 ) -> tuple[DisjointFamily, ...]:
     """ONE's move: disjoint refining families for covers start..horizon whose
     union covers the sample (delegated to the selective refinement engine on
@@ -85,12 +86,10 @@ def strategy_F_move(
             f"suffix too short: start {start_index} leaves fewer than "
             f"{d + 1} covers"
         )
-    if sc is None:
-        families, _, _ = _sc_fin_families(
-            space, covers, allow_pointwise=True, start=start_index
-        )
-        return tuple(families)
-    return tuple(sc(space, covers, start_index))
+    families, _, _ = _sc_fin_families(
+        space, covers, allow_pointwise=True, start=start_index
+    )
+    return tuple(families)
 
 
 def _earliest_occurrence(
@@ -201,7 +200,6 @@ def play_hurewicz_game(
     covers: CoverSeq,
     two_policy: TwoPolicy | None = None,
     horizon: int | None = None,
-    sc=None,
 ) -> Transcript:
     """Alternate ONE's strategy moves and TWO's selections until the blocks
     pass the horizon or the remaining suffix is too short for a move."""
@@ -218,8 +216,8 @@ def play_hurewicz_game(
     start = 1
     while start <= horizon - d:
         suffix = CoverSeq(space, covers.covers[:horizon])
-        move = strategy_F_move(space, suffix, start, sc=sc)
-        fams = {start + off: fam for off, fam in enumerate(move)}
+        move = strategy_F_move(space, suffix, start)
+        fams = _by_stage(start, move)
         refs = policy(fams)
         regions = []
         for n, ridx in refs:
@@ -251,25 +249,13 @@ def transcript_loss_report(
     """Truncated loss criterion for ONE: every sample point lies in TWO's
     selection unions from some round k(x) <= rounds - tail_slack onward."""
     space = transcript.space
-    R = len(transcript.rounds)
-    if R == 0:
-        return LossReport(False, None, tuple(range(space.n)))
-    union_masks = []
-    for rnd in transcript.rounds:
-        u = np.zeros(space.n, dtype=bool)
-        for region in rnd.two_move:
-            u |= region_mask(region)
-        union_masks.append(u)
-    suffix_all = np.ones(space.n, dtype=bool)
-    tail = np.full(space.n, -1, dtype=np.int64)
-    for k in range(R, 0, -1):
-        suffix_all &= union_masks[k - 1]
-        tail[suffix_all] = k
-    cutoff = R - tail_slack
-    bad = np.flatnonzero((tail == -1) | (tail > cutoff))
+    unions = [union_mask(space, rnd.two_move) for rnd in transcript.rounds]
+    tail = tail_start(unions, space.n)
+    cutoff = len(unions) - tail_slack
+    bad = np.flatnonzero((tail == 0) | (tail > cutoff))
     if bad.size:
-        return LossReport(False, None, tuple(int(b) for b in bad))
-    return LossReport(True, tuple(int(t) for t in tail), ())
+        return LossReport(False, None, tuple(bad.tolist()))
+    return LossReport(True, tuple(tail.tolist()), ())
 
 
 @dataclass(frozen=True)
@@ -287,13 +273,13 @@ class ScPlusResult:
         return self.families[n - 1]
 
     def usable_blocks(self) -> list[tuple[int, int]]:
-        """Materialized block intervals [m_k, m_{k+1}): both families and the
-        closing index exist within the horizon."""
-        out = []
-        for k in range(len(self.blocks) - 1):
-            if self.blocks[k + 1] <= self.horizon + 1:
-                out.append((self.blocks[k], self.blocks[k + 1]))
-        return out
+        return _usable_blocks(self.blocks, self.horizon)
+
+
+def _usable_blocks(blocks, horizon) -> list[tuple[int, int]]:
+    """Materialized block intervals [m_k, m_{k+1}): both families and the
+    closing index exist within the horizon."""
+    return [(a, b) for a, b in zip(blocks, blocks[1:]) if b <= horizon + 1]
 
 
 def assemble_W(
@@ -365,26 +351,14 @@ def assemble_W(
 
 
 def _tail_indices(space, families, blocks, horizon) -> tuple[int, ...]:
-    usable = [
-        (blocks[k], blocks[k + 1])
-        for k in range(len(blocks) - 1)
-        if blocks[k + 1] <= horizon + 1
+    usable = _usable_blocks(blocks, horizon)
+    block_cov = [
+        union_mask(space, (r for fam in families[lo - 1 : hi - 1] for r in fam.regions))
+        for lo, hi in usable
     ]
-    if not usable:
-        return tuple(1 for _ in range(space.n))
-    stage_union = [fam.union_mask() for fam in families]
-    block_cov = []
-    for lo, hi in usable:
-        u = np.zeros(space.n, dtype=bool)
-        for j in range(lo, hi):
-            u |= stage_union[j - 1]
-        block_cov.append(u)
-    tail = np.full(space.n, len(usable) + 1, dtype=np.int64)
-    good = np.ones(space.n, dtype=bool)
-    for k in range(len(usable), 0, -1):
-        good = good & block_cov[k - 1]
-        tail[good] = k
-    return tuple(int(t) for t in tail)
+    tail = tail_start(block_cov, space.n)
+    tail[tail == 0] = len(usable) + 1
+    return tuple(tail.tolist())
 
 
 def sc_plus_select(
@@ -410,21 +384,19 @@ class TailReport:
         return self.ok
 
 
-def _picks_masks(
-    space: SampledSpace, covers: CoverSeq, picks: Sequence[Sequence[int]]
-) -> list[np.ndarray]:
+def _picked_regions(
+    covers: CoverSeq, picks: Sequence[Sequence[int]]
+) -> list[list[OpenRegion]]:
     if len(picks) != covers.horizon:
         raise InputError("picks must give one (possibly empty) list per cover")
-    masks = []
+    out = []
     for n, chosen in enumerate(picks, start=1):
         cov = covers.cover(n)
-        u = np.zeros(space.n, dtype=bool)
         for ridx in chosen:
             if not 0 <= ridx < len(cov.regions):
                 raise InputError(f"pick {ridx} outside cover {n}")
-            u |= region_mask(cov.regions[ridx])
-        masks.append(u)
-    return masks
+        out.append([cov.regions[ridx] for ridx in chosen])
+    return out
 
 
 def hurewicz_selection_check(
@@ -434,17 +406,12 @@ def hurewicz_selection_check(
 ) -> TailReport:
     """Per point, the least K with the point in every pick-union from K to
     the horizon; fails listing the points with no such K."""
-    masks = _picks_masks(space, covers, picks)
-    N = len(masks)
-    tail = np.full(space.n, -1, dtype=np.int64)
-    suffix = np.ones(space.n, dtype=bool)
-    for k in range(N, 0, -1):
-        suffix = suffix & masks[k - 1]
-        tail[suffix] = k
-    bad = np.flatnonzero(tail == -1)
+    unions = [union_mask(space, regions) for regions in _picked_regions(covers, picks)]
+    tail = tail_start(unions, space.n)
+    bad = np.flatnonzero(tail == 0)
     if bad.size:
-        return TailReport(False, None, tuple(int(b) for b in bad[:32]))
-    return TailReport(True, tuple(int(t) for t in tail), ())
+        return TailReport(False, None, tuple(bad[:32].tolist()))
+    return TailReport(True, tuple(tail.tolist()), ())
 
 
 @dataclass(frozen=True)
@@ -464,16 +431,9 @@ def menger_selection_check(
 ) -> MengerReport:
     """The concatenation of all picks must cover; reports the first orphan
     point otherwise, and per-point (stage, region) witnesses when it does."""
-    masks = _picks_masks(space, covers, picks)
-    witness: list[tuple[int, int] | None] = [None] * space.n
-    covered = np.zeros(space.n, dtype=bool)
-    for n, chosen in enumerate(picks, start=1):
-        cov = covers.cover(n)
-        for ridx in chosen:
-            m = region_mask(cov.regions[ridx])
-            for p in np.flatnonzero(m & ~covered):
-                witness[int(p)] = (n, ridx)
-            covered |= m
-    if not covered.all():
-        return MengerReport(False, None, int(np.flatnonzero(~covered)[0]))
-    return MengerReport(True, tuple(w for w in witness if w is not None), None)
+    picked = _picked_regions(covers, picks)
+    refs = [(n, ridx) for n, chosen in enumerate(picks, start=1) for ridx in chosen]
+    hit = first_hit([region_mask(r) for regions in picked for r in regions], space.n)
+    if (hit < 0).any():
+        return MengerReport(False, None, int(np.flatnonzero(hit < 0)[0]))
+    return MengerReport(True, tuple(refs[h] for h in hit.tolist()), None)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,9 +38,10 @@ from .covers import (
     analytic_contains,
     covers_check,
     region_mask,
+    union_mask,
 )
 from .exact import CheckFailure, InputError
-from .game import ScPlusResult, sc_plus_select
+from .game import sc_plus_select
 from .netting import SigmaDecomposition, greedy_net
 from .space import (
     SampledSpace,
@@ -169,7 +170,6 @@ def build_stage_covers(
 class ClaimTrace:
     point: int
     entry_stage: int  # least n with the point in chain stage n
-    block_k: int
     block: tuple[int, int]
     stage: int
     region_index: int
@@ -190,7 +190,6 @@ def build_haver_witness(
     space: SampledSpace,
     chain: SigmaDecomposition,
     schedule: Schedule,
-    scplus: Callable[[SampledSpace, CoverSeq], ScPlusResult] = sc_plus_select,
 ) -> HaverWitness:
     """Run the full pipeline and validate every invariant.
 
@@ -204,7 +203,7 @@ def build_haver_witness(
         if not chain.stage(n).issubset(chain.stage(n + 1)):
             raise CheckFailure(f"chain is not monotone at stage {n}", witness=n)
     stage_covers = build_stage_covers(space, chain, schedule)
-    engine_out = scplus(space, stage_covers.covers)
+    engine_out = sc_plus_select(space, stage_covers.covers)
     horizon = schedule.horizon
 
     families: list[DisjointFamily] = []
@@ -266,9 +265,7 @@ def build_haver_witness(
         traces.append(trace)
         witness.append((trace.stage, trace.region_index))
 
-    covered = np.zeros(space.n, dtype=bool)
-    for fam in families:
-        covered |= fam.union_mask()
+    covered = union_mask(space, (r for fam in families for r in fam.regions))
     if not covered.all():
         raise AssertionError("claim replay succeeded but the union misses a point")
 
@@ -319,7 +316,7 @@ def _replay_claim(
     horizon: int,
 ) -> ClaimTrace:
     saw_eligible = False
-    for k, (lo, hi) in enumerate(usable, start=1):
+    for lo, hi in usable:
         if lo < entry:
             continue
         saw_eligible = True
@@ -335,7 +332,7 @@ def _replay_claim(
                     f"implementation bug, not a math failure)",
                     witness=(p, j, blocks),
                 )
-            return ClaimTrace(p, entry, k, (lo, hi), j, kept_idx)
+            return ClaimTrace(p, entry, (lo, hi), j, kept_idx)
     if saw_eligible:
         raise CheckFailure(
             f"claim replay failed at point {p}: no eligible block contains a "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from pathlib import Path
 
 from .covers import Ball, Box, CoClosedBalls, Cover, CoverSeq, OpenRegion
@@ -206,4 +207,4 @@ def picks_to_json(picks) -> dict:
 
 
 def picks_from_json(doc: dict) -> list[list[int]]:
-    return [[int(i) for i in stage] for stage in doc["picks"]]
+    return [[operator.index(i) for i in stage] for stage in doc["picks"]]

@@ -26,10 +26,10 @@ from .covers import (
     covers_check,
     lebesgue_argmax_region,
     lebesgue_number,
-    region_mask,
+    union_mask,
 )
 from .exact import CheckFailure, InputError, ResourceError, int_lt_bound, clamp_int64
-from .space import SampledSpace, SubsetHandle, doubling_delta
+from .space import SampledSpace, SubsetHandle, doubling_delta, first_hit, tail_start
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def greedy_net(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
-    idx = np.fromiter(subset.indices(), dtype=np.int64)
+    idx = np.flatnonzero(subset.mask())
     if idx.size == 0:
         raise InputError("greedy_net needs a nonempty subset")
     bound = int_lt_bound(epsilon * epsilon * space.dist_scale_sq)
@@ -154,33 +154,22 @@ class SigmaDecomposition:
         return self.chain[n - 1]
 
 
-def _validate_chain(space: SampledSpace, chain: Sequence[SubsetHandle]):
+def _validate_chain(
+    space: SampledSpace,
+    chain: Sequence[SubsetHandle],
+    orphan_message: str = "chain union misses sample point {}",
+):
+    """Monotone stages whose union (the last stage) is the whole sample; an
+    orphan is reported by its highest index."""
     for n in range(len(chain) - 1):
         if not chain[n].issubset(chain[n + 1]):
             raise CheckFailure(
                 f"chain is not monotone at stage {n + 1}", witness=n + 1
             )
-    union = 0
-    for h in chain:
-        union |= h.bits
-    if union != space.subset_all().bits:
-        missing = space.subset_all().bits & ~union
-        orphan = missing.bit_length() - 1
-        raise CheckFailure(
-            f"chain union misses sample point {orphan}", witness=orphan
-        )
-
-
-def _tail_start(chain: Sequence[SubsetHandle], space: SampledSpace) -> tuple[int, ...]:
-    out = []
-    for p in range(space.n):
-        k = next(
-            (n + 1 for n, h in enumerate(chain) if h.contains_index(p)), None
-        )
-        if k is None:
-            raise AssertionError(f"point {p} lies in no chain stage")
-        out.append(k)
-    return tuple(out)
+    missing = np.flatnonzero(~chain[-1].mask()) if chain else range(space.n)
+    if len(missing):
+        orphan = int(missing[-1])
+        raise CheckFailure(orphan_message.format(orphan), witness=orphan)
 
 
 def chain_decomposition(
@@ -191,7 +180,8 @@ def chain_decomposition(
     if not chain:
         raise InputError("chain must be nonempty")
     _validate_chain(space, chain)
-    return SigmaDecomposition(space, chain, {}, _tail_start(chain, space))
+    tail = first_hit([h.mask() for h in chain], space.n) + 1
+    return SigmaDecomposition(space, chain, {}, tuple(tail.tolist()))
 
 
 def decompose_from_hurewicz(
@@ -227,21 +217,24 @@ def decompose_from_hurewicz(
                 )
         sel[m] = tuple(balls)
 
-    union_masks: dict[int, np.ndarray] = {}
-    for m, balls in sel.items():
-        u = np.zeros(space.n, dtype=bool)
-        for b in balls:
-            u |= region_mask(b)
-        union_masks[m] = u
-
-    chain = []
-    for n in range(1, horizon + 1):
-        x = np.ones(space.n, dtype=bool)
-        for m in range(n, horizon + 1):
-            if m in union_masks:
-                x &= union_masks[m]
-        chain.append(space.subset_from_mask(x))
-    _validate_chain_precondition(space, chain)
+    # a missing stage constrains nothing; stage n holds the points whose
+    # tail start is at most n
+    everything = np.ones(space.n, dtype=bool)
+    unions = [
+        union_mask(space, sel[m]) if m in sel else everything
+        for m in range(1, horizon + 1)
+    ]
+    tail = tail_start(unions, space.n)
+    chain = [
+        space.subset_from_mask((tail > 0) & (tail <= n))
+        for n in range(1, horizon + 1)
+    ]
+    _validate_chain(
+        space,
+        chain,
+        "sample point {} lies in no coverage tail: the truncated tail "
+        "condition fails",
+    )
 
     certificates: dict[tuple[int, Fraction], NetCertificate] = {}
     for n in range(1, horizon + 1):
@@ -272,33 +265,16 @@ def decompose_from_hurewicz(
                 )
             certificates[(n, eps)] = cert
 
-    return SigmaDecomposition(
-        space, tuple(chain), certificates, _tail_start(chain, space)
-    )
-
-
-def _validate_chain_precondition(space: SampledSpace, chain: Sequence[SubsetHandle]):
-    union = 0
-    for h in chain:
-        union |= h.bits
-    if union != space.subset_all().bits:
-        missing = space.subset_all().bits & ~union
-        orphan = missing.bit_length() - 1
-        raise CheckFailure(
-            f"sample point {orphan} lies in no coverage tail: the truncated "
-            f"tail condition fails",
-            witness=orphan,
-        )
+    return SigmaDecomposition(space, tuple(chain), certificates, tuple(tail.tolist()))
 
 
 @dataclass(frozen=True)
 class HurewiczSelection:
     """Per-stage finite subcover picks (indices into each cover's regions),
-    with the nets that produced them and the per-stage fitted balls."""
+    with the nets that produced them."""
 
     picks: tuple[tuple[int, ...], ...]  # 1-based stage n -> picks[n-1]
     nets: tuple[NetCertificate, ...]
-    ball_witness: tuple[tuple[tuple[int, int], ...], ...]  # (ball center, region)
 
 
 def select_from_decomposition(
@@ -322,7 +298,6 @@ def select_from_decomposition(
 
     picks: list[tuple[int, ...]] = []
     nets: list[NetCertificate] = []
-    witness: list[tuple[tuple[int, int], ...]] = []
     for m in range(1, covers.horizon + 1):
         cover = covers.cover(m)
         lam = lebesgue_number(cover)
@@ -332,17 +307,9 @@ def select_from_decomposition(
         if stage.is_empty():
             picks.append(())
             nets.append(NetCertificate(lam / 2, (), stage))
-            witness.append(())
             continue
         net = greedy_net(space, stage, lam / 2)
-        pairs = []
-        chosen: list[int] = []
-        for c in net.centers:
-            ridx = lebesgue_argmax_region(cover, c, lam)
-            pairs.append((c, ridx))
-            if ridx not in chosen:
-                chosen.append(ridx)
+        chosen = {lebesgue_argmax_region(cover, c, lam) for c in net.centers}
         picks.append(tuple(sorted(chosen)))
         nets.append(net)
-        witness.append(tuple(pairs))
-    return HurewiczSelection(tuple(picks), tuple(nets), tuple(witness))
+    return HurewiczSelection(tuple(picks), tuple(nets))

@@ -39,9 +39,10 @@ from .covers import (
     lebesgue_number,
     refines_check,
     region_mask,
+    union_mask,
 )
 from .exact import CheckFailure, InputError, exact_sqrt, sqrt_lower
-from .space import CantorStructure, GridStructure, SampledSpace
+from .space import CantorStructure, GridStructure, SampledSpace, first_hit
 
 
 class ResolutionError(CheckFailure):
@@ -50,13 +51,9 @@ class ResolutionError(CheckFailure):
 
 @dataclass(frozen=True)
 class BrickGrid:
-    """Geometry of one shifted-brick layout: lattice origin, cell side, and
-    the d+1 classes of open boxes that contain at least one sample point."""
+    """One shifted-brick layout: the d+1 classes of open boxes that contain
+    at least one sample point."""
 
-    dim: int
-    cell_side: Fraction
-    origin: Fraction
-    class_shifts: tuple[int, ...]
     color_classes: tuple[tuple[Box, ...], ...]
 
 
@@ -123,7 +120,7 @@ def build_brick_grid(space: SampledSpace, cell_side: Fraction) -> BrickGrid:
             hi = tuple(origin + (zi * period + c + d) * s for zi in zt)
             boxes.append(Box(space, lo, hi))
         classes.append(tuple(boxes))
-    return BrickGrid(d, s, origin, tuple(range(period)), tuple(classes))
+    return BrickGrid(tuple(classes))
 
 
 def _witness_class(
@@ -169,9 +166,7 @@ def brick_refinement(
 
 
 def _assert_jointly_cover(space, families) -> None:
-    union = np.zeros(space.n, dtype=bool)
-    for fam in families:
-        union |= fam.union_mask()
+    union = union_mask(space, (r for fam in families for r in fam.regions))
     if not union.all():
         missing = int(np.flatnonzero(~union)[0])
         raise AssertionError(
@@ -212,17 +207,20 @@ def _cantor_level_family(
             witness=lam,
         )
     gamma = min(Fraction(1, 4 * 3**level), lam / 2)
-    groups: dict[int, list[int]] = {}
-    for pidx, (coord,) in enumerate(space.points):
+    return _witness_class(_cantor_level_boxes(space, level, gamma), cover, lam)
+
+
+def _cantor_level_boxes(space: SampledSpace, level: int, gamma: Fraction) -> list[Box]:
+    """The level-interval groups of a Cantor sample, each hull fattened by
+    gamma, left to right."""
+    groups: dict[int, list[Fraction]] = {}
+    for (coord,) in space.points:
         key = (coord.numerator * 3**level) // coord.denominator  # floor(c * 3^L)
-        groups.setdefault(key, []).append(pidx)
-    boxes = []
-    for key in sorted(groups):
-        members = groups[key]
-        lo = min(space.points[i][0] for i in members)
-        hi = max(space.points[i][0] for i in members)
-        boxes.append(Box(space, (lo - gamma,), (hi + gamma,)))
-    return _witness_class(boxes, cover, lam)
+        groups.setdefault(key, []).append(coord)
+    return [
+        Box(space, (min(g) - gamma,), (max(g) + gamma,))
+        for _, g in sorted(groups.items())
+    ]
 
 
 def _pointwise_family(
@@ -312,22 +310,16 @@ def sc_fin_select(
     families, block_starts, fallback = _sc_fin_families(
         space, covers, allow_pointwise
     )
-    union = np.zeros(space.n, dtype=bool)
-    witness: list[tuple[int, int] | None] = [None] * space.n
-    for n, fam in enumerate(families, start=1):
-        for ridx, region in enumerate(fam.regions):
-            m = region_mask(region)
-            for p in np.flatnonzero(m & ~union):
-                witness[int(p)] = (n, ridx)
-            union |= m
-    if not union.all():
-        missing = int(np.flatnonzero(~union)[0])
+    refs = [(n, r) for n, fam in enumerate(families, start=1) for r in range(len(fam))]
+    hit = first_hit([region_mask(r) for fam in families for r in fam.regions], space.n)
+    if (hit < 0).any():
+        missing = int(np.flatnonzero(hit < 0)[0])
         raise CheckFailure(
             f"selection fails to cover sample point {missing}", witness=missing
         )
     return ScSelection(
         tuple(families),
-        tuple(w for w in witness if w is not None),
+        tuple(refs[h] for h in hit.tolist()),
         tuple(block_starts),
         tuple(fallback),
     )
@@ -367,7 +359,7 @@ def _sc_fin_families(
                         _witness_class(grid.color_classes[c], cov, lams[c])
                     )
                 if hi - lo + 1 == width:
-                    _assert_block_covers(space, families[-width:])
+                    _assert_jointly_cover(space, families[-width:])
                 continue
             if not allow_pointwise:
                 raise ResolutionError(
@@ -391,14 +383,6 @@ def _sc_fin_families(
             families.append(_pointwise_family(space, block_covers[0], lams[0]))
             fallback_starts.append(lo)
     return families, block_starts, fallback_starts
-
-
-def _assert_block_covers(space, block_families) -> None:
-    union = np.zeros(space.n, dtype=bool)
-    for fam in block_families:
-        union |= fam.union_mask()
-    if not union.all():
-        raise AssertionError("a full brick block must cover the sample")
 
 
 @dataclass(frozen=True)
@@ -439,10 +423,7 @@ def finite_c_search(
         prefix = CoverSeq(space, covers.covers[:n])
         try:
             families, _, _ = _sc_fin_families(space, prefix, allow_pointwise=False)
-            union = np.zeros(space.n, dtype=bool)
-            for fam in families:
-                union |= fam.union_mask()
-            if union.all():
+            if union_mask(space, (r for f in families for r in f.regions)).all():
                 return FiniteCWitness(n, tuple(families))
         except ResolutionError:
             pass
@@ -467,17 +448,7 @@ def _candidate_class_lists(space: SampledSpace, horizon_extent: Fraction):
     elif isinstance(space.structure, CantorStructure):
         depth = space.structure.depth
         for L in range(depth + 1):
-            gamma = Fraction(1, 4 * 3**L)
-            groups: dict[int, list[int]] = {}
-            for pidx, (coord,) in enumerate(space.points):
-                key = (coord.numerator * 3**L) // coord.denominator
-                groups.setdefault(key, []).append(pidx)
-            boxes = []
-            for key in sorted(groups):
-                members = groups[key]
-                lo = min(space.points[i][0] for i in members)
-                hi = max(space.points[i][0] for i in members)
-                boxes.append(Box(space, (lo - gamma,), (hi + gamma,)))
+            boxes = _cantor_level_boxes(space, L, Fraction(1, 4 * 3**L))
             yield f"level={L}", (tuple(boxes),)
 
 
@@ -508,14 +479,11 @@ def _scan_candidates(
     for label, classes in _candidate_class_lists(space, extent):
         tried += 1
         kept_per_stage: list[list[Box]] = []
-        union = np.zeros(space.n, dtype=bool)
         for stage in range(1, n + 1):
             cls = classes[(stage - 1) % len(classes)]
             cov = prefix.cover(stage)
-            kept = [b for b in cls if refines_check([b], cov).ok]
-            kept_per_stage.append(kept)
-            for b in kept:
-                union |= region_mask(b)
+            kept_per_stage.append([b for b in cls if refines_check([b], cov).ok])
+        union = union_mask(space, (b for kept in kept_per_stage for b in kept))
         if union.all():
             families = tuple(
                 DisjointFamily(tuple(kept), prefix.cover(stage))

@@ -20,6 +20,7 @@ truncated at an explicit horizon by the callers.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,10 +157,6 @@ class SampledSpace:
     # -- structural metadata -------------------------------------------------
 
     @property
-    def grid_h(self) -> Fraction | None:
-        return self.structure.h if isinstance(self.structure, GridStructure) else None
-
-    @property
     def screen_dim(self) -> int | None:
         """Number of colors needed minus one: grid dim, or 0 for Cantor/point."""
         if isinstance(self.structure, GridStructure):
@@ -222,10 +219,6 @@ class SampledSpace:
         else:
             dsq = max(abs(x) for x in deltas) ** 2
         return Fraction(dsq, self.dist_scale_sq)
-
-    def distance_exact(self, i: int, j: int) -> Fraction | None:
-        """Exact distance when rational (always, except euclidean dim>=2)."""
-        return exact_sqrt(self.distance_sq(i, j))
 
     def dist_sq_row(self, i: int) -> np.ndarray:
         """Scaled squared distances from point i to all points.
@@ -332,31 +325,18 @@ class SampledSpace:
     # -- subsets ---------------------------------------------------------------
 
     def subset_all(self) -> SubsetHandle:
-        return SubsetHandle(self, (1 << self.n) - 1)
+        return SubsetHandle(self, np.ones(self.n, dtype=bool))
 
     def subset_from_indices(self, indices) -> SubsetHandle:
-        bits = 0
+        mask = np.zeros(self.n, dtype=bool)
         for i in indices:
-            if not 0 <= i < self.n:
+            if not 0 <= operator.index(i) < self.n:
                 raise InputError(f"point index {i} out of range")
-            bits |= 1 << i
-        return SubsetHandle(self, bits)
+            mask[i] = True
+        return SubsetHandle(self, mask)
 
     def subset_from_mask(self, mask: np.ndarray) -> SubsetHandle:
-        bits = 0
-        for i in np.flatnonzero(mask):
-            bits |= 1 << int(i)
-        return SubsetHandle(self, bits)
-
-    def mask_of_bits(self, bits: int) -> np.ndarray:
-        out = np.zeros(self.n, dtype=bool)
-        idx = []
-        while bits:
-            low = bits & -bits
-            idx.append(low.bit_length() - 1)
-            bits ^= low
-        out[idx] = True
-        return out
+        return SubsetHandle(self, mask)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -403,55 +383,72 @@ def _ternary_digits(c: Fraction) -> list[int] | None:
     return None
 
 
-@dataclass(frozen=True)
 class SubsetHandle:
-    """A subset of a space's sample, stored as a bitset over point indices."""
+    """A subset of a space's sample, stored as a read-only boolean mask over
+    point indices."""
 
-    space: SampledSpace
-    bits: int
-
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.space.n:
-            raise InputError("subset bits outside the space's point range")
+    def __init__(self, space: SampledSpace, mask):
+        mask = np.array(mask, dtype=bool)
+        if mask.shape != (space.n,):
+            raise InputError("a subset mask needs one entry per sample point")
+        mask.flags.writeable = False
+        self.space = space
+        self._mask = mask
 
     def indices(self) -> tuple[int, ...]:
-        out, bits = [], self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        return tuple(np.flatnonzero(self._mask).tolist())
 
     def mask(self) -> np.ndarray:
-        return self.space.mask_of_bits(self.bits)
+        return self._mask
 
     def count(self) -> int:
-        return bin(self.bits).count("1")
+        return int(np.count_nonzero(self._mask))
 
     def is_empty(self) -> bool:
-        return self.bits == 0
+        return not self._mask.any()
 
     def contains_index(self, i: int) -> bool:
-        return bool((self.bits >> i) & 1)
+        return 0 <= i < self.space.n and bool(self._mask[i])
 
     def issubset(self, other: SubsetHandle) -> bool:
-        return self.bits & ~other.bits == 0
+        return not (self._mask & ~other._mask).any()
 
     def union(self, other: SubsetHandle) -> SubsetHandle:
-        return SubsetHandle(self.space, self.bits | other.bits)
+        return SubsetHandle(self.space, self._mask | other._mask)
 
     def intersect(self, other: SubsetHandle) -> SubsetHandle:
-        return SubsetHandle(self.space, self.bits & other.bits)
+        return SubsetHandle(self.space, self._mask & other._mask)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SubsetHandle)
             and self.space is other.space
-            and self.bits == other.bits
+            and np.array_equal(self._mask, other._mask)
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.space), self.bits))
+        return hash((id(self.space), self._mask.tobytes()))
+
+
+def tail_start(masks, n: int) -> np.ndarray:
+    """Per point, the least 1-based k with the point in every one of
+    masks[k-1:], or 0 where the point misses the last mask."""
+    tail = np.zeros(n, dtype=np.int64)
+    suffix = np.ones(n, dtype=bool)
+    for k in range(len(masks), 0, -1):
+        suffix &= masks[k - 1]
+        tail[suffix] = k
+    return tail
+
+
+def first_hit(masks, n: int) -> np.ndarray:
+    """Per point, the index of the first mask containing it, or -1."""
+    hit = np.full(n, -1, dtype=np.int64)
+    free = np.ones(n, dtype=bool)
+    for idx, m in enumerate(masks):
+        hit[free & m] = idx
+        free &= ~m
+    return hit
 
 
 @dataclass(frozen=True)
@@ -470,14 +467,13 @@ def diameter(space: SampledSpace, subset: SubsetHandle) -> DiameterResult:
     rational upper bound (callers that enforce diameter bounds compare the
     squared value).
     """
-    idx = subset.indices()
-    if not idx:
+    arr = np.flatnonzero(subset.mask())
+    if not arr.size:
         return DiameterResult(Fraction(0), Fraction(0), True, True)
-    if len(idx) == 1:
+    if arr.size == 1:
         return DiameterResult(Fraction(0), Fraction(0), False, True)
-    arr = np.fromiter(idx, dtype=np.int64)
     worst = 0
-    for i in idx:
+    for i in arr.tolist():
         row = space.dist_sq_row(i)[arr]
         worst = max(worst, int(row.max()))
     dsq = Fraction(worst, space.dist_scale_sq)
@@ -549,25 +545,15 @@ def cantor_points(depth: int) -> list[tuple[Fraction]]:
 
 def build_cantor_space(depth: int, point_cap: int | None = None) -> SampledSpace:
     """2**depth Cantor left endpoints with the euclidean metric, mesh 3**-depth."""
-    if depth < 1:
-        raise InputError("cantor depth must be a positive integer")
-    if depth > 16:
-        raise ResourceError("cantor depth capped at 16")
-    cap = point_cap if point_cap is not None else default_point_cap()
-    if 2**depth > cap:
-        raise ResourceError(f"cantor sample would have {2**depth} points, cap {cap}")
-    return SampledSpace(
-        cantor_points(depth),
-        "euclidean",
-        Fraction(1, 3**depth),
-        label=f"cantor_{depth}",
-        structure=CantorStructure(depth),
-        detect=False,
-    )
+    return _cantor_space(depth, point_cap, "euclidean", 3, f"cantor_{depth}")
 
 
 def build_cantor_2adic_space(depth: int, point_cap: int | None = None) -> SampledSpace:
-    """The same Cantor endpoints under the 2-adic ultrametric."""
+    """The same Cantor endpoints under the 2-adic ultrametric, mesh 2**-depth."""
+    return _cantor_space(depth, point_cap, "cantor_2adic", 2, f"cantor_2adic_{depth}")
+
+
+def _cantor_space(depth, point_cap, metric_kind, mesh_base, label) -> SampledSpace:
     if depth < 1:
         raise InputError("cantor depth must be a positive integer")
     if depth > 16:
@@ -577,9 +563,9 @@ def build_cantor_2adic_space(depth: int, point_cap: int | None = None) -> Sample
         raise ResourceError(f"cantor sample would have {2**depth} points, cap {cap}")
     return SampledSpace(
         cantor_points(depth),
-        "cantor_2adic",
-        Fraction(1, 2**depth),
-        label=f"cantor_2adic_{depth}",
+        metric_kind,
+        Fraction(1, mesh_base**depth),
+        label=label,
         structure=CantorStructure(depth),
         detect=False,
     )

@@ -246,8 +246,8 @@ def _criterion_3_one_space(space, rng, horizon=4):
     assert dec.chain[-1].count() == space.n
     union = 0
     for h in dec.chain:
-        union |= h.bits
-    assert union == space.subset_all().bits
+        union |= h.mask()
+    assert np.array_equal(union, space.subset_all().mask())
     for (n, eps), cert in dec.certificates.items():
         assert validate_net(space, cert)
     assert len(dec.certificates) == horizon * len(epsilons)

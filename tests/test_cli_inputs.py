@@ -1,0 +1,87 @@
+"""Malformed input files, run configurations and --two values exit 2 with a
+report whose last check is `input`, never with a traceback."""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from covergames.cli import run
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+SPACE = str(INPUTS / "space.json")
+COVERS = str(INPUTS / "covers.json")
+
+
+def assert_input_error(code: int, doc: dict) -> None:
+    assert code == 2
+    assert doc["exit_code"] == 2
+    assert doc["checks"][-1]["name"] == "input"
+    assert not doc["checks"][-1]["pass"]
+
+
+def write(tmp_path, name: str, doc) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flag,doc,needle",
+    [
+        ("--cover", {"regions": [{"shape": "ball", "center": 0}]}, "radius"),
+        ("--cover", {"space": "grid1d_h8"}, "regions"),
+        ("--cover", {"regions": [{"shape": "ball", "center": "a", "radius": "1"}]}, "'a'"),
+        ("--space", {"metric": "euclidean", "mesh": "1/16", "points": 5}, "TypeError"),
+        ("--picks", {"picks": [["x"], [], [], []]}, "TypeError"),
+        ("--picks", {"picks": [[1.5], [], [], []]}, "TypeError"),
+        ("--cover", [], "AttributeError"),
+    ],
+    ids=["region_without_radius", "cover_without_regions", "center_not_int",
+         "points_not_list", "picks_not_int", "picks_fractional", "cover_not_object"],
+)
+def test_malformed_input_file_exits_2(tmp_path, flag, doc, needle):
+    path = write(tmp_path, "doc.json", doc)
+    if flag == "--cover":
+        argv = ["refine", "--space", SPACE, "--cover", path]
+    elif flag == "--space":
+        argv = ["net", "--space", path, "--epsilon", "1/2"]
+    else:
+        argv = ["check", "--kind", "menger", "--space", SPACE, "--covers", COVERS,
+                "--picks", path]
+    code, doc = run(argv)
+    assert_input_error(code, doc)
+    error = doc["checks"][-1]["error"]
+    assert f"malformed {flag[2:]} input {path}" in error and needle in error
+
+
+@pytest.mark.parametrize(
+    "config,argv",
+    [
+        ([], ["net", "--space", SPACE, "--epsilon", "1/2"]),
+        ({"horizon": "x"}, ["net", "--space", SPACE, "--epsilon", "1/2"]),
+        ({"point_cap": 4}, ["demo", "--label", "cantor_3", "--horizon", "3"]),
+    ],
+    ids=["list", "horizon_not_int", "demo_over_point_cap"],
+)
+def test_bad_config_exits_2(tmp_path, config, argv):
+    path = write(tmp_path, "run.json", config)
+    code, doc = run(["--config", path] + argv)
+    assert_input_error(code, doc)
+
+
+def test_demo_label_must_be_builtin():
+    code, doc = run(["demo", "--label", SPACE, "--horizon", "3"])
+    assert_input_error(code, doc)
+    assert "unknown built-in space" in doc["checks"][-1]["error"]
+
+
+@pytest.mark.parametrize("point", ["zz", "999", "-1"])
+def test_adversarial_point_out_of_range_exits_2(point):
+    code, doc = run(
+        ["game", "--space", SPACE, "--covers", COVERS, "--two", f"adversarial:{point}"]
+    )
+    assert_input_error(code, doc)
+    assert "0..8" in doc["checks"][-1]["error"]
