@@ -402,6 +402,7 @@ def pipeline_demo(space: SampledSpace, horizon: int, report: Report) -> int:
     """Chain-build, block-selection and small-diameter witness end to end on
     a built-in space: the executable composite of the main implication chain
     up to its externally-cited final step."""
+    doubling_delta(horizon)  # a horizon past the cap fails before any work
     # stage 1: chain from greedy selections at the doubling radii
     selections = {}
     for m in range(1, horizon + 1):

@@ -13,6 +13,7 @@ relatively-open truncations like [0, 0.6) on [0,1] are expressed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -159,49 +160,180 @@ OpenRegion = Union[Ball, Box, CoClosedBalls]
 
 # -- membership -------------------------------------------------------------------
 
+MEMBER_CACHE_BYTES = 2**24  # per space: cached member arrays with their keys
+# bytes one cache entry holds beyond its index data: the array header, the
+# cache slot and the region key; a box key adds its rational bounds per axis,
+# a co-ball key its centers and radii
+_ENTRY_BYTES = 512
+_BOX_AXIS_BYTES = 320
+_CO_BALL_BYTES = 160
+
+
+def _derived(region: OpenRegion, name: str, make):
+    """make(region), computed once and kept on the (frozen) region."""
+    value = region.__dict__.get(name)
+    if value is None:
+        value = make(region)
+        object.__setattr__(region, name, value)
+    return value
+
+
+def _ball_bound(region: Ball) -> int:
+    """The ball's largest scaled squared distance."""
+    return _derived(region, "_bound", lambda r: r.space.scaled_bound(r.radius))
+
+
+def _make_box_bounds(region: Box) -> tuple[tuple[int, int], ...]:
+    space = region.space
+    out = []
+    for i in range(space.coord_dim):
+        lo_s = region.lo[i] * space.scale
+        hi_s = region.hi[i] * space.scale
+        if region.lo_closed[i]:
+            # x >= lo  <=>  ix >= ceil(lo_s)  <=>  ix > ceil(lo_s) - 1
+            gt = -int_le_bound(-lo_s) - 1
+        else:
+            gt = int_le_bound(lo_s)  # x > lo  <=>  ix > floor(lo_s)
+        if region.hi_closed[i]:
+            le = int_le_bound(hi_s)  # x <= hi  <=>  ix <= floor(hi_s)
+        else:
+            le = int_lt_bound(hi_s)  # x < hi   <=>  ix <= ceil(hi_s)-1
+        if space._fast:
+            gt, le = clamp_int64(gt), clamp_int64(le)
+        out.append((gt, le))
+    return tuple(out)
+
+
+def _box_bounds(region: Box) -> tuple[tuple[int, int], ...]:
+    """Per axis (gt, le): a sample point is in the box iff gt < x <= le on
+    every axis, x its scaled integer coordinate."""
+    return _derived(region, "_bounds", _make_box_bounds)
+
+
+def _co_bounds(region: CoClosedBalls) -> tuple[tuple[int, int], ...]:
+    """(center, closed scaled bound) per excluded ball."""
+    return _derived(
+        region,
+        "_bounds",
+        lambda r: tuple((c, r.space.scaled_bound(x, closed=True)) for c, x in r.balls),
+    )
+
+
+class _MemberKey:
+    """A region's shape and fields without its space: the member cache key.
+    Keyed by the regions themselves, a space's cache would keep the space
+    alive through a reference cycle until the cyclic collector ran."""
+
+    __slots__ = ("fields", "_hash")
+
+    def __init__(self, region: OpenRegion):
+        self._hash = hash(region)
+        if isinstance(region, Ball):
+            self.fields = ("ball", region.center, region.radius)
+        elif isinstance(region, Box):
+            self.fields = ("box", region.lo, region.hi, region.lo_closed, region.hi_closed)
+        else:
+            self.fields = ("co", region.balls)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self.fields == other.fields
+
+
+def _member_test(region: OpenRegion, idx) -> np.ndarray:
+    """Exact membership of the points idx (an index array, or slice(None) for
+    the whole sample, which reads the cached distance rows)."""
+    space = region.space
+    whole = isinstance(idx, slice)
+
+    def dists(c):
+        return space.dist_sq_row(c) if whole else space._dist_sq_to(c, idx)
+
+    if isinstance(region, Ball):
+        return np.asarray(dists(region.center) <= _ball_bound(region), dtype=bool)
+    table = space._icoords[idx]
+    keep = np.ones(len(table), dtype=bool)
+    if isinstance(region, Box):
+        for i, (gt, le) in enumerate(_box_bounds(region)):
+            col = table[:, i]
+            keep &= np.asarray((col > gt) & (col <= le), dtype=bool)
+        return keep
+    for c, bound in _co_bounds(region):
+        keep &= np.asarray(dists(c) > bound, dtype=bool)
+    return keep
+
+
+def _entry_bytes(key: _MemberKey, members: np.ndarray) -> int:
+    shape, *fields = key.fields
+    extra = 0
+    if shape == "box":
+        extra = _BOX_AXIS_BYTES * len(fields[0])
+    elif shape == "co":
+        extra = _CO_BALL_BYTES * len(fields[0])
+    return _ENTRY_BYTES + extra + members.nbytes
+
+
+def region_members(region: OpenRegion) -> np.ndarray:
+    """Sorted int32 indices of the sample points inside the region.
+
+    A ball or box on an int64 euclidean or chebyshev table tests only the
+    points in its window on the first axis (|x0 - c0| < radius for a ball,
+    the box's own bounds for a box), found by binary search, so the cost
+    follows the window, not the sample; in dimension one the window is the
+    answer.  2-adic spaces, complements of closed balls and
+    arbitrary-precision tables test every point.  Results are cached per
+    space, oldest evicted first, under MEMBER_CACHE_BYTES.
+    """
+    space = region.space
+    cache = space._members
+    key = _derived(region, "_key", _MemberKey)
+    members = cache.get(key)
+    if members is not None:
+        return members
+    windowed = (
+        space._fast
+        and space.metric_kind != "cantor_2adic"
+        and not isinstance(region, CoClosedBalls)
+    )
+    if windowed:
+        if isinstance(region, Ball):
+            c0 = int(space._icoords[region.center, 0])
+            # d < radius forces |x0 - c0| < radius * scale, i.e. <= w
+            w = int_lt_bound(region.radius * space.scale)
+            window = space.axis0_window(c0 - w - 1, c0 + w)
+        else:
+            window = space.axis0_window(*_box_bounds(region)[0])
+        if space.coord_dim > 1:
+            window = window[_member_test(region, window)]
+        members = np.sort(window)
+    else:
+        members = np.flatnonzero(_member_test(region, slice(None))).astype(np.int32)
+    members.flags.writeable = False
+    cost = _entry_bytes(key, members)
+    if cost <= MEMBER_CACHE_BYTES:
+        cache[key] = members
+        space._members_bytes += cost
+        while space._members_bytes > MEMBER_CACHE_BYTES:
+            space._members_bytes -= _entry_bytes(*cache.popitem(last=False))
+    return members
+
 
 def region_mask(region: OpenRegion) -> np.ndarray:
-    """Boolean membership over all sample points (cached per space)."""
-    space = region.space
-    cached = space._mask_cache.get(region)
-    if cached is not None:
-        return cached
-    if isinstance(region, Ball):
-        mask = space.within_lt(region.center, region.radius)
-    elif isinstance(region, Box):
-        mask = np.ones(space.n, dtype=bool)
-        icoords = space._icoords
-        scale = space.scale
-        for i in range(space.coord_dim):
-            lo_s = region.lo[i] * scale
-            hi_s = region.hi[i] * scale
-            col = icoords[:, i]
-            if region.lo_closed[i]:
-                # x >= lo  <=>  ix >= ceil(lo_s)  <=>  ix > ceil(lo_s) - 1
-                b = -int_le_bound(-lo_s) - 1
-            else:
-                b = int_le_bound(lo_s)  # x > lo  <=>  ix > floor(lo_s)
-            mask &= np.asarray(col > (clamp_int64(b) if space._fast else b), bool)
-            if region.hi_closed[i]:
-                b = int_le_bound(hi_s)  # x <= hi  <=>  ix <= floor(hi_s)
-            else:
-                b = int_lt_bound(hi_s)  # x < hi   <=>  ix <= ceil(hi_s)-1
-            mask &= np.asarray(col <= (clamp_int64(b) if space._fast else b), bool)
-    else:
-        mask = np.ones(space.n, dtype=bool)
-        for c, r in region.balls:
-            mask &= ~space.within_le(c, r)
-    mask.flags.writeable = False
-    if (len(space._mask_cache) + 1) * space.n < 2**24:  # ~16 MB of bool masks
-        space._mask_cache[region] = mask
+    """Boolean membership over all sample points: a dense view of
+    region_members, built on each call."""
+    mask = np.zeros(region.space.n, dtype=bool)
+    mask[region_members(region)] = True
     return mask
 
 
 def contains(region: OpenRegion, p: int) -> bool:
-    """Exact membership of sample point p in the region."""
+    """Exact membership of sample point p in the region, in O(dim) (times
+    the number of excluded balls of a co-ball complement)."""
     if not 0 <= p < region.space.n:
         raise InputError(f"point index {p} out of range")
-    return bool(region_mask(region)[p])
+    return bool(_member_test(region, np.array([p]))[0])
 
 
 # -- covers -------------------------------------------------------------------------
@@ -239,6 +371,7 @@ class Cover:
         self.target = target if target is not None else space.subset_all()
         self._masks: list[np.ndarray] | None = None
         self._lebesgue: Fraction | None = None
+        self._table: _LebesgueTable | None = None
 
     def masks(self) -> list[np.ndarray]:
         if self._masks is None:
@@ -250,7 +383,7 @@ def union_mask(space: SampledSpace, regions) -> np.ndarray:
     """Boolean mask of the sample points lying in some region."""
     out = np.zeros(space.n, dtype=bool)
     for r in regions:
-        out |= region_mask(r)
+        out[region_members(r)] = True
     return out
 
 
@@ -262,7 +395,8 @@ def covers_check(cover: Cover) -> CoverageReport:
     points reported up to a cap.
     """
     tmask = cover.target.mask()
-    assignment = first_hit(cover.masks(), cover.space.n)
+    members = [region_members(r) for r in cover.regions]
+    assignment = first_hit(members, cover.space.n)
     uncovered = np.flatnonzero(tmask & (assignment < 0))
     if uncovered.size:
         return CoverageReport(
@@ -394,9 +528,7 @@ def analytic_contains(inner: OpenRegion, outer: OpenRegion) -> bool:
 
 
 def sample_contains(inner: OpenRegion, outer: OpenRegion) -> bool:
-    im = region_mask(inner)
-    om = region_mask(outer)
-    return bool(np.all(om[im]))
+    return bool(_member_test(outer, region_members(inner)).all())
 
 
 def region_contained_in(inner: OpenRegion, outer: OpenRegion) -> Optional[str]:
@@ -439,21 +571,19 @@ def refines_check(fine: Sequence[OpenRegion], coarse: Cover) -> RefinesReport:
                 found = (cidx, "analytic")
                 break
         if found is None:
-            fm = region_mask(f)
+            fm = region_members(f)
             for cidx, cm in enumerate(coarse.masks()):
-                if bool(np.all(cm[fm])):
+                if bool(cm[fm].all()):
                     found = (cidx, "sample")
                     break
         if found is None:
-            fm = region_mask(f)
             best_idx, best_overlap = 0, -1
             for cidx, cm in enumerate(coarse.masks()):
-                overlap = int((fm & cm).sum())
+                overlap = int(np.count_nonzero(cm[fm]))
                 if overlap > best_overlap:
                     best_idx, best_overlap = cidx, overlap
-            escape = np.flatnonzero(fm & ~coarse.masks()[best_idx])
-            pt = int(escape[0]) if escape.size else int(np.flatnonzero(fm)[0])
-            return RefinesReport(False, None, (fidx, pt))
+            escape = fm[~coarse.masks()[best_idx][fm]]
+            return RefinesReport(False, None, (fidx, int(escape[0])))
         witness.append(found)
     return RefinesReport(True, tuple(witness), None)
 
@@ -549,16 +679,13 @@ def pairwise_disjoint_check(
     if n <= 1:
         return DisjointReport(True, None, None, None)
     space = regions[0].space
-    masks = [region_mask(r) for r in regions]
 
     # shared sample points: count memberships per point
-    counts = np.zeros(space.n, dtype=np.int32)
-    for m in masks:
-        counts += m
-    multi = np.flatnonzero(counts > 1)
+    members = np.concatenate([region_members(r) for r in regions])
+    multi = np.flatnonzero(np.bincount(members, minlength=space.n) > 1)
     if multi.size:
         p = int(multi[0])
-        owners = [i for i, m in enumerate(masks) if m[p]]
+        owners = [i for i, r in enumerate(regions) if contains(r, p)]
         return DisjointReport(False, (owners[0], owners[1]), "shared_point", p)
 
     order = _pair_order(regions, margin)
@@ -646,6 +773,144 @@ def _containment_radius_lb(
     return slack
 
 
+# float intervals carry this relative slack per operand magnitude, far above
+# the few roundings behind each value; _TINY absorbs underflow
+_REL = 2.0**-48
+_TINY = 2.0**-1060
+
+
+def _float_bounds(x: Fraction) -> tuple[float, float]:
+    """Floats lo <= x <= hi (infinite when x is out of float range)."""
+    try:
+        f = float(x)
+    except OverflowError:
+        return -math.inf, math.inf
+    return math.nextafter(f, -math.inf), math.nextafter(f, math.inf)
+
+
+def _below(v, mag):
+    """A float certainly below the real value computed as v, where mag sums
+    the magnitudes of the operands behind v."""
+    return v - (mag * _REL + _TINY)
+
+
+def _above(v, mag):
+    return v + (mag * _REL + _TINY)
+
+
+def _dist_bounds(space: SampledSpace, c: int, idx: np.ndarray):
+    """Float bounds on the distances from point c to the points idx."""
+    d = np.sqrt(space._dist_sq_to(c, idx).astype(float) / float(space.dist_scale_sq))
+    return _below(d, d), _above(d, d)
+
+
+def _radius_bounds(region: OpenRegion, idx: np.ndarray, tol: float):
+    """Float bounds lo <= _containment_radius_lb(region, p, t) <= hi for the
+    member points p = idx at every tolerance t <= tol, before the cap.
+
+    A ball gives r - d - tol <= r - d_upper <= r - d; a box its exact slack;
+    a co-ball complement min(d_i - r_i) - tol <= min(d_lower_i - r_i) <=
+    min(d_i - r_i).
+    """
+    space = region.space
+    if isinstance(region, Ball):
+        dl, dh = _dist_bounds(space, region.center, idx)
+        rl, rh = _float_bounds(region.radius)
+        return (
+            _below(rl - dh - tol, abs(rl) + dh + tol),
+            _above(rh - dl, abs(rh) + dl),
+        )
+    lo = np.full(len(idx), math.inf)
+    hi = np.full(len(idx), math.inf)
+    if isinstance(region, Box):
+        table = space._icoords[idx].astype(float) / float(space.scale)
+        for i in range(space.coord_dim):
+            x = table[:, i]
+            xl, xh = _below(x, np.abs(x)), _above(x, np.abs(x))
+            if not region.lo_closed[i]:  # slack x - lo
+                bl, bh = _float_bounds(region.lo[i])
+                lo = np.minimum(lo, _below(xl - bh, np.abs(xl) + abs(bh)))
+                hi = np.minimum(hi, _above(xh - bl, np.abs(xh) + abs(bl)))
+            if not region.hi_closed[i]:  # slack hi - x
+                bl, bh = _float_bounds(region.hi[i])
+                lo = np.minimum(lo, _below(bl - xh, np.abs(xh) + abs(bl)))
+                hi = np.minimum(hi, _above(bh - xl, np.abs(xl) + abs(bh)))
+        return lo, hi
+    for c, r in region.balls:
+        dl, dh = _dist_bounds(space, c, idx)
+        rl, rh = _float_bounds(r)
+        lo = np.minimum(lo, _below(dl - rh - tol, dl + abs(rh) + tol))
+        hi = np.minimum(hi, _above(dh - rl, dh + abs(rl)))
+    return lo, hi
+
+
+class _LebesgueTable:
+    """Per sample point, the cover regions containing it in index order, each
+    with float bounds [lo, hi] on the point's containment radius lower bound
+    at the base tolerance and at every finer one, and whether that bound is
+    certainly the cap.  Stored by point: the entries of point p sit at
+    start[p]:start[p + 1].  (A plain class: a dataclass costs import time.)"""
+
+    def __init__(self, start, region, lo, hi, capped, cap: Fraction):
+        self.start, self.region, self.lo, self.hi = start, region, lo, hi
+        self.capped, self.cap = capped, cap
+
+    def at(self, p: int):
+        """(region index, lo, hi, capped) per region containing p."""
+        a, b = int(self.start[p]), int(self.start[p + 1])
+        return zip(
+            self.region[a:b].tolist(),
+            self.lo[a:b].tolist(),
+            self.hi[a:b].tolist(),
+            self.capped[a:b].tolist(),
+        )
+
+    def radius_lb(self, cover: Cover, ridx: int, capped: bool, p: int, tol):
+        """_containment_radius_lb of region ridx at its member p."""
+        if capped:
+            return self.cap
+        return _containment_radius_lb(cover.regions[ridx], p, tol)
+
+
+def _base_tolerance(space: SampledSpace) -> Fraction:
+    return space.mesh / 2**20
+
+
+def _lebesgue_table(cover: Cover) -> _LebesgueTable:
+    """The cover's Lebesgue table, built once from the region members.
+
+    Arbitrary-precision tables, and scales too large for floats, get
+    unbounded intervals, which send every entry to the exact code.
+    """
+    if cover._table is not None:
+        return cover._table
+    space = cover.space
+    cap = space.diameter_upper_bound() + 1
+    members = [region_members(r) for r in cover.regions]
+    points = np.concatenate(members) if members else np.zeros(0, np.int32)
+    lo = np.full(points.size, -math.inf)
+    hi = np.full(points.size, math.inf)
+    capped = np.zeros(points.size, dtype=bool)
+    if space._fast and space.dist_scale_sq < 2**1000 and members:
+        tol = _float_bounds(_base_tolerance(space))[1]
+        bounds = [_radius_bounds(r, m, tol) for r, m in zip(cover.regions, members)]
+        cap_lo, cap_hi = _float_bounds(cap)
+        lo = np.concatenate([b[0] for b in bounds])
+        capped = lo >= cap_hi
+        lo = np.minimum(lo, cap_lo)
+        hi = np.minimum(np.concatenate([b[1] for b in bounds]), cap_hi)
+    region = np.repeat(
+        np.arange(len(members), dtype=np.int32), [m.size for m in members]
+    )
+    order = np.argsort(points, kind="stable")
+    start = np.zeros(space.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(points, minlength=space.n), out=start[1:])
+    cover._table = _LebesgueTable(
+        start, region[order], lo[order], hi[order], capped[order], cap
+    )
+    return cover._table
+
+
 def lebesgue_number(cover: Cover) -> Fraction:
     """A certified positive refinement radius for a validated cover.
 
@@ -654,6 +919,12 @@ def lebesgue_number(cover: Cover) -> Fraction:
     every target point p there is a single cover region that analytically
     contains the open ball B(p, lambda); in particular all sample points
     within lambda of p lie in one region.
+
+    The cover's Lebesgue table bounds every point's value by floats; the
+    exact per-point computation runs only on the points whose lower bound
+    does not exceed the least upper bound, since no other point can attain
+    the minimum.  Within a point, regions whose upper bound lies below
+    another region's lower bound cannot attain the maximum.
     """
     if cover._lebesgue is not None:
         return cover._lebesgue
@@ -665,25 +936,29 @@ def lebesgue_number(cover: Cover) -> Fraction:
             witness=report.failure_point,
         )
     space = cover.space
+    table = _lebesgue_table(cover)
     t_idx = np.flatnonzero(cover.target.mask())
-    masks = cover.masks()
-    tol = space.mesh / 2**20
+    held = np.flatnonzero(np.diff(table.start))
+    lo_max = np.full(space.n, -math.inf)
+    hi_max = np.full(space.n, -math.inf)
+    if held.size:
+        lo_max[held] = np.maximum.reduceat(table.lo, table.start[held])
+        hi_max[held] = np.maximum.reduceat(table.hi, table.start[held])
+    if t_idx.size:
+        t_idx = t_idx[lo_max[t_idx] <= hi_max[t_idx].min()]
     lam: Fraction | None = None
-    for p in t_idx:
-        p = int(p)
-        local_tol = tol
-        while True:
+    for p in t_idx.tolist():
+        entries = [e for e in table.at(p) if e[2] >= lo_max[p]]
+        # the true radius is positive; refine the sqrt tolerance until the
+        # bound is too
+        for tol in _tolerances(space, p):
             best: Fraction | None = None
-            for ridx, region in enumerate(cover.regions):
-                if not masks[ridx][p]:
-                    continue
-                cr = _containment_radius_lb(region, p, local_tol)
+            for ridx, _, _, capped in entries:
+                cr = table.radius_lb(cover, ridx, capped, p, tol)
                 if cr is not None and (best is None or cr > best):
                     best = cr
             if best is not None and best > 0:
                 break
-            # true radius is positive; refine the sqrt tolerance and retry
-            local_tol = _finer_tolerance(space, p, local_tol)
         lam = best if lam is None else min(lam, best)
     if lam is None:
         raise AssertionError("a validated cover with an empty target")
@@ -695,18 +970,31 @@ def lebesgue_argmax_region(cover: Cover, p: int, lam: Fraction) -> int:
     """Index of a cover region analytically containing B(p, lam).
 
     Deterministic: the lowest region index whose containment-radius lower
-    bound at p reaches lam.
+    bound at p reaches lam.  The Lebesgue table settles every region whose
+    float bounds lie on one side of lam; only the others reach the exact
+    code.
     """
     space = cover.space
-    masks = cover.masks()
-    tol = space.mesh / 2**20
-    while True:
-        for ridx, region in enumerate(cover.regions):
-            if not masks[ridx][p]:
-                continue
-            cr = _containment_radius_lb(region, p, tol)
+    if not 0 <= p < space.n:
+        raise InputError(f"point index {p} out of range")
+    lam_lo, lam_hi = _float_bounds(lam)
+    table = _lebesgue_table(cover)
+    # an upper bound below lam excludes a region at every tolerance
+    entries = [e for e in table.at(p) if e[2] >= lam_lo]
+    for tol in _tolerances(space, p):
+        for ridx, lo, _, capped in entries:
+            if lo >= lam_hi:
+                return ridx
+            cr = table.radius_lb(cover, ridx, capped, p, tol)
             if cr is not None and cr >= lam:
                 return ridx
+
+
+def _tolerances(space: SampledSpace, p: int):
+    """The sqrt tolerances tried at p: the base one, then ever finer ones."""
+    tol = _base_tolerance(space)
+    while True:
+        yield tol
         tol = _finer_tolerance(space, p, tol)
 
 

@@ -30,7 +30,8 @@ from .covers import (
     CoverSeq,
     DisjointFamily,
     OpenRegion,
-    region_mask,
+    contains,
+    region_members,
     union_mask,
 )
 from .exact import CheckFailure, InputError
@@ -155,12 +156,12 @@ def covering_two_policy(
         n = prefix[0]
         sized = []
         for ridx, region in enumerate(one_move[n].regions):
-            size = int(region_mask(region).sum())
+            size = len(region_members(region))
             if size:
                 sized.append((-size, ridx))
         return [(n, ridx) for _, ridx in sorted(sized)]
     flat = [
-        (n, ridx, region_mask(region))
+        (n, ridx, region_members(region))
         for n in prefix
         for ridx, region in enumerate(one_move[n].regions)
     ]
@@ -168,15 +169,15 @@ def covering_two_policy(
     picks: list[tuple[int, int]] = []
     while uncovered.any():
         best, best_gain = None, 0
-        for n, ridx, mask in flat:
-            gain = int((mask & uncovered).sum())
+        for n, ridx, members in flat:
+            gain = int(np.count_nonzero(uncovered[members]))
             if gain > best_gain:
-                best, best_gain = (n, ridx, mask), gain
+                best, best_gain = (n, ridx, members), gain
         if best is None:
             raise AssertionError("uncovered points remain but no pick gains any")
-        n, ridx, mask = best
+        n, ridx, members = best
         picks.append((n, ridx))
-        uncovered &= ~mask
+        uncovered[members] = False
     return picks
 
 
@@ -188,7 +189,7 @@ def adversarial_two_policy(avoid_point: int) -> TwoPolicy:
         picks = []
         for n in sorted(one_move):
             for ridx, region in enumerate(one_move[n].regions):
-                if not region_mask(region)[avoid_point]:
+                if not contains(region, avoid_point):
                     picks.append((n, ridx))
         return picks
 
@@ -433,7 +434,7 @@ def menger_selection_check(
     point otherwise, and per-point (stage, region) witnesses when it does."""
     picked = _picked_regions(covers, picks)
     refs = [(n, ridx) for n, chosen in enumerate(picks, start=1) for ridx in chosen]
-    hit = first_hit([region_mask(r) for regions in picked for r in regions], space.n)
+    hit = first_hit([region_members(r) for regions in picked for r in regions], space.n)
     if (hit < 0).any():
         return MengerReport(False, None, int(np.flatnonzero(hit < 0)[0]))
     return MengerReport(True, tuple(refs[h] for h in hit.tolist()), None)

@@ -37,7 +37,7 @@ from .covers import (
     DisjointFamily,
     analytic_contains,
     covers_check,
-    region_mask,
+    region_members,
     union_mask,
 )
 from .exact import CheckFailure, InputError
@@ -154,7 +154,7 @@ def build_stage_covers(
                     f"closed delta-ball at center {c} escapes the eps-ball"
                 )
         # the stage never meets the complement piece
-        if bool(np.any(region_mask(comp) & stage.mask())):
+        if bool(stage.mask()[region_members(comp)].any()):
             raise AssertionError(
                 f"stage {n} meets the complement piece of its own cover"
             )
@@ -231,7 +231,7 @@ def build_haver_witness(
         )
         worst = Fraction(0)
         for region in kept:
-            d = diameter(space, space.subset_from_mask(region_mask(region)))
+            d = diameter(space, region_members(region))
             if not d.value_sq < eps_n * eps_n:
                 raise AssertionError(
                     f"a filtered region at stage {n} has diameter >= eps_{n}"
@@ -251,7 +251,7 @@ def build_haver_witness(
         raw = engine_out.family(n)
         owner = np.full(space.n, -1, dtype=np.int64)
         for ridx, region in enumerate(raw.regions):
-            owner[region_mask(region)] = ridx
+            owner[region_members(region)] = ridx
         owners.append(owner)
         stage_unions.append(owner >= 0)
     kept_index = kept_raw_indices
@@ -291,15 +291,11 @@ def _find_containing_ball(
     exact and complete.  Regions with no sample points are dropped: they
     contribute nothing to any invariant.
     """
-    mask = region_mask(region)
-    anchors = np.flatnonzero(mask)
-    if anchors.size == 0:
+    members = region_members(region)
+    if not members.size:
         return None
-    anchor = int(anchors[0])
-    hits = space.within_lt(anchor, radius)
-    for bidx, center in enumerate(net):
-        if not hits[center]:
-            continue
+    near = space._dist_sq_to(int(members[0]), np.asarray(net, dtype=np.int64))
+    for bidx in np.flatnonzero(near <= space.scaled_bound(radius)).tolist():
         if analytic_contains(region, cover.regions[bidx]):
             return bidx
     return None

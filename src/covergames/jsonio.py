@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
+from fractions import Fraction
 from pathlib import Path
 
 from .covers import Ball, Box, CoClosedBalls, Cover, CoverSeq, OpenRegion
@@ -45,11 +46,19 @@ def dump_json(obj, path) -> None:
 
 
 def space_to_json(space: SampledSpace) -> dict:
+    texts = {}  # scaled integer coordinate -> text; a grid has few distinct ones
+
+    def text(k):
+        value = texts.get(k)
+        if value is None:
+            value = texts[k] = format_rational(Fraction(k, space.scale))
+        return value
+
     return {
         "label": space.label,
         "metric": space.metric_kind,
         "mesh": format_rational(space.mesh),
-        "points": [[format_rational(c) for c in p] for p in space.points],
+        "points": [[text(k) for k in row] for row in space._icoords.tolist()],
     }
 
 
@@ -103,18 +112,35 @@ def region_to_json(region: OpenRegion) -> dict:
     }
 
 
+def _point_index(value) -> int:
+    """A JSON integer (not a bool); anything else is a TypeError."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise TypeError(f"a point index must be an integer, not {value!r}")
+
+
+def _flag(value) -> bool:
+    """A JSON boolean; anything else is a TypeError."""
+    if not isinstance(value, bool):
+        raise TypeError(f"a box end flag must be true or false, not {value!r}")
+    return value
+
+
 def region_from_json(space: SampledSpace, doc: dict) -> OpenRegion:
     shape = doc.get("shape")
     if shape == "ball":
-        return Ball(space, int(doc["center"]), parse_rational(doc["radius"]))
+        return Ball(space, _point_index(doc["center"]), parse_rational(doc["radius"]))
     if shape == "box":
         lo = tuple(parse_rational(x) for x in doc["lo"])
         hi = tuple(parse_rational(x) for x in doc["hi"])
-        lo_closed = tuple(bool(b) for b in doc.get("lo_closed", ()))
-        hi_closed = tuple(bool(b) for b in doc.get("hi_closed", ()))
+        lo_closed = tuple(_flag(b) for b in doc.get("lo_closed", ()))
+        hi_closed = tuple(_flag(b) for b in doc.get("hi_closed", ()))
         return Box(space, lo, hi, lo_closed, hi_closed)
     if shape == "co_closed_balls":
-        balls = tuple((int(c), parse_rational(r)) for c, r in doc["balls"])
+        balls = tuple((_point_index(c), parse_rational(r)) for c, r in doc["balls"])
         return CoClosedBalls(space, balls)
     raise InputError(f"unknown region shape {shape!r}")
 

@@ -21,14 +21,12 @@ import numpy as np
 
 from .covers import (
     Ball,
-    Cover,
     CoverSeq,
-    covers_check,
     lebesgue_argmax_region,
     lebesgue_number,
     union_mask,
 )
-from .exact import CheckFailure, InputError, ResourceError, int_lt_bound, clamp_int64
+from .exact import CheckFailure, InputError, ResourceError
 from .space import SampledSpace, SubsetHandle, doubling_delta, first_hit, tail_start
 
 
@@ -43,13 +41,17 @@ class NetCertificate:
 
 def validate_net(space: SampledSpace, cert: NetCertificate) -> bool:
     """Re-check a certificate pointwise: every covered point strictly within
-    epsilon of some center."""
-    cover = Cover(
-        space,
-        [Ball(space, c, cert.epsilon) for c in cert.centers],
-        target=cert.covered,
-    )
-    return covers_check(cover).ok
+    epsilon of some center.  The centers' balls are added in order until
+    nothing is left to cover, so a passing check reads only the prefix of
+    centers it needs."""
+    if cert.epsilon <= 0 or not all(0 <= c < space.n for c in cert.centers):
+        raise InputError("a net needs a positive epsilon and sample-point centers")
+    left = cert.covered.mask().copy()
+    for c in cert.centers:
+        if not left.any():
+            break
+        left &= ~space.within_lt(c, cert.epsilon)
+    return not left.any()
 
 
 def greedy_net(
@@ -67,9 +69,7 @@ def greedy_net(
     idx = np.flatnonzero(subset.mask())
     if idx.size == 0:
         raise InputError("greedy_net needs a nonempty subset")
-    bound = int_lt_bound(epsilon * epsilon * space.dist_scale_sq)
-    if space._fast:
-        bound = clamp_int64(bound)
+    bound = space.scaled_bound(epsilon)
     centers = [int(idx[0])]
     best = space.dist_sq_row(centers[0])[idx]
     while True:
@@ -112,9 +112,7 @@ def minimal_net_bruteforce(
     if k > 24:
         raise ResourceError("exhaustive net search is capped at 24 subset points")
     cap = k if cap is None else min(cap, k)
-    bound = int_lt_bound(epsilon * epsilon * space.dist_scale_sq)
-    if space._fast:
-        bound = clamp_int64(bound)
+    bound = space.scaled_bound(epsilon)
     arr = np.fromiter(idx, dtype=np.int64)
     coverage = {}
     for c in idx:
@@ -201,6 +199,7 @@ def decompose_from_hurewicz(
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
+    doubling_delta(horizon)  # a horizon past the cap fails before any work
     sel: dict[int, tuple[Ball, ...]] = {}
     for m, balls in selections.items():
         m = int(m)

@@ -38,7 +38,7 @@ from .covers import (
     lebesgue_argmax_region,
     lebesgue_number,
     refines_check,
-    region_mask,
+    region_members,
     union_mask,
 )
 from .exact import CheckFailure, InputError, exact_sqrt, sqrt_lower
@@ -129,7 +129,7 @@ def _witness_class(
     """Attach Lebesgue-certified parents to a class of boxes."""
     widx, kinds = [], []
     for b in boxes:
-        anchor = int(np.flatnonzero(region_mask(b))[0])
+        anchor = int(region_members(b)[0])
         widx.append(lebesgue_argmax_region(cover, anchor, lam))
         kinds.append("analytic-lebesgue")
     return DisjointFamily(boxes, cover, witness=widx, witness_kinds=kinds)
@@ -311,7 +311,9 @@ def sc_fin_select(
         space, covers, allow_pointwise
     )
     refs = [(n, r) for n, fam in enumerate(families, start=1) for r in range(len(fam))]
-    hit = first_hit([region_mask(r) for fam in families for r in fam.regions], space.n)
+    hit = first_hit(
+        [region_members(r) for fam in families for r in fam.regions], space.n
+    )
     if (hit < 0).any():
         missing = int(np.flatnonzero(hit < 0)[0])
         raise CheckFailure(

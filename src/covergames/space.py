@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import operator
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -148,7 +149,10 @@ class SampledSpace:
             structure = _table_structure(cols, scale)
         self.structure = structure
         self._index: dict[tuple[Fraction, ...], int] | None = None
-        self._mask_cache: dict[object, np.ndarray] = {}
+        # region key -> sorted member indices, oldest first (covers.region_members)
+        self._members: OrderedDict[object, np.ndarray] = OrderedDict()
+        self._members_bytes = 0
+        self._axis0: tuple[np.ndarray, np.ndarray, int, int] | None = None
         self._row_cache: dict[int, np.ndarray] = {}
         self._min_gap_sq: Fraction | None = None
         self._diam_sq: Fraction | None = None
@@ -220,6 +224,19 @@ class SampledSpace:
             dsq = max(abs(x) for x in deltas) ** 2
         return Fraction(dsq, self.dist_scale_sq)
 
+    def _dist_sq_to(self, i: int, idx) -> np.ndarray:
+        """Scaled squared distances from point i to the points idx (an index
+        array or slice), in O(len(idx) * dim); entries as in dist_sq_row."""
+        if self.metric_kind == "euclidean":
+            delta = self._icoords[idx] - self._icoords[i]
+            return (delta * delta).sum(axis=1)
+        if self.metric_kind == "chebyshev":
+            m = np.abs(self._icoords[idx] - self._icoords[i]).max(axis=1)
+            return m * m
+        # cantor_2adic: d*2^D = msb(xor), so d^2*4^D = msb^2
+        msb = self._msb_table[self._cantor_bits[idx] ^ self._cantor_bits[i]]
+        return msb * msb
+
     def dist_sq_row(self, i: int) -> np.ndarray:
         """Scaled squared distances from point i to all points.
 
@@ -228,33 +245,38 @@ class SampledSpace:
         row = self._row_cache.get(i)
         if row is not None:
             return row
-        if self.metric_kind == "euclidean":
-            delta = self._icoords - self._icoords[i]
-            row = (delta * delta).sum(axis=1)
-        elif self.metric_kind == "chebyshev":
-            delta = np.abs(self._icoords - self._icoords[i])
-            m = delta.max(axis=1)
-            row = m * m
-        else:  # cantor_2adic: d*2^D = msb(xor), so d^2*4^D = msb^2
-            xor = self._cantor_bits ^ self._cantor_bits[i]
-            msb = self._msb_table[xor]
-            row = msb * msb
+        row = self._dist_sq_to(i, slice(None))
         if (len(self._row_cache) + 1) * self.n < 2**22:  # ~32 MB of int64 rows
             self._row_cache[i] = row
         return row
 
+    def axis0_window(self, gt: int, le: int) -> np.ndarray:
+        """Indices of the points whose scaled first coordinate x satisfies
+        gt < x <= le, in axis order: two binary searches in an argsort of
+        the first column, built on first use (int64 tables only)."""
+        if self._axis0 is None:
+            order = np.argsort(self._icoords[:, 0], kind="stable").astype(np.int32)
+            col = self._icoords[order, 0]
+            self._axis0 = order, col, int(col[0]), int(col[-1])
+        order, col, first, last = self._axis0
+        a = 0 if gt < first else int(col.searchsorted(min(gt, last), "right"))
+        b = self.n if le >= last else int(col.searchsorted(max(le, first), "right"))
+        return order[a:b]
+
+    def scaled_bound(self, radius: Fraction, closed: bool = False) -> int:
+        """The largest scaled squared distance inside the ball of the given
+        radius: d < radius, or d <= radius when closed."""
+        x = radius * radius * self.dist_scale_sq
+        bound = int_le_bound(x) if closed else int_lt_bound(x)
+        return clamp_int64(bound) if self._fast else bound
+
     def within_lt(self, i: int, radius: Fraction) -> np.ndarray:
         """Boolean mask of points with d(i, .) < radius (exact)."""
-        bound = int_lt_bound(radius * radius * self.dist_scale_sq)
-        if self._fast:
-            bound = clamp_int64(bound)
-        return np.asarray(self.dist_sq_row(i) <= bound, dtype=bool)
+        return np.asarray(self.dist_sq_row(i) <= self.scaled_bound(radius), dtype=bool)
 
     def within_le(self, i: int, radius: Fraction) -> np.ndarray:
         """Boolean mask of points with d(i, .) <= radius (exact)."""
-        bound = int_le_bound(radius * radius * self.dist_scale_sq)
-        if self._fast:
-            bound = clamp_int64(bound)
+        bound = self.scaled_bound(radius, closed=True)
         return np.asarray(self.dist_sq_row(i) <= bound, dtype=bool)
 
     def min_positive_gap_sq(self) -> Fraction:
@@ -441,13 +463,12 @@ def tail_start(masks, n: int) -> np.ndarray:
     return tail
 
 
-def first_hit(masks, n: int) -> np.ndarray:
-    """Per point, the index of the first mask containing it, or -1."""
+def first_hit(members, n: int) -> np.ndarray:
+    """Per point, the index of the first entry of members (boolean masks or
+    index arrays) containing it, or -1."""
     hit = np.full(n, -1, dtype=np.int64)
-    free = np.ones(n, dtype=bool)
-    for idx, m in enumerate(masks):
-        hit[free & m] = idx
-        free &= ~m
+    for idx in range(len(members) - 1, -1, -1):
+        hit[members[idx]] = idx
     return hit
 
 
@@ -459,23 +480,23 @@ class DiameterResult:
     exact: bool
 
 
-def diameter(space: SampledSpace, subset: SubsetHandle) -> DiameterResult:
-    """Max pairwise distance over the subset; 0 (flagged) when empty.
+def diameter(space: SampledSpace, subset) -> DiameterResult:
+    """Max pairwise distance over the subset (a SubsetHandle, or sorted
+    point indices); 0 (flagged) when empty.
 
     The squared value is always exact.  The linear value is exact whenever
     the metric yields rational distances, otherwise it is a certified
     rational upper bound (callers that enforce diameter bounds compare the
-    squared value).
+    squared value).  Cost is quadratic in the subset size, not in n.
     """
-    arr = np.flatnonzero(subset.mask())
+    if isinstance(subset, SubsetHandle):
+        subset = np.flatnonzero(subset.mask())
+    arr = np.asarray(subset, dtype=np.int64)
     if not arr.size:
         return DiameterResult(Fraction(0), Fraction(0), True, True)
     if arr.size == 1:
         return DiameterResult(Fraction(0), Fraction(0), False, True)
-    worst = 0
-    for i in arr.tolist():
-        row = space.dist_sq_row(i)[arr]
-        worst = max(worst, int(row.max()))
+    worst = max(int(space._dist_sq_to(i, arr).max()) for i in arr.tolist())
     dsq = Fraction(worst, space.dist_scale_sq)
     root = exact_sqrt(dsq)
     if root is not None:
@@ -627,14 +648,28 @@ def _cantor_int(k: int, bound: int) -> bool:
 # -- schedules -------------------------------------------------------------------
 
 
+# the n-th doubling radius has a 2**n-bit denominator, so every exact
+# comparison with it costs time doubly exponential in n
+MAX_DOUBLING_STAGE = 20
+
+
+def _doubling_denominator(n: int) -> int:
+    if n > MAX_DOUBLING_STAGE:
+        raise ResourceError(
+            f"stage {n} exceeds the horizon cap {MAX_DOUBLING_STAGE}: "
+            f"(1/2)^(2^{n}) has a 2^{n}-bit denominator"
+        )
+    return 2 ** (2**n)
+
+
 def doubling_delta(n: int) -> Fraction:
     """The n-th radius of the doubling-exponent schedule: (1/2)**(2**n)."""
-    return Fraction(1, 2 ** (2**n))
+    return Fraction(1, _doubling_denominator(n))
 
 
 def paired_delta(eps_n: Fraction, n: int) -> Fraction:
     """Net radius paired with eps_n: ((2**2**n - 1)/2**2**n) * (eps_n/2)."""
-    p = 2 ** (2**n)
+    p = _doubling_denominator(n)
     return Fraction(p - 1, p) * (eps_n / 2)
 
 

@@ -4,6 +4,7 @@ report whose last check is `input`, never with a traceback."""
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,39 @@ def test_adversarial_point_out_of_range_exits_2(point):
     )
     assert_input_error(code, doc)
     assert "0..8" in doc["checks"][-1]["error"]
+
+
+@pytest.mark.parametrize(
+    "region,needle",
+    [
+        ({"shape": "ball", "center": 2.7, "radius": "1/4"}, "2.7"),
+        ({"shape": "ball", "center": "8", "radius": "1/4"}, "'8'"),
+        ({"shape": "co_closed_balls", "balls": [[True, "1/4"]]}, "True"),
+        (
+            {"shape": "box", "lo": ["-1/16"], "hi": ["17/16"], "lo_closed": ["false"]},
+            "'false'",
+        ),
+    ],
+    ids=["center_float", "center_string", "co_ball_center_bool", "closed_flag_string"],
+)
+def test_malformed_region_field_exits_2(tmp_path, region, needle):
+    cover = {"regions": [{"shape": "ball", "center": 4, "radius": "2"}, region]}
+    path = write(tmp_path, "cover.json", cover)
+    code, doc = run(["refine", "--space", SPACE, "--cover", path])
+    assert_input_error(code, doc)
+    error = doc["checks"][-1]["error"]
+    assert f"malformed cover input {path}" in error and needle in error
+
+
+def test_horizon_past_the_cap_exits_2_before_any_work():
+    start = time.perf_counter()
+    code, doc = run(["demo", "--label", "unit_interval_8", "--horizon", "40"])
+    assert time.perf_counter() - start < 1
+    assert_input_error(code, doc)
+    assert "horizon cap 20" in doc["checks"][-1]["error"]
+
+
+def test_horizon_at_the_cap_still_runs():
+    code, doc = run(["demo", "--label", "unit_interval_8", "--horizon", "20"])
+    assert code == 0
+    assert doc["result"]["horizon"] == 20

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covergames.covers import Ball, Cover, CoverSeq, refines_check
-from covergames.exact import CheckFailure, InputError
+from covergames.exact import CheckFailure, InputError, ResourceError
 from covergames.game import hurewicz_selection_check
 from covergames.netting import (
     chain_decomposition,
@@ -19,7 +19,7 @@ from covergames.netting import (
     select_from_decomposition,
     validate_net,
 )
-from covergames.space import doubling_delta
+from covergames.space import doubling_delta, paired_delta
 
 
 def is_valid_net(space, subset, centers, eps) -> bool:
@@ -248,3 +248,17 @@ class TestSelectFromDecomposition:
         }
         dec2 = decompose_from_hurewicz(s, rebuilt, horizon)
         assert dec2.chain[-1].count() == s.n
+
+
+def test_doubling_terms_past_the_horizon_cap_raise():
+    assert doubling_delta(20) == F(1, 2 ** 2**20)
+    with pytest.raises(ResourceError):
+        doubling_delta(21)
+    with pytest.raises(ResourceError):
+        paired_delta(F(1), 21)
+
+
+def test_decompose_rejects_a_horizon_past_the_cap_before_any_work(interval_8):
+    selections = {1: [Ball(interval_8, c, doubling_delta(1)) for c in range(9)]}
+    with pytest.raises(ResourceError):
+        decompose_from_hurewicz(interval_8, selections, 21)
