@@ -259,9 +259,17 @@ class SampledSpace:
             col = self._icoords[order, 0]
             self._axis0 = order, col, int(col[0]), int(col[-1])
         order, col, first, last = self._axis0
-        a = 0 if gt < first else int(col.searchsorted(min(gt, last), "right"))
-        b = self.n if le >= last else int(col.searchsorted(max(le, first), "right"))
-        return order[a:b]
+
+        def rank(x: int) -> int:
+            # points with first coordinate <= x; a bound outside the sample's
+            # span never reaches searchsorted, where it could overflow int64
+            if x < first:
+                return 0
+            if x >= last:
+                return self.n
+            return int(col.searchsorted(x, "right"))
+
+        return order[rank(gt) : rank(le)]
 
     def scaled_bound(self, radius: Fraction, closed: bool = False) -> int:
         """The largest scaled squared distance inside the ball of the given

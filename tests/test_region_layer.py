@@ -13,9 +13,12 @@ must be identical, down to the Fraction and the region index.
 from __future__ import annotations
 
 import gc
+import json
 import random
+import sys
 import weakref
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covergames.covers as covers_module
+from covergames.cli import run
 from covergames.covers import (
     Ball,
     Box,
@@ -32,8 +36,10 @@ from covergames.covers import (
     covers_check,
     lebesgue_argmax_region,
     lebesgue_number,
+    pairwise_disjoint_check,
     region_mask,
     region_members,
+    union_mask,
 )
 from covergames.exact import clamp_int64, exact_sqrt, int_le_bound, int_lt_bound
 from covergames.netting import NetCertificate, decompose_from_hurewicz, greedy_net
@@ -131,6 +137,7 @@ def net_oracle(space, cert: NetCertificate) -> bool:
 
 # -- spaces and regions -------------------------------------------------------------
 
+SPACE = Path(__file__).parent / "golden" / "inputs" / "space.json"  # 0, 1/8, ..., 1
 HUGE = F(2**40)  # scaled coordinates this far apart overflow int64 distances
 
 
@@ -180,6 +187,9 @@ def regions(draw, space):
         centers = draw(st.lists(st.integers(0, space.n - 1), min_size=0, max_size=3))
         return CoClosedBalls(space, tuple((c, _radius(draw, space, c)) for c in centers))
     lo, hi, lo_closed, hi_closed = [], [], [], []
+    # half the boxes lie off the sample on one axis, at most touching its edge
+    side = draw(st.sampled_from([0, 0, -1, 1]))
+    off_axis = draw(st.integers(0, space.coord_dim - 1))
     for i in range(space.coord_dim):
         values = sorted({p[i] for p in space.points})
         a, b = sorted(draw(st.lists(st.sampled_from(values), min_size=2, max_size=2)))
@@ -187,6 +197,13 @@ def regions(draw, space):
         a, b = a - abs(nudge), b + nudge
         if a >= b:
             b = a + 1
+        if side and i == off_axis:
+            gap = draw(st.sampled_from([F(0), F(1, 2)]))
+            if side < 0:
+                shift = space.axis_min[i] - b - gap
+            else:
+                shift = space.axis_max[i] - a + gap
+            a, b = a + shift, b + shift
         # a closed end must not cut the sample: put it at the sample's edge
         lc = draw(st.booleans())
         hc = draw(st.booleans())
@@ -226,6 +243,48 @@ def test_ball_radius_equal_to_a_sample_distance_is_open():
     assert np.array_equal(region_members(co), np.flatnonzero(mask_oracle(co)))
 
 
+@pytest.mark.parametrize(
+    "lo,hi",
+    [
+        (F(-1), F(-1, 2)),  # wholly below the sample
+        (F(-1), F(0)),  # open upper end at the lowest point
+        (F(3, 2), F(2)),  # wholly above
+        (F(1), F(2)),  # open lower end at the highest point
+    ],
+    ids=["below", "touching_below", "above", "touching_above"],
+)
+@pytest.mark.parametrize("metric", ["euclidean", "chebyshev"])
+def test_box_off_the_sample_has_no_members(metric, lo, hi):
+    s = SampledSpace([(F(k, 8),) for k in range(9)], metric, F(1, 16))
+    box = Box(s, (lo,), (hi,))
+    assert not mask_oracle(box).any()
+    assert region_members(box).size == 0
+    assert not region_mask(box).any()
+    assert not any(contains(box, p) for p in range(s.n))
+
+
+def test_cover_missing_the_lowest_point_fails_its_checks():
+    s = build_grid_space(1, F(1, 8))
+    below = Box(s, (F(-1),), (F(-1, 2),))
+    rest = Box(s, (F(1, 16),), (F(2),))
+    report = covers_check(Cover(s, [below, rest]))
+    assert not report.ok and report.failure_point == 0
+    assert union_mask(s, [below, rest]).tolist() == [False] + [True] * (s.n - 1)
+    assert pairwise_disjoint_check([below, rest], F(0)).ok
+
+
+def test_refine_on_a_cover_missing_the_lowest_point_exits_1(tmp_path):
+    def box(lo, hi):
+        return {"shape": "box", "lo": [lo], "hi": [hi]}
+
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"regions": [box("-1", "-1/2"), box("1/16", "2")]}))
+    code, doc = run(["refine", "--space", str(SPACE), "--cover", str(path)])
+    assert code == 1
+    assert doc["checks"][0] == {"name": "cover_validates", "pass": False}
+    assert "first uncovered point 0" in doc["checks"][-1]["error"]
+
+
 def test_member_cache_stays_within_its_budget(monkeypatch):
     monkeypatch.setattr(covers_module, "MEMBER_CACHE_BYTES", 4000)
     s = build_grid_space(2, F(1, 16))
@@ -236,6 +295,52 @@ def test_member_cache_stays_within_its_budget(monkeypatch):
             assert s._members_bytes <= 4000
     total = sum(covers_module._entry_bytes(k, m) for k, m in s._members.items())
     assert total == s._members_bytes
+
+
+def _deep_size(obj, seen=None) -> int:
+    """sys.getsizeof of a cache key with the tuples, ints and Fractions it
+    holds, each object once (the interned shape name and the bool
+    singletons excluded)."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, (str, bool)) or id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, covers_module._MemberKey):
+        parts = (obj.fields, obj._hash)
+    elif isinstance(obj, tuple):
+        parts = obj
+    elif isinstance(obj, F):
+        parts = (obj.numerator, obj.denominator)
+    else:
+        parts = ()
+    return size + sum(_deep_size(x, seen) for x in parts)
+
+
+def test_member_cache_entry_bytes_cover_the_measured_sizes():
+    s = build_grid_space(2, F(1, 64))
+    line = build_grid_space(1, F(1, 64))
+    cube = SampledSpace(
+        [(F(i, 4), F(j, 4), F(k, 4)) for i in range(5) for j in range(5) for k in range(5)],
+        "euclidean",
+        F(1, 8),
+    )
+    regions = [
+        Ball(s, 100, F(1, 4096)),
+        Ball(s, 4000, F(12345, 65536)),
+        Box(line, (F(3, 128),), (F(255, 256),)),
+        Box(s, (F(3, 128), F(-1, 2)), (F(255, 256), F(129, 256))),
+        Box(cube, (F(-1),) * 3, (F(1, 3),) * 3, (True,) * 3, (False,) * 3),
+        CoClosedBalls(s, ()),
+        CoClosedBalls(s, ((1, F(1, 4)),)),
+        CoClosedBalls(s, tuple((c, F(c + 1, 4096)) for c in range(3))),
+    ]
+    for region in regions:
+        members = region_members(region)
+        key = covers_module._MemberKey(region)
+        measured = _deep_size(key) + sys.getsizeof(members)
+        counted = covers_module._entry_bytes(key, members)
+        assert measured + 85 <= counted < 2 * measured  # 85: an OrderedDict slot
 
 
 def test_member_cache_does_not_keep_its_space_alive():
