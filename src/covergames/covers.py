@@ -531,17 +531,59 @@ def analytic_contains(inner: OpenRegion, outer: OpenRegion) -> bool:
     return False  # CoClosedBalls as inner: sample evidence only
 
 
+def box_in_ball_verdicts(inner: Sequence[OpenRegion], outer: Sequence[OpenRegion]):
+    """Certified float verdicts of analytic_contains(inner[k], outer[k]): 1
+    where it is certainly True, 0 where certainly False, -1 where floats
+    cannot tell or the pair is not a box and a ball on the first region's
+    space, an int64 euclidean or chebyshev space.
+
+    A box lies inside a ball iff its farthest corner does: per axis
+    max(hi - c, c - lo), squared and summed (the max under chebyshev),
+    against r**2, each bounded by floats rounded outward.
+    """
+    verdict = np.full(len(inner), -1, dtype=np.int8)
+    space = inner[0].space if len(inner) else None
+    pick = [
+        k
+        for k, (b, ball) in enumerate(zip(inner, outer))
+        if isinstance(b, Box) and isinstance(ball, Ball) and b.space is space
+        and ball.space is space
+    ]
+    if not (pick and space._fast and space.metric_kind != "cantor_2adic"):
+        return verdict
+    if space.dist_scale_sq >= 2**1000:  # the scale is no float
+        return verdict
+    boxes, balls = [inner[k] for k in pick], [outer[k] for k in pick]
+    lo = np.array([[_float_bounds(x) for x in b.lo] for b in boxes])
+    hi = np.array([[_float_bounds(x) for x in b.hi] for b in boxes])
+    c = space._icoords[[ball.center for ball in balls]] / float(space.scale)
+    c = np.stack([_below(c, np.abs(c)), _above(c, np.abs(c))], axis=-1)
+    up, down = _diff_bounds(hi, c), _diff_bounds(c, lo)  # hi - c, c - lo
+    far = np.maximum(np.maximum(up, down), 0) ** 2
+    far = far.max(axis=1) if space.metric_kind == "chebyshev" else far.sum(axis=1)
+    mag = far * (space.coord_dim + 1)  # the roundings of the squares and sum
+    far_lo, far_hi = _below(far[:, 0], mag[:, 0]), _above(far[:, 1], mag[:, 1])
+    r = np.maximum([_float_bounds(ball.radius) for ball in balls], 0) ** 2
+    r_lo, r_hi = _below(r[:, 0], r[:, 0]), _above(r[:, 1], r[:, 1])
+    verdict[pick] = np.where(far_hi < r_lo, 1, np.where(far_lo >= r_hi, 0, -1))
+    return verdict
+
+
 def sample_contains(inner: OpenRegion, outer: OpenRegion) -> bool:
     return bool(_member_test(outer, region_members(inner)).all())
 
 
-def region_contained_in(inner: OpenRegion, outer: OpenRegion) -> Optional[str]:
+def region_contained_in(
+    inner: OpenRegion, outer: OpenRegion, verdict: int = -1
+) -> Optional[str]:
     """Containment decision: "analytic", "sample", or None.
 
     Analytic evidence implies sample evidence; sample evidence is the
-    desk-scale stand-in where no exact shape test applies.
+    desk-scale stand-in where no exact shape test applies.  verdict is the
+    pair's box_in_ball_verdicts answer where one was computed; only -1
+    sends the pair to the exact analytic test.
     """
-    if analytic_contains(inner, outer):
+    if verdict == 1 or (verdict < 0 and analytic_contains(inner, outer)):
         return "analytic"
     if sample_contains(inner, outer):
         return "sample"
@@ -705,32 +747,45 @@ def pairwise_disjoint_check(
     return DisjointReport(True, None, None, None)
 
 
-def _pair_order(regions: Sequence[OpenRegion], margin: Fraction):
-    """All index pairs, pruned by a certified float prefilter for large box
-    families (the only families that get big in practice).
+_SWEEP_BATCH = 2**15  # candidate pairs per batch of the sweep (bounds memory)
 
-    A pair is skipped only when a conservatively-rounded axis gap already
-    exceeds margin in float, which lower-bounds the true metric gap in both
-    supported metrics.
+
+def _pair_order(regions: Sequence[OpenRegion], margin: Fraction):
+    """The index pairs (i, j), i < j, in lexicographic order, that the exact
+    gap test must see: all pairs when a ball or co-ball takes part.
+
+    A box pair is skipped only when a conservatively-rounded axis gap
+    already exceeds margin in float, which lower-bounds the true metric gap
+    in both supported metrics.  The boxes are swept in the order of their
+    lower ends on axis 0: a box's candidates are the later boxes whose lower
+    end lies below its upper end plus the margin (a binary search), and
+    only they see the float test on every axis.
     """
     n = len(regions)
-    if n <= 64 or not all(isinstance(r, Box) for r in regions):
+    if not all(isinstance(r, Box) for r in regions):
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
     # conservative float bounding boxes: lo rounded down, hi rounded up
-    lo = np.array([[np.nextafter(float(x), -np.inf) for x in r.lo] for r in regions])
-    hi = np.array([[np.nextafter(float(x), np.inf) for x in r.hi] for r in regions])
+    lo = np.nextafter([[float(x) for x in r.lo] for r in regions], -np.inf)
+    hi = np.nextafter([[float(x) for x in r.hi] for r in regions], np.inf)
     pad = np.nextafter(float(margin), np.inf)
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo, hi = lo[order], hi[order]
+    # every box past this end is certainly more than pad above on axis 0
+    reach = _above(hi[:, 0] + pad, np.abs(hi[:, 0]) + pad)
+    counts = np.searchsorted(lo[:, 0], reach, "right") - np.arange(1, n + 1)
+    total = np.concatenate(([0], np.cumsum(counts)))
     pairs = []
-    for i in range(n):
-        # exact attention needed unless some axis gap certainly exceeds margin
-        close = np.ones(n - i - 1, dtype=bool)
-        for ax in range(lo.shape[1]):
-            gap_above = lo[i + 1 :, ax] - hi[i, ax]  # j sits above i
-            gap_below = lo[i, ax] - hi[i + 1 :, ax]  # j sits below i
-            close &= (gap_above <= pad) & (gap_below <= pad)
-        for off in np.flatnonzero(close):
-            pairs.append((i, i + 1 + int(off)))
-    return pairs
+    a = 0
+    while a < n:
+        b = max(a + 1, int(total.searchsorted(total[a] + _SWEEP_BATCH, "right")) - 1)
+        s = np.repeat(np.arange(a, b), counts[a:b])
+        t = np.arange(total[a], total[b]) - np.repeat(total[a:b], counts[a:b]) + s + 1
+        close = ((lo[t] - hi[s] <= pad) & (lo[s] - hi[t] <= pad)).all(axis=1)
+        i, j = order[s[close]], order[t[close]]
+        pairs.append(np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1))
+        a = b
+    out = np.concatenate(pairs)
+    return [tuple(p) for p in out[np.lexsort((out[:, 1], out[:, 0]))].tolist()]
 
 
 # -- Lebesgue numbers ------------------------------------------------------------------
@@ -800,6 +855,14 @@ def _below(v, mag):
 
 def _above(v, mag):
     return v + (mag * _REL + _TINY)
+
+
+def _diff_bounds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Float bounds [..., (lo, hi)] on x - y for x, y within the bounds a, b."""
+    lo = a[..., 0] - b[..., 1]
+    hi = a[..., 1] - b[..., 0]
+    mag = np.abs(a).max(axis=-1) + np.abs(b).max(axis=-1)
+    return np.stack([_below(lo, mag), _above(hi, mag)], axis=-1)
 
 
 def _dist_bounds(space: SampledSpace, c: int, idx: np.ndarray):
@@ -1062,8 +1125,10 @@ class DisjointFamily:
                 if witness_kinds is not None
                 else ("given",) * len(self.regions)
             )
-            for r, widx in zip(self.regions, self.witness):
-                if region_contained_in(r, parent.regions[widx]) is None:
+            outer = [parent.regions[widx] for widx in self.witness]
+            verdict = box_in_ball_verdicts(self.regions, outer).tolist()
+            for r, widx, o, v in zip(self.regions, self.witness, outer, verdict):
+                if region_contained_in(r, o, v) is None:
                     raise CheckFailure(
                         "refinement witness does not hold on the sample",
                         witness=(r, widx),

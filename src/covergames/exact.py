@@ -36,7 +36,7 @@ def parse_rational(text: object) -> Fraction:
     """Parse "p/q" or "p" (or an int) into an exact Fraction."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
         s = text.strip()

@@ -36,6 +36,7 @@ from .covers import (
     CoverSeq,
     DisjointFamily,
     analytic_contains,
+    box_in_ball_verdicts,
     covers_check,
     region_members,
     union_mask,
@@ -215,10 +216,10 @@ def build_haver_witness(
         raw = engine_out.family(n)
         kept, widx = [], []
         raw_to_kept: dict[int, int] = {}
-        for raw_idx, region in enumerate(raw.regions):
-            ball_idx = _find_containing_ball(
-                region, cover, stage_covers.nets[n - 1], eps_n / 2, space
-            )
+        found = _containing_balls(
+            raw.regions, cover, stage_covers.nets[n - 1], eps_n / 2, space
+        )
+        for raw_idx, (region, ball_idx) in enumerate(zip(raw.regions, found)):
             if ball_idx is not None:
                 raw_to_kept[raw_idx] = len(kept)
                 kept.append(region)
@@ -280,25 +281,42 @@ def build_haver_witness(
     )
 
 
-def _find_containing_ball(
-    region, cover: Cover, net: tuple[int, ...], radius: Fraction, space
-) -> int | None:
-    """Index (within the cover) of a net ball analytically containing the
-    region.
+def _containing_balls(
+    regions, cover: Cover, net: tuple[int, ...], radius: Fraction, space
+) -> list[int | None]:
+    """Per region, the index (within the cover) of the first net ball
+    analytically containing it, or None.
 
     Only centers strictly within the radius of the region's anchor point can
     contain it (the anchor lies in the region), so the candidate prune is
     exact and complete.  Regions with no sample points are dropped: they
-    contribute nothing to any invariant.
+    contribute nothing to any invariant.  All candidates get certified float
+    verdicts in one batch; only the undecided ones reach the exact test.
     """
-    members = region_members(region)
-    if not members.size:
-        return None
-    near = space._dist_sq_to(int(members[0]), np.asarray(net, dtype=np.int64))
-    for bidx in np.flatnonzero(near <= space.scaled_bound(radius)).tolist():
-        if analytic_contains(region, cover.regions[bidx]):
-            return bidx
-    return None
+    centers = np.asarray(net, dtype=np.int64)
+    bound = space.scaled_bound(radius)
+    cands = []
+    for region in regions:
+        members = region_members(region)
+        if not members.size:
+            cands.append([])
+            continue
+        near = space._dist_sq_to(int(members[0]), centers)
+        cands.append(np.flatnonzero(near <= bound).tolist())
+    inner = [r for r, cs in zip(regions, cands) for _ in cs]
+    outer = [cover.regions[b] for cs in cands for b in cs]
+    verdict = iter(box_in_ball_verdicts(inner, outer).tolist())
+    out = []
+    for region, cs in zip(regions, cands):
+        hit = None
+        for bidx in cs:
+            v = next(verdict)
+            if hit is None and (
+                v == 1 or (v < 0 and analytic_contains(region, cover.regions[bidx]))
+            ):
+                hit = bidx
+        out.append(hit)
+    return out
 
 
 def _replay_claim(

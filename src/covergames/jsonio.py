@@ -112,14 +112,14 @@ def region_to_json(region: OpenRegion) -> dict:
     }
 
 
-def _point_index(value) -> int:
+def _json_index(value, what: str = "a point index") -> int:
     """A JSON integer (not a bool); anything else is a TypeError."""
     try:
         if not isinstance(value, bool):
             return operator.index(value)
     except TypeError:
         pass
-    raise TypeError(f"a point index must be an integer, not {value!r}")
+    raise TypeError(f"{what} must be an integer, not {value!r}")
 
 
 def _flag(value) -> bool:
@@ -132,7 +132,7 @@ def _flag(value) -> bool:
 def region_from_json(space: SampledSpace, doc: dict) -> OpenRegion:
     shape = doc.get("shape")
     if shape == "ball":
-        return Ball(space, _point_index(doc["center"]), parse_rational(doc["radius"]))
+        return Ball(space, _json_index(doc["center"]), parse_rational(doc["radius"]))
     if shape == "box":
         lo = tuple(parse_rational(x) for x in doc["lo"])
         hi = tuple(parse_rational(x) for x in doc["hi"])
@@ -140,7 +140,7 @@ def region_from_json(space: SampledSpace, doc: dict) -> OpenRegion:
         hi_closed = tuple(_flag(b) for b in doc.get("hi_closed", ()))
         return Box(space, lo, hi, lo_closed, hi_closed)
     if shape == "co_closed_balls":
-        balls = tuple((_point_index(c), parse_rational(r)) for c, r in doc["balls"])
+        balls = tuple((_json_index(c), parse_rational(r)) for c, r in doc["balls"])
         return CoClosedBalls(space, balls)
     raise InputError(f"unknown region shape {shape!r}")
 
@@ -233,4 +233,4 @@ def picks_to_json(picks) -> dict:
 
 
 def picks_from_json(doc: dict) -> list[list[int]]:
-    return [[operator.index(i) for i in stage] for stage in doc["picks"]]
+    return [[_json_index(i, "a pick") for i in stage] for stage in doc["picks"]]

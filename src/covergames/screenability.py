@@ -23,6 +23,7 @@ level-L interval groups, one class, gaps at least a removed middle third.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -97,29 +98,24 @@ def build_brick_grid(space: SampledSpace, cell_side: Fraction) -> BrickGrid:
     m = int(m)
     origin = h / 2
     period = d + 1
-    if space.scale * h == 1:
-        # grid coordinates are k*h with integer table k: cell = (2k-1)//(2m)
-        ik = np.asarray(space._icoords, dtype=np.int64)
-        cells = (2 * ik - 1) // (2 * m)
-    else:
-        cells = np.array(
-            [[(p[i] - origin) // s for i in range(d)] for p in space.points],
-            dtype=np.int64,
-        )
+    # the sample is the full product {0, h, ..., 1}^d and the point k*h lies
+    # in cell (2k-1)//(2m) on its axis, so the occupied bricks of a class are
+    # the product of its occupied slots on one axis, in sorted order
+    top = (2 * int(1 / h) - 1) // (2 * m)
     classes: list[tuple[Box, ...]] = []
     for c in range(period):
-        r = (cells - c) % period
-        ok = (r != d).all(axis=1)
-        z = (cells - c - r) // period
-        buckets: dict[tuple[int, ...], None] = {}
-        for pidx in np.flatnonzero(ok):
-            buckets.setdefault(tuple(int(v) for v in z[pidx]), None)
-        boxes = []
-        for zt in sorted(buckets):
-            lo = tuple(origin + (zi * period + c) * s for zi in zt)
-            hi = tuple(origin + (zi * period + c + d) * s for zi in zt)
-            boxes.append(Box(space, lo, hi))
-        classes.append(tuple(boxes))
+        cells = (x - c for x in range(-1, top + 1))
+        slots = sorted({x // period for x in cells if x % period != d})
+        ends = [
+            (origin + (z * period + c) * s, origin + (z * period + c + d) * s)
+            for z in slots
+        ]
+        classes.append(
+            tuple(
+                Box(space, tuple(e[0] for e in zt), tuple(e[1] for e in zt))
+                for zt in itertools.product(ends, repeat=d)
+            )
+        )
     return BrickGrid(tuple(classes))
 
 

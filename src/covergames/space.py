@@ -145,6 +145,16 @@ class SampledSpace:
         else:
             self.dist_scale_sq = scale * scale
 
+        # every scaled squared distance stays below this bound; rows below
+        # 2**31 are kept as int32 (half the row cache's memory)
+        if metric_kind == "cantor_2adic":
+            reach = self.dist_scale_sq
+        elif metric_kind == "chebyshev":
+            reach = max(b - a for a, b in zip(lo, hi)) ** 2
+        else:
+            reach = sum((b - a) ** 2 for a, b in zip(lo, hi))
+        self._row_dtype = np.int32 if self._fast and reach < 2**31 else None
+
         if structure is None and detect:
             structure = _table_structure(cols, scale)
         self.structure = structure
@@ -240,13 +250,16 @@ class SampledSpace:
     def dist_sq_row(self, i: int) -> np.ndarray:
         """Scaled squared distances from point i to all points.
 
-        Entries are exact integers; true d^2 = entry / dist_scale_sq.
+        Entries are exact integers, int32 where every one fits; true d^2 =
+        entry / dist_scale_sq.
         """
         row = self._row_cache.get(i)
         if row is not None:
             return row
         row = self._dist_sq_to(i, slice(None))
-        if (len(self._row_cache) + 1) * self.n < 2**22:  # ~32 MB of int64 rows
+        if self._row_dtype is not None:
+            row = row.astype(self._row_dtype)
+        if (len(self._row_cache) + 1) * self.n < 2**22:  # 2**22 entries per space
             self._row_cache[i] = row
         return row
 

@@ -125,3 +125,29 @@ def test_horizon_at_the_cap_still_runs():
     code, doc = run(["demo", "--label", "unit_interval_8", "--horizon", "20"])
     assert code == 0
     assert doc["result"]["horizon"] == 20
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        {"shape": "ball", "center": 0, "radius": True},
+        {"shape": "co_closed_balls", "balls": [[0, True]]},
+    ],
+    ids=["ball_radius_bool", "co_ball_radius_bool"],
+)
+def test_boolean_radius_exits_2(tmp_path, region):
+    # read as 1, the ball misses point 8 at distance exactly 1: exit 1
+    path = write(tmp_path, "cover.json", {"regions": [region]})
+    code, doc = run(["refine", "--space", "unit_interval_8", "--cover", path])
+    assert_input_error(code, doc)
+    assert "True" in doc["checks"][-1]["error"]
+
+
+@pytest.mark.parametrize("kind", ["menger", "hurewicz"])
+def test_boolean_picks_exit_2(tmp_path, kind):
+    path = write(tmp_path, "picks.json", {"picks": [[True], [True], [True], [True]]})
+    argv = ["check", "--kind", kind, "--space", SPACE, "--covers", COVERS, "--picks", path]
+    code, doc = run(argv)
+    assert_input_error(code, doc)
+    error = doc["checks"][-1]["error"]
+    assert f"malformed picks input {path}" in error and "True" in error

@@ -316,3 +316,34 @@ def test_construction_errors_unchanged(points, message):
     with pytest.raises(InputError) as err:
         SampledSpace(points, "euclidean", MESH)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "points,metric,dtype",
+    [
+        ([(0, 0), (46340, 0)], "euclidean", np.int32),  # 46340**2 < 2**31
+        ([(0, 0), (46341, 0)], "euclidean", np.int64),
+        ([(0, 0), (33000, 33000)], "chebyshev", np.int32),
+        ([(0, 0), (33000, 33000)], "euclidean", np.int64),  # diagonal**2 > 2**31
+        ([(0,), (2**62,)], "euclidean", object),
+    ],
+)
+def test_distance_rows_are_int32_below_2_31(points, metric, dtype):
+    space = SampledSpace(points, metric, F(1))
+    for i in range(space.n):
+        row = space.dist_sq_row(i)
+        assert row.dtype == dtype
+        want = [space.distance_sq(i, j) * space.dist_scale_sq for j in range(space.n)]
+        assert row.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "name,dtype",
+    [("unit_square_64", np.int32), ("unit_interval_1024", np.int32),
+     ("cantor_10", np.int64), ("cantor_2adic_10", np.int32)],
+)
+def test_builtin_distance_row_types(name, dtype):
+    space = builtin_space(name)
+    row = space.dist_sq_row(space.n - 1)
+    assert row.dtype == dtype
+    assert np.array_equal(row, space._dist_sq_to(space.n - 1, np.arange(space.n)))
