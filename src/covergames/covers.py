@@ -531,7 +531,9 @@ def analytic_contains(inner: OpenRegion, outer: OpenRegion) -> bool:
     return False  # CoClosedBalls as inner: sample evidence only
 
 
-def box_in_ball_verdicts(inner: Sequence[OpenRegion], outer: Sequence[OpenRegion]):
+def box_in_ball_verdicts(
+    inner: Sequence[OpenRegion], outer: Sequence[OpenRegion]
+) -> np.ndarray:
     """Certified float verdicts of analytic_contains(inner[k], outer[k]): 1
     where it is certainly True, 0 where certainly False, -1 where floats
     cannot tell or the pair is not a box and a ball on the first region's
@@ -546,12 +548,14 @@ def box_in_ball_verdicts(inner: Sequence[OpenRegion], outer: Sequence[OpenRegion
     pick = [
         k
         for k, (b, ball) in enumerate(zip(inner, outer))
-        if isinstance(b, Box) and isinstance(ball, Ball) and b.space is space
+        if isinstance(b, Box)
+        and isinstance(ball, Ball)
+        and b.space is space
         and ball.space is space
     ]
     if not (pick and space._fast and space.metric_kind != "cantor_2adic"):
         return verdict
-    if space.dist_scale_sq >= 2**1000:  # the scale is no float
+    if space.dist_scale_sq >= 2**1000:  # float(space.scale) would overflow
         return verdict
     boxes, balls = [inner[k] for k in pick], [outer[k] for k in pick]
     lo = np.array([[_float_bounds(x) for x in b.lo] for b in boxes])
