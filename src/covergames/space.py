@@ -146,14 +146,14 @@ class SampledSpace:
             self.dist_scale_sq = scale * scale
 
         # every scaled squared distance stays below this bound; rows below
-        # 2**31 are kept as int32 (half the row cache's memory)
+        # 2**32 are kept as uint32 (half the row cache's memory)
         if metric_kind == "cantor_2adic":
             reach = self.dist_scale_sq
         elif metric_kind == "chebyshev":
             reach = max(b - a for a, b in zip(lo, hi)) ** 2
         else:
             reach = sum((b - a) ** 2 for a, b in zip(lo, hi))
-        self._row_dtype = np.int32 if self._fast and reach < 2**31 else None
+        self._row_dtype = np.uint32 if self._fast and reach < 2**32 else None
 
         if structure is None and detect:
             structure = _table_structure(cols, scale)
@@ -250,7 +250,7 @@ class SampledSpace:
     def dist_sq_row(self, i: int) -> np.ndarray:
         """Scaled squared distances from point i to all points.
 
-        Entries are exact integers, int32 where every one fits; true d^2 =
+        Entries are exact integers, uint32 where every one fits; true d^2 =
         entry / dist_scale_sq.
         """
         row = self._row_cache.get(i)

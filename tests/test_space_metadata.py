@@ -321,14 +321,14 @@ def test_construction_errors_unchanged(points, message):
 @pytest.mark.parametrize(
     "points,metric,dtype",
     [
-        ([(0, 0), (46340, 0)], "euclidean", np.int32),  # 46340**2 < 2**31
-        ([(0, 0), (46341, 0)], "euclidean", np.int64),
-        ([(0, 0), (33000, 33000)], "chebyshev", np.int32),
-        ([(0, 0), (33000, 33000)], "euclidean", np.int64),  # diagonal**2 > 2**31
+        ([(0, 0), (65535, 0)], "euclidean", np.uint32),  # 65535**2 < 2**32
+        ([(0, 0), (65536, 0)], "euclidean", np.int64),
+        ([(0, 0), (50000, 50000)], "chebyshev", np.uint32),
+        ([(0, 0), (50000, 50000)], "euclidean", np.int64),  # diagonal**2 > 2**32
         ([(0,), (2**62,)], "euclidean", object),
     ],
 )
-def test_distance_rows_are_int32_below_2_31(points, metric, dtype):
+def test_distance_rows_are_uint32_below_2_32(points, metric, dtype):
     space = SampledSpace(points, metric, F(1))
     for i in range(space.n):
         row = space.dist_sq_row(i)
@@ -339,8 +339,8 @@ def test_distance_rows_are_int32_below_2_31(points, metric, dtype):
 
 @pytest.mark.parametrize(
     "name,dtype",
-    [("unit_square_64", np.int32), ("unit_interval_1024", np.int32),
-     ("cantor_10", np.int64), ("cantor_2adic_10", np.int32)],
+    [("unit_square_64", np.uint32), ("unit_interval_1024", np.uint32),
+     ("cantor_10", np.uint32), ("cantor_2adic_10", np.uint32)],
 )
 def test_builtin_distance_row_types(name, dtype):
     space = builtin_space(name)
