@@ -197,7 +197,7 @@ def _check_margin_disjoint(report: Report, cfg: RunConfig, space, families) -> N
 # -- subcommand handlers -----------------------------------------------------------
 
 
-def _cmd_net(args, cfg: RunConfig, report: Report, space) -> int:
+def _cmd_net(args, cfg: RunConfig, report: Report, space) -> None:
     eps = parse_rational(args.epsilon)
     subset = space.subset_all()
     cert = greedy_net(space, subset, eps)
@@ -222,10 +222,9 @@ def _cmd_net(args, cfg: RunConfig, report: Report, space) -> int:
         epsilon=format_rational(eps),
         centers=list(cert.centers),
     )
-    return 0 if report.all_passed else 1
 
 
-def _cmd_decompose(args, cfg: RunConfig, report: Report, space, selections) -> int:
+def _cmd_decompose(args, cfg: RunConfig, report: Report, space, selections) -> None:
     horizon = args.horizon or cfg.horizon
     epsilons = [parse_rational(e) for e in args.epsilons.split(",")] if args.epsilons else []
     dec = decompose_from_hurewicz(space, selections, horizon, epsilons)
@@ -248,10 +247,9 @@ def _cmd_decompose(args, cfg: RunConfig, report: Report, space, selections) -> i
             for (n, e), c in sorted(dec.certificates.items(), key=lambda kv: (kv[0][0], kv[0][1]))
         },
     )
-    return 0 if report.all_passed else 1
 
 
-def _cmd_select(args, cfg: RunConfig, report: Report, space, dec, covers) -> int:
+def _cmd_select(args, cfg: RunConfig, report: Report, space, dec, covers) -> None:
     sel = select_from_decomposition(space, dec, covers)
     tail = hurewicz_selection_check(space, covers, sel.picks)
     report.check("tail_condition", tail.ok)
@@ -261,10 +259,9 @@ def _cmd_select(args, cfg: RunConfig, report: Report, space, dec, covers) -> int
         )
         report.check("tail_from_chain_entry", contract)
     report.result(picks=jsonio.picks_to_json(sel.picks)["picks"])
-    return 0 if report.all_passed else 1
 
 
-def _cmd_refine(args, cfg: RunConfig, report: Report, space, cover) -> int:
+def _cmd_refine(args, cfg: RunConfig, report: Report, space, cover) -> None:
     report.check("cover_validates", covers_check(cover).ok)
     families = brick_refinement(space, cover)
     report.check("family_count", True, count=len(families))
@@ -274,10 +271,9 @@ def _cmd_refine(args, cfg: RunConfig, report: Report, space, cover) -> int:
         families=_families_json(families),
         witnesses=[list(fam.witness) for fam in families],
     )
-    return 0 if report.all_passed else 1
 
 
-def _cmd_scfin(args, cfg: RunConfig, report: Report, space, covers) -> int:
+def _cmd_scfin(args, cfg: RunConfig, report: Report, space, covers) -> None:
     sel = sc_fin_select(space, covers)
     report.check("selection_covers", True)
     _check_margin_disjoint(report, cfg, space, sel.families)
@@ -286,10 +282,9 @@ def _cmd_scfin(args, cfg: RunConfig, report: Report, space, covers) -> int:
         families=_families_json(sel.families),
         witnesses=[list(fam.witness) for fam in sel.families],
     )
-    return 0 if report.all_passed else 1
 
 
-def _cmd_fincspace(args, cfg: RunConfig, report: Report, space, covers) -> int:
+def _cmd_fincspace(args, cfg: RunConfig, report: Report, space, covers) -> None:
     res = finite_c_search(space, covers)
     if isinstance(res, FiniteCWitness):
         report.check("witness_found", True, n=res.n)
@@ -297,10 +292,9 @@ def _cmd_fincspace(args, cfg: RunConfig, report: Report, space, covers) -> int:
     else:
         report.check("witness_found", False, candidates_refuted=res.candidates_refuted)
         report.result(no_witness_at_horizon=res.horizon)
-    return 0 if report.all_passed else 1
 
 
-def _cmd_haver(args, cfg: RunConfig, report: Report, space, dec) -> int:
+def _cmd_haver(args, cfg: RunConfig, report: Report, space, dec) -> None:
     raw = [parse_rational(e) for e in args.epsilons.split(",")]
     horizon = args.horizon or len(raw)
     sched = normalize_epsilons(raw[:horizon])
@@ -328,7 +322,6 @@ def _cmd_haver(args, cfg: RunConfig, report: Report, space, dec) -> int:
             for t in witness.traces[: min(space.n, 32)]
         ],
     )
-    return 0 if report.all_passed else 1
 
 
 def _two_policy(spec: str, space: SampledSpace):
@@ -350,7 +343,7 @@ def _two_policy(spec: str, space: SampledSpace):
     return adversarial_two_policy(p)
 
 
-def _cmd_game(args, cfg: RunConfig, report: Report, space, covers) -> int:
+def _cmd_game(args, cfg: RunConfig, report: Report, space, covers) -> None:
     policy = _two_policy(args.two, space)
     horizon = args.horizon or covers.horizon
     transcript = play_hurewicz_game(space, covers, policy, horizon)
@@ -371,10 +364,9 @@ def _cmd_game(args, cfg: RunConfig, report: Report, space, covers) -> int:
             for r in transcript.rounds
         ],
     )
-    return 0 if report.all_passed else 1
 
 
-def _cmd_scplus(args, cfg: RunConfig, report: Report, space, covers) -> int:
+def _cmd_scplus(args, cfg: RunConfig, report: Report, space, covers) -> None:
     res = sc_plus_select(space, covers, cfg.tail_slack)
     report.check("blocks_increasing", all(a < b for a, b in zip(res.blocks, res.blocks[1:])))
     report.check("tail_index_bounded", max(res.tail_index) <= 2, max_tail=max(res.tail_index))
@@ -383,10 +375,9 @@ def _cmd_scplus(args, cfg: RunConfig, report: Report, space, covers) -> int:
         family_sizes=[len(f) for f in res.families],
         tail_index_max=max(res.tail_index),
     )
-    return 0 if report.all_passed else 1
 
 
-def _cmd_check(args, cfg: RunConfig, report: Report, space, covers, picks) -> int:
+def _cmd_check(args, cfg: RunConfig, report: Report, space, covers, picks) -> None:
     if args.kind == "menger":
         rep = menger_selection_check(space, covers, picks)
         report.check("menger", rep.ok, failure_point=rep.failure_point)
@@ -395,10 +386,9 @@ def _cmd_check(args, cfg: RunConfig, report: Report, space, covers, picks) -> in
         report.check("hurewicz", rep.ok, failures=list(rep.failures))
     else:
         raise InputError("--kind must be menger or hurewicz")
-    return 0 if report.all_passed else 1
 
 
-def pipeline_demo(space: SampledSpace, horizon: int, report: Report) -> int:
+def pipeline_demo(space: SampledSpace, horizon: int, report: Report) -> None:
     """Chain-build, block-selection and small-diameter witness end to end on
     a built-in space: the executable composite of the main implication chain
     up to its externally-cited final step."""
@@ -448,17 +438,16 @@ def pipeline_demo(space: SampledSpace, horizon: int, report: Report) -> int:
         epsilons=[format_rational(e) for e in sched.values],
         diam_bounds=[format_rational(x) for x in witness.diam_bounds],
     )
-    return 0 if report.all_passed else 1
 
 
-def _cmd_demo(args, cfg: RunConfig, report: Report, space) -> int:
-    return pipeline_demo(space, args.horizon or 6, report)
+def _cmd_demo(args, cfg: RunConfig, report: Report, space) -> None:
+    pipeline_demo(space, args.horizon or 6, report)
 
 
 # -- subcommand table and parser -----------------------------------------------------
 
 _REQUIRED = {"required": True}
-_HORIZON = {"type": int, "default": 0}
+_HORIZON = {"type": int, "default": None}
 
 # name -> (handler, inputs in load order, other flags); each input is a
 # required --<input> flag, and the handler receives the loaded inputs
@@ -531,14 +520,17 @@ def run(argv: list[str]) -> tuple[int, dict]:
     try:
         config_path = getattr(args, "config", None)
         cfg = RunConfig.from_file(config_path) if config_path else RunConfig()
+        if getattr(args, "horizon", None) is not None and args.horizon < 1:
+            raise InputError(f"--horizon must be >= 1, got {args.horizon}")
         handler = COMMANDS[args.cmd][0]
-        code = handler(args, cfg, report, *_load_inputs(args, cfg, report))
+        handler(args, cfg, report, *_load_inputs(args, cfg, report))
     except CheckFailure as exc:
         report.check("precondition", False, error=str(exc), witness=repr(exc.witness))
         return 1, report.finish(1)
     except InputError as exc:
         report.check("input", False, error=str(exc))
         return 2, report.finish(2)
+    code = 0 if report.all_passed else 1
     return code, report.finish(code)
 
 

@@ -160,18 +160,6 @@ OpenRegion = Union[Ball, Box, CoClosedBalls]
 
 # -- membership -------------------------------------------------------------------
 
-MEMBER_CACHE_BYTES = 2**24  # per space: cached member arrays with their keys
-# Bytes one cache entry holds beyond its index data, measured on 64-bit
-# CPython 3.11: sys.getsizeof gives 112 for the array header and 280 for a
-# ball key with its hash, fields tuple and Fraction radius, and tracemalloc
-# over 4,000 insertions about 85 per OrderedDict slot.  Each box axis adds
-# two Fraction bounds and the flag tuples' slots to the key (256 measured on
-# grids), each excluded ball of a co-ball key a (center, radius) pair (at
-# most 180).
-_ENTRY_BYTES = 512
-_BOX_AXIS_BYTES = 256
-_CO_BALL_BYTES = 192
-
 
 def _derived(region: OpenRegion, name: str, make):
     """make(region), computed once and kept on the (frozen) region."""
@@ -223,29 +211,6 @@ def _co_bounds(region: CoClosedBalls) -> tuple[tuple[int, int], ...]:
     )
 
 
-class _MemberKey:
-    """A region's shape and fields without its space: the member cache key.
-    Keyed by the regions themselves, a space's cache would keep the space
-    alive through a reference cycle until the cyclic collector ran."""
-
-    __slots__ = ("fields", "_hash")
-
-    def __init__(self, region: OpenRegion):
-        self._hash = hash(region)
-        if isinstance(region, Ball):
-            self.fields = ("ball", region.center, region.radius)
-        elif isinstance(region, Box):
-            self.fields = ("box", region.lo, region.hi, region.lo_closed, region.hi_closed)
-        else:
-            self.fields = ("co", region.balls)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self.fields == other.fields
-
-
 def _member_test(region: OpenRegion, idx) -> np.ndarray:
     """Exact membership of the points idx (an index array, or slice(None) for
     the whole sample, which reads the cached distance rows)."""
@@ -269,33 +234,8 @@ def _member_test(region: OpenRegion, idx) -> np.ndarray:
     return keep
 
 
-def _entry_bytes(key: _MemberKey, members: np.ndarray) -> int:
-    shape, *fields = key.fields
-    extra = 0
-    if shape == "box":
-        extra = _BOX_AXIS_BYTES * len(fields[0])
-    elif shape == "co":
-        extra = _CO_BALL_BYTES * len(fields[0])
-    return _ENTRY_BYTES + extra + members.nbytes
-
-
-def region_members(region: OpenRegion) -> np.ndarray:
-    """Sorted int32 indices of the sample points inside the region.
-
-    A ball or box on an int64 euclidean or chebyshev table tests only the
-    points in its window on the first axis (|x0 - c0| < radius for a ball,
-    the box's own bounds for a box), found by binary search, so the cost
-    follows the window, not the sample; in dimension one the window is the
-    answer.  2-adic spaces, complements of closed balls and
-    arbitrary-precision tables test every point.  Results are cached per
-    space, oldest evicted first, under MEMBER_CACHE_BYTES.
-    """
+def _make_members(region: OpenRegion) -> np.ndarray:
     space = region.space
-    cache = space._members
-    key = _derived(region, "_key", _MemberKey)
-    members = cache.get(key)
-    if members is not None:
-        return members
     windowed = (
         space._fast
         and space.metric_kind != "cantor_2adic"
@@ -315,13 +255,21 @@ def region_members(region: OpenRegion) -> np.ndarray:
     else:
         members = np.flatnonzero(_member_test(region, slice(None))).astype(np.int32)
     members.flags.writeable = False
-    cost = _entry_bytes(key, members)
-    if cost <= MEMBER_CACHE_BYTES:
-        cache[key] = members
-        space._members_bytes += cost
-        while space._members_bytes > MEMBER_CACHE_BYTES:
-            space._members_bytes -= _entry_bytes(*cache.popitem(last=False))
     return members
+
+
+def region_members(region: OpenRegion) -> np.ndarray:
+    """Sorted, read-only int32 indices of the sample points inside the
+    region, computed once and kept on the region.
+
+    A ball or box on an int64 euclidean or chebyshev table tests only the
+    points in its window on the first axis (|x0 - c0| < radius for a ball,
+    the box's own bounds for a box), found by binary search, so the cost
+    follows the window, not the sample; in dimension one the window is the
+    answer.  2-adic spaces, complements of closed balls and
+    arbitrary-precision tables test every point.
+    """
+    return _derived(region, "_members", _make_members)
 
 
 def region_mask(region: OpenRegion) -> np.ndarray:
@@ -494,7 +442,6 @@ def analytic_contains(inner: OpenRegion, outer: OpenRegion) -> bool:
     if isinstance(inner, Box) and isinstance(outer, Ball):
         center = space.points[outer.center]
         rsq = outer.radius**2
-        scale_needed = metric == "euclidean"
         for corner in inner.corners():
             if metric == "chebyshev":
                 d = max(abs(ci - xi) for ci, xi in zip(corner, center))

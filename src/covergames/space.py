@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -88,7 +87,8 @@ class SampledSpace:
 
     Instances are immutable after construction and safe to share between
     threads; every derived quantity (integer coordinate table, nearest gap,
-    region membership masks) is precomputed or cached once.
+    distance rows) is precomputed or cached once.  Region members are kept
+    on the regions (covers.region_members), not here.
     """
 
     def __init__(
@@ -159,9 +159,6 @@ class SampledSpace:
             structure = _table_structure(cols, scale)
         self.structure = structure
         self._index: dict[tuple[Fraction, ...], int] | None = None
-        # region key -> sorted member indices, oldest first (covers.region_members)
-        self._members: OrderedDict[object, np.ndarray] = OrderedDict()
-        self._members_bytes = 0
         self._axis0: tuple[np.ndarray, np.ndarray, int, int] | None = None
         self._row_cache: dict[int, np.ndarray] = {}
         self._min_gap_sq: Fraction | None = None
@@ -373,6 +370,8 @@ class SampledSpace:
     def subset_from_indices(self, indices) -> SubsetHandle:
         mask = np.zeros(self.n, dtype=bool)
         for i in indices:
+            if isinstance(i, bool):
+                raise InputError(f"point index {i} is a boolean, not an integer")
             if not 0 <= operator.index(i) < self.n:
                 raise InputError(f"point index {i} out of range")
             mask[i] = True
@@ -675,6 +674,8 @@ MAX_DOUBLING_STAGE = 20
 
 
 def _doubling_denominator(n: int) -> int:
+    if n < 1:
+        raise InputError(f"doubling stages start at 1, got {n}")
     if n > MAX_DOUBLING_STAGE:
         raise ResourceError(
             f"stage {n} exceeds the horizon cap {MAX_DOUBLING_STAGE}: "

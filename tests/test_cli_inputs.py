@@ -121,6 +121,27 @@ def test_horizon_past_the_cap_exits_2_before_any_work(monkeypatch):
     assert "horizon cap 20" in doc["checks"][-1]["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo", "--label", "unit_interval_8"],
+        ["decompose", "--space", SPACE, "--selections", str(INPUTS / "selections.json")],
+        ["haver", "--space", SPACE, "--chain", str(INPUTS / "chain.json"),
+         "--epsilons", "1,1/2,1/4"],
+        ["game", "--space", SPACE, "--covers", COVERS],
+    ],
+    ids=["demo", "decompose", "haver", "game"],
+)
+@pytest.mark.parametrize("horizon", ["0", "-1", "-2"])
+def test_horizon_below_1_exits_2_before_any_work(monkeypatch, argv, horizon):
+    calls, load = [], cli._load_inputs
+    monkeypatch.setattr(cli, "_load_inputs", lambda *a: calls.append("load") or load(*a))
+    code, doc = run(argv + ["--horizon", horizon])
+    assert calls == []
+    assert_input_error(code, doc)
+    assert f"--horizon must be >= 1, got {horizon}" in doc["checks"][-1]["error"]
+
+
 def test_horizon_at_the_cap_still_runs():
     code, doc = run(["demo", "--label", "unit_interval_8", "--horizon", "20"])
     assert code == 0
@@ -151,3 +172,13 @@ def test_boolean_picks_exit_2(tmp_path, kind):
     assert_input_error(code, doc)
     error = doc["checks"][-1]["error"]
     assert f"malformed picks input {path}" in error and "True" in error
+
+
+@pytest.mark.parametrize("index", [True, False])
+def test_boolean_chain_index_exits_2(tmp_path, index):
+    # mask[True] = True set every point: the chain [[true]] passed with exit 0
+    path = write(tmp_path, "chain.json", {"chain": [[index]]})
+    argv = ["select", "--space", SPACE, "--chain", path, "--covers", COVERS]
+    code, doc = run(argv)
+    assert_input_error(code, doc)
+    assert "boolean" in doc["checks"][-1]["error"]

@@ -258,6 +258,15 @@ def test_doubling_terms_past_the_horizon_cap_raise():
         paired_delta(F(1), 21)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_doubling_terms_below_stage_1_raise(n):
+    # 2 ** (2 ** -1) would be a float, and then a TypeError in Fraction
+    with pytest.raises(InputError):
+        doubling_delta(n)
+    with pytest.raises(InputError):
+        paired_delta(F(1), n)
+
+
 def test_decompose_rejects_a_horizon_past_the_cap_before_any_work(interval_8):
     selections = {1: [Ball(interval_8, c, doubling_delta(1)) for c in range(9)]}
     with pytest.raises(ResourceError):

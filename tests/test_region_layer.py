@@ -15,7 +15,6 @@ from __future__ import annotations
 import gc
 import json
 import random
-import sys
 import weakref
 from fractions import Fraction as F
 from pathlib import Path
@@ -285,62 +284,14 @@ def test_refine_on_a_cover_missing_the_lowest_point_exits_1(tmp_path):
     assert "first uncovered point 0" in doc["checks"][-1]["error"]
 
 
-def test_member_cache_stays_within_its_budget(monkeypatch):
-    monkeypatch.setattr(covers_module, "MEMBER_CACHE_BYTES", 4000)
-    s = build_grid_space(2, F(1, 16))
-    for c in range(0, s.n, 7):
-        for r in (F(1, 32), F(1, 5), F(2)):
-            ball = Ball(s, c, r)
-            assert np.array_equal(region_members(ball), np.flatnonzero(mask_oracle(ball)))
-            assert s._members_bytes <= 4000
-    total = sum(covers_module._entry_bytes(k, m) for k, m in s._members.items())
-    assert total == s._members_bytes
-
-
-def _deep_size(obj, seen=None) -> int:
-    """sys.getsizeof of a cache key with the tuples, ints and Fractions it
-    holds, each object once (the interned shape name and the bool
-    singletons excluded)."""
-    seen = set() if seen is None else seen
-    if isinstance(obj, (str, bool)) or id(obj) in seen:
-        return 0
-    seen.add(id(obj))
-    size = sys.getsizeof(obj)
-    if isinstance(obj, covers_module._MemberKey):
-        parts = (obj.fields, obj._hash)
-    elif isinstance(obj, tuple):
-        parts = obj
-    elif isinstance(obj, F):
-        parts = (obj.numerator, obj.denominator)
-    else:
-        parts = ()
-    return size + sum(_deep_size(x, seen) for x in parts)
-
-
-def test_member_cache_entry_bytes_cover_the_measured_sizes():
-    s = build_grid_space(2, F(1, 64))
-    line = build_grid_space(1, F(1, 64))
-    cube = SampledSpace(
-        [(F(i, 4), F(j, 4), F(k, 4)) for i in range(5) for j in range(5) for k in range(5)],
-        "euclidean",
-        F(1, 8),
-    )
-    regions = [
-        Ball(s, 100, F(1, 4096)),
-        Ball(s, 4000, F(12345, 65536)),
-        Box(line, (F(3, 128),), (F(255, 256),)),
-        Box(s, (F(3, 128), F(-1, 2)), (F(255, 256), F(129, 256))),
-        Box(cube, (F(-1),) * 3, (F(1, 3),) * 3, (True,) * 3, (False,) * 3),
-        CoClosedBalls(s, ()),
-        CoClosedBalls(s, ((1, F(1, 4)),)),
-        CoClosedBalls(s, tuple((c, F(c + 1, 4096)) for c in range(3))),
-    ]
-    for region in regions:
-        members = region_members(region)
-        key = covers_module._MemberKey(region)
-        measured = _deep_size(key) + sys.getsizeof(members)
-        counted = covers_module._entry_bytes(key, members)
-        assert measured + 85 <= counted < 2 * measured  # 85: an OrderedDict slot
+def test_members_are_computed_once_and_kept_on_the_region(monkeypatch):
+    calls = _count_calls(monkeypatch, covers_module, "_member_test")
+    s = build_grid_space(2, F(1, 8))
+    for region in (Ball(s, 3, F(1, 4)), Box(s, (F(0), F(0)), (F(1, 2), F(1, 2)))):
+        first = region_members(region)
+        assert region_members(region) is first
+        assert not first.flags.writeable
+        assert len(calls) == 1 and calls.pop()[0] is region
 
 
 def test_member_cache_does_not_keep_its_space_alive():

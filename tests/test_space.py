@@ -172,6 +172,14 @@ class TestSubsets:
         assert a.union(b) == b
         assert a.intersect(b) == a
 
+    @pytest.mark.parametrize("index", [True, False])
+    def test_boolean_indices_rejected(self, interval_8, index):
+        # numpy reads mask[True] = True as "set every entry"
+        with pytest.raises(InputError, match="boolean"):
+            interval_8.subset_from_indices([index])
+        with pytest.raises(InputError, match="boolean"):
+            interval_8.subset_from_indices([2, index])
+
 
 class TestSchedules:
     def test_doubling_values(self):
