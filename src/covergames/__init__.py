@@ -17,8 +17,6 @@ from .space import (
     build_cantor_space,
     build_grid_space,
     build_single_point_space,
-    doubling_delta_schedule,
-    paired_delta_schedule,
     diameter,
     epsilon_schedule,
 )
@@ -46,7 +44,6 @@ from .netting import (
     validate_net,
 )
 from .screenability import (
-    BrickGrid,
     FiniteCWitness,
     NoWitnessAtHorizon,
     ResolutionError,

@@ -70,6 +70,10 @@ class RunConfig:
             raise InputError("horizon must be >= 1")
         if self.point_cap <= 0:
             raise InputError("point_cap must be positive")
+        if self.tail_slack < 0:
+            raise InputError("tail_slack must be >= 0")
+        if self.margin is not None and self.margin < 0:
+            raise InputError("margin must be nonnegative")
 
     @staticmethod
     def from_file(path) -> "RunConfig":
@@ -297,6 +301,8 @@ def _cmd_fincspace(args, cfg: RunConfig, report: Report, space, covers) -> None:
 def _cmd_haver(args, cfg: RunConfig, report: Report, space, dec) -> None:
     raw = [parse_rational(e) for e in args.epsilons.split(",")]
     horizon = args.horizon or len(raw)
+    if horizon > len(raw):
+        raise InputError(f"--horizon {horizon} exceeds the {len(raw)} epsilons")
     sched = normalize_epsilons(raw[:horizon])
     witness = build_haver_witness(space, dec, sched)
     report.check("families_disjoint", True)

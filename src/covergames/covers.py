@@ -30,13 +30,35 @@ from .exact import (
     sqrt_lower,
     sqrt_upper,
 )
-from .space import SampledSpace, SubsetHandle, first_hit
+from .space import SampledSpace, first_hit
 
 UNCOVERED_REPORT_CAP = 16
 
 
-@dataclass(frozen=True)
-class Ball:
+class _Region:
+    """Value identity shared by the region shapes: equal when the type, the
+    space (by identity) and every other field agree.  The hash is computed
+    on first use and kept on the region."""
+
+    def _values(self) -> tuple:
+        fields = self.__dataclass_fields__
+        return tuple(getattr(self, f) for f in fields if f != "space")
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.space is other.space
+            and self._values() == other._values()
+        )
+
+    def __hash__(self):
+        return _derived(
+            self, "_hash", lambda r: hash((id(r.space), type(r), r._values()))
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Ball(_Region):
     """Open metric ball around a sample point: {x : d(x, center) < radius}."""
 
     space: SampledSpace
@@ -48,24 +70,10 @@ class Ball:
             raise InputError(f"ball center index {self.center} out of range")
         if self.radius <= 0:
             raise InputError("ball radius must be positive")
-        object.__setattr__(
-            self, "_hash", hash((id(self.space), "ball", self.center, self.radius))
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Ball)
-            and self.space is other.space
-            and self.center == other.center
-            and self.radius == other.radius
-        )
 
 
-@dataclass(frozen=True)
-class Box:
+@dataclass(frozen=True, eq=False)
+class Box(_Region):
     """Open axis box, with optionally closed ends at the sample boundary."""
 
     space: SampledSpace
@@ -93,33 +101,6 @@ class Box:
                 raise InputError("closed lower end must sit at/below the sample")
             if self.hi_closed[i] and self.hi[i] < self.space.axis_max[i]:
                 raise InputError("closed upper end must sit at/above the sample")
-        object.__setattr__(
-            self,
-            "_hash",
-            hash(
-                (
-                    id(self.space),
-                    "box",
-                    self.lo,
-                    self.hi,
-                    self.lo_closed,
-                    self.hi_closed,
-                )
-            ),
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Box)
-            and self.space is other.space
-            and self.lo == other.lo
-            and self.hi == other.hi
-            and self.lo_closed == other.lo_closed
-            and self.hi_closed == other.hi_closed
-        )
 
     def corners(self):
         d = len(self.lo)
@@ -129,8 +110,8 @@ class Box:
             )
 
 
-@dataclass(frozen=True)
-class CoClosedBalls:
+@dataclass(frozen=True, eq=False)
+class CoClosedBalls(_Region):
     """Complement of a finite union of closed balls: d(x, c_i) > r_i for all i."""
 
     space: SampledSpace
@@ -142,17 +123,6 @@ class CoClosedBalls:
                 raise InputError(f"closed-ball center index {c} out of range")
             if r <= 0:
                 raise InputError("closed-ball radius must be positive")
-        object.__setattr__(self, "_hash", hash((id(self.space), "co", self.balls)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoClosedBalls)
-            and self.space is other.space
-            and self.balls == other.balls
-        )
 
 
 OpenRegion = Union[Ball, Box, CoClosedBalls]
@@ -294,7 +264,7 @@ def contains(region: OpenRegion, p: int) -> bool:
 @dataclass(frozen=True)
 class CoverageReport:
     ok: bool
-    assignment: tuple[int, ...] | None  # region index per target point, -1 off-target
+    assignment: tuple[int, ...] | None  # region index per sample point
     failure_point: int | None
     uncovered: tuple[int, ...]
 
@@ -303,24 +273,18 @@ class CoverageReport:
 
 
 class Cover:
-    """A finite list of regions intended to cover a target subset.
+    """A finite list of regions intended to cover the sample.
 
     Validation is lazy (covers_check); intermediate non-covering families are
     first-class values in the longer pipelines.
     """
 
-    def __init__(
-        self,
-        space: SampledSpace,
-        regions: Sequence[OpenRegion],
-        target: SubsetHandle | None = None,
-    ):
+    def __init__(self, space: SampledSpace, regions: Sequence[OpenRegion]):
         for r in regions:
             if r.space is not space:
                 raise InputError("cover regions must live on the cover's space")
         self.space = space
         self.regions = tuple(regions)
-        self.target = target if target is not None else space.subset_all()
         self._masks: list[np.ndarray] | None = None
         self._lebesgue: Fraction | None = None
         self._table: _LebesgueTable | None = None
@@ -340,16 +304,15 @@ def union_mask(space: SampledSpace, regions) -> np.ndarray:
 
 
 def covers_check(cover: Cover) -> CoverageReport:
-    """Per-point region assignment, or the first uncovered target point.
+    """Per-point region assignment, or the first uncovered point.
 
     The assignment picks the lowest containing region index per point; the
     failure point is the lowest-index uncovered point, with further uncovered
     points reported up to a cap.
     """
-    tmask = cover.target.mask()
     members = [region_members(r) for r in cover.regions]
     assignment = first_hit(members, cover.space.n)
-    uncovered = np.flatnonzero(tmask & (assignment < 0))
+    uncovered = np.flatnonzero(assignment < 0)
     if uncovered.size:
         return CoverageReport(
             False,
@@ -357,7 +320,6 @@ def covers_check(cover: Cover) -> CoverageReport:
             int(uncovered[0]),
             tuple(uncovered[:UNCOVERED_REPORT_CAP].tolist()),
         )
-    assignment[~tmask] = -1
     return CoverageReport(True, tuple(assignment.tolist()), None, ())
 
 
@@ -545,7 +507,8 @@ def region_contained_in(
 class RefinesReport:
     ok: bool
     witness: tuple[tuple[int, str], ...] | None  # per fine region: (coarse idx, kind)
-    counterexample: tuple[int, int] | None  # (fine region index, sample point)
+    # (fine region index, sample point, None when the fine region holds none)
+    counterexample: tuple[int, int | None] | None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -574,13 +537,12 @@ def refines_check(fine: Sequence[OpenRegion], coarse: Cover) -> RefinesReport:
                     found = (cidx, "sample")
                     break
         if found is None:
-            best_idx, best_overlap = 0, -1
-            for cidx, cm in enumerate(coarse.masks()):
-                overlap = int(np.count_nonzero(cm[fm]))
-                if overlap > best_overlap:
-                    best_idx, best_overlap = cidx, overlap
-            escape = fm[~coarse.masks()[best_idx][fm]]
-            return RefinesReport(False, None, (fidx, int(escape[0])))
+            # a cover with no regions has no candidate: every point escapes
+            masks = coarse.masks()
+            overlaps = [int(np.count_nonzero(cm[fm])) for cm in masks]
+            escape = fm[~masks[int(np.argmax(overlaps))][fm]] if masks else fm
+            point = int(escape[0]) if escape.size else None
+            return RefinesReport(False, None, (fidx, point))
         witness.append(found)
     return RefinesReport(True, tuple(witness), None)
 
@@ -932,9 +894,9 @@ def _lebesgue_table(cover: Cover) -> _LebesgueTable:
 def lebesgue_number(cover: Cover) -> Fraction:
     """A certified positive refinement radius for a validated cover.
 
-    lambda = min over target points p of max over regions containing p of a
+    lambda = min over sample points p of max over regions containing p of a
     rational lower bound of the analytic containment radius.  Guarantee: for
-    every target point p there is a single cover region that analytically
+    every sample point p there is a single cover region that analytically
     contains the open ball B(p, lambda); in particular all sample points
     within lambda of p lie in one region.
 
@@ -955,17 +917,11 @@ def lebesgue_number(cover: Cover) -> Fraction:
         )
     space = cover.space
     table = _lebesgue_table(cover)
-    t_idx = np.flatnonzero(cover.target.mask())
-    held = np.flatnonzero(np.diff(table.start))
-    lo_max = np.full(space.n, -math.inf)
-    hi_max = np.full(space.n, -math.inf)
-    if held.size:
-        lo_max[held] = np.maximum.reduceat(table.lo, table.start[held])
-        hi_max[held] = np.maximum.reduceat(table.hi, table.start[held])
-    if t_idx.size:
-        t_idx = t_idx[lo_max[t_idx] <= hi_max[t_idx].min()]
+    # every point is covered, so every point holds at least one entry
+    lo_max = np.maximum.reduceat(table.lo, table.start[:-1])
+    hi_max = np.maximum.reduceat(table.hi, table.start[:-1])
     lam: Fraction | None = None
-    for p in t_idx.tolist():
+    for p in np.flatnonzero(lo_max <= hi_max.min()).tolist():
         entries = [e for e in table.at(p) if e[2] >= lo_max[p]]
         # the true radius is positive; refine the sqrt tolerance until the
         # bound is too
@@ -979,7 +935,7 @@ def lebesgue_number(cover: Cover) -> Fraction:
                 break
         lam = best if lam is None else min(lam, best)
     if lam is None:
-        raise AssertionError("a validated cover with an empty target")
+        raise AssertionError("no point of a validated cover attains the minimum")
     cover._lebesgue = lam
     return lam
 

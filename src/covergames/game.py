@@ -21,6 +21,7 @@ families.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,7 +36,7 @@ from .covers import (
     union_mask,
 )
 from .exact import CheckFailure, InputError
-from .screenability import _sc_fin_families
+from .screenability import _sc_fin_families, _screen_dim
 from .space import SampledSpace, first_hit, tail_start
 
 DEFAULT_TAIL_SLACK = 1
@@ -79,9 +80,7 @@ def strategy_F_move(
     """ONE's move: disjoint refining families for covers start..horizon whose
     union covers the sample (delegated to the selective refinement engine on
     the suffix)."""
-    d = space.screen_dim
-    if d is None:
-        raise InputError("the game needs a grid or Cantor space")
+    d = _screen_dim(space)
     if start_index > covers.horizon - d:
         raise InputError(
             f"suffix too short: start {start_index} leaves fewer than "
@@ -134,7 +133,10 @@ def covering_two_policy(
     families that already covers (the move's first block, by construction),
     then pick a minimal-by-greedy covering subfamily inside it, ties to the
     earliest (stage, index).  Staying in the earliest covering prefix keeps
-    the block indices advancing one block per round."""
+    the block indices advancing one block per round.
+
+    The greedy is lazy: the top of a heap of stale gains is refreshed, and
+    picked once its fresh gain, ties by index, still heads the heap."""
     some_fam = next(iter(one_move.values()))
     space = some_fam.space
     stages = sorted(one_move)
@@ -150,34 +152,31 @@ def covering_two_policy(
             "ONE's move does not cover the sample",
             witness=int(np.flatnonzero(~covered)[0]),
         )
-    if len(prefix) == 1:
-        # a single covering family is pairwise disjoint, so greedy gains
-        # never change: the pick order is simply size-descending
-        n = prefix[0]
-        sized = []
-        for ridx, region in enumerate(one_move[n].regions):
-            size = len(region_members(region))
-            if size:
-                sized.append((-size, ridx))
-        return [(n, ridx) for _, ridx in sorted(sized)]
     flat = [
         (n, ridx, region_members(region))
         for n in prefix
         for ridx, region in enumerate(one_move[n].regions)
     ]
+    # (-stale gain, flat index): gains only shrink as points get covered
+    heap = [(-len(m), i) for i, (_, _, m) in enumerate(flat) if len(m)]
+    heapq.heapify(heap)
     uncovered = np.ones(space.n, dtype=bool)
+    left = space.n
     picks: list[tuple[int, int]] = []
-    while uncovered.any():
-        best, best_gain = None, 0
-        for n, ridx, members in flat:
-            gain = int(np.count_nonzero(uncovered[members]))
-            if gain > best_gain:
-                best, best_gain = (n, ridx, members), gain
-        if best is None:
+    while left:
+        if not heap:
             raise AssertionError("uncovered points remain but no pick gains any")
-        n, ridx, members = best
+        _, i = heapq.heappop(heap)
+        n, ridx, members = flat[i]
+        gain = int(np.count_nonzero(uncovered[members]))
+        if not gain:
+            continue
+        if heap and (-gain, i) > heap[0]:  # another stale gain may be larger
+            heapq.heappush(heap, (-gain, i))
+            continue
         picks.append((n, ridx))
         uncovered[members] = False
+        left -= gain
     return picks
 
 
@@ -205,9 +204,7 @@ def play_hurewicz_game(
     """Alternate ONE's strategy moves and TWO's selections until the blocks
     pass the horizon or the remaining suffix is too short for a move."""
     covers.validate()
-    d = space.screen_dim
-    if d is None:
-        raise InputError("the game needs a grid or Cantor space")
+    d = _screen_dim(space)
     horizon = covers.horizon if horizon is None else horizon
     if horizon > covers.horizon:
         raise InputError("game horizon exceeds the cover sequence")

@@ -44,13 +44,7 @@ from .covers import (
 from .exact import CheckFailure, InputError
 from .game import sc_plus_select
 from .netting import SigmaDecomposition, greedy_net
-from .space import (
-    SampledSpace,
-    Schedule,
-    paired_delta_schedule,
-    diameter,
-    epsilon_schedule,
-)
+from .space import SampledSpace, Schedule, diameter, epsilon_schedule, paired_delta
 
 
 class ClaimHorizonError(CheckFailure):
@@ -106,8 +100,6 @@ def build_stage_covers(
     """
     if chain.space is not space:
         raise InputError("chain must live on the given space")
-    if schedule.kind != "epsilon":
-        raise InputError("build_stage_covers expects an epsilon schedule")
     for n in range(1, schedule.horizon):
         if not schedule.value(n + 1) < schedule.value(n) / 2:
             raise InputError(
@@ -117,15 +109,14 @@ def build_stage_covers(
     if chain.horizon < schedule.horizon:
         raise InputError("chain shorter than the schedule horizon")
 
-    deltas = paired_delta_schedule(
-        epsilon_schedule(schedule.values[: schedule.horizon])
-    )
+    # every radius first: a stage past the doubling cap fails before any net
+    deltas = [paired_delta(eps, n) for n, eps in enumerate(schedule.values, start=1)]
     covers = []
     nets = []
     comp_idx = []
     for n in range(1, schedule.horizon + 1):
         eps_n = schedule.value(n)
-        delta_n = deltas.value(n)
+        delta_n = deltas[n - 1]
         if not delta_n < eps_n / 2:
             raise AssertionError(f"stage {n} net radius is not below epsilon / 2")
         stage = chain.stage(n)
@@ -163,7 +154,7 @@ def build_stage_covers(
         nets.append(tuple(centers))
         comp_idx.append(len(regions) - 1)
     return StageCovers(
-        CoverSeq(space, covers), tuple(nets), tuple(deltas.values), tuple(comp_idx)
+        CoverSeq(space, covers), tuple(nets), tuple(deltas), tuple(comp_idx)
     )
 
 

@@ -50,14 +50,6 @@ class ResolutionError(CheckFailure):
     """The cover's Lebesgue number is too small for any admissible brick size."""
 
 
-@dataclass(frozen=True)
-class BrickGrid:
-    """One shifted-brick layout: the d+1 classes of open boxes that contain
-    at least one sample point."""
-
-    color_classes: tuple[tuple[Box, ...], ...]
-
-
 def _grid_params(space: SampledSpace) -> tuple[int, Fraction]:
     st = space.structure
     if not isinstance(st, GridStructure):
@@ -65,14 +57,17 @@ def _grid_params(space: SampledSpace) -> tuple[int, Fraction]:
     return st.dim, st.h
 
 
-def _require_screenable(space: SampledSpace) -> None:
-    """The box constructions measure extents in the coordinate metrics; the
-    2-adic variant has no box-compatible geometry."""
-    if space.metric_kind == "cantor_2adic":
+def _screen_dim(space: SampledSpace) -> int:
+    """The space's screening dimension.  The box constructions need a grid or
+    Cantor structure and measure extents in the coordinate metrics, which
+    the 2-adic variant lacks."""
+    d = space.screen_dim
+    if d is None or space.metric_kind == "cantor_2adic":
         raise InputError(
-            "screenability constructions need the euclidean or chebyshev "
-            "sample metrics"
+            "screenability constructions need a grid or Cantor space under "
+            "the euclidean or chebyshev metric"
         )
+    return d
 
 
 def admissible_cell_sides(space: SampledSpace, below: Fraction) -> list[Fraction]:
@@ -84,7 +79,9 @@ def admissible_cell_sides(space: SampledSpace, below: Fraction) -> list[Fraction
     return [h * k for k in range(top, 0, -1)]
 
 
-def build_brick_grid(space: SampledSpace, cell_side: Fraction) -> BrickGrid:
+def build_brick_grid(
+    space: SampledSpace, cell_side: Fraction
+) -> tuple[tuple[Box, ...], ...]:
     """Lay out the d+1 shifted brick classes at the given cell side.
 
     Only bricks containing at least one sample point are materialized; empty
@@ -116,7 +113,7 @@ def build_brick_grid(space: SampledSpace, cell_side: Fraction) -> BrickGrid:
                 for zt in itertools.product(ends, repeat=d)
             )
         )
-    return BrickGrid(tuple(classes))
+    return tuple(classes)
 
 
 def _witness_class(
@@ -140,25 +137,9 @@ def brick_refinement(
     Raises ResolutionError when no admissible brick size fits below
     lambda/(2d): the cover is finer than the sample resolution supports.
     """
-    _require_screenable(space)
-    if isinstance(space.structure, CantorStructure) or space.n == 1:
-        lam = lebesgue_number(cover)
-        return (_cantor_level_family(space, cover, lam),)
-    d, h = _grid_params(space)
-    lam = lebesgue_number(cover)
-    sides = admissible_cell_sides(space, lam / (2 * d))
-    if not sides:
-        raise ResolutionError(
-            f"resolution insufficient: Lebesgue number {lam} admits no brick "
-            f"side of at least the grid spacing {h}",
-            witness=lam,
-        )
-    grid = build_brick_grid(space, sides[0])
-    families = tuple(
-        _witness_class(cls, cover, lam) for cls in grid.color_classes
-    )
-    _assert_jointly_cover(space, families)
-    return families
+    covers = CoverSeq(space, [cover] * (_screen_dim(space) + 1))
+    families, _, _ = _sc_fin_families(space, covers, allow_pointwise=False)
+    return tuple(families)
 
 
 def _assert_jointly_cover(space, families) -> None:
@@ -294,10 +275,7 @@ def sc_fin_select(
     fine for any admissible brick side instead hands its first cover the
     point-isolating family and the rest empty families.
     """
-    _require_screenable(space)
-    d = space.screen_dim
-    if d is None:
-        raise InputError("selective screenability needs a grid or Cantor space")
+    d = _screen_dim(space)
     if covers.horizon < d + 1:
         raise InputError(
             f"need at least screen_dim+1 = {d + 1} covers, got {covers.horizon}"
@@ -332,10 +310,7 @@ def _sc_fin_families(
     """Families for covers[start..horizon]; returns (families, block starts,
     fallback block starts).  Raises ResolutionError when a full block is
     infeasible and the fallback is not allowed."""
-    _require_screenable(space)
-    d = space.screen_dim
-    if d is None:
-        raise AssertionError("screenable space without a screening dimension")
+    d = _screen_dim(space)
     width = d + 1
     families: list[DisjointFamily] = []
     block_starts: list[int] = []
@@ -353,9 +328,7 @@ def _sc_fin_families(
             if sides:
                 grid = build_brick_grid(space, sides[0])
                 for c, cov in enumerate(block_covers):
-                    families.append(
-                        _witness_class(grid.color_classes[c], cov, lams[c])
-                    )
+                    families.append(_witness_class(grid[c], cov, lams[c]))
                 if hi - lo + 1 == width:
                     _assert_jointly_cover(space, families[-width:])
                 continue
@@ -411,10 +384,7 @@ def finite_c_search(
     sample point each).
     """
     covers.validate()
-    _require_screenable(space)
-    d = space.screen_dim
-    if d is None:
-        raise InputError("finite_c_search needs a grid or Cantor space")
+    _screen_dim(space)
     refutations: list[tuple[str, int]] = []
     count = 0
     for n in range(1, covers.horizon + 1):
@@ -439,9 +409,7 @@ def _candidate_class_lists(space: SampledSpace, horizon_extent: Fraction):
         for s in reversed(admissible_cell_sides(space, horizon_extent)):
             grid = build_brick_grid(space, s)
             for rot in range(d + 1):
-                classes = tuple(
-                    grid.color_classes[(c + rot) % (d + 1)] for c in range(d + 1)
-                )
+                classes = tuple(grid[(c + rot) % (d + 1)] for c in range(d + 1))
                 yield f"side={s},rot={rot}", classes
     elif isinstance(space.structure, CantorStructure):
         depth = space.structure.depth

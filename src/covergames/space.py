@@ -449,17 +449,8 @@ class SubsetHandle:
     def is_empty(self) -> bool:
         return not self._mask.any()
 
-    def contains_index(self, i: int) -> bool:
-        return 0 <= i < self.space.n and bool(self._mask[i])
-
     def issubset(self, other: SubsetHandle) -> bool:
         return not (self._mask & ~other._mask).any()
-
-    def union(self, other: SubsetHandle) -> SubsetHandle:
-        return SubsetHandle(self.space, self._mask | other._mask)
-
-    def intersect(self, other: SubsetHandle) -> SubsetHandle:
-        return SubsetHandle(self.space, self._mask & other._mask)
 
     def __eq__(self, other) -> bool:
         return (
@@ -697,40 +688,17 @@ def paired_delta(eps_n: Fraction, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class Schedule:
-    """A finite positive schedule, 1-indexed: values[n-1] is the n-th term.
+    """A finite positive epsilon schedule, 1-indexed: values[n-1] is the n-th
+    term."""
 
-    Kinds:
-      epsilon     -- arbitrary positive terms (Haver input)
-      delta_doubling  -- exactly (1/2)**(2**n)
-      delta_paired  -- exactly ((2**2**n - 1)/2**2**n)*(eps_n/2) for the paired
-                     epsilon schedule
-    """
-
-    kind: str
     values: tuple[Fraction, ...]
     horizon: int
-    paired_epsilons: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("epsilon", "delta_doubling", "delta_paired"):
-            raise InputError(f"unknown schedule kind {self.kind!r}")
         if self.horizon < 1 or len(self.values) != self.horizon:
             raise InputError("schedule length must equal its positive horizon")
         if any(v <= 0 for v in self.values):
             raise InputError("schedule values must be positive")
-        if self.kind == "delta_doubling":
-            for n in range(1, self.horizon + 1):
-                if self.values[n - 1] != doubling_delta(n):
-                    raise InputError(
-                        f"delta_doubling schedule term {n} must be (1/2)^(2^{n})"
-                    )
-        if self.kind == "delta_paired":
-            eps = self.paired_epsilons
-            if eps is None or len(eps) != self.horizon:
-                raise InputError("delta_paired schedule needs its paired epsilons")
-            for n in range(1, self.horizon + 1):
-                if self.values[n - 1] != paired_delta(eps[n - 1], n):
-                    raise InputError(f"delta_paired schedule term {n} is off-formula")
 
     def value(self, n: int) -> Fraction:
         if not 1 <= n <= self.horizon:
@@ -738,19 +706,6 @@ class Schedule:
         return self.values[n - 1]
 
 
-def doubling_delta_schedule(horizon: int) -> Schedule:
-    return Schedule(
-        "delta_doubling",
-        tuple(doubling_delta(n) for n in range(1, horizon + 1)),
-        horizon,
-    )
-
-
-def paired_delta_schedule(eps: Schedule) -> Schedule:
-    vals = tuple(paired_delta(eps.value(n), n) for n in range(1, eps.horizon + 1))
-    return Schedule("delta_paired", vals, eps.horizon, paired_epsilons=eps.values)
-
-
 def epsilon_schedule(values) -> Schedule:
     vals = tuple(parse_rational(v) for v in values)
-    return Schedule("epsilon", vals, len(vals))
+    return Schedule(vals, len(vals))

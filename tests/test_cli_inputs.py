@@ -60,18 +60,29 @@ def test_malformed_input_file_exits_2(tmp_path, flag, doc, needle):
 
 
 @pytest.mark.parametrize(
-    "config,argv",
+    "config,argv,loads",
     [
-        ([], ["net", "--space", SPACE, "--epsilon", "1/2"]),
-        ({"horizon": "x"}, ["net", "--space", SPACE, "--epsilon", "1/2"]),
-        ({"point_cap": 4}, ["demo", "--label", "cantor_3", "--horizon", "3"]),
+        ([], ["net", "--space", SPACE, "--epsilon", "1/2"], False),
+        ({"horizon": "x"}, ["net", "--space", SPACE, "--epsilon", "1/2"], False),
+        ({"point_cap": 4}, ["demo", "--label", "cantor_3", "--horizon", "3"], True),
+        ({"tail_slack": -5}, ["scplus", "--space", SPACE, "--covers", COVERS], False),
+        (
+            {"margin": "-1/4"},
+            ["refine", "--space", SPACE, "--cover", str(INPUTS / "cover.json")],
+            False,
+        ),
     ],
-    ids=["list", "horizon_not_int", "demo_over_point_cap"],
+    ids=["list", "horizon_not_int", "demo_over_point_cap", "negative_tail_slack",
+         "negative_margin"],
 )
-def test_bad_config_exits_2(tmp_path, config, argv):
+def test_bad_config_exits_2(monkeypatch, tmp_path, config, argv, loads):
+    # only the point cap needs the inputs: every other value is refused first
+    calls, load = [], cli._load_inputs
+    monkeypatch.setattr(cli, "_load_inputs", lambda *a: calls.append("load") or load(*a))
     path = write(tmp_path, "run.json", config)
     code, doc = run(["--config", path] + argv)
     assert_input_error(code, doc)
+    assert calls == (["load"] if loads else [])
 
 
 def test_demo_label_must_be_builtin():
@@ -140,6 +151,20 @@ def test_horizon_below_1_exits_2_before_any_work(monkeypatch, argv, horizon):
     assert calls == []
     assert_input_error(code, doc)
     assert f"--horizon must be >= 1, got {horizon}" in doc["checks"][-1]["error"]
+
+
+def test_haver_horizon_past_the_epsilons_exits_2(monkeypatch):
+    calls, build = [], cli.build_haver_witness
+    monkeypatch.setattr(
+        cli, "build_haver_witness", lambda *a: calls.append("build") or build(*a)
+    )
+    code, doc = run(
+        ["haver", "--space", SPACE, "--chain", str(INPUTS / "chain.json"),
+         "--epsilons", "1,1/4,1/16,1/64", "--horizon", "9"]
+    )
+    assert calls == []
+    assert_input_error(code, doc)
+    assert "--horizon 9 exceeds the 4 epsilons" in doc["checks"][-1]["error"]
 
 
 def test_horizon_at_the_cap_still_runs():

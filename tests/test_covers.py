@@ -28,7 +28,12 @@ from covergames.covers import (
     sample_contains,
 )
 from covergames.exact import CheckFailure, InputError
-from covergames.space import build_cantor_space, build_grid_space, doubling_delta
+from covergames.space import (
+    SampledSpace,
+    build_cantor_space,
+    build_grid_space,
+    doubling_delta,
+)
 
 
 def brute_membership(region, space):
@@ -99,6 +104,44 @@ class TestContains:
             Box(interval_8, (F(1, 4),), (F(3, 4),), lo_closed=(True,))
 
 
+class TestRegionIdentity:
+    SHAPES = {
+        "ball": lambda s: Ball(s, 3, F(1, 4)),
+        "box": lambda s: Box(s, (F(1, 16),), (F(5, 16),)),
+        "co_closed_balls": lambda s: CoClosedBalls(s, ((3, F(1, 4)), (8, F(1, 8)))),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_equal_values_on_one_space(self, interval_8, shape):
+        make = self.SHAPES[shape]
+        a, b = make(interval_8), make(interval_8)
+        assert a == b and hash(a) == hash(b)
+        assert {a: "x"}[b] == "x"
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_spaces_compare_by_identity(self, interval_8, shape):
+        s = interval_8
+        twin = SampledSpace(s.points, s.metric_kind, s.mesh)
+        make = self.SHAPES[shape]
+        assert make(s) != make(twin)
+
+    def test_shapes_never_equal(self, interval_8):
+        s = interval_8
+        regions = [make(s) for make in self.SHAPES.values()]
+        for a, b in itertools.combinations(regions, 2):
+            assert a != b and b != a
+        assert Box(s, (F(1, 16),), (F(5, 16),)) == Box(
+            s, (F(1, 16),), (F(5, 16),), (False,), (False,)
+        )
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_hash_is_computed_on_first_use(self, interval_8, shape):
+        r = self.SHAPES[shape](interval_8)
+        assert "_hash" not in r.__dict__
+        h = hash(r)
+        assert r.__dict__["_hash"] == h == hash(r)
+
+
 class TestCoversCheck:
     def test_single_big_ball(self, interval_8):
         cover = Cover(interval_8, [Ball(interval_8, 4, F(2))])
@@ -159,6 +202,18 @@ class TestRefines:
         assert fidx == 0
         assert region_mask(Ball(s, 8, F(1, 4)))[point]
         assert not region_mask(coarse.regions[0])[point]
+
+    def test_cover_with_no_regions(self, interval_8):
+        # no coarse region to compare with: the fine region's first sample
+        # point escapes, or None when it holds no sample point
+        s = interval_8
+        empty = Cover(s, [])
+        rep = refines_check([Ball(s, 3, F(1, 4))], empty)
+        assert not rep.ok and rep.counterexample == (0, 2)
+        rep = refines_check([Box(s, (F(1, 32),), (F(1, 16),))], empty)
+        assert not rep.ok and rep.counterexample == (0, None)
+        with pytest.raises(CheckFailure, match="does not refine its parent"):
+            DisjointFamily([Ball(s, 3, F(1, 4))], empty)
 
     def test_analytic_box_in_ball(self, square_8):
         s = square_8

@@ -38,7 +38,7 @@ from covergames.exact import CheckFailure
 from covergames.jsonio import space_from_json
 from covergames.netting import greedy_net
 from covergames.registry import builtin_names, builtin_space
-from covergames.screenability import BrickGrid, _pointwise_family, build_brick_grid
+from covergames.screenability import _pointwise_family, build_brick_grid
 from covergames.space import GridStructure, build_grid_space
 
 # -- oracles ------------------------------------------------------------------------
@@ -75,7 +75,7 @@ def _bucket_brick_grid(space, cell_side, fraction_branch=False):
             hi = tuple(origin + (zi * period + c + d) * s for zi in zt)
             boxes.append(Box(space, lo, hi))
         classes.append(tuple(boxes))
-    return BrickGrid(tuple(classes))
+    return tuple(classes)
 
 
 def _old_pair_order(regions, margin, all_pairs_up_to=64):

@@ -11,16 +11,19 @@ from covergames.covers import (
     Box,
     Cover,
     CoverSeq,
+    DisjointFamily,
     pairwise_disjoint_check,
     refines_check,
     region_contained_in,
     region_mask,
+    region_members,
 )
 from covergames.exact import CheckFailure, InputError
 from covergames.game import (
     adversarial_two_policy,
     assemble_W,
     block_index,
+    covering_two_policy,
     hurewicz_selection_check,
     menger_selection_check,
     play_hurewicz_game,
@@ -28,7 +31,7 @@ from covergames.game import (
     strategy_F_move,
     transcript_loss_report,
 )
-
+from covergames.space import build_grid_space
 
 
 def overlapping_interval_covers(s, horizon, step=F(3, 100)):
@@ -351,3 +354,90 @@ class TestCantorGame:
         res = sc_plus_select(s, covers)
         assert res.blocks == tuple(range(2, 2 + len(res.blocks)))
         assert max(res.tail_index) == 1
+
+
+# -- TWO's greedy pick against the two-path policy it replaced ------------------------
+
+
+def two_path_covering_policy(one_move):
+    """The covering policy before its lazy greedy: a size-sorted pick when
+    the first family alone covers, otherwise an eager greedy that rescans
+    every region for each pick."""
+    some_fam = next(iter(one_move.values()))
+    space = some_fam.space
+    stages = sorted(one_move)
+    prefix = []
+    covered = np.zeros(space.n, dtype=bool)
+    for n in stages:
+        prefix.append(n)
+        covered |= one_move[n].union_mask()
+        if covered.all():
+            break
+    if not covered.all():
+        raise CheckFailure(
+            "ONE's move does not cover the sample",
+            witness=int(np.flatnonzero(~covered)[0]),
+        )
+    if len(prefix) == 1:
+        n = prefix[0]
+        sized = []
+        for ridx, region in enumerate(one_move[n].regions):
+            size = len(region_members(region))
+            if size:
+                sized.append((-size, ridx))
+        return [(n, ridx) for _, ridx in sorted(sized)]
+    flat = [
+        (n, ridx, region_members(region))
+        for n in prefix
+        for ridx, region in enumerate(one_move[n].regions)
+    ]
+    uncovered = np.ones(space.n, dtype=bool)
+    picks = []
+    while uncovered.any():
+        best, best_gain = None, 0
+        for n, ridx, members in flat:
+            gain = int(np.count_nonzero(uncovered[members]))
+            if gain > best_gain:
+                best, best_gain = (n, ridx, members), gain
+        n, ridx, members = best
+        picks.append((n, ridx))
+        uncovered[members] = False
+    return picks
+
+
+def random_disjoint_family(s, parent, rng):
+    """Boxes around runs of consecutive grid points, a mesh apart, with runs
+    left out at random."""
+    h = s.structure.h
+    boxes, k = [], 0
+    while k < s.n:
+        end = min(k + rng.randint(1, 6), s.n) - 1
+        if rng.random() >= 0.15:
+            boxes.append(Box(s, (k * h - h / 4,), (end * h + h / 4,)))
+        k = end + 1
+    return DisjointFamily(boxes, parent, witness=[0] * len(boxes))
+
+
+def test_lazy_greedy_matches_the_two_path_policy():
+    s = build_grid_space(1, F(1, 32))
+    parent = Cover(s, [Ball(s, 0, F(2))])
+    rng = random.Random(1801)
+    covering = single = 0
+    for _ in range(400):
+        start = rng.randint(1, 3)
+        move = {
+            start + k: random_disjoint_family(s, parent, rng)
+            for k in range(rng.randint(1, 3))
+        }
+        try:
+            want = two_path_covering_policy(move)
+        except CheckFailure as exc:
+            with pytest.raises(CheckFailure) as got:
+                covering_two_policy(move)
+            assert (str(got.value), got.value.witness) == (str(exc), exc.witness)
+            continue
+        assert covering_two_policy(move) == want
+        covering += 1
+        single += bool(move[start].union_mask().all())
+    # covering and non-covering moves, one-family prefixes among the former
+    assert 50 < covering < 350 and 20 < single < covering

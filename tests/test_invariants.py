@@ -1,6 +1,7 @@
 """Source checks on the package: runtime invariants must survive `python -O`,
-which strips `assert`, and no function keeps a local it never reads (no
-linter is installed to catch dead stores)."""
+which strips `assert`, no function keeps a local it never reads, and no
+function, class or method goes unreferenced (no linter is installed to
+catch dead stores or dead code)."""
 
 from __future__ import annotations
 
@@ -57,3 +58,54 @@ def test_package_functions_read_every_local_they_assign():
         if isinstance(node, _FUNCTIONS) and (names := _unread_locals(node))
     ]
     assert found == [], f"locals assigned but never read: {found}"
+
+
+# the fixture API: writers and lookups that tests and tests/golden/freeze.py
+# call, which no package code needs
+FIXTURE_API = {
+    "dump_json",
+    "cover_to_json",
+    "coverseq_to_json",
+    "selections_to_json",
+    "SampledSpace.index_of",
+    "detect_structure",
+}
+
+
+def _definitions(tree):
+    """(qualified name, bare name, is a method) of each top-level function
+    and class and of each method defined directly in a top-level class;
+    dunder methods run implicitly and are left out."""
+    for node in tree.body:
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            yield node.name, node.name, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _FUNCTIONS) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name, True
+
+
+def test_package_definitions_are_all_referenced():
+    # the re-exports in __init__.py count as no reference
+    trees = [
+        ast.parse(path.read_text(), str(path))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    # a method is reached as an attribute; a local variable of the same name
+    # is no reference to it
+    names, attrs = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    found = sorted(
+        qualified
+        for tree in trees
+        for qualified, name, method in _definitions(tree)
+        if name not in (attrs if method else names | attrs)
+        and qualified not in FIXTURE_API
+    )
+    assert found == [], f"defined but referenced nowhere in the package: {found}"

@@ -94,17 +94,15 @@ def assert_valid_refinement(space, cover, families):
 class TestBrickGrid:
     def test_faces_avoid_sample(self, interval_64):
         s = interval_64
-        grid = build_brick_grid(s, F(3, 64))
-        for cls in grid.color_classes:
+        for cls in build_brick_grid(s, F(3, 64)):
             for box in cls:
                 for p in s.points:
                     assert p[0] != box.lo[0] and p[0] != box.hi[0]
 
     def test_classes_partition_sample(self, interval_64):
         s = interval_64
-        grid = build_brick_grid(s, F(2, 64))
         counts = np.zeros(s.n, dtype=int)
-        for cls in grid.color_classes:
+        for cls in build_brick_grid(s, F(2, 64)):
             for box in cls:
                 counts += region_mask(box)
         # d+1 = 2 classes on an interval; every point in >= 1 class
