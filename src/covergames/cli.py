@@ -80,6 +80,12 @@ class RunConfig:
         doc = jsonio.load_json(path)
         if not isinstance(doc, dict):
             raise InputError(f"config {path} must hold a JSON object")
+        unknown = sorted(set(doc) - {"horizon", "margin", "tail_slack", "point_cap"})
+        if unknown:
+            raise InputError(
+                f"config {path} has unknown key {unknown[0]!r}; known keys: "
+                "horizon, margin, tail_slack, point_cap"
+            )
         kwargs = {}
         for key in ("horizon", "tail_slack", "point_cap"):
             if key in doc:

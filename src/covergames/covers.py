@@ -206,12 +206,7 @@ def _member_test(region: OpenRegion, idx) -> np.ndarray:
 
 def _make_members(region: OpenRegion) -> np.ndarray:
     space = region.space
-    windowed = (
-        space._fast
-        and space.metric_kind != "cantor_2adic"
-        and not isinstance(region, CoClosedBalls)
-    )
-    if windowed:
+    if space.windowed and not isinstance(region, CoClosedBalls):
         if isinstance(region, Ball):
             c0 = int(space._icoords[region.center, 0])
             # d < radius forces |x0 - c0| < radius * scale, i.e. <= w
@@ -462,7 +457,7 @@ def box_in_ball_verdicts(
         and b.space is space
         and ball.space is space
     ]
-    if not (pick and space._fast and space.metric_kind != "cantor_2adic"):
+    if not (pick and space.windowed):
         return verdict
     if space.dist_scale_sq >= 2**1000:  # float(space.scale) would overflow
         return verdict

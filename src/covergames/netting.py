@@ -13,8 +13,11 @@ radius is exact and sufficient for every pipeline here.
 from __future__ import annotations
 
 import itertools
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,6 +27,7 @@ from .covers import (
     CoverSeq,
     lebesgue_argmax_region,
     lebesgue_number,
+    region_members,
     union_mask,
 )
 from .exact import CheckFailure, InputError, ResourceError
@@ -43,15 +47,95 @@ def validate_net(space: SampledSpace, cert: NetCertificate) -> bool:
     """Re-check a certificate pointwise: every covered point strictly within
     epsilon of some center.  The centers' balls are added in order until
     nothing is left to cover, so a passing check reads only the prefix of
-    centers it needs."""
+    centers it needs; each ball's members come from covers.region_members,
+    which reads only its first-axis window where the space allows."""
     if cert.epsilon <= 0 or not all(0 <= c < space.n for c in cert.centers):
         raise InputError("a net needs a positive epsilon and sample-point centers")
     left = cert.covered.mask().copy()
+    todo = int(np.count_nonzero(left))
     for c in cert.centers:
-        if not left.any():
+        if not todo:
             break
-        left &= ~space.within_lt(c, cert.epsilon)
-    return not left.any()
+        hit = region_members(Ball(space, c, cert.epsilon))
+        todo -= int(np.count_nonzero(left[hit]))
+        left[hit] = False
+    return not todo
+
+
+# cached traversals per space: each holds at most 4 entries per sample point
+# (distances to the nearest center, subset indices, centers, radii)
+TRAVERSAL_ENTRIES = 2**22
+
+
+class _Traversal:
+    """Farthest-point order (Gonzalez 1985) of one subset, built only as far
+    as a query needs.
+
+    The first center is the subset's lowest index; each next center is the
+    point farthest from the centers so far, ties to the lowest index.
+    radii[k - 1] is the scaled squared distance from centers[k] to the
+    earlier centers when it was added; the radii never increase.  Neither
+    choice depends on a radius, so the greedy net at any bound is the
+    prefix of centers up to the first radius at most the bound.
+    """
+
+    def __init__(self, space: SampledSpace, idx: np.ndarray):
+        first = int(idx[0])
+        self.centers = [first]
+        self.radii: list[int] = []
+        self.idx = idx
+        # per sample point, the scaled squared distance to the nearest
+        # center; -1 outside the subset, so it never wins the argmax
+        self.best = np.full(space.n, -1, dtype=np.int64 if space._fast else object)
+        self.best[idx] = space._dist_sq_to(first, idx)
+        self._next()
+
+    def _next(self) -> None:
+        self.worst = int(np.argmax(self.best))  # lowest index on ties
+        self.frontier = int(self.best[self.worst])
+        if not self.frontier:  # every subset point is a center
+            self.best = self.idx = None
+
+    def _add(self, space: SampledSpace) -> None:
+        c, m = self.worst, self.frontier
+        self.centers.append(c)
+        self.radii.append(m)
+        if space.windowed:
+            # no point is farther than m from the earlier centers, and one
+            # with (x0 - c0)**2 >= m is no closer to c
+            c0, w = int(space._icoords[c, 0]), isqrt(m - 1)
+            near = space.axis0_window(c0 - w - 1, c0 + w)
+        else:
+            near = self.idx
+        self.best[near] = np.minimum(self.best[near], space._dist_sq_to(c, near))
+        self._next()
+
+    def net(self, space: SampledSpace, bound: int) -> tuple[int, ...]:
+        """The greedy net's centers at a scaled squared bound >= 0: the
+        centers added while the farthest point lay beyond the bound."""
+        k = bisect_left(self.radii, -bound, key=operator.neg)
+        if k == len(self.radii):
+            while self.frontier > bound:
+                self._add(space)
+            k = len(self.radii)
+        return tuple(self.centers[: k + 1])
+
+
+def _traversal(space: SampledSpace, subset: SubsetHandle) -> _Traversal:
+    """The subset's traversal, kept on the space; the least recently used
+    one goes once the space holds TRAVERSAL_ENTRIES // (4 n) of them."""
+    cache = space._traversals
+    key = subset.mask().tobytes()
+    trav = cache.pop(key, None)
+    if trav is None:
+        idx = np.flatnonzero(subset.mask())
+        if idx.size == 0:
+            raise InputError("greedy_net needs a nonempty subset")
+        trav = _Traversal(space, idx)
+        while cache and len(cache) >= max(1, TRAVERSAL_ENTRIES // (4 * space.n)):
+            del cache[next(iter(cache))]
+    cache[key] = trav
+    return trav
 
 
 def greedy_net(
@@ -60,27 +144,18 @@ def greedy_net(
     """Farthest-point greedy net of the subset, centers drawn from the subset.
 
     Ties among equidistant farthest candidates go to the lowest point index;
-    the first center is the lowest-index point of the subset.  Terminates on
-    any finite sample and always validates.
+    the first center is the lowest-index point of the subset.  The centers
+    are a prefix of the subset's cached farthest-point traversal, which is
+    extended only as far as epsilon needs.  Terminates on any finite sample
+    and always validates.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
-    idx = np.flatnonzero(subset.mask())
-    if idx.size == 0:
-        raise InputError("greedy_net needs a nonempty subset")
     bound = space.scaled_bound(epsilon)
-    centers = [int(idx[0])]
-    best = space.dist_sq_row(centers[0])[idx]
-    while True:
-        worst_pos = int(np.argmax(best))  # argmax takes lowest index on ties
-        if bool(best[worst_pos] <= bound):
-            break
-        c = int(idx[worst_pos])
-        centers.append(c)
-        row = space.dist_sq_row(c)[idx]
-        best = np.minimum(best, row)
-    return NetCertificate(epsilon, tuple(centers), subset)
+    with space._traversal_lock:
+        centers = _traversal(space, subset).net(space, bound)
+    return NetCertificate(epsilon, centers, subset)
 
 
 @dataclass(frozen=True)

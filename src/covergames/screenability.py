@@ -189,14 +189,25 @@ def _cantor_level_family(
 
 def _cantor_level_boxes(space: SampledSpace, level: int, gamma: Fraction) -> list[Box]:
     """The level-interval groups of a Cantor sample, each hull fattened by
-    gamma, left to right."""
-    groups: dict[int, list[Fraction]] = {}
-    for (coord,) in space.points:
-        key = (coord.numerator * 3**level) // coord.denominator  # floor(c * 3^L)
-        groups.setdefault(key, []).append(coord)
+    gamma, left to right.  Point c joins group floor(c * 3**level); the
+    groups' scaled extents are computed once per (space, level) from the
+    integer table, in Python ints where int64 could overflow, and kept on
+    the space."""
+    extents = space._cantor_levels.get(level)
+    if extents is None:
+        col = np.sort(space._icoords[:, 0])
+        if max(-int(col[0]), int(col[-1])) * 3**level >= 2**63:
+            col = col.astype(object)
+        # floor(c * 3**L) never decreases along the sorted coordinates
+        keys = col * 3**level // space.scale
+        cut = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        firsts = col[np.r_[0, cut]].tolist()
+        lasts = col[np.r_[cut - 1, col.size - 1]].tolist()
+        extents = space._cantor_levels[level] = list(zip(firsts, lasts))
+    scale = space.scale
     return [
-        Box(space, (min(g) - gamma,), (max(g) + gamma,))
-        for _, g in sorted(groups.items())
+        Box(space, (Fraction(lo, scale) - gamma,), (Fraction(hi, scale) + gamma,))
+        for lo, hi in extents
     ]
 
 

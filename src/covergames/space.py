@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import operator
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -87,7 +88,8 @@ class SampledSpace:
 
     Instances are immutable after construction and safe to share between
     threads; every derived quantity (integer coordinate table, nearest gap,
-    distance rows) is precomputed or cached once.  Region members are kept
+    distance rows, farthest-point traversals) is precomputed or cached
+    once.  Region members are kept
     on the regions (covers.region_members), not here.
     """
 
@@ -161,6 +163,12 @@ class SampledSpace:
         self._index: dict[tuple[Fraction, ...], int] | None = None
         self._axis0: tuple[np.ndarray, np.ndarray, int, int] | None = None
         self._row_cache: dict[int, np.ndarray] = {}
+        # farthest-point traversals by subset mask, extended in place under
+        # the lock (netting.greedy_net)
+        self._traversals: dict[bytes, object] = {}
+        self._traversal_lock = threading.Lock()
+        # Cantor level group extents by level (screenability._cantor_level_boxes)
+        self._cantor_levels: dict[int, list[tuple[int, int]]] = {}
         self._min_gap_sq: Fraction | None = None
         self._diam_sq: Fraction | None = None
         self._diam_ub: Fraction | None = None
@@ -259,6 +267,13 @@ class SampledSpace:
         if (len(self._row_cache) + 1) * self.n < 2**22:  # 2**22 entries per space
             self._row_cache[i] = row
         return row
+
+    @property
+    def windowed(self) -> bool:
+        """Whether the first-axis gap bounds every distance from below, so
+        axis0_window can bound a search: int64 euclidean and chebyshev
+        tables."""
+        return self._fast and self.metric_kind != "cantor_2adic"
 
     def axis0_window(self, gt: int, le: int) -> np.ndarray:
         """Indices of the points whose scaled first coordinate x satisfies

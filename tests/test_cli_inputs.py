@@ -71,9 +71,14 @@ def test_malformed_input_file_exits_2(tmp_path, flag, doc, needle):
             ["refine", "--space", SPACE, "--cover", str(INPUTS / "cover.json")],
             False,
         ),
+        (
+            {"tailslack": -5, "horizn": 99},
+            ["scplus", "--space", SPACE, "--covers", COVERS],
+            False,
+        ),
     ],
     ids=["list", "horizon_not_int", "demo_over_point_cap", "negative_tail_slack",
-         "negative_margin"],
+         "negative_margin", "unknown_keys"],
 )
 def test_bad_config_exits_2(monkeypatch, tmp_path, config, argv, loads):
     # only the point cap needs the inputs: every other value is refused first
@@ -83,6 +88,13 @@ def test_bad_config_exits_2(monkeypatch, tmp_path, config, argv, loads):
     code, doc = run(["--config", path] + argv)
     assert_input_error(code, doc)
     assert calls == (["load"] if loads else [])
+
+
+def test_unknown_config_key_is_named(tmp_path):
+    path = write(tmp_path, "run.json", {"horizon": 3, "horizn": 99})
+    code, doc = run(["--config", path, "scplus", "--space", SPACE, "--covers", COVERS])
+    assert_input_error(code, doc)
+    assert "unknown key 'horizn'" in doc["checks"][-1]["error"]
 
 
 def test_demo_label_must_be_builtin():

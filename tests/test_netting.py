@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covergames.netting as netting_module
+from covergames.cli import Report, pipeline_demo
 from covergames.covers import Ball, Cover, CoverSeq, refines_check
-from covergames.exact import CheckFailure, InputError, ResourceError
+from covergames.exact import CheckFailure, InputError, ResourceError, exact_sqrt
 from covergames.game import hurewicz_selection_check
 from covergames.netting import (
+    NetCertificate,
     chain_decomposition,
     decompose_from_hurewicz,
     greedy_net,
@@ -19,7 +24,14 @@ from covergames.netting import (
     select_from_decomposition,
     validate_net,
 )
-from covergames.space import doubling_delta, paired_delta
+from covergames.registry import builtin_space
+from covergames.space import (
+    SampledSpace,
+    build_cantor_2adic_space,
+    build_grid_space,
+    doubling_delta,
+    paired_delta,
+)
 
 
 def is_valid_net(space, subset, centers, eps) -> bool:
@@ -33,6 +45,184 @@ def is_valid_net(space, subset, centers, eps) -> bool:
         if not ok:
             return False
     return True
+
+
+def greedy_net_loop(space, subset, epsilon) -> tuple[int, ...]:
+    """Reference farthest-point loop: the net rebuilt from scratch for each
+    epsilon, with one full distance row per center."""
+    idx = np.flatnonzero(subset.mask())
+    bound = space.scaled_bound(F(epsilon))
+    centers = [int(idx[0])]
+    best = space.dist_sq_row(centers[0])[idx]
+    while True:
+        worst_pos = int(np.argmax(best))  # argmax takes lowest index on ties
+        if bool(best[worst_pos] <= bound):
+            break
+        c = int(idx[worst_pos])
+        centers.append(c)
+        best = np.minimum(best, space.dist_sq_row(c)[idx])
+    return tuple(centers)
+
+
+def _space_calls(monkeypatch, *names):
+    """The arguments of every call to the named SampledSpace methods."""
+    calls = []
+    for name in names:
+        inner = getattr(SampledSpace, name)
+        monkeypatch.setattr(
+            SampledSpace, name, lambda self, *a, f=inner: calls.append(a) or f(self, *a)
+        )
+    return calls
+
+
+HUGE = F(2**40)  # scaled coordinates this far apart overflow int64 distances
+
+
+@st.composite
+def traversal_cases(draw):
+    """A space on every metric kind and table type, a nonempty subset, and
+    radii that often equal a sample distance.  Small integer coordinates
+    make many equidistant farthest points."""
+    kind = draw(st.sampled_from(["euclidean", "chebyshev", "cantor_2adic", "object"]))
+    if kind == "cantor_2adic":
+        space = build_cantor_2adic_space(draw(st.integers(1, 5)))
+    else:
+        dim = draw(st.integers(1, 3))
+        coord = st.integers(0, 5).map(F)
+        point = st.tuples(*[coord] * dim)
+        pts = draw(st.lists(point, min_size=1, max_size=40, unique=True))
+        metric = kind
+        if kind == "object":
+            metric = draw(st.sampled_from(["euclidean", "chebyshev"]))
+            pts = [tuple(c * HUGE for c in p) for p in pts + [(F(100),) * dim]]
+        space = SampledSpace(pts, metric, F(1, 4))
+        assert space._fast == (kind != "object")
+    keep = draw(st.lists(st.booleans(), min_size=space.n, max_size=space.n))
+    keep[draw(st.integers(0, space.n - 1))] = True
+    radii = []
+    for _ in range(draw(st.integers(1, 5))):
+        p, q = draw(st.integers(0, space.n - 1)), draw(st.integers(0, space.n - 1))
+        root = exact_sqrt(space.distance_sq(p, q))
+        r = F(draw(st.integers(1, 40)), draw(st.sampled_from([1, 2, 3, 8])))
+        if kind == "object":
+            r *= HUGE
+        radii.append(root if root and draw(st.booleans()) else r)
+    return space, space.subset_from_mask(np.array(keep)), radii
+
+
+class TestTraversal:
+    @given(traversal_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_loop(self, case):
+        # one space per example: the radii are asked in drawn order, so the
+        # cached traversal is both extended and read back
+        space, subset, radii = case
+        for eps in radii:
+            cert = greedy_net(space, subset, eps)
+            assert cert.centers == greedy_net_loop(space, subset, eps)
+            assert validate_net(space, cert)
+            if len(cert.centers) > 1:
+                # the last center lies at least eps from every earlier one
+                short = NetCertificate(eps, cert.centers[:-1], subset)
+                assert not validate_net(space, short)
+
+    def test_equidistant_ties_go_to_the_lowest_index(self):
+        s = SampledSpace([(F(0),), (F(-1),), (F(1),)], "euclidean", F(1, 4))
+        assert greedy_net(s, s.subset_all(), F(1, 2)).centers == (0, 1, 2)
+        assert greedy_net_loop(s, s.subset_all(), F(1, 2)) == (0, 1, 2)
+
+    def test_demo_nets_read_no_distance_row(self, monkeypatch):
+        # unit_square_64 at horizon 6: every net is a prefix of one windowed
+        # traversal, and certificates are checked on their balls' windows
+        rows, inside = [], []
+        row, net = SampledSpace.dist_sq_row, netting_module.greedy_net
+
+        def counted_row(self, i):
+            rows.append(bool(inside))
+            return row(self, i)
+
+        def counted_net(*args):
+            inside.append(1)
+            try:
+                return net(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(SampledSpace, "dist_sq_row", counted_row)
+        monkeypatch.setattr(netting_module, "greedy_net", counted_net)
+        monkeypatch.setattr("covergames.cli.greedy_net", counted_net)
+        monkeypatch.setattr("covergames.haver.greedy_net", counted_net)
+        report = Report("demo", [])
+        pipeline_demo(builtin_space("unit_square_64"), 6, report)
+        assert all(c["pass"] for c in report.doc["checks"])
+        assert not any(rows)
+        assert len(rows) <= 100  # 19,094 when nets and checks read full rows
+
+    def test_equal_subset_computes_no_distances(self, monkeypatch):
+        s = build_grid_space(2, F(1, 16))
+        first = greedy_net(s, s.subset_all(), F(1, 64))
+        assert len(first.centers) == s.n
+        radii = (F(1, 64), F(1, 4), F(2))
+        want = [greedy_net_loop(s, s.subset_all(), eps) for eps in radii]
+        calls = _space_calls(monkeypatch, "_dist_sq_to", "dist_sq_row")
+        equal = s.subset_from_mask(np.ones(s.n, dtype=bool))
+        assert [greedy_net(s, equal, eps).centers for eps in radii] == want
+        assert calls == []
+
+    def test_coarse_net_extends_only_its_centers(self, monkeypatch):
+        s = builtin_space("unit_square_64")
+        calls = _space_calls(monkeypatch, "_dist_sq_to")
+        cert = greedy_net(s, s.subset_all(), F(1, 4))
+        assert len(cert.centers) == 25
+        # one distance batch per center: the first against the subset, each
+        # later one against its first-axis window
+        assert [i for i, _ in calls] == list(cert.centers)
+        (trav,) = s._traversals.values()
+        assert len(trav.centers) == 25
+
+    def test_cache_keeps_the_most_recently_used(self, monkeypatch):
+        s = build_grid_space(1, F(1, 8))
+        monkeypatch.setattr(netting_module, "TRAVERSAL_ENTRIES", 2 * 4 * s.n)
+        subsets = [s.subset_from_indices(range(k, s.n)) for k in range(3)]
+        greedy_net(s, subsets[0], F(1, 4))
+        greedy_net(s, subsets[1], F(1, 4))
+        greedy_net(s, subsets[0], F(1, 4))
+        greedy_net(s, subsets[2], F(1, 4))
+        kept = [subsets[0].mask().tobytes(), subsets[2].mask().tobytes()]
+        assert list(s._traversals) == kept
+
+    def test_threads_share_one_traversal(self):
+        s = build_grid_space(2, F(1, 16))
+        radii = [F(1, k) for k in (2, 3, 5, 8, 13, 21, 34, 55)]
+        want = {eps: greedy_net_loop(s, s.subset_all(), eps) for eps in radii}
+        got, errors = [], []
+
+        def work(seed):
+            try:
+                for eps in random.Random(seed).sample(radii, len(radii)):
+                    got.append((eps, greedy_net(s, s.subset_all(), eps).centers))
+            except Exception as exc:  # asserted empty below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(got) == 6 * len(radii)
+        assert all(centers == want[eps] for eps, centers in got)
+
+    def test_empty_subset_is_refused(self, interval_8):
+        empty = interval_8.subset_from_indices([])
+        with pytest.raises(InputError, match="nonempty subset"):
+            greedy_net(interval_8, empty, F(1, 4))
 
 
 class TestGreedyNet:

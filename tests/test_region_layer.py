@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covergames.covers as covers_module
+import covergames.netting as netting_module
 from covergames.cli import run
 from covergames.covers import (
     Ball,
@@ -478,13 +479,11 @@ def test_decompose_validates_each_net_on_its_covering_prefix(monkeypatch):
         prefixes.append(int(hit.max()) + 1 if hit.size else 0)
     assert sum(prefixes) < sum(len(c.centers) for c in dec.certificates.values())
 
-    inside = []
-    within = SampledSpace.within_lt
-    monkeypatch.setattr(
-        SampledSpace,
-        "within_lt",
-        lambda self, i, r: inside.append(i) or within(self, i, r),
-    )
+    # each center's ball is found through its window: one member query per
+    # center read, and no distance row
+    inside = _count_calls(monkeypatch, netting_module, "region_members")
+    rows = _count_calls(monkeypatch, SampledSpace, "dist_sq_row")
     dec2 = decompose_from_hurewicz(space, selections, horizon, epsilons)
     assert dec2.certificates.keys() == dec.certificates.keys()
-    assert len(inside) <= sum(prefixes)
+    assert 0 < len(inside) <= sum(prefixes)
+    assert rows == []

@@ -16,17 +16,19 @@ from covergames.covers import (
     region_mask,
 )
 from covergames.exact import InputError
+from covergames.registry import builtin_names, builtin_space
 from covergames.screenability import (
     FiniteCWitness,
     NoWitnessAtHorizon,
     ResolutionError,
+    _cantor_level_boxes,
     admissible_cell_sides,
     brick_refinement,
     build_brick_grid,
     finite_c_search,
     sc_fin_select,
 )
-from covergames.space import build_grid_space
+from covergames.space import CantorStructure, build_grid_space
 
 
 def crossing_cover(s):
@@ -284,3 +286,42 @@ class TestFiniteC:
         # every refutation names an uncovered point
         for label, point in res.refutations:
             assert 0 <= point < s.n
+
+
+def cantor_level_boxes_loop(space, level, gamma):
+    """Reference grouping: floor(c * 3**level) per point, in Fraction
+    arithmetic."""
+    groups = {}
+    for (coord,) in space.points:
+        key = (coord.numerator * 3**level) // coord.denominator
+        groups.setdefault(key, []).append(coord)
+    return [
+        Box(space, (min(g) - gamma,), (max(g) + gamma,))
+        for _, g in sorted(groups.items())
+    ]
+
+
+CANTOR_NAMES = [
+    n for n in builtin_names() if isinstance(builtin_space(n).structure, CantorStructure)
+]
+
+
+@pytest.mark.parametrize("name", CANTOR_NAMES)
+def test_cantor_level_boxes_match_the_fraction_grouping(name):
+    space = builtin_space(name)
+    for level in range(space.structure.depth + 2):
+        for gamma in (F(1, 4 * 3**level), F(1, 7 * 3**level)):
+            want = cantor_level_boxes_loop(space, level, gamma)
+            assert _cantor_level_boxes(space, level, gamma) == want
+    # each level is grouped once and kept on the space
+    assert sorted(space._cantor_levels) == list(range(space.structure.depth + 2))
+
+
+def test_cantor_level_groups_past_int64():
+    # 27 * 3**40 overflows int64: the keys are taken in Python ints, and at
+    # this level every point is its own group
+    space = builtin_space("cantor_3")
+    gamma = F(1, 3**42)
+    boxes = _cantor_level_boxes(space, 40, gamma)
+    assert boxes == cantor_level_boxes_loop(space, 40, gamma)
+    assert len(boxes) == space.n
