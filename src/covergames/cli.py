@@ -2,9 +2,10 @@
 report out.
 
 Exit codes: 0 all checks passed; 1 a mathematical check failed (the report
-carries a concrete witness); 2 input or usage error.  Reports are canonical
-(sorted keys) and byte-identical across runs except for the wall_time_s
-field.
+carries a concrete witness); 2 input or usage error; 3 an internal invariant
+failed (a bug; the report's last check, `invariant`, names it).  Reports
+are canonical (sorted keys) and byte-identical across runs except for the
+wall_time_s field.
 """
 
 from __future__ import annotations
@@ -542,6 +543,9 @@ def run(argv: list[str]) -> tuple[int, dict]:
     except InputError as exc:
         report.check("input", False, error=str(exc))
         return 2, report.finish(2)
+    except AssertionError as exc:
+        report.check("invariant", False, error=str(exc))
+        return 3, report.finish(3)
     code = 0 if report.all_passed else 1
     return code, report.finish(code)
 

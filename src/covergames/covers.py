@@ -183,7 +183,7 @@ def _co_bounds(region: CoClosedBalls) -> tuple[tuple[int, int], ...]:
 
 def _member_test(region: OpenRegion, idx) -> np.ndarray:
     """Exact membership of the points idx (an index array, or slice(None) for
-    the whole sample, which reads the cached distance rows)."""
+    the whole sample, which reads whole distance rows)."""
     space = region.space
     whole = isinstance(idx, slice)
 
@@ -206,7 +206,16 @@ def _member_test(region: OpenRegion, idx) -> np.ndarray:
 
 def _make_members(region: OpenRegion) -> np.ndarray:
     space = region.space
-    if space.windowed and not isinstance(region, CoClosedBalls):
+    if space.windowed and isinstance(region, CoClosedBalls):
+        inside = np.zeros(space.n, dtype=bool)
+        for c, bound in _co_bounds(region):
+            c0 = int(space._icoords[c, 0])
+            # d^2 <= bound forces |x0 - c0| <= isqrt(bound)
+            w = math.isqrt(bound)
+            window = space.axis0_window(c0 - w - 1, c0 + w)
+            inside[window[space._dist_sq_to(c, window) <= bound]] = True
+        members = np.flatnonzero(~inside).astype(np.int32)
+    elif space.windowed:
         if isinstance(region, Ball):
             c0 = int(space._icoords[region.center, 0])
             # d < radius forces |x0 - c0| < radius * scale, i.e. <= w
@@ -231,8 +240,9 @@ def region_members(region: OpenRegion) -> np.ndarray:
     points in its window on the first axis (|x0 - c0| < radius for a ball,
     the box's own bounds for a box), found by binary search, so the cost
     follows the window, not the sample; in dimension one the window is the
-    answer.  2-adic spaces, complements of closed balls and
-    arbitrary-precision tables test every point.
+    answer.  A complement of closed balls there is the complement of its
+    balls' windowed members.  2-adic spaces and arbitrary-precision tables
+    test every point.
     """
     return _derived(region, "_members", _make_members)
 
@@ -989,7 +999,7 @@ class DisjointFamily:
 
     Construction validates both halves and records the refinement witness
     (parent region index and evidence kind per member).  The disjointness
-    margin defaults to the space mesh.
+    margin is the space mesh.
     """
 
     def __init__(
@@ -998,13 +1008,11 @@ class DisjointFamily:
         parent: Cover,
         witness: Sequence[int] | None = None,
         witness_kinds: Sequence[str] | None = None,
-        margin: Fraction | None = None,
     ):
         self.space = parent.space
         self.regions = tuple(regions)
         self.parent = parent
-        self.margin = self.space.mesh if margin is None else margin
-        dis = pairwise_disjoint_check(self.regions, self.margin)
+        dis = pairwise_disjoint_check(self.regions, self.space.mesh)
         if not dis.ok:
             raise CheckFailure(
                 f"family is not pairwise disjoint: regions {dis.violating_pair} "

@@ -7,9 +7,10 @@ strictly below half its predecessor):
 * delta_n = ((2**2**n - 1)/2**2**n) * (eps_n/2), strictly below eps_n/2;
 * F_n = a greedy delta_n-net of chain stage n (centers inside the stage);
 * U_n = the eps_n/2-balls at F_n plus the complement of the closed
-  delta_n-balls at F_n -- a finite open cover of the whole sample, with the
-  two structural facts asserted pointwise: closed delta_n-balls sit inside
-  the open eps_n-balls, and stage n never meets the complement piece.
+  delta_n-balls at F_n -- a finite open cover of the whole sample, with two
+  structural facts checked: closed delta_n-balls sit inside the open
+  eps_n-balls (one integer comparison of the radii's scaled bounds), and
+  stage n never meets the complement piece (pointwise).
 
 The block-selection engine is then run on (U_n) to the same horizon, its
 families are filtered to the members analytically inside some eps_n/2 ball,
@@ -137,14 +138,10 @@ def build_stage_covers(
                 f"stage {n} cover fails to cover point {rep.failure_point}",
                 witness=rep.failure_point,
             )
-        # closed delta-ball inside the open eps-ball, pointwise per center
-        for c in centers:
-            closed = space.within_le(c, delta_n)
-            open_eps = space.within_lt(c, eps_n)
-            if not bool(np.all(open_eps[closed])):
-                raise AssertionError(
-                    f"closed delta-ball at center {c} escapes the eps-ball"
-                )
+        # closed delta-balls inside the open eps-balls: every x with
+        # d(c, x) <= delta_n has a scaled d^2 at most the left side
+        if not space.scaled_bound(delta_n, closed=True) <= space.scaled_bound(eps_n):
+            raise AssertionError(f"stage {n} closed delta-balls escape the eps-balls")
         # the stage never meets the complement piece
         if bool(stage.mask()[region_members(comp)].any()):
             raise AssertionError(

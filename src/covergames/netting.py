@@ -191,7 +191,7 @@ def minimal_net_bruteforce(
     arr = np.fromiter(idx, dtype=np.int64)
     coverage = {}
     for c in idx:
-        row = space.dist_sq_row(c)[arr]
+        row = space._dist_sq_to(c, arr)
         bits = 0
         for pos in np.flatnonzero(row <= bound):
             bits |= 1 << int(pos)

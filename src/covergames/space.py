@@ -88,9 +88,9 @@ class SampledSpace:
 
     Instances are immutable after construction and safe to share between
     threads; every derived quantity (integer coordinate table, nearest gap,
-    distance rows, farthest-point traversals) is precomputed or cached
-    once.  Region members are kept
-    on the regions (covers.region_members), not here.
+    farthest-point traversals) is precomputed or cached once.  Distance rows
+    are computed on each call, and region members are kept on the regions
+    (covers.region_members), not here.
     """
 
     def __init__(
@@ -100,7 +100,6 @@ class SampledSpace:
         mesh: Fraction,
         label: str = "",
         structure: GridStructure | CantorStructure | None = None,
-        detect: bool = True,
     ):
         if metric_kind not in METRIC_KINDS:
             raise InputError(f"unknown metric kind {metric_kind!r}")
@@ -147,22 +146,11 @@ class SampledSpace:
         else:
             self.dist_scale_sq = scale * scale
 
-        # every scaled squared distance stays below this bound; rows below
-        # 2**32 are kept as uint32 (half the row cache's memory)
-        if metric_kind == "cantor_2adic":
-            reach = self.dist_scale_sq
-        elif metric_kind == "chebyshev":
-            reach = max(b - a for a, b in zip(lo, hi)) ** 2
-        else:
-            reach = sum((b - a) ** 2 for a, b in zip(lo, hi))
-        self._row_dtype = np.uint32 if self._fast and reach < 2**32 else None
-
-        if structure is None and detect:
+        if structure is None:
             structure = _table_structure(cols, scale)
         self.structure = structure
         self._index: dict[tuple[Fraction, ...], int] | None = None
         self._axis0: tuple[np.ndarray, np.ndarray, int, int] | None = None
-        self._row_cache: dict[int, np.ndarray] = {}
         # farthest-point traversals by subset mask, extended in place under
         # the lock (netting.greedy_net)
         self._traversals: dict[bytes, object] = {}
@@ -253,20 +241,9 @@ class SampledSpace:
         return msb * msb
 
     def dist_sq_row(self, i: int) -> np.ndarray:
-        """Scaled squared distances from point i to all points.
-
-        Entries are exact integers, uint32 where every one fits; true d^2 =
-        entry / dist_scale_sq.
-        """
-        row = self._row_cache.get(i)
-        if row is not None:
-            return row
-        row = self._dist_sq_to(i, slice(None))
-        if self._row_dtype is not None:
-            row = row.astype(self._row_dtype)
-        if (len(self._row_cache) + 1) * self.n < 2**22:  # 2**22 entries per space
-            self._row_cache[i] = row
-        return row
+        """Scaled squared distances from point i to all points, computed on
+        each call: exact integers, true d^2 = entry / dist_scale_sq."""
+        return self._dist_sq_to(i, slice(None))
 
     @property
     def windowed(self) -> bool:
@@ -302,15 +279,6 @@ class SampledSpace:
         x = radius * radius * self.dist_scale_sq
         bound = int_le_bound(x) if closed else int_lt_bound(x)
         return clamp_int64(bound) if self._fast else bound
-
-    def within_lt(self, i: int, radius: Fraction) -> np.ndarray:
-        """Boolean mask of points with d(i, .) < radius (exact)."""
-        return np.asarray(self.dist_sq_row(i) <= self.scaled_bound(radius), dtype=bool)
-
-    def within_le(self, i: int, radius: Fraction) -> np.ndarray:
-        """Boolean mask of points with d(i, .) <= radius (exact)."""
-        bound = self.scaled_bound(radius, closed=True)
-        return np.asarray(self.dist_sq_row(i) <= bound, dtype=bool)
 
     def min_positive_gap_sq(self) -> Fraction:
         """Smallest positive squared distance between sample points (1 for a
@@ -577,7 +545,6 @@ def build_grid_space(
         mesh,
         label=label,
         structure=GridStructure(dim, h),
-        detect=False,
     )
 
 
@@ -614,7 +581,6 @@ def _cantor_space(depth, point_cap, metric_kind, mesh_base, label) -> SampledSpa
         Fraction(1, mesh_base**depth),
         label=label,
         structure=CantorStructure(depth),
-        detect=False,
     )
 
 
@@ -624,8 +590,6 @@ def build_single_point_space() -> SampledSpace:
         "euclidean",
         Fraction(1, 2),
         label="single_point",
-        structure=None,
-        detect=False,
     )
 
 

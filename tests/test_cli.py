@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from covergames import jsonio
-from covergames.cli import run
+from covergames.cli import main, run
 from covergames.covers import Ball, Cover, CoverSeq
 from covergames.netting import chain_decomposition
 from covergames.registry import builtin_names, builtin_space
@@ -89,6 +89,23 @@ class TestExitCodes:
     def test_unknown_space_exit_2(self):
         code, _ = run(["net", "--space", "no_such_space.json", "--epsilon", "1/2"])
         assert code == 2
+
+    def test_invariant_failure_exit_3_with_report(self, monkeypatch, tmp_path):
+        def broken(*args):
+            raise AssertionError("stage 1 closed delta-balls escape the eps-balls")
+
+        monkeypatch.setattr("covergames.cli.build_haver_witness", broken)
+        argv = ["demo", "--label", "unit_interval_8", "--horizon", "3"]
+        code, doc = run(argv)
+        assert code == 3 and doc["exit_code"] == 3
+        assert doc["checks"][-1] == {
+            "name": "invariant",
+            "pass": False,
+            "error": "stage 1 closed delta-balls escape the eps-balls",
+        }
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 3
+        assert json.loads(out.read_text())["checks"][-1]["name"] == "invariant"
 
 
 class TestSubcommands:

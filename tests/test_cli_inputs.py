@@ -136,7 +136,7 @@ def test_malformed_region_field_exits_2(tmp_path, region, needle):
 
 def test_horizon_past_the_cap_exits_2_before_any_work(monkeypatch):
     calls = []
-    for owner, name in [(cli, "greedy_net"), (SampledSpace, "dist_sq_row")]:
+    for owner, name in [(cli, "greedy_net"), (SampledSpace, "_dist_sq_to")]:
         monkeypatch.setattr(owner, name, lambda *a, name=name: calls.append(name))
     code, doc = run(["demo", "--label", "unit_interval_8", "--horizon", "40"])
     assert calls == []

@@ -398,9 +398,9 @@ class TestLebesgue:
         lam = lebesgue_number(cover)
         masks = cover.masks()
         for p in range(s.n):
-            ball = s.within_lt(p, lam)
+            ball = brute_membership(Ball(s, p, lam), s)
             assert any(bool(np.all(m[ball])) for m in masks)
-            half = s.within_lt(p, lam / 2)
+            half = brute_membership(Ball(s, p, lam / 2), s)
             assert any(bool(np.all(m[half])) for m in masks)
 
     def test_argmax_region_certifies(self, interval_64):
@@ -415,7 +415,7 @@ class TestLebesgue:
         lam = lebesgue_number(cover)
         for p in (0, 32, 64):
             ridx = lebesgue_argmax_region(cover, p, lam)
-            ball = s.within_lt(p, lam)
+            ball = brute_membership(Ball(s, p, lam), s)
             assert bool(np.all(cover.masks()[ridx][ball]))
 
     def test_invalid_cover_rejected(self, interval_8):

@@ -6,6 +6,9 @@ catch dead stores or dead code)."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import covergames
@@ -19,8 +22,25 @@ def test_package_has_no_assert_statements():
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Name) and node.id == "__debug__")
     ]
-    assert found == [], f"assert statements vanish under python -O: {found}"
+    assert found == [], f"assert and __debug__ code vanish under python -O: {found}"
+
+
+def test_invariant_failure_exits_3_under_python_O():
+    # a net radius at epsilon breaks Haver's delta < epsilon / 2 invariant
+    script = (
+        "from covergames import cli, haver\n"
+        "haver.paired_delta = lambda eps, n: eps\n"
+        "code, doc = cli.run(['demo', '--label', 'unit_interval_8', '--horizon', '2'])\n"
+        "print(code, doc['checks'][-1]['name'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.stdout.split() == ["3", "invariant"], out.stderr
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -133,30 +133,22 @@ class TestTraversal:
 
     def test_demo_nets_read_no_distance_row(self, monkeypatch):
         # unit_square_64 at horizon 6: every net is a prefix of one windowed
-        # traversal, and certificates are checked on their balls' windows
-        rows, inside = [], []
-        row, net = SampledSpace.dist_sq_row, netting_module.greedy_net
+        # traversal, certificates are checked on their balls' windows, and
+        # Haver's closed-ball complements are found through their windows
+        self._assert_demo_reads_no_row(monkeypatch, "unit_square_64", 6)
 
-        def counted_row(self, i):
-            rows.append(bool(inside))
-            return row(self, i)
+    @pytest.mark.parametrize("label", ["unit_interval_1024", "cantor_10"])
+    def test_line_demos_read_no_distance_row(self, monkeypatch, label):
+        # 2,946 rows in the two demos when Haver read three rows per center
+        self._assert_demo_reads_no_row(monkeypatch, label, 12)
 
-        def counted_net(*args):
-            inside.append(1)
-            try:
-                return net(*args)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(SampledSpace, "dist_sq_row", counted_row)
-        monkeypatch.setattr(netting_module, "greedy_net", counted_net)
-        monkeypatch.setattr("covergames.cli.greedy_net", counted_net)
-        monkeypatch.setattr("covergames.haver.greedy_net", counted_net)
+    @staticmethod
+    def _assert_demo_reads_no_row(monkeypatch, label, horizon):
+        calls = _space_calls(monkeypatch, "dist_sq_row")
         report = Report("demo", [])
-        pipeline_demo(builtin_space("unit_square_64"), 6, report)
+        pipeline_demo(builtin_space(label), horizon, report)
         assert all(c["pass"] for c in report.doc["checks"])
-        assert not any(rows)
-        assert len(rows) <= 100  # 19,094 when nets and checks read full rows
+        assert calls == []
 
     def test_equal_subset_computes_no_distances(self, monkeypatch):
         s = build_grid_space(2, F(1, 16))

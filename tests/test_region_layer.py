@@ -246,6 +246,19 @@ def test_ball_radius_equal_to_a_sample_distance_is_open():
     assert np.array_equal(region_members(co), np.flatnonzero(mask_oracle(co)))
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "chebyshev"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_co_ball_windows_reach_the_closed_boundary(dim, metric):
+    # every rational sample distance as a closed radius at every center: the
+    # points at both ends of a ball's first-axis window lie on its boundary
+    s = build_grid_space(dim, F(1, 4), metric)
+    for c in range(s.n):
+        radii = {exact_sqrt(s.distance_sq(c, q)) for q in range(s.n)} - {None, 0}
+        for r in sorted(radii):
+            co = CoClosedBalls(s, ((c, r),))
+            assert np.array_equal(region_members(co), np.flatnonzero(mask_oracle(co)))
+
+
 @pytest.mark.parametrize(
     "lo,hi",
     [
