@@ -61,41 +61,30 @@ from .space import SampledSpace, default_point_cap, doubling_delta
 
 @dataclass
 class RunConfig:
-    horizon: int = 8
-    margin: Fraction | None = None  # default: the space mesh
     tail_slack: int = 1
     point_cap: int = field(default_factory=default_point_cap)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise InputError("horizon must be >= 1")
         if self.point_cap <= 0:
             raise InputError("point_cap must be positive")
         if self.tail_slack < 0:
             raise InputError("tail_slack must be >= 0")
-        if self.margin is not None and self.margin < 0:
-            raise InputError("margin must be nonnegative")
 
     @staticmethod
     def from_file(path) -> "RunConfig":
         doc = jsonio.load_json(path)
         if not isinstance(doc, dict):
             raise InputError(f"config {path} must hold a JSON object")
-        unknown = sorted(set(doc) - {"horizon", "margin", "tail_slack", "point_cap"})
+        unknown = sorted(set(doc) - {"tail_slack", "point_cap"})
         if unknown:
             raise InputError(
                 f"config {path} has unknown key {unknown[0]!r}; known keys: "
-                "horizon, margin, tail_slack, point_cap"
+                "tail_slack, point_cap"
             )
-        kwargs = {}
-        for key in ("horizon", "tail_slack", "point_cap"):
-            if key in doc:
-                if type(doc[key]) is not int:
-                    raise InputError(f"config {key} must be an integer: {doc[key]!r}")
-                kwargs[key] = doc[key]
-        if "margin" in doc:
-            kwargs["margin"] = parse_rational(doc["margin"])
-        return RunConfig(**kwargs)
+        for key, value in doc.items():
+            if type(value) is not int:
+                raise InputError(f"config {key} must be an integer: {value!r}")
+        return RunConfig(**doc)
 
 
 class Report:
@@ -196,12 +185,11 @@ def _families_json(families) -> list:
     return [[jsonio.region_to_json(r) for r in fam.regions] for fam in families]
 
 
-def _check_margin_disjoint(report: Report, cfg: RunConfig, space, families) -> None:
-    margin = cfg.margin if cfg.margin is not None else space.mesh
+def _check_margin_disjoint(report: Report, space, families) -> None:
     report.check(
         "families_margin_disjoint",
-        all(pairwise_disjoint_check(fam.regions, margin).ok for fam in families),
-        margin=format_rational(margin),
+        all(pairwise_disjoint_check(f.regions, space.mesh).ok for f in families),
+        margin=format_rational(space.mesh),
     )
 
 
@@ -236,7 +224,7 @@ def _cmd_net(args, cfg: RunConfig, report: Report, space) -> None:
 
 
 def _cmd_decompose(args, cfg: RunConfig, report: Report, space, selections) -> None:
-    horizon = args.horizon or cfg.horizon
+    horizon = args.horizon or 8
     epsilons = [parse_rational(e) for e in args.epsilons.split(",")] if args.epsilons else []
     dec = decompose_from_hurewicz(space, selections, horizon, epsilons)
     report.check("chain_monotone", True)
@@ -276,7 +264,7 @@ def _cmd_refine(args, cfg: RunConfig, report: Report, space, cover) -> None:
     report.check("cover_validates", covers_check(cover).ok)
     families = brick_refinement(space, cover)
     report.check("family_count", True, count=len(families))
-    _check_margin_disjoint(report, cfg, space, families)
+    _check_margin_disjoint(report, space, families)
     report.result(
         lebesgue=format_rational(lebesgue_number(cover)),
         families=_families_json(families),
@@ -287,7 +275,7 @@ def _cmd_refine(args, cfg: RunConfig, report: Report, space, cover) -> None:
 def _cmd_scfin(args, cfg: RunConfig, report: Report, space, covers) -> None:
     sel = sc_fin_select(space, covers)
     report.check("selection_covers", True)
-    _check_margin_disjoint(report, cfg, space, sel.families)
+    _check_margin_disjoint(report, space, sel.families)
     report.result(
         block_starts=list(sel.block_starts),
         families=_families_json(sel.families),

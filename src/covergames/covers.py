@@ -140,12 +140,9 @@ def _derived(region: OpenRegion, name: str, make):
     return value
 
 
-def _ball_bound(region: Ball) -> int:
-    """The ball's largest scaled squared distance."""
-    return _derived(region, "_bound", lambda r: r.space.scaled_bound(r.radius))
-
-
-def _make_box_bounds(region: Box) -> tuple[tuple[int, int], ...]:
+def _box_bounds(region: Box) -> tuple[tuple[int, int], ...]:
+    """Per axis (gt, le): a sample point is in the box iff gt < x <= le on
+    every axis, x its scaled integer coordinate."""
     space = region.space
     out = []
     for i in range(space.coord_dim):
@@ -166,68 +163,17 @@ def _make_box_bounds(region: Box) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _box_bounds(region: Box) -> tuple[tuple[int, int], ...]:
-    """Per axis (gt, le): a sample point is in the box iff gt < x <= le on
-    every axis, x its scaled integer coordinate."""
-    return _derived(region, "_bounds", _make_box_bounds)
-
-
-def _co_bounds(region: CoClosedBalls) -> tuple[tuple[int, int], ...]:
-    """(center, closed scaled bound) per excluded ball."""
-    return _derived(
-        region,
-        "_bounds",
-        lambda r: tuple((c, r.space.scaled_bound(x, closed=True)) for c, x in r.balls),
-    )
-
-
-def _member_test(region: OpenRegion, idx) -> np.ndarray:
-    """Exact membership of the points idx (an index array, or slice(None) for
-    the whole sample, which reads whole distance rows)."""
-    space = region.space
-    whole = isinstance(idx, slice)
-
-    def dists(c):
-        return space.dist_sq_row(c) if whole else space._dist_sq_to(c, idx)
-
-    if isinstance(region, Ball):
-        return np.asarray(dists(region.center) <= _ball_bound(region), dtype=bool)
-    table = space._icoords[idx]
-    keep = np.ones(len(table), dtype=bool)
-    if isinstance(region, Box):
-        for i, (gt, le) in enumerate(_box_bounds(region)):
-            col = table[:, i]
-            keep &= np.asarray((col > gt) & (col <= le), dtype=bool)
-        return keep
-    for c, bound in _co_bounds(region):
-        keep &= np.asarray(dists(c) > bound, dtype=bool)
-    return keep
-
-
 def _make_members(region: OpenRegion) -> np.ndarray:
     space = region.space
-    if space.windowed and isinstance(region, CoClosedBalls):
-        inside = np.zeros(space.n, dtype=bool)
-        for c, bound in _co_bounds(region):
-            c0 = int(space._icoords[c, 0])
-            # d^2 <= bound forces |x0 - c0| <= isqrt(bound)
-            w = math.isqrt(bound)
-            window = space.axis0_window(c0 - w - 1, c0 + w)
-            inside[window[space._dist_sq_to(c, window) <= bound]] = True
-        members = np.flatnonzero(~inside).astype(np.int32)
-    elif space.windowed:
-        if isinstance(region, Ball):
-            c0 = int(space._icoords[region.center, 0])
-            # d < radius forces |x0 - c0| < radius * scale, i.e. <= w
-            w = int_lt_bound(region.radius * space.scale)
-            window = space.axis0_window(c0 - w - 1, c0 + w)
-        else:
-            window = space.axis0_window(*_box_bounds(region)[0])
-        if space.coord_dim > 1:
-            window = window[_member_test(region, window)]
-        members = np.sort(window)
+    if isinstance(region, Ball):
+        members = space.ball(region.center, space.scaled_bound(region.radius))
+    elif isinstance(region, Box):
+        members = space.box(_box_bounds(region))
     else:
-        members = np.flatnonzero(_member_test(region, slice(None))).astype(np.int32)
+        inside = np.zeros(space.n, dtype=bool)
+        for c, r in region.balls:
+            inside[space.ball(c, space.scaled_bound(r, closed=True))] = True
+        members = np.flatnonzero(~inside).astype(np.int32)
     members.flags.writeable = False
     return members
 
@@ -236,13 +182,9 @@ def region_members(region: OpenRegion) -> np.ndarray:
     """Sorted, read-only int32 indices of the sample points inside the
     region, computed once and kept on the region.
 
-    A ball or box on an int64 euclidean or chebyshev table tests only the
-    points in its window on the first axis (|x0 - c0| < radius for a ball,
-    the box's own bounds for a box), found by binary search, so the cost
-    follows the window, not the sample; in dimension one the window is the
-    answer.  A complement of closed balls there is the complement of its
-    balls' windowed members.  2-adic spaces and arbitrary-precision tables
-    test every point.
+    The space answers the query (SampledSpace.ball and .box, which on an
+    int64 euclidean or chebyshev table read only a first-axis window); a
+    complement of closed balls is the complement of its balls' members.
     """
     return _derived(region, "_members", _make_members)
 
@@ -255,12 +197,18 @@ def region_mask(region: OpenRegion) -> np.ndarray:
     return mask
 
 
+def _all_in(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether every entry of the sorted array a occurs in the sorted b."""
+    k = b.searchsorted(a)
+    return not a.size or bool(k[-1] < b.size and (b[k] == a).all())
+
+
 def contains(region: OpenRegion, p: int) -> bool:
-    """Exact membership of sample point p in the region, in O(dim) (times
-    the number of excluded balls of a co-ball complement)."""
+    """Exact membership of sample point p in the region: a binary search in
+    its members."""
     if not 0 <= p < region.space.n:
         raise InputError(f"point index {p} out of range")
-    return bool(_member_test(region, np.array([p]))[0])
+    return _all_in(np.array([p]), region_members(region))
 
 
 # -- covers -------------------------------------------------------------------------
@@ -488,7 +436,7 @@ def box_in_ball_verdicts(
 
 
 def sample_contains(inner: OpenRegion, outer: OpenRegion) -> bool:
-    return bool(_member_test(outer, region_members(inner)).all())
+    return _all_in(region_members(inner), region_members(outer))
 
 
 def region_contained_in(

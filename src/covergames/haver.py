@@ -234,22 +234,18 @@ def build_haver_witness(
     # per-point lookups O(1)
     blocks = engine_out.blocks
     usable = engine_out.usable_blocks()
-    stage_unions = []
     owners = []
     for n in range(1, horizon + 1):
-        raw = engine_out.family(n)
         owner = np.full(space.n, -1, dtype=np.int64)
-        for ridx, region in enumerate(raw.regions):
+        for ridx, region in enumerate(engine_out.family(n).regions):
             owner[region_members(region)] = ridx
         owners.append(owner)
-        stage_unions.append(owner >= 0)
-    kept_index = kept_raw_indices
     witness: list[tuple[int, int]] = []
     traces: list[ClaimTrace] = []
     for p in range(space.n):
         entry = chain.tail_start[p]
         trace = _replay_claim(
-            p, entry, usable, blocks, stage_unions, owners, kept_index, horizon
+            p, entry, usable, blocks, owners, kept_raw_indices, horizon
         )
         traces.append(trace)
         witness.append((trace.stage, trace.region_index))
@@ -312,20 +308,22 @@ def _replay_claim(
     entry: int,
     usable: list[tuple[int, int]],
     blocks: tuple[int, ...],
-    stage_unions: list[np.ndarray],
     owners: list[np.ndarray],
     kept_index: list[dict[int, int]],
     horizon: int,
 ) -> ClaimTrace:
+    """The claim for point p: the first covering stage j of the first usable
+    block at or past its entry stage; owners[j - 1][p] is the raw region
+    covering p at stage j, or -1."""
     saw_eligible = False
     for lo, hi in usable:
         if lo < entry:
             continue
         saw_eligible = True
         for j in range(lo, min(hi, horizon + 1)):
-            if not stage_unions[j - 1][p]:
-                continue
             region_idx = int(owners[j - 1][p])
+            if region_idx < 0:
+                continue
             kept_idx = kept_index[j - 1].get(region_idx)
             if kept_idx is None:
                 raise CheckFailure(

@@ -17,7 +17,6 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,7 +26,6 @@ from .covers import (
     CoverSeq,
     lebesgue_argmax_region,
     lebesgue_number,
-    region_members,
     union_mask,
 )
 from .exact import CheckFailure, InputError, ResourceError
@@ -47,16 +45,17 @@ def validate_net(space: SampledSpace, cert: NetCertificate) -> bool:
     """Re-check a certificate pointwise: every covered point strictly within
     epsilon of some center.  The centers' balls are added in order until
     nothing is left to cover, so a passing check reads only the prefix of
-    centers it needs; each ball's members come from covers.region_members,
+    centers it needs; each ball's members come from SampledSpace.ball,
     which reads only its first-axis window where the space allows."""
     if cert.epsilon <= 0 or not all(0 <= c < space.n for c in cert.centers):
         raise InputError("a net needs a positive epsilon and sample-point centers")
+    bound = space.scaled_bound(cert.epsilon)
     left = cert.covered.mask().copy()
     todo = int(np.count_nonzero(left))
     for c in cert.centers:
         if not todo:
             break
-        hit = region_members(Ball(space, c, cert.epsilon))
+        hit = space.ball(c, bound)
         todo -= int(np.count_nonzero(left[hit]))
         left[hit] = False
     return not todo
@@ -83,7 +82,6 @@ class _Traversal:
         first = int(idx[0])
         self.centers = [first]
         self.radii: list[int] = []
-        self.idx = idx
         # per sample point, the scaled squared distance to the nearest
         # center; -1 outside the subset, so it never wins the argmax
         self.best = np.full(space.n, -1, dtype=np.int64 if space._fast else object)
@@ -94,19 +92,15 @@ class _Traversal:
         self.worst = int(np.argmax(self.best))  # lowest index on ties
         self.frontier = int(self.best[self.worst])
         if not self.frontier:  # every subset point is a center
-            self.best = self.idx = None
+            self.best = None
 
     def _add(self, space: SampledSpace) -> None:
         c, m = self.worst, self.frontier
         self.centers.append(c)
         self.radii.append(m)
-        if space.windowed:
-            # no point is farther than m from the earlier centers, and one
-            # with (x0 - c0)**2 >= m is no closer to c
-            c0, w = int(space._icoords[c, 0]), isqrt(m - 1)
-            near = space.axis0_window(c0 - w - 1, c0 + w)
-        else:
-            near = self.idx
+        # no point is farther than m from the earlier centers, so only a
+        # point within m - 1 of c can come closer
+        near = space.near(c, m - 1)
         self.best[near] = np.minimum(self.best[near], space._dist_sq_to(c, near))
         self._next()
 

@@ -25,7 +25,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import isqrt, lcm, prod
 
 import numpy as np
 
@@ -88,9 +88,10 @@ class SampledSpace:
 
     Instances are immutable after construction and safe to share between
     threads; every derived quantity (integer coordinate table, nearest gap,
-    farthest-point traversals) is precomputed or cached once.  Distance rows
-    are computed on each call, and region members are kept on the regions
-    (covers.region_members), not here.
+    farthest-point traversals) is precomputed or cached once.  Every metric
+    query on the coordinate table (ball, box, first-axis window, diameter)
+    is answered here.  Distance rows are computed on each call, and region
+    members are kept on the regions (covers.region_members), not here.
     """
 
     def __init__(
@@ -158,7 +159,6 @@ class SampledSpace:
         # Cantor level group extents by level (screenability._cantor_level_boxes)
         self._cantor_levels: dict[int, list[tuple[int, int]]] = {}
         self._min_gap_sq: Fraction | None = None
-        self._diam_sq: Fraction | None = None
         self._diam_ub: Fraction | None = None
 
     # -- structural metadata -------------------------------------------------
@@ -273,6 +273,42 @@ class SampledSpace:
 
         return order[rank(gt) : rank(le)]
 
+    def near(self, c: int, bound: int) -> np.ndarray:
+        """Indices (int32) of the points that can lie within scaled squared
+        distance bound >= 0 of point c: on a windowed table the first-axis
+        window |x0 - c0| <= isqrt(bound), in axis order; every point
+        otherwise."""
+        if not self.windowed:
+            return np.arange(self.n, dtype=np.int32)
+        c0, w = int(self._icoords[c, 0]), isqrt(bound)
+        return self.axis0_window(c0 - w - 1, c0 + w)
+
+    def ball(self, c: int, bound: int) -> np.ndarray:
+        """Sorted indices (int32) of the points within scaled squared
+        distance bound of point c: the points of near whose distance is in
+        bound, where in dimension one a window needs no test."""
+        idx = self.near(c, bound)
+        if self.coord_dim > 1 or not self.windowed:
+            idx = idx[self._dist_sq_to(c, idx) <= bound]
+        return np.sort(idx)
+
+    def box(self, bounds) -> np.ndarray:
+        """Sorted indices (int32) of the points whose scaled coordinates
+        satisfy gt < x_k <= le on every axis k, bounds[k] = (gt, le).  A
+        windowed table tests only the window of the first axis, which in
+        dimension one is the answer."""
+        if self.windowed:
+            idx = self.axis0_window(*bounds[0])
+            if self.coord_dim == 1:
+                return np.sort(idx)
+        else:
+            idx = np.arange(self.n, dtype=np.int32)
+        table = self._icoords[idx]
+        keep = np.ones(len(idx), dtype=bool)
+        for k, (gt, le) in enumerate(bounds):
+            keep &= np.asarray((table[:, k] > gt) & (table[:, k] <= le), dtype=bool)
+        return np.sort(idx[keep])
+
     def scaled_bound(self, radius: Fraction, closed: bool = False) -> int:
         """The largest scaled squared distance inside the ball of the given
         radius: d < radius, or d <= radius when closed."""
@@ -308,41 +344,11 @@ class SampledSpace:
             self._min_gap_sq = Fraction(best, self.dist_scale_sq)
         return self._min_gap_sq
 
-    def diameter_sq(self) -> Fraction:
-        """Exact squared diameter of the sample.
-
-        2-adic: the highest bit on which some two points disagree.
-        Chebyshev: the largest axis extent.  Euclidean: the bounding-box
-        diagonal, which is attained exactly when two opposite box corners
-        are sample points (always in dimension 1, and on every grid); other
-        samples scan every distance row.
-        """
-        if self._diam_sq is None:
-            if self.metric_kind == "cantor_2adic":
-                bits = self._cantor_bits
-                worst = _msb(
-                    int(np.bitwise_or.reduce(bits) ^ np.bitwise_and.reduce(bits))
-                ) ** 2
-            else:
-                table = self._icoords
-                lo, hi = table.min(axis=0), table.max(axis=0)
-                extents = [b - a for a, b in zip(lo.tolist(), hi.tolist())]
-                if self.metric_kind == "chebyshev":
-                    worst = max(extents) ** 2
-                elif _has_opposite_corners(table, lo, hi):
-                    worst = sum(e * e for e in extents)
-                else:
-                    worst = max(int(self.dist_sq_row(i).max()) for i in range(self.n))
-            self._diam_sq = Fraction(worst, self.dist_scale_sq)
-        return self._diam_sq
-
     def diameter_upper_bound(self) -> Fraction:
-        """A rational upper bound for the sample diameter (cached)."""
+        """A rational upper bound for the sample diameter, exact when
+        rational (cached)."""
         if self._diam_ub is None:
-            d = exact_sqrt(self.diameter_sq())
-            if d is None:
-                d = sqrt_upper(self.diameter_sq(), self.mesh / 1024)
-            self._diam_ub = d
+            self._diam_ub = diameter(self, np.arange(self.n)).value
         return self._diam_ub
 
     # -- subsets ---------------------------------------------------------------
@@ -376,7 +382,8 @@ def _msb(x: int) -> int:
 
 
 def _has_opposite_corners(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Whether two sample points sit at opposite corners of the bounding box.
+    """Whether two rows of the table sit at opposite corners of its bounding
+    box.
 
     A corner is coded by the set of axes on which it takes the maximum;
     axes of zero extent are left out, since every point is at both ends.
@@ -475,27 +482,46 @@ class DiameterResult:
 
 
 def diameter(space: SampledSpace, subset) -> DiameterResult:
-    """Max pairwise distance over the subset (a SubsetHandle, or sorted
-    point indices); 0 (flagged) when empty.
+    """Max pairwise distance over the subset (a SubsetHandle, or point
+    indices); 0 (flagged) when empty.
 
-    The squared value is always exact.  The linear value is exact whenever
-    the metric yields rational distances, otherwise it is a certified
-    rational upper bound (callers that enforce diameter bounds compare the
-    squared value).  Cost is quadratic in the subset size, not in n.
+    2-adic: the highest bit on which two members disagree.  Chebyshev: the
+    largest axis extent.  Euclidean: the bounding-box diagonal, attained
+    exactly when two opposite box corners are members (every grid block,
+    every 1-D set); other subsets scan every pair.  The squared value is
+    always exact.  The linear value is exact whenever it is rational,
+    otherwise a certified rational upper bound (callers that enforce
+    diameter bounds compare the squared value).
     """
     if isinstance(subset, SubsetHandle):
         subset = np.flatnonzero(subset.mask())
     arr = np.asarray(subset, dtype=np.int64)
-    if not arr.size:
-        return DiameterResult(Fraction(0), Fraction(0), True, True)
-    if arr.size == 1:
-        return DiameterResult(Fraction(0), Fraction(0), False, True)
-    worst = max(int(space._dist_sq_to(i, arr).max()) for i in arr.tolist())
+    if arr.size < 2:
+        return DiameterResult(Fraction(0), Fraction(0), not arr.size, True)
+    if space.metric_kind == "cantor_2adic":
+        bits = space._cantor_bits[arr]
+        worst = _msb(int(np.bitwise_or.reduce(bits) ^ np.bitwise_and.reduce(bits))) ** 2
+    else:
+        table = space._icoords[arr]
+        lo, hi = table.min(axis=0), table.max(axis=0)
+        extents = [b - a for a, b in zip(lo.tolist(), hi.tolist())]
+        if space.metric_kind == "chebyshev":
+            worst = max(extents) ** 2
+        elif _has_opposite_corners(table, lo, hi):
+            worst = sum(e * e for e in extents)
+        else:
+            worst = _pair_scan_sq(space, arr)
     dsq = Fraction(worst, space.dist_scale_sq)
     root = exact_sqrt(dsq)
     if root is not None:
         return DiameterResult(root, dsq, False, True)
     return DiameterResult(sqrt_upper(dsq, space.mesh / 1024), dsq, False, False)
+
+
+def _pair_scan_sq(space: SampledSpace, arr: np.ndarray) -> int:
+    """The largest scaled squared distance between two of the points arr,
+    by scanning every pair."""
+    return max(int(space._dist_sq_to(i, arr).max()) for i in arr.tolist())
 
 
 # -- builders -------------------------------------------------------------------

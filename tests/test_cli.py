@@ -249,7 +249,7 @@ class TestSubcommands:
 
     def test_config_overrides(self, workdir, tmp_path):
         cfg = tmp_path / "run.json"
-        cfg.write_text('{"horizon": 3, "tail_slack": 2}')
+        cfg.write_text('{"tail_slack": 2}')
         code, doc = run(
             [
                 "--config", str(cfg),
@@ -275,17 +275,20 @@ class TestSubcommands:
         assert code == 2
 
     def test_bad_config_rejected(self, workdir, tmp_path):
+        # horizon and margin are no config keys: --horizon and the mesh set them
         cfg = tmp_path / "run.json"
-        cfg.write_text('{"horizon": 0}')
-        code, doc = run(
-            [
-                "--config", str(cfg),
-                "net",
-                "--space", str(workdir / "space.json"),
-                "--epsilon", "1/2",
-            ]
-        )
-        assert code == 2
+        for key, value in (("horizon", 3), ("margin", "1/4")):
+            cfg.write_text(json.dumps({key: value}))
+            code, doc = run(
+                [
+                    "--config", str(cfg),
+                    "net",
+                    "--space", str(workdir / "space.json"),
+                    "--epsilon", "1/2",
+                ]
+            )
+            assert code == 2
+            assert f"unknown key {key!r}" in doc["checks"][-1]["error"]
 
 
 class TestDeterminism:

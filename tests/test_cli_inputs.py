@@ -63,11 +63,11 @@ def test_malformed_input_file_exits_2(tmp_path, flag, doc, needle):
     "config,argv,loads",
     [
         ([], ["net", "--space", SPACE, "--epsilon", "1/2"], False),
-        ({"horizon": "x"}, ["net", "--space", SPACE, "--epsilon", "1/2"], False),
+        ({"tail_slack": "x"}, ["net", "--space", SPACE, "--epsilon", "1/2"], False),
         ({"point_cap": 4}, ["demo", "--label", "cantor_3", "--horizon", "3"], True),
         ({"tail_slack": -5}, ["scplus", "--space", SPACE, "--covers", COVERS], False),
         (
-            {"margin": "-1/4"},
+            {"point_cap": 0},
             ["refine", "--space", SPACE, "--cover", str(INPUTS / "cover.json")],
             False,
         ),
@@ -77,8 +77,8 @@ def test_malformed_input_file_exits_2(tmp_path, flag, doc, needle):
             False,
         ),
     ],
-    ids=["list", "horizon_not_int", "demo_over_point_cap", "negative_tail_slack",
-         "negative_margin", "unknown_keys"],
+    ids=["list", "tail_slack_not_int", "demo_over_point_cap", "negative_tail_slack",
+         "zero_point_cap", "unknown_keys"],
 )
 def test_bad_config_exits_2(monkeypatch, tmp_path, config, argv, loads):
     # only the point cap needs the inputs: every other value is refused first

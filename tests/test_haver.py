@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covergames.space as space_module
+from covergames.cli import run
 from covergames.covers import (
     Ball,
     CoClosedBalls,
@@ -186,3 +188,13 @@ class TestWitness:
         sched = normalize_epsilons([F(1, 4) ** n for n in range(1, horizon + 1)])
         with pytest.raises(ClaimHorizonError):
             build_haver_witness(s, chain, sched)
+
+
+@pytest.mark.parametrize("label,horizon", [("unit_square_8", "6"), ("cantor_3", "3")])
+def test_demo_region_diameters_take_closed_forms(monkeypatch, label, horizon):
+    # Haver's kept regions are grid and Cantor blocks: the diameter never
+    # scans pairs (10 and 4 regions of two or more points did when it did)
+    scans = []
+    monkeypatch.setattr(space_module, "_pair_scan_sq", lambda *a: scans.append(a))
+    code, doc = run(["demo", "--label", label, "--horizon", horizon])
+    assert code == 0 and scans == []

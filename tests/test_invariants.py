@@ -129,3 +129,15 @@ def test_package_definitions_are_all_referenced():
         and qualified not in FIXTURE_API
     )
     assert found == [], f"defined but referenced nowhere in the package: {found}"
+
+
+def test_only_the_space_reads_first_axis_windows():
+    # metric queries on the coordinate table have one owner: SampledSpace
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "space.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "axis0_window"
+    ]
+    assert found == [], f"axis0_window called outside space.py: {found}"

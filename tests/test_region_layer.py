@@ -2,7 +2,7 @@
 code it replaced.
 
 `region_members` tests only a first-axis window of the sample, `contains`
-tests one point, `validate_net` stops at the first covering prefix of
+searches the members, `validate_net` stops at the first covering prefix of
 centers, and the Lebesgue functions send only the points and regions their
 float table cannot settle to the exact code.  The oracles below are the
 earlier bodies: a dense O(n) mask per region, the full cover check of a
@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covergames.covers as covers_module
-import covergames.netting as netting_module
 from covergames.cli import run
 from covergames.covers import (
     Ball,
@@ -235,6 +234,38 @@ def test_members_mask_and_contains_match_the_dense_oracle(data):
         assert [contains(region, p) for p in range(space.n)] == want.tolist()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_space_queries_match_dense_membership(data):
+    # near, ball and box against a per-point test of every sample point
+    space = data.draw(spaces())
+    table = space._icoords.tolist()
+    for _ in range(4):
+        c, q = data.draw(st.tuples(*[st.integers(0, space.n - 1)] * 2))
+        at = int(space.distance_sq(c, q) * space.dist_scale_sq)
+        bound = data.draw(st.sampled_from([at, max(at - 1, 0), at + 1]))
+        want = [
+            p for p in range(space.n)
+            if space.distance_sq(c, p) * space.dist_scale_sq <= bound
+        ]
+        ball, near = space.ball(c, bound), space.near(c, bound)
+        assert ball.dtype == near.dtype == np.int32
+        assert ball.tolist() == want
+        assert set(want) <= set(near.tolist())
+        bounds = []
+        for k in range(space.coord_dim):
+            values = sorted({row[k] for row in table})
+            ends = [values[0] - 1, *values, values[-1] + 1]  # below and above
+            pair = data.draw(st.lists(st.sampled_from(ends), min_size=2, max_size=2))
+            bounds.append(tuple(sorted(pair)))
+        want = [
+            p for p in range(space.n)
+            if all(gt < x <= le for x, (gt, le) in zip(table[p], bounds))
+        ]
+        box = space.box(bounds)
+        assert box.dtype == np.int32 and box.tolist() == want
+
+
 def test_ball_radius_equal_to_a_sample_distance_is_open():
     s = build_grid_space(2, F(1, 4))  # 3-4-5: distance 5/4 is a sample distance
     ball = Ball(s, s.index_of((F(0), F(0))), F(5, 4))
@@ -302,7 +333,7 @@ def test_refine_on_a_cover_missing_the_lowest_point_exits_1(tmp_path):
 
 
 def test_members_are_computed_once_and_kept_on_the_region(monkeypatch):
-    calls = _count_calls(monkeypatch, covers_module, "_member_test")
+    calls = _count_calls(monkeypatch, covers_module, "_make_members")
     s = build_grid_space(2, F(1, 8))
     for region in (Ball(s, 3, F(1, 4)), Box(s, (F(0), F(0)), (F(1, 2), F(1, 2)))):
         first = region_members(region)
@@ -492,9 +523,10 @@ def test_decompose_validates_each_net_on_its_covering_prefix(monkeypatch):
         prefixes.append(int(hit.max()) + 1 if hit.size else 0)
     assert sum(prefixes) < sum(len(c.centers) for c in dec.certificates.values())
 
-    # each center's ball is found through its window: one member query per
-    # center read, and no distance row
-    inside = _count_calls(monkeypatch, netting_module, "region_members")
+    # each center's ball is found through its window: one ball query per
+    # center read, and no distance row (the selections' members are kept on
+    # their balls from the first run)
+    inside = _count_calls(monkeypatch, SampledSpace, "ball")
     rows = _count_calls(monkeypatch, SampledSpace, "dist_sq_row")
     dec2 = decompose_from_hurewicz(space, selections, horizon, epsilons)
     assert dec2.certificates.keys() == dec.certificates.keys()

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covergames.space as space_module
 from covergames.exact import InputError, exact_sqrt, sqrt_upper
 from covergames.registry import builtin_names, builtin_space
 from covergames.space import (
@@ -28,6 +29,7 @@ from covergames.space import (
     build_grid_space,
     cantor_points,
     detect_structure,
+    diameter,
 )
 
 MESH = F(1, 64)
@@ -133,7 +135,7 @@ def assert_distances_match(space: SampledSpace) -> None:
 
 
 def assert_metadata_matches(space: SampledSpace, diam_sq: F, gap_sq: F) -> None:
-    assert space.diameter_sq() == diam_sq
+    assert diameter(space, space.subset_all()).value_sq == diam_sq
     assert space.min_positive_gap_sq() == gap_sq
     assert space.diameter_upper_bound() == upper_bound_of(diam_sq, space.mesh)
 
@@ -209,6 +211,52 @@ def test_cantor_subsets_match_pair_oracle(points, metric):
     assert_distances_match(space)
     assert_metadata_matches(space, *pair_oracle(metric, space.points))
     assert space.structure == old_detect_structure(space.points)
+
+
+HUGE = F(2**40)  # scaled coordinates this far apart overflow int64 distances
+
+
+@st.composite
+def subsets_of_spaces(draw):
+    """(space, sorted indices): every metric kind on int64 and object
+    tables, and a run or a random subset of the sample (non-product sets
+    common)."""
+    kind = draw(st.sampled_from(["euclidean", "chebyshev", "cantor_2adic", "object"]))
+    points = draw(st.one_of(scattered(), products(), lattice_subsets()))
+    if kind == "cantor_2adic":
+        space = SampledSpace(draw(cantor_subsets()), kind, F(1, 3**6))
+    elif kind == "object":
+        far = (F(100),) * len(points[0])  # keeps the span past int64
+        points = [tuple(c * HUGE for c in p) for p in [*points, far]]
+        space = SampledSpace(points, draw(st.sampled_from(["euclidean", "chebyshev"])), MESH)
+        assert not space._fast
+    else:
+        space = SampledSpace(points, kind, MESH)
+    if draw(st.booleans()):  # consecutive indices: Cantor blocks, grid rows
+        a, b = sorted(draw(st.tuples(*[st.integers(0, space.n)] * 2)))
+        return space, list(range(a, b))
+    chosen = draw(st.sets(st.integers(0, space.n - 1), max_size=space.n))
+    return space, sorted(chosen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subsets_of_spaces())
+def test_subset_diameters_match_pair_oracle(drawn):
+    space, idx = drawn
+    pts = space.points
+    for sub in (idx, [], [space.n - 1]):
+        want = max(
+            (fraction_dist_sq(space.metric_kind, pts[i], pts[j])
+             for i, j in itertools.combinations(sub, 2)),
+            default=F(0),
+        )
+        mask = np.zeros(space.n, dtype=bool)
+        mask[sub] = True
+        for arg in (sub, space.subset_from_mask(mask)):
+            d = diameter(space, arg)
+            assert d.value_sq == want and d.empty == (not sub)
+            assert d.value == upper_bound_of(want, space.mesh)
+            assert d.exact == (exact_sqrt(want) is not None)
 
 
 @pytest.mark.parametrize(
@@ -291,12 +339,18 @@ def test_metadata_computes_no_distance_row(build, row_calls):
     assert row_calls == []
 
 
-def test_unstructured_plane_falls_back_to_rows(row_calls):
+def test_unstructured_plane_falls_back_to_rows(row_calls, monkeypatch):
     # no two opposite bounding-box corners, not a product set
+    scans = []
+    scan = space_module._pair_scan_sq
+    monkeypatch.setattr(
+        space_module, "_pair_scan_sq", lambda s, arr: scans.append(arr) or scan(s, arr)
+    )
     space = SampledSpace([(F(0), F(0)), (F(2), F(1)), (F(1), F(2))], "euclidean", MESH)
-    assert space.diameter_sq() == 5
+    assert diameter(space, space.subset_all()).value_sq == 5
+    assert len(scans) == 1 and row_calls == []
     assert space.min_positive_gap_sq() == 2
-    assert len(row_calls) == 2 * space.n
+    assert len(row_calls) == space.n
 
 
 # -- input validation -----------------------------------------------------------------
