@@ -238,14 +238,8 @@ class Cover:
                 raise InputError("cover regions must live on the cover's space")
         self.space = space
         self.regions = tuple(regions)
-        self._masks: list[np.ndarray] | None = None
         self._lebesgue: Fraction | None = None
         self._table: _LebesgueTable | None = None
-
-    def masks(self) -> list[np.ndarray]:
-        if self._masks is None:
-            self._masks = [region_mask(r) for r in self.regions]
-        return self._masks
 
 
 def union_mask(space: SampledSpace, regions) -> np.ndarray:
@@ -439,21 +433,47 @@ def sample_contains(inner: OpenRegion, outer: OpenRegion) -> bool:
     return _all_in(region_members(inner), region_members(outer))
 
 
-def region_contained_in(
-    inner: OpenRegion, outer: OpenRegion, verdict: int = -1
-) -> Optional[str]:
-    """Containment decision: "analytic", "sample", or None.
+def containers(
+    inner: Sequence[OpenRegion],
+    outer: Cover,
+    candidates: Sequence[Sequence[int]] | None = None,
+    sample: bool = True,
+) -> list[tuple[int, str] | None]:
+    """Per inner region, (outer region index, evidence) for the first of its
+    candidate outer regions that contains it, or None; the one containment
+    decider.  Candidates default to every outer region, in order.
 
-    Analytic evidence implies sample evidence; sample evidence is the
-    desk-scale stand-in where no exact shape test applies.  verdict is the
-    pair's box_in_ball_verdicts answer where one was computed; only -1
-    sends the pair to the exact analytic test.
+    Analytic evidence comes first: certified float verdicts settle every
+    box-in-ball pair they can in one batch, and the exact analytic test runs
+    only on the pairs the floats cannot tell, in candidate order, until one
+    holds.  Sample evidence (every sample point of the inner region lies in
+    the outer one) comes second, unless sample is False.  Analytic evidence
+    implies sample evidence.
     """
-    if verdict == 1 or (verdict < 0 and analytic_contains(inner, outer)):
-        return "analytic"
-    if sample_contains(inner, outer):
-        return "sample"
-    return None
+    regions = outer.regions
+    for r in inner:
+        if r.space is not outer.space:
+            raise InputError("refinement operands must share one space")
+    if candidates is None:
+        candidates = [range(len(regions))] * len(inner)
+    verdict = box_in_ball_verdicts(
+        [r for r, cs in zip(inner, candidates) for _ in cs],
+        [regions[c] for cs in candidates for c in cs],
+    ).tolist()
+    out, at = [], 0
+    for r, cs in zip(inner, candidates):
+        vs, at = verdict[at : at + len(cs)], at + len(cs)
+        hit = None
+        for c, v in zip(cs, vs):
+            if v == 1 or (v < 0 and analytic_contains(r, regions[c])):
+                hit = (c, "analytic")
+                break
+        for c in cs if hit is None and sample else ():
+            if sample_contains(r, regions[c]):
+                hit = (c, "sample")
+                break
+        out.append(hit)
+    return out
 
 
 @dataclass(frozen=True)
@@ -468,35 +488,21 @@ class RefinesReport:
 
 
 def refines_check(fine: Sequence[OpenRegion], coarse: Cover) -> RefinesReport:
-    """Witness that every fine region sits inside some coarse region.
-
-    Prefers analytic witnesses; falls back to sample containment.  On
-    failure, reports the offending fine region together with a sample point
-    of it that escapes the best (largest-overlap) coarse candidate.
+    """Witness that every fine region sits inside some coarse region, as
+    containers decides it.  On failure, reports the first offending fine
+    region together with a sample point of it that escapes the best
+    (largest-overlap) coarse candidate.
     """
-    witness = []
-    for fidx, f in enumerate(fine):
-        if f.space is not coarse.space:
-            raise InputError("refinement operands must share one space")
-        found = None
-        for cidx, c in enumerate(coarse.regions):
-            if analytic_contains(f, c):
-                found = (cidx, "analytic")
-                break
-        if found is None:
-            fm = region_members(f)
-            for cidx, cm in enumerate(coarse.masks()):
-                if bool(cm[fm].all()):
-                    found = (cidx, "sample")
-                    break
+    fine = tuple(fine)
+    witness = containers(fine, coarse)
+    for fidx, found in enumerate(witness):
         if found is None:
             # a cover with no regions has no candidate: every point escapes
-            masks = coarse.masks()
-            overlaps = [int(np.count_nonzero(cm[fm])) for cm in masks]
-            escape = fm[~masks[int(np.argmax(overlaps))][fm]] if masks else fm
+            fm = region_members(fine[fidx])
+            inside = [np.isin(fm, region_members(c)) for c in coarse.regions]
+            escape = fm[~max(inside, key=np.count_nonzero)] if inside else fm
             point = int(escape[0]) if escape.size else None
             return RefinesReport(False, None, (fidx, point))
-        witness.append(found)
     return RefinesReport(True, tuple(witness), None)
 
 
@@ -631,8 +637,8 @@ def _pair_order(regions: Sequence[OpenRegion], margin: Fraction):
     if not all(isinstance(r, Box) for r in regions):
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
     # conservative float bounding boxes: lo rounded down, hi rounded up
-    lo = np.nextafter([[float(x) for x in r.lo] for r in regions], -np.inf)
-    hi = np.nextafter([[float(x) for x in r.hi] for r in regions], np.inf)
+    lo = np.array([[_float_bounds(x)[0] for x in r.lo] for r in regions])
+    hi = np.array([[_float_bounds(x)[1] for x in r.hi] for r in regions])
     pad = np.nextafter(float(margin), np.inf)
     order = np.argsort(lo[:, 0], kind="stable")
     lo, hi = lo[order], hi[order]
@@ -945,9 +951,10 @@ def _finer_tolerance(space: SampledSpace, p: int, tol: Fraction) -> Fraction:
 class DisjointFamily:
     """A pairwise-disjoint family of regions refining a parent cover.
 
-    Construction validates both halves and records the refinement witness
-    (parent region index and evidence kind per member).  The disjointness
-    margin is the space mesh.
+    Construction validates both halves and records the refinement witness:
+    per member, a parent region index and the evidence that settled it
+    ("analytic" or "sample").  The disjointness margin is the space mesh.
+    A subfamily inherits both certificates.
     """
 
     def __init__(
@@ -955,7 +962,6 @@ class DisjointFamily:
         regions: Sequence[OpenRegion],
         parent: Cover,
         witness: Sequence[int] | None = None,
-        witness_kinds: Sequence[str] | None = None,
     ):
         self.space = parent.space
         self.regions = tuple(regions)
@@ -977,20 +983,43 @@ class DisjointFamily:
             self.witness = tuple(w[0] for w in ref.witness)
             self.witness_kinds = tuple(w[1] for w in ref.witness)
         else:
-            self.witness = tuple(witness)
-            self.witness_kinds = (
-                tuple(witness_kinds)
-                if witness_kinds is not None
-                else ("given",) * len(self.regions)
+            self._certify(witness)
+
+    def _certify(self, witness: Sequence[int]) -> None:
+        """Check a given refinement witness and record it with its evidence."""
+        witness = tuple(witness)
+        k = len(self.parent.regions)
+        if len(witness) != len(self.regions) or not all(0 <= w < k for w in witness):
+            raise InputError(
+                f"a refinement witness needs one parent index in 0..{k - 1} per "
+                f"member; got {len(witness)} for {len(self.regions)} members"
             )
-            outer = [parent.regions[widx] for widx in self.witness]
-            verdict = box_in_ball_verdicts(self.regions, outer).tolist()
-            for r, widx, o, v in zip(self.regions, self.witness, outer, verdict):
-                if region_contained_in(r, o, v) is None:
-                    raise CheckFailure(
-                        "refinement witness does not hold on the sample",
-                        witness=(r, widx),
-                    )
+        found = containers(self.regions, self.parent, [[w] for w in witness])
+        for r, w, hit in zip(self.regions, witness, found):
+            if hit is None:
+                raise CheckFailure(
+                    "refinement witness does not hold on the sample", witness=(r, w)
+                )
+        self.witness = witness
+        self.witness_kinds = tuple(hit[1] for hit in found)
+
+    def subfamily(
+        self, keep: Sequence[int], witness: Sequence[int] | None = None
+    ) -> "DisjointFamily":
+        """The members at the indices keep, in that order, with the same
+        parent.  Any subset of a pairwise-disjoint family is one; the witnesses
+        carry over, unless a new witness is given, which is checked."""
+        keep = list(keep)
+        if len(set(keep)) != len(keep) or not all(0 <= i < len(self) for i in keep):
+            raise AssertionError("subfamily indices repeat or leave the family")
+        sub = object.__new__(DisjointFamily)
+        sub.space, sub.parent = self.space, self.parent
+        sub.regions = tuple(self.regions[i] for i in keep)
+        sub.witness = tuple(self.witness[i] for i in keep)
+        sub.witness_kinds = tuple(self.witness_kinds[i] for i in keep)
+        if witness is not None:
+            sub._certify(witness)
+        return sub
 
     def union_mask(self) -> np.ndarray:
         return union_mask(self.space, self.regions)

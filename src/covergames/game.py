@@ -281,16 +281,17 @@ def _usable_blocks(blocks, horizon) -> list[tuple[int, int]]:
 
 
 def assemble_W(
-    transcript: Transcript, covers: CoverSeq, tail_slack: int = DEFAULT_TAIL_SLACK
+    transcript: Transcript, tail_slack: int = DEFAULT_TAIL_SLACK
 ) -> ScPlusResult:
     """Route TWO's selections into per-stage families.
 
     Precondition: the transcript is lost by ONE under the truncated
     criterion.  Stage j in [m_{k-1}, m_k) (with m_0 the first suffix start)
-    receives the round-k selections whose earliest occurrence is j; the
-    selections' containment in a cover element of stage j is re-verified,
-    and regions never present in round k's move cannot appear (identity
-    tracking).
+    receives the round-k selections whose earliest occurrence is j, in TWO's
+    order, once each; regions never present in round k's move cannot appear
+    (identity tracking).  The block intervals are disjoint, so stage j's
+    family is a subfamily of round k's family at j and inherits its
+    disjointness and refinement witnesses.
     """
     loss = transcript_loss_report(transcript, tail_slack)
     if not loss.lost_by_one:
@@ -298,24 +299,14 @@ def assemble_W(
             "transcript is not lost by ONE under the truncated criterion",
             witness=loss.unresolved,
         )
-    space = transcript.space
     horizon = transcript.horizon
-    # route each selected region value to its earliest stage within the
-    # round's block interval, carrying that family member's refinement
-    # witness along
-    assignments: dict[int, list[tuple[OpenRegion, int, str]]] = {
-        j: [] for j in range(1, horizon + 1)
-    }
+    # round 1 starts at stage 1, so its move has a family at every stage
+    source = transcript.move_families(1)
+    keep: dict[int, dict[int, None]] = {j: {} for j in range(1, horizon + 1)}
     for k, rnd in enumerate(transcript.rounds, start=1):
         fams = transcript.move_families(k)
         occurrence = _earliest_occurrence(fams)
-        lo = rnd.start_index
-        hi = rnd.block
-        seen: set[OpenRegion] = set()
         for region in rnd.two_move:
-            if region in seen:
-                continue
-            seen.add(region)
             hit = occurrence.get(region)
             if hit is None:
                 raise CheckFailure(
@@ -323,28 +314,15 @@ def assemble_W(
                     witness=(k, region),
                 )
             stage, ridx = hit
-            if lo <= stage < hi and stage <= horizon:
-                fam = fams[stage]
-                assignments[stage].append(
-                    (region, fam.witness[ridx], fam.witness_kinds[ridx])
-                )
-    families = []
-    for j in range(1, horizon + 1):
-        cov = covers.cover(j)
-        entries = assignments[j]
-        families.append(
-            DisjointFamily(
-                tuple(e[0] for e in entries),
-                cov,
-                witness=[e[1] for e in entries],
-                witness_kinds=[e[2] for e in entries],
-            )
-        )
+            if rnd.start_index <= stage < rnd.block and stage <= horizon:
+                source[stage] = fams[stage]
+                keep[stage][ridx] = None
+    families = [source[j].subfamily(keep[j]) for j in range(1, horizon + 1)]
     blocks = transcript.blocks
     for a, b in zip(blocks, blocks[1:]):
         if b <= a:
             raise CheckFailure("block indices must strictly increase", witness=blocks)
-    tail = _tail_indices(space, families, blocks, horizon)
+    tail = _tail_indices(transcript.space, families, blocks, horizon)
     return ScPlusResult(tuple(families), blocks, tail, horizon)
 
 
@@ -366,7 +344,7 @@ def sc_plus_select(
     then assemble the families.  This is the engine the Haver pipeline
     consumes."""
     transcript = play_hurewicz_game(space, covers)
-    return assemble_W(transcript, covers, tail_slack)
+    return assemble_W(transcript, tail_slack)
 
 
 # -- selection checkers -----------------------------------------------------------

@@ -36,8 +36,7 @@ from .covers import (
     Cover,
     CoverSeq,
     DisjointFamily,
-    analytic_contains,
-    box_in_ball_verdicts,
+    containers,
     covers_check,
     region_members,
     union_mask,
@@ -197,29 +196,17 @@ def build_haver_witness(
 
     families: list[DisjointFamily] = []
     diam_bounds: list[Fraction] = []
-    kept_raw_indices: list[dict[int, int]] = []
     for n in range(1, horizon + 1):
         eps_n = schedule.value(n)
         cover = stage_covers.covers.cover(n)
         raw = engine_out.family(n)
-        kept, widx = [], []
-        raw_to_kept: dict[int, int] = {}
         found = _containing_balls(
             raw.regions, cover, stage_covers.nets[n - 1], eps_n / 2, space
         )
-        for raw_idx, (region, ball_idx) in enumerate(zip(raw.regions, found)):
-            if ball_idx is not None:
-                raw_to_kept[raw_idx] = len(kept)
-                kept.append(region)
-                widx.append(ball_idx)
-        fam = DisjointFamily(
-            tuple(kept),
-            cover,
-            witness=widx,
-            witness_kinds=("analytic",) * len(kept),
-        )
+        keep = [i for i, ball_idx in enumerate(found) if ball_idx is not None]
+        fam = raw.subfamily(keep, witness=[found[i] for i in keep])
         worst = Fraction(0)
-        for region in kept:
+        for region in fam.regions:
             d = diameter(space, region_members(region))
             if not d.value_sq < eps_n * eps_n:
                 raise AssertionError(
@@ -228,25 +215,25 @@ def build_haver_witness(
             worst = max(worst, d.value)
         families.append(fam)
         diam_bounds.append(worst)
-        kept_raw_indices.append(raw_to_kept)
 
     # replay the covering claim per point; per-stage owner tables make the
-    # per-point lookups O(1)
+    # per-point lookups O(1): the index of the point's filtered region, -2
+    # in an engine region the filter dropped, -1 in none
     blocks = engine_out.blocks
     usable = engine_out.usable_blocks()
     owners = []
-    for n in range(1, horizon + 1):
+    for n, fam in enumerate(families, start=1):
         owner = np.full(space.n, -1, dtype=np.int64)
-        for ridx, region in enumerate(engine_out.family(n).regions):
+        for region in engine_out.family(n).regions:
+            owner[region_members(region)] = -2
+        for ridx, region in enumerate(fam.regions):
             owner[region_members(region)] = ridx
         owners.append(owner)
     witness: list[tuple[int, int]] = []
     traces: list[ClaimTrace] = []
     for p in range(space.n):
         entry = chain.tail_start[p]
-        trace = _replay_claim(
-            p, entry, usable, blocks, owners, kept_raw_indices, horizon
-        )
+        trace = _replay_claim(p, entry, usable, blocks, owners, horizon)
         traces.append(trace)
         witness.append((trace.stage, trace.region_index))
 
@@ -274,8 +261,7 @@ def _containing_balls(
     Only centers strictly within the radius of the region's anchor point can
     contain it (the anchor lies in the region), so the candidate prune is
     exact and complete.  Regions with no sample points are dropped: they
-    contribute nothing to any invariant.  All candidates get certified float
-    verdicts in one batch; only the undecided ones reach the exact test.
+    contribute nothing to any invariant.
     """
     centers = np.asarray(net, dtype=np.int64)
     bound = space.scaled_bound(radius)
@@ -287,20 +273,8 @@ def _containing_balls(
             continue
         near = space._dist_sq_to(int(members[0]), centers)
         cands.append(np.flatnonzero(near <= bound).tolist())
-    inner = [r for r, cs in zip(regions, cands) for _ in cs]
-    outer = [cover.regions[b] for cs in cands for b in cs]
-    verdict = iter(box_in_ball_verdicts(inner, outer).tolist())
-    out = []
-    for region, cs in zip(regions, cands):
-        hit = None
-        for bidx in cs:
-            v = next(verdict)
-            if hit is None and (
-                v == 1 or (v < 0 and analytic_contains(region, cover.regions[bidx]))
-            ):
-                hit = bidx
-        out.append(hit)
-    return out
+    found = containers(regions, cover, cands, sample=False)
+    return [None if hit is None else hit[0] for hit in found]
 
 
 def _replay_claim(
@@ -309,12 +283,11 @@ def _replay_claim(
     usable: list[tuple[int, int]],
     blocks: tuple[int, ...],
     owners: list[np.ndarray],
-    kept_index: list[dict[int, int]],
     horizon: int,
 ) -> ClaimTrace:
     """The claim for point p: the first covering stage j of the first usable
-    block at or past its entry stage; owners[j - 1][p] is the raw region
-    covering p at stage j, or -1."""
+    block at or past its entry stage; owners[j - 1][p] is the filtered region
+    covering p at stage j, -2 when only a dropped region covers it, or -1."""
     saw_eligible = False
     for lo, hi in usable:
         if lo < entry:
@@ -322,17 +295,16 @@ def _replay_claim(
         saw_eligible = True
         for j in range(lo, min(hi, horizon + 1)):
             region_idx = int(owners[j - 1][p])
-            if region_idx < 0:
+            if region_idx == -1:
                 continue
-            kept_idx = kept_index[j - 1].get(region_idx)
-            if kept_idx is None:
+            if region_idx == -2:
                 raise CheckFailure(
                     f"claim replay failed at point {p}: the region covering it "
                     f"at stage {j} did not survive the filter (an "
                     f"implementation bug, not a math failure)",
                     witness=(p, j, blocks),
                 )
-            return ClaimTrace(p, entry, (lo, hi), j, kept_idx)
+            return ClaimTrace(p, entry, (lo, hi), j, region_idx)
     if saw_eligible:
         raise CheckFailure(
             f"claim replay failed at point {p}: no eligible block contains a "

@@ -36,9 +36,9 @@ from .covers import (
     Cover,
     CoverSeq,
     DisjointFamily,
+    containers,
     lebesgue_argmax_region,
     lebesgue_number,
-    refines_check,
     region_members,
     union_mask,
 )
@@ -120,12 +120,10 @@ def _witness_class(
     boxes: Sequence[Box], cover: Cover, lam: Fraction
 ) -> DisjointFamily:
     """Attach Lebesgue-certified parents to a class of boxes."""
-    widx, kinds = [], []
-    for b in boxes:
-        anchor = int(region_members(b)[0])
-        widx.append(lebesgue_argmax_region(cover, anchor, lam))
-        kinds.append("analytic-lebesgue")
-    return DisjointFamily(boxes, cover, witness=widx, witness_kinds=kinds)
+    widx = [
+        lebesgue_argmax_region(cover, int(region_members(b)[0]), lam) for b in boxes
+    ]
+    return DisjointFamily(boxes, cover, witness=widx)
 
 
 def brick_refinement(
@@ -455,16 +453,17 @@ def _scan_candidates(
     extent = _max_element_extent(prefix)
     for label, classes in _candidate_class_lists(space, extent):
         tried += 1
-        kept_per_stage: list[list[Box]] = []
+        staged: list[tuple[list[Box], list[int]]] = []  # (kept boxes, parents)
         for stage in range(1, n + 1):
             cls = classes[(stage - 1) % len(classes)]
-            cov = prefix.cover(stage)
-            kept_per_stage.append([b for b in cls if refines_check([b], cov).ok])
-        union = union_mask(space, (b for kept in kept_per_stage for b in kept))
+            found = containers(cls, prefix.cover(stage))
+            keep = [i for i, hit in enumerate(found) if hit is not None]
+            staged.append(([cls[i] for i in keep], [found[i][0] for i in keep]))
+        union = union_mask(space, (b for kept, _ in staged for b in kept))
         if union.all():
             families = tuple(
-                DisjointFamily(tuple(kept), prefix.cover(stage))
-                for stage, kept in enumerate(kept_per_stage, start=1)
+                DisjointFamily(kept, prefix.cover(stage), witness=parents)
+                for stage, (kept, parents) in enumerate(staged, start=1)
             )
             return families, tried
         refutations.append((f"{label},n={n}", int(np.flatnonzero(~union)[0])))

@@ -43,6 +43,8 @@ from .exact import (
 METRIC_KINDS = ("euclidean", "chebyshev", "cantor_2adic")
 
 DEFAULT_POINT_CAP = 2**20
+# deepest 2-adic Cantor sample: its distance table has 2**depth entries
+CANTOR_DEPTH_CAP = 16
 POINT_CAP_ENV = "COVER_GAMES_POINT_CAP"
 
 # rational upper bounds for sqrt(d), d = 1..3, used for grid mesh values
@@ -187,6 +189,10 @@ class SampledSpace:
                 )
             digit_lists.append(digits)
             depth = max(depth, len(digits))
+        if depth > CANTOR_DEPTH_CAP:
+            raise ResourceError(
+                f"cantor_2adic sample has depth {depth}, cap {CANTOR_DEPTH_CAP}"
+            )
         bits = []
         for digits in digit_lists:
             b = 0
@@ -596,8 +602,8 @@ def build_cantor_2adic_space(depth: int, point_cap: int | None = None) -> Sample
 def _cantor_space(depth, point_cap, metric_kind, mesh_base, label) -> SampledSpace:
     if depth < 1:
         raise InputError("cantor depth must be a positive integer")
-    if depth > 16:
-        raise ResourceError("cantor depth capped at 16")
+    if depth > CANTOR_DEPTH_CAP:
+        raise ResourceError(f"cantor depth capped at {CANTOR_DEPTH_CAP}")
     cap = point_cap if point_cap is not None else default_point_cap()
     if 2**depth > cap:
         raise ResourceError(f"cantor sample would have {2**depth} points, cap {cap}")

@@ -219,3 +219,18 @@ def test_boolean_chain_index_exits_2(tmp_path, index):
     code, doc = run(argv)
     assert_input_error(code, doc)
     assert "boolean" in doc["checks"][-1]["error"]
+
+
+@pytest.mark.parametrize("depth", [17, 20])
+def test_2adic_space_deeper_than_the_cantor_cap_exits_2(tmp_path, depth):
+    # the 2-adic metric tabulates 2**depth values, so a sample deeper than
+    # the built-in Cantor cap is refused before the table is built
+    doc = {
+        "metric": "cantor_2adic",
+        "mesh": f"1/{2**depth}",
+        "points": [["0/1"], [f"2/{3**depth}"]],
+    }
+    path = write(tmp_path, "deep.json", doc)
+    code, doc = run(["net", "--space", path, "--epsilon", "1/2"])
+    assert_input_error(code, doc)
+    assert f"depth {depth}, cap 16" in doc["checks"][-1]["error"]

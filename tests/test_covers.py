@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -28,6 +29,7 @@ from covergames.covers import (
     sample_contains,
 )
 from covergames.exact import CheckFailure, InputError
+from covergames.screenability import _pointwise_family, brick_refinement
 from covergames.space import (
     SampledSpace,
     build_cantor_space,
@@ -396,7 +398,7 @@ class TestLebesgue:
             ],
         )
         lam = lebesgue_number(cover)
-        masks = cover.masks()
+        masks = [region_mask(r) for r in cover.regions]
         for p in range(s.n):
             ball = brute_membership(Ball(s, p, lam), s)
             assert any(bool(np.all(m[ball])) for m in masks)
@@ -416,7 +418,7 @@ class TestLebesgue:
         for p in (0, 32, 64):
             ridx = lebesgue_argmax_region(cover, p, lam)
             ball = brute_membership(Ball(s, p, lam), s)
-            assert bool(np.all(cover.masks()[ridx][ball]))
+            assert bool(np.all(region_mask(cover.regions[ridx])[ball]))
 
     def test_invalid_cover_rejected(self, interval_8):
         s = interval_8
@@ -468,6 +470,69 @@ class TestDisjointFamily:
         parent = Cover(s, [Ball(s, 0, F(1, 8))])
         with pytest.raises(CheckFailure):
             DisjointFamily([Ball(s, 56, F(1, 16))], parent)
+
+
+    def test_given_witness_must_match_the_family(self, interval_64):
+        s = interval_64
+        cover = Cover(s, [Ball(s, 32, F(1, 8)), Ball(s, 8, F(1, 8))])
+        inside, outside = Ball(s, 8, F(1, 16)), Ball(s, 56, F(1, 16))
+        with pytest.raises(CheckFailure, match="does not refine"):
+            DisjointFamily([inside, outside], cover)
+        assert DisjointFamily([inside], cover, witness=[1]).witness == (1,)
+        # too short, too long, negative (the last region holds inside), past the cover
+        for regions, witness in (
+            ([inside, outside], [1]),
+            ([inside], [1, 0]),
+            ([inside], [-1]),
+            ([inside], [2]),
+        ):
+            with pytest.raises(InputError, match="one parent index"):
+                DisjointFamily(regions, cover, witness=witness)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_subfamily_matches_a_fresh_family(self, square_8, seed):
+        s = square_8
+        rng = random.Random(seed)
+        cover = Cover(
+            s,
+            [Ball(s, c, F(rng.randint(3, 8), 8)) for c in rng.sample(range(s.n), 6)]
+            + [Box(s, (F(-1), F(-1)), (F(2), F(2)))],
+        )
+        # the 3 x 3 middle points, in the middle ball on the sample only
+        wide = Box(s, (F(9, 32), F(9, 32)), (F(23, 32), F(23, 32)))
+        middle = s.index_of((F(1, 2), F(1, 2)))
+        families = list(brick_refinement(s, cover)) + [
+            _pointwise_family(s, cover, lebesgue_number(cover)),
+            DisjointFamily([wide], Cover(s, [Ball(s, middle, F(1, 4))])),
+        ]
+        for fam in families:
+            for size in (0, 1, len(fam) // 2, len(fam)):
+                keep = rng.sample(range(len(fam)), size)
+                sub = fam.subfamily(keep)
+                fresh = DisjointFamily(
+                    [fam.regions[i] for i in keep],
+                    fam.parent,
+                    witness=[fam.witness[i] for i in keep],
+                )
+                assert sub.parent is fresh.parent and sub.space is fresh.space
+                assert sub.regions == fresh.regions
+                assert sub.witness == fresh.witness
+                assert sub.witness_kinds == fresh.witness_kinds
+                own = DisjointFamily(sub.regions, fam.parent)
+                again = fam.subfamily(keep, witness=own.witness)
+                assert (again.witness, again.witness_kinds) == (
+                    own.witness,
+                    own.witness_kinds,
+                )
+        assert families[-1].witness_kinds == ("sample",)
+        with pytest.raises(AssertionError, match="repeat or leave"):
+            families[0].subfamily([0, 0])
+        with pytest.raises(AssertionError, match="repeat or leave"):
+            families[0].subfamily([len(families[0])])
+        fam = DisjointFamily([wide], Cover(s, [Ball(s, middle, F(1, 8)), cover.regions[-1]]))
+        assert fam.witness == (1,)
+        with pytest.raises(CheckFailure, match="does not hold"):
+            fam.subfamily([0], witness=[0])
 
 
 class TestCoverSeq:

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import covergames.covers as covers_module
-from covergames import haver
+from covergames import cli, haver, screenability
 from covergames.cli import run
 from covergames.covers import (
     Ball,
@@ -40,6 +41,8 @@ from covergames.netting import greedy_net
 from covergames.registry import builtin_names, builtin_space
 from covergames.screenability import _pointwise_family, build_brick_grid
 from covergames.space import GridStructure, build_grid_space
+
+GOLDEN = Path(__file__).parent / "golden" / "inputs"
 
 # -- oracles ------------------------------------------------------------------------
 
@@ -262,6 +265,16 @@ def test_pair_order_batches_a_large_window(monkeypatch):
         assert got == _old_pair_order(boxes, margin, 1)
 
 
+def test_pair_order_sends_box_ends_past_float_range_to_the_exact_gap():
+    space = builtin_space("unit_interval_8")
+    far = F(10**400)
+    boxes = [Box(space, (F(-1),), (F(1, 2),)), Box(space, (far,), (far + 1,))]
+    assert covers_module._pair_order(boxes, space.mesh) == [(0, 1)]
+    assert pairwise_disjoint_check(boxes, space.mesh).ok
+    touching = [boxes[0], Box(space, (F(1, 2),), (far,))]
+    assert not pairwise_disjoint_check(touching, space.mesh).ok
+
+
 # -- certified box-in-ball verdicts -------------------------------------------------
 
 
@@ -349,10 +362,11 @@ def test_given_witness_falls_back_to_sample_containment():
     wide = Box(space, (F(9, 32),), (F(23, 32),))  # analytically not inside
     assert box_in_ball_verdicts([wide], [ball]).tolist() == [0]
     fam = DisjointFamily([wide], cover, witness=[0])
-    assert fam.witness == (0,) and fam.witness_kinds == ("given",)
+    assert fam.witness == (0,) and fam.witness_kinds == ("sample",)
+    assert DisjointFamily([wide], cover, witness=[1]).witness_kinds == ("analytic",)
     wider = Box(space, (F(1, 4) - F(1, 64),), (F(11, 16),))
     with pytest.raises(CheckFailure, match="does not hold on the sample"):
-        DisjointFamily([wider], cover, witness=[0], witness_kinds=["analytic"])
+        DisjointFamily([wider], cover, witness=[0])
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "chebyshev"])
@@ -384,12 +398,61 @@ def test_cantor_demo_sends_no_level_box_pair_to_the_exact_gap(monkeypatch):
     assert len(calls) <= 100  # 76,699 with all pairs of every family up to 64
 
 
+def _count_sweeps(monkeypatch, *owners):
+    """The family sizes pairwise_disjoint_check is called with, through
+    each owner's name for it."""
+    sizes = []
+    check = covers_module.pairwise_disjoint_check
+
+    def counted(regions, margin):
+        sizes.append(len(regions))
+        return check(regions, margin)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, "pairwise_disjoint_check", counted, raising=False)
+    return sizes
+
+
 def test_square_demo_settles_containment_in_floats(monkeypatch):
     calls = _count_calls(monkeypatch, covers_module, "analytic_contains")
-    haver_calls = _count_calls(monkeypatch, haver, "analytic_contains")
+    sizes = _count_sweeps(monkeypatch, covers_module)
     code, _ = run(["demo", "--label", "unit_square_64", "--horizon", "6"])
     assert code == 0
-    assert len(calls) + len(haver_calls) <= 500  # 21,181 with exact corners
+    assert len(calls) <= 500  # 21,181 with exact corners
+    # subfamilies inherit disjointness: 16 sweeps when each was re-checked
+    assert sum(k >= 2 for k in sizes) <= 8
+
+
+def test_golden_refine_sweeps_each_family_once(monkeypatch):
+    sizes = _count_sweeps(monkeypatch, covers_module, cli)
+    code, doc = run(["refine", "--space", str(GOLDEN / "space.json"),
+                     "--cover", str(GOLDEN / "cover.json")])
+    assert code == 0 and len(doc["result"]["families"]) == 2
+    assert len(sizes) == 2  # 4 when the report swept the families again
+
+
+def test_golden_fincspace_scan_runs_no_refines_check(monkeypatch):
+    scanning, calls = [], []
+    scan, check = screenability._scan_candidates, covers_module.refines_check
+
+    def counted_scan(*args):
+        scanning.append(True)
+        try:
+            return scan(*args)
+        finally:
+            scanning.pop()
+
+    def counted_check(*args):
+        calls.extend(scanning[:1])
+        return check(*args)
+
+    monkeypatch.setattr(screenability, "_scan_candidates", counted_scan)
+    for owner in (covers_module, screenability):
+        monkeypatch.setattr(owner, "refines_check", counted_check, raising=False)
+    code, doc = run(["fincspace", "--space", str(GOLDEN / "space.json"),
+                     "--covers", str(GOLDEN / "covers.json")])
+    assert code == 0 and doc["result"]["n"] == 2
+    assert calls == []  # 46 with one refines_check per candidate box
 
 
 def test_point_isolating_family_needs_no_exact_pair(monkeypatch):

@@ -13,8 +13,8 @@ from covergames.covers import (
     CoverSeq,
     DisjointFamily,
     pairwise_disjoint_check,
+    containers,
     refines_check,
-    region_contained_in,
     region_mask,
     region_members,
 )
@@ -31,7 +31,8 @@ from covergames.game import (
     strategy_F_move,
     transcript_loss_report,
 )
-from covergames.space import build_grid_space
+from covergames.netting import greedy_net
+from covergames.space import build_cantor_space, build_grid_space
 
 
 def overlapping_interval_covers(s, horizon, step=F(3, 100)):
@@ -231,7 +232,7 @@ class TestAssemble:
         s = interval_64
         covers = overlapping_interval_covers(s, 8)
         transcript = play_hurewicz_game(s, covers)
-        res = assemble_W(transcript, covers)
+        res = assemble_W(transcript)
         offered = set()
         for rnd in transcript.rounds:
             for region in rnd.two_move:
@@ -245,19 +246,18 @@ class TestAssemble:
         covers = overlapping_interval_covers(s, 8)
         res = sc_plus_select(s, covers)
         for n in range(1, 9):
-            cov = covers.cover(n)
-            for region in res.family(n).regions:
-                assert any(
-                    region_contained_in(region, parent) is not None
-                    for parent in cov.regions
-                )
+            cov, fam = covers.cover(n), res.family(n)
+            assert None not in containers(fam.regions, cov)
+            # the inherited witnesses hold too, with the evidence they record
+            found = containers(fam.regions, cov, [[w] for w in fam.witness])
+            assert found == list(zip(fam.witness, fam.witness_kinds))
 
     def test_not_lost_rejected(self, interval_64):
         s = interval_64
         covers = overlapping_interval_covers(s, 6)
         transcript = play_hurewicz_game(s, covers, adversarial_two_policy(32))
         with pytest.raises(CheckFailure):
-            assemble_W(transcript, covers)
+            assemble_W(transcript)
 
     def test_deterministic(self, interval_64):
         s = interval_64
@@ -441,3 +441,82 @@ def test_lazy_greedy_matches_the_two_path_policy():
         single += bool(move[start].union_mask().all())
     # covering and non-covering moves, one-family prefixes among the former
     assert 50 < covering < 350 and 20 < single < covering
+
+
+# -- assembled families against the routing they replaced ---------------------------
+
+
+def routing_oracle(transcript):
+    """assemble_W's routing before subfamilies: per stage, the (region,
+    witness, kind) entries of the round-k selections whose earliest
+    occurrence in round k's move is that stage, once per region value, in
+    TWO's order."""
+    entries = {j: [] for j in range(1, transcript.horizon + 1)}
+    for k, rnd in enumerate(transcript.rounds, start=1):
+        fams = transcript.move_families(k)
+        occurrence = {}
+        for n in sorted(fams):
+            for ridx, region in enumerate(fams[n].regions):
+                occurrence.setdefault(region, (n, ridx))
+        seen = set()
+        for region in rnd.two_move:
+            if region in seen:
+                continue
+            seen.add(region)
+            n, ridx = occurrence[region]
+            if rnd.start_index <= n < rnd.block and n <= transcript.horizon:
+                fam = fams[n]
+                entries[n].append((region, fam.witness[ridx], fam.witness_kinds[ridx]))
+    return entries
+
+
+def random_ball_covers(s, horizon, rng):
+    """Per stage, the balls of a greedy net at a random radius plus a few
+    more balls of that radius, shuffled."""
+    covers = []
+    for _ in range(horizon):
+        radius = max(s.diameter_upper_bound(), s.mesh) * 2 / 2 ** rng.randint(0, 3)
+        centers = list(greedy_net(s, s.subset_all(), radius).centers)
+        centers += rng.sample(range(s.n), min(s.n, 3))
+        rng.shuffle(centers)
+        covers.append(Cover(s, [Ball(s, c, radius) for c in centers]))
+    return CoverSeq(s, covers)
+
+
+def noisy_two_policy(rng):
+    """The covering reply plus random extra picks and repeats, shuffled."""
+
+    def policy(one_move):
+        picks = covering_two_policy(one_move)
+        refs = [(n, r) for n in sorted(one_move) for r in range(len(one_move[n]))]
+        picks += rng.sample(refs, min(len(refs), rng.randint(0, 3)))
+        picks += picks[: rng.randint(0, 2)]
+        rng.shuffle(picks)
+        return picks
+
+    return policy
+
+
+@pytest.mark.parametrize("name", ["interval", "square", "cantor"])
+def test_assembled_families_match_the_old_routing(name):
+    s = {
+        "interval": lambda: build_grid_space(1, F(1, 16)),
+        "square": lambda: build_grid_space(2, F(1, 8)),
+        "cantor": lambda: build_cantor_space(4),
+    }[name]()
+    rng = random.Random(name)
+    compared = 0
+    for seed in range(8):
+        covers = random_ball_covers(s, rng.randint(3, 7), rng)
+        policy = None if seed % 2 == 0 else noisy_two_policy(rng)
+        transcript = play_hurewicz_game(s, covers, policy)
+        if not transcript_loss_report(transcript).lost_by_one:
+            with pytest.raises(CheckFailure, match="not lost by ONE"):
+                assemble_W(transcript)
+            continue
+        want = routing_oracle(transcript)
+        for j, fam in enumerate(assemble_W(transcript).families, start=1):
+            assert fam.parent is covers.cover(j)
+            assert list(zip(fam.regions, fam.witness, fam.witness_kinds)) == want[j]
+        compared += 1
+    assert compared >= 4

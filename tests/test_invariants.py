@@ -89,6 +89,7 @@ FIXTURE_API = {
     "selections_to_json",
     "SampledSpace.index_of",
     "detect_structure",
+    "region_mask",
 }
 
 
@@ -141,3 +142,18 @@ def test_only_the_space_reads_first_axis_windows():
         if isinstance(node, ast.Attribute) and node.attr == "axis0_window"
     ]
     assert found == [], f"axis0_window called outside space.py: {found}"
+
+
+def test_only_covers_decides_containment():
+    # containment has one decider, covers.containers: no other module calls
+    # the kinds of evidence it combines
+    evidence = {"analytic_contains", "box_in_ball_verdicts", "sample_contains"}
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "covers.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in evidence
+    ]
+    assert found == [], f"containment decided outside covers.py: {found}"

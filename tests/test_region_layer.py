@@ -16,6 +16,7 @@ import gc
 import json
 import random
 import weakref
+from dataclasses import astuple
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -31,11 +32,14 @@ from covergames.covers import (
     Box,
     CoClosedBalls,
     Cover,
+    analytic_contains,
+    containers,
     contains,
     covers_check,
     lebesgue_argmax_region,
     lebesgue_number,
     pairwise_disjoint_check,
+    refines_check,
     region_mask,
     region_members,
     union_mask,
@@ -129,6 +133,33 @@ def argmax_oracle(cover: Cover, p: int, lam: F) -> int:
         tol = covers_module._finer_tolerance(space, p, tol)
 
 
+def refines_oracle(fine, coarse: Cover):
+    """The refines_check loop that containers replaced, as (ok, witness,
+    counterexample): per fine region, the first coarse region analytically
+    containing it, else the first whose dense mask holds all its members;
+    the first failure names a member escaping the largest-overlap region."""
+    masks = [region_mask(r) for r in coarse.regions]
+    witness = []
+    for fidx, f in enumerate(fine):
+        found = None
+        for cidx, c in enumerate(coarse.regions):
+            if analytic_contains(f, c):
+                found = (cidx, "analytic")
+                break
+        fm = region_members(f)
+        if found is None:
+            for cidx, cm in enumerate(masks):
+                if bool(cm[fm].all()):
+                    found = (cidx, "sample")
+                    break
+        if found is None:
+            overlaps = [int(np.count_nonzero(cm[fm])) for cm in masks]
+            escape = fm[~masks[int(np.argmax(overlaps))][fm]] if masks else fm
+            return False, None, (fidx, int(escape[0]) if escape.size else None)
+        witness.append(found)
+    return True, tuple(witness), None
+
+
 def net_oracle(space, cert: NetCertificate) -> bool:
     """Whether the centers' balls cover the certificate's subset."""
     covered = np.zeros(space.n, dtype=bool)
@@ -214,6 +245,22 @@ def regions(draw, space):
         lo_closed.append(lc)
         hi_closed.append(hc)
     return Box(space, tuple(lo), tuple(hi), tuple(lo_closed), tuple(hi_closed))
+
+
+def _shrunk(region):
+    """A region inside the given one: half the radius, the middle half of
+    every axis, or closed balls of twice the radius."""
+    space = region.space
+    if isinstance(region, Ball):
+        return Ball(space, region.center, region.radius / 2)
+    if isinstance(region, Box):
+        quarter = [(b - a) / 4 for a, b in zip(region.lo, region.hi)]
+        return Box(
+            space,
+            tuple(a + q for a, q in zip(region.lo, quarter)),
+            tuple(b - q for b, q in zip(region.hi, quarter)),
+        )
+    return CoClosedBalls(space, tuple((c, 2 * r) for c, r in region.balls))
 
 
 # -- membership ---------------------------------------------------------------------
@@ -353,6 +400,34 @@ def test_member_cache_does_not_keep_its_space_alive():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# -- containment --------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_containers_and_refines_check_match_the_old_loop(data):
+    space = data.draw(spaces())
+    coarse = Cover(space, data.draw(st.lists(regions(space), max_size=4)))
+    inner = regions(space)
+    if coarse.regions:  # copies and shrunk copies of coarse regions contain
+        taken = st.sampled_from(coarse.regions)
+        inner = st.one_of(inner, taken, taken.map(_shrunk))
+    fine = data.draw(st.lists(inner, max_size=4))
+    assert astuple(refines_check(fine, coarse)) == refines_oracle(fine, coarse)
+    want = [refines_oracle([f], coarse)[1] for f in fine]
+    assert containers(fine, coarse) == [w and w[0] for w in want]
+    # candidate lists: the first holding candidate, analytic evidence first
+    ks = st.integers(0, len(coarse.regions) - 1)
+    cands = [data.draw(st.lists(ks, max_size=4)) if coarse.regions else [] for _ in fine]
+    want = []
+    for f, cs in zip(fine, cands):
+        ok, w, _ = refines_oracle([f], Cover(space, [coarse.regions[c] for c in cs]))
+        want.append((cs[w[0][0]], w[0][1]) if ok else None)
+    assert containers(fine, coarse, cands) == want
+    analytic = [w if w and w[1] == "analytic" else None for w in want]
+    assert containers(fine, coarse, cands, sample=False) == analytic
 
 
 # -- nets ---------------------------------------------------------------------------
