@@ -421,7 +421,7 @@ def pipeline_demo(space: SampledSpace, horizon: int, report: Report) -> None:
         sel = sc_fin_select(space, prefix)
         report.check(
             "first_block_family_count",
-            len(sel.families) == d + 1 and not sel.fallback_blocks,
+            len(sel.families) == d + 1,
             families=len(sel.families),
         )
 

@@ -1038,6 +1038,8 @@ class CoverSeq:
         self.space = space
         self.covers = tuple(covers)
         self.horizon = len(covers)
+        # screenability._block's families by block start
+        self._blocks: dict[int, tuple[tuple[DisjointFamily, ...], bool]] = {}
 
     def cover(self, n: int) -> Cover:
         if not 1 <= n <= self.horizon:

@@ -2,9 +2,12 @@
 bookkeeping, and the assembled per-stage disjoint families with their block
 indices; plus the Hurewicz/Menger selection checkers.
 
-ONE's move at suffix start s is the family list produced by the selective
-refinement engine on covers s..N (each family disjoint, refining its cover,
-the whole move covering the sample).  TWO answers with a finite subfamily.
+ONE's move at suffix start s is the family list of covers s..N, read block
+by block from the cover sequence: the blocks s, s+d+1, ... of screen_dim+1
+covers, each built once per sequence by the selective refinement engine
+(each family disjoint, refining its cover, the whole move covering the
+sample).  The game plays every round on one sequence, so a block shared by
+several moves is built once.  TWO answers with a finite subfamily.
 The block index after a move is the least n such that every selected region
 already occurs in some family with index below n; the next move starts
 there.
@@ -36,7 +39,7 @@ from .covers import (
     union_mask,
 )
 from .exact import CheckFailure, InputError
-from .screenability import _sc_fin_families, _screen_dim
+from .screenability import _block, _full_block, _screen_dim
 from .space import SampledSpace, first_hit, tail_start
 
 DEFAULT_TAIL_SLACK = 1
@@ -78,18 +81,18 @@ def strategy_F_move(
     start_index: int,
 ) -> tuple[DisjointFamily, ...]:
     """ONE's move: disjoint refining families for covers start..horizon whose
-    union covers the sample (delegated to the selective refinement engine on
-    the suffix)."""
+    union covers the sample, read block by block from the sequence (each
+    block built once per sequence, the point-isolating fallback allowed)."""
     d = _screen_dim(space)
     if start_index > covers.horizon - d:
         raise InputError(
             f"suffix too short: start {start_index} leaves fewer than "
             f"{d + 1} covers"
         )
-    families, _, _ = _sc_fin_families(
-        space, covers, allow_pointwise=True, start=start_index
+    starts = range(start_index, covers.horizon + 1, d + 1)
+    return tuple(
+        f for lo in starts for f in _block(covers, lo, allow_pointwise=True)[0]
     )
-    return tuple(families)
 
 
 def _earliest_occurrence(
@@ -202,18 +205,21 @@ def play_hurewicz_game(
     horizon: int | None = None,
 ) -> Transcript:
     """Alternate ONE's strategy moves and TWO's selections until the blocks
-    pass the horizon or the remaining suffix is too short for a move."""
+    pass the horizon or the remaining suffix is too short for a move; a
+    horizon too short for ONE's first move is refused."""
     covers.validate()
-    d = _screen_dim(space)
     horizon = covers.horizon if horizon is None else horizon
     if horizon > covers.horizon:
         raise InputError("game horizon exceeds the cover sequence")
+    d = _full_block(space, horizon)
     policy = two_policy if two_policy is not None else covering_two_policy
     rounds: list[Round] = []
     blocks: list[int] = []
+    # every round reads its move from this one sequence, so a block is
+    # built once however many moves contain it
+    suffix = CoverSeq(space, covers.covers[:horizon])
     start = 1
     while start <= horizon - d:
-        suffix = CoverSeq(space, covers.covers[:horizon])
         move = strategy_F_move(space, suffix, start)
         fams = _by_stage(start, move)
         refs = policy(fams)

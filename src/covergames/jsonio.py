@@ -188,6 +188,8 @@ def coverseq_from_json(space: SampledSpace, doc: dict) -> CoverSeq:
         Cover(space, [region_from_json(space, r) for r in regions])
         for regions in doc["covers"]
     ]
+    if not covers:
+        raise InputError("a cover sequence needs at least one cover")
     return CoverSeq(space, covers)
 
 

@@ -135,9 +135,7 @@ def brick_refinement(
     Raises ResolutionError when no admissible brick size fits below
     lambda/(2d): the cover is finer than the sample resolution supports.
     """
-    covers = CoverSeq(space, [cover] * (_screen_dim(space) + 1))
-    families, _, _ = _sc_fin_families(space, covers, allow_pointwise=False)
-    return tuple(families)
+    return _block(CoverSeq(space, [cover] * (_screen_dim(space) + 1)), 1)[0]
 
 
 def _assert_jointly_cover(space, families) -> None:
@@ -245,6 +243,53 @@ def _pointwise_family(
     return _witness_class(boxes, cover, lam)
 
 
+def _block(
+    covers: CoverSeq, lo: int, allow_pointwise: bool = False
+) -> tuple[tuple[DisjointFamily, ...], bool]:
+    """The families of the block of covers lo..min(lo+d, horizon), and
+    whether the point-isolating fallback built them.
+
+    A grid block gets one brick grid sized below (min of the block's
+    Lebesgue numbers)/(2d), and color class c becomes the family of the
+    block's c-th cover, so a full block covers by pigeonhole.  A Cantor
+    block (width 1) is one level family.  A block too fine for either
+    raises ResolutionError, unless allow_pointwise (the game only), which
+    hands its first cover the point-isolating family and the rest empty
+    families.  A block depends on its own covers alone, so it is built once
+    per sequence and kept there; a fallback block kept there is still
+    refused without allow_pointwise.
+    """
+    blk = covers._blocks.get(lo)
+    if blk is not None and (allow_pointwise or not blk[1]):
+        return blk
+    space = covers.space
+    d = _screen_dim(space)
+    hi = min(lo + d, covers.horizon)
+    block = [covers.cover(n) for n in range(lo, hi + 1)]
+    lams = [lebesgue_number(c) for c in block]
+    try:
+        if not isinstance(space.structure, GridStructure):
+            blk = (_cantor_level_family(space, block[0], lams[0]),), False
+        elif sides := admissible_cell_sides(space, min(lams) / (2 * d)):
+            grid = build_brick_grid(space, sides[0])
+            blk = tuple(map(_witness_class, grid, block, lams)), False
+            if hi - lo == d:
+                _assert_jointly_cover(space, blk[0])
+        else:
+            raise ResolutionError(
+                f"resolution insufficient for block {lo}..{hi}: Lebesgue "
+                f"number {min(lams)} admits no brick side",
+                witness=(lo, min(lams)),
+            )
+    except ResolutionError:
+        if not allow_pointwise:
+            raise
+        first = _pointwise_family(space, block[0], lams[0])
+        blk = (first, *(DisjointFamily((), cov) for cov in block[1:])), True
+    covers._blocks[lo] = blk
+    return blk
+
+
 @dataclass(frozen=True)
 class ScSelection:
     """Per-stage disjoint refining families whose union covers the sample."""
@@ -252,47 +297,26 @@ class ScSelection:
     families: tuple[DisjointFamily, ...]  # 1-based: families[n-1] refines cover n
     covering_witness: tuple[tuple[int, int], ...]  # per point: (stage, region idx)
     block_starts: tuple[int, ...]
-    fallback_blocks: tuple[int, ...]  # block starts built by the pointwise fallback
 
 
-def _blocks(horizon: int, width: int) -> list[tuple[int, int]]:
-    """Consecutive 1-based blocks [start, end] of the given width; a trailing
-    short block keeps the leftover stages."""
-    out = []
-    start = 1
-    while start <= horizon:
-        end = min(start + width - 1, horizon)
-        out.append((start, end))
-        start = end + 1
-    return out
+def _full_block(space: SampledSpace, horizon: int) -> int:
+    """The screening dimension d, once the horizon holds a full block."""
+    d = _screen_dim(space)
+    if horizon < d + 1:
+        raise InputError(f"need at least screen_dim+1 = {d + 1} covers, got {horizon}")
+    return d
 
 
-def sc_fin_select(
-    space: SampledSpace,
-    covers: CoverSeq,
-    allow_pointwise: bool = False,
-) -> ScSelection:
+def sc_fin_select(space: SampledSpace, covers: CoverSeq) -> ScSelection:
     """One disjoint refining family per cover, jointly covering the sample.
 
-    Stages are grouped into blocks of screen_dim+1 consecutive covers; each
-    full block gets one brick grid sized below (min of the block's Lebesgue
-    numbers)/(2d), and color class c becomes the family of the block's c-th
-    cover, so every full block already covers by pigeonhole.  A trailing
-    short block contributes families without the coverage claim.
-
-    With allow_pointwise (game pipelines only), a block whose covers are too
-    fine for any admissible brick side instead hands its first cover the
-    point-isolating family and the rest empty families.
+    Stages are grouped into blocks of screen_dim+1 consecutive covers (see
+    _block); a trailing short block contributes families without the
+    coverage claim.
     """
-    d = _screen_dim(space)
-    if covers.horizon < d + 1:
-        raise InputError(
-            f"need at least screen_dim+1 = {d + 1} covers, got {covers.horizon}"
-        )
+    starts = range(1, covers.horizon + 1, _full_block(space, covers.horizon) + 1)
     covers.validate()
-    families, block_starts, fallback = _sc_fin_families(
-        space, covers, allow_pointwise
-    )
+    families = [f for lo in starts for f in _block(covers, lo)[0]]
     refs = [(n, r) for n, fam in enumerate(families, start=1) for r in range(len(fam))]
     hit = first_hit(
         [region_members(r) for fam in families for r in fam.regions], space.n
@@ -303,66 +327,8 @@ def sc_fin_select(
             f"selection fails to cover sample point {missing}", witness=missing
         )
     return ScSelection(
-        tuple(families),
-        tuple(refs[h] for h in hit.tolist()),
-        tuple(block_starts),
-        tuple(fallback),
+        tuple(families), tuple(refs[h] for h in hit.tolist()), tuple(starts)
     )
-
-
-def _sc_fin_families(
-    space: SampledSpace,
-    covers: CoverSeq,
-    allow_pointwise: bool,
-    start: int = 1,
-) -> tuple[list[DisjointFamily], list[int], list[int]]:
-    """Families for covers[start..horizon]; returns (families, block starts,
-    fallback block starts).  Raises ResolutionError when a full block is
-    infeasible and the fallback is not allowed."""
-    d = _screen_dim(space)
-    width = d + 1
-    families: list[DisjointFamily] = []
-    block_starts: list[int] = []
-    fallback_starts: list[int] = []
-    horizon = covers.horizon
-    use_bricks = isinstance(space.structure, GridStructure) and space.n > 1
-    for lo, hi in _blocks(horizon - start + 1, width):
-        lo, hi = lo + start - 1, hi + start - 1
-        block_starts.append(lo)
-        block_covers = [covers.cover(n) for n in range(lo, hi + 1)]
-        lams = [lebesgue_number(c) for c in block_covers]
-        lam_blk = min(lams)
-        if use_bricks:
-            sides = admissible_cell_sides(space, lam_blk / (2 * d))
-            if sides:
-                grid = build_brick_grid(space, sides[0])
-                for c, cov in enumerate(block_covers):
-                    families.append(_witness_class(grid[c], cov, lams[c]))
-                if hi - lo + 1 == width:
-                    _assert_jointly_cover(space, families[-width:])
-                continue
-            if not allow_pointwise:
-                raise ResolutionError(
-                    f"resolution insufficient for block {lo}..{hi}: Lebesgue "
-                    f"number {lam_blk} admits no brick side",
-                    witness=(lo, lam_blk),
-                )
-            families.append(_pointwise_family(space, block_covers[0], lams[0]))
-            for cov in block_covers[1:]:
-                families.append(DisjointFamily((), cov))
-            fallback_starts.append(lo)
-            continue
-        # Cantor / single point: width == 1, one covering class per block
-        try:
-            families.append(
-                _cantor_level_family(space, block_covers[0], lams[0])
-            )
-        except ResolutionError:
-            if not allow_pointwise:
-                raise
-            families.append(_pointwise_family(space, block_covers[0], lams[0]))
-            fallback_starts.append(lo)
-    return families, block_starts, fallback_starts
 
 
 @dataclass(frozen=True)
@@ -393,13 +359,14 @@ def finite_c_search(
     sample point each).
     """
     covers.validate()
-    _screen_dim(space)
+    d = _screen_dim(space)
     refutations: list[tuple[str, int]] = []
     count = 0
     for n in range(1, covers.horizon + 1):
         prefix = CoverSeq(space, covers.covers[:n])
+        starts = range(1, n + 1, d + 1)
         try:
-            families, _, _ = _sc_fin_families(space, prefix, allow_pointwise=False)
+            families = [f for lo in starts for f in _block(prefix, lo)[0]]
             if union_mask(space, (r for f in families for r in f.regions)).all():
                 return FiniteCWitness(n, tuple(families))
         except ResolutionError:

@@ -234,3 +234,50 @@ def test_2adic_space_deeper_than_the_cantor_cap_exits_2(tmp_path, depth):
     code, doc = run(["net", "--space", path, "--epsilon", "1/2"])
     assert_input_error(code, doc)
     assert f"depth {depth}, cap 16" in doc["checks"][-1]["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scplus", "--space", "unit_interval_8", "--covers", "ONE"],
+        ["game", "--space", "unit_interval_8", "--covers", "ONE"],
+        ["game", "--space", SPACE, "--covers", COVERS, "--horizon", "1"],
+        ["demo", "--label", "unit_square_4", "--horizon", "2"],
+    ],
+    ids=["scplus", "game", "game_horizon", "demo"],
+)
+def test_game_shorter_than_a_block_exits_2(tmp_path, argv):
+    # ONE has no move on fewer than screen_dim+1 covers: the transcript was
+    # empty and the run exited 1 with "not lost by ONE"
+    ball = {"shape": "ball", "center": 0, "radius": "2"}
+    one = write(tmp_path, "one.json", {"covers": [[ball]]})
+    code, doc = run([one if a == "ONE" else a for a in argv])
+    assert_input_error(code, doc)
+    dim = 2 if argv[0] == "demo" else 1
+    assert doc["checks"][-1]["error"] == (
+        f"need at least screen_dim+1 = {dim + 1} covers, got {dim}"
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["select", "--chain", str(INPUTS / "chain.json")],
+        ["scfin"],
+        ["fincspace"],
+        ["game"],
+        ["scplus"],
+        ["check", "--kind", "menger", "--picks", "PICKS"],
+        ["check", "--kind", "hurewicz", "--picks", "PICKS"],
+    ],
+    ids=["select", "scfin", "fincspace", "game", "scplus", "menger", "hurewicz"],
+)
+def test_empty_cover_sequence_exits_2(tmp_path, command):
+    # fincspace and both checks exited 1 on "covers": [], as if a search or
+    # a selection had failed
+    covers = write(tmp_path, "covers.json", {"covers": []})
+    picks = write(tmp_path, "picks.json", {"picks": []})
+    argv = [picks if a == "PICKS" else a for a in command]
+    code, doc = run(argv + ["--space", SPACE, "--covers", covers])
+    assert_input_error(code, doc)
+    assert "a cover sequence needs at least one cover" in doc["checks"][-1]["error"]

@@ -416,11 +416,14 @@ def _count_sweeps(monkeypatch, *owners):
 def test_square_demo_settles_containment_in_floats(monkeypatch):
     calls = _count_calls(monkeypatch, covers_module, "analytic_contains")
     sizes = _count_sweeps(monkeypatch, covers_module)
+    pointwise = _count_calls(monkeypatch, screenability, "_pointwise_family")
     code, _ = run(["demo", "--label", "unit_square_64", "--horizon", "6"])
     assert code == 0
     assert len(calls) <= 500  # 21,181 with exact corners
     # subfamilies inherit disjointness: 16 sweeps when each was re-checked
     assert sum(k >= 2 for k in sizes) <= 8
+    # the game builds each block once: 2 when every round rebuilt its blocks
+    assert len(pointwise) <= 1
 
 
 def test_golden_refine_sweeps_each_family_once(monkeypatch):

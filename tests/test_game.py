@@ -520,3 +520,60 @@ def test_assembled_families_match_the_old_routing(name):
             assert list(zip(fam.regions, fam.witness, fam.witness_kinds)) == want[j]
         compared += 1
     assert compared >= 4
+
+
+# -- moves read from the game's one sequence ----------------------------------------
+
+
+@pytest.mark.parametrize("name", ["interval", "square", "cantor"])
+def test_moves_match_a_fresh_sequence(name):
+    # every round reads its blocks from one sequence kept for the whole game;
+    # a move built on a fresh sequence of the same covers has equal members
+    # and witnesses, and a round starting on the previous move's block grid
+    # gets that move's very families
+    s = {
+        "interval": lambda: build_grid_space(1, F(1, 16)),
+        "square": lambda: build_grid_space(2, F(1, 4)),
+        "cantor": lambda: build_cantor_space(4),
+    }[name]()
+    d = s.screen_dim
+    # a ball of radius mesh on every point: no brick side fits below its
+    # Lebesgue number, so a grid block holding it falls back to points;
+    # blocks of one ball holding the sample always get bricks
+    fine = Cover(s, [Ball(s, c, s.mesh) for c in range(s.n)])
+    coarse = Cover(s, [Ball(s, 0, 4 * s.diameter_upper_bound())])
+    rng = random.Random(f"fresh-{name}")
+    rounds = off_grid = shared = 0
+    for seed in range(12):
+        seq = list(random_ball_covers(s, rng.randint(d + 2, 8), rng).covers)
+        if seed % 2:
+            seq = [coarse] * len(seq)
+        for _ in range(rng.randint(0, 2)):
+            seq[rng.randrange(len(seq))] = fine
+        covers = CoverSeq(s, seq)
+        horizon = rng.randint(max(d + 1, covers.horizon - 2), covers.horizon)
+        policy = [
+            None, adversarial_two_policy(rng.randrange(s.n)), noisy_two_policy(rng)
+        ][seed % 3]
+        transcript = play_hurewicz_game(s, covers, policy, horizon)
+        prev = None
+        for rnd in transcript.rounds:
+            fresh = CoverSeq(s, covers.covers[:horizon])
+            want = strategy_F_move(s, fresh, rnd.start_index)
+            assert len(rnd.one_move) == len(want)
+            for got, fam in zip(rnd.one_move, want):
+                assert got.parent is fam.parent and got.regions == fam.regions
+                assert got.witness == fam.witness
+                assert got.witness_kinds == fam.witness_kinds
+            if prev is not None:
+                shift = rnd.start_index - prev.start_index
+                if shift % (d + 1):
+                    off_grid += 1
+                else:
+                    assert rnd.one_move[0] is prev.one_move[shift]
+                    shared += 1
+            prev = rnd
+            rounds += 1
+    assert rounds >= 12 and shared >= 1
+    if d:
+        assert off_grid >= 1

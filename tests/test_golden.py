@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from covergames import screenability
 from covergames.cli import run
 
 sys.path.insert(0, str(Path(__file__).parent / "golden"))
@@ -18,6 +19,15 @@ def assert_golden(name: str, doc: dict) -> None:
     assert freeze.render(doc) == freeze.golden_text(name), f"report {name} drifted"
 
 
+# op-count gates on replays: (screenability function, most calls).  The
+# game builds each block of its covers once; 14 and 22 calls when every
+# round rebuilt the blocks of its move
+CALL_GATES = {
+    "demo_unit_interval_1024": ("_witness_class", 8),
+    "demo_cantor_10": ("_cantor_level_family", 7),
+}
+
+
 @pytest.mark.parametrize(
     "name,argv",
     [inv for inv in freeze.INVOCATIONS if inv[0] not in freeze.SLOW],
@@ -25,6 +35,14 @@ def assert_golden(name: str, doc: dict) -> None:
 )
 def test_report_matches_golden(name, argv, monkeypatch):
     monkeypatch.chdir(freeze.HERE)
+    gate, calls = CALL_GATES.get(name), []
+    if gate:
+        func = getattr(screenability, gate[0])
+        monkeypatch.setattr(
+            screenability, gate[0], lambda *a: calls.append(a) or func(*a)
+        )
     code, doc = run(argv)
     assert doc["exit_code"] == code
     assert_golden(name, doc)
+    if gate:
+        assert len(calls) <= gate[1], f"{gate[0]} ran {len(calls)} times"

@@ -157,3 +157,34 @@ def test_only_covers_decides_containment():
         and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in evidence
     ]
     assert found == [], f"containment decided outside covers.py: {found}"
+
+
+def _references(tree):
+    """(enclosing top-level definition or None, node, name) of every name
+    read, attribute and import in a module."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            yield getattr(top, "name", None), node, name
+
+
+def test_only_the_block_builder_builds_block_families():
+    # a block's families have one builder, screenability._block: only it
+    # reaches the Cantor and point-isolating families, and no other module
+    # witnesses a class
+    families = {"_pointwise_family", "_cantor_level_family"}
+    found = [
+        f"{path.name}:{getattr(node, 'lineno', top)} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for top, node, name in _references(ast.parse(path.read_text(), str(path)))
+        if (name in families and (path.name, top) != ("screenability.py", "_block"))
+        or (name == "_witness_class" and path.name != "screenability.py")
+    ]
+    assert found == [], f"block families built outside screenability._block: {found}"

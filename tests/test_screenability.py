@@ -16,11 +16,13 @@ from covergames.covers import (
     region_mask,
 )
 from covergames.exact import InputError
+from covergames.game import strategy_F_move
 from covergames.registry import builtin_names, builtin_space
 from covergames.screenability import (
     FiniteCWitness,
     NoWitnessAtHorizon,
     ResolutionError,
+    _block,
     _cantor_level_boxes,
     admissible_cell_sides,
     brick_refinement,
@@ -224,15 +226,20 @@ class TestScFinSelect:
             sc_fin_select(s, CoverSeq(s, [cover, cover]))  # needs d+1 = 3
 
     def test_pointwise_fallback_only_when_allowed(self, interval_8):
+        # the fallback belongs to the game: sc_fin_select refuses the block,
+        # ONE's move hands it point-isolating boxes, and the refusal stands
+        # once the fallback block is kept on the sequence
         s = interval_8
         cover = Cover(s, [Ball(s, c, F(9, 64)) for c in range(s.n)])
         seq = CoverSeq(s, [cover, cover])
+        with pytest.raises(ResolutionError, match="insufficient for block 1..2"):
+            sc_fin_select(s, seq)
+        move = strategy_F_move(s, seq, 1)
+        assert [len(fam) for fam in move] == [s.n, 0]
+        assert move[0].union_mask().all()
+        assert _block(seq, 1, allow_pointwise=True) == (move, True)
         with pytest.raises(ResolutionError):
             sc_fin_select(s, seq)
-        sel = sc_fin_select(s, seq, allow_pointwise=True)
-        assert sel.fallback_blocks == (1,)
-        assert len(sel.families[0]) == s.n
-        assert len(sel.families[1]) == 0
 
 
 class TestFiniteC:
@@ -259,12 +266,8 @@ class TestFiniteC:
         assert isinstance(res, FiniteCWitness) and res.n == 3
         # n = 2 genuinely fails: the default construction on the prefix
         # leaves a concrete point uncovered
-        from covergames.screenability import _sc_fin_families
-        import numpy as np
-
-        fams, _, _ = _sc_fin_families(
-            s, CoverSeq(s, covers.covers[:2]), allow_pointwise=False
-        )
+        fams, fallback = _block(CoverSeq(s, covers.covers[:2]), 1)
+        assert len(fams) == 2 and not fallback
         union = np.zeros(s.n, dtype=bool)
         for fam in fams:
             union |= fam.union_mask()
