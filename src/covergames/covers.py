@@ -171,8 +171,8 @@ def _make_members(region: OpenRegion) -> np.ndarray:
         members = space.box(_box_bounds(region))
     else:
         inside = np.zeros(space.n, dtype=bool)
-        for c, r in region.balls:
-            inside[space.ball(c, space.scaled_bound(r, closed=True))] = True
+        for r, centers in _by_radius(region.balls).items():
+            inside |= space.ball_union(centers, space.scaled_bound(r, closed=True))
         members = np.flatnonzero(~inside).astype(np.int32)
     members.flags.writeable = False
     return members
@@ -184,7 +184,8 @@ def region_members(region: OpenRegion) -> np.ndarray:
 
     The space answers the query (SampledSpace.ball and .box, which on an
     int64 euclidean or chebyshev table read only a first-axis window); a
-    complement of closed balls is the complement of its balls' members.
+    complement of closed balls is the complement of one
+    SampledSpace.ball_union per radius.
     """
     return _derived(region, "_members", _make_members)
 
@@ -242,11 +243,31 @@ class Cover:
         self._table: _LebesgueTable | None = None
 
 
+def _by_radius(balls) -> dict[Fraction, list[int]]:
+    """The centers of (center, radius) pairs, grouped by radius.  A run of
+    pairs sharing one radius object hashes it once, not once per pair."""
+    groups: dict[Fraction, list[int]] = {}
+    last = group = None
+    for c, r in balls:
+        if r is not last:
+            group, last = groups.setdefault(r, []), r
+        group.append(c)
+    return groups
+
+
 def union_mask(space: SampledSpace, regions) -> np.ndarray:
-    """Boolean mask of the sample points lying in some region."""
+    """Boolean mask of the sample points lying in some region: the balls of
+    one radius are one SampledSpace.ball_union, which keeps no members on
+    them; every other region adds its members."""
     out = np.zeros(space.n, dtype=bool)
+    balls = []
     for r in regions:
-        out[region_members(r)] = True
+        if isinstance(r, Ball):
+            balls.append((r.center, r.radius))
+        else:
+            out[region_members(r)] = True
+    for r, centers in _by_radius(balls).items():
+        out |= space.ball_union(centers, space.scaled_bound(r))
     return out
 
 

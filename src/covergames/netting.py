@@ -43,22 +43,11 @@ class NetCertificate:
 
 def validate_net(space: SampledSpace, cert: NetCertificate) -> bool:
     """Re-check a certificate pointwise: every covered point strictly within
-    epsilon of some center.  The centers' balls are added in order until
-    nothing is left to cover, so a passing check reads only the prefix of
-    centers it needs; each ball's members come from SampledSpace.ball,
-    which reads only its first-axis window where the space allows."""
+    epsilon of some center, by one SampledSpace.ball_union of the centers."""
     if cert.epsilon <= 0 or not all(0 <= c < space.n for c in cert.centers):
         raise InputError("a net needs a positive epsilon and sample-point centers")
-    bound = space.scaled_bound(cert.epsilon)
-    left = cert.covered.mask().copy()
-    todo = int(np.count_nonzero(left))
-    for c in cert.centers:
-        if not todo:
-            break
-        hit = space.ball(c, bound)
-        todo -= int(np.count_nonzero(left[hit]))
-        left[hit] = False
-    return not todo
+    hit = space.ball_union(cert.centers, space.scaled_bound(cert.epsilon))
+    return not (cert.covered.mask() & ~hit).any()
 
 
 # cached traversals per space: each holds at most 4 entries per sample point

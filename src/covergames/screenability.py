@@ -166,21 +166,18 @@ def _cantor_level_family(
     if not isinstance(st, CantorStructure):
         raise AssertionError(f"Cantor brick class on a space with structure {st!r}")
     depth = st.depth
-    level = None
-    for L in range(depth + 1):
-        extent = Fraction(1, 3**L) - Fraction(1, 3**depth)
-        gamma = min(Fraction(1, 4 * 3**L), lam / 2)
-        if extent + gamma < lam:
-            level = L
-            break
-    if level is None:
-        raise ResolutionError(
-            f"resolution insufficient: Lebesgue number {lam} below the "
-            f"Cantor sample spacing",
-            witness=lam,
-        )
-    gamma = min(Fraction(1, 4 * 3**level), lam / 2)
-    return _witness_class(_cantor_level_boxes(space, level, gamma), cover, lam)
+
+    def gamma(level: int) -> Fraction:
+        return min(Fraction(1, 4 * 3**level), lam / 2)
+
+    # the coarsest level whose fattened groups fit in a Lebesgue ball; at
+    # level depth every group is one point and gamma <= lam / 2 < lam
+    level = next(
+        L
+        for L in range(depth + 1)
+        if Fraction(1, 3**L) - Fraction(1, 3**depth) + gamma(L) < lam
+    )
+    return _witness_class(_cantor_level_boxes(space, level, gamma(level)), cover, lam)
 
 
 def _cantor_level_boxes(space: SampledSpace, level: int, gamma: Fraction) -> list[Box]:
@@ -252,12 +249,13 @@ def _block(
     A grid block gets one brick grid sized below (min of the block's
     Lebesgue numbers)/(2d), and color class c becomes the family of the
     block's c-th cover, so a full block covers by pigeonhole.  A Cantor
-    block (width 1) is one level family.  A block too fine for either
-    raises ResolutionError, unless allow_pointwise (the game only), which
-    hands its first cover the point-isolating family and the rest empty
-    families.  A block depends on its own covers alone, so it is built once
-    per sequence and kept there; a fallback block kept there is still
-    refused without allow_pointwise.
+    block (width 1) is one level family, which some level always gives.  A
+    grid block too fine for bricks raises ResolutionError, unless
+    allow_pointwise (the game only), which hands its first cover the
+    point-isolating family and the rest empty families.  A block depends
+    on its own covers alone, so it is built once per sequence and kept
+    there; a fallback block kept there is still refused without
+    allow_pointwise.
     """
     blk = covers._blocks.get(lo)
     if blk is not None and (allow_pointwise or not blk[1]):

@@ -47,6 +47,9 @@ DEFAULT_POINT_CAP = 2**20
 CANTOR_DEPTH_CAP = 16
 POINT_CAP_ENV = "COVER_GAMES_POINT_CAP"
 
+# pairs of a point and a center that ball_union's coarse pass tests at once
+PAIR_CHUNK = 2**17
+
 # rational upper bounds for sqrt(d), d = 1..3, used for grid mesh values
 _EUCLID_MESH_FACTOR = {1: Fraction(1), 2: Fraction(3, 2), 3: Fraction(7, 4)}
 
@@ -153,7 +156,7 @@ class SampledSpace:
             structure = _table_structure(cols, scale)
         self.structure = structure
         self._index: dict[tuple[Fraction, ...], int] | None = None
-        self._axis0: tuple[np.ndarray, np.ndarray, int, int] | None = None
+        self._sorted: tuple[np.ndarray, np.ndarray, int, int] | None = None
         # farthest-point traversals by subset mask, extended in place under
         # the lock (netting.greedy_net)
         self._traversals: dict[bytes, object] = {}
@@ -260,17 +263,23 @@ class SampledSpace:
 
     def axis0_window(self, gt: int, le: int) -> np.ndarray:
         """Indices of the points whose scaled first coordinate x satisfies
-        gt < x <= le, in axis order: two binary searches in an argsort of
-        the first column, built on first use (int64 tables only)."""
-        if self._axis0 is None:
-            order = np.argsort(self._icoords[:, 0], kind="stable").astype(np.int32)
-            col = self._icoords[order, 0]
-            self._axis0 = order, col, int(col[0]), int(col[-1])
-        order, col, first, last = self._axis0
+        gt < x <= le, in axis order (int64 tables only)."""
+        return self._sorted_window(self._icoords[:, 0], gt, le)
+
+    def _sorted_window(self, key: np.ndarray, gt: int, le: int) -> np.ndarray:
+        """Indices of the points whose key x satisfies gt < x <= le, in key
+        order: two binary searches in an argsort of the key, built on first
+        use.  A space sorts one key: its first scaled coordinate, or its
+        2-adic bits, which order the points the same way."""
+        if self._sorted is None:
+            order = np.argsort(key, kind="stable").astype(np.int32)
+            col = key[order]
+            self._sorted = order, col, int(col[0]), int(col[-1])
+        order, col, first, last = self._sorted
 
         def rank(x: int) -> int:
-            # points with first coordinate <= x; a bound outside the sample's
-            # span never reaches searchsorted, where it could overflow int64
+            # points with key <= x; a bound outside the sample's span never
+            # reaches searchsorted, where it could overflow int64
             if x < first:
                 return 0
             if x >= last:
@@ -282,8 +291,14 @@ class SampledSpace:
     def near(self, c: int, bound: int) -> np.ndarray:
         """Indices (int32) of the points that can lie within scaled squared
         distance bound >= 0 of point c: on a windowed table the first-axis
-        window |x0 - c0| <= isqrt(bound), in axis order; every point
-        otherwise."""
+        window |x0 - c0| <= isqrt(bound), in axis order; on a 2-adic table
+        exactly the ball, the points sharing c's bits from bit
+        k = isqrt(bound).bit_length() up, one range of the sorted bits;
+        every point otherwise."""
+        if self.metric_kind == "cantor_2adic":
+            k = isqrt(bound).bit_length()
+            top = int(self._cantor_bits[c]) >> k << k
+            return self._sorted_window(self._cantor_bits, top - 1, top + (1 << k) - 1)
         if not self.windowed:
             return np.arange(self.n, dtype=np.int32)
         c0, w = int(self._icoords[c, 0]), isqrt(bound)
@@ -292,11 +307,83 @@ class SampledSpace:
     def ball(self, c: int, bound: int) -> np.ndarray:
         """Sorted indices (int32) of the points within scaled squared
         distance bound of point c: the points of near whose distance is in
-        bound, where in dimension one a window needs no test."""
+        bound, where a 2-adic range or a window in dimension one needs no
+        test."""
         idx = self.near(c, bound)
-        if self.coord_dim > 1 or not self.windowed:
+        if self.metric_kind != "cantor_2adic" and (
+            self.coord_dim > 1 or not self.windowed
+        ):
             idx = idx[self._dist_sq_to(c, idx) <= bound]
         return np.sort(idx)
+
+    def ball_union(self, centers, bound: int) -> np.ndarray:
+        """Boolean mask of the points within scaled squared distance
+        bound >= 0 of some center, on any table.
+
+        A windowed table of at most three axes takes two cell-grid passes
+        (fixed-radius near neighbours, Bentley, Stanat & Williams 1977).
+        The fine cells are small enough that any two points in one are
+        within the bound, so a point sharing a fine cell with a center is
+        in at once.  Each point left compares exact distances with the
+        centers in the 3**d coarse cells of side isqrt(bound) + 1 around
+        its own.  Other tables loop over ball.
+        """
+        mask = np.zeros(self.n, dtype=bool)
+        centers = np.unique(np.asarray(centers, dtype=np.int64))
+        if not (centers.size and self.windowed and self.coord_dim <= 3):
+            for c in centers.tolist():
+                mask[self.ball(c, bound)] = True
+            return mask
+        per_axis = bound if self.metric_kind == "chebyshev" else bound // self.coord_dim
+        fine = _cell_ids(self._icoords // (isqrt(per_axis) + 1))
+        hit = np.zeros(int(fine.max()) + 1, dtype=bool)
+        hit[fine[centers]] = True
+        mask = hit[fine]
+        if not mask.all():
+            self._coarse_pass(mask, centers, bound)
+        return mask
+
+    def _coarse_pass(self, mask: np.ndarray, centers: np.ndarray, bound: int) -> None:
+        """Mark in mask the unmarked points within bound of some center, by
+        exact int64 distances to the centers in the 3**d cells around each
+        point's own, at most PAIR_CHUNK pairs at a time.  A cell's side is
+        at least isqrt(bound) + 1, and at least span / 2**20, so that its
+        key fits int64."""
+        table = self._icoords
+        span = int((table.max(axis=0) - table.min(axis=0)).max())
+        cells = table // max(isqrt(bound) + 1, (span >> 20) + 1)
+        cells -= cells.min(axis=0) - 1  # from 1: an empty cell on either side
+        stride = np.cumprod(np.r_[1, cells.max(axis=0)[:-1] + 2])
+        key = cells @ stride
+        order = np.argsort(key[centers], kind="stable")
+        centers, ckey = centers[order], key[centers[order]]
+        for offset in itertools.product((0, -1, 1), repeat=self.coord_dim):
+            rest = np.flatnonzero(~mask)
+            if not rest.size:
+                return
+            look = key[rest] + int(np.dot(offset, stride))
+            first = ckey.searchsorted(look, "left")
+            count = ckey.searchsorted(look, "right") - first
+            ends = np.cumsum(count)
+            lo = 0
+            while lo < rest.size:
+                start = int(ends[lo] - count[lo])
+                hi = max(int(ends.searchsorted(start + PAIR_CHUNK, "right")), lo + 1)
+                k = count[lo:hi]
+                # pair j of point i is (i, the (j - skip_i)-th center of its cell)
+                skip = ends[lo:hi] - k - start
+                p = np.repeat(rest[lo:hi], k)
+                c = centers[np.repeat(first[lo:hi] - skip, k) + np.arange(p.size)]
+                mask[p[self._pair_dist_sq(p, c) <= bound]] = True
+                lo = hi
+
+    def _pair_dist_sq(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Scaled squared distances from each point p[k] to q[k] (int64
+        euclidean and chebyshev tables)."""
+        delta = self._icoords[p] - self._icoords[q]
+        if self.metric_kind == "chebyshev":
+            return np.abs(delta).max(axis=1) ** 2
+        return (delta * delta).sum(axis=1)
 
     def box(self, bounds) -> np.ndarray:
         """Sorted indices (int32) of the points whose scaled coordinates
@@ -380,6 +467,18 @@ class SampledSpace:
             f"SampledSpace({self.label or 'unlabeled'}, n={self.n}, "
             f"metric={self.metric_kind}, mesh={self.mesh})"
         )
+
+
+def _cell_ids(cells: np.ndarray) -> np.ndarray:
+    """Per row of an integer table, an id in 0..k-1 that equal rows share
+    and different rows do not: the row's rank among the k distinct rows."""
+    order = np.lexsort(cells.T)
+    rows = cells[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids
 
 
 def _msb(x: int) -> int:

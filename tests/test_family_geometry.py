@@ -40,7 +40,7 @@ from covergames.jsonio import space_from_json
 from covergames.netting import greedy_net
 from covergames.registry import builtin_names, builtin_space
 from covergames.screenability import _pointwise_family, build_brick_grid
-from covergames.space import GridStructure, build_grid_space
+from covergames.space import GridStructure, SampledSpace, build_grid_space
 
 GOLDEN = Path(__file__).parent / "golden" / "inputs"
 
@@ -417,6 +417,14 @@ def test_square_demo_settles_containment_in_floats(monkeypatch):
     calls = _count_calls(monkeypatch, covers_module, "analytic_contains")
     sizes = _count_sweeps(monkeypatch, covers_module)
     pointwise = _count_calls(monkeypatch, screenability, "_pointwise_family")
+    balls = _count_calls(monkeypatch, SampledSpace, "ball")
+    selections, decompose = [], cli.decompose_from_hurewicz
+
+    def kept(space, sel, *args, **kwargs):
+        selections.append(sel)
+        return decompose(space, sel, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "decompose_from_hurewicz", kept)
     code, _ = run(["demo", "--label", "unit_square_64", "--horizon", "6"])
     assert code == 0
     assert len(calls) <= 500  # 21,181 with exact corners
@@ -424,6 +432,11 @@ def test_square_demo_settles_containment_in_floats(monkeypatch):
     assert sum(k >= 2 for k in sizes) <= 8
     # the game builds each block once: 2 when every round rebuilt its blocks
     assert len(pointwise) <= 1
+    # a selection's union and a net's check are one ball_union each: 19,048
+    # single balls when every selection ball and net center took one
+    assert len(balls) <= 100
+    (sel,) = selections
+    assert not any("_members" in b.__dict__ for chosen in sel.values() for b in chosen)
 
 
 def test_golden_refine_sweeps_each_family_once(monkeypatch):

@@ -2,12 +2,14 @@
 code it replaced.
 
 `region_members` tests only a first-axis window of the sample, `contains`
-searches the members, `validate_net` stops at the first covering prefix of
-centers, and the Lebesgue functions send only the points and regions their
-float table cannot settle to the exact code.  The oracles below are the
-earlier bodies: a dense O(n) mask per region, the full cover check of a
-net, and the exact per-point Lebesgue loops over every point.  Each answer
-must be identical, down to the Fraction and the region index.
+searches the members, `SampledSpace.ball_union` finds the points near a
+set of centers on a cell grid (and `union_mask` and `validate_net` take
+one union per radius), and the Lebesgue functions send only the points
+and regions their float table cannot settle to the exact code.  The
+oracles below are the earlier bodies: a dense O(n) mask per region, the
+union of the balls' masks, the full cover check of a net, and the exact
+per-point Lebesgue loops over every point.  Each answer must be
+identical, down to the Fraction and the region index.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import random
 import weakref
 from dataclasses import astuple
 from fractions import Fraction as F
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covergames.covers as covers_module
+import covergames.space as space_module
 from covergames.cli import run
 from covergames.covers import (
     Ball,
@@ -47,6 +51,7 @@ from covergames.covers import (
 from covergames.exact import clamp_int64, exact_sqrt, int_le_bound, int_lt_bound
 from covergames.netting import NetCertificate, decompose_from_hurewicz, greedy_net
 from covergames.netting import validate_net
+from covergames.registry import builtin_space
 from covergames.screenability import _pointwise_family
 from covergames.space import (
     SampledSpace,
@@ -299,6 +304,8 @@ def test_space_queries_match_dense_membership(data):
         assert ball.dtype == near.dtype == np.int32
         assert ball.tolist() == want
         assert set(want) <= set(near.tolist())
+        if space.metric_kind == "cantor_2adic":  # one range of sorted bits
+            assert sorted(near.tolist()) == want
         bounds = []
         for k in range(space.coord_dim):
             values = sorted({row[k] for row in table})
@@ -311,6 +318,82 @@ def test_space_queries_match_dense_membership(data):
         ]
         box = space.box(bounds)
         assert box.dtype == np.int32 and box.tolist() == want
+
+
+def _union_oracle(space, centers, radius, closed):
+    """The union of the centers' dense ball masks."""
+    out = np.zeros(space.n, dtype=bool)
+    for c in centers:
+        out |= _ball_oracle(space, c, radius, closed)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ball_union_matches_the_per_ball_union(data):
+    space = data.draw(spaces())
+    point = st.integers(0, space.n - 1)
+    centers = data.draw(st.lists(point, max_size=6))
+    centers += data.draw(st.lists(st.sampled_from(centers), max_size=2)) if centers else []
+    c = centers[0] if centers else 0
+    gap = space.min_positive_gap_sq()
+    radii = [
+        _radius(data.draw, space, c),  # often a sample distance
+        F(1, 2**70),  # bound 0
+        min(gap, F(1)) / 2,  # below the minimum gap
+        F(2**80),  # past every distance: the clamped int64 maximum
+    ]
+    if exact_sqrt(gap) is not None:
+        radii.append(exact_sqrt(gap))
+    radius = data.draw(st.sampled_from(radii))
+    closed = data.draw(st.booleans())
+    bound = space.scaled_bound(radius, closed)
+    got = space.ball_union(centers, bound)
+    assert got.dtype == bool and got.shape == (space.n,)
+    assert np.array_equal(got, _union_oracle(space, centers, radius, closed))
+    assert np.array_equal(
+        union_mask(space, [Ball(space, c, radius) for c in centers]),
+        _union_oracle(space, centers, radius, False),
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 7, space_module.PAIR_CHUNK])
+@pytest.mark.parametrize("metric", ["euclidean", "chebyshev"])
+@pytest.mark.parametrize("dim,den", [(1, 16), (2, 8), (3, 4)])
+def test_ball_union_at_every_bound_with_centers_on_cell_borders(
+    monkeypatch, dim, den, metric, chunk
+):
+    # every scaled bound up to past the diameter; the centers are points on
+    # the borders of the fine and the coarse cells of that bound, or one
+    # step inside: a few alone, given twice, and a third of them at once;
+    # the coarse pass takes its pairs a few at a time, or all at once
+    monkeypatch.setattr(space_module, "PAIR_CHUNK", chunk)
+    s = build_grid_space(dim, F(1, den), metric)
+    table = s._icoords
+    top = int(max(s.dist_sq_row(0))) + 2
+    for bound in range(top):
+        per_axis = bound if metric == "chebyshev" else bound // dim
+        sides = {isqrt(per_axis) + 1, isqrt(bound) + 1}
+        edge = np.zeros(s.n, dtype=bool)
+        for side in sides:
+            edge |= np.asarray(np.isin(table % side, [0, side - 1]).all(axis=1))
+        border = np.flatnonzero(edge).tolist()
+        for centers in [[c, c] for c in border[:: len(border) // 4 + 1]] + [border[::3]]:
+            want = np.zeros(s.n, dtype=bool)
+            for c in centers:
+                want |= s.dist_sq_row(c) <= bound
+            assert np.array_equal(s.ball_union(centers, bound), want), (bound, centers)
+    assert not s.ball_union([], top).any()
+
+
+def test_ball_union_of_every_square_point_needs_no_pair(monkeypatch):
+    # validate_net's epsilon-1/2 certificate over the 4,225 centers of the
+    # demo's finest selections: the fine cells settle every point
+    space = builtin_space("unit_square_64")
+    pairs = _count_calls(monkeypatch, SampledSpace, "_pair_dist_sq")
+    rows = _count_calls(monkeypatch, SampledSpace, "_dist_sq_to")
+    assert space.ball_union(range(space.n), space.scaled_bound(F(1, 2))).all()
+    assert pairs == [] and rows == []
 
 
 def test_ball_radius_equal_to_a_sample_distance_is_open():
@@ -580,7 +663,7 @@ def test_pointwise_family_reads_no_distance_row(monkeypatch):
     assert rows == []
 
 
-def test_decompose_validates_each_net_on_its_covering_prefix(monkeypatch):
+def test_decompose_takes_one_union_per_selection_and_certificate(monkeypatch):
     space = build_grid_space(2, F(1, 16))
     horizon = 4
     selections = {}
@@ -588,22 +671,20 @@ def test_decompose_validates_each_net_on_its_covering_prefix(monkeypatch):
         net = greedy_net(space, space.subset_all(), doubling_delta(m))
         selections[m] = [Ball(space, c, doubling_delta(m)) for c in net.centers]
     epsilons = [F(1, 2), F(1, 16)]
-    dec = decompose_from_hurewicz(space, selections, horizon, epsilons)
-
-    # the least number of leading centers whose balls cover each stage
-    prefixes = []
-    for (n, eps), cert in dec.certificates.items():
-        masks = [mask_oracle(Ball(space, c, eps)) for c in cert.centers]
-        hit = covers_module.first_hit(masks, space.n)[cert.covered.mask()]
-        prefixes.append(int(hit.max()) + 1 if hit.size else 0)
-    assert sum(prefixes) < sum(len(c.centers) for c in dec.certificates.values())
-
-    # each center's ball is found through its window: one ball query per
-    # center read, and no distance row (the selections' members are kept on
-    # their balls from the first run)
-    inside = _count_calls(monkeypatch, SampledSpace, "ball")
+    unions = _count_calls(monkeypatch, SampledSpace, "ball_union")
+    balls = _count_calls(monkeypatch, SampledSpace, "ball")
     rows = _count_calls(monkeypatch, SampledSpace, "dist_sq_row")
-    dec2 = decompose_from_hurewicz(space, selections, horizon, epsilons)
-    assert dec2.certificates.keys() == dec.certificates.keys()
-    assert 0 < len(inside) <= sum(prefixes)
-    assert rows == []
+    dec = decompose_from_hurewicz(space, selections, horizon, epsilons)
+    # one union per stage's selection, one per certificate; no single ball,
+    # no distance row, and no members kept on the selections' balls
+    assert len(unions) == horizon + len(dec.certificates) == horizon * 3
+    assert balls == [] and rows == []
+    assert not any("_members" in b.__dict__ for sel in selections.values() for b in sel)
+    for cert in dec.certificates.values():
+        assert net_oracle(space, cert)
+    covered = [
+        _union_oracle(space, [b.center for b in selections[m]], doubling_delta(m), False)
+        for m in range(1, horizon + 1)
+    ]
+    for n in range(1, horizon + 1):  # stage n: the points in every union from n on
+        assert np.array_equal(dec.stage(n).mask(), np.logical_and.reduce(covered[n - 1 :]))

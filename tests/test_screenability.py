@@ -5,15 +5,19 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covergames.covers import (
     Ball,
     Box,
     Cover,
     CoverSeq,
+    lebesgue_number,
     pairwise_disjoint_check,
     refines_check,
     region_mask,
+    union_mask,
 )
 from covergames.exact import InputError
 from covergames.game import strategy_F_move
@@ -24,13 +28,14 @@ from covergames.screenability import (
     ResolutionError,
     _block,
     _cantor_level_boxes,
+    _cantor_level_family,
     admissible_cell_sides,
     brick_refinement,
     build_brick_grid,
     finite_c_search,
     sc_fin_select,
 )
-from covergames.space import CantorStructure, build_grid_space
+from covergames.space import CantorStructure, build_cantor_space, build_grid_space
 
 
 def crossing_cover(s):
@@ -328,3 +333,25 @@ def test_cantor_level_groups_past_int64():
     boxes = _cantor_level_boxes(space, 40, gamma)
     assert boxes == cantor_level_boxes_loop(space, 40, gamma)
     assert len(boxes) == space.n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    depth=st.integers(1, 10),
+    a=st.integers(1, 30),
+    b=st.integers(0, 30),
+    k=st.integers(0, 14),
+)
+def test_cantor_level_family_is_built_at_every_positive_lebesgue_number(depth, a, b, k):
+    # any positive lambda up to the cover's Lebesgue number, from past the
+    # sample's diameter down to below its spacing, finds a level
+    space = build_cantor_space(depth)
+    cover = Cover(space, [Ball(space, 0, F(4))])
+    lam = lebesgue_number(cover) * F(a, a + b) / 3**k
+    family = _cantor_level_family(space, cover, lam)
+    level = len(family).bit_length() - 1
+    assert len(family) == 2**level and 0 <= level <= depth
+    assert family.parent is cover and family.witness == (0,) * len(family)
+    assert union_mask(space, family.regions).all()
+    for box in family.regions:  # inside the Lebesgue ball of its leftmost point
+        assert box.hi[0] - min(p for (p,) in space.points if box.lo[0] < p) < lam
