@@ -13,6 +13,7 @@ relatively-open truncations like [0, 0.6) on [0,1] are expressed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,22 +24,23 @@ import numpy as np
 from .exact import (
     CheckFailure,
     InputError,
+    ceil_frac,
     clamp_int64,
     exact_sqrt,
+    floor_frac,
     int_le_bound,
     int_lt_bound,
     sqrt_lower,
     sqrt_upper,
 )
-from .space import SampledSpace, first_hit
+from .space import SampledSpace, csr, first_hit
 
 UNCOVERED_REPORT_CAP = 16
 
 
 class _Region:
     """Value identity shared by the region shapes: equal when the type, the
-    space (by identity) and every other field agree.  The hash is computed
-    on first use and kept on the region."""
+    space (by identity) and every other field agree."""
 
     def _values(self) -> tuple:
         fields = self.__dataclass_fields__
@@ -52,9 +54,7 @@ class _Region:
         )
 
     def __hash__(self):
-        return _derived(
-            self, "_hash", lambda r: hash((id(r.space), type(r), r._values()))
-        )
+        return hash((id(self.space), type(self), self._values()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,16 +128,129 @@ class CoClosedBalls(_Region):
 OpenRegion = Union[Ball, Box, CoClosedBalls]
 
 
+# -- box families -------------------------------------------------------------------
+
+# int64 box ends stay below this magnitude, so that a sum or difference of
+# two of them fits
+_ROW_CAP = 2**62
+
+
+def _int_array(values) -> np.ndarray:
+    """An exact integer array of the given ints: int64 when every entry
+    lies below _ROW_CAP in magnitude, Python ints (object) otherwise."""
+    arr = np.array(values, dtype=object)
+    flat = arr.ravel().tolist()
+    if flat and max(map(abs, flat)) >= _ROW_CAP:
+        return arr
+    return arr.astype(np.int64)
+
+
+def _scaled(table: np.ndarray, factor: int, shift: int = 0) -> np.ndarray:
+    """table * factor + shift, exactly: in int64 when the result fits."""
+    if table.dtype != object and table.size:
+        top = max(-int(table.min()), int(table.max()))
+        if top * factor + abs(shift) < _ROW_CAP:
+            return table * factor + shift
+    return _int_array(table.astype(object) * factor + shift)
+
+
+def _csr_take(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
+    """The CSR rows at the given row indices, in that order."""
+    starts, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out, indices[np.repeat(starts - out[:-1], counts) + np.arange(out[-1])]
+
+
+def _first_in_rows(flags: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Per CSR row, the position of its first entry where flags holds, or
+    -1."""
+    pos = np.flatnonzero(flags)
+    rows = np.searchsorted(indptr, pos, "right") - 1
+    first = np.ones(pos.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    out = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    out[rows[first]] = pos[first]
+    return out
+
+
+class BoxFamily:
+    """Open axis boxes on one space as integer arrays.
+
+    Box i is {x : lo[i, k] / den < x_k < hi[i, k] / den on every axis k};
+    den is a multiple of the space's scale, and the rows are int64 when
+    they fit, Python ints (object) otherwise.  Box i holds the sample
+    points indices[indptr[i]:indptr[i + 1]] (sorted), and anchors[i] is
+    the lowest of them (-1 for a box holding none).  The float bounds of
+    the ends are converted once per family, rounded outward; a Box object
+    is built only when asked for (box, boxes).  The block builders of
+    screenability make these families.
+    """
+
+    def __init__(self, space: SampledSpace, den: int, lo, hi, indptr, indices):
+        if den % space.scale or lo.shape != hi.shape or len(indptr) != len(lo) + 1:
+            raise AssertionError("box family arrays do not fit together")
+        self.space, self.den, self.lo, self.hi = space, den, lo, hi
+        self.indptr, self.indices = indptr, indices
+        self.indices.flags.writeable = False
+        firsts = indices[np.minimum(indptr[:-1], max(indices.size - 1, 0))] if indices.size else 0
+        self.anchors = np.where(indptr[1:] > indptr[:-1], firsts, -1)
+        self._bounds: tuple[np.ndarray, np.ndarray] | None = None
+        self._boxes: tuple[Box, ...] | None = None
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def members(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+
+    def take(self, keep) -> "BoxFamily":
+        """The boxes at the indices keep, in that order."""
+        keep = np.asarray(keep, dtype=np.int64)
+        indptr, indices = _csr_take(self.indptr, self.indices, keep)
+        sub = BoxFamily(self.space, self.den, self.lo[keep], self.hi[keep], indptr, indices)
+        if self._bounds is not None:
+            sub._bounds = (self._bounds[0][keep], self._bounds[1][keep])
+        return sub
+
+    def float_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Float bounds (k, d, 2) on every lower and every upper end: [..., 0]
+        below the end, [..., 1] above it.  Infinite on object rows and on a
+        denominator past float range, which sends every pair to the exact
+        integer tests."""
+        if self._bounds is None:
+            if self.lo.dtype == object or self.den >= 2**1000:
+                inf = np.empty(self.lo.shape + (2,))
+                inf[..., 0], inf[..., 1] = -math.inf, math.inf
+                self._bounds = (inf, inf)
+            else:
+                den = float(self.den)
+                self._bounds = tuple(
+                    np.stack([_below(v, np.abs(v)), _above(v, np.abs(v))], axis=-1)
+                    for v in (self.lo / den, self.hi / den)
+                )
+        return self._bounds
+
+    def rows(self, den: int) -> np.ndarray:
+        """The ends (lo then hi, k x 2d) over a multiple den of the family's
+        denominator: equal boxes have equal rows."""
+        return _scaled(np.concatenate([self.lo, self.hi], axis=1), den // self.den)
+
+    def box(self, i: int) -> Box:
+        lo, hi = self.lo[i].tolist(), self.hi[i].tolist()
+        return Box(
+            self.space,
+            tuple(Fraction(v, self.den) for v in lo),
+            tuple(Fraction(v, self.den) for v in hi),
+        )
+
+    def boxes(self) -> tuple[Box, ...]:
+        if self._boxes is None:
+            self._boxes = tuple(self.box(i) for i in range(len(self)))
+        return self._boxes
+
+
 # -- membership -------------------------------------------------------------------
-
-
-def _derived(region: OpenRegion, name: str, make):
-    """make(region), computed once and kept on the (frozen) region."""
-    value = region.__dict__.get(name)
-    if value is None:
-        value = make(region)
-        object.__setattr__(region, name, value)
-    return value
 
 
 def _box_bounds(region: Box) -> tuple[tuple[int, int], ...]:
@@ -187,7 +300,11 @@ def region_members(region: OpenRegion) -> np.ndarray:
     complement of closed balls is the complement of one
     SampledSpace.ball_union per radius.
     """
-    return _derived(region, "_members", _make_members)
+    members = region.__dict__.get("_members")
+    if members is None:
+        members = _make_members(region)
+        object.__setattr__(region, "_members", members)
+    return members
 
 
 def region_mask(region: OpenRegion) -> np.ndarray:
@@ -241,6 +358,42 @@ class Cover:
         self.regions = tuple(regions)
         self._lebesgue: Fraction | None = None
         self._table: _LebesgueTable | None = None
+        # built on first use: _region_arrays and _box_ends by den
+        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._ends: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _region_arrays(cover: Cover) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cover region: its shape name, and for a ball its center and the
+    float bounds on its radius (0 elsewhere).  Built once per cover."""
+    if cover._arrays is None:
+        balls = [r if isinstance(r, Ball) else None for r in cover.regions]
+        cover._arrays = (
+            np.array([type(r).__name__ for r in cover.regions] or [""]),
+            np.array([0 if b is None else b.center for b in balls] or [0]),
+            np.array([(0, 0) if b is None else _float_bounds(b.radius) for b in balls] or [(0, 0)]),
+        )
+    return cover._arrays
+
+
+def _box_ends(cover: Cover, den: int, dtype) -> np.ndarray:
+    """Per cover region, its box ends scaled by den, inward to integers:
+    ceil(lo * den) per axis, then floor(hi * den) (0 for other shapes), in
+    int64 clamped to its range or in Python ints.  Built once per den."""
+    ends = cover._ends.get(den)
+    if ends is None:
+        d = cover.space.coord_dim
+        rows = [
+            [ceil_frac(x * den) for x in r.lo] + [floor_frac(x * den) for x in r.hi]
+            if isinstance(r, Box)
+            else [0] * (2 * d)
+            for r in cover.regions
+        ] or [[0] * (2 * d)]
+        ends = cover._ends[den] = (
+            np.array(rows, dtype=object),
+            np.array([[clamp_int64(x) for x in row] for row in rows], dtype=np.int64),
+        )
+    return ends[0] if dtype == object else ends[1]
 
 
 def _by_radius(balls) -> dict[Fraction, list[int]]:
@@ -430,24 +583,96 @@ def box_in_ball_verdicts(
         and b.space is space
         and ball.space is space
     ]
-    if not (pick and space.windowed):
-        return verdict
-    if space.dist_scale_sq >= 2**1000:  # float(space.scale) would overflow
+    if not (pick and _floats_settle(space)):
         return verdict
     boxes, balls = [inner[k] for k in pick], [outer[k] for k in pick]
-    lo = np.array([[_float_bounds(x) for x in b.lo] for b in boxes])
-    hi = np.array([[_float_bounds(x) for x in b.hi] for b in boxes])
-    c = space._icoords[[ball.center for ball in balls]] / float(space.scale)
+    verdict[pick] = _corner_verdicts(
+        space,
+        np.array([[_float_bounds(x) for x in b.lo] for b in boxes]),
+        np.array([[_float_bounds(x) for x in b.hi] for b in boxes]),
+        [ball.center for ball in balls],
+        np.array([_float_bounds(ball.radius) for ball in balls]),
+    )
+    return verdict
+
+
+def _floats_settle(space: SampledSpace) -> bool:
+    """Whether certified float bounds apply on the space: an int64
+    euclidean or chebyshev table whose scale converts to a float."""
+    return space.windowed and space.dist_scale_sq < 2**1000
+
+
+def _corner_verdicts(space, lo, hi, centers, radius) -> np.ndarray:
+    """1 where the box with end bounds lo, hi (k, d, 2) certainly lies in
+    the open ball at centers[k] with radius bounds radius[k], 0 where it
+    certainly does not, -1 where floats cannot tell."""
+    c = space._icoords[centers] / float(space.scale)
     c = np.stack([_below(c, np.abs(c)), _above(c, np.abs(c))], axis=-1)
     up, down = _diff_bounds(hi, c), _diff_bounds(c, lo)  # hi - c, c - lo
     far = np.maximum(np.maximum(up, down), 0) ** 2
     far = far.max(axis=1) if space.metric_kind == "chebyshev" else far.sum(axis=1)
     mag = far * (space.coord_dim + 1)  # the roundings of the squares and sum
     far_lo, far_hi = _below(far[:, 0], mag[:, 0]), _above(far[:, 1], mag[:, 1])
-    r = np.maximum([_float_bounds(ball.radius) for ball in balls], 0) ** 2
+    r = np.maximum(radius, 0) ** 2
     r_lo, r_hi = _below(r[:, 0], r[:, 0]), _above(r[:, 1], r[:, 1])
-    verdict[pick] = np.where(far_hi < r_lo, 1, np.where(far_lo >= r_hi, 0, -1))
+    return np.where(far_hi < r_lo, 1, np.where(far_lo >= r_hi, 0, -1))
+
+
+def _family_verdicts(fam: BoxFamily, outer: Cover, ii: np.ndarray, oo: np.ndarray):
+    """analytic_contains(fam.box(ii[q]), outer.regions[oo[q]]) per pair q:
+    1 or 0 where settled, -1 where only _family_contains can tell.  A
+    box-in-box pair is settled exactly, on integer rows; a box-in-ball pair
+    by certified floats when they can tell."""
+    verdict = np.full(len(ii), -1, dtype=np.int8)
+    space = fam.space
+    if space.metric_kind == "cantor_2adic" or not len(ii):
+        return verdict
+    shape, center, radius = _region_arrays(outer)
+    ball, box = shape[oo] == "Ball", shape[oo] == "Box"
+    if ball.any() and _floats_settle(space):
+        lo, hi = fam.float_bounds()
+        i, c = ii[ball], oo[ball]
+        verdict[ball] = _corner_verdicts(space, lo[i], hi[i], center[c], radius[c])
+    if box.any():
+        # ceil(lo * den) <= row lo and floor(hi * den) >= row hi on every
+        # axis; clamped ends still decide against rows below 2**62
+        ends, i, d = _box_ends(outer, fam.den, fam.lo.dtype)[oo[box]], ii[box], space.coord_dim
+        verdict[box] = (ends[:, :d] <= fam.lo[i]).all(axis=1) & (
+            ends[:, d:] >= fam.hi[i]
+        ).all(axis=1)
     return verdict
+
+
+def _family_contains(fam: BoxFamily, i: int, outer: OpenRegion) -> bool:
+    """analytic_contains(fam.box(i), outer), decided on the box's integer
+    row: every end is scaled by den, the center coordinates too."""
+    space = fam.space
+    if outer.space is not space or space.metric_kind == "cantor_2adic":
+        return False
+    den, factor = fam.den, fam.den // space.scale
+    lo, hi = fam.lo[i].tolist(), fam.hi[i].tolist()
+    if isinstance(outer, Box):
+        return all(ceil_frac(a * den) <= x for a, x in zip(outer.lo, lo)) and all(
+            floor_frac(b * den) >= x for b, x in zip(outer.hi, hi)
+        )
+    if isinstance(outer, Ball):
+        centers = [(outer.center, outer.radius)]
+    else:
+        centers = outer.balls
+    for c, r in centers:
+        c = [x * factor for x in space._icoords[c].tolist()]
+        if isinstance(outer, Ball):  # the farthest corner
+            gaps = [max(b - x, x - a) for a, b, x in zip(lo, hi, c)]
+        else:  # the gap from the center to the closed box
+            gaps = [max(a - x, x - b, 0) for a, b, x in zip(lo, hi, c)]
+        gsq = max(gaps) ** 2 if space.metric_kind == "chebyshev" else sum(g * g for g in gaps)
+        # the sign of gap**2 - radius**2, both scaled by den**2
+        sign = gsq * r.denominator**2 - r.numerator**2 * den**2
+        if isinstance(outer, Ball):
+            return sign < 0
+        if sign <= 0:
+            return False
+    return True
 
 
 def sample_contains(inner: OpenRegion, outer: OpenRegion) -> bool:
@@ -455,45 +680,61 @@ def sample_contains(inner: OpenRegion, outer: OpenRegion) -> bool:
 
 
 def containers(
-    inner: Sequence[OpenRegion],
+    inner: Sequence[OpenRegion] | BoxFamily,
     outer: Cover,
-    candidates: Sequence[Sequence[int]] | None = None,
+    candidates: Sequence[Sequence[int]] | np.ndarray | None = None,
     sample: bool = True,
 ) -> list[tuple[int, str] | None]:
     """Per inner region, (outer region index, evidence) for the first of its
     candidate outer regions that contains it, or None; the one containment
-    decider.  Candidates default to every outer region, in order.
+    decider.  Candidates default to every outer region, in order; a 2-D
+    array gives one row of candidates per inner region.
 
-    Analytic evidence comes first: certified float verdicts settle every
-    box-in-ball pair they can in one batch, and the exact analytic test runs
-    only on the pairs the floats cannot tell, in candidate order, until one
+    Analytic evidence comes first: one batch settles every pair it can
+    (box-in-ball pairs by certified floats, and a box family's box-in-box
+    pairs exactly on its integer rows), and the exact analytic test runs
+    only on the pairs the batch cannot tell, in candidate order, until one
     holds.  Sample evidence (every sample point of the inner region lies in
     the outer one) comes second, unless sample is False.  Analytic evidence
     implies sample evidence.
     """
     regions = outer.regions
-    for r in inner:
-        if r.space is not outer.space:
-            raise InputError("refinement operands must share one space")
+    family = isinstance(inner, BoxFamily)
+    inner = inner if family else tuple(inner)
+    if any(r.space is not outer.space for r in ([inner] if family else inner)):
+        raise InputError("refinement operands must share one space")
+    k = len(inner)
     if candidates is None:
-        candidates = [range(len(regions))] * len(inner)
-    verdict = box_in_ball_verdicts(
-        [r for r, cs in zip(inner, candidates) for _ in cs],
-        [regions[c] for cs in candidates for c in cs],
-    ).tolist()
-    out, at = [], 0
-    for r, cs in zip(inner, candidates):
-        vs, at = verdict[at : at + len(cs)], at + len(cs)
-        hit = None
-        for c, v in zip(cs, vs):
-            if v == 1 or (v < 0 and analytic_contains(r, regions[c])):
-                hit = (c, "analytic")
-                break
-        for c in cs if hit is None and sample else ():
-            if sample_contains(r, regions[c]):
-                hit = (c, "sample")
-                break
-        out.append(hit)
+        counts, oo = np.full(k, len(regions)), np.tile(np.arange(len(regions)), k)
+    elif isinstance(candidates, np.ndarray):
+        counts, oo = np.full(k, candidates.shape[1]), candidates.ravel()
+    else:
+        counts = np.array([len(cs) for cs in candidates], dtype=np.int64)
+        oo = np.fromiter(itertools.chain.from_iterable(candidates), np.int64)
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    ii = np.repeat(np.arange(k), counts)
+    if family:
+        verdict = _family_verdicts(inner, outer, ii, oo)
+        exact = lambda i, c: _family_contains(inner, i, regions[c])  # noqa: E731
+        holds = lambda i, c: _all_in(inner.members(i), region_members(regions[c]))  # noqa: E731
+    else:
+        verdict = box_in_ball_verdicts(
+            [inner[i] for i in ii.tolist()], [regions[c] for c in oo.tolist()]
+        )
+        exact = lambda i, c: analytic_contains(inner[i], regions[c])  # noqa: E731
+        holds = lambda i, c: sample_contains(inner[i], regions[c])  # noqa: E731
+    hit = _first_in_rows(verdict == 1, indptr)
+    unsure = _first_in_rows(verdict < 0, indptr)
+    flat, verdict = oo.tolist(), verdict.tolist()
+    for i in np.flatnonzero((unsure >= 0) & ((hit < 0) | (unsure < hit))).tolist():
+        stop = hit[i] if hit[i] >= 0 else indptr[i + 1]
+        tried = (q for q in range(unsure[i], stop) if verdict[q] < 0)
+        hit[i] = next((q for q in tried if exact(i, flat[q])), hit[i])
+    out = [None if q < 0 else (flat[q], "analytic") for q in hit.tolist()]
+    for i in np.flatnonzero(hit < 0).tolist() if sample else ():
+        c = next((c for c in flat[indptr[i] : indptr[i + 1]] if holds(i, c)), None)
+        out[i] = None if c is None else (c, "sample")
     return out
 
 
@@ -508,18 +749,21 @@ class RefinesReport:
         return self.ok
 
 
-def refines_check(fine: Sequence[OpenRegion], coarse: Cover) -> RefinesReport:
+def refines_check(
+    fine: Sequence[OpenRegion] | BoxFamily, coarse: Cover
+) -> RefinesReport:
     """Witness that every fine region sits inside some coarse region, as
     containers decides it.  On failure, reports the first offending fine
     region together with a sample point of it that escapes the best
     (largest-overlap) coarse candidate.
     """
-    fine = tuple(fine)
+    fine = fine if isinstance(fine, BoxFamily) else tuple(fine)
     witness = containers(fine, coarse)
     for fidx, found in enumerate(witness):
         if found is None:
             # a cover with no regions has no candidate: every point escapes
-            fm = region_members(fine[fidx])
+            family = isinstance(fine, BoxFamily)
+            fm = fine.members(fidx) if family else region_members(fine[fidx])
             inside = [np.isin(fm, region_members(c)) for c in coarse.regions]
             escape = fm[~max(inside, key=np.count_nonzero)] if inside else fm
             point = int(escape[0]) if escape.size else None
@@ -579,13 +823,7 @@ def analytic_gap_ge(
         return None
 
     if isinstance(r1, Box) and isinstance(r2, Box):
-        gaps = _axis_gaps(i1[0], i1[1], i2[0], i2[1])
-        if gaps is None:
-            return False
-        if metric == "chebyshev":
-            return max(gaps) >= margin
-        gsq = sum((g * g for g in gaps), Fraction(0))
-        return gsq >= margin * margin
+        return _gaps_ge(_axis_gaps(i1[0], i1[1], i2[0], i2[1]), metric, margin)
 
     # ball vs box: gap = d(center, box) - radius
     ball, box = (r1, r2) if isinstance(r1, Ball) else (r2, r1)
@@ -594,6 +832,24 @@ def analytic_gap_ge(
     if inside:
         return False
     return gap_sq >= need * need
+
+
+def _gaps_ge(gaps, metric: str, margin) -> bool:
+    """Whether per-axis box gaps (None when the boxes meet) reach margin in
+    the metric."""
+    if gaps is None:
+        return False
+    if metric == "chebyshev":
+        return max(gaps) >= margin
+    return sum(g * g for g in gaps) >= margin * margin
+
+
+def _family_gap_ge(fam: BoxFamily, i: int, j: int, margin: Fraction) -> bool | None:
+    """analytic_gap_ge(fam.box(i), fam.box(j), margin) on integer rows."""
+    if fam.space.metric_kind == "cantor_2adic":
+        return None
+    gaps = _axis_gaps(fam.lo[i].tolist(), fam.hi[i].tolist(), fam.lo[j].tolist(), fam.hi[j].tolist())
+    return _gaps_ge(gaps, fam.space.metric_kind, margin * fam.den)
 
 
 @dataclass(frozen=True)
@@ -608,7 +864,7 @@ class DisjointReport:
 
 
 def pairwise_disjoint_check(
-    regions: Sequence[OpenRegion], margin: Fraction
+    regions: Sequence[OpenRegion] | BoxFamily, margin: Fraction
 ) -> DisjointReport:
     """Pairwise disjointness: no shared sample point, and analytic gap >= margin
     wherever the shape pair supports an exact gap."""
@@ -617,24 +873,25 @@ def pairwise_disjoint_check(
     n = len(regions)
     if n <= 1:
         return DisjointReport(True, None, None, None)
-    space = regions[0].space
+    if isinstance(regions, BoxFamily):
+        space, indptr, members = regions.space, regions.indptr, regions.indices
+        gap_ge = lambda i, j, m: _family_gap_ge(regions, i, j, m)  # noqa: E731
+    else:
+        space = regions[0].space
+        indptr, members = csr([region_members(r) for r in regions])
+        gap_ge = lambda i, j, m: analytic_gap_ge(regions[i], regions[j], m)  # noqa: E731
 
     # shared sample points: count memberships per point
-    members = np.concatenate([region_members(r) for r in regions])
     multi = np.flatnonzero(np.bincount(members, minlength=space.n) > 1)
     if multi.size:
         p = int(multi[0])
-        owners = [i for i, r in enumerate(regions) if contains(r, p)]
-        return DisjointReport(False, (owners[0], owners[1]), "shared_point", p)
+        owners = np.searchsorted(indptr, np.flatnonzero(members == p), "right") - 1
+        return DisjointReport(False, (int(owners[0]), int(owners[1])), "shared_point", p)
 
-    order = _pair_order(regions, margin)
-    for i, j in order:
-        verdict = analytic_gap_ge(regions[i], regions[j], margin)
-        if verdict is False:
+    for i, j in _pair_order(regions, margin):
+        if gap_ge(i, j, margin) is False:
             reason = (
-                "analytic_overlap"
-                if analytic_gap_ge(regions[i], regions[j], Fraction(0)) is False
-                else "gap_below_margin"
+                "analytic_overlap" if gap_ge(i, j, Fraction(0)) is False else "gap_below_margin"
             )
             return DisjointReport(False, (i, j), reason, None)
     return DisjointReport(True, None, None, None)
@@ -655,11 +912,15 @@ def _pair_order(regions: Sequence[OpenRegion], margin: Fraction):
     only they see the float test on every axis.
     """
     n = len(regions)
-    if not all(isinstance(r, Box) for r in regions):
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
     # conservative float bounding boxes: lo rounded down, hi rounded up
-    lo = np.array([[_float_bounds(x)[0] for x in r.lo] for r in regions])
-    hi = np.array([[_float_bounds(x)[1] for x in r.hi] for r in regions])
+    if isinstance(regions, BoxFamily):
+        lo, hi = regions.float_bounds()
+        lo, hi = lo[..., 0], hi[..., 1]
+    elif all(isinstance(r, Box) for r in regions):
+        lo = np.array([[_float_bounds(x)[0] for x in r.lo] for r in regions])
+        hi = np.array([[_float_bounds(x)[1] for x in r.hi] for r in regions])
+    else:
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
     pad = np.nextafter(float(margin), np.inf)
     order = np.argsort(lo[:, 0], kind="stable")
     lo, hi = lo[order], hi[order]
@@ -944,6 +1205,22 @@ def lebesgue_argmax_region(cover: Cover, p: int, lam: Fraction) -> int:
                 return ridx
 
 
+def lebesgue_argmax_regions(cover: Cover, points: np.ndarray, lam: Fraction) -> np.ndarray:
+    """lebesgue_argmax_region at each of the points, in one pass over the
+    Lebesgue table: a point whose first region with an upper bound of at
+    least lam also has a lower bound of at least lam gets that region, as
+    the per-point lookup would; only the others reach it."""
+    table = _lebesgue_table(cover)
+    lam_lo, lam_hi = _float_bounds(lam)
+    first = _first_in_rows(table.hi >= lam_lo, table.start)[points]
+    sure = first >= 0
+    sure[sure] = table.lo[first[sure]] >= lam_hi
+    out = np.where(sure, table.region[first], -1)
+    for k in np.flatnonzero(~sure).tolist():
+        out[k] = lebesgue_argmax_region(cover, int(points[k]), lam)
+    return out
+
+
 def _tolerances(space: SampledSpace, p: int):
     """The sqrt tolerances tried at p: the base one, then ever finer ones."""
     tol = _base_tolerance(space)
@@ -972,22 +1249,25 @@ def _finer_tolerance(space: SampledSpace, p: int, tol: Fraction) -> Fraction:
 class DisjointFamily:
     """A pairwise-disjoint family of regions refining a parent cover.
 
-    Construction validates both halves and records the refinement witness:
-    per member, a parent region index and the evidence that settled it
-    ("analytic" or "sample").  The disjointness margin is the space mesh.
-    A subfamily inherits both certificates.
+    The members are a BoxFamily (the block builders' families) or a
+    sequence of regions; family holds them as given.  Construction
+    validates both halves and records the refinement witness: per member, a
+    parent region index and the evidence that settled it ("analytic" or
+    "sample").  The disjointness margin is the space mesh.  A subfamily
+    inherits both certificates.
     """
 
     def __init__(
         self,
-        regions: Sequence[OpenRegion],
+        regions: Sequence[OpenRegion] | BoxFamily,
         parent: Cover,
         witness: Sequence[int] | None = None,
     ):
         self.space = parent.space
-        self.regions = tuple(regions)
+        self.family = regions if isinstance(regions, BoxFamily) else tuple(regions)
         self.parent = parent
-        dis = pairwise_disjoint_check(self.regions, self.space.mesh)
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        dis = pairwise_disjoint_check(self.family, self.space.mesh)
         if not dis.ok:
             raise CheckFailure(
                 f"family is not pairwise disjoint: regions {dis.violating_pair} "
@@ -995,7 +1275,7 @@ class DisjointFamily:
                 witness=dis,
             )
         if witness is None:
-            ref = refines_check(self.regions, parent)
+            ref = refines_check(self.family, parent)
             if not ref.ok:
                 raise CheckFailure(
                     f"family does not refine its parent cover: {ref.counterexample}",
@@ -1010,16 +1290,18 @@ class DisjointFamily:
         """Check a given refinement witness and record it with its evidence."""
         witness = tuple(witness)
         k = len(self.parent.regions)
-        if len(witness) != len(self.regions) or not all(0 <= w < k for w in witness):
+        if len(witness) != len(self) or not all(0 <= w < k for w in witness):
             raise InputError(
                 f"a refinement witness needs one parent index in 0..{k - 1} per "
-                f"member; got {len(witness)} for {len(self.regions)} members"
+                f"member; got {len(witness)} for {len(self)} members"
             )
-        found = containers(self.regions, self.parent, [[w] for w in witness])
-        for r, w, hit in zip(self.regions, witness, found):
+        column = np.array(witness, dtype=np.int64).reshape(-1, 1)
+        found = containers(self.family, self.parent, column)
+        for i, (w, hit) in enumerate(zip(witness, found)):
             if hit is None:
                 raise CheckFailure(
-                    "refinement witness does not hold on the sample", witness=(r, w)
+                    "refinement witness does not hold on the sample",
+                    witness=(self.region(i), w),
                 )
         self.witness = witness
         self.witness_kinds = tuple(hit[1] for hit in found)
@@ -1034,19 +1316,63 @@ class DisjointFamily:
         if len(set(keep)) != len(keep) or not all(0 <= i < len(self) for i in keep):
             raise AssertionError("subfamily indices repeat or leave the family")
         sub = object.__new__(DisjointFamily)
-        sub.space, sub.parent = self.space, self.parent
-        sub.regions = tuple(self.regions[i] for i in keep)
+        sub.space, sub.parent, sub._csr = self.space, self.parent, None
+        if isinstance(self.family, BoxFamily):
+            sub.family = self.family.take(keep)
+        else:
+            sub.family = tuple(self.family[i] for i in keep)
         sub.witness = tuple(self.witness[i] for i in keep)
         sub.witness_kinds = tuple(self.witness_kinds[i] for i in keep)
         if witness is not None:
             sub._certify(witness)
         return sub
 
-    def union_mask(self) -> np.ndarray:
-        return union_mask(self.space, self.regions)
+    @property
+    def regions(self) -> tuple[OpenRegion, ...]:
+        """The members as regions (a box family's Box objects are built on
+        first use)."""
+        if isinstance(self.family, BoxFamily):
+            return self.family.boxes()
+        return self.family
+
+    def region(self, i: int) -> OpenRegion:
+        if isinstance(self.family, BoxFamily):
+            return self.family.box(i)
+        return self.family[i]
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): member i holds the sample points
+        indices[indptr[i]:indptr[i + 1]]."""
+        if isinstance(self.family, BoxFamily):
+            return self.family.indptr, self.family.indices
+        if self._csr is None:
+            self._csr = csr([region_members(r) for r in self.family])
+        return self._csr
+
+    def members(self, i: int) -> np.ndarray:
+        indptr, indices = self.csr()
+        return indices[indptr[i] : indptr[i + 1]]
+
+    def union_mask(self, keep: Sequence[int] | None = None) -> np.ndarray:
+        """The sample points in some member (some member at the indices
+        keep, when given)."""
+        indptr, indices = self.csr()
+        if keep is not None:
+            indptr, indices = _csr_take(indptr, indices, np.asarray(keep, dtype=np.int64))
+        mask = np.zeros(self.space.n, dtype=bool)
+        mask[indices] = True
+        return mask
 
     def __len__(self) -> int:
-        return len(self.regions)
+        return len(self.family)
+
+
+def union_of(space: SampledSpace, families) -> np.ndarray:
+    """Boolean mask of the sample points in some member of some family."""
+    mask = np.zeros(space.n, dtype=bool)
+    for fam in families:
+        mask[fam.csr()[1]] = True
+    return mask
 
 
 class CoverSeq:

@@ -13,7 +13,8 @@ already occurs in some family with index below n; the next move starts
 there.
 
 Assembled families: region values picked by TWO are routed to the stage of
-their earliest occurrence in the move they came from.  Every routed region
+their earliest occurrence in the move they came from (a box's value is its
+integer row over a denominator common to the move).  Every routed region
 therefore sits inside its own stage's disjoint family (disjointness and
 refinement are inherited), and each still satisfies the defining property of
 the construction: it is contained in some element of its stage's cover.
@@ -26,17 +27,19 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import lcm
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .covers import (
+    BoxFamily,
     CoverSeq,
     DisjointFamily,
     OpenRegion,
-    contains,
     region_members,
     union_mask,
+    union_of,
 )
 from .exact import CheckFailure, InputError
 from .screenability import _block, _full_block, _screen_dim
@@ -49,9 +52,19 @@ DEFAULT_TAIL_SLACK = 1
 class Round:
     start_index: int
     one_move: tuple[DisjointFamily, ...]  # families for covers start..horizon
-    two_move: tuple[OpenRegion, ...]
     two_refs: tuple[tuple[int, int], ...]  # (stage, region idx) per selection
     block: int
+
+    def two_union(self) -> np.ndarray:
+        """The sample points in some region TWO selected."""
+        fams = _by_stage(self.start_index, self.one_move)
+        picked: dict[int, list[int]] = {}
+        for n, ridx in self.two_refs:
+            picked.setdefault(n, []).append(ridx)
+        mask = np.zeros(self.one_move[0].space.n, dtype=bool)
+        for n, keep in picked.items():
+            mask |= fams[n].union_mask(keep)
+        return mask
 
 
 @dataclass(frozen=True)
@@ -97,35 +110,54 @@ def strategy_F_move(
 
 def _earliest_occurrence(
     one_move: dict[int, DisjointFamily]
-) -> dict[OpenRegion, tuple[int, int]]:
-    """Each offered region value mapped to its earliest (stage, member index)."""
-    out: dict[OpenRegion, tuple[int, int]] = {}
-    for n in sorted(one_move):
-        for ridx, region in enumerate(one_move[n].regions):
-            out.setdefault(region, (n, ridx))
+) -> dict[int, list[tuple[int, int]]]:
+    """Per stage, per member of its family, the earliest (stage, member
+    index) in the move holding an equal region value.  A move's families
+    are box families (or empty), and a box's value is its integer row over
+    the lcm of the families' denominators."""
+    stages = sorted(one_move)
+    refs = [(n, i) for n in stages for i in range(len(one_move[n]))]
+    boxes = [one_move[n].family for n in stages if len(one_move[n])]
+    if not all(isinstance(b, BoxFamily) for b in boxes):
+        raise AssertionError("a move holds a family that is not a box family")
+    earliest: list[int] = []
+    if boxes:
+        den = lcm(*(b.den for b in boxes))
+        rows = np.concatenate([b.rows(den) for b in boxes])
+        if rows.dtype == object:
+            first: dict[tuple, int] = {}
+            earliest = [first.setdefault(tuple(r), q) for q, r in enumerate(rows.tolist())]
+        else:
+            _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+            earliest = first[inverse.reshape(-1)].tolist()
+    out, at = {}, 0
+    for n in stages:
+        k = len(one_move[n])
+        out[n] = [refs[q] for q in earliest[at : at + k]]
+        at += k
     return out
 
 
 def block_index(
-    two_move: Sequence[OpenRegion],
+    two_refs: Sequence[tuple[int, int]],
     one_move: dict[int, DisjointFamily],
     start_index: int,
 ) -> int:
-    """Least n with every selected region occurring in some family below n.
+    """Least n with every selected region, given as (stage, member index) in
+    ONE's move, occurring in some family below n.
 
     Occurrence is by region value; a region value present in several
     families counts at its earliest stage.  The empty selection yields the
     vacuous minimum, the suffix start itself.
     """
-    if not two_move:
+    if not two_refs:
         return start_index
     occurrence = _earliest_occurrence(one_move)
-    worst = None
-    for region in two_move:
-        hit = occurrence.get(region)
-        if hit is None:
+    worst = start_index
+    for n, ridx in two_refs:
+        if n not in one_move or not 0 <= ridx < len(one_move[n]):
             raise InputError("TWO selected a region outside ONE's move")
-        worst = hit[0] if worst is None else max(worst, hit[0])
+        worst = max(worst, occurrence[n][ridx][0])
     return worst + 1
 
 
@@ -138,8 +170,11 @@ def covering_two_policy(
     earliest (stage, index).  Staying in the earliest covering prefix keeps
     the block indices advancing one block per round.
 
-    The greedy is lazy: the top of a heap of stale gains is refreshed, and
-    picked once its fresh gain, ties by index, still heads the heap."""
+    The greedy is lazy: a heap holds each region's gain as of its last
+    push, and a point-to-region index keeps every gain exact (a pick
+    decrements the gains of the regions holding the points it covers).  A
+    popped gain that is still exact heads every fresh gain, ties by index,
+    so it is picked; a stale one is pushed again at its exact value."""
     some_fam = next(iter(one_move.values()))
     space = some_fam.space
     stages = sorted(one_move)
@@ -155,31 +190,38 @@ def covering_two_policy(
             "ONE's move does not cover the sample",
             witness=int(np.flatnonzero(~covered)[0]),
         )
-    flat = [
-        (n, ridx, region_members(region))
-        for n in prefix
-        for ridx, region in enumerate(one_move[n].regions)
-    ]
-    # (-stale gain, flat index): gains only shrink as points get covered
-    heap = [(-len(m), i) for i, (_, _, m) in enumerate(flat) if len(m)]
+    refs = [(n, ridx) for n in prefix for ridx in range(len(one_move[n]))]
+    csrs = [one_move[n].csr() for n in prefix]
+    sizes = np.concatenate([np.diff(indptr) for indptr, _ in csrs])
+    points = np.concatenate([indices for _, indices in csrs])
+    region = np.repeat(np.arange(len(refs)), sizes)
+    # the point-to-region index: the regions holding point p
+    held = np.zeros(space.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(points, minlength=space.n), out=held[1:])
+    holders = region[np.argsort(points, kind="stable")].tolist()
+    at, held, points = np.r_[0, np.cumsum(sizes)].tolist(), held.tolist(), points.tolist()
+    gain = sizes.tolist()
+    # (-gain when pushed, flat index): gains only shrink as points get covered
+    heap = [(-g, i) for i, g in enumerate(gain) if g]
     heapq.heapify(heap)
-    uncovered = np.ones(space.n, dtype=bool)
+    uncovered = [True] * space.n
     left = space.n
     picks: list[tuple[int, int]] = []
     while left:
         if not heap:
             raise AssertionError("uncovered points remain but no pick gains any")
-        _, i = heapq.heappop(heap)
-        n, ridx, members = flat[i]
-        gain = int(np.count_nonzero(uncovered[members]))
-        if not gain:
+        g, i = heapq.heappop(heap)
+        if -g != gain[i]:  # stale
+            if gain[i]:
+                heapq.heappush(heap, (-gain[i], i))
             continue
-        if heap and (-gain, i) > heap[0]:  # another stale gain may be larger
-            heapq.heappush(heap, (-gain, i))
-            continue
-        picks.append((n, ridx))
-        uncovered[members] = False
-        left -= gain
+        picks.append(refs[i])
+        for p in points[at[i] : at[i + 1]]:
+            if uncovered[p]:
+                uncovered[p] = False
+                left -= 1
+                for r in holders[held[p] : held[p + 1]]:
+                    gain[r] -= 1
     return picks
 
 
@@ -190,9 +232,10 @@ def adversarial_two_policy(avoid_point: int) -> TwoPolicy:
     def policy(one_move: dict[int, DisjointFamily]) -> list[tuple[int, int]]:
         picks = []
         for n in sorted(one_move):
-            for ridx, region in enumerate(one_move[n].regions):
-                if not contains(region, avoid_point):
-                    picks.append((n, ridx))
+            indptr, indices = one_move[n].csr()
+            owners = np.searchsorted(indptr, np.flatnonzero(indices == avoid_point), "right")
+            holding = set((owners - 1).tolist())
+            picks.extend((n, r) for r in range(len(one_move[n])) if r not in holding)
         return picks
 
     return policy
@@ -223,13 +266,11 @@ def play_hurewicz_game(
         move = strategy_F_move(space, suffix, start)
         fams = _by_stage(start, move)
         refs = policy(fams)
-        regions = []
         for n, ridx in refs:
-            if n not in fams or not 0 <= ridx < len(fams[n].regions):
+            if n not in fams or not 0 <= ridx < len(fams[n]):
                 raise InputError("TWO's policy referenced a region outside the move")
-            regions.append(fams[n].regions[ridx])
-        m = block_index(regions, fams, start)
-        rounds.append(Round(start, move, tuple(regions), tuple(refs), m))
+        m = block_index(refs, fams, start)
+        rounds.append(Round(start, move, tuple(refs), m))
         blocks.append(m)
         if m <= start:  # empty or stalled selection: no progress possible
             break
@@ -253,7 +294,7 @@ def transcript_loss_report(
     """Truncated loss criterion for ONE: every sample point lies in TWO's
     selection unions from some round k(x) <= rounds - tail_slack onward."""
     space = transcript.space
-    unions = [union_mask(space, rnd.two_move) for rnd in transcript.rounds]
+    unions = [rnd.two_union() for rnd in transcript.rounds]
     tail = tail_start(unions, space.n)
     cutoff = len(unions) - tail_slack
     bad = np.flatnonzero((tail == 0) | (tail > cutoff))
@@ -312,14 +353,8 @@ def assemble_W(
     for k, rnd in enumerate(transcript.rounds, start=1):
         fams = transcript.move_families(k)
         occurrence = _earliest_occurrence(fams)
-        for region in rnd.two_move:
-            hit = occurrence.get(region)
-            if hit is None:
-                raise CheckFailure(
-                    "a selected region does not occur in its round's move",
-                    witness=(k, region),
-                )
-            stage, ridx = hit
+        for n, ridx in rnd.two_refs:
+            stage, ridx = occurrence[n][ridx]
             if rnd.start_index <= stage < rnd.block and stage <= horizon:
                 source[stage] = fams[stage]
                 keep[stage][ridx] = None
@@ -334,10 +369,7 @@ def assemble_W(
 
 def _tail_indices(space, families, blocks, horizon) -> tuple[int, ...]:
     usable = _usable_blocks(blocks, horizon)
-    block_cov = [
-        union_mask(space, (r for fam in families[lo - 1 : hi - 1] for r in fam.regions))
-        for lo, hi in usable
-    ]
+    block_cov = [union_of(space, families[lo - 1 : hi - 1]) for lo, hi in usable]
     tail = tail_start(block_cov, space.n)
     tail[tail == 0] = len(usable) + 1
     return tuple(tail.tolist())

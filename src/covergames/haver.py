@@ -32,6 +32,7 @@ import numpy as np
 
 from .covers import (
     Ball,
+    BoxFamily,
     CoClosedBalls,
     Cover,
     CoverSeq,
@@ -39,7 +40,7 @@ from .covers import (
     containers,
     covers_check,
     region_members,
-    union_mask,
+    union_of,
 )
 from .exact import CheckFailure, InputError
 from .game import sc_plus_select
@@ -201,13 +202,12 @@ def build_haver_witness(
         cover = stage_covers.covers.cover(n)
         raw = engine_out.family(n)
         found = _containing_balls(
-            raw.regions, cover, stage_covers.nets[n - 1], eps_n / 2, space
+            raw.family, cover, stage_covers.nets[n - 1], eps_n / 2, space
         )
         keep = [i for i, ball_idx in enumerate(found) if ball_idx is not None]
         fam = raw.subfamily(keep, witness=[found[i] for i in keep])
         worst = Fraction(0)
-        for region in fam.regions:
-            d = diameter(space, region_members(region))
+        for d in _member_diameters(fam):
             if not d.value_sq < eps_n * eps_n:
                 raise AssertionError(
                     f"a filtered region at stage {n} has diameter >= eps_{n}"
@@ -224,10 +224,9 @@ def build_haver_witness(
     owners = []
     for n, fam in enumerate(families, start=1):
         owner = np.full(space.n, -1, dtype=np.int64)
-        for region in engine_out.family(n).regions:
-            owner[region_members(region)] = -2
-        for ridx, region in enumerate(fam.regions):
-            owner[region_members(region)] = ridx
+        owner[engine_out.family(n).csr()[1]] = -2
+        indptr, indices = fam.csr()
+        owner[indices] = np.repeat(np.arange(len(fam)), np.diff(indptr))
         owners.append(owner)
     witness: list[tuple[int, int]] = []
     traces: list[ClaimTrace] = []
@@ -237,7 +236,7 @@ def build_haver_witness(
         traces.append(trace)
         witness.append((trace.stage, trace.region_index))
 
-    covered = union_mask(space, (r for fam in families for r in fam.regions))
+    covered = union_of(space, families)
     if not covered.all():
         raise AssertionError("claim replay succeeded but the union misses a point")
 
@@ -253,28 +252,39 @@ def build_haver_witness(
 
 
 def _containing_balls(
-    regions, cover: Cover, net: tuple[int, ...], radius: Fraction, space
+    boxes: BoxFamily | tuple, cover: Cover, net: tuple[int, ...], radius: Fraction, space
 ) -> list[int | None]:
-    """Per region, the index (within the cover) of the first net ball
+    """Per box, the index (within the cover) of the first net ball
     analytically containing it, or None.
 
-    Only centers strictly within the radius of the region's anchor point can
-    contain it (the anchor lies in the region), so the candidate prune is
-    exact and complete.  Regions with no sample points are dropped: they
-    contribute nothing to any invariant.
+    Only the balls holding the box's anchor point can contain it (the anchor
+    lies in the box), so the candidate prune is exact and complete; one
+    SampledSpace.balls call gives them.  Boxes with no sample points are
+    dropped: they contribute nothing to any invariant.  An empty family is
+    an empty tuple.
     """
-    centers = np.asarray(net, dtype=np.int64)
-    bound = space.scaled_bound(radius)
-    cands = []
-    for region in regions:
-        members = region_members(region)
-        if not members.size:
-            cands.append([])
-            continue
-        near = space._dist_sq_to(int(members[0]), centers)
-        cands.append(np.flatnonzero(near <= bound).tolist())
-    found = containers(regions, cover, cands, sample=False)
+    if not len(boxes):
+        return []
+    indptr, points = space.balls(net, space.scaled_bound(radius))
+    # per point, the balls holding it, in net order
+    ball = np.repeat(np.arange(len(net)), np.diff(indptr))
+    by_point = np.argsort(points, kind="stable")
+    held = np.zeros(space.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(points, minlength=space.n), out=held[1:])
+    anchors = boxes.anchors
+    cands = [
+        ball[by_point[held[p] : held[p + 1]]] if p >= 0 else () for p in anchors.tolist()
+    ]
+    found = containers(boxes, cover, cands, sample=False)
     return [None if hit is None else hit[0] for hit in found]
+
+
+def _member_diameters(fam: DisjointFamily) -> list:
+    """space.diameter of every member; a member of one point has 0 with no
+    query (every member of a point-isolating family)."""
+    sizes = np.diff(fam.csr()[0]).tolist()
+    point = diameter(fam.space, [0])
+    return [point if k == 1 else diameter(fam.space, fam.members(i)) for i, k in enumerate(sizes)]
 
 
 def _replay_claim(

@@ -23,26 +23,27 @@ level-L interval groups, one class, gaps at least a removed middle third.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
 
 import numpy as np
 
 from .covers import (
     Ball,
     Box,
+    BoxFamily,
     Cover,
     CoverSeq,
     DisjointFamily,
+    _int_array,
+    _scaled,
     containers,
-    lebesgue_argmax_region,
+    lebesgue_argmax_regions,
     lebesgue_number,
-    region_members,
-    union_mask,
+    union_of,
 )
-from .exact import CheckFailure, InputError, exact_sqrt, sqrt_lower
+from .exact import CheckFailure, InputError, clamp_int64, exact_sqrt, sqrt_lower
 from .space import CantorStructure, GridStructure, SampledSpace, first_hit
 
 
@@ -79,13 +80,13 @@ def admissible_cell_sides(space: SampledSpace, below: Fraction) -> list[Fraction
     return [h * k for k in range(top, 0, -1)]
 
 
-def build_brick_grid(
-    space: SampledSpace, cell_side: Fraction
-) -> tuple[tuple[Box, ...], ...]:
+def build_brick_grid(space: SampledSpace, cell_side: Fraction) -> tuple[BoxFamily, ...]:
     """Lay out the d+1 shifted brick classes at the given cell side.
 
     Only bricks containing at least one sample point are materialized; empty
-    bricks contribute nothing to sample coverage and are dropped.
+    bricks contribute nothing to sample coverage and are dropped.  A class's
+    box ends sit over the denominator lcm(scale, 2 / h) and its members
+    come from each point's cell on every axis.
     """
     d, h = _grid_params(space)
     s = Fraction(cell_side)
@@ -93,37 +94,65 @@ def build_brick_grid(
     if s <= 0 or m.denominator != 1:
         raise InputError("cell side must be a positive multiple of the grid spacing")
     m = int(m)
-    origin = h / 2
     period = d + 1
     # the sample is the full product {0, h, ..., 1}^d and the point k*h lies
     # in cell (2k-1)//(2m) on its axis, so the occupied bricks of a class are
     # the product of its occupied slots on one axis, in sorted order
     top = (2 * int(1 / h) - 1) // (2 * m)
-    classes: list[tuple[Box, ...]] = []
+    den = lcm(space.scale, (h / 2).denominator)
+    hd = int(h * den)  # even: the faces sit at h/2 modulo h
+    cells = ((2 * (space._icoords // int(h * space.scale)) - 1) // (2 * m)).astype(np.int64)
+    classes = []
     for c in range(period):
-        cells = (x - c for x in range(-1, top + 1))
-        slots = sorted({x // period for x in cells if x % period != d})
-        ends = [
-            (origin + (z * period + c) * s, origin + (z * period + c + d) * s)
-            for z in slots
-        ]
+        shifted = range(-1 - c, top + 1 - c)
+        slots = sorted({x // period for x in shifted if x % period != d})
+        lo = _int_array([hd // 2 + (z * period + c) * m * hd for z in slots])
+        grid = np.indices((len(slots),) * d).reshape(d, -1).T  # product order
+        # brick of each point: its slot on every axis, unless a gap cell
+        z, r = np.divmod(cells - c, period)
+        inside = np.flatnonzero((r != d).all(axis=1))
+        brick = np.ravel_multi_index(tuple((z[inside] - slots[0]).T), (len(slots),) * d)
+        indptr = np.zeros(len(grid) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(brick, minlength=len(grid)), out=indptr[1:])
+        indices = inside[np.argsort(brick, kind="stable")]
         classes.append(
-            tuple(
-                Box(space, tuple(e[0] for e in zt), tuple(e[1] for e in zt))
-                for zt in itertools.product(ends, repeat=d)
-            )
+            BoxFamily(space, den, lo[grid], lo[grid] + d * m * hd, indptr, indices)
         )
     return tuple(classes)
 
 
-def _witness_class(
-    boxes: Sequence[Box], cover: Cover, lam: Fraction
-) -> DisjointFamily:
-    """Attach Lebesgue-certified parents to a class of boxes."""
-    widx = [
-        lebesgue_argmax_region(cover, int(region_members(b)[0]), lam) for b in boxes
-    ]
-    return DisjointFamily(boxes, cover, witness=widx)
+def _witness_class(boxes: BoxFamily, cover: Cover, lam: Fraction) -> DisjointFamily:
+    """Attach Lebesgue-certified parents to a class of boxes: the region the
+    cover's Lebesgue table certifies at each box's anchor."""
+    widx = lebesgue_argmax_regions(cover, boxes.anchors, lam)
+    return DisjointFamily(boxes, cover, witness=widx.tolist())
+
+
+def _queried_family(space: SampledSpace, den: int, lo, hi) -> BoxFamily:
+    """The open boxes lo / den < x < hi / den with their members from one
+    batched box query: x > lo / den iff x > floor(lo / f) and x < hi / den
+    iff x <= ceil(hi / f) - 1 for a scaled coordinate x, f = den / scale."""
+    f = den // space.scale
+    gt, le = lo // f, -((-hi) // f) - 1
+    if gt.dtype == object:
+        gt = np.array([[clamp_int64(x) for x in row] for row in gt.tolist()], dtype=np.int64)
+        le = np.array([[clamp_int64(x) for x in row] for row in le.tolist()], dtype=np.int64)
+    return BoxFamily(space, den, lo, hi, *space.boxes(gt, le))
+
+
+def _point_boxes(space: SampledSpace, gamma: Fraction) -> BoxFamily:
+    """The boxes (p - gamma, p + gamma) around the sample points p, in
+    point order; the batched query checks that each holds its own point
+    and no other."""
+    den = lcm(space.scale, gamma.denominator)
+    f, g = den // space.scale, int(gamma * den)
+    fam = _queried_family(
+        space, den, _scaled(space._icoords, f, -g), _scaled(space._icoords, f, g)
+    )
+    every = np.arange(space.n + 1)
+    if not (np.array_equal(fam.indptr, every) and np.array_equal(fam.indices, every[:-1])):
+        raise AssertionError("a point-isolating box holds a point other than its own")
+    return fam
 
 
 def brick_refinement(
@@ -139,7 +168,7 @@ def brick_refinement(
 
 
 def _assert_jointly_cover(space, families) -> None:
-    union = union_mask(space, (r for fam in families for r in fam.regions))
+    union = union_of(space, families)
     if not union.all():
         missing = int(np.flatnonzero(~union)[0])
         raise AssertionError(
@@ -158,10 +187,7 @@ def _cantor_level_family(
     point.  The single point space degenerates to one box.
     """
     if space.n == 1:
-        gamma = min(lam / 2, space.mesh / 2)
-        p = space.points[0]
-        box = Box(space, tuple(c - gamma for c in p), tuple(c + gamma for c in p))
-        return _witness_class([box], cover, lam)
+        return _witness_class(_point_boxes(space, min(lam / 2, space.mesh / 2)), cover, lam)
     st = space.structure
     if not isinstance(st, CantorStructure):
         raise AssertionError(f"Cantor brick class on a space with structure {st!r}")
@@ -180,12 +206,12 @@ def _cantor_level_family(
     return _witness_class(_cantor_level_boxes(space, level, gamma(level)), cover, lam)
 
 
-def _cantor_level_boxes(space: SampledSpace, level: int, gamma: Fraction) -> list[Box]:
+def _cantor_level_boxes(space: SampledSpace, level: int, gamma: Fraction) -> BoxFamily:
     """The level-interval groups of a Cantor sample, each hull fattened by
     gamma, left to right.  Point c joins group floor(c * 3**level); the
     groups' scaled extents are computed once per (space, level) from the
     integer table, in Python ints where int64 could overflow, and kept on
-    the space."""
+    the space.  The members come from one batched box query."""
     extents = space._cantor_levels.get(level)
     if extents is None:
         col = np.sort(space._icoords[:, 0])
@@ -194,14 +220,12 @@ def _cantor_level_boxes(space: SampledSpace, level: int, gamma: Fraction) -> lis
         # floor(c * 3**L) never decreases along the sorted coordinates
         keys = col * 3**level // space.scale
         cut = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-        firsts = col[np.r_[0, cut]].tolist()
-        lasts = col[np.r_[cut - 1, col.size - 1]].tolist()
-        extents = space._cantor_levels[level] = list(zip(firsts, lasts))
-    scale = space.scale
-    return [
-        Box(space, (Fraction(lo, scale) - gamma,), (Fraction(hi, scale) + gamma,))
-        for lo, hi in extents
-    ]
+        extents = col[np.r_[0, cut]], col[np.r_[cut - 1, col.size - 1]]
+        space._cantor_levels[level] = extents
+    den = lcm(space.scale, gamma.denominator)
+    f, g = den // space.scale, int(gamma * den)
+    firsts, lasts = extents
+    return _queried_family(space, den, _scaled(firsts, f, -g)[:, None], _scaled(lasts, f, g)[:, None])
 
 
 def _pointwise_family(
@@ -229,15 +253,7 @@ def _pointwise_family(
             "resolution insufficient: no room for point-isolating boxes",
             witness=lam,
         )
-    boxes = [
-        Box(
-            space,
-            tuple(c - gamma for c in p),
-            tuple(c + gamma for c in p),
-        )
-        for p in space.points
-    ]
-    return _witness_class(boxes, cover, lam)
+    return _witness_class(_point_boxes(space, gamma), cover, lam)
 
 
 def _block(
@@ -316,9 +332,7 @@ def sc_fin_select(space: SampledSpace, covers: CoverSeq) -> ScSelection:
     covers.validate()
     families = [f for lo in starts for f in _block(covers, lo)[0]]
     refs = [(n, r) for n, fam in enumerate(families, start=1) for r in range(len(fam))]
-    hit = first_hit(
-        [region_members(r) for fam in families for r in fam.regions], space.n
-    )
+    hit = first_hit([fam.members(i) for fam in families for i in range(len(fam))], space.n)
     if (hit < 0).any():
         missing = int(np.flatnonzero(hit < 0)[0])
         raise CheckFailure(
@@ -365,7 +379,7 @@ def finite_c_search(
         starts = range(1, n + 1, d + 1)
         try:
             families = [f for lo in starts for f in _block(prefix, lo)[0]]
-            if union_mask(space, (r for f in families for r in f.regions)).all():
+            if union_of(space, families).all():
                 return FiniteCWitness(n, tuple(families))
         except ResolutionError:
             pass
@@ -388,8 +402,7 @@ def _candidate_class_lists(space: SampledSpace, horizon_extent: Fraction):
     elif isinstance(space.structure, CantorStructure):
         depth = space.structure.depth
         for L in range(depth + 1):
-            boxes = _cantor_level_boxes(space, L, Fraction(1, 4 * 3**L))
-            yield f"level={L}", (tuple(boxes),)
+            yield f"level={L}", (_cantor_level_boxes(space, L, Fraction(1, 4 * 3**L)),)
 
 
 def _max_element_extent(covers: CoverSeq) -> Fraction:
@@ -409,7 +422,9 @@ def _max_element_extent(covers: CoverSeq) -> Fraction:
 
 
 def _scan_candidates(
-    space: SampledSpace, prefix: CoverSeq, refutations: list[tuple[str, int]]
+    space: SampledSpace,
+    prefix: CoverSeq,
+    refutations: list[tuple[str, int]],
 ) -> tuple[tuple[DisjointFamily, ...] | None, int]:
     """Try every brick candidate against the prefix covers; return witnessed
     families on the first success, recording a refutation point otherwise."""
@@ -418,13 +433,15 @@ def _scan_candidates(
     extent = _max_element_extent(prefix)
     for label, classes in _candidate_class_lists(space, extent):
         tried += 1
-        staged: list[tuple[list[Box], list[int]]] = []  # (kept boxes, parents)
+        staged: list[tuple[BoxFamily, list[int]]] = []  # (kept boxes, parents)
         for stage in range(1, n + 1):
             cls = classes[(stage - 1) % len(classes)]
             found = containers(cls, prefix.cover(stage))
             keep = [i for i, hit in enumerate(found) if hit is not None]
-            staged.append(([cls[i] for i in keep], [found[i][0] for i in keep]))
-        union = union_mask(space, (b for kept, _ in staged for b in kept))
+            staged.append((cls.take(keep), [found[i][0] for i in keep]))
+        union = np.zeros(space.n, dtype=bool)
+        for kept, _ in staged:
+            union[kept.indices] = True
         if union.all():
             families = tuple(
                 DisjointFamily(kept, prefix.cover(stage), witness=parents)

@@ -266,16 +266,21 @@ class SampledSpace:
         gt < x <= le, in axis order (int64 tables only)."""
         return self._sorted_window(self._icoords[:, 0], gt, le)
 
-    def _sorted_window(self, key: np.ndarray, gt: int, le: int) -> np.ndarray:
-        """Indices of the points whose key x satisfies gt < x <= le, in key
-        order: two binary searches in an argsort of the key, built on first
-        use.  A space sorts one key: its first scaled coordinate, or its
-        2-adic bits, which order the points the same way."""
+    def _sorted_by(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """(order, key[order], smallest key, largest key): an argsort of the
+        key, built on first use.  A space sorts one key: its first scaled
+        coordinate, or its 2-adic bits, which order the points the same
+        way."""
         if self._sorted is None:
             order = np.argsort(key, kind="stable").astype(np.int32)
             col = key[order]
             self._sorted = order, col, int(col[0]), int(col[-1])
-        order, col, first, last = self._sorted
+        return self._sorted
+
+    def _sorted_window(self, key: np.ndarray, gt: int, le: int) -> np.ndarray:
+        """Indices of the points whose key x satisfies gt < x <= le, in key
+        order: two binary searches in the sorted key."""
+        order, col, first, last = self._sorted_by(key)
 
         def rank(x: int) -> int:
             # points with key <= x; a bound outside the sample's span never
@@ -339,15 +344,37 @@ class SampledSpace:
         hit = np.zeros(int(fine.max()) + 1, dtype=bool)
         hit[fine[centers]] = True
         mask = hit[fine]
-        if not mask.all():
-            self._coarse_pass(mask, centers, bound)
+        # at bound 0 the fine cells have side 1: the fine pass found the
+        # centers, which are the whole answer
+        if bound and not mask.all():
+            for p, k in self._cell_pairs(centers, bound, lambda: np.flatnonzero(~mask)):
+                mask[p[self._pair_dist_sq(p, centers[k]) <= bound]] = True
         return mask
 
-    def _coarse_pass(self, mask: np.ndarray, centers: np.ndarray, bound: int) -> None:
-        """Mark in mask the unmarked points within bound of some center, by
-        exact int64 distances to the centers in the 3**d cells around each
-        point's own, at most PAIR_CHUNK pairs at a time.  A cell's side is
-        at least isqrt(bound) + 1, and at least span / 2**20, so that its
+    def balls(self, centers, bound: int) -> tuple[np.ndarray, np.ndarray]:
+        """CSR members of the balls of scaled squared radius bound >= 0 at
+        the given centers: ball k holds the points
+        indices[indptr[k]:indptr[k + 1]], sorted.
+
+        A windowed table of at most three axes compares each point with the
+        centers in the 3**d cells around its own (ball_union's coarse
+        pass); other tables ask ball once per center."""
+        centers = np.asarray(centers, dtype=np.int64)
+        if not (centers.size and self.windowed and self.coord_dim <= 3):
+            return csr([self.ball(c, bound) for c in centers.tolist()])
+        rows, points = [], []
+        for p, k in self._cell_pairs(centers, bound, lambda: np.arange(self.n)):
+            near = self._pair_dist_sq(p, centers[k]) <= bound
+            rows.append(k[near])
+            points.append(p[near])
+        return _csr_of_pairs(len(centers), rows, points)
+
+    def _cell_pairs(self, centers: np.ndarray, bound: int, rest):
+        """Candidate (points, center positions) pairs, at most PAIR_CHUNK at
+        a time: each point of rest() with the centers in the 3**d cells
+        around its own, rest() being asked afresh for each of the 3**d cell
+        offsets.  A cell's side is at least isqrt(bound) + 1, so no pair
+        within the bound is missed, and at least span / 2**20, so that its
         key fits int64."""
         table = self._icoords
         span = int((table.max(axis=0) - table.min(axis=0)).max())
@@ -356,26 +383,16 @@ class SampledSpace:
         stride = np.cumprod(np.r_[1, cells.max(axis=0)[:-1] + 2])
         key = cells @ stride
         order = np.argsort(key[centers], kind="stable")
-        centers, ckey = centers[order], key[centers[order]]
+        ckey = key[centers[order]]
         for offset in itertools.product((0, -1, 1), repeat=self.coord_dim):
-            rest = np.flatnonzero(~mask)
-            if not rest.size:
+            points = rest()
+            if not points.size:
                 return
-            look = key[rest] + int(np.dot(offset, stride))
+            look = key[points] + int(np.dot(offset, stride))
             first = ckey.searchsorted(look, "left")
             count = ckey.searchsorted(look, "right") - first
-            ends = np.cumsum(count)
-            lo = 0
-            while lo < rest.size:
-                start = int(ends[lo] - count[lo])
-                hi = max(int(ends.searchsorted(start + PAIR_CHUNK, "right")), lo + 1)
-                k = count[lo:hi]
-                # pair j of point i is (i, the (j - skip_i)-th center of its cell)
-                skip = ends[lo:hi] - k - start
-                p = np.repeat(rest[lo:hi], k)
-                c = centers[np.repeat(first[lo:hi] - skip, k) + np.arange(p.size)]
-                mask[p[self._pair_dist_sq(p, c) <= bound]] = True
-                lo = hi
+            for r, pos in _runs(first, count):
+                yield points[r], order[pos]
 
     def _pair_dist_sq(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Scaled squared distances from each point p[k] to q[k] (int64
@@ -401,6 +418,29 @@ class SampledSpace:
         for k, (gt, le) in enumerate(bounds):
             keep &= np.asarray((table[:, k] > gt) & (table[:, k] <= le), dtype=bool)
         return np.sort(idx[keep])
+
+    def boxes(self, gt: np.ndarray, le: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR members of many boxes: box k holds the points whose scaled
+        coordinates satisfy gt[k, j] < x_j <= le[k, j] on every axis j (int64
+        arrays), as indices[indptr[k]:indptr[k + 1]], sorted.  A windowed
+        table finds each box's first-axis window by binary search and tests
+        the other axes on the windows' points, at most PAIR_CHUNK at a time;
+        other tables ask box once per box."""
+        if not self.windowed:
+            return csr([self.box(list(zip(g, l))) for g, l in zip(gt.tolist(), le.tolist())])
+        order, col, _, _ = self._sorted_by(self._icoords[:, 0])
+        first = col.searchsorted(gt[:, 0], "right")
+        count = np.maximum(col.searchsorted(le[:, 0], "right") - first, 0)
+        rows, points = [], []
+        for r, pos in _runs(first, count):
+            p = order[pos]
+            if self.coord_dim > 1:
+                t = self._icoords[p, 1:]
+                inside = ((t > gt[r, 1:]) & (t <= le[r, 1:])).all(axis=1)
+                r, p = r[inside], p[inside]
+            rows.append(r)
+            points.append(p)
+        return _csr_of_pairs(len(gt), rows, points)
 
     def scaled_bound(self, radius: Fraction, closed: bool = False) -> int:
         """The largest scaled squared distance inside the ball of the given
@@ -467,6 +507,45 @@ class SampledSpace:
             f"SampledSpace({self.label or 'unlabeled'}, n={self.n}, "
             f"metric={self.metric_kind}, mesh={self.mesh})"
         )
+
+
+def _runs(first: np.ndarray, count: np.ndarray):
+    """The ranges first[r] .. first[r] + count[r] - 1 of the rows r, as
+    (row, position) arrays over consecutive rows holding at most
+    PAIR_CHUNK positions in all (or one row)."""
+    ends = np.cumsum(count)
+    lo = 0
+    while lo < len(count):
+        start = int(ends[lo] - count[lo])
+        hi = max(int(ends.searchsorted(start + PAIR_CHUNK, "right")), lo + 1)
+        k = count[lo:hi]
+        # position j of row r sits j - skip_r past first[r]
+        skip = ends[lo:hi] - k - start
+        yield np.repeat(np.arange(lo, hi), k), np.repeat(first[lo:hi] - skip, k) + np.arange(
+            int(ends[hi - 1]) - start
+        )
+        lo = hi
+
+
+def csr(parts) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of a list of index arrays: part k is
+    indices[indptr[k]:indptr[k + 1]]."""
+    indptr = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in parts], out=indptr[1:])
+    if not parts:
+        return indptr, np.zeros(0, dtype=np.int32)
+    return indptr, np.concatenate(parts).astype(np.int32)
+
+
+def _csr_of_pairs(k: int, rows: list, points: list) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of k rows from (row, point) pair chunks: each row's points
+    sorted."""
+    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    points = np.concatenate(points) if points else np.zeros(0, dtype=np.int64)
+    order = np.lexsort((points, rows))
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
+    return indptr, points[order].astype(np.int32)
 
 
 def _cell_ids(cells: np.ndarray) -> np.ndarray:

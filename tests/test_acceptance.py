@@ -375,12 +375,12 @@ def test_criterion_6_sc_plus_via_game():
             assert a < b
         for k, rnd in enumerate(transcript.rounds, start=1):
             fams = transcript.move_families(k)
-            assert block_index(rnd.two_move, fams, rnd.start_index) == rnd.block
-            if rnd.two_move and rnd.block > rnd.start_index + 1:
+            assert block_index(rnd.two_refs, fams, rnd.start_index) == rnd.block
+            if rnd.two_refs and rnd.block > rnd.start_index + 1:
                 # decrementing the block strands some selected region
                 stranded = [
                     r
-                    for r in rnd.two_move
+                    for r in (fams[n].region(ridx) for n, ridx in rnd.two_refs)
                     if not any(
                         r in fams[n].regions
                         for n in fams

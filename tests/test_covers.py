@@ -137,11 +137,9 @@ class TestRegionIdentity:
         )
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_hash_is_computed_on_first_use(self, interval_8, shape):
+    def test_hash_is_computed_on_each_use(self, interval_8, shape):
         r = self.SHAPES[shape](interval_8)
-        assert "_hash" not in r.__dict__
-        h = hash(r)
-        assert r.__dict__["_hash"] == h == hash(r)
+        assert hash(r) == hash(r) and "_hash" not in r.__dict__
 
 
 class TestCoversCheck:

@@ -4,43 +4,64 @@ replaced.
 `build_brick_grid` lays a class out as the product of one axis's occupied
 slots, `_pair_order` sweeps box families in the order of their lower ends
 on axis 0, and `box_in_ball_verdicts` settles box-in-ball containment with
-certified floats before any exact test.  The oracles below are the earlier
-bodies: the per-point bucket layout (with its Fraction branch), the per-box
-float filter over every later box (all pairs up to 64 boxes), and the exact
-corner test `analytic_contains`, which stays in the package.  Every layout,
-report, witness and verdict must be identical.
+certified floats before any exact test.  Block families are `BoxFamily`
+integer arrays.  The oracles below are the earlier bodies: the per-point
+bucket layout (with its Fraction branch), the per-box float filter over
+every later box (all pairs up to 64 boxes), the exact corner test
+`analytic_contains`, which stays in the package, and the per-box path that
+every family's Box objects still take.  Every layout, report, witness and
+verdict must be identical.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import covergames.covers as covers_module
-from covergames import cli, haver, screenability
+from covergames import cli, game, haver, netting, screenability
 from covergames.cli import run
 from covergames.covers import (
     Ball,
     Box,
+    BoxFamily,
     CoClosedBalls,
     Cover,
     DisjointFamily,
     analytic_contains,
     box_in_ball_verdicts,
+    containers,
+    lebesgue_argmax_region,
+    lebesgue_argmax_regions,
     lebesgue_number,
     pairwise_disjoint_check,
     region_members,
 )
-from covergames.exact import CheckFailure
+from covergames.exact import CheckFailure, exact_sqrt
 from covergames.jsonio import space_from_json
 from covergames.netting import greedy_net
 from covergames.registry import builtin_names, builtin_space
-from covergames.screenability import _pointwise_family, build_brick_grid
-from covergames.space import GridStructure, SampledSpace, build_grid_space
+from covergames.screenability import (
+    _cantor_level_boxes,
+    _point_boxes,
+    _pointwise_family,
+    build_brick_grid,
+)
+from covergames.space import (
+    GridStructure,
+    SampledSpace,
+    build_cantor_space,
+    build_grid_space,
+    csr,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "inputs"
 
@@ -115,6 +136,19 @@ def _old_containing_ball(region, cover, net, radius, space):
     return None
 
 
+def box_family(space, boxes):
+    """The open boxes as a BoxFamily over the lcm of their denominators,
+    with the members of the per-box queries."""
+    den = math.lcm(space.scale, *(x.denominator for b in boxes for x in b.lo + b.hi))
+    lo, hi = (
+        covers_module._int_array([[int(x * den) for x in ends] for ends in side]).reshape(
+            len(boxes), space.coord_dim
+        )
+        for side in ([b.lo for b in boxes], [b.hi for b in boxes])
+    )
+    return BoxFamily(space, den, lo, hi, *csr([region_members(b) for b in boxes]))
+
+
 def _count_calls(monkeypatch, owner, name):
     calls = []
     inner = getattr(owner, name)
@@ -129,6 +163,11 @@ def _count_calls(monkeypatch, owner, name):
 
 
 # -- brick layout -------------------------------------------------------------------
+
+
+def _boxes(classes):
+    """A layout's classes as tuples of Box objects."""
+    return tuple(cls.boxes() for cls in classes)
 
 
 def _sides(n_steps: int) -> list[int]:
@@ -148,7 +187,7 @@ def test_brick_layout_matches_buckets_on_builtin_grids(name):
     space = builtin_space(name)
     h = space.structure.h
     for m in _sides(int(1 / h)):
-        assert build_brick_grid(space, m * h) == _bucket_brick_grid(space, m * h), m
+        assert _boxes(build_brick_grid(space, m * h)) == _bucket_brick_grid(space, m * h), m
 
 
 def test_brick_layout_matches_buckets_on_the_file_grid():
@@ -158,7 +197,7 @@ def test_brick_layout_matches_buckets_on_the_file_grid():
     assert space.structure == GridStructure(2, F(1, 128))
     for m in _sides(128):
         side = F(m, 128)
-        assert build_brick_grid(space, side) == _bucket_brick_grid(space, side), m
+        assert _boxes(build_brick_grid(space, side)) == _bucket_brick_grid(space, side), m
 
 
 @pytest.mark.parametrize("dim,den", [(1, 8), (1, 64), (2, 8), (2, 16), (3, 4), (3, 8)])
@@ -168,7 +207,7 @@ def test_brick_layout_matches_the_fraction_branch(dim, den):
     assert space.scale * space.structure.h == 1
     for m in _sides(den):
         want = _bucket_brick_grid(space, F(m, den), fraction_branch=True)
-        assert build_brick_grid(space, F(m, den)) == want, m
+        assert _boxes(build_brick_grid(space, F(m, den))) == want, m
 
 
 # -- pairwise disjointness ----------------------------------------------------------
@@ -381,11 +420,139 @@ def test_containing_balls_match_the_per_region_filter(metric):
     for _ in range(300):
         lo = tuple(F(rng.randint(-4, 64), 64) for _ in range(2))
         regions.append(Box(space, lo, tuple(x + F(rng.randint(1, 12), 64) for x in lo)))
-    regions.append(Ball(space, 17, F(1, 40)))
-    got = haver._containing_balls(regions, cover, net, radius, space)
+    got = haver._containing_balls(box_family(space, regions), cover, net, radius, space)
     want = [_old_containing_ball(r, cover, net, radius, space) for r in regions]
     assert got == want
     assert sum(w is not None for w in want) > 30 and want.count(None) > 30
+
+
+# -- box families against the per-box path ------------------------------------------
+
+
+def as_object_table(space):
+    """The space with its integer table held as Python ints, as a table
+    past int64 is: no first-axis windows and no float bounds."""
+    space._icoords = space._icoords.astype(object)
+    space._fast = False
+    return space
+
+
+@st.composite
+def family_spaces(draw):
+    """A grid in 1-3 D under either metric, a Cantor sample, or a grid with
+    a Python-int table."""
+    kind = draw(st.sampled_from(["grid", "grid", "cantor", "object"]))
+    if kind == "cantor":
+        return build_cantor_space(draw(st.integers(1, 5)))
+    dim = draw(st.sampled_from([1, 2, 2, 3]))
+    den = draw(st.sampled_from({1: [4, 8, 16], 2: [2, 4, 8], 3: [2, 4]}[dim]))
+    space = build_grid_space(dim, F(1, den), draw(st.sampled_from(["euclidean", "chebyshev"])))
+    return as_object_table(space) if kind == "object" else space
+
+
+@st.composite
+def families(draw, space):
+    """Boxes from the block builders (point boxes, brick classes, Cantor
+    levels) or arbitrary, possibly overlapping or empty, boxes."""
+    kind = draw(st.sampled_from(["points", "bricks", "any"]))
+    if kind == "points":  # below half the smallest gap
+        gap = exact_sqrt(space.min_positive_gap_sq())
+        return _point_boxes(space, gap / draw(st.sampled_from([3, 4, 7])))
+    if kind == "bricks" and isinstance(space.structure, GridStructure):
+        h = space.structure.h
+        classes = build_brick_grid(space, h * draw(st.integers(1, int(1 / h) + 1)))
+        return draw(st.sampled_from(classes))
+    if kind == "bricks":
+        level = draw(st.integers(0, space.structure.depth + 1))
+        return _cantor_level_boxes(space, level, F(1, draw(st.sampled_from([4, 7])) * 3**level))
+    boxes = []
+    for _ in range(draw(st.integers(1, 8))):
+        lo = [F(draw(st.integers(-2, 17)), 16) for _ in range(space.coord_dim)]
+        hi = [x + F(draw(st.integers(1, 9)), 16) for x in lo]
+        boxes.append(Box(space, tuple(lo), tuple(hi)))
+    return box_family(space, boxes)
+
+
+@st.composite
+def covers(draw, space):
+    """Balls (radii often sample distances), boxes with ends closed at the
+    sample's edge, and complements of closed balls, then one ball holding
+    every point, so that the regions cover."""
+    point = st.integers(0, space.n - 1)
+    regions = []
+    for _ in range(draw(st.integers(0, 4))):
+        shape = draw(st.sampled_from(["ball", "box", "co"]))
+        c = draw(point)
+        radius = draw(st.sampled_from([F(1, 3), F(1, 4), F(3, 8), F(1, 2)]))
+        if shape == "ball":
+            root = exact_sqrt(space.distance_sq(c, draw(point)))
+            radius = draw(st.sampled_from([radius, root or radius]))
+            regions.append(Ball(space, c, radius + F(draw(st.sampled_from([0, 1])), 64)))
+        elif shape == "co":
+            regions.append(CoClosedBalls(space, ((c, radius / 2),)))
+        else:
+            lo = tuple(x - radius for x in space.points[c])
+            hi = tuple(x + radius for x in space.points[c])
+            closed = [a <= m for a, m in zip(lo, space.axis_min)]
+            regions.append(Box(space, lo, hi, tuple(closed), tuple(
+                b >= m for b, m in zip(hi, space.axis_max))))
+    regions.append(Ball(space, draw(point), 4 * space.diameter_upper_bound() + 1))
+    return Cover(space, regions)
+
+
+def _certified(members, cover, witness):
+    """A DisjointFamily's certificates, or the text of its refusal."""
+    try:
+        fam = DisjointFamily(members, cover, witness)
+    except CheckFailure as exc:
+        return str(exc), None
+    return (fam.witness, fam.witness_kinds), fam
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_box_families_match_the_per_box_path(data):
+    space = data.draw(family_spaces())
+    fam = data.draw(families(space))
+    boxes = fam.boxes()
+    assert [Box(space, b.lo, b.hi) for b in boxes] == list(boxes)
+    # members and anchors
+    members = [region_members(Box(space, b.lo, b.hi)) for b in boxes]
+    assert [fam.members(i).tolist() for i in range(len(fam))] == [m.tolist() for m in members]
+    assert fam.anchors.tolist() == [int(m[0]) if m.size else -1 for m in members]
+    # witnesses: the Lebesgue lookup at the anchors
+    cover = data.draw(covers(space))
+    lam = lebesgue_number(cover) / data.draw(st.sampled_from([1, 2, 3]))
+    held = fam.anchors[fam.anchors >= 0]
+    want = [lebesgue_argmax_region(cover, int(p), lam) for p in held]
+    assert lebesgue_argmax_regions(cover, held, lam).tolist() == want
+    # containment: every pair's exact verdict, and the decider's answers
+    for i, box in enumerate(boxes):
+        for c, region in enumerate(cover.regions):
+            assert covers_module._family_contains(fam, i, region) == analytic_contains(box, region)
+    k = len(cover.regions)
+    cands = [data.draw(st.lists(st.integers(0, k - 1), max_size=4)) for _ in boxes]
+    for given_cands in (None, cands):
+        for sample in (True, False):
+            assert containers(fam, cover, given_cands, sample) == containers(
+                boxes, cover, given_cands, sample
+            )
+    # disjointness reports at margins that pass and fail, and certified families
+    for margin in (F(0), space.mesh, F(1, 16), F(1, 3)):
+        assert pairwise_disjoint_check(fam, margin) == pairwise_disjoint_check(boxes, margin)
+    witness = [data.draw(st.integers(0, k - 1)) for _ in boxes]
+    if len(held) == len(fam) and data.draw(st.booleans()):
+        witness = want  # the Lebesgue witnesses, as a block builder gives them
+    for given_witness in (None, witness):
+        (got, made), (want, old) = (
+            _certified(members, cover, given_witness) for members in (fam, boxes)
+        )
+        assert got == want
+    if made is not None:  # a subfamily of each, with the certified witness
+        keep = data.draw(st.permutations(range(len(fam))))[: data.draw(st.integers(0, len(fam)))]
+        sub, old = made.subfamily(keep), old.subfamily(keep)
+        assert sub.regions == old.regions and sub.witness_kinds == old.witness_kinds
+        assert np.array_equal(sub.union_mask(), old.union_mask())
 
 
 # -- op-count gates -----------------------------------------------------------------
@@ -413,10 +580,37 @@ def _count_sweeps(monkeypatch, *owners):
     return sizes
 
 
+def _count_everywhere(monkeypatch, name):
+    """The calls of a covers function, through every module's name for it."""
+    calls = _count_calls(monkeypatch, covers_module, name)
+    for owner in (cli, game, haver, netting, screenability):
+        if name in vars(owner):
+            monkeypatch.setattr(owner, name, getattr(covers_module, name))
+    return calls
+
+
+def _count_boxes_inside(monkeypatch, owner, name):
+    """Box constructions in all, and per call of owner.name the ones made
+    inside it."""
+    boxes = _count_calls(monkeypatch, Box, "__post_init__")
+    inside, inner = [], getattr(owner, name)
+
+    def counted(*args):
+        before = len(boxes)
+        out = inner(*args)
+        inside.append(len(boxes) - before)
+        return out
+
+    monkeypatch.setattr(owner, name, counted)
+    return boxes, inside
+
+
 def test_square_demo_settles_containment_in_floats(monkeypatch):
     calls = _count_calls(monkeypatch, covers_module, "analytic_contains")
     sizes = _count_sweeps(monkeypatch, covers_module)
-    pointwise = _count_calls(monkeypatch, screenability, "_pointwise_family")
+    boxes, pointwise = _count_boxes_inside(monkeypatch, screenability, "_pointwise_family")
+    members = _count_everywhere(monkeypatch, "region_members")
+    floats = _count_everywhere(monkeypatch, "_float_bounds")
     balls = _count_calls(monkeypatch, SampledSpace, "ball")
     selections, decompose = [], cli.decompose_from_hurewicz
 
@@ -432,11 +626,33 @@ def test_square_demo_settles_containment_in_floats(monkeypatch):
     assert sum(k >= 2 for k in sizes) <= 8
     # the game builds each block once: 2 when every round rebuilt its blocks
     assert len(pointwise) <= 1
+    # block families are integer arrays: 4,249 Box objects, 4,225 of them
+    # point boxes, 46,830 region_members and 103,003 _float_bounds calls
+    # when every family member was a Box
+    assert pointwise == [0] and len(boxes) <= 100
+    assert len(members) <= 2000 and len(floats) <= 1000
     # a selection's union and a net's check are one ball_union each: 19,048
     # single balls when every selection ball and net center took one
     assert len(balls) <= 100
     (sel,) = selections
     assert not any("_members" in b.__dict__ for chosen in sel.values() for b in chosen)
+
+
+def test_fincspace_decides_box_pairs_in_integers(monkeypatch, tmp_path):
+    # the finite-C scan of the line_search benchmark at seed 1305: a brick
+    # class meets the cover boxes on its integer rows
+    sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    argv = dict(workloads.build("line_search", 1305, tmp_path))["fincspace"]
+    calls = _count_calls(monkeypatch, covers_module, "analytic_contains")
+    boxes = _count_calls(monkeypatch, Box, "__post_init__")
+    code, doc = run(argv)
+    assert code == 0 and doc["result"]["n"] == 2
+    # 37,603 and 10,155 when every candidate brick was a Box
+    assert len(calls) <= 1000 and len(boxes) <= 1000
 
 
 def test_golden_refine_sweeps_each_family_once(monkeypatch):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covergames.covers import (
     Ball,
@@ -52,6 +55,13 @@ def overlapping_interval_covers(s, horizon, step=F(3, 100)):
             )
         )
     return CoverSeq(s, covers)
+
+
+def selected_regions(transcript, k):
+    """Round k's selection as regions: each (stage, index) ref read from the
+    round's move."""
+    fams = transcript.move_families(k)
+    return [fams[n].region(ridx) for n, ridx in transcript.rounds[k - 1].two_refs]
 
 
 class TestStrategyMove:
@@ -109,13 +119,11 @@ class TestBlockIndex:
 
     def test_from_first_family(self, interval_64):
         fams = self._move(interval_64)
-        region = fams[1].regions[0]
-        assert block_index([region], fams, 1) == 2
+        assert block_index([(1, 0)], fams, 1) == 2
 
     def test_spanning_first_and_third(self, interval_64):
         fams = self._move(interval_64)
-        picks = [fams[1].regions[0], fams[3].regions[0]]
-        assert block_index(picks, fams, 1) == 4
+        assert block_index([(1, 0), (3, 0)], fams, 1) == 4
 
     def test_duplicate_value_counts_at_earliest(self, interval_64):
         # identical covers produce identical brick families; a region value
@@ -126,17 +134,17 @@ class TestBlockIndex:
         move = strategy_F_move(s, covers, 1)
         fams = {n: fam for n, fam in enumerate(move, start=1)}
         assert fams[3].regions[0] in fams[1].regions
-        assert block_index([fams[3].regions[0]], fams, 1) == 2
+        assert block_index([(3, 0)], fams, 1) == 2
 
     def test_empty_selection(self, interval_64):
         fams = self._move(interval_64)
         assert block_index([], fams, 1) == 1
 
     def test_foreign_region_rejected(self, interval_64):
-        s = interval_64
-        fams = self._move(s)
-        with pytest.raises(InputError):
-            block_index([Ball(s, 0, F(1, 3))], fams, 1)
+        fams = self._move(interval_64)
+        for ref in ((5, 0), (1, len(fams[1])), (1, -1)):
+            with pytest.raises(InputError):
+                block_index([(1, 0), ref], fams, 1)
 
 
 class TestPlay:
@@ -156,9 +164,9 @@ class TestPlay:
         loss = transcript_loss_report(transcript)
         assert loss.lost_by_one
         # every round's selection covers the sample
-        for rnd in transcript.rounds:
+        for k in range(1, len(transcript.rounds) + 1):
             u = np.zeros(s.n, dtype=bool)
-            for region in rnd.two_move:
+            for region in selected_regions(transcript, k):
                 u |= region_mask(region)
             assert u.all()
 
@@ -213,9 +221,9 @@ class TestAssemble:
         for k, rnd in enumerate(transcript.rounds):
             fams = transcript.move_families(k + 1)
             m = rnd.block
-            assert block_index(rnd.two_move, fams, rnd.start_index) == m
+            assert block_index(rnd.two_refs, fams, rnd.start_index) == m
             # decrementing the block breaks containment
-            if rnd.two_move:
+            if rnd.two_refs:
                 below = [
                     n
                     for n in fams
@@ -224,7 +232,7 @@ class TestAssemble:
                 ]
                 contained = all(
                     any(r in fams[n].regions for n in fams if n < m - 1)
-                    for r in rnd.two_move
+                    for r in selected_regions(transcript, k + 1)
                 )
                 assert not contained
 
@@ -234,9 +242,8 @@ class TestAssemble:
         transcript = play_hurewicz_game(s, covers)
         res = assemble_W(transcript)
         offered = set()
-        for rnd in transcript.rounds:
-            for region in rnd.two_move:
-                offered.add(region)
+        for k in range(1, len(transcript.rounds) + 1):
+            offered.update(selected_regions(transcript, k))
         for n in range(1, 9):
             for region in res.family(n).regions:
                 assert region in offered
@@ -443,6 +450,94 @@ def test_lazy_greedy_matches_the_two_path_policy():
     assert 50 < covering < 350 and 20 < single < covering
 
 
+def numpy_lazy_greedy_policy(one_move):
+    """The covering policy before its point-to-region index: a heap of stale
+    gains, the top one refreshed with a numpy count per pop."""
+    some_fam = next(iter(one_move.values()))
+    space = some_fam.space
+    prefix = []
+    covered = np.zeros(space.n, dtype=bool)
+    for n in sorted(one_move):
+        prefix.append(n)
+        covered |= one_move[n].union_mask()
+        if covered.all():
+            break
+    if not covered.all():
+        raise CheckFailure(
+            "ONE's move does not cover the sample",
+            witness=int(np.flatnonzero(~covered)[0]),
+        )
+    flat = [
+        (n, ridx, region_members(region))
+        for n in prefix
+        for ridx, region in enumerate(one_move[n].regions)
+    ]
+    heap = [(-len(m), i) for i, (_, _, m) in enumerate(flat) if len(m)]
+    heapq.heapify(heap)
+    uncovered = np.ones(space.n, dtype=bool)
+    left = space.n
+    picks = []
+    while left:
+        _, i = heapq.heappop(heap)
+        n, ridx, members = flat[i]
+        gain = int(np.count_nonzero(uncovered[members]))
+        if not gain:
+            continue
+        if heap and (-gain, i) > heap[0]:
+            heapq.heappush(heap, (-gain, i))
+            continue
+        picks.append((n, ridx))
+        uncovered[members] = False
+        left -= gain
+    return picks
+
+
+def run_family(s, parent, rng, run):
+    """Boxes around runs of `run` consecutive points (1 to 6 when run is
+    0), a mesh apart, with runs left out at random: equal runs tie."""
+    h = s.structure.h
+    boxes, k = [], 0
+    while k < s.n:
+        end = min(k + (run or rng.randint(1, 6)), s.n) - 1
+        if rng.random() >= 0.15:
+            boxes.append(Box(s, (k * h - h / 4,), (end * h + h / 4,)))
+        k = end + 1
+    return DisjointFamily(boxes, parent, witness=[0] * len(boxes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    runs=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+    start=st.integers(1, 3),
+)
+def test_indexed_greedy_matches_the_numpy_lazy_greedy(seed, runs, start):
+    # moves of 1-4 families whose runs are all of one length (tied gains) or
+    # random; on a block's own families too
+    s = GREEDY_SPACE
+    rng = random.Random(seed)
+    move = {start + k: run_family(s, GREEDY_PARENT, rng, run) for k, run in enumerate(runs)}
+    if rng.random() < 0.25:
+        move = dict(enumerate(strategy_F_move(s, GREEDY_COVERS, 1), start=1))
+    try:
+        want = numpy_lazy_greedy_policy(move)
+    except CheckFailure as exc:
+        with pytest.raises(CheckFailure) as got:
+            covering_two_policy(move)
+        assert (str(got.value), got.value.witness) == (str(exc), exc.witness)
+        return
+    assert covering_two_policy(move) == want
+
+
+GREEDY_SPACE = build_grid_space(1, F(1, 32))
+GREEDY_PARENT = Cover(GREEDY_SPACE, [Ball(GREEDY_SPACE, 0, F(2))])
+GREEDY_COVERS = CoverSeq(
+    GREEDY_SPACE,
+    [Cover(GREEDY_SPACE, [Ball(GREEDY_SPACE, c, GREEDY_SPACE.mesh) for c in range(33)])]
+    + [GREEDY_PARENT] * 3,
+)
+
+
 # -- assembled families against the routing they replaced ---------------------------
 
 
@@ -459,7 +554,7 @@ def routing_oracle(transcript):
             for ridx, region in enumerate(fams[n].regions):
                 occurrence.setdefault(region, (n, ridx))
         seen = set()
-        for region in rnd.two_move:
+        for region in selected_regions(transcript, k):
             if region in seen:
                 continue
             seen.add(region)

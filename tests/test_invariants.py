@@ -188,3 +188,23 @@ def test_only_the_block_builder_builds_block_families():
         or (name == "_witness_class" and path.name != "screenability.py")
     ]
     assert found == [], f"block families built outside screenability._block: {found}"
+    # a BoxFamily is made by the block builders of screenability alone (and
+    # as a subfamily by BoxFamily itself), and no other module reaches them
+    builders = {"build_brick_grid", "_queried_family"}
+    made = {
+        (path.name, top.name)
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "BoxFamily"
+    }
+    allowed = {("screenability.py", b) for b in builders} | {("covers.py", "BoxFamily")}
+    assert made and made <= allowed, f"BoxFamily made outside the block builders: {made}"
+    reached = [
+        f"{path.name}:{getattr(node, 'lineno', top)} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "screenability.py"
+        for top, node, name in _references(ast.parse(path.read_text(), str(path)))
+        if name in {"_point_boxes", "_cantor_level_boxes", "_queried_family"}
+    ]
+    assert reached == [], f"box family builders reached outside screenability: {reached}"

@@ -386,6 +386,62 @@ def test_ball_union_at_every_bound_with_centers_on_cell_borders(
     assert not s.ball_union([], top).any()
 
 
+def test_ball_union_at_bound_zero_is_its_centers(monkeypatch):
+    # a radius below the scale's resolution, as at the demo's doubling radii:
+    # the fine cells have side 1, and the fine pass is the whole answer
+    space = build_grid_space(2, F(1, 64))
+    pairs = _count_calls(monkeypatch, SampledSpace, "_pair_dist_sq")
+    radius = F(1, 2**16)
+    assert space.scaled_bound(radius) == 0
+    for centers in (range(0, space.n, 7), [5], range(space.n)):
+        want = _union_oracle(space, centers, radius, False)
+        assert np.array_equal(space.ball_union(centers, 0), want)
+        assert np.flatnonzero(want).tolist() == sorted(set(centers))
+    assert pairs == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_balls_match_the_per_ball_members(data):
+    space = data.draw(spaces())
+    centers = data.draw(st.lists(st.integers(0, space.n - 1), max_size=6))
+    c = centers[0] if centers else 0
+    radius = data.draw(st.sampled_from([_radius(data.draw, space, c), F(1, 2**70), F(2**80)]))
+    bound = space.scaled_bound(radius, data.draw(st.booleans()))
+    chunk = data.draw(st.sampled_from([1, 5, space_module.PAIR_CHUNK]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(space_module, "PAIR_CHUNK", chunk)
+        indptr, indices = space.balls(centers, bound)
+    assert indptr[0] == 0 and len(indptr) == len(centers) + 1
+    got = [indices[a:b].tolist() for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    assert got == [space.ball(c, bound).tolist() for c in centers]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_boxes_match_the_per_box_query(data):
+    space = data.draw(spaces())
+    table = space._icoords.tolist()
+    ends = []
+    for k in range(space.coord_dim):
+        values = sorted({row[k] for row in table})
+        ends.append([values[0] - 1, *values, values[-1] + 1])  # below and above
+    boxes = [
+        [tuple(sorted(data.draw(st.lists(st.sampled_from(e), min_size=2, max_size=2))))
+         for e in ends]
+        for _ in range(data.draw(st.integers(0, 5)))
+    ]
+    shape = (len(boxes), space.coord_dim)
+    gt = np.array([[b[0] for b in box] for box in boxes], dtype=np.int64).reshape(shape)
+    le = np.array([[b[1] for b in box] for box in boxes], dtype=np.int64).reshape(shape)
+    chunk = data.draw(st.sampled_from([1, 5, space_module.PAIR_CHUNK]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(space_module, "PAIR_CHUNK", chunk)
+        indptr, indices = space.boxes(gt, le)
+    got = [indices[a:b].tolist() for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    assert got == [space.box(box).tolist() for box in boxes]
+
+
 def test_ball_union_of_every_square_point_needs_no_pair(monkeypatch):
     # validate_net's epsilon-1/2 certificate over the 4,225 centers of the
     # demo's finest selections: the fine cells settle every point

@@ -104,7 +104,7 @@ class TestBrickGrid:
     def test_faces_avoid_sample(self, interval_64):
         s = interval_64
         for cls in build_brick_grid(s, F(3, 64)):
-            for box in cls:
+            for box in cls.boxes():
                 for p in s.points:
                     assert p[0] != box.lo[0] and p[0] != box.hi[0]
 
@@ -112,7 +112,7 @@ class TestBrickGrid:
         s = interval_64
         counts = np.zeros(s.n, dtype=int)
         for cls in build_brick_grid(s, F(2, 64)):
-            for box in cls:
+            for box in cls.boxes():
                 counts += region_mask(box)
         # d+1 = 2 classes on an interval; every point in >= 1 class
         assert (counts >= 1).all()
@@ -320,7 +320,7 @@ def test_cantor_level_boxes_match_the_fraction_grouping(name):
     for level in range(space.structure.depth + 2):
         for gamma in (F(1, 4 * 3**level), F(1, 7 * 3**level)):
             want = cantor_level_boxes_loop(space, level, gamma)
-            assert _cantor_level_boxes(space, level, gamma) == want
+            assert list(_cantor_level_boxes(space, level, gamma).boxes()) == want
     # each level is grouped once and kept on the space
     assert sorted(space._cantor_levels) == list(range(space.structure.depth + 2))
 
@@ -330,8 +330,8 @@ def test_cantor_level_groups_past_int64():
     # this level every point is its own group
     space = builtin_space("cantor_3")
     gamma = F(1, 3**42)
-    boxes = _cantor_level_boxes(space, 40, gamma)
-    assert boxes == cantor_level_boxes_loop(space, 40, gamma)
+    boxes = _cantor_level_boxes(space, 40, gamma).boxes()
+    assert list(boxes) == cantor_level_boxes_loop(space, 40, gamma)
     assert len(boxes) == space.n
 
 
