@@ -138,11 +138,13 @@ _ROW_CAP = 2**62
 def _int_array(values) -> np.ndarray:
     """An exact integer array of the given ints: int64 when every entry
     lies below _ROW_CAP in magnitude, Python ints (object) otherwise."""
-    arr = np.array(values, dtype=object)
-    flat = arr.ravel().tolist()
-    if flat and max(map(abs, flat)) >= _ROW_CAP:
-        return arr
-    return arr.astype(np.int64)
+    try:
+        arr = np.array(values, dtype=np.int64)
+        if not arr.size or -_ROW_CAP < arr.min() and arr.max() < _ROW_CAP:
+            return arr
+    except OverflowError:
+        pass
+    return np.array(values, dtype=object)
 
 
 def _scaled(table: np.ndarray, factor: int, shift: int = 0) -> np.ndarray:
@@ -174,6 +176,13 @@ def _first_in_rows(flags: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _clamped(rows) -> np.ndarray:
+    """An int64 table of rows of Python ints, each clamped to the int64
+    range: against int64 rows below _ROW_CAP a clamped end compares as the
+    end does."""
+    return np.array([[clamp_int64(x) for x in row] for row in rows], dtype=np.int64)
+
+
 class BoxFamily:
     """Open axis boxes on one space as integer arrays.
 
@@ -193,13 +202,18 @@ class BoxFamily:
         self.space, self.den, self.lo, self.hi = space, den, lo, hi
         self.indptr, self.indices = indptr, indices
         self.indices.flags.writeable = False
-        firsts = indices[np.minimum(indptr[:-1], max(indices.size - 1, 0))] if indices.size else 0
-        self.anchors = np.where(indptr[1:] > indptr[:-1], firsts, -1)
         self._bounds: tuple[np.ndarray, np.ndarray] | None = None
         self._boxes: tuple[Box, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.lo)
+
+    @property
+    def anchors(self) -> np.ndarray:
+        held = self.indptr[1:] > self.indptr[:-1]
+        anchors = np.full(len(held), -1, dtype=np.int64)
+        anchors[held] = self.indices[self.indptr[:-1][held]]
+        return anchors
 
     def members(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
@@ -208,7 +222,8 @@ class BoxFamily:
         """The boxes at the indices keep, in that order."""
         keep = np.asarray(keep, dtype=np.int64)
         indptr, indices = _csr_take(self.indptr, self.indices, keep)
-        sub = BoxFamily(self.space, self.den, self.lo[keep], self.hi[keep], indptr, indices)
+        lo, hi = self.lo[keep], self.hi[keep]
+        sub = BoxFamily(self.space, self.den, lo, hi, indptr, indices)
         if self._bounds is not None:
             sub._bounds = (self._bounds[0][keep], self._bounds[1][keep])
         return sub
@@ -358,22 +373,35 @@ class Cover:
         self.regions = tuple(regions)
         self._lebesgue: Fraction | None = None
         self._table: _LebesgueTable | None = None
-        # built on first use: _region_arrays and _box_ends by den
+        # built on first use: _region_arrays, _box_ends by den, _member_mask
         self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._ends: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._masks: dict[int, np.ndarray] = {}
+
+
+_SHAPES = {Ball: 1, Box: 2, CoClosedBalls: 0}
 
 
 def _region_arrays(cover: Cover) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per cover region: its shape name, and for a ball its center and the
-    float bounds on its radius (0 elsewhere).  Built once per cover."""
+    """Per cover region: its shape code (_SHAPES), and for a ball its center
+    and the float bounds on its radius (0 elsewhere).  Built once per
+    cover."""
     if cover._arrays is None:
         balls = [r if isinstance(r, Ball) else None for r in cover.regions]
         cover._arrays = (
-            np.array([type(r).__name__ for r in cover.regions] or [""]),
-            np.array([0 if b is None else b.center for b in balls] or [0]),
-            np.array([(0, 0) if b is None else _float_bounds(b.radius) for b in balls] or [(0, 0)]),
+            np.array([_SHAPES[type(r)] for r in cover.regions], dtype=np.int8),
+            np.array([0 if b is None else b.center for b in balls]),
+            np.array([(0, 0) if b is None else _float_bounds(b.radius) for b in balls]),
         )
     return cover._arrays
+
+
+def _member_mask(cover: Cover, c: int) -> np.ndarray:
+    """region_mask of cover region c, made on first use and kept on the
+    cover."""
+    if c not in cover._masks:
+        cover._masks[c] = region_mask(cover.regions[c])
+    return cover._masks[c]
 
 
 def _box_ends(cover: Cover, den: int, dtype) -> np.ndarray:
@@ -388,11 +416,8 @@ def _box_ends(cover: Cover, den: int, dtype) -> np.ndarray:
             if isinstance(r, Box)
             else [0] * (2 * d)
             for r in cover.regions
-        ] or [[0] * (2 * d)]
-        ends = cover._ends[den] = (
-            np.array(rows, dtype=object),
-            np.array([[clamp_int64(x) for x in row] for row in rows], dtype=np.int64),
-        )
+        ]
+        ends = cover._ends[den] = np.array(rows, dtype=object), _clamped(rows)
     return ends[0] if dtype == object else ends[1]
 
 
@@ -628,7 +653,8 @@ def _family_verdicts(fam: BoxFamily, outer: Cover, ii: np.ndarray, oo: np.ndarra
     if space.metric_kind == "cantor_2adic" or not len(ii):
         return verdict
     shape, center, radius = _region_arrays(outer)
-    ball, box = shape[oo] == "Ball", shape[oo] == "Box"
+    shape = shape[oo]
+    ball, box = shape == _SHAPES[Ball], shape == _SHAPES[Box]
     if ball.any() and _floats_settle(space):
         lo, hi = fam.float_bounds()
         i, c = ii[ball], oo[ball]
@@ -636,10 +662,9 @@ def _family_verdicts(fam: BoxFamily, outer: Cover, ii: np.ndarray, oo: np.ndarra
     if box.any():
         # ceil(lo * den) <= row lo and floor(hi * den) >= row hi on every
         # axis; clamped ends still decide against rows below 2**62
-        ends, i, d = _box_ends(outer, fam.den, fam.lo.dtype)[oo[box]], ii[box], space.coord_dim
-        verdict[box] = (ends[:, :d] <= fam.lo[i]).all(axis=1) & (
-            ends[:, d:] >= fam.hi[i]
-        ).all(axis=1)
+        ends, i = _box_ends(outer, fam.den, fam.lo.dtype)[oo[box]], ii[box]
+        low, high = np.split(ends, 2, axis=1)
+        verdict[box] = (low <= fam.lo[i]).all(axis=1) & (high >= fam.hi[i]).all(axis=1)
     return verdict
 
 
@@ -665,7 +690,10 @@ def _family_contains(fam: BoxFamily, i: int, outer: OpenRegion) -> bool:
             gaps = [max(b - x, x - a) for a, b, x in zip(lo, hi, c)]
         else:  # the gap from the center to the closed box
             gaps = [max(a - x, x - b, 0) for a, b, x in zip(lo, hi, c)]
-        gsq = max(gaps) ** 2 if space.metric_kind == "chebyshev" else sum(g * g for g in gaps)
+        if space.metric_kind == "chebyshev":
+            gsq = max(gaps) ** 2
+        else:
+            gsq = sum(g * g for g in gaps)
         # the sign of gap**2 - radius**2, both scaled by den**2
         sign = gsq * r.denominator**2 - r.numerator**2 * den**2
         if isinstance(outer, Ball):
@@ -705,32 +733,41 @@ def containers(
         raise InputError("refinement operands must share one space")
     k = len(inner)
     if candidates is None:
-        counts, oo = np.full(k, len(regions)), np.tile(np.arange(len(regions)), k)
-    elif isinstance(candidates, np.ndarray):
-        counts, oo = np.full(k, candidates.shape[1]), candidates.ravel()
+        candidates = np.broadcast_to(np.arange(len(regions)), (k, len(regions)))
+    if isinstance(candidates, np.ndarray):
+        indptr, oo = np.arange(k + 1) * candidates.shape[1], candidates.reshape(-1)
     else:
-        counts = np.array([len(cs) for cs in candidates], dtype=np.int64)
+        indptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum([len(cs) for cs in candidates], out=indptr[1:])
         oo = np.fromiter(itertools.chain.from_iterable(candidates), np.int64)
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    ii = np.repeat(np.arange(k), counts)
+    ii = np.repeat(np.arange(k), np.diff(indptr))
     if family:
         verdict = _family_verdicts(inner, outer, ii, oo)
-        exact = lambda i, c: _family_contains(inner, i, regions[c])  # noqa: E731
-        holds = lambda i, c: _all_in(inner.members(i), region_members(regions[c]))  # noqa: E731
+
+        def exact(i, c):
+            return _family_contains(inner, i, regions[c])
+
+        def holds(i, c):
+            return bool(_member_mask(outer, c)[inner.members(i)].all())
+
     else:
         verdict = box_in_ball_verdicts(
             [inner[i] for i in ii.tolist()], [regions[c] for c in oo.tolist()]
         )
-        exact = lambda i, c: analytic_contains(inner[i], regions[c])  # noqa: E731
-        holds = lambda i, c: sample_contains(inner[i], regions[c])  # noqa: E731
-    hit = _first_in_rows(verdict == 1, indptr)
-    unsure = _first_in_rows(verdict < 0, indptr)
+
+        def exact(i, c):
+            return analytic_contains(inner[i], regions[c])
+
+        def holds(i, c):
+            return sample_contains(inner[i], regions[c])
+
+    # a row's first pair the batch did not rule out is a hit, or where the
+    # exact test starts
+    hit = _first_in_rows(verdict != 0, indptr)
     flat, verdict = oo.tolist(), verdict.tolist()
-    for i in np.flatnonzero((unsure >= 0) & ((hit < 0) | (unsure < hit))).tolist():
-        stop = hit[i] if hit[i] >= 0 else indptr[i + 1]
-        tried = (q for q in range(unsure[i], stop) if verdict[q] < 0)
-        hit[i] = next((q for q in tried if exact(i, flat[q])), hit[i])
+    for i in [i for i, q in enumerate(hit.tolist()) if q >= 0 and verdict[q] < 0]:
+        tried = (q for q in range(hit[i], indptr[i + 1]) if verdict[q])
+        hit[i] = next((q for q in tried if verdict[q] > 0 or exact(i, flat[q])), -1)
     out = [None if q < 0 else (flat[q], "analytic") for q in hit.tolist()]
     for i in np.flatnonzero(hit < 0).tolist() if sample else ():
         c = next((c for c in flat[indptr[i] : indptr[i + 1]] if holds(i, c)), None)
@@ -848,7 +885,8 @@ def _family_gap_ge(fam: BoxFamily, i: int, j: int, margin: Fraction) -> bool | N
     """analytic_gap_ge(fam.box(i), fam.box(j), margin) on integer rows."""
     if fam.space.metric_kind == "cantor_2adic":
         return None
-    gaps = _axis_gaps(fam.lo[i].tolist(), fam.hi[i].tolist(), fam.lo[j].tolist(), fam.hi[j].tolist())
+    (lo1, lo2), (hi1, hi2) = fam.lo[[i, j]].tolist(), fam.hi[[i, j]].tolist()
+    gaps = _axis_gaps(lo1, hi1, lo2, hi2)
     return _gaps_ge(gaps, fam.space.metric_kind, margin * fam.den)
 
 
@@ -875,23 +913,28 @@ def pairwise_disjoint_check(
         return DisjointReport(True, None, None, None)
     if isinstance(regions, BoxFamily):
         space, indptr, members = regions.space, regions.indptr, regions.indices
-        gap_ge = lambda i, j, m: _family_gap_ge(regions, i, j, m)  # noqa: E731
+        def gap_ge(i, j, m):
+            return _family_gap_ge(regions, i, j, m)
     else:
         space = regions[0].space
         indptr, members = csr([region_members(r) for r in regions])
-        gap_ge = lambda i, j, m: analytic_gap_ge(regions[i], regions[j], m)  # noqa: E731
+        def gap_ge(i, j, m):
+            return analytic_gap_ge(regions[i], regions[j], m)
 
     # shared sample points: count memberships per point
     multi = np.flatnonzero(np.bincount(members, minlength=space.n) > 1)
     if multi.size:
         p = int(multi[0])
         owners = np.searchsorted(indptr, np.flatnonzero(members == p), "right") - 1
-        return DisjointReport(False, (int(owners[0]), int(owners[1])), "shared_point", p)
+        pair = (int(owners[0]), int(owners[1]))
+        return DisjointReport(False, pair, "shared_point", p)
 
     for i, j in _pair_order(regions, margin):
         if gap_ge(i, j, margin) is False:
             reason = (
-                "analytic_overlap" if gap_ge(i, j, Fraction(0)) is False else "gap_below_margin"
+                "analytic_overlap"
+                if gap_ge(i, j, Fraction(0)) is False
+                else "gap_below_margin"
             )
             return DisjointReport(False, (i, j), reason, None)
     return DisjointReport(True, None, None, None)
@@ -1205,7 +1248,9 @@ def lebesgue_argmax_region(cover: Cover, p: int, lam: Fraction) -> int:
                 return ridx
 
 
-def lebesgue_argmax_regions(cover: Cover, points: np.ndarray, lam: Fraction) -> np.ndarray:
+def lebesgue_argmax_regions(
+    cover: Cover, points: np.ndarray, lam: Fraction
+) -> np.ndarray:
     """lebesgue_argmax_region at each of the points, in one pass over the
     Lebesgue table: a point whose first region with an upper bound of at
     least lam also has a lower bound of at least lam gets that region, as
@@ -1301,7 +1346,7 @@ class DisjointFamily:
             if hit is None:
                 raise CheckFailure(
                     "refinement witness does not hold on the sample",
-                    witness=(self.region(i), w),
+                    witness=(self.regions[i], w),
                 )
         self.witness = witness
         self.witness_kinds = tuple(hit[1] for hit in found)
@@ -1335,11 +1380,6 @@ class DisjointFamily:
             return self.family.boxes()
         return self.family
 
-    def region(self, i: int) -> OpenRegion:
-        if isinstance(self.family, BoxFamily):
-            return self.family.box(i)
-        return self.family[i]
-
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices): member i holds the sample points
         indices[indptr[i]:indptr[i + 1]]."""
@@ -1358,7 +1398,8 @@ class DisjointFamily:
         keep, when given)."""
         indptr, indices = self.csr()
         if keep is not None:
-            indptr, indices = _csr_take(indptr, indices, np.asarray(keep, dtype=np.int64))
+            keep = np.asarray(keep, dtype=np.int64)
+            indptr, indices = _csr_take(indptr, indices, keep)
         mask = np.zeros(self.space.n, dtype=bool)
         mask[indices] = True
         return mask

@@ -115,26 +115,16 @@ def _earliest_occurrence(
     index) in the move holding an equal region value.  A move's families
     are box families (or empty), and a box's value is its integer row over
     the lcm of the families' denominators."""
-    stages = sorted(one_move)
-    refs = [(n, i) for n in stages for i in range(len(one_move[n]))]
-    boxes = [one_move[n].family for n in stages if len(one_move[n])]
+    boxes = [fam.family for fam in one_move.values() if len(fam)]
     if not all(isinstance(b, BoxFamily) for b in boxes):
         raise AssertionError("a move holds a family that is not a box family")
-    earliest: list[int] = []
-    if boxes:
-        den = lcm(*(b.den for b in boxes))
-        rows = np.concatenate([b.rows(den) for b in boxes])
-        if rows.dtype == object:
-            first: dict[tuple, int] = {}
-            earliest = [first.setdefault(tuple(r), q) for q, r in enumerate(rows.tolist())]
-        else:
-            _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-            earliest = first[inverse.reshape(-1)].tolist()
-    out, at = {}, 0
-    for n in stages:
-        k = len(one_move[n])
-        out[n] = [refs[q] for q in earliest[at : at + k]]
-        at += k
+    den = lcm(*(b.den for b in boxes))
+    first: dict[tuple, tuple[int, int]] = {}
+    out = {}
+    for n in sorted(one_move):
+        fam = one_move[n].family
+        rows = fam.rows(den).tolist() if len(fam) else []
+        out[n] = [first.setdefault(tuple(r), (n, i)) for i, r in enumerate(rows)]
     return out
 
 
@@ -199,7 +189,8 @@ def covering_two_policy(
     held = np.zeros(space.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(points, minlength=space.n), out=held[1:])
     holders = region[np.argsort(points, kind="stable")].tolist()
-    at, held, points = np.r_[0, np.cumsum(sizes)].tolist(), held.tolist(), points.tolist()
+    at, held = np.r_[0, np.cumsum(sizes)].tolist(), held.tolist()
+    points = points.tolist()
     gain = sizes.tolist()
     # (-gain when pushed, flat index): gains only shrink as points get covered
     heap = [(-g, i) for i, g in enumerate(gain) if g]
@@ -233,8 +224,8 @@ def adversarial_two_policy(avoid_point: int) -> TwoPolicy:
         picks = []
         for n in sorted(one_move):
             indptr, indices = one_move[n].csr()
-            owners = np.searchsorted(indptr, np.flatnonzero(indices == avoid_point), "right")
-            holding = set((owners - 1).tolist())
+            at = np.flatnonzero(indices == avoid_point)
+            holding = set((np.searchsorted(indptr, at, "right") - 1).tolist())
             picks.extend((n, r) for r in range(len(one_move[n])) if r not in holding)
         return picks
 

@@ -252,7 +252,11 @@ def build_haver_witness(
 
 
 def _containing_balls(
-    boxes: BoxFamily | tuple, cover: Cover, net: tuple[int, ...], radius: Fraction, space
+    boxes: BoxFamily | tuple,
+    cover: Cover,
+    net: tuple[int, ...],
+    radius: Fraction,
+    space: SampledSpace,
 ) -> list[int | None]:
     """Per box, the index (within the cover) of the first net ball
     analytically containing it, or None.
@@ -271,9 +275,9 @@ def _containing_balls(
     by_point = np.argsort(points, kind="stable")
     held = np.zeros(space.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(points, minlength=space.n), out=held[1:])
-    anchors = boxes.anchors
     cands = [
-        ball[by_point[held[p] : held[p + 1]]] if p >= 0 else () for p in anchors.tolist()
+        ball[by_point[held[p] : held[p + 1]]] if p >= 0 else ()
+        for p in boxes.anchors.tolist()
     ]
     found = containers(boxes, cover, cands, sample=False)
     return [None if hit is None else hit[0] for hit in found]
@@ -284,7 +288,10 @@ def _member_diameters(fam: DisjointFamily) -> list:
     query (every member of a point-isolating family)."""
     sizes = np.diff(fam.csr()[0]).tolist()
     point = diameter(fam.space, [0])
-    return [point if k == 1 else diameter(fam.space, fam.members(i)) for i, k in enumerate(sizes)]
+    return [
+        point if k == 1 else diameter(fam.space, fam.members(i))
+        for i, k in enumerate(sizes)
+    ]
 
 
 def _replay_claim(

@@ -36,6 +36,7 @@ from .covers import (
     Cover,
     CoverSeq,
     DisjointFamily,
+    _clamped,
     _int_array,
     _scaled,
     containers,
@@ -43,7 +44,7 @@ from .covers import (
     lebesgue_number,
     union_of,
 )
-from .exact import CheckFailure, InputError, clamp_int64, exact_sqrt, sqrt_lower
+from .exact import CheckFailure, InputError, exact_sqrt, sqrt_lower
 from .space import CantorStructure, GridStructure, SampledSpace, first_hit
 
 
@@ -101,23 +102,25 @@ def build_brick_grid(space: SampledSpace, cell_side: Fraction) -> tuple[BoxFamil
     top = (2 * int(1 / h) - 1) // (2 * m)
     den = lcm(space.scale, (h / 2).denominator)
     hd = int(h * den)  # even: the faces sit at h/2 modulo h
-    cells = ((2 * (space._icoords // int(h * space.scale)) - 1) // (2 * m)).astype(np.int64)
+    k = space._icoords // int(h * space.scale)  # the grid index on every axis
+    cells = ((2 * k - 1) // (2 * m)).astype(np.int64)
+    # per point, axis and class: the slot, and whether the cell is a gap
+    z, gap = np.divmod(cells[:, :, None] - np.arange(period), period)
+    held = (gap != d).all(axis=1)
     classes = []
     for c in range(period):
         shifted = range(-1 - c, top + 1 - c)
         slots = sorted({x // period for x in shifted if x % period != d})
-        lo = _int_array([hd // 2 + (z * period + c) * m * hd for z in slots])
+        lo = _int_array([hd // 2 + (zc * period + c) * m * hd for zc in slots])
         grid = np.indices((len(slots),) * d).reshape(d, -1).T  # product order
-        # brick of each point: its slot on every axis, unless a gap cell
-        z, r = np.divmod(cells - c, period)
-        inside = np.flatnonzero((r != d).all(axis=1))
-        brick = np.ravel_multi_index(tuple((z[inside] - slots[0]).T), (len(slots),) * d)
+        inside = np.flatnonzero(held[:, c])
+        slot = tuple((z[inside, :, c] - slots[0]).T)
+        brick = np.ravel_multi_index(slot, (len(slots),) * d)
         indptr = np.zeros(len(grid) + 1, dtype=np.int64)
         np.cumsum(np.bincount(brick, minlength=len(grid)), out=indptr[1:])
         indices = inside[np.argsort(brick, kind="stable")]
-        classes.append(
-            BoxFamily(space, den, lo[grid], lo[grid] + d * m * hd, indptr, indices)
-        )
+        lo = lo[grid]
+        classes.append(BoxFamily(space, den, lo, lo + d * m * hd, indptr, indices))
     return tuple(classes)
 
 
@@ -135,8 +138,7 @@ def _queried_family(space: SampledSpace, den: int, lo, hi) -> BoxFamily:
     f = den // space.scale
     gt, le = lo // f, -((-hi) // f) - 1
     if gt.dtype == object:
-        gt = np.array([[clamp_int64(x) for x in row] for row in gt.tolist()], dtype=np.int64)
-        le = np.array([[clamp_int64(x) for x in row] for row in le.tolist()], dtype=np.int64)
+        gt, le = _clamped(gt.tolist()), _clamped(le.tolist())
     return BoxFamily(space, den, lo, hi, *space.boxes(gt, le))
 
 
@@ -150,7 +152,8 @@ def _point_boxes(space: SampledSpace, gamma: Fraction) -> BoxFamily:
         space, den, _scaled(space._icoords, f, -g), _scaled(space._icoords, f, g)
     )
     every = np.arange(space.n + 1)
-    if not (np.array_equal(fam.indptr, every) and np.array_equal(fam.indices, every[:-1])):
+    held = np.array_equal(fam.indptr, every) and np.array_equal(fam.indices, every[:-1])
+    if not held:
         raise AssertionError("a point-isolating box holds a point other than its own")
     return fam
 
@@ -187,7 +190,8 @@ def _cantor_level_family(
     point.  The single point space degenerates to one box.
     """
     if space.n == 1:
-        return _witness_class(_point_boxes(space, min(lam / 2, space.mesh / 2)), cover, lam)
+        gamma = min(lam / 2, space.mesh / 2)
+        return _witness_class(_point_boxes(space, gamma), cover, lam)
     st = space.structure
     if not isinstance(st, CantorStructure):
         raise AssertionError(f"Cantor brick class on a space with structure {st!r}")
@@ -224,8 +228,8 @@ def _cantor_level_boxes(space: SampledSpace, level: int, gamma: Fraction) -> Box
         space._cantor_levels[level] = extents
     den = lcm(space.scale, gamma.denominator)
     f, g = den // space.scale, int(gamma * den)
-    firsts, lasts = extents
-    return _queried_family(space, den, _scaled(firsts, f, -g)[:, None], _scaled(lasts, f, g)[:, None])
+    lo, hi = _scaled(extents[0], f, -g), _scaled(extents[1], f, g)
+    return _queried_family(space, den, lo[:, None], hi[:, None])
 
 
 def _pointwise_family(
@@ -332,7 +336,8 @@ def sc_fin_select(space: SampledSpace, covers: CoverSeq) -> ScSelection:
     covers.validate()
     families = [f for lo in starts for f in _block(covers, lo)[0]]
     refs = [(n, r) for n, fam in enumerate(families, start=1) for r in range(len(fam))]
-    hit = first_hit([fam.members(i) for fam in families for i in range(len(fam))], space.n)
+    members = [fam.members(i) for fam in families for i in range(len(fam))]
+    hit = first_hit(members, space.n)
     if (hit < 0).any():
         missing = int(np.flatnonzero(hit < 0)[0])
         raise CheckFailure(
@@ -422,9 +427,7 @@ def _max_element_extent(covers: CoverSeq) -> Fraction:
 
 
 def _scan_candidates(
-    space: SampledSpace,
-    prefix: CoverSeq,
-    refutations: list[tuple[str, int]],
+    space: SampledSpace, prefix: CoverSeq, refutations: list[tuple[str, int]]
 ) -> tuple[tuple[DisjointFamily, ...] | None, int]:
     """Try every brick candidate against the prefix covers; return witnessed
     families on the first success, recording a refutation point otherwise."""
@@ -433,19 +436,18 @@ def _scan_candidates(
     extent = _max_element_extent(prefix)
     for label, classes in _candidate_class_lists(space, extent):
         tried += 1
-        staged: list[tuple[BoxFamily, list[int]]] = []  # (kept boxes, parents)
+        staged = []  # (class, indices of the boxes kept, their parents)
+        union = np.zeros(space.n, dtype=bool)
         for stage in range(1, n + 1):
             cls = classes[(stage - 1) % len(classes)]
             found = containers(cls, prefix.cover(stage))
-            keep = [i for i, hit in enumerate(found) if hit is not None]
-            staged.append((cls.take(keep), [found[i][0] for i in keep]))
-        union = np.zeros(space.n, dtype=bool)
-        for kept, _ in staged:
-            union[kept.indices] = True
+            kept = [hit is not None for hit in found]
+            staged.append((cls, np.flatnonzero(kept), [h[0] for h in found if h]))
+            union[cls.indices[np.repeat(kept, np.diff(cls.indptr))]] = True
         if union.all():
             families = tuple(
-                DisjointFamily(kept, prefix.cover(stage), witness=parents)
-                for stage, (kept, parents) in enumerate(staged, start=1)
+                DisjointFamily(cls.take(keep), prefix.cover(stage), witness=parents)
+                for stage, (cls, keep, parents) in enumerate(staged, start=1)
             )
             return families, tried
         refutations.append((f"{label},n={n}", int(np.flatnonzero(~union)[0])))

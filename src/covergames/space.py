@@ -427,7 +427,8 @@ class SampledSpace:
         the other axes on the windows' points, at most PAIR_CHUNK at a time;
         other tables ask box once per box."""
         if not self.windowed:
-            return csr([self.box(list(zip(g, l))) for g, l in zip(gt.tolist(), le.tolist())])
+            boxes = zip(gt.tolist(), le.tolist())
+            return csr([self.box(list(zip(g, l))) for g, l in boxes])
         order, col, _, _ = self._sorted_by(self._icoords[:, 0])
         first = col.searchsorted(gt[:, 0], "right")
         count = np.maximum(col.searchsorted(le[:, 0], "right") - first, 0)
@@ -521,9 +522,8 @@ def _runs(first: np.ndarray, count: np.ndarray):
         k = count[lo:hi]
         # position j of row r sits j - skip_r past first[r]
         skip = ends[lo:hi] - k - start
-        yield np.repeat(np.arange(lo, hi), k), np.repeat(first[lo:hi] - skip, k) + np.arange(
-            int(ends[hi - 1]) - start
-        )
+        pos = np.repeat(first[lo:hi] - skip, k) + np.arange(int(ends[hi - 1]) - start)
+        yield np.repeat(np.arange(lo, hi), k), pos
         lo = hi
 
 

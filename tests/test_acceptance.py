@@ -380,7 +380,7 @@ def test_criterion_6_sc_plus_via_game():
                 # decrementing the block strands some selected region
                 stranded = [
                     r
-                    for r in (fams[n].region(ridx) for n, ridx in rnd.two_refs)
+                    for r in (fams[n].regions[ridx] for n, ridx in rnd.two_refs)
                     if not any(
                         r in fams[n].regions
                         for n in fams

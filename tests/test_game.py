@@ -61,7 +61,7 @@ def selected_regions(transcript, k):
     """Round k's selection as regions: each (stage, index) ref read from the
     round's move."""
     fams = transcript.move_families(k)
-    return [fams[n].region(ridx) for n, ridx in transcript.rounds[k - 1].two_refs]
+    return [fams[n].regions[ridx] for n, ridx in transcript.rounds[k - 1].two_refs]
 
 
 class TestStrategyMove:
