@@ -156,12 +156,19 @@ def _scaled(table: np.ndarray, factor: int, shift: int = 0) -> np.ndarray:
     return _int_array(table.astype(object) * factor + shift)
 
 
-def _csr_take(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
-    """The CSR rows at the given row indices, in that order."""
+def _csr_positions(indptr: np.ndarray, rows: np.ndarray):
+    """(indptr, positions) of the CSR rows at the given row indices, in
+    that order: the positions of their entries."""
     starts, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
     out = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(counts, out=out[1:])
-    return out, indices[np.repeat(starts - out[:-1], counts) + np.arange(out[-1])]
+    return out, np.repeat(starts - out[:-1], counts) + np.arange(out[-1])
+
+
+def _csr_take(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
+    """The CSR rows at the given row indices, in that order."""
+    out, positions = _csr_positions(indptr, rows)
+    return out, indices[positions]
 
 
 def _first_in_rows(flags: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -1257,11 +1264,15 @@ def lebesgue_argmax_regions(
     the per-point lookup would; only the others reach it."""
     table = _lebesgue_table(cover)
     lam_lo, lam_hi = _float_bounds(lam)
-    first = _first_in_rows(table.hi >= lam_lo, table.start)[points]
-    sure = first >= 0
-    sure[sure] = table.lo[first[sure]] >= lam_hi
-    out = np.where(sure, table.region[first], -1)
-    for k in np.flatnonzero(~sure).tolist():
+    # each point's entries, and the first whose upper bound reaches lam
+    indptr, entries = _csr_positions(table.start, np.asarray(points, dtype=np.int64))
+    first = _first_in_rows(table.hi[entries] >= lam_lo, indptr)
+    out = np.full(len(first), -1, dtype=np.int64)
+    found = np.flatnonzero(first >= 0)
+    entry = entries[first[found]]
+    sure = table.lo[entry] >= lam_hi
+    out[found[sure]] = table.region[entry[sure]]
+    for k in np.flatnonzero(out < 0).tolist():
         out[k] = lebesgue_argmax_region(cover, int(points[k]), lam)
     return out
 

@@ -102,20 +102,21 @@ def build_brick_grid(space: SampledSpace, cell_side: Fraction) -> tuple[BoxFamil
     top = (2 * int(1 / h) - 1) // (2 * m)
     den = lcm(space.scale, (h / 2).denominator)
     hd = int(h * den)  # even: the faces sit at h/2 modulo h
-    k = space._icoords // int(h * space.scale)  # the grid index on every axis
-    cells = ((2 * k - 1) // (2 * m)).astype(np.int64)
-    # per point, axis and class: the slot, and whether the cell is a gap
-    z, gap = np.divmod(cells[:, :, None] - np.arange(period), period)
-    held = (gap != d).all(axis=1)
+    cells = space._icoords // int(h * space.scale)  # the grid index on every axis
+    cells *= 2
+    cells -= 1
+    cells //= 2 * m
+    cells = cells.astype(np.int32)
     classes = []
     for c in range(period):
         shifted = range(-1 - c, top + 1 - c)
         slots = sorted({x // period for x in shifted if x % period != d})
-        lo = _int_array([hd // 2 + (zc * period + c) * m * hd for zc in slots])
+        lo = _int_array([hd // 2 + (z * period + c) * m * hd for z in slots])
         grid = np.indices((len(slots),) * d).reshape(d, -1).T  # product order
-        inside = np.flatnonzero(held[:, c])
-        slot = tuple((z[inside, :, c] - slots[0]).T)
-        brick = np.ravel_multi_index(slot, (len(slots),) * d)
+        # brick of each point: its slot on every axis, unless a gap cell
+        z, gap = np.divmod(cells - c, period)
+        inside = np.flatnonzero((gap != d).all(axis=1))
+        brick = np.ravel_multi_index(tuple((z[inside] - slots[0]).T), (len(slots),) * d)
         indptr = np.zeros(len(grid) + 1, dtype=np.int64)
         np.cumsum(np.bincount(brick, minlength=len(grid)), out=indptr[1:])
         indices = inside[np.argsort(brick, kind="stable")]

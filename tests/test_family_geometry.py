@@ -140,11 +140,10 @@ def box_family(space, boxes):
     """The open boxes as a BoxFamily over the lcm of their denominators,
     with the members of the per-box queries."""
     den = math.lcm(space.scale, *(x.denominator for b in boxes for x in b.lo + b.hi))
+    shape = (len(boxes), space.coord_dim)
     lo, hi = (
-        covers_module._int_array([[int(x * den) for x in ends] for ends in side]).reshape(
-            len(boxes), space.coord_dim
-        )
-        for side in ([b.lo for b in boxes], [b.hi for b in boxes])
+        covers_module._int_array([[int(x * den) for x in e] for e in ends]).reshape(shape)
+        for ends in ([b.lo for b in boxes], [b.hi for b in boxes])
     )
     return BoxFamily(space, den, lo, hi, *csr([region_members(b) for b in boxes]))
 
@@ -187,7 +186,8 @@ def test_brick_layout_matches_buckets_on_builtin_grids(name):
     space = builtin_space(name)
     h = space.structure.h
     for m in _sides(int(1 / h)):
-        assert _boxes(build_brick_grid(space, m * h)) == _bucket_brick_grid(space, m * h), m
+        want = _bucket_brick_grid(space, m * h)
+        assert _boxes(build_brick_grid(space, m * h)) == want, m
 
 
 def test_brick_layout_matches_buckets_on_the_file_grid():
@@ -197,7 +197,8 @@ def test_brick_layout_matches_buckets_on_the_file_grid():
     assert space.structure == GridStructure(2, F(1, 128))
     for m in _sides(128):
         side = F(m, 128)
-        assert _boxes(build_brick_grid(space, side)) == _bucket_brick_grid(space, side), m
+        want = _bucket_brick_grid(space, side)
+        assert _boxes(build_brick_grid(space, side)) == want, m
 
 
 @pytest.mark.parametrize("dim,den", [(1, 8), (1, 64), (2, 8), (2, 16), (3, 4), (3, 8)])
@@ -446,7 +447,8 @@ def family_spaces(draw):
         return build_cantor_space(draw(st.integers(1, 5)))
     dim = draw(st.sampled_from([1, 2, 2, 3]))
     den = draw(st.sampled_from({1: [4, 8, 16], 2: [2, 4, 8], 3: [2, 4]}[dim]))
-    space = build_grid_space(dim, F(1, den), draw(st.sampled_from(["euclidean", "chebyshev"])))
+    metric = draw(st.sampled_from(["euclidean", "chebyshev"]))
+    space = build_grid_space(dim, F(1, den), metric)
     return as_object_table(space) if kind == "object" else space
 
 
@@ -464,7 +466,8 @@ def families(draw, space):
         return draw(st.sampled_from(classes))
     if kind == "bricks":
         level = draw(st.integers(0, space.structure.depth + 1))
-        return _cantor_level_boxes(space, level, F(1, draw(st.sampled_from([4, 7])) * 3**level))
+        gamma = F(1, draw(st.sampled_from([4, 7])) * 3**level)
+        return _cantor_level_boxes(space, level, gamma)
     boxes = []
     for _ in range(draw(st.integers(1, 8))):
         lo = [F(draw(st.integers(-2, 17)), 16) for _ in range(space.coord_dim)]
@@ -493,9 +496,9 @@ def covers(draw, space):
         else:
             lo = tuple(x - radius for x in space.points[c])
             hi = tuple(x + radius for x in space.points[c])
-            closed = [a <= m for a, m in zip(lo, space.axis_min)]
-            regions.append(Box(space, lo, hi, tuple(closed), tuple(
-                b >= m for b, m in zip(hi, space.axis_max))))
+            lo_closed = tuple(a <= m for a, m in zip(lo, space.axis_min))
+            hi_closed = tuple(b >= m for b, m in zip(hi, space.axis_max))
+            regions.append(Box(space, lo, hi, lo_closed, hi_closed))
     regions.append(Ball(space, draw(point), 4 * space.diameter_upper_bound() + 1))
     return Cover(space, regions)
 
@@ -517,9 +520,9 @@ def test_box_families_match_the_per_box_path(data):
     boxes = fam.boxes()
     assert [Box(space, b.lo, b.hi) for b in boxes] == list(boxes)
     # members and anchors
-    members = [region_members(Box(space, b.lo, b.hi)) for b in boxes]
-    assert [fam.members(i).tolist() for i in range(len(fam))] == [m.tolist() for m in members]
-    assert fam.anchors.tolist() == [int(m[0]) if m.size else -1 for m in members]
+    members = [region_members(Box(space, b.lo, b.hi)).tolist() for b in boxes]
+    assert [fam.members(i).tolist() for i in range(len(fam))] == members
+    assert fam.anchors.tolist() == [m[0] if m else -1 for m in members]
     # witnesses: the Lebesgue lookup at the anchors
     cover = data.draw(covers(space))
     lam = lebesgue_number(cover) / data.draw(st.sampled_from([1, 2, 3]))
@@ -528,8 +531,9 @@ def test_box_families_match_the_per_box_path(data):
     assert lebesgue_argmax_regions(cover, held, lam).tolist() == want
     # containment: every pair's exact verdict, and the decider's answers
     for i, box in enumerate(boxes):
-        for c, region in enumerate(cover.regions):
-            assert covers_module._family_contains(fam, i, region) == analytic_contains(box, region)
+        for region in cover.regions:
+            got = covers_module._family_contains(fam, i, region)
+            assert got == analytic_contains(box, region)
     k = len(cover.regions)
     cands = [data.draw(st.lists(st.integers(0, k - 1), max_size=4)) for _ in boxes]
     for given_cands in (None, cands):
@@ -544,12 +548,13 @@ def test_box_families_match_the_per_box_path(data):
     if len(held) == len(fam) and data.draw(st.booleans()):
         witness = want  # the Lebesgue witnesses, as a block builder gives them
     for given_witness in (None, witness):
-        (got, made), (want, old) = (
+        (got, made), (expected, old) = (
             _certified(members, cover, given_witness) for members in (fam, boxes)
         )
-        assert got == want
+        assert got == expected
     if made is not None:  # a subfamily of each, with the certified witness
-        keep = data.draw(st.permutations(range(len(fam))))[: data.draw(st.integers(0, len(fam)))]
+        order = data.draw(st.permutations(range(len(fam))))
+        keep = order[: data.draw(st.integers(0, len(fam)))]
         sub, old = made.subfamily(keep), old.subfamily(keep)
         assert sub.regions == old.regions and sub.witness_kinds == old.witness_kinds
         assert np.array_equal(sub.union_mask(), old.union_mask())
