@@ -31,7 +31,6 @@ from .covers import (
     covers_check,
     lebesgue_number,
     pairwise_disjoint_check,
-    refines_check,
 )
 from .netting import (
     NetCertificate,

@@ -19,12 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import jsonio
-from .covers import (
-    Ball,
-    CoverSeq,
-    covers_check,
-    lebesgue_number,
-)
+from .covers import Ball, covers_check, lebesgue_number
 from .exact import (
     CheckFailure,
     InputError,
@@ -51,6 +46,7 @@ from .netting import (
 from .registry import builtin_names, builtin_space
 from .screenability import (
     FiniteCWitness,
+    _block,
     brick_refinement,
     finite_c_search,
     sc_fin_select,
@@ -412,17 +408,16 @@ def pipeline_demo(space: SampledSpace, horizon: int, report: Report) -> None:
     )
 
     # surface the refinement width: the first block of the stage covers
-    # splits into screen_dim + 1 honest disjoint families
+    # splits into screen_dim + 1 honest disjoint families (the block the
+    # game built on these covers)
     d = space.screen_dim
-    if d is not None and witness.stage_covers.covers.horizon >= d + 1:
-        prefix = CoverSeq(
-            space, witness.stage_covers.covers.covers[: d + 1]
-        )
-        sel = sc_fin_select(space, prefix)
+    stage_covers = witness.stage_covers.covers
+    if d is not None and stage_covers.horizon >= d + 1:
+        families = _block(stage_covers, 1)[0]
         report.check(
             "first_block_family_count",
-            len(sel.families) == d + 1,
-            families=len(sel.families),
+            len(families) == d + 1,
+            families=len(families),
         )
 
     report.result(

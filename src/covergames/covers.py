@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .exact import (
     sqrt_lower,
     sqrt_upper,
 )
-from .space import SampledSpace, csr, first_hit
+from .space import SampledSpace, first_hit
 
 UNCOVERED_REPORT_CAP = 16
 
@@ -101,13 +101,6 @@ class Box(_Region):
                 raise InputError("closed lower end must sit at/below the sample")
             if self.hi_closed[i] and self.hi[i] < self.space.axis_max[i]:
                 raise InputError("closed upper end must sit at/above the sample")
-
-    def corners(self):
-        d = len(self.lo)
-        for mask in range(1 << d):
-            yield tuple(
-                self.hi[i] if (mask >> i) & 1 else self.lo[i] for i in range(d)
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,156 +469,7 @@ def covers_check(cover: Cover) -> CoverageReport:
     return CoverageReport(True, tuple(assignment.tolist()), None, ())
 
 
-# -- analytic containment (sufficient tests) ---------------------------------------
-
-
-def _axis_interval(region: Ball) -> tuple[list[Fraction], list[Fraction]]:
-    space = region.space
-    c = space.points[region.center]
-    lo = [ci - region.radius for ci in c]
-    hi = [ci + region.radius for ci in c]
-    return lo, hi
-
-
-def _point_box_gap_sq(space, p: int, box: Box) -> tuple[Fraction, bool]:
-    """Squared metric gap from sample point p to the (closed) box.
-
-    Returns (gap_sq, inside_closed): euclidean sums per-axis clamp gaps,
-    chebyshev takes their max.
-    """
-    coords = space.points[p]
-    gaps = []
-    for i in range(space.coord_dim):
-        x = coords[i]
-        if x < box.lo[i]:
-            gaps.append(box.lo[i] - x)
-        elif x > box.hi[i]:
-            gaps.append(x - box.hi[i])
-        else:
-            gaps.append(Fraction(0))
-    if space.metric_kind == "chebyshev":
-        g = max(gaps)
-        return g * g, all(g == 0 for g in gaps)
-    gsq = sum((g * g for g in gaps), Fraction(0))
-    return gsq, all(g == 0 for g in gaps)
-
-
-def analytic_contains(inner: OpenRegion, outer: OpenRegion) -> bool:
-    """Exact sufficient test that inner is a subset of outer as analytic sets.
-
-    A True answer certifies true containment in the ambient space; a False
-    answer is inconclusive (callers fall back to sample containment).
-    The cantor_2adic metric supports only the same-center / same-shape cases.
-    """
-    space = inner.space
-    if outer.space is not space:
-        return False
-    metric = space.metric_kind
-
-    if isinstance(inner, Ball) and isinstance(outer, Ball):
-        if inner.center == outer.center:
-            return inner.radius <= outer.radius
-        if metric == "cantor_2adic":
-            # ultrametric: B(c1,r1) centered anywhere inside B(c2,r2) with
-            # r1 <= r2 and d(c1,c2) < r2 is contained
-            d_sq = space.distance_sq(inner.center, outer.center)
-            return inner.radius <= outer.radius and d_sq < outer.radius**2
-        if inner.radius > outer.radius:
-            return False
-        d_sq = space.distance_sq(inner.center, outer.center)
-        return d_sq <= (outer.radius - inner.radius) ** 2
-
-    if metric == "cantor_2adic":
-        return False
-
-    if isinstance(inner, Ball) and isinstance(outer, Box):
-        lo, hi = _axis_interval(inner)
-        for i in range(space.coord_dim):
-            lo_ok = lo[i] >= outer.lo[i] if not outer.lo_closed[i] else True
-            hi_ok = hi[i] <= outer.hi[i] if not outer.hi_closed[i] else True
-            if not (lo_ok and hi_ok):
-                return False
-        return True
-
-    if isinstance(inner, Ball) and isinstance(outer, CoClosedBalls):
-        for c, r in outer.balls:
-            d_sq = space.distance_sq(inner.center, c)
-            if d_sq < (inner.radius + r) ** 2:
-                return False
-        return True
-
-    if isinstance(inner, Box) and isinstance(outer, Ball):
-        center = space.points[outer.center]
-        rsq = outer.radius**2
-        for corner in inner.corners():
-            if metric == "chebyshev":
-                d = max(abs(ci - xi) for ci, xi in zip(corner, center))
-                dsq = d * d
-            else:
-                dsq = sum(
-                    ((ci - xi) ** 2 for ci, xi in zip(corner, center)), Fraction(0)
-                )
-            if dsq >= rsq:
-                return False
-        return True
-
-    if isinstance(inner, Box) and isinstance(outer, Box):
-        for i in range(len(inner.lo)):
-            if inner.lo_closed[i] and not outer.lo_closed[i]:
-                if outer.lo[i] >= inner.lo[i]:
-                    return False
-            elif outer.lo[i] > inner.lo[i]:
-                return False
-            if inner.hi_closed[i] and not outer.hi_closed[i]:
-                if outer.hi[i] <= inner.hi[i]:
-                    return False
-            elif outer.hi[i] < inner.hi[i]:
-                return False
-        return True
-
-    if isinstance(inner, Box) and isinstance(outer, CoClosedBalls):
-        for c, r in outer.balls:
-            gap_sq, inside = _point_box_gap_sq(space, c, inner)
-            if inside or gap_sq <= r * r:
-                return False
-        return True
-
-    return False  # CoClosedBalls as inner: sample evidence only
-
-
-def box_in_ball_verdicts(
-    inner: Sequence[OpenRegion], outer: Sequence[OpenRegion]
-) -> np.ndarray:
-    """Certified float verdicts of analytic_contains(inner[k], outer[k]): 1
-    where it is certainly True, 0 where certainly False, -1 where floats
-    cannot tell or the pair is not a box and a ball on the first region's
-    space, an int64 euclidean or chebyshev space.
-
-    A box lies inside a ball iff its farthest corner does: per axis
-    max(hi - c, c - lo), squared and summed (the max under chebyshev),
-    against r**2, each bounded by floats rounded outward.
-    """
-    verdict = np.full(len(inner), -1, dtype=np.int8)
-    space = inner[0].space if len(inner) else None
-    pick = [
-        k
-        for k, (b, ball) in enumerate(zip(inner, outer))
-        if isinstance(b, Box)
-        and isinstance(ball, Ball)
-        and b.space is space
-        and ball.space is space
-    ]
-    if not (pick and _floats_settle(space)):
-        return verdict
-    boxes, balls = [inner[k] for k in pick], [outer[k] for k in pick]
-    verdict[pick] = _corner_verdicts(
-        space,
-        np.array([[_float_bounds(x) for x in b.lo] for b in boxes]),
-        np.array([[_float_bounds(x) for x in b.hi] for b in boxes]),
-        [ball.center for ball in balls],
-        np.array([_float_bounds(ball.radius) for ball in balls]),
-    )
-    return verdict
+# -- containment ---------------------------------------------------------------------
 
 
 def _floats_settle(space: SampledSpace) -> bool:
@@ -651,10 +495,10 @@ def _corner_verdicts(space, lo, hi, centers, radius) -> np.ndarray:
 
 
 def _family_verdicts(fam: BoxFamily, outer: Cover, ii: np.ndarray, oo: np.ndarray):
-    """analytic_contains(fam.box(ii[q]), outer.regions[oo[q]]) per pair q:
-    1 or 0 where settled, -1 where only _family_contains can tell.  A
-    box-in-box pair is settled exactly, on integer rows; a box-in-ball pair
-    by certified floats when they can tell."""
+    """Per pair q, whether box ii[q] of the family lies inside the cover
+    region oo[q]: 1 or 0 where settled, -1 where only _family_contains can
+    tell.  A box-in-box pair is settled exactly, on integer rows; a
+    box-in-ball pair by certified floats when they can tell."""
     verdict = np.full(len(ii), -1, dtype=np.int8)
     space = fam.space
     if space.metric_kind == "cantor_2adic" or not len(ii):
@@ -676,8 +520,13 @@ def _family_verdicts(fam: BoxFamily, outer: Cover, ii: np.ndarray, oo: np.ndarra
 
 
 def _family_contains(fam: BoxFamily, i: int, outer: OpenRegion) -> bool:
-    """analytic_contains(fam.box(i), outer), decided on the box's integer
-    row: every end is scaled by den, the center coordinates too."""
+    """Exact sufficient test that box i of the family is a subset of outer
+    as analytic sets: a True answer certifies containment in the ambient
+    space, a False one is inconclusive.  Decided on the box's integer row:
+    every end is scaled by den, the center coordinates too.  A box lies in
+    a ball iff its farthest corner does, and in a complement of closed
+    balls iff its closure keeps outside every one of them; the 2-adic
+    metric has no box test."""
     space = fam.space
     if outer.space is not space or space.metric_kind == "cantor_2adic":
         return False
@@ -710,33 +559,27 @@ def _family_contains(fam: BoxFamily, i: int, outer: OpenRegion) -> bool:
     return True
 
 
-def sample_contains(inner: OpenRegion, outer: OpenRegion) -> bool:
-    return _all_in(region_members(inner), region_members(outer))
-
-
 def containers(
-    inner: Sequence[OpenRegion] | BoxFamily,
+    inner: BoxFamily,
     outer: Cover,
     candidates: Sequence[Sequence[int]] | np.ndarray | None = None,
     sample: bool = True,
 ) -> list[tuple[int, str] | None]:
-    """Per inner region, (outer region index, evidence) for the first of its
-    candidate outer regions that contains it, or None; the one containment
-    decider.  Candidates default to every outer region, in order; a 2-D
-    array gives one row of candidates per inner region.
+    """Per box of the family, (outer region index, evidence) for the first
+    of its candidate outer regions that contains it, or None; the one
+    containment decider.  Candidates default to every outer region, in
+    order; a 2-D array gives one row of candidates per box.
 
     Analytic evidence comes first: one batch settles every pair it can
-    (box-in-ball pairs by certified floats, and a box family's box-in-box
-    pairs exactly on its integer rows), and the exact analytic test runs
-    only on the pairs the batch cannot tell, in candidate order, until one
-    holds.  Sample evidence (every sample point of the inner region lies in
-    the outer one) comes second, unless sample is False.  Analytic evidence
+    (box-in-ball pairs by certified floats, box-in-box pairs exactly on the
+    family's integer rows), and the exact analytic test runs only on the
+    pairs the batch cannot tell, in candidate order, until one holds.
+    Sample evidence (every sample point of the box lies in the outer
+    region) comes second, unless sample is False.  Analytic evidence
     implies sample evidence.
     """
     regions = outer.regions
-    family = isinstance(inner, BoxFamily)
-    inner = inner if family else tuple(inner)
-    if any(r.space is not outer.space for r in ([inner] if family else inner)):
+    if inner.space is not outer.space:
         raise InputError("refinement operands must share one space")
     k = len(inner)
     if candidates is None:
@@ -748,25 +591,13 @@ def containers(
         np.cumsum([len(cs) for cs in candidates], out=indptr[1:])
         oo = np.fromiter(itertools.chain.from_iterable(candidates), np.int64)
     ii = np.repeat(np.arange(k), np.diff(indptr))
-    if family:
-        verdict = _family_verdicts(inner, outer, ii, oo)
+    verdict = _family_verdicts(inner, outer, ii, oo)
 
-        def exact(i, c):
-            return _family_contains(inner, i, regions[c])
+    def exact(i, c):
+        return _family_contains(inner, i, regions[c])
 
-        def holds(i, c):
-            return bool(_member_mask(outer, c)[inner.members(i)].all())
-
-    else:
-        verdict = box_in_ball_verdicts(
-            [inner[i] for i in ii.tolist()], [regions[c] for c in oo.tolist()]
-        )
-
-        def exact(i, c):
-            return analytic_contains(inner[i], regions[c])
-
-        def holds(i, c):
-            return sample_contains(inner[i], regions[c])
+    def holds(i, c):
+        return bool(_member_mask(outer, c)[inner.members(i)].all())
 
     # a row's first pair the batch did not rule out is a hit, or where the
     # exact test starts
@@ -780,39 +611,6 @@ def containers(
         c = next((c for c in flat[indptr[i] : indptr[i + 1]] if holds(i, c)), None)
         out[i] = None if c is None else (c, "sample")
     return out
-
-
-@dataclass(frozen=True)
-class RefinesReport:
-    ok: bool
-    witness: tuple[tuple[int, str], ...] | None  # per fine region: (coarse idx, kind)
-    # (fine region index, sample point, None when the fine region holds none)
-    counterexample: tuple[int, int | None] | None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def refines_check(
-    fine: Sequence[OpenRegion] | BoxFamily, coarse: Cover
-) -> RefinesReport:
-    """Witness that every fine region sits inside some coarse region, as
-    containers decides it.  On failure, reports the first offending fine
-    region together with a sample point of it that escapes the best
-    (largest-overlap) coarse candidate.
-    """
-    fine = fine if isinstance(fine, BoxFamily) else tuple(fine)
-    witness = containers(fine, coarse)
-    for fidx, found in enumerate(witness):
-        if found is None:
-            # a cover with no regions has no candidate: every point escapes
-            family = isinstance(fine, BoxFamily)
-            fm = fine.members(fidx) if family else region_members(fine[fidx])
-            inside = [np.isin(fm, region_members(c)) for c in coarse.regions]
-            escape = fm[~max(inside, key=np.count_nonzero)] if inside else fm
-            point = int(escape[0]) if escape.size else None
-            return RefinesReport(False, None, (fidx, point))
-    return RefinesReport(True, tuple(witness), None)
 
 
 # -- disjointness ---------------------------------------------------------------------
@@ -836,48 +634,6 @@ def _axis_gaps(lo1, hi1, lo2, hi2) -> list[Fraction] | None:
     return gaps
 
 
-def analytic_gap_ge(
-    r1: OpenRegion, r2: OpenRegion, margin: Fraction
-) -> Optional[bool]:
-    """Exact test that the metric gap between two regions is >= margin.
-
-    Returns None when the shape pair has no analytic gap (complement shapes,
-    or the cantor_2adic metric on non-ball shapes).  margin 0 means open-set
-    disjointness (touching closures allowed).
-    """
-    space = r1.space
-    metric = space.metric_kind
-
-    def ival(r):
-        if isinstance(r, Ball):
-            return _axis_interval(r)
-        if isinstance(r, Box):
-            return list(r.lo), list(r.hi)
-        return None
-
-    if isinstance(r1, Ball) and isinstance(r2, Ball):
-        d_sq = space.distance_sq(r1.center, r2.center)
-        need = r1.radius + r2.radius + margin
-        return d_sq >= need * need
-
-    if metric == "cantor_2adic":
-        return None
-    i1, i2 = ival(r1), ival(r2)
-    if i1 is None or i2 is None:
-        return None
-
-    if isinstance(r1, Box) and isinstance(r2, Box):
-        return _gaps_ge(_axis_gaps(i1[0], i1[1], i2[0], i2[1]), metric, margin)
-
-    # ball vs box: gap = d(center, box) - radius
-    ball, box = (r1, r2) if isinstance(r1, Ball) else (r2, r1)
-    gap_sq, inside = _point_box_gap_sq(space, ball.center, box)
-    need = ball.radius + margin
-    if inside:
-        return False
-    return gap_sq >= need * need
-
-
 def _gaps_ge(gaps, metric: str, margin) -> bool:
     """Whether per-axis box gaps (None when the boxes meet) reach margin in
     the metric."""
@@ -889,7 +645,9 @@ def _gaps_ge(gaps, metric: str, margin) -> bool:
 
 
 def _family_gap_ge(fam: BoxFamily, i: int, j: int, margin: Fraction) -> bool | None:
-    """analytic_gap_ge(fam.box(i), fam.box(j), margin) on integer rows."""
+    """Exact test that the metric gap between boxes i and j of the family
+    is at least margin (0: the open boxes are disjoint), on integer rows;
+    None under the 2-adic metric, which has no box gap."""
     if fam.space.metric_kind == "cantor_2adic":
         return None
     (lo1, lo2), (hi1, hi2) = fam.lo[[i, j]].tolist(), fam.hi[[i, j]].tolist()
@@ -908,39 +666,27 @@ class DisjointReport:
         return self.ok
 
 
-def pairwise_disjoint_check(
-    regions: Sequence[OpenRegion] | BoxFamily, margin: Fraction
-) -> DisjointReport:
-    """Pairwise disjointness: no shared sample point, and analytic gap >= margin
-    wherever the shape pair supports an exact gap."""
+def pairwise_disjoint_check(fam: BoxFamily, margin: Fraction) -> DisjointReport:
+    """Pairwise disjointness of a box family: no shared sample point, and an
+    analytic gap >= margin wherever the metric has an exact box gap."""
     if margin < 0:
         raise InputError("margin must be nonnegative")
-    n = len(regions)
-    if n <= 1:
+    if len(fam) <= 1:
         return DisjointReport(True, None, None, None)
-    if isinstance(regions, BoxFamily):
-        space, indptr, members = regions.space, regions.indptr, regions.indices
-        def gap_ge(i, j, m):
-            return _family_gap_ge(regions, i, j, m)
-    else:
-        space = regions[0].space
-        indptr, members = csr([region_members(r) for r in regions])
-        def gap_ge(i, j, m):
-            return analytic_gap_ge(regions[i], regions[j], m)
-
     # shared sample points: count memberships per point
-    multi = np.flatnonzero(np.bincount(members, minlength=space.n) > 1)
+    members = fam.indices
+    multi = np.flatnonzero(np.bincount(members, minlength=fam.space.n) > 1)
     if multi.size:
         p = int(multi[0])
-        owners = np.searchsorted(indptr, np.flatnonzero(members == p), "right") - 1
+        owners = np.searchsorted(fam.indptr, np.flatnonzero(members == p), "right") - 1
         pair = (int(owners[0]), int(owners[1]))
         return DisjointReport(False, pair, "shared_point", p)
 
-    for i, j in _pair_order(regions, margin):
-        if gap_ge(i, j, margin) is False:
+    for i, j in _pair_order(fam, margin):
+        if _family_gap_ge(fam, i, j, margin) is False:
             reason = (
                 "analytic_overlap"
-                if gap_ge(i, j, Fraction(0)) is False
+                if _family_gap_ge(fam, i, j, Fraction(0)) is False
                 else "gap_below_margin"
             )
             return DisjointReport(False, (i, j), reason, None)
@@ -950,9 +696,9 @@ def pairwise_disjoint_check(
 _SWEEP_BATCH = 2**15  # candidate pairs per batch of the sweep (bounds memory)
 
 
-def _pair_order(regions: Sequence[OpenRegion], margin: Fraction):
+def _pair_order(fam: BoxFamily, margin: Fraction):
     """The index pairs (i, j), i < j, in lexicographic order, that the exact
-    gap test must see: all pairs when a ball or co-ball takes part.
+    gap test must see.
 
     A box pair is skipped only when a conservatively-rounded axis gap
     already exceeds margin in float, which lower-bounds the true metric gap
@@ -961,16 +707,10 @@ def _pair_order(regions: Sequence[OpenRegion], margin: Fraction):
     end lies below its upper end plus the margin (a binary search), and
     only they see the float test on every axis.
     """
-    n = len(regions)
+    n = len(fam)
     # conservative float bounding boxes: lo rounded down, hi rounded up
-    if isinstance(regions, BoxFamily):
-        lo, hi = regions.float_bounds()
-        lo, hi = lo[..., 0], hi[..., 1]
-    elif all(isinstance(r, Box) for r in regions):
-        lo = np.array([[_float_bounds(x)[0] for x in r.lo] for r in regions])
-        hi = np.array([[_float_bounds(x)[1] for x in r.hi] for r in regions])
-    else:
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    lo, hi = fam.float_bounds()
+    lo, hi = lo[..., 0], hi[..., 1]
     pad = np.nextafter(float(margin), np.inf)
     order = np.argsort(lo[:, 0], kind="stable")
     lo, hi = lo[order], hi[order]
@@ -1303,44 +1043,27 @@ def _finer_tolerance(space: SampledSpace, p: int, tol: Fraction) -> Fraction:
 
 
 class DisjointFamily:
-    """A pairwise-disjoint family of regions refining a parent cover.
+    """A pairwise-disjoint box family refining a parent cover.
 
-    The members are a BoxFamily (the block builders' families) or a
-    sequence of regions; family holds them as given.  Construction
-    validates both halves and records the refinement witness: per member, a
-    parent region index and the evidence that settled it ("analytic" or
-    "sample").  The disjointness margin is the space mesh.  A subfamily
+    family is the BoxFamily of the members, and witness names a parent
+    region index per member.  Construction validates both halves and
+    records, per member, the evidence that settled its witness ("analytic"
+    or "sample").  The disjointness margin is the space mesh.  A subfamily
     inherits both certificates.
     """
 
-    def __init__(
-        self,
-        regions: Sequence[OpenRegion] | BoxFamily,
-        parent: Cover,
-        witness: Sequence[int] | None = None,
-    ):
+    def __init__(self, family: BoxFamily, parent: Cover, witness: Sequence[int]):
         self.space = parent.space
-        self.family = regions if isinstance(regions, BoxFamily) else tuple(regions)
+        self.family = family
         self.parent = parent
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
-        dis = pairwise_disjoint_check(self.family, self.space.mesh)
+        dis = pairwise_disjoint_check(family, self.space.mesh)
         if not dis.ok:
             raise CheckFailure(
                 f"family is not pairwise disjoint: regions {dis.violating_pair} "
                 f"({dis.reason})",
                 witness=dis,
             )
-        if witness is None:
-            ref = refines_check(self.family, parent)
-            if not ref.ok:
-                raise CheckFailure(
-                    f"family does not refine its parent cover: {ref.counterexample}",
-                    witness=ref.counterexample,
-                )
-            self.witness = tuple(w[0] for w in ref.witness)
-            self.witness_kinds = tuple(w[1] for w in ref.witness)
-        else:
-            self._certify(witness)
+        self._certify(witness)
 
     def _certify(self, witness: Sequence[int]) -> None:
         """Check a given refinement witness and record it with its evidence."""
@@ -1357,7 +1080,7 @@ class DisjointFamily:
             if hit is None:
                 raise CheckFailure(
                     "refinement witness does not hold on the sample",
-                    witness=(self.regions[i], w),
+                    witness=(self.family.box(i), w),
                 )
         self.witness = witness
         self.witness_kinds = tuple(hit[1] for hit in found)
@@ -1372,11 +1095,8 @@ class DisjointFamily:
         if len(set(keep)) != len(keep) or not all(0 <= i < len(self) for i in keep):
             raise AssertionError("subfamily indices repeat or leave the family")
         sub = object.__new__(DisjointFamily)
-        sub.space, sub.parent, sub._csr = self.space, self.parent, None
-        if isinstance(self.family, BoxFamily):
-            sub.family = self.family.take(keep)
-        else:
-            sub.family = tuple(self.family[i] for i in keep)
+        sub.space, sub.parent = self.space, self.parent
+        sub.family = self.family.take(keep)
         sub.witness = tuple(self.witness[i] for i in keep)
         sub.witness_kinds = tuple(self.witness_kinds[i] for i in keep)
         if witness is not None:
@@ -1384,30 +1104,17 @@ class DisjointFamily:
         return sub
 
     @property
-    def regions(self) -> tuple[OpenRegion, ...]:
-        """The members as regions (a box family's Box objects are built on
-        first use)."""
-        if isinstance(self.family, BoxFamily):
-            return self.family.boxes()
-        return self.family
-
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices): member i holds the sample points
-        indices[indptr[i]:indptr[i + 1]]."""
-        if isinstance(self.family, BoxFamily):
-            return self.family.indptr, self.family.indices
-        if self._csr is None:
-            self._csr = csr([region_members(r) for r in self.family])
-        return self._csr
+    def regions(self) -> tuple[Box, ...]:
+        """The members as Box objects, built on first use."""
+        return self.family.boxes()
 
     def members(self, i: int) -> np.ndarray:
-        indptr, indices = self.csr()
-        return indices[indptr[i] : indptr[i + 1]]
+        return self.family.members(i)
 
     def union_mask(self, keep: Sequence[int] | None = None) -> np.ndarray:
         """The sample points in some member (some member at the indices
         keep, when given)."""
-        indptr, indices = self.csr()
+        indptr, indices = self.family.indptr, self.family.indices
         if keep is not None:
             keep = np.asarray(keep, dtype=np.int64)
             indptr, indices = _csr_take(indptr, indices, keep)
@@ -1423,7 +1130,7 @@ def union_of(space: SampledSpace, families) -> np.ndarray:
     """Boolean mask of the sample points in some member of some family."""
     mask = np.zeros(space.n, dtype=bool)
     for fam in families:
-        mask[fam.csr()[1]] = True
+        mask[fam.family.indices] = True
     return mask
 
 

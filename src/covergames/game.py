@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .covers import (
-    BoxFamily,
     CoverSeq,
     DisjointFamily,
     OpenRegion,
@@ -112,18 +111,13 @@ def _earliest_occurrence(
     one_move: dict[int, DisjointFamily]
 ) -> dict[int, list[tuple[int, int]]]:
     """Per stage, per member of its family, the earliest (stage, member
-    index) in the move holding an equal region value.  A move's families
-    are box families (or empty), and a box's value is its integer row over
-    the lcm of the families' denominators."""
-    boxes = [fam.family for fam in one_move.values() if len(fam)]
-    if not all(isinstance(b, BoxFamily) for b in boxes):
-        raise AssertionError("a move holds a family that is not a box family")
-    den = lcm(*(b.den for b in boxes))
+    index) in the move holding an equal region value.  A box's value is its
+    integer row over the lcm of the families' denominators."""
+    den = lcm(*(fam.family.den for fam in one_move.values()))
     first: dict[tuple, tuple[int, int]] = {}
     out = {}
     for n in sorted(one_move):
-        fam = one_move[n].family
-        rows = fam.rows(den).tolist() if len(fam) else []
+        rows = one_move[n].family.rows(den).tolist()
         out[n] = [first.setdefault(tuple(r), (n, i)) for i, r in enumerate(rows)]
     return out
 
@@ -181,9 +175,9 @@ def covering_two_policy(
             witness=int(np.flatnonzero(~covered)[0]),
         )
     refs = [(n, ridx) for n in prefix for ridx in range(len(one_move[n]))]
-    csrs = [one_move[n].csr() for n in prefix]
-    sizes = np.concatenate([np.diff(indptr) for indptr, _ in csrs])
-    points = np.concatenate([indices for _, indices in csrs])
+    boxes = [one_move[n].family for n in prefix]
+    sizes = np.concatenate([np.diff(b.indptr) for b in boxes])
+    points = np.concatenate([b.indices for b in boxes])
     region = np.repeat(np.arange(len(refs)), sizes)
     # the point-to-region index: the regions holding point p
     held = np.zeros(space.n + 1, dtype=np.int64)
@@ -223,9 +217,9 @@ def adversarial_two_policy(avoid_point: int) -> TwoPolicy:
     def policy(one_move: dict[int, DisjointFamily]) -> list[tuple[int, int]]:
         picks = []
         for n in sorted(one_move):
-            indptr, indices = one_move[n].csr()
-            at = np.flatnonzero(indices == avoid_point)
-            holding = set((np.searchsorted(indptr, at, "right") - 1).tolist())
+            boxes = one_move[n].family
+            at = np.flatnonzero(boxes.indices == avoid_point)
+            holding = set((np.searchsorted(boxes.indptr, at, "right") - 1).tolist())
             picks.extend((n, r) for r in range(len(one_move[n])) if r not in holding)
         return picks
 
@@ -250,8 +244,11 @@ def play_hurewicz_game(
     rounds: list[Round] = []
     blocks: list[int] = []
     # every round reads its move from this one sequence, so a block is
-    # built once however many moves contain it
-    suffix = CoverSeq(space, covers.covers[:horizon])
+    # built once however many moves contain it; a full-length game plays
+    # on the given sequence and leaves its blocks there
+    suffix = covers
+    if horizon < covers.horizon:
+        suffix = CoverSeq(space, covers.covers[:horizon])
     start = 1
     while start <= horizon - d:
         move = strategy_F_move(space, suffix, start)

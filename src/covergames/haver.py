@@ -224,9 +224,9 @@ def build_haver_witness(
     owners = []
     for n, fam in enumerate(families, start=1):
         owner = np.full(space.n, -1, dtype=np.int64)
-        owner[engine_out.family(n).csr()[1]] = -2
-        indptr, indices = fam.csr()
-        owner[indices] = np.repeat(np.arange(len(fam)), np.diff(indptr))
+        owner[engine_out.family(n).family.indices] = -2
+        boxes = fam.family
+        owner[boxes.indices] = np.repeat(np.arange(len(fam)), np.diff(boxes.indptr))
         owners.append(owner)
     witness: list[tuple[int, int]] = []
     traces: list[ClaimTrace] = []
@@ -252,7 +252,7 @@ def build_haver_witness(
 
 
 def _containing_balls(
-    boxes: BoxFamily | tuple,
+    boxes: BoxFamily,
     cover: Cover,
     net: tuple[int, ...],
     radius: Fraction,
@@ -264,8 +264,7 @@ def _containing_balls(
     Only the balls holding the box's anchor point can contain it (the anchor
     lies in the box), so the candidate prune is exact and complete; one
     SampledSpace.balls call gives them.  Boxes with no sample points are
-    dropped: they contribute nothing to any invariant.  An empty family is
-    an empty tuple.
+    dropped: they contribute nothing to any invariant.
     """
     if not len(boxes):
         return []
@@ -286,7 +285,7 @@ def _containing_balls(
 def _member_diameters(fam: DisjointFamily) -> list:
     """space.diameter of every member; a member of one point has 0 with no
     query (every member of a point-isolating family)."""
-    sizes = np.diff(fam.csr()[0]).tolist()
+    sizes = np.diff(fam.family.indptr).tolist()
     point = diameter(fam.space, [0])
     return [
         point if k == 1 else diameter(fam.space, fam.members(i))

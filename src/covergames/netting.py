@@ -273,6 +273,9 @@ def decompose_from_hurewicz(
                     f"expected (1/2)^(2^{m}) = {want}"
                 )
         sel[m] = tuple(balls)
+    epsilons = [Fraction(eps) for eps in epsilons]
+    if any(eps <= 0 for eps in epsilons):
+        raise InputError("epsilon must be positive")
 
     # a missing stage constrains nothing; stage n holds the points whose
     # tail start is at most n
@@ -296,7 +299,6 @@ def decompose_from_hurewicz(
     certificates: dict[tuple[int, Fraction], NetCertificate] = {}
     for n in range(1, horizon + 1):
         for eps in epsilons:
-            eps = Fraction(eps)
             m = next(
                 (
                     m

@@ -304,7 +304,8 @@ def _block(
         if not allow_pointwise:
             raise
         first = _pointwise_family(space, block[0], lams[0])
-        blk = (first, *(DisjointFamily((), cov) for cov in block[1:])), True
+        empty = first.family.take([])
+        blk = (first, *(DisjointFamily(empty, cov, ()) for cov in block[1:])), True
     covers._blocks[lo] = blk
     return blk
 

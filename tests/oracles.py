@@ -1,0 +1,304 @@
+"""Per-region reference bodies for the differential tests.
+
+The package decides containment and disjointness on box families
+(`covers.BoxFamily`) only.  These are the per-region bodies it used before,
+kept as oracles: the exact analytic containment and gap tests on region
+objects, the per-region disjointness check with its per-box float filter,
+the refinement loop that `containers` replaced, and a helper that turns a
+list of `Box` objects into a `BoxFamily` through the per-box queries.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+import covergames.covers as covers_module
+from covergames.covers import (
+    Ball,
+    Box,
+    BoxFamily,
+    CoClosedBalls,
+    Cover,
+    DisjointReport,
+    region_mask,
+    region_members,
+)
+from covergames.space import csr
+
+
+def box_family(space, boxes) -> BoxFamily:
+    """The open boxes as a BoxFamily over the lcm of their denominators,
+    with the members of the per-box queries.  The lower and upper ends share
+    one integer type, as the block builders' do."""
+    den = math.lcm(space.scale, *(x.denominator for b in boxes for x in b.lo + b.hi))
+    d = space.coord_dim
+    rows = [[int(x * den) for x in b.lo + b.hi] for b in boxes]
+    rows = covers_module._int_array(rows).reshape(len(boxes), 2 * d)
+    lo, hi = rows[:, :d], rows[:, d:]
+    return BoxFamily(space, den, lo, hi, *csr([region_members(b) for b in boxes]))
+
+
+# -- containment --------------------------------------------------------------------
+
+
+def box_corners(box: Box):
+    d = len(box.lo)
+    for mask in range(1 << d):
+        yield tuple(box.hi[i] if (mask >> i) & 1 else box.lo[i] for i in range(d))
+
+
+def _axis_interval(region: Ball) -> tuple[list[Fraction], list[Fraction]]:
+    space = region.space
+    c = space.points[region.center]
+    lo = [ci - region.radius for ci in c]
+    hi = [ci + region.radius for ci in c]
+    return lo, hi
+
+
+def _point_box_gap_sq(space, p: int, box: Box) -> tuple[Fraction, bool]:
+    """Squared metric gap from sample point p to the (closed) box.
+
+    Returns (gap_sq, inside_closed): euclidean sums per-axis clamp gaps,
+    chebyshev takes their max.
+    """
+    coords = space.points[p]
+    gaps = []
+    for i in range(space.coord_dim):
+        x = coords[i]
+        if x < box.lo[i]:
+            gaps.append(box.lo[i] - x)
+        elif x > box.hi[i]:
+            gaps.append(x - box.hi[i])
+        else:
+            gaps.append(Fraction(0))
+    if space.metric_kind == "chebyshev":
+        g = max(gaps)
+        return g * g, all(g == 0 for g in gaps)
+    gsq = sum((g * g for g in gaps), Fraction(0))
+    return gsq, all(g == 0 for g in gaps)
+
+
+def analytic_contains(inner, outer) -> bool:
+    """Exact sufficient test that inner is a subset of outer as analytic sets.
+
+    A True answer certifies true containment in the ambient space; a False
+    answer is inconclusive (callers fall back to sample containment).
+    The cantor_2adic metric supports only the same-center / same-shape cases.
+    """
+    space = inner.space
+    if outer.space is not space:
+        return False
+    metric = space.metric_kind
+
+    if isinstance(inner, Ball) and isinstance(outer, Ball):
+        if inner.center == outer.center:
+            return inner.radius <= outer.radius
+        if metric == "cantor_2adic":
+            # ultrametric: B(c1,r1) centered anywhere inside B(c2,r2) with
+            # r1 <= r2 and d(c1,c2) < r2 is contained
+            d_sq = space.distance_sq(inner.center, outer.center)
+            return inner.radius <= outer.radius and d_sq < outer.radius**2
+        if inner.radius > outer.radius:
+            return False
+        d_sq = space.distance_sq(inner.center, outer.center)
+        return d_sq <= (outer.radius - inner.radius) ** 2
+
+    if metric == "cantor_2adic":
+        return False
+
+    if isinstance(inner, Ball) and isinstance(outer, Box):
+        lo, hi = _axis_interval(inner)
+        for i in range(space.coord_dim):
+            lo_ok = lo[i] >= outer.lo[i] if not outer.lo_closed[i] else True
+            hi_ok = hi[i] <= outer.hi[i] if not outer.hi_closed[i] else True
+            if not (lo_ok and hi_ok):
+                return False
+        return True
+
+    if isinstance(inner, Ball) and isinstance(outer, CoClosedBalls):
+        for c, r in outer.balls:
+            d_sq = space.distance_sq(inner.center, c)
+            if d_sq < (inner.radius + r) ** 2:
+                return False
+        return True
+
+    if isinstance(inner, Box) and isinstance(outer, Ball):
+        center = space.points[outer.center]
+        rsq = outer.radius**2
+        for corner in box_corners(inner):
+            if metric == "chebyshev":
+                d = max(abs(ci - xi) for ci, xi in zip(corner, center))
+                dsq = d * d
+            else:
+                dsq = sum(
+                    ((ci - xi) ** 2 for ci, xi in zip(corner, center)), Fraction(0)
+                )
+            if dsq >= rsq:
+                return False
+        return True
+
+    if isinstance(inner, Box) and isinstance(outer, Box):
+        for i in range(len(inner.lo)):
+            if inner.lo_closed[i] and not outer.lo_closed[i]:
+                if outer.lo[i] >= inner.lo[i]:
+                    return False
+            elif outer.lo[i] > inner.lo[i]:
+                return False
+            if inner.hi_closed[i] and not outer.hi_closed[i]:
+                if outer.hi[i] <= inner.hi[i]:
+                    return False
+            elif outer.hi[i] < inner.hi[i]:
+                return False
+        return True
+
+    if isinstance(inner, Box) and isinstance(outer, CoClosedBalls):
+        for c, r in outer.balls:
+            gap_sq, inside = _point_box_gap_sq(space, c, inner)
+            if inside or gap_sq <= r * r:
+                return False
+        return True
+
+    return False  # CoClosedBalls as inner: sample evidence only
+
+
+def refines_oracle(fine, coarse: Cover):
+    """The refinement loop that containers replaced, as (ok, witness,
+    counterexample): per fine region, the first coarse region analytically
+    containing it, else the first whose dense mask holds all its members;
+    the first failure names a member escaping the largest-overlap region."""
+    masks = [region_mask(r) for r in coarse.regions]
+    witness = []
+    for fidx, f in enumerate(fine):
+        found = None
+        for cidx, c in enumerate(coarse.regions):
+            if analytic_contains(f, c):
+                found = (cidx, "analytic")
+                break
+        fm = region_members(f)
+        if found is None:
+            for cidx, cm in enumerate(masks):
+                if bool(cm[fm].all()):
+                    found = (cidx, "sample")
+                    break
+        if found is None:
+            overlaps = [int(np.count_nonzero(cm[fm])) for cm in masks]
+            escape = fm[~masks[int(np.argmax(overlaps))][fm]] if masks else fm
+            return False, None, (fidx, int(escape[0]) if escape.size else None)
+        witness.append(found)
+    return True, tuple(witness), None
+
+
+# -- disjointness -------------------------------------------------------------------
+
+
+def analytic_gap_ge(r1, r2, margin: Fraction) -> bool | None:
+    """Exact test that the metric gap between two regions is >= margin.
+
+    Returns None when the shape pair has no analytic gap (complement shapes,
+    or the cantor_2adic metric on non-ball shapes).  margin 0 means open-set
+    disjointness (touching closures allowed).
+    """
+    space = r1.space
+    metric = space.metric_kind
+
+    def ival(r):
+        if isinstance(r, Ball):
+            return _axis_interval(r)
+        if isinstance(r, Box):
+            return list(r.lo), list(r.hi)
+        return None
+
+    if isinstance(r1, Ball) and isinstance(r2, Ball):
+        d_sq = space.distance_sq(r1.center, r2.center)
+        need = r1.radius + r2.radius + margin
+        return d_sq >= need * need
+
+    if metric == "cantor_2adic":
+        return None
+    i1, i2 = ival(r1), ival(r2)
+    if i1 is None or i2 is None:
+        return None
+
+    if isinstance(r1, Box) and isinstance(r2, Box):
+        gaps = covers_module._axis_gaps(i1[0], i1[1], i2[0], i2[1])
+        return covers_module._gaps_ge(gaps, metric, margin)
+
+    # ball vs box: gap = d(center, box) - radius
+    ball, box = (r1, r2) if isinstance(r1, Ball) else (r2, r1)
+    gap_sq, inside = _point_box_gap_sq(space, ball.center, box)
+    need = ball.radius + margin
+    if inside:
+        return False
+    return gap_sq >= need * need
+
+
+def float_ends(boxes) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), k x d: each box's lower ends rounded down and upper ends
+    rounded up to floats (infinite past float range)."""
+    bounds = covers_module._float_bounds
+    lo = np.array([[bounds(x)[0] for x in b.lo] for b in boxes]).reshape(len(boxes), -1)
+    hi = np.array([[bounds(x)[1] for x in b.hi] for b in boxes]).reshape(len(boxes), -1)
+    return lo, hi
+
+
+def _old_pair_order(lo: np.ndarray, hi: np.ndarray, margin: Fraction):
+    """The per-box float filter on the float ends lo, hi (k x d): the index
+    pairs (i, j), i < j, in lexicographic order, whose ends come within the
+    margin on every axis, each box against every later box."""
+    n = len(lo)
+    pad = np.nextafter(float(margin), np.inf)
+    pairs = []
+    for i in range(n):
+        close = np.ones(n - i - 1, dtype=bool)
+        for ax in range(lo.shape[1]):
+            gap_above = lo[i + 1 :, ax] - hi[i, ax]
+            gap_below = lo[i, ax] - hi[i + 1 :, ax]
+            close &= (gap_above <= pad) & (gap_below <= pad)
+        for off in np.flatnonzero(close):
+            pairs.append((i, i + 1 + int(off)))
+    return pairs
+
+
+def pairwise_disjoint_check(regions, margin: Fraction, all_pairs_up_to=64):
+    """Pairwise disjointness of a sequence of regions: no shared sample
+    point, and analytic gap >= margin wherever the shape pair supports an
+    exact gap.  Every pair sees the exact gap, except in box families of
+    more than all_pairs_up_to boxes, which the per-box float filter
+    prunes."""
+    n = len(regions)
+    if n <= 1:
+        return DisjointReport(True, None, None, None)
+    space = regions[0].space
+    indptr, members = csr([region_members(r) for r in regions])
+    multi = np.flatnonzero(np.bincount(members, minlength=space.n) > 1)
+    if multi.size:
+        p = int(multi[0])
+        owners = np.searchsorted(indptr, np.flatnonzero(members == p), "right") - 1
+        return DisjointReport(False, (int(owners[0]), int(owners[1])), "shared_point", p)
+    if n > all_pairs_up_to and all(isinstance(r, Box) for r in regions):
+        pairs = _old_pair_order(*float_ends(regions), margin)
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in pairs:
+        if analytic_gap_ge(regions[i], regions[j], margin) is False:
+            overlap = analytic_gap_ge(regions[i], regions[j], Fraction(0)) is False
+            reason = "analytic_overlap" if overlap else "gap_below_margin"
+            return DisjointReport(False, (i, j), reason, None)
+    return DisjointReport(True, None, None, None)
+
+
+def containers_oracle(boxes, cover: Cover, candidates=None, sample=True):
+    """containers' answers by the refinement loop: per box, the first of
+    its candidates (every cover region by default) with analytic evidence,
+    else, when sample holds, the first with sample evidence."""
+    out = []
+    for i, box in enumerate(boxes):
+        cs = list(range(len(cover.regions)) if candidates is None else candidates[i])
+        some = Cover(cover.space, [cover.regions[c] for c in cs])
+        ok, w, _ = refines_oracle([box], some)
+        hit = (cs[w[0][0]], w[0][1]) if ok else None
+        out.append(hit if sample or hit is None or hit[1] == "analytic" else None)
+    return out

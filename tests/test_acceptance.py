@@ -22,8 +22,6 @@ from covergames.covers import (
     Box,
     Cover,
     CoverSeq,
-    pairwise_disjoint_check,
-    refines_check,
     region_mask,
     union_mask,
 )
@@ -57,6 +55,7 @@ from covergames.space import (
     doubling_delta,
     paired_delta,
 )
+from oracles import pairwise_disjoint_check, refines_oracle
 
 RANDOM_TRIPLES = 100_000
 EXHAUSTIVE_POINT_LIMIT = 200
@@ -287,8 +286,7 @@ def _check_refinement_triple(space, cover, families, expected_count):
     for fam in families:
         rep = pairwise_disjoint_check(fam.regions, space.mesh)
         assert rep.ok, rep
-        ref = refines_check(fam.regions, cover)
-        assert ref.ok
+        assert refines_oracle(fam.regions, cover)[0]
         union |= fam.union_mask()
     assert union.all()
 
@@ -355,7 +353,7 @@ def test_criterion_6_sc_plus_via_game():
             fam = res.family(n)
             assert len(fam) < 10_000
             assert pairwise_disjoint_check(fam.regions, s.mesh).ok
-            assert refines_check(fam.regions, covers.cover(n)).ok
+            assert refines_oracle(fam.regions, covers.cover(n))[0]
         # clause 3: per-point block coverage from the tail index on
         usable = res.usable_blocks()
         assert usable, "the play must materialize at least one block"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from covergames import cli
+from covergames import cli, netting
 from covergames.cli import run
 from covergames.space import SampledSpace
 
@@ -177,6 +177,21 @@ def test_haver_horizon_past_the_epsilons_exits_2(monkeypatch):
     assert calls == []
     assert_input_error(code, doc)
     assert "--horizon 9 exceeds the 4 epsilons" in doc["checks"][-1]["error"]
+
+
+@pytest.mark.parametrize("epsilons", ["0", "0/5", "-1/2", "1/2,0"])
+def test_decompose_nonpositive_epsilon_exits_2_before_any_union(monkeypatch, epsilons):
+    # a term <= 0 has no selection stage of smaller radius: exit 1 with a
+    # precondition failure when it reached the certificate loop
+    calls, union = [], netting.union_mask
+    monkeypatch.setattr(netting, "union_mask", lambda *a: calls.append(a) or union(*a))
+    code, doc = run(
+        ["decompose", "--space", SPACE, "--selections", str(INPUTS / "selections.json"),
+         "--horizon", "2", f"--epsilons={epsilons}"]
+    )
+    assert calls == []
+    assert_input_error(code, doc)
+    assert "epsilon must be positive" in doc["checks"][-1]["error"]
 
 
 def test_horizon_at_the_cap_still_runs():

@@ -17,16 +17,14 @@ from covergames.covers import (
     Cover,
     CoverSeq,
     DisjointFamily,
-    analytic_contains,
-    analytic_gap_ge,
+    containers,
     contains,
     covers_check,
     lebesgue_argmax_region,
     lebesgue_number,
     pairwise_disjoint_check,
-    refines_check,
     region_mask,
-    sample_contains,
+    region_members,
 )
 from covergames.exact import CheckFailure, InputError
 from covergames.screenability import _pointwise_family, brick_refinement
@@ -34,8 +32,8 @@ from covergames.space import (
     SampledSpace,
     build_cantor_space,
     build_grid_space,
-    doubling_delta,
 )
+from oracles import analytic_gap_ge, box_family
 
 
 def brute_membership(region, space):
@@ -170,89 +168,57 @@ class TestCoversCheck:
 class TestRefines:
     def test_identity_witness(self, interval_8):
         s = interval_8
-        cover = Cover(s, [Ball(s, 0, F(1, 2)), Ball(s, 8, F(1, 2)), Ball(s, 4, F(1, 3))])
-        rep = refines_check(list(cover.regions), cover)
-        assert rep.ok
-        assert [w[0] for w in rep.witness] == [0, 1, 2]
-
-    def test_same_center_radius_analytic(self, interval_8):
-        s = interval_8
-        coarse = Cover(s, [Ball(s, 4, F(1, 2))])
-        rep = refines_check([Ball(s, 4, F(1, 4))], coarse)
-        assert rep.ok and rep.witness[0] == (0, "analytic")
-
-    def test_shrinking_radii_schedule(self, interval_256):
-        # balls at radius (1/2)^(2^m) vs an epsilon-ball cover with larger eps
-        s = interval_256
-        m = 2
-        eps = F(1, 8)
-        assert doubling_delta(m) <= eps
-        coarse = Cover(s, [Ball(s, c, eps) for c in range(0, 257, 16)])
-        fine = [Ball(s, c, doubling_delta(m)) for c in range(0, 257, 16)]
-        rep = refines_check(fine, coarse)
-        assert rep.ok
-        assert all(kind == "analytic" for _, kind in rep.witness)
-
-    def test_counterexample(self, interval_8):
-        s = interval_8
-        coarse = Cover(s, [Ball(s, 0, F(1, 4))])
-        rep = refines_check([Ball(s, 8, F(1, 4))], coarse)
-        assert not rep.ok
-        fidx, point = rep.counterexample
-        assert fidx == 0
-        assert region_mask(Ball(s, 8, F(1, 4)))[point]
-        assert not region_mask(coarse.regions[0])[point]
+        boxes = [
+            Box(s, (F(-1, 16),), (F(3, 8),)),
+            Box(s, (F(5, 8),), (F(17, 16),)),
+            Box(s, (F(1, 4),), (F(3, 4),)),
+        ]
+        found = containers(box_family(s, boxes), Cover(s, boxes))
+        assert found == [(0, "analytic"), (1, "analytic"), (2, "analytic")]
 
     def test_cover_with_no_regions(self, interval_8):
-        # no coarse region to compare with: the fine region's first sample
-        # point escapes, or None when it holds no sample point
+        # no coarse region to compare with: no box finds one, and a family
+        # has no parent index to name
         s = interval_8
         empty = Cover(s, [])
-        rep = refines_check([Ball(s, 3, F(1, 4))], empty)
-        assert not rep.ok and rep.counterexample == (0, 2)
-        rep = refines_check([Box(s, (F(1, 32),), (F(1, 16),))], empty)
-        assert not rep.ok and rep.counterexample == (0, None)
-        with pytest.raises(CheckFailure, match="does not refine its parent"):
-            DisjointFamily([Ball(s, 3, F(1, 4))], empty)
+        fam = box_family(s, [Box(s, (F(1, 32),), (F(1, 16),)), Box(s, (F(0),), (F(1),))])
+        assert containers(fam, empty) == [None, None]
+        with pytest.raises(InputError, match="one parent index"):
+            DisjointFamily(fam.take([1]), empty, witness=[0])
 
     def test_analytic_box_in_ball(self, square_8):
         s = square_8
         center = s.index_of((F(1, 2), F(1, 2)))
-        box = Box(s, (F(3, 8), F(3, 8)), (F(5, 8), F(5, 8)))
-        assert analytic_contains(box, Ball(s, center, F(1, 2)))
-        assert not analytic_contains(box, Ball(s, center, F(1, 8)))
+        fam = box_family(s, [Box(s, (F(3, 8), F(3, 8)), (F(5, 8), F(5, 8)))])
+        wide, narrow = Ball(s, center, F(1, 2)), Ball(s, center, F(1, 8))
+        assert containers(fam, Cover(s, [wide]), sample=False) == [(0, "analytic")]
+        assert containers(fam, Cover(s, [narrow]), sample=False) == [None]
 
     def test_analytic_implies_sample(self, square_8):
         s = square_8
         center = s.index_of((F(1, 2), F(1, 2)))
-        inner = Ball(s, center, F(1, 4))
+        inner = Box(s, (F(3, 8), F(3, 8)), (F(5, 8), F(5, 8)))
+        fam = box_family(s, [inner])
         for outer in (
             Ball(s, center, F(1, 2)),
             Box(s, (F(1, 8), F(1, 8)), (F(7, 8), F(7, 8))),
             CoClosedBalls(s, ((0, F(1, 8)),)),
         ):
-            if analytic_contains(inner, outer):
-                assert sample_contains(inner, outer)
+            if containers(fam, Cover(s, [outer]), sample=False)[0]:
+                assert np.isin(region_members(inner), region_members(outer)).all()
 
 
 class TestDisjoint:
     def test_singleton(self, interval_8):
-        rep = pairwise_disjoint_check([Ball(interval_8, 0, F(1, 4))], F(1, 4))
-        assert rep.ok
-
-    def test_endpoint_balls_with_margin(self, interval_8):
-        s = interval_8
-        rep = pairwise_disjoint_check(
-            [Ball(s, 0, F(1, 4)), Ball(s, 8, F(1, 4))], F(1, 4)
-        )
-        assert rep.ok  # gap 1 - 1/4 - 1/4 = 1/2 >= 1/4
+        fam = box_family(interval_8, [Box(interval_8, (F(-1, 4),), (F(1, 4),))])
+        assert pairwise_disjoint_check(fam, F(1, 4)).ok
 
     def test_overlapping_boxes(self, interval_64):
         # oracle: membership scan finds the shared point 1/2
         s = interval_64
-        b1 = Box(s, (F(0),), (F(3, 5),), lo_closed=(True,))
-        b2 = Box(s, (F(2, 5),), (F(1),), hi_closed=(True,))
-        rep = pairwise_disjoint_check([b1, b2], F(0))
+        b1 = Box(s, (F(-1, 64),), (F(3, 5),))
+        b2 = Box(s, (F(2, 5),), (F(65, 64),))
+        rep = pairwise_disjoint_check(box_family(s, [b1, b2]), F(0))
         assert not rep.ok
         assert rep.violating_pair == (0, 1)
         assert rep.reason == "shared_point"
@@ -261,19 +227,20 @@ class TestDisjoint:
 
     def test_gap_below_margin(self, interval_64):
         s = interval_64
-        b1 = Box(s, (F(0),), (F(1, 4),), lo_closed=(True,))
-        b2 = Box(s, (F(1, 4) + F(1, 256),), (F(1),), hi_closed=(True,))
+        b1 = Box(s, (F(-1, 64),), (F(1, 4),))
+        b2 = Box(s, (F(1, 4) + F(1, 256),), (F(65, 64),))
+        fam = box_family(s, [b1, b2])
         # no shared sample point, analytic gap 1/256 < margin 1/64
-        rep = pairwise_disjoint_check([b1, b2], F(1, 64))
+        rep = pairwise_disjoint_check(fam, F(1, 64))
         assert not rep.ok and rep.reason == "gap_below_margin"
-        assert pairwise_disjoint_check([b1, b2], F(1, 256)).ok
+        assert pairwise_disjoint_check(fam, F(1, 256)).ok
 
     def test_margin_zero_touching_open_boxes(self, interval_64):
         s = interval_64
         mid = F(1, 2) + F(1, 128)  # between sample points
         b1 = Box(s, (-F(1, 64),), (mid,))
         b2 = Box(s, (mid,), (F(65, 64),))
-        rep = pairwise_disjoint_check([b1, b2], F(0))
+        rep = pairwise_disjoint_check(box_family(s, [b1, b2]), F(0))
         assert rep.ok
 
     @given(
@@ -287,9 +254,9 @@ class TestDisjoint:
         # a certified nonnegative analytic gap implies open disjointness,
         # hence no shared sample point
         s = interval_8
-        b1, b2 = Ball(s, c1, r1), Ball(s, c2, r2)
-        if analytic_gap_ge(b1, b2, F(0)):
-            assert not bool(np.any(region_mask(b1) & region_mask(b2)))
+        boxes = [Box(s, (F(c, 8) - r,), (F(c, 8) + r,)) for c, r in ((c1, r1), (c2, r2))]
+        if covers_module._family_gap_ge(box_family(s, boxes), 0, 1, F(0)):
+            assert not bool(np.any(region_mask(boxes[0]) & region_mask(boxes[1])))
 
     def test_prefilter_matches_bruteforce(self):
         # large family of thin boxes: the pruned path must agree with the
@@ -299,7 +266,7 @@ class TestDisjoint:
             Box(s, (F(k, 128) - F(1, 512),), (F(k, 128) + F(1, 512),))
             for k in range(0, 129)
         ]
-        rep = pairwise_disjoint_check(boxes, s.mesh)
+        rep = pairwise_disjoint_check(box_family(s, boxes), s.mesh)
         assert rep.ok
         # brute force on a subsample of pairs
         for i, j in itertools.islice(itertools.combinations(range(129), 2), 300):
@@ -307,7 +274,7 @@ class TestDisjoint:
 
 
 class TestOracleAgreement:
-    """covers_check / refines_check vs independent point-by-point scans."""
+    """covers_check / containers vs independent point-by-point scans."""
 
     def _random_regions(self, s, rng, count):
         out = []
@@ -343,15 +310,18 @@ class TestOracleAgreement:
                 assert not oracle[rep.failure_point]
                 assert rep.failure_point == int(np.flatnonzero(~oracle)[0])
 
-    def test_refines_check_agrees_with_scan(self, interval_64):
+    def test_containers_agree_with_scan(self, interval_64):
         import random
 
         s = interval_64
         rng = random.Random(10)
         for _ in range(20):
             coarse = Cover(s, self._random_regions(s, rng, 3))
-            fine = self._random_regions(s, rng, 2)
-            rep = refines_check(fine, coarse)
+            fine = []
+            for _ in range(2):
+                a, b = sorted(rng.sample(range(1, 16), 2))
+                fine.append(Box(s, (F(a, 16),), (F(b, 16),)))
+            found = containers(box_family(s, fine), coarse)
             oracle = all(
                 any(
                     bool(
@@ -363,7 +333,7 @@ class TestOracleAgreement:
                 )
                 for f in fine
             )
-            assert rep.ok == oracle
+            assert (None not in found) == oracle
 
 
 class TestLebesgue:
@@ -452,40 +422,42 @@ class TestDisjointFamily:
     def test_rejects_overlap(self, interval_64):
         s = interval_64
         parent = Cover(s, [Ball(s, 32, F(2))])
-        with pytest.raises(CheckFailure):
-            DisjointFamily(
-                [Ball(s, 16, F(1, 4)), Ball(s, 24, F(1, 4))], parent
-            )
+        boxes = [Box(s, (F(0),), (F(1, 2),)), Box(s, (F(3, 8),), (F(5, 8),))]
+        with pytest.raises(CheckFailure, match="not pairwise disjoint"):
+            DisjointFamily(box_family(s, boxes), parent, witness=[0, 0])
 
     def test_accepts_separated(self, interval_64):
         s = interval_64
         parent = Cover(s, [Ball(s, 32, F(2))])
-        fam = DisjointFamily([Ball(s, 8, F(1, 16)), Ball(s, 56, F(1, 16))], parent)
+        boxes = [Box(s, (F(1, 16),), (F(3, 16),)), Box(s, (F(13, 16),), (F(15, 16),))]
+        fam = DisjointFamily(box_family(s, boxes), parent, witness=[0, 0])
         assert fam.witness == (0, 0)
 
     def test_rejects_non_refining(self, interval_64):
         s = interval_64
         parent = Cover(s, [Ball(s, 0, F(1, 8))])
-        with pytest.raises(CheckFailure):
-            DisjointFamily([Ball(s, 56, F(1, 16))], parent)
-
+        boxes = [Box(s, (F(13, 16),), (F(15, 16),))]
+        with pytest.raises(CheckFailure, match="does not hold"):
+            DisjointFamily(box_family(s, boxes), parent, witness=[0])
 
     def test_given_witness_must_match_the_family(self, interval_64):
         s = interval_64
         cover = Cover(s, [Ball(s, 32, F(1, 8)), Ball(s, 8, F(1, 8))])
-        inside, outside = Ball(s, 8, F(1, 16)), Ball(s, 56, F(1, 16))
-        with pytest.raises(CheckFailure, match="does not refine"):
-            DisjointFamily([inside, outside], cover)
-        assert DisjointFamily([inside], cover, witness=[1]).witness == (1,)
+        inside = Box(s, (F(1, 16),), (F(3, 16),))
+        outside = Box(s, (F(13, 16),), (F(15, 16),))
+        fam = box_family(s, [inside, outside])
+        with pytest.raises(CheckFailure, match="does not hold"):
+            DisjointFamily(fam, cover, witness=[1, 1])
+        assert DisjointFamily(fam.take([0]), cover, witness=[1]).witness == (1,)
         # too short, too long, negative (the last region holds inside), past the cover
-        for regions, witness in (
-            ([inside, outside], [1]),
-            ([inside], [1, 0]),
-            ([inside], [-1]),
-            ([inside], [2]),
+        for keep, witness in (
+            ([0, 1], [1]),
+            ([0], [1, 0]),
+            ([0], [-1]),
+            ([0], [2]),
         ):
             with pytest.raises(InputError, match="one parent index"):
-                DisjointFamily(regions, cover, witness=witness)
+                DisjointFamily(fam.take(keep), cover, witness=witness)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_subfamily_matches_a_fresh_family(self, square_8, seed):
@@ -497,18 +469,18 @@ class TestDisjointFamily:
             + [Box(s, (F(-1), F(-1)), (F(2), F(2)))],
         )
         # the 3 x 3 middle points, in the middle ball on the sample only
-        wide = Box(s, (F(9, 32), F(9, 32)), (F(23, 32), F(23, 32)))
+        wide = box_family(s, [Box(s, (F(9, 32), F(9, 32)), (F(23, 32), F(23, 32)))])
         middle = s.index_of((F(1, 2), F(1, 2)))
         families = list(brick_refinement(s, cover)) + [
             _pointwise_family(s, cover, lebesgue_number(cover)),
-            DisjointFamily([wide], Cover(s, [Ball(s, middle, F(1, 4))])),
+            DisjointFamily(wide, Cover(s, [Ball(s, middle, F(1, 4))]), witness=[0]),
         ]
         for fam in families:
             for size in (0, 1, len(fam) // 2, len(fam)):
                 keep = rng.sample(range(len(fam)), size)
                 sub = fam.subfamily(keep)
                 fresh = DisjointFamily(
-                    [fam.regions[i] for i in keep],
+                    box_family(s, [fam.regions[i] for i in keep]),
                     fam.parent,
                     witness=[fam.witness[i] for i in keep],
                 )
@@ -516,19 +488,17 @@ class TestDisjointFamily:
                 assert sub.regions == fresh.regions
                 assert sub.witness == fresh.witness
                 assert sub.witness_kinds == fresh.witness_kinds
-                own = DisjointFamily(sub.regions, fam.parent)
-                again = fam.subfamily(keep, witness=own.witness)
-                assert (again.witness, again.witness_kinds) == (
-                    own.witness,
-                    own.witness_kinds,
-                )
+                # the first holding parents, checked again as a new witness
+                own = containers(sub.family, fam.parent)
+                again = fam.subfamily(keep, witness=[hit[0] for hit in own])
+                assert list(zip(again.witness, again.witness_kinds)) == own
         assert families[-1].witness_kinds == ("sample",)
         with pytest.raises(AssertionError, match="repeat or leave"):
             families[0].subfamily([0, 0])
         with pytest.raises(AssertionError, match="repeat or leave"):
             families[0].subfamily([len(families[0])])
-        fam = DisjointFamily([wide], Cover(s, [Ball(s, middle, F(1, 8)), cover.regions[-1]]))
-        assert fam.witness == (1,)
+        parent = Cover(s, [Ball(s, middle, F(1, 8)), cover.regions[-1]])
+        fam = DisjointFamily(wide, parent, witness=[1])
         with pytest.raises(CheckFailure, match="does not hold"):
             fam.subfamily([0], witness=[0])
 

@@ -3,19 +3,18 @@ replaced.
 
 `build_brick_grid` lays a class out as the product of one axis's occupied
 slots, `_pair_order` sweeps box families in the order of their lower ends
-on axis 0, and `box_in_ball_verdicts` settles box-in-ball containment with
-certified floats before any exact test.  Block families are `BoxFamily`
-integer arrays.  The oracles below are the earlier bodies: the per-point
-bucket layout (with its Fraction branch), the per-box float filter over
-every later box (all pairs up to 64 boxes), the exact corner test
-`analytic_contains`, which stays in the package, and the per-box path that
-every family's Box objects still take.  Every layout, report, witness and
-verdict must be identical.
+on axis 0, and `containers` settles box-in-ball containment with certified
+floats (`_corner_verdicts`) before any exact test.  Block families are
+`BoxFamily` integer arrays.  The oracles are the earlier bodies: the
+per-point bucket layout (with its Fraction branch) here, and in
+`oracles.py` the per-box float filter over every later box, the exact
+corner test `analytic_contains` and the per-region containment and
+disjointness checks, which every family's Box objects take.  Every layout,
+report, witness and verdict must be identical.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import sys
 from fractions import Fraction as F
@@ -32,20 +31,18 @@ from covergames.cli import run
 from covergames.covers import (
     Ball,
     Box,
-    BoxFamily,
     CoClosedBalls,
     Cover,
     DisjointFamily,
-    analytic_contains,
-    box_in_ball_verdicts,
     containers,
     lebesgue_argmax_region,
     lebesgue_argmax_regions,
     lebesgue_number,
     pairwise_disjoint_check,
+    region_mask,
     region_members,
 )
-from covergames.exact import CheckFailure, exact_sqrt
+from covergames.exact import CheckFailure, InputError, exact_sqrt
 from covergames.jsonio import space_from_json
 from covergames.netting import greedy_net
 from covergames.registry import builtin_names, builtin_space
@@ -60,8 +57,14 @@ from covergames.space import (
     SampledSpace,
     build_cantor_space,
     build_grid_space,
-    csr,
 )
+from oracles import (
+    _old_pair_order,
+    analytic_contains,
+    box_family,
+    containers_oracle,
+)
+from oracles import pairwise_disjoint_check as disjoint_oracle
 
 GOLDEN = Path(__file__).parent / "golden" / "inputs"
 
@@ -102,27 +105,6 @@ def _bucket_brick_grid(space, cell_side, fraction_branch=False):
     return tuple(classes)
 
 
-def _old_pair_order(regions, margin, all_pairs_up_to=64):
-    """All index pairs, pruned by the float filter for box families larger
-    than all_pairs_up_to, each box against every later box."""
-    n = len(regions)
-    if n <= all_pairs_up_to or not all(isinstance(r, Box) for r in regions):
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    lo = np.array([[np.nextafter(float(x), -np.inf) for x in r.lo] for r in regions])
-    hi = np.array([[np.nextafter(float(x), np.inf) for x in r.hi] for r in regions])
-    pad = np.nextafter(float(margin), np.inf)
-    pairs = []
-    for i in range(n):
-        close = np.ones(n - i - 1, dtype=bool)
-        for ax in range(lo.shape[1]):
-            gap_above = lo[i + 1 :, ax] - hi[i, ax]
-            gap_below = lo[i, ax] - hi[i + 1 :, ax]
-            close &= (gap_above <= pad) & (gap_below <= pad)
-        for off in np.flatnonzero(close):
-            pairs.append((i, i + 1 + int(off)))
-    return pairs
-
-
 def _old_containing_ball(region, cover, net, radius, space):
     """The per-region Haver filter: the first anchor-near net ball in order
     that analytic_contains accepts."""
@@ -136,16 +118,10 @@ def _old_containing_ball(region, cover, net, radius, space):
     return None
 
 
-def box_family(space, boxes):
-    """The open boxes as a BoxFamily over the lcm of their denominators,
-    with the members of the per-box queries."""
-    den = math.lcm(space.scale, *(x.denominator for b in boxes for x in b.lo + b.hi))
-    shape = (len(boxes), space.coord_dim)
-    lo, hi = (
-        covers_module._int_array([[int(x * den) for x in e] for e in ends]).reshape(shape)
-        for ends in ([b.lo for b in boxes], [b.hi for b in boxes])
-    )
-    return BoxFamily(space, den, lo, hi, *csr([region_members(b) for b in boxes]))
+def family_ends(fam):
+    """A box family's float ends: lower ends rounded down, upper ends up."""
+    lo, hi = fam.float_bounds()
+    return lo[..., 0], hi[..., 1]
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -253,16 +229,9 @@ def _planted_family(rng: random.Random, space, margin, fault: int):
     return boxes
 
 
-def _all_pairs_report(monkeypatch, boxes, margin):
-    with monkeypatch.context() as patch:
-        every_pair = lambda r, m: _old_pair_order(r, m, 10**9)  # noqa: E731
-        patch.setattr(covers_module, "_pair_order", every_pair)
-        return pairwise_disjoint_check(boxes, margin)
-
-
 @pytest.mark.parametrize("metric", ["euclidean", "chebyshev"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_disjoint_reports_match_all_pairs(monkeypatch, dim, metric):
+def test_disjoint_reports_match_all_pairs(dim, metric):
     space = build_grid_space(dim, F(1, 4), metric_kind=metric)
     # 128, 256 and 512 lattice cells, so families pass 64 boxes
     margin = F(1, 5 * 4 * {1: 32, 2: 4, 3: 2}[dim])
@@ -270,25 +239,25 @@ def test_disjoint_reports_match_all_pairs(monkeypatch, dim, metric):
     for seed in range(24):
         rng = random.Random(f"{dim}:{metric}:{seed}")
         boxes = _planted_family(rng, space, margin, seed % 4)
-        want = _old_pair_order(boxes, margin, 1)
-        assert covers_module._pair_order(boxes, margin) == want
-        got = pairwise_disjoint_check(boxes, margin)
-        assert got == _all_pairs_report(monkeypatch, boxes, margin)
+        fam = box_family(space, boxes)
+        want = _old_pair_order(*family_ends(fam), margin)
+        assert covers_module._pair_order(fam, margin) == want
+        got = pairwise_disjoint_check(fam, margin)
+        assert got == disjoint_oracle(boxes, margin, all_pairs_up_to=10**9)
         reasons.add(got.reason)
     # the seeds reach every outcome
     assert reasons == {None, "analytic_overlap", "gap_below_margin", "shared_point"}
 
 
-def test_pair_order_is_lexicographic_and_keeps_mixed_families_whole():
+def test_pair_order_is_lexicographic():
     space = build_grid_space(2, F(1, 8))
     side = F(1, 20)
     boxes = [Box(space, (F(k, 16), F(0)), (F(k, 16) + side, side)) for k in range(10)]
     boxes.reverse()
-    pairs = covers_module._pair_order(boxes, F(1, 64))
-    assert pairs == sorted(pairs) == _old_pair_order(boxes, F(1, 64), 1)
-    mixed = boxes + [Ball(space, 0, F(1, 32))]
-    assert len(covers_module._pair_order(mixed, F(1, 64))) == 11 * 10 // 2
-    assert covers_module._pair_order(boxes[:1], F(1, 64)) == []
+    fam = box_family(space, boxes)
+    pairs = covers_module._pair_order(fam, F(1, 64))
+    assert pairs == sorted(pairs) == _old_pair_order(*family_ends(fam), F(1, 64))
+    assert covers_module._pair_order(fam.take([0]), F(1, 64)) == []
 
 
 def test_pair_order_batches_a_large_window(monkeypatch):
@@ -299,36 +268,50 @@ def test_pair_order_batches_a_large_window(monkeypatch):
         Box(space, (F(0), F(k, 400)), (F(1, 8), F(k, 400) + F(1, 800 + k % 3)))
         for k in range(60)
     ]
+    fam = box_family(space, boxes)
     monkeypatch.setattr(covers_module, "_SWEEP_BATCH", 100)
     for margin in (F(0), F(1, 1000), F(1, 700)):
-        got = covers_module._pair_order(boxes, margin)
-        assert got == _old_pair_order(boxes, margin, 1)
+        got = covers_module._pair_order(fam, margin)
+        assert got == _old_pair_order(*family_ends(fam), margin)
 
 
 def test_pair_order_sends_box_ends_past_float_range_to_the_exact_gap():
     space = builtin_space("unit_interval_8")
     far = F(10**400)
     boxes = [Box(space, (F(-1),), (F(1, 2),)), Box(space, (far,), (far + 1,))]
-    assert covers_module._pair_order(boxes, space.mesh) == [(0, 1)]
-    assert pairwise_disjoint_check(boxes, space.mesh).ok
-    touching = [boxes[0], Box(space, (F(1, 2),), (far,))]
+    fam = box_family(space, boxes)
+    assert covers_module._pair_order(fam, space.mesh) == [(0, 1)]
+    assert pairwise_disjoint_check(fam, space.mesh).ok
+    touching = box_family(space, [boxes[0], Box(space, (F(1, 2),), (far,))])
     assert not pairwise_disjoint_check(touching, space.mesh).ok
 
 
 # -- certified box-in-ball verdicts -------------------------------------------------
 
 
-def _assert_agrees(boxes, balls):
-    verdict = box_in_ball_verdicts(boxes, balls).tolist()
-    for b, ball, v in zip(boxes, balls, verdict):
+def _assert_agrees(monkeypatch, boxes, outer):
+    """containers' answer for box k of the family in region outer[k] against
+    the exact per-region test, and the batch verdicts it took them from: 1
+    or 0 where settled (certified floats, on ball pairs), -1 where only the
+    exact test could tell."""
+    verdicts = _count_calls(monkeypatch, covers_module, "_family_verdicts")
+    space = boxes[0].space
+    found = containers(
+        box_family(space, boxes), Cover(space, outer), np.arange(len(outer))[:, None],
+        sample=False,
+    )
+    want = [analytic_contains(b, r) for b, r in zip(boxes, outer)]
+    assert found == [(k, "analytic") if w else None for k, w in enumerate(want)]
+    (verdict,) = verdicts
+    for b, r, v, w in zip(boxes, outer, verdict.tolist(), want):
         if v >= 0:
-            assert v == analytic_contains(b, ball), (b, ball)
-    return verdict
+            assert v == w, (b, r)
+    return verdict.tolist()
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "chebyshev"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_box_in_ball_verdicts_agree_with_the_corner_test(dim, metric):
+def test_box_in_ball_verdicts_agree_with_the_corner_test(monkeypatch, dim, metric):
     space = build_grid_space(dim, F(1, 8), metric_kind=metric)
     rng = random.Random(f"{dim}{metric}")
     boxes, balls = [], []
@@ -340,7 +323,7 @@ def test_box_in_ball_verdicts_agree_with_the_corner_test(dim, metric):
         hi = tuple(a + F(rng.randint(1, 40), 64) for a in lo)
         boxes.append(Box(space, lo, hi))
         balls.append(Ball(space, center, radius))
-    verdict = _assert_agrees(boxes, balls)
+    verdict = _assert_agrees(monkeypatch, boxes, balls)
     # floats settle almost every random pair, both ways
     assert verdict.count(1) > 20 and verdict.count(0) > 20
     assert verdict.count(-1) <= 8
@@ -350,7 +333,7 @@ def test_box_in_ball_verdicts_agree_with_the_corner_test(dim, metric):
     "dim,offsets,r_euclid,r_cheb",
     [(1, (3,), 3, 3), (2, (3, 4), 5, 4), (3, (1, 2, 2), 3, 2), (2, (5, 12), 13, 12)],
 )
-def test_box_corners_on_the_sphere(dim, offsets, r_euclid, r_cheb):
+def test_box_corners_on_the_sphere(monkeypatch, dim, offsets, r_euclid, r_cheb):
     t = F(1, 64)
     for metric, r in (("euclidean", r_euclid), ("chebyshev", r_cheb)):
         space = build_grid_space(dim, F(1, 8), metric_kind=metric)
@@ -368,45 +351,46 @@ def test_box_corners_on_the_sphere(dim, offsets, r_euclid, r_cheb):
             Ball(space, center, r * t / 2),
         ]
         boxes = [box] * len(balls) + [skew] * len(balls)
-        verdict = _assert_agrees(boxes, balls + balls)
+        with monkeypatch.context() as patch:
+            verdict = _assert_agrees(patch, boxes, balls + balls)
         assert not analytic_contains(box, balls[0]) and analytic_contains(box, balls[1])
         assert verdict[3] == 1 and verdict[4] == 0
 
 
-def test_box_in_ball_verdicts_leave_other_pairs_and_extreme_values_undecided():
+def test_box_in_ball_verdicts_leave_other_pairs_and_extreme_values_undecided(monkeypatch):
     space = build_grid_space(2, F(1, 8))
     ball = Ball(space, 40, F(1, 4))
     box = Box(space, (F(1, 2), F(1, 2)), (F(9, 16), F(9, 16)))
     co = CoClosedBalls(space, ((0, F(1, 8)),))
     huge = Box(space, (F(-(10**400)), F(0)), (F(10**400), F(1, 8)))
     tiny = Ball(space, 40, F(1, 10**400))
-    other = build_grid_space(2, F(1, 8))
-    pairs = [
-        (ball, ball), (box, co), (co, ball), (huge, ball), (box, tiny),
-        (Box(other, box.lo, box.hi), ball),
-        (Box(other, box.lo, box.hi), Ball(other, 40, F(1))),
-    ]
-    verdict = _assert_agrees([p[0] for p in pairs], [p[1] for p in pairs])
-    # pairs off the first region's space are left to the exact test
-    assert verdict[:3] == [-1, -1, -1] and verdict[5:] == [-1, -1]
-    assert 1 not in verdict
+    pairs = [(box, co), (huge, ball), (box, tiny)]
+    with monkeypatch.context() as patch:
+        verdict = _assert_agrees(patch, [p[0] for p in pairs], [p[1] for p in pairs])
+    # a box-in-co-ball pair and box ends past float range go to the exact test
+    assert verdict[:2] == [-1, -1] and 1 not in verdict
     two_adic = builtin_space("cantor_2adic_10")
     b2 = Box(two_adic, (F(0),), (F(1, 9),))
-    assert box_in_ball_verdicts([b2], [Ball(two_adic, 0, F(1, 2))]).tolist() == [-1]
+    assert _assert_agrees(monkeypatch, [b2], [Ball(two_adic, 0, F(1, 2))]) == [-1]
+    # a family meets only covers on its own space
+    other = build_grid_space(2, F(1, 8))
+    with pytest.raises(InputError, match="share one space"):
+        containers(box_family(space, [box]), Cover(other, [Ball(other, 40, F(1))]))
 
 
-def test_given_witness_falls_back_to_sample_containment():
+def test_given_witness_falls_back_to_sample_containment(monkeypatch):
     space = build_grid_space(1, F(1, 8))
     ball = Ball(space, 4, F(3, 16))  # holds the points 3/8, 1/2, 5/8
     cover = Cover(space, [ball, Box(space, (F(-1),), (F(2),))])
     wide = Box(space, (F(9, 32),), (F(23, 32),))  # analytically not inside
-    assert box_in_ball_verdicts([wide], [ball]).tolist() == [0]
-    fam = DisjointFamily([wide], cover, witness=[0])
+    assert _assert_agrees(monkeypatch, [wide], [ball]) == [0]
+    fam = DisjointFamily(box_family(space, [wide]), cover, witness=[0])
     assert fam.witness == (0,) and fam.witness_kinds == ("sample",)
-    assert DisjointFamily([wide], cover, witness=[1]).witness_kinds == ("analytic",)
+    fam = DisjointFamily(box_family(space, [wide]), cover, witness=[1])
+    assert fam.witness_kinds == ("analytic",)
     wider = Box(space, (F(1, 4) - F(1, 64),), (F(11, 16),))
     with pytest.raises(CheckFailure, match="does not hold on the sample"):
-        DisjointFamily([wider], cover, witness=[0])
+        DisjointFamily(box_family(space, [wider]), cover, witness=[0])
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "chebyshev"])
@@ -503,13 +487,26 @@ def covers(draw, space):
     return Cover(space, regions)
 
 
-def _certified(members, cover, witness):
+def _certified(fam, cover, witness):
     """A DisjointFamily's certificates, or the text of its refusal."""
     try:
-        fam = DisjointFamily(members, cover, witness)
+        made = DisjointFamily(fam, cover, witness)
     except CheckFailure as exc:
         return str(exc), None
-    return (fam.witness, fam.witness_kinds), fam
+    return (made.witness, made.witness_kinds), made
+
+
+def _certified_oracle(boxes, cover, witness):
+    """The certificates or refusal of a family of the boxes, by the
+    per-region checks."""
+    dis = disjoint_oracle(boxes, cover.space.mesh)
+    if not dis.ok:
+        pair, reason = dis.violating_pair, dis.reason
+        return f"family is not pairwise disjoint: regions {pair} ({reason})"
+    found = containers_oracle(boxes, cover, [[w] for w in witness])
+    if None in found:
+        return "refinement witness does not hold on the sample"
+    return tuple(witness), tuple(hit[1] for hit in found)
 
 
 @settings(max_examples=200, deadline=None)
@@ -538,33 +535,34 @@ def test_box_families_match_the_per_box_path(data):
     cands = [data.draw(st.lists(st.integers(0, k - 1), max_size=4)) for _ in boxes]
     for given_cands in (None, cands):
         for sample in (True, False):
-            assert containers(fam, cover, given_cands, sample) == containers(
+            assert containers(fam, cover, given_cands, sample) == containers_oracle(
                 boxes, cover, given_cands, sample
             )
     # disjointness reports at margins that pass and fail, and certified families
     for margin in (F(0), space.mesh, F(1, 16), F(1, 3)):
-        assert pairwise_disjoint_check(fam, margin) == pairwise_disjoint_check(boxes, margin)
+        assert pairwise_disjoint_check(fam, margin) == disjoint_oracle(boxes, margin)
     witness = [data.draw(st.integers(0, k - 1)) for _ in boxes]
     if len(held) == len(fam) and data.draw(st.booleans()):
         witness = want  # the Lebesgue witnesses, as a block builder gives them
-    for given_witness in (None, witness):
-        (got, made), (expected, old) = (
-            _certified(members, cover, given_witness) for members in (fam, boxes)
-        )
-        assert got == expected
-    if made is not None:  # a subfamily of each, with the certified witness
+    got, made = _certified(fam, cover, witness)
+    assert got == _certified_oracle(boxes, cover, witness)
+    if made is not None:  # a subfamily, with the certified witness
         order = data.draw(st.permutations(range(len(fam))))
         keep = order[: data.draw(st.integers(0, len(fam)))]
-        sub, old = made.subfamily(keep), old.subfamily(keep)
-        assert sub.regions == old.regions and sub.witness_kinds == old.witness_kinds
-        assert np.array_equal(sub.union_mask(), old.union_mask())
+        sub = made.subfamily(keep)
+        assert sub.regions == tuple(boxes[i] for i in keep)
+        assert sub.witness_kinds == tuple(made.witness_kinds[i] for i in keep)
+        union = np.zeros(space.n, dtype=bool)
+        for i in keep:
+            union |= region_mask(boxes[i])
+        assert np.array_equal(sub.union_mask(), union)
 
 
 # -- op-count gates -----------------------------------------------------------------
 
 
 def test_cantor_demo_sends_no_level_box_pair_to_the_exact_gap(monkeypatch):
-    calls = _count_calls(monkeypatch, covers_module, "analytic_gap_ge")
+    calls = _count_calls(monkeypatch, covers_module, "_family_gap_ge")
     code, _ = run(["demo", "--label", "cantor_10", "--horizon", "12"])
     assert code == 0
     assert len(calls) <= 100  # 76,699 with all pairs of every family up to 64
@@ -611,7 +609,8 @@ def _count_boxes_inside(monkeypatch, owner, name):
 
 
 def test_square_demo_settles_containment_in_floats(monkeypatch):
-    calls = _count_calls(monkeypatch, covers_module, "analytic_contains")
+    calls = _count_calls(monkeypatch, covers_module, "_family_contains")
+    witnessed = _count_calls(monkeypatch, screenability, "_witness_class")
     sizes = _count_sweeps(monkeypatch, covers_module)
     boxes, pointwise = _count_boxes_inside(monkeypatch, screenability, "_pointwise_family")
     members = _count_everywhere(monkeypatch, "region_members")
@@ -629,8 +628,10 @@ def test_square_demo_settles_containment_in_floats(monkeypatch):
     assert len(calls) <= 500  # 21,181 with exact corners
     # subfamilies inherit disjointness: 16 sweeps when each was re-checked
     assert sum(k >= 2 for k in sizes) <= 8
-    # the game builds each block once: 2 when every round rebuilt its blocks
-    assert len(pointwise) <= 1
+    # the game builds each block once: 2 when every round rebuilt its blocks;
+    # the demo reads its first block from the game's covers: 7 classes
+    # witnessed when it built that block again
+    assert len(pointwise) <= 1 and len(witnessed) <= 4
     # block families are integer arrays: 4,249 Box objects, 4,225 of them
     # point boxes, 46,830 region_members and 103,003 _float_bounds calls
     # when every family member was a Box
@@ -652,7 +653,7 @@ def test_fincspace_decides_box_pairs_in_integers(monkeypatch, tmp_path):
     finally:
         sys.path.pop(0)
     argv = dict(workloads.build("line_search", 1305, tmp_path))["fincspace"]
-    calls = _count_calls(monkeypatch, covers_module, "analytic_contains")
+    calls = _count_calls(monkeypatch, covers_module, "_family_contains")
     boxes = _count_calls(monkeypatch, Box, "__post_init__")
     code, doc = run(argv)
     assert code == 0 and doc["result"]["n"] == 2
@@ -668,9 +669,9 @@ def test_golden_refine_sweeps_each_family_once(monkeypatch):
     assert len(sizes) == 2  # 4 when the report swept the families again
 
 
-def test_golden_fincspace_scan_runs_no_refines_check(monkeypatch):
-    scanning, calls = [], []
-    scan, check = screenability._scan_candidates, covers_module.refines_check
+def test_golden_fincspace_scan_decides_each_class_in_one_call(monkeypatch):
+    scanning, sizes = [], []
+    scan, decide = screenability._scan_candidates, covers_module.containers
 
     def counted_scan(*args):
         scanning.append(True)
@@ -679,17 +680,19 @@ def test_golden_fincspace_scan_runs_no_refines_check(monkeypatch):
         finally:
             scanning.pop()
 
-    def counted_check(*args):
-        calls.extend(scanning[:1])
-        return check(*args)
+    def counted_decide(inner, *args, **kwargs):
+        if scanning:
+            sizes.append(len(inner))
+        return decide(inner, *args, **kwargs)
 
     monkeypatch.setattr(screenability, "_scan_candidates", counted_scan)
-    for owner in (covers_module, screenability):
-        monkeypatch.setattr(owner, "refines_check", counted_check, raising=False)
+    monkeypatch.setattr(screenability, "containers", counted_decide)
     code, doc = run(["fincspace", "--space", str(GOLDEN / "space.json"),
                      "--covers", str(GOLDEN / "covers.json")])
     assert code == 0 and doc["result"]["n"] == 2
-    assert calls == []  # 46 with one refines_check per candidate box
+    # one call per candidate class and stage cover, 30 for the 46 candidate
+    # boxes: 46 calls when every candidate box was checked on its own
+    assert sum(sizes) == 46 and len(sizes) == 30
 
 
 def test_point_isolating_family_needs_no_exact_pair(monkeypatch):

@@ -15,9 +15,7 @@ from covergames.covers import (
     Cover,
     CoverSeq,
     DisjointFamily,
-    pairwise_disjoint_check,
     containers,
-    refines_check,
     region_mask,
     region_members,
 )
@@ -36,6 +34,7 @@ from covergames.game import (
 )
 from covergames.netting import greedy_net
 from covergames.space import build_cantor_space, build_grid_space
+from oracles import box_family, pairwise_disjoint_check, refines_oracle
 
 
 def overlapping_interval_covers(s, horizon, step=F(3, 100)):
@@ -86,7 +85,7 @@ class TestStrategyMove:
             union |= fam.union_mask()
         assert union.all()
         for off, fam in enumerate(move):
-            assert refines_check(fam.regions, covers.cover(3 + off)).ok
+            assert refines_oracle(fam.regions, covers.cover(3 + off))[0]
 
     def test_suffix_too_short(self, interval_64):
         s = interval_64
@@ -206,7 +205,7 @@ class TestAssemble:
             fam = res.family(n)
             assert len(fam) < 100
             assert pairwise_disjoint_check(fam.regions, s.mesh).ok
-            assert refines_check(fam.regions, covers.cover(n)).ok
+            assert refines_oracle(fam.regions, covers.cover(n))[0]
         # clause 3: the block clause via the recorded tail indices
         for lo, hi in res.usable_blocks():
             union = np.zeros(s.n, dtype=bool)
@@ -254,9 +253,9 @@ class TestAssemble:
         res = sc_plus_select(s, covers)
         for n in range(1, 9):
             cov, fam = covers.cover(n), res.family(n)
-            assert None not in containers(fam.regions, cov)
+            assert None not in containers(fam.family, cov)
             # the inherited witnesses hold too, with the evidence they record
-            found = containers(fam.regions, cov, [[w] for w in fam.witness])
+            found = containers(fam.family, cov, [[w] for w in fam.witness])
             assert found == list(zip(fam.witness, fam.witness_kinds))
 
     def test_not_lost_rejected(self, interval_64):
@@ -422,7 +421,7 @@ def random_disjoint_family(s, parent, rng):
         if rng.random() >= 0.15:
             boxes.append(Box(s, (k * h - h / 4,), (end * h + h / 4,)))
         k = end + 1
-    return DisjointFamily(boxes, parent, witness=[0] * len(boxes))
+    return DisjointFamily(box_family(s, boxes), parent, witness=[0] * len(boxes))
 
 
 def test_lazy_greedy_matches_the_two_path_policy():
@@ -502,7 +501,7 @@ def run_family(s, parent, rng, run):
         if rng.random() >= 0.15:
             boxes.append(Box(s, (k * h - h / 4,), (end * h + h / 4,)))
         k = end + 1
-    return DisjointFamily(boxes, parent, witness=[0] * len(boxes))
+    return DisjointFamily(box_family(s, boxes), parent, witness=[0] * len(boxes))
 
 
 @settings(max_examples=150, deadline=None)

@@ -13,7 +13,6 @@ from covergames.covers import (
     Ball,
     CoClosedBalls,
     covers_check,
-    pairwise_disjoint_check,
     region_mask,
 )
 from covergames.exact import CheckFailure, InputError
@@ -25,6 +24,7 @@ from covergames.haver import (
 )
 from covergames.netting import chain_decomposition
 from covergames.space import diameter, paired_delta
+from oracles import analytic_contains, pairwise_disjoint_check
 
 
 def staircase_chain(s, horizon, quarter=4):
@@ -156,8 +156,6 @@ class TestWitness:
         chain = chain_decomposition(s, [s.subset_all()] * horizon)
         sched = normalize_epsilons([F(1, 4) ** n for n in range(1, horizon + 1)])
         w = build_haver_witness(s, chain, sched)
-        from covergames.covers import analytic_contains
-
         for n, fam in enumerate(w.families, start=1):
             cover = w.stage_covers.covers.cover(n)
             for region, widx in zip(fam.regions, fam.witness):

@@ -147,7 +147,7 @@ def test_only_the_space_reads_first_axis_windows():
 def test_only_covers_decides_containment():
     # containment has one decider, covers.containers: no other module calls
     # the kinds of evidence it combines
-    evidence = {"analytic_contains", "box_in_ball_verdicts", "sample_contains"}
+    evidence = {"_family_verdicts", "_family_contains", "_corner_verdicts"}
     found = [
         f"{path.name}:{node.lineno} {name}"
         for path in sorted(SRC.glob("*.py"))
@@ -157,6 +157,19 @@ def test_only_covers_decides_containment():
         and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in evidence
     ]
     assert found == [], f"containment decided outside covers.py: {found}"
+
+
+def test_families_have_one_type():
+    # every family is a BoxFamily: no code path asks whether it is one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and "BoxFamily" in ast.unparse(node.args[1])
+    ]
+    assert found == [], f"a family type is tested: {found}"
 
 
 def _references(tree):

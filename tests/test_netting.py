@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import covergames.netting as netting_module
 from covergames.cli import Report, pipeline_demo
-from covergames.covers import Ball, Cover, CoverSeq, refines_check
+from covergames.covers import Ball, Cover, CoverSeq
 from covergames.exact import CheckFailure, InputError, ResourceError, exact_sqrt
 from covergames.game import hurewicz_selection_check
 from covergames.netting import (
@@ -32,6 +32,7 @@ from covergames.space import (
     doubling_delta,
     paired_delta,
 )
+from oracles import refines_oracle
 
 
 def is_valid_net(space, subset, centers, eps) -> bool:
@@ -403,7 +404,7 @@ class TestSelectFromDecomposition:
         sel = select_from_decomposition(s, dec, covers)
         # oracle: the fitted balls refine the cover
         fitted = [Ball(s, c, sel.nets[0].epsilon) for c in sel.nets[0].centers]
-        assert refines_check(fitted, cover).ok
+        assert refines_oracle(fitted, cover)[0]
 
     def test_round_trip(self, interval_256):
         # selections -> chain -> per-stage ball picks -> chain again: the

@@ -18,7 +18,6 @@ import gc
 import json
 import random
 import weakref
-from dataclasses import astuple
 from fractions import Fraction as F
 from math import isqrt
 from pathlib import Path
@@ -36,14 +35,12 @@ from covergames.covers import (
     Box,
     CoClosedBalls,
     Cover,
-    analytic_contains,
     containers,
     contains,
     covers_check,
     lebesgue_argmax_region,
     lebesgue_number,
     pairwise_disjoint_check,
-    refines_check,
     region_mask,
     region_members,
     union_mask,
@@ -60,6 +57,7 @@ from covergames.space import (
     cantor_points,
     doubling_delta,
 )
+from oracles import box_family, containers_oracle
 
 # -- oracles ------------------------------------------------------------------------
 
@@ -136,33 +134,6 @@ def argmax_oracle(cover: Cover, p: int, lam: F) -> int:
             if cr is not None and cr >= lam:
                 return ridx
         tol = covers_module._finer_tolerance(space, p, tol)
-
-
-def refines_oracle(fine, coarse: Cover):
-    """The refines_check loop that containers replaced, as (ok, witness,
-    counterexample): per fine region, the first coarse region analytically
-    containing it, else the first whose dense mask holds all its members;
-    the first failure names a member escaping the largest-overlap region."""
-    masks = [region_mask(r) for r in coarse.regions]
-    witness = []
-    for fidx, f in enumerate(fine):
-        found = None
-        for cidx, c in enumerate(coarse.regions):
-            if analytic_contains(f, c):
-                found = (cidx, "analytic")
-                break
-        fm = region_members(f)
-        if found is None:
-            for cidx, cm in enumerate(masks):
-                if bool(cm[fm].all()):
-                    found = (cidx, "sample")
-                    break
-        if found is None:
-            overlaps = [int(np.count_nonzero(cm[fm])) for cm in masks]
-            escape = fm[~masks[int(np.argmax(overlaps))][fm]] if masks else fm
-            return False, None, (fidx, int(escape[0]) if escape.size else None)
-        witness.append(found)
-    return True, tuple(witness), None
 
 
 def net_oracle(space, cert: NetCertificate) -> bool:
@@ -503,7 +474,7 @@ def test_cover_missing_the_lowest_point_fails_its_checks():
     report = covers_check(Cover(s, [below, rest]))
     assert not report.ok and report.failure_point == 0
     assert union_mask(s, [below, rest]).tolist() == [False] + [True] * (s.n - 1)
-    assert pairwise_disjoint_check([below, rest], F(0)).ok
+    assert pairwise_disjoint_check(box_family(s, [below, rest]), F(0)).ok
 
 
 def test_refine_on_a_cover_missing_the_lowest_point_exits_1(tmp_path):
@@ -546,27 +517,25 @@ def test_member_cache_does_not_keep_its_space_alive():
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_containers_and_refines_check_match_the_old_loop(data):
+def test_containers_match_the_old_loop(data):
     space = data.draw(spaces())
     coarse = Cover(space, data.draw(st.lists(regions(space), max_size=4)))
-    inner = regions(space)
-    if coarse.regions:  # copies and shrunk copies of coarse regions contain
-        taken = st.sampled_from(coarse.regions)
+    inner = regions(space).filter(lambda r: isinstance(r, Box))
+    if any(isinstance(r, Box) for r in coarse.regions):
+        # copies and shrunk copies of coarse boxes contain
+        taken = st.sampled_from([r for r in coarse.regions if isinstance(r, Box)])
         inner = st.one_of(inner, taken, taken.map(_shrunk))
-    fine = data.draw(st.lists(inner, max_size=4))
-    assert astuple(refines_check(fine, coarse)) == refines_oracle(fine, coarse)
-    want = [refines_oracle([f], coarse)[1] for f in fine]
-    assert containers(fine, coarse) == [w and w[0] for w in want]
+    # the family's boxes are open
+    fine = [Box(space, b.lo, b.hi) for b in data.draw(st.lists(inner, max_size=4))]
+    fam = box_family(space, fine)
+    assert containers(fam, coarse) == containers_oracle(fine, coarse)
     # candidate lists: the first holding candidate, analytic evidence first
     ks = st.integers(0, len(coarse.regions) - 1)
     cands = [data.draw(st.lists(ks, max_size=4)) if coarse.regions else [] for _ in fine]
-    want = []
-    for f, cs in zip(fine, cands):
-        ok, w, _ = refines_oracle([f], Cover(space, [coarse.regions[c] for c in cs]))
-        want.append((cs[w[0][0]], w[0][1]) if ok else None)
-    assert containers(fine, coarse, cands) == want
+    want = containers_oracle(fine, coarse, cands)
+    assert containers(fam, coarse, cands) == want
     analytic = [w if w and w[1] == "analytic" else None for w in want]
-    assert containers(fine, coarse, cands, sample=False) == analytic
+    assert containers(fam, coarse, cands, sample=False) == analytic
 
 
 # -- nets ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ from covergames.covers import (
     Cover,
     CoverSeq,
     lebesgue_number,
-    pairwise_disjoint_check,
-    refines_check,
     region_mask,
     union_mask,
 )
@@ -36,6 +34,7 @@ from covergames.screenability import (
     sc_fin_select,
 )
 from covergames.space import CantorStructure, build_cantor_space, build_grid_space
+from oracles import pairwise_disjoint_check, refines_oracle
 
 
 def crossing_cover(s):
@@ -94,8 +93,7 @@ def assert_valid_refinement(space, cover, families):
     for fam in families:
         dis = pairwise_disjoint_check(fam.regions, space.mesh)
         assert dis.ok, dis
-        ref = refines_check(fam.regions, cover)
-        assert ref.ok
+        assert refines_oracle(fam.regions, cover)[0]
         union |= fam.union_mask()
     assert union.all()
 
@@ -178,7 +176,7 @@ class TestBrickGrid:
         fine = crossing_cover(s)
         families = brick_refinement(s, fine)
         for fam in families:
-            assert refines_check(fam.regions, coarse).ok
+            assert refines_oracle(fam.regions, coarse)[0]
 
 
 class TestScFinSelect:
@@ -207,7 +205,7 @@ class TestScFinSelect:
         sel = sc_fin_select(s, covers)
         for n, fam in enumerate(sel.families, start=1):
             assert pairwise_disjoint_check(fam.regions, s.mesh).ok
-            assert refines_check(fam.regions, covers.cover(n)).ok
+            assert refines_oracle(fam.regions, covers.cover(n))[0]
         # per-block coverage, stronger than required
         for lo in sel.block_starts:
             hi = min(lo + s.screen_dim, covers.horizon)
