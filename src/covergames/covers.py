@@ -1108,9 +1108,6 @@ class DisjointFamily:
         """The members as Box objects, built on first use."""
         return self.family.boxes()
 
-    def members(self, i: int) -> np.ndarray:
-        return self.family.members(i)
-
     def union_mask(self, keep: Sequence[int] | None = None) -> np.ndarray:
         """The sample points in some member (some member at the indices
         keep, when given)."""

@@ -285,11 +285,11 @@ def _containing_balls(
 def _member_diameters(fam: DisjointFamily) -> list:
     """space.diameter of every member; a member of one point has 0 with no
     query (every member of a point-isolating family)."""
-    sizes = np.diff(fam.family.indptr).tolist()
+    boxes = fam.family
     point = diameter(fam.space, [0])
     return [
-        point if k == 1 else diameter(fam.space, fam.members(i))
-        for i, k in enumerate(sizes)
+        point if k == 1 else diameter(fam.space, boxes.members(i))
+        for i, k in enumerate(np.diff(boxes.indptr).tolist())
     ]
 
 

@@ -338,7 +338,7 @@ def sc_fin_select(space: SampledSpace, covers: CoverSeq) -> ScSelection:
     covers.validate()
     families = [f for lo in starts for f in _block(covers, lo)[0]]
     refs = [(n, r) for n, fam in enumerate(families, start=1) for r in range(len(fam))]
-    members = [fam.members(i) for fam in families for i in range(len(fam))]
+    members = [fam.family.members(i) for fam in families for i in range(len(fam))]
     hit = first_hit(members, space.n)
     if (hit < 0).any():
         missing = int(np.flatnonzero(hit < 0)[0])
