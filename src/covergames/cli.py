@@ -46,7 +46,6 @@ from .netting import (
 from .registry import builtin_names, builtin_space
 from .screenability import (
     FiniteCWitness,
-    _block,
     brick_refinement,
     finite_c_search,
     sc_fin_select,
@@ -409,16 +408,13 @@ def pipeline_demo(space: SampledSpace, horizon: int, report: Report) -> None:
 
     # surface the refinement width: the first block of the stage covers
     # splits into screen_dim + 1 honest disjoint families (the block the
-    # game built on these covers)
-    d = space.screen_dim
-    stage_covers = witness.stage_covers.covers
-    if d is not None and stage_covers.horizon >= d + 1:
-        families = _block(stage_covers, 1)[0]
-        report.check(
-            "first_block_family_count",
-            len(families) == d + 1,
-            families=len(families),
-        )
+    # game built on these covers, counted by the witness)
+    families = witness.first_block_families
+    report.check(
+        "first_block_family_count",
+        families == space.screen_dim + 1,
+        families=families,
+    )
 
     report.result(
         space=space.label,

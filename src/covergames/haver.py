@@ -173,6 +173,9 @@ class HaverWitness:
     traces: tuple[ClaimTrace, ...]
     blocks: tuple[int, ...]
     stage_covers: StageCovers
+    # families in the game's first block of the stage covers; None when it
+    # fell back to point-isolating boxes
+    first_block_families: int | None
 
 
 def build_haver_witness(
@@ -193,6 +196,12 @@ def build_haver_witness(
             raise CheckFailure(f"chain is not monotone at stage {n}", witness=n)
     stage_covers = build_stage_covers(space, chain, schedule)
     engine_out = sc_plus_select(space, stage_covers.covers)
+    # the game leaves its blocks on the covers, a fallback one with a box
+    # per point; only the first block's width is read afterwards
+    built = stage_covers.covers._blocks
+    first = built.get(1)
+    first_block_families = None if first is None or first[1] else len(first[0])
+    built.clear()
     horizon = schedule.horizon
 
     families: list[DisjointFamily] = []
@@ -248,6 +257,7 @@ def build_haver_witness(
         tuple(traces),
         blocks,
         stage_covers,
+        first_block_families,
     )
 
 

@@ -11,7 +11,9 @@ index k_i on axis i only rules out the single class congruent to k_i + 1.
 Cell sides are whole multiples of h.  This working-resolution discipline is
 what keeps the search honest: a single color class can never cover a grid
 sample (the face at h/2 separates the points 0 and h), which is exactly the
-dimension-theoretic behavior the construction is meant to exhibit.  Covers
+dimension-theoretic behavior the construction is meant to exhibit.  Past
+the 64 refutations it reports, the finite-C search refutes a candidate
+whose classes miss a point from the point-cell table alone.  Covers
 strictly finer than the sample resolution admit no such brick grid; the game
 pipelines then fall back to point-isolating boxes (a finite sample is
 honestly zero-dimensional at sub-resolution scales), but the public
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from math import lcm
 
 import numpy as np
@@ -102,11 +105,7 @@ def build_brick_grid(space: SampledSpace, cell_side: Fraction) -> tuple[BoxFamil
     top = (2 * int(1 / h) - 1) // (2 * m)
     den = lcm(space.scale, (h / 2).denominator)
     hd = int(h * den)  # even: the faces sit at h/2 modulo h
-    cells = space._icoords // int(h * space.scale)  # the grid index on every axis
-    cells *= 2
-    cells -= 1
-    cells //= 2 * m
-    cells = cells.astype(np.int32)
+    cells = _brick_cells(space, m)
     classes = []
     for c in range(period):
         shifted = range(-1 - c, top + 1 - c)
@@ -123,6 +122,17 @@ def build_brick_grid(space: SampledSpace, cell_side: Fraction) -> tuple[BoxFamil
         lo = lo[grid]
         classes.append(BoxFamily(space, den, lo, lo + d * m * hd, indptr, indices))
     return tuple(classes)
+
+
+def _brick_cells(space: SampledSpace, m: int) -> np.ndarray:
+    """Each point's brick cell on every axis at cell side m*h: the point k*h
+    lies in cell (2k-1)//(2m)."""
+    _, h = _grid_params(space)
+    cells = space._icoords // int(h * space.scale)  # the grid index on every axis
+    cells *= 2
+    cells -= 1
+    cells //= 2 * m
+    return cells.astype(np.int32)
 
 
 def _witness_class(boxes: BoxFamily, cover: Cover, lam: Fraction) -> DisjointFamily:
@@ -363,6 +373,9 @@ class NoWitnessAtHorizon:
     refutations: tuple[tuple[str, int], ...]  # (candidate label, uncovered point)
 
 
+_REFUTATIONS_KEPT = 64  # the first refutations a negative answer carries
+
+
 def finite_c_search(
     space: SampledSpace, covers: CoverSeq
 ) -> FiniteCWitness | NoWitnessAtHorizon:
@@ -374,8 +387,11 @@ def finite_c_search(
     cover element, each class rotation; each Cantor level) is tried, keeping
     per candidate only the boxes that refine.  On a grid of dimension d the
     answer is d+1 for generic covers whenever the resolution suffices.  A
-    negative answer carries the per-candidate refutations (an uncovered
-    sample point each).
+    negative answer carries the count of refuted candidates and the first 64
+    refutations, each the lowest sample point the kept boxes miss.  Past
+    those 64, a candidate whose unfiltered classes for stages 1..n miss a
+    point is refuted by that alone (the kept boxes are some of the class
+    boxes), with no containment test and no brick layout.
     """
     covers.validate()
     d = _screen_dim(space)
@@ -394,22 +410,34 @@ def finite_c_search(
         count += tried
         if found is not None:
             return FiniteCWitness(n, found)
-    return NoWitnessAtHorizon(covers.horizon, count, tuple(refutations[:64]))
+    return NoWitnessAtHorizon(
+        covers.horizon, count, tuple(refutations[:_REFUTATIONS_KEPT])
+    )
 
 
-def _candidate_class_lists(space: SampledSpace, horizon_extent: Fraction):
-    """All brick candidates at the working resolution: (label, class list)."""
+def _candidates(space: SampledSpace, horizon_extent: Fraction):
+    """All brick candidates at the working resolution, in scan order:
+    (label, held, grid, order).  grid() lays out the classes (a grid side's
+    once for all its rotations), the candidate's j-th class is
+    grid()[order[j]], and held[j] masks the points that class holds before
+    any filtering: a grid point is in class c unless (cell - c) mod (d+1)
+    == d on some axis."""
     if isinstance(space.structure, GridStructure):
-        d, _ = _grid_params(space)
+        d, h = _grid_params(space)
+        period = d + 1
         for s in reversed(admissible_cell_sides(space, horizon_extent)):
-            grid = build_brick_grid(space, s)
-            for rot in range(d + 1):
-                classes = tuple(grid[(c + rot) % (d + 1)] for c in range(d + 1))
-                yield f"side={s},rot={rot}", classes
+            r = _brick_cells(space, int(s / h)) % period
+            held = np.stack([(r != (c - 1) % period).all(axis=1) for c in range(period)])
+            grid = cache(partial(build_brick_grid, space, s))
+            for rot in range(period):
+                order = [(c + rot) % period for c in range(period)]
+                yield f"side={s},rot={rot}", held[order], grid, order
     elif isinstance(space.structure, CantorStructure):
-        depth = space.structure.depth
-        for L in range(depth + 1):
-            yield f"level={L}", (_cantor_level_boxes(space, L, Fraction(1, 4 * 3**L)),)
+        for L in range(space.structure.depth + 1):
+            family = _cantor_level_boxes(space, L, Fraction(1, 4 * 3**L))
+            held = np.zeros((1, space.n), dtype=bool)
+            held[0, family.indices] = True
+            yield f"level={L}", held, lambda f=family: (f,), [0]
 
 
 def _max_element_extent(covers: CoverSeq) -> Fraction:
@@ -432,12 +460,17 @@ def _scan_candidates(
     space: SampledSpace, prefix: CoverSeq, refutations: list[tuple[str, int]]
 ) -> tuple[tuple[DisjointFamily, ...] | None, int]:
     """Try every brick candidate against the prefix covers; return witnessed
-    families on the first success, recording a refutation point otherwise."""
+    families on the first success, recording a refutation point otherwise
+    (past the kept refutations, one the unfiltered classes show is only
+    counted)."""
     n = prefix.horizon
     tried = 0
     extent = _max_element_extent(prefix)
-    for label, classes in _candidate_class_lists(space, extent):
+    for label, held, grid, order in _candidates(space, extent):
         tried += 1
+        if len(refutations) >= _REFUTATIONS_KEPT and not held[:n].any(axis=0).all():
+            continue
+        classes = [grid()[c] for c in order]
         staged = []  # (class, indices of the boxes kept, their parents)
         union = np.zeros(space.n, dtype=bool)
         for stage in range(1, n + 1):

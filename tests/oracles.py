@@ -5,7 +5,9 @@ The package decides containment and disjointness on box families
 kept as oracles: the exact analytic containment and gap tests on region
 objects, the per-region disjointness check with its per-box float filter,
 the refinement loop that `containers` replaced, and a helper that turns a
-list of `Box` objects into a `BoxFamily` through the per-box queries.
+list of `Box` objects into a `BoxFamily` through the per-box queries.  The
+finite-C candidate scan that built and tested every candidate, with no
+refutation prefilter, is kept here too.
 """
 
 from __future__ import annotations
@@ -22,11 +24,21 @@ from covergames.covers import (
     BoxFamily,
     CoClosedBalls,
     Cover,
+    CoverSeq,
+    DisjointFamily,
     DisjointReport,
+    containers,
     region_mask,
     region_members,
 )
-from covergames.space import csr
+from covergames.screenability import (
+    _cantor_level_boxes,
+    _grid_params,
+    _max_element_extent,
+    admissible_cell_sides,
+    build_brick_grid,
+)
+from covergames.space import CantorStructure, GridStructure, SampledSpace, csr
 
 
 def box_family(space, boxes) -> BoxFamily:
@@ -302,3 +314,49 @@ def containers_oracle(boxes, cover: Cover, candidates=None, sample=True):
         hit = (cs[w[0][0]], w[0][1]) if ok else None
         out.append(hit if sample or hit is None or hit[1] == "analytic" else None)
     return out
+
+
+# -- the finite-C candidate scan ----------------------------------------------------
+
+
+def _candidate_class_lists(space: SampledSpace, horizon_extent: Fraction):
+    """All brick candidates at the working resolution: (label, class list)."""
+    if isinstance(space.structure, GridStructure):
+        d, _ = _grid_params(space)
+        for s in reversed(admissible_cell_sides(space, horizon_extent)):
+            grid = build_brick_grid(space, s)
+            for rot in range(d + 1):
+                classes = tuple(grid[(c + rot) % (d + 1)] for c in range(d + 1))
+                yield f"side={s},rot={rot}", classes
+    elif isinstance(space.structure, CantorStructure):
+        depth = space.structure.depth
+        for L in range(depth + 1):
+            yield f"level={L}", (_cantor_level_boxes(space, L, Fraction(1, 4 * 3**L)),)
+
+
+def _scan_candidates(
+    space: SampledSpace, prefix: CoverSeq, refutations: list[tuple[str, int]]
+) -> tuple[tuple[DisjointFamily, ...] | None, int]:
+    """Try every brick candidate against the prefix covers; return witnessed
+    families on the first success, recording a refutation point otherwise."""
+    n = prefix.horizon
+    tried = 0
+    extent = _max_element_extent(prefix)
+    for label, classes in _candidate_class_lists(space, extent):
+        tried += 1
+        staged = []  # (class, indices of the boxes kept, their parents)
+        union = np.zeros(space.n, dtype=bool)
+        for stage in range(1, n + 1):
+            cls = classes[(stage - 1) % len(classes)]
+            found = containers(cls, prefix.cover(stage))
+            kept = [hit is not None for hit in found]
+            staged.append((cls, np.flatnonzero(kept), [h[0] for h in found if h]))
+            union[cls.indices[np.repeat(kept, np.diff(cls.indptr))]] = True
+        if union.all():
+            families = tuple(
+                DisjointFamily(cls.take(keep), prefix.cover(stage), witness=parents)
+                for stage, (cls, keep, parents) in enumerate(staged, start=1)
+            )
+            return families, tried
+        refutations.append((f"{label},n={n}", int(np.flatnonzero(~union)[0])))
+    return None, tried

@@ -7,7 +7,7 @@ import pytest
 
 from covergames import jsonio
 from covergames.cli import main, run
-from covergames.covers import Ball, Cover, CoverSeq
+from covergames.covers import Ball, Box, Cover, CoverSeq
 from covergames.netting import chain_decomposition
 from covergames.registry import builtin_names, builtin_space
 from covergames.space import build_grid_space, doubling_delta
@@ -163,6 +163,33 @@ class TestSubcommands:
         )
         assert code == 0
         assert doc["result"]["n"] == 2
+
+    def test_fincspace_without_a_witness(self, tmp_path):
+        # two boxes crossing on [2/5, 3/5] at horizon 1: no single brick
+        # class covers the 1/64 grid
+        s = build_grid_space(1, F(1, 64))
+        crossing = Cover(
+            s,
+            [
+                Box(s, (F(0),), (F(3, 5),), lo_closed=(True,)),
+                Box(s, (F(2, 5),), (F(1),), hi_closed=(True,)),
+            ],
+        )
+        jsonio.dump_json(jsonio.space_to_json(s), tmp_path / "space.json")
+        covers = jsonio.coverseq_to_json(CoverSeq(s, [crossing]))
+        jsonio.dump_json(covers, tmp_path / "covers.json")
+        code, doc = run(
+            [
+                "fincspace",
+                "--space", str(tmp_path / "space.json"),
+                "--covers", str(tmp_path / "covers.json"),
+            ]
+        )
+        assert code == 1 and doc["exit_code"] == 1
+        assert doc["checks"] == [
+            {"name": "witness_found", "pass": False, "candidates_refuted": 204}
+        ]
+        assert doc["result"] == {"no_witness_at_horizon": 1}
 
     def test_game_and_scplus(self, workdir):
         code, doc = run(

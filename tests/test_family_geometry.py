@@ -661,6 +661,24 @@ def test_fincspace_decides_box_pairs_in_integers(monkeypatch, tmp_path):
     assert len(calls) <= 1000 and len(boxes) <= 1000
 
 
+def test_fincspace_refutes_from_the_unfiltered_classes(monkeypatch, tmp_path):
+    # the same scan: all 2,814 candidates at n = 1 are refuted, and past the
+    # 64 refutations a report carries none needs a containment test or a
+    # brick layout
+    sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    argv = dict(workloads.build("line_search", 1305, tmp_path))["fincspace"]
+    decided = _count_calls(monkeypatch, screenability, "containers")
+    laid_out = _count_calls(monkeypatch, screenability, "build_brick_grid")
+    code, doc = run(argv)
+    assert code == 0 and doc["result"]["n"] == 2
+    # 2,814 and 1,409 when every candidate was laid out and tested
+    assert len(decided) <= 100 and len(laid_out) <= 64
+
+
 def test_golden_refine_sweeps_each_family_once(monkeypatch):
     sizes = _count_sweeps(monkeypatch, covers_module, cli)
     code, doc = run(["refine", "--space", str(GOLDEN / "space.json"),

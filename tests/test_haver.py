@@ -136,6 +136,18 @@ class TestWitness:
         assert trace.entry_stage == 4
         assert trace.stage >= 4
 
+    @pytest.mark.parametrize("top, width", [(F(4), 2), (F(1, 4), None)])
+    def test_first_block_counted_and_blocks_dropped(self, interval_64, top, width):
+        # eps_1 = 4 leaves room for bricks in block 1..2; eps_1 = 1/4 leaves
+        # none below the grid spacing, and the game falls back to
+        # point-isolating boxes there
+        s = interval_64
+        chain = chain_decomposition(s, [s.subset_all()] * 4)
+        sched = normalize_epsilons([top * F(1, 4) ** n for n in range(4)])
+        w = build_haver_witness(s, chain, sched)
+        assert w.first_block_families == width
+        assert w.stage_covers.covers._blocks == {}
+
     def _assert_witness_invariants(self, s, w, sched):
         union = np.zeros(s.n, dtype=bool)
         for n, fam in enumerate(w.families, start=1):

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covergames import screenability
 from covergames.covers import (
     Ball,
     Box,
@@ -34,6 +36,7 @@ from covergames.screenability import (
     sc_fin_select,
 )
 from covergames.space import CantorStructure, build_cantor_space, build_grid_space
+import oracles
 from oracles import pairwise_disjoint_check, refines_oracle
 
 
@@ -293,6 +296,122 @@ class TestFiniteC:
         for label, point in res.refutations:
             assert 0 <= point < s.n
 
+
+
+# -- the refutation prefilter against the scan that tested every candidate ---------
+
+
+def slab_cover(s, cuts, overlap):
+    """Boxes spanning every axis but the first, cut on the first axis at the
+    given points and widened by overlap on both sides."""
+    d = s.coord_dim
+    ends = [F(0), *sorted(set(cuts)), F(1)]
+    rest = (F(0),) * (d - 1), (F(1),) * (d - 1), (True,) * (d - 1)
+    regions = []
+    for a, b in zip(ends, ends[1:]):
+        lo, hi = max(F(0), a - overlap), min(F(1), b + overlap)
+        regions.append(
+            Box(
+                s,
+                (lo, *rest[0]),
+                (hi, *rest[1]),
+                lo_closed=(lo == 0, *rest[2]),
+                hi_closed=(hi == 1, *rest[2]),
+            )
+        )
+    return Cover(s, regions)
+
+
+def finite_c_space(kind, fine):
+    if kind == "line":
+        return build_grid_space(1, F(1, 16 * 2**fine))
+    if kind == "square":
+        return build_grid_space(2, F(1, 4 * 2**fine))
+    return build_cantor_space(2 + fine)
+
+
+@st.composite
+def finite_c_cases(draw):
+    """A 1-D or 2-D grid or a Cantor sample and 1-4 covers: balls of one
+    radius at every point, or slabs cut at multiples of the grid spacing
+    (of 1/27 on Cantor samples) and widened by a quarter of it or more."""
+    kind = draw(st.sampled_from(["line", "square", "cantor"]))
+    s = finite_c_space(kind, draw(st.integers(0, 1)))
+    steps = 27 if kind == "cantor" else int(1 / s.structure.h)
+    covers = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            r = draw(st.sampled_from([F(2), F(1, 2), F(1, 4), F(1, 9)]))
+            covers.append(Cover(s, [Ball(s, p, r) for p in range(s.n)]))
+        else:
+            cuts = draw(st.lists(st.integers(1, steps - 1), max_size=3))
+            overlap = draw(st.sampled_from([F(1, 4), F(1), F(3), F(steps, 5)])) / steps
+            covers.append(slab_cover(s, [F(c, steps) for c in cuts], overlap))
+    return s, CoverSeq(s, covers)
+
+
+def finite_c_value(res):
+    """A search answer with each family as its box ends, members, witness
+    and parent, so equal values mean equal reports."""
+    if isinstance(res, NoWitnessAtHorizon):
+        return res
+    return res.n, [
+        (
+            fam.family.den,
+            fam.family.lo.tolist(),
+            fam.family.hi.tolist(),
+            fam.family.indices.tolist(),
+            list(fam.witness),
+            fam.parent,
+        )
+        for fam in res.families
+    ]
+
+
+def assert_search_matches_oracle(s, covers):
+    got = finite_c_search(s, covers)
+    with mock.patch.object(screenability, "_scan_candidates", oracles._scan_candidates):
+        want = finite_c_search(s, covers)
+    assert finite_c_value(got) == finite_c_value(want)
+    return got
+
+
+@pytest.mark.parametrize(
+    "kind, make, answer",
+    [
+        ("cantor", lambda s: [Cover(s, [Ball(s, p, F(1, 9)) for p in range(s.n)])], 1),
+        ("square", lambda s: [Cover(s, [Ball(s, 0, F(2))])] * 2, 1),
+        ("line", lambda s: [slab_cover(s, [F(1, 2)], F(1, 32))] * 3, 2),
+        ("square", lambda s: [slab_cover(s, [F(1, 2)], F(3, 8))] * 3, 3),
+        ("line", lambda s: [slab_cover(s, [F(1, 2)], F(1, 10))], None),
+        ("square", lambda s: [slab_cover(s, [F(1, 4)], F(1, 32))] * 2, None),
+    ],
+)
+def test_finite_c_search_matches_the_full_scan(kind, make, answer):
+    s = finite_c_space(kind, 1)
+    res = assert_search_matches_oracle(s, CoverSeq(s, make(s)))
+    assert getattr(res, "n", None) == answer
+    if answer is None:  # refuted at every horizon, past the kept refutations
+        assert res.candidates_refuted > len(res.refutations) == 64
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_c_cases(), st.integers(0, 70))
+def test_scan_matches_the_full_scan(case, recorded):
+    """Every prefix's scan, with some refutations already recorded, finds
+    the same families after the same number of candidates and keeps the
+    same first 64 refutations; the whole search gives the same answer."""
+    s, covers = case
+    assert_search_matches_oracle(s, covers)
+    for n in range(1, covers.horizon + 1):
+        prefix = CoverSeq(s, covers.covers[:n])
+        answers = []
+        for scan in (screenability._scan_candidates, oracles._scan_candidates):
+            refutations = [("recorded", 0)] * recorded
+            found, tried = scan(s, prefix, refutations)
+            found = None if found is None else finite_c_value(FiniteCWitness(n, found))
+            answers.append((found, tried, refutations[:64]))
+        assert answers[0] == answers[1]
 
 def cantor_level_boxes_loop(space, level, gamma):
     """Reference grouping: floor(c * 3**level) per point, in Fraction
