@@ -386,6 +386,7 @@ def assert_search_matches_oracle(s, covers):
         ("line", lambda s: [slab_cover(s, [F(1, 2)], F(1, 10))], None),
         ("square", lambda s: [slab_cover(s, [F(1, 4)], F(1, 32))] * 2, None),
     ],
+    ids=["cantor-1", "square-1", "line-2", "square-3", "line-none", "square-none"],
 )
 def test_finite_c_search_matches_the_full_scan(kind, make, answer):
     s = finite_c_space(kind, 1)
@@ -412,6 +413,7 @@ def test_scan_matches_the_full_scan(case, recorded):
             found = None if found is None else finite_c_value(FiniteCWitness(n, found))
             answers.append((found, tried, refutations[:64]))
         assert answers[0] == answers[1]
+
 
 def cantor_level_boxes_loop(space, level, gamma):
     """Reference grouping: floor(c * 3**level) per point, in Fraction
