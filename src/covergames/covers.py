@@ -760,7 +760,7 @@ def _containment_radius_lb(
         _, dub = dist_lb_ub(region.center, p)
         return min(region.radius - dub, cap)
     if isinstance(region, Box):
-        coords = space.points[p]
+        coords = [Fraction(v, space.scale) for v in space._icoords[p].tolist()]
         slack = cap
         for i in range(space.coord_dim):
             if not region.lo_closed[i]:

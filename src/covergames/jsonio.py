@@ -12,12 +12,16 @@ import hashlib
 import json
 import operator
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from pathlib import Path
+
+import numpy as np
 
 from .covers import Ball, Box, CoClosedBalls, Cover, CoverSeq, OpenRegion
 from .exact import InputError, format_rational, parse_rational
 from .netting import SigmaDecomposition, chain_decomposition
-from .space import SampledSpace
+from .space import SampledSpace, int_table, point_dim
 
 
 def canonical_json(obj) -> str:
@@ -46,43 +50,44 @@ def dump_json(obj, path) -> None:
 
 
 def space_to_json(space: SampledSpace) -> dict:
-    texts = {}  # scaled integer coordinate -> text; a grid has few distinct ones
-
-    def text(k):
-        value = texts.get(k)
-        if value is None:
-            value = texts[k] = format_rational(Fraction(k, space.scale))
-        return value
-
+    # one text per distinct scaled coordinate; a grid has few distinct ones
+    values, inverse = np.unique(space._icoords.ravel(), return_inverse=True)
+    texts = [format_rational(Fraction(k, space.scale)) for k in values.tolist()]
+    points = np.array(texts, dtype=object)[inverse.reshape(space._icoords.shape)]
     return {
         "label": space.label,
         "metric": space.metric_kind,
         "mesh": format_rational(space.mesh),
-        "points": [[text(k) for k in row] for row in space._icoords.tolist()],
+        "points": points.tolist(),
     }
 
 
 def space_from_json(doc: dict) -> SampledSpace:
-    parsed = {}  # coordinate text -> value; a grid repeats few distinct texts
-
-    def coord(text):
-        if not isinstance(text, str):
-            return parse_rational(text)
-        value = parsed.get(text)
-        if value is None:
-            value = parsed[text] = parse_rational(text)
-        return value
-
+    """The space of a space document, built from its scaled integer table:
+    each distinct coordinate text is parsed once.  A points value that is
+    not an array of arrays is a TypeError."""
     try:
-        points = [tuple(coord(c) for c in p) for p in doc["points"]]
-        return SampledSpace(
-            points,
-            doc["metric"],
-            parse_rational(doc["mesh"]),
-            label=doc.get("label", ""),
-        )
+        points = doc["points"]
+        if type(points) is not list or not set(map(type, points)) <= {list}:
+            raise TypeError("space points must be an array of coordinate arrays")
+        flat = list(chain.from_iterable(points))
+        if not set(map(type, flat)) <= {str, int}:
+            # a bool, float, null, array or object coordinate: the first
+            # one is refused, after any malformed text before it
+            for c in flat:
+                parse_rational(c)
+        scaled = dict.fromkeys(flat)  # each distinct coordinate, in order
+        values = [parse_rational(c) for c in scaled]
+        scale = lcm(*(v.denominator for v in values))
+        for c, v in zip(scaled, values):
+            scaled[c] = v.numerator * (scale // v.denominator)
+        metric, mesh = doc["metric"], parse_rational(doc["mesh"])
+        label = doc.get("label", "")
     except KeyError as exc:
         raise InputError(f"space JSON missing key {exc}") from exc
+    dim = point_dim(metric, map(len, points))
+    table = int_table(list(map(scaled.__getitem__, flat))).reshape(len(points), dim)
+    return SampledSpace.from_table(scale, table, metric, mesh, label=label)
 
 
 # -- regions and covers --------------------------------------------------------------
@@ -159,7 +164,11 @@ def _check_space_ref(space: SampledSpace, ref) -> None:
         return
     if isinstance(ref, dict):
         inline = space_from_json(ref)
-        if inline.points != space.points or inline.metric_kind != space.metric_kind:
+        if (
+            inline.scale != space.scale
+            or not np.array_equal(inline._icoords, space._icoords)
+            or inline.metric_kind != space.metric_kind
+        ):
             raise InputError("inline space disagrees with the supplied space")
         return
     if ref and space.label and ref != space.label:

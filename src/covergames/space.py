@@ -67,14 +67,41 @@ def default_point_cap() -> int:
     return cap
 
 
-def _integer_table(points) -> tuple[int, list[tuple[int, ...]]]:
+def _integer_table(points) -> tuple[int, list[list[int]]]:
     """(scale, rows): the lcm of all coordinate denominators, and every
-    point's coordinates times it as a tuple of ints."""
-    dens = {c.denominator for p in points for c in p}
+    point's coordinates times it as a list of ints."""
+    pts = [[c if type(c) is Fraction else Fraction(c) for c in p] for p in points]
+    dens = {c.denominator for p in pts for c in p}
     scale = lcm(*dens)
     factor = {den: scale // den for den in dens}
-    rows = [tuple(c.numerator * factor[c.denominator] for c in p) for p in points]
-    return scale, rows
+    return scale, [[c.numerator * factor[c.denominator] for c in p] for p in pts]
+
+
+def int_table(values) -> np.ndarray:
+    """The integers (nested lists of one shape) as an int64 array, or as
+    an object array of python ints when one of them exceeds int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _check_metric(metric_kind: str) -> None:
+    if metric_kind not in METRIC_KINDS:
+        raise InputError(f"unknown metric kind {metric_kind!r}")
+
+
+def point_dim(metric_kind: str, lengths) -> int:
+    """The coordinate dimension shared by sample points of the given
+    lengths.  Faults are reported in this order: an unknown metric kind,
+    no points, then mixed or zero dimensions."""
+    _check_metric(metric_kind)
+    dims = set(lengths)
+    if not dims:
+        raise InputError("a space needs at least one point")
+    if len(dims) != 1 or dims == {0}:
+        raise InputError("all points must share one positive coordinate dimension")
+    return dims.pop()
 
 
 @dataclass(frozen=True)
@@ -107,33 +134,45 @@ class SampledSpace:
         label: str = "",
         structure: GridStructure | CantorStructure | None = None,
     ):
-        if metric_kind not in METRIC_KINDS:
-            raise InputError(f"unknown metric kind {metric_kind!r}")
-        pts = tuple(
-            tuple(c if type(c) is Fraction else Fraction(c) for c in p) for p in points
-        )
-        if not pts:
-            raise InputError("a space needs at least one point")
-        dims = {len(p) for p in pts}
-        if len(dims) != 1 or dims == {0}:
-            raise InputError("all points must share one positive coordinate dimension")
-        scale, rows = _integer_table(pts)
-        if len(set(rows)) != len(rows):
+        _check_metric(metric_kind)  # before any coordinate is converted
+        scale, rows = _integer_table(points)
+        point_dim(metric_kind, map(len, rows))
+        self._init_table(scale, int_table(rows), metric_kind, mesh, label, structure)
+
+    @classmethod
+    def from_table(
+        cls,
+        scale: int,
+        table: np.ndarray,
+        metric_kind: str,
+        mesh: Fraction,
+        label: str = "",
+        structure: GridStructure | CantorStructure | None = None,
+    ) -> SampledSpace:
+        """The space whose point i has the coordinates table[i] / scale.
+        The table is an (n, dim) int64 or object array of integers, and
+        scale is the lcm of the coordinate denominators.  The checks are
+        the constructor's."""
+        space = cls.__new__(cls)
+        space._init_table(scale, table, metric_kind, mesh, label, structure)
+        return space
+
+    def _init_table(self, scale, table, metric_kind, mesh, label, structure) -> None:
+        n = len(table)
+        self.coord_dim = point_dim(metric_kind, [table.shape[1]] if n else [])
+        ranked = table[np.lexsort(table.T)]  # equal rows become neighbours
+        if np.asarray(ranked[1:] == ranked[:-1], dtype=bool).all(axis=1).any():
             raise InputError("point identifiers (coordinates) must be unique")
         mesh = Fraction(mesh)
         if mesh <= 0:
             raise InputError("mesh must be positive")
-        self.points = pts
-        self.coord_dim = dims.pop()
         self.metric_kind = metric_kind
         self.mesh = mesh
         self.label = label
-        self.n = len(pts)
+        self.n = n
         self.scale = scale
 
-        cols = list(zip(*rows))
-        lo = [min(col) for col in cols]
-        hi = [max(col) for col in cols]
+        lo, hi = table.min(axis=0).tolist(), table.max(axis=0).tolist()
         self.axis_min = tuple(Fraction(v, scale) for v in lo)
         self.axis_max = tuple(Fraction(v, scale) for v in hi)
         # int64 fast path only when the table fits and squared scaled
@@ -144,7 +183,7 @@ class SampledSpace:
             and -(2**63) <= min(lo)
             and max(hi) < 2**63
         )
-        self._icoords = np.array(rows, dtype=np.int64 if self._fast else object)
+        self._icoords = table.astype(np.int64 if self._fast else object, copy=False)
 
         if metric_kind == "cantor_2adic":
             self._init_cantor_bits()
@@ -153,9 +192,10 @@ class SampledSpace:
             self.dist_scale_sq = scale * scale
 
         if structure is None:
-            structure = _table_structure(cols, scale)
+            structure = _table_structure(self._icoords, scale)
         self.structure = structure
-        self._index: dict[tuple[Fraction, ...], int] | None = None
+        self._points: tuple[tuple[Fraction, ...], ...] | None = None
+        self._index: dict[tuple[int, ...], int] | None = None
         self._sorted: tuple[np.ndarray, np.ndarray, int, int] | None = None
         # farthest-point traversals by subset mask, extended in place under
         # the lock (netting.greedy_net)
@@ -165,6 +205,18 @@ class SampledSpace:
         self._cantor_levels: dict[int, list[tuple[int, int]]] = {}
         self._min_gap_sq: Fraction | None = None
         self._diam_ub: Fraction | None = None
+
+    @property
+    def points(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Every point's coordinates as Fractions, built on first use from
+        the integer table, which answers every query of the package."""
+        if self._points is None:
+            self._points = self._point_tuples()
+        return self._points
+
+    def _point_tuples(self) -> tuple[tuple[Fraction, ...], ...]:
+        rows = self._icoords.tolist()
+        return tuple(tuple(Fraction(v, self.scale) for v in row) for row in rows)
 
     # -- structural metadata -------------------------------------------------
 
@@ -184,11 +236,12 @@ class SampledSpace:
             raise InputError("cantor_2adic metric needs 1-dim coordinates")
         depth = 0
         digit_lists = []
-        for (c,) in self.points:
-            digits = _ternary_digits(c)
+        for k in self._icoords[:, 0].tolist():
+            digits = _ternary_digits(k, self.scale)
             if digits is None:
                 raise InputError(
-                    f"cantor_2adic coordinate {c} is not a middle-thirds endpoint"
+                    f"cantor_2adic coordinate {Fraction(k, self.scale)} is not a "
+                    "middle-thirds endpoint"
                 )
             digit_lists.append(digits)
             depth = max(depth, len(digits))
@@ -217,11 +270,13 @@ class SampledSpace:
 
     def index_of(self, coords) -> int:
         if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.points)}
+            self._index = {tuple(r): i for i, r in enumerate(self._icoords.tolist())}
         key = tuple(Fraction(c) for c in coords)
-        if key not in self._index:
+        # a Fraction with denominator 1 hashes and compares as its int
+        i = self._index.get(tuple(c * self.scale for c in key))
+        if i is None:
             raise InputError(f"no sample point at {key}")
-        return self._index[key]
+        return i
 
     def distance_sq(self, i: int, j: int) -> Fraction:
         """Exact squared distance between sample points i and j, in O(dim)."""
@@ -582,20 +637,19 @@ def _has_opposite_corners(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> 
     return any(full ^ code in codes for code in codes)
 
 
-def _ternary_digits(c: Fraction) -> list[int] | None:
-    """Finite base-3 digits of c in [0,1) with digits in {0,2}, or None."""
-    if c < 0 or c >= 1:
+def _ternary_digits(k: int, scale: int) -> list[int] | None:
+    """Finite base-3 digits of k / scale in [0,1) with digits in {0,2}, or
+    None."""
+    if not 0 <= k < scale:
         return None
     digits = []
     for _ in range(64):
-        if c == 0:
+        if k == 0:
             return digits
-        c *= 3
-        d = c.numerator // c.denominator
+        d, k = divmod(3 * k, scale)
         if d not in (0, 2):
             return None
         digits.append(d)
-        c -= d
     return None
 
 
@@ -739,8 +793,9 @@ def build_grid_space(
     cap = point_cap if point_cap is not None else default_point_cap()
     if count > cap:
         raise ResourceError(f"grid would have {count} points, cap is {cap}")
-    axis = [Fraction(k) * h for k in range(side)]
-    pts = list(itertools.product(axis, repeat=dim))
+    # over the scale 1/h the point (k_1 h, ..., k_dim h) is the row
+    # (k_1, ..., k_dim); the rows run in itertools.product order
+    table = np.indices((side,) * dim).reshape(dim, -1).T
     factor = _EUCLID_MESH_FACTOR[dim] if metric_kind == "euclidean" else Fraction(1)
     mesh = h * factor / 2
     if label is None:
@@ -749,22 +804,14 @@ def build_grid_space(
             if h.numerator == 1
             else f"grid{dim}d_{h}"
         )
-    return SampledSpace(
-        pts,
+    return SampledSpace.from_table(
+        side - 1,
+        np.ascontiguousarray(table, dtype=np.int64),
         metric_kind,
         mesh,
         label=label,
         structure=GridStructure(dim, h),
     )
-
-
-def cantor_points(depth: int) -> list[tuple[Fraction]]:
-    """Left endpoints of the depth-level middle-thirds construction, sorted."""
-    pts = [Fraction(0)]
-    for level in range(1, depth + 1):
-        step = Fraction(2, 3**level)
-        pts = [p for q in pts for p in (q, q + step)]
-    return [(p,) for p in sorted(pts)]
 
 
 def build_cantor_space(depth: int, point_cap: int | None = None) -> SampledSpace:
@@ -778,6 +825,8 @@ def build_cantor_2adic_space(depth: int, point_cap: int | None = None) -> Sample
 
 
 def _cantor_space(depth, point_cap, metric_kind, mesh_base, label) -> SampledSpace:
+    """The left endpoints k / 3**depth of the depth-level middle-thirds
+    construction, sorted: level l adds 2 * 3**(depth - l) to half of them."""
     if depth < 1:
         raise InputError("cantor depth must be a positive integer")
     if depth > CANTOR_DEPTH_CAP:
@@ -785,8 +834,12 @@ def _cantor_space(depth, point_cap, metric_kind, mesh_base, label) -> SampledSpa
     cap = point_cap if point_cap is not None else default_point_cap()
     if 2**depth > cap:
         raise ResourceError(f"cantor sample would have {2**depth} points, cap {cap}")
-    return SampledSpace(
-        cantor_points(depth),
+    k = np.zeros(1, dtype=np.int64)
+    for level in range(1, depth + 1):
+        k = (k[:, None] + np.array([0, 2 * 3 ** (depth - level)])).ravel()
+    return SampledSpace.from_table(
+        3**depth,
+        k[:, None],
         metric_kind,
         Fraction(1, mesh_base**depth),
         label=label,
@@ -795,11 +848,8 @@ def _cantor_space(depth, point_cap, metric_kind, mesh_base, label) -> SampledSpa
 
 
 def build_single_point_space() -> SampledSpace:
-    return SampledSpace(
-        [(Fraction(0),)],
-        "euclidean",
-        Fraction(1, 2),
-        label="single_point",
+    return SampledSpace.from_table(
+        1, np.zeros((1, 1), dtype=np.int64), "euclidean", Fraction(1, 2), "single_point"
     )
 
 
@@ -807,42 +857,34 @@ def detect_structure(points) -> GridStructure | CantorStructure | None:
     """Recognize the built-in grid / Cantor samples from distinct raw
     coordinates."""
     scale, rows = _integer_table(points)
-    return _table_structure(list(zip(*rows)), scale)
+    return _table_structure(int_table(rows), scale)
 
 
-def _table_structure(cols, scale: int) -> GridStructure | CantorStructure | None:
-    """detect_structure on the integer table of distinct points: cols[k]
-    holds every point's k-th coordinate times `scale`."""
-    n, dim = len(cols[0]), len(cols)
+def _table_structure(table: np.ndarray, scale: int):
+    """detect_structure on the integer table of distinct points, point i
+    having the coordinates table[i] / scale: a GridStructure, a
+    CantorStructure or None."""
+    n, dim = table.shape
     if dim == 1 and n > 1 and n & (n - 1) == 0:
         # the 2**depth distinct points are the depth-level Cantor endpoints
         # iff each is k / 3**depth with base-3 digits of k in {0, 2}
         depth = n.bit_length() - 1
-        if scale == 3**depth and all(_cantor_int(k, scale) for k in cols[0]):
+        if scale == 3**depth and all(
+            _ternary_digits(k, scale) is not None for k in table[:, 0].tolist()
+        ):
             return CantorStructure(depth)
-    axis = sorted(set(cols[0]))
+    axis = np.unique(table[:, 0])
     if len(axis) >= 2 and axis[0] == 0 and axis[-1] == scale:
         # n distinct points inside {0, h, ..., 1}**dim, a set of n points
-        step = axis[1]
-        values = {k * step for k in range(len(axis))}
+        step = int(axis[1])
+        rest = table[:, 1:]
         if (
-            axis == sorted(values)
-            and n == len(axis) ** dim
-            and all(values.issuperset(col) for col in cols[1:])
+            n == len(axis) ** dim
+            and np.array_equal(axis, step * np.arange(len(axis), dtype=axis.dtype))
+            and ((rest >= 0) & (rest <= scale) & (rest % step == 0)).all()
         ):
             return GridStructure(dim, Fraction(step, scale))
     return None
-
-
-def _cantor_int(k: int, bound: int) -> bool:
-    """Whether 0 <= k < bound and k has only base-3 digits 0 and 2."""
-    if not 0 <= k < bound:
-        return False
-    while k:
-        k, digit = divmod(k, 3)
-        if digit == 1:
-            return False
-    return True
 
 
 # -- schedules -------------------------------------------------------------------

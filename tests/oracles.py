@@ -7,7 +7,9 @@ objects, the per-region disjointness check with its per-box float filter,
 the refinement loop that `containers` replaced, and a helper that turns a
 list of `Box` objects into a `BoxFamily` through the per-box queries.  The
 finite-C candidate scan that built and tested every candidate, with no
-refutation prefilter, is kept here too.
+refutation prefilter, is kept here too, and so is the space loader that
+took every point through a tuple of Fractions on its way to the integer
+table.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from covergames.jsonio import digest
+from covergames.exact import InputError, ResourceError, format_rational, parse_rational
 
 import covergames.covers as covers_module
 from covergames.covers import (
@@ -38,7 +43,14 @@ from covergames.screenability import (
     admissible_cell_sides,
     build_brick_grid,
 )
-from covergames.space import CantorStructure, GridStructure, SampledSpace, csr
+from covergames.space import (
+    CANTOR_DEPTH_CAP,
+    METRIC_KINDS,
+    CantorStructure,
+    GridStructure,
+    SampledSpace,
+    csr,
+)
 
 
 def box_family(space, boxes) -> BoxFamily:
@@ -360,3 +372,135 @@ def _scan_candidates(
             return families, tried
         refutations.append((f"{label},n={n}", int(np.flatnonzero(~union)[0])))
     return None, tried
+
+
+# -- space loading ------------------------------------------------------------------
+
+
+def cantor_points(depth: int) -> list[tuple[Fraction]]:
+    """Left endpoints of the depth-level middle-thirds construction, sorted."""
+    pts = [Fraction(0)]
+    for level in range(1, depth + 1):
+        step = Fraction(2, 3**level)
+        pts = [p for q in pts for p in (q, q + step)]
+    return [(p,) for p in sorted(pts)]
+
+
+def space_from_json_oracle(doc: dict) -> dict:
+    """A space document loaded point by point: each point a tuple of
+    Fractions, its table row the tuple of scaled ints, uniqueness a set of
+    rows and the structure found on Python columns.  Returns the fields the
+    loader must reproduce (scale, icoords, structure, axis_min, axis_max,
+    points, digest), or raises its InputError."""
+    parsed = {}
+
+    def coord(text):
+        if not isinstance(text, str):
+            return parse_rational(text)
+        if text not in parsed:
+            parsed[text] = parse_rational(text)
+        return parsed[text]
+
+    try:
+        points = [tuple(coord(c) for c in p) for p in doc["points"]]
+        metric, mesh, label = doc["metric"], parse_rational(doc["mesh"]), doc.get("label", "")
+    except KeyError as exc:
+        raise InputError(f"space JSON missing key {exc}") from exc
+    if metric not in METRIC_KINDS:
+        raise InputError(f"unknown metric kind {metric!r}")
+    if not points:
+        raise InputError("a space needs at least one point")
+    dims = {len(p) for p in points}
+    if len(dims) != 1 or dims == {0}:
+        raise InputError("all points must share one positive coordinate dimension")
+    scale = math.lcm(*{c.denominator for p in points for c in p})
+    rows = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
+    if len(set(rows)) != len(rows):
+        raise InputError("point identifiers (coordinates) must be unique")
+    if mesh <= 0:
+        raise InputError("mesh must be positive")
+    cols = list(zip(*rows))
+    lo, hi = [min(col) for col in cols], [max(col) for col in cols]
+    span = max(b - a for a, b in zip(lo, hi))
+    fast = span * span * len(cols) < 2**62 and -(2**63) <= min(lo) and max(hi) < 2**63
+    if metric == "cantor_2adic":
+        _check_cantor_endpoints(points)
+    doc_out = {
+        "label": label,
+        "metric": metric,
+        "mesh": format_rational(mesh),
+        "points": [[format_rational(c) for c in p] for p in points],
+    }
+    return {
+        "scale": scale,
+        "icoords": np.array(rows, dtype=np.int64 if fast else object),
+        "structure": _column_structure(cols, scale),
+        "axis_min": tuple(Fraction(v, scale) for v in lo),
+        "axis_max": tuple(Fraction(v, scale) for v in hi),
+        "points": tuple(points),
+        "digest": digest(doc_out),
+    }
+
+
+def _check_cantor_endpoints(points) -> None:
+    """The 2-adic metric's checks: one axis, finite middle-thirds digits,
+    at most CANTOR_DEPTH_CAP of them."""
+    if len(points[0]) != 1:
+        raise InputError("cantor_2adic metric needs 1-dim coordinates")
+    depth = 0
+    for (c,) in points:
+        digits = _ternary_digits(c)
+        if digits is None:
+            raise InputError(f"cantor_2adic coordinate {c} is not a middle-thirds endpoint")
+        depth = max(depth, len(digits))
+    if depth > CANTOR_DEPTH_CAP:
+        raise ResourceError(f"cantor_2adic sample has depth {depth}, cap {CANTOR_DEPTH_CAP}")
+
+
+def _ternary_digits(c: Fraction) -> list[int] | None:
+    """Finite base-3 digits of c in [0,1) with digits in {0,2}, or None."""
+    if c < 0 or c >= 1:
+        return None
+    digits = []
+    for _ in range(64):
+        if c == 0:
+            return digits
+        c *= 3
+        d = c.numerator // c.denominator
+        if d not in (0, 2):
+            return None
+        digits.append(d)
+        c -= d
+    return None
+
+
+def _column_structure(cols, scale: int):
+    """Grid or Cantor structure of distinct points: cols[k] holds every
+    point's k-th coordinate times `scale`."""
+    n, dim = len(cols[0]), len(cols)
+    if dim == 1 and n > 1 and n & (n - 1) == 0:
+        depth = n.bit_length() - 1
+        if scale == 3**depth and all(_cantor_int(k, scale) for k in cols[0]):
+            return CantorStructure(depth)
+    axis = sorted(set(cols[0]))
+    if len(axis) >= 2 and axis[0] == 0 and axis[-1] == scale:
+        step = axis[1]
+        values = {k * step for k in range(len(axis))}
+        if (
+            axis == sorted(values)
+            and n == len(axis) ** dim
+            and all(values.issuperset(col) for col in cols[1:])
+        ):
+            return GridStructure(dim, Fraction(step, scale))
+    return None
+
+
+def _cantor_int(k: int, bound: int) -> bool:
+    """Whether 0 <= k < bound and k has only base-3 digits 0 and 2."""
+    if not 0 <= k < bound:
+        return False
+    while k:
+        k, digit = divmod(k, 3)
+        if digit == 1:
+            return False
+    return True

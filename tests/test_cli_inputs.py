@@ -37,12 +37,21 @@ def write(tmp_path, name: str, doc) -> str:
         ("--cover", {"space": "grid1d_h8"}, "regions"),
         ("--cover", {"regions": [{"shape": "ball", "center": "a", "radius": "1"}]}, "'a'"),
         ("--space", {"metric": "euclidean", "mesh": "1/16", "points": 5}, "TypeError"),
+        # a string or an object is iterable, but it is no coordinate array
+        ("--space", {"metric": "euclidean", "mesh": "1/16", "points": ["12", "34"]},
+         "TypeError"),
+        ("--space", {"metric": "euclidean", "mesh": "1/16", "points": [{"0": 1}]},
+         "TypeError"),
+        ("--space", {"metric": "euclidean", "mesh": "1/16", "points": "12"}, "TypeError"),
+        ("--space", {"metric": "euclidean", "mesh": "1/16", "points": {"12": 1}},
+         "TypeError"),
         ("--picks", {"picks": [["x"], [], [], []]}, "TypeError"),
         ("--picks", {"picks": [[1.5], [], [], []]}, "TypeError"),
         ("--cover", [], "AttributeError"),
     ],
     ids=["region_without_radius", "cover_without_regions", "center_not_int",
-         "points_not_list", "picks_not_int", "picks_fractional", "cover_not_object"],
+         "points_not_list", "point_a_string", "point_an_object", "points_a_string",
+         "points_an_object", "picks_not_int", "picks_fractional", "cover_not_object"],
 )
 def test_malformed_input_file_exits_2(tmp_path, flag, doc, needle):
     path = write(tmp_path, "doc.json", doc)

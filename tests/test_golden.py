@@ -10,6 +10,7 @@ import pytest
 
 from covergames import screenability
 from covergames.cli import run
+from covergames.space import SampledSpace
 
 sys.path.insert(0, str(Path(__file__).parent / "golden"))
 import freeze  # noqa: E402
@@ -42,8 +43,15 @@ def test_report_matches_golden(name, argv, monkeypatch):
         monkeypatch.setattr(
             screenability, gate[0], lambda *a: calls.append(a) or func(*a)
         )
+    # every space is loaded, digested and queried on its integer table: no
+    # replay builds the Fraction tuples of SampledSpace.points
+    built, tuples = [], SampledSpace._point_tuples
+    monkeypatch.setattr(
+        SampledSpace, "_point_tuples", lambda self: built.append(self) or tuples(self)
+    )
     code, doc = run(argv)
     assert doc["exit_code"] == code
     assert_golden(name, doc)
     if gate:
         assert len(calls) <= gate[1], f"{gate[0]} ran {len(calls)} times"
+    assert built == [], f"SampledSpace.points built {len(built)} times"

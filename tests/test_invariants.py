@@ -88,6 +88,7 @@ FIXTURE_API = {
     "coverseq_to_json",
     "selections_to_json",
     "SampledSpace.index_of",
+    "SampledSpace.points",
     "detect_structure",
     "region_mask",
 }
@@ -142,6 +143,19 @@ def test_only_the_space_reads_first_axis_windows():
         if isinstance(node, ast.Attribute) and node.attr == "axis0_window"
     ]
     assert found == [], f"axis0_window called outside space.py: {found}"
+
+
+def test_only_the_space_reads_point_tuples():
+    # every query reads the integer table: the Fraction tuples of
+    # SampledSpace.points are built for the tests alone
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "space.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "points"
+    ]
+    assert found == [], f".points read outside space.py: {found}"
 
 
 def test_only_covers_decides_containment():

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covergames import jsonio
 from covergames.covers import Ball, Box, CoClosedBalls, Cover, CoverSeq
 from covergames.exact import InputError
 from covergames.netting import chain_decomposition
-from covergames.space import build_cantor_space, build_grid_space
+from covergames.space import SampledSpace, build_cantor_space, build_grid_space
+from oracles import cantor_points, space_from_json_oracle
 
 
 class TestSpaceRoundTrip:
@@ -33,6 +37,123 @@ class TestSpaceRoundTrip:
     def test_missing_key(self):
         with pytest.raises(InputError):
             jsonio.space_from_json({"points": [["0/1"]]})
+
+
+# -- the integer-table loader against the per-point Fraction path --------------------
+
+
+@st.composite
+def spelling(draw, x: F) -> str:
+    """One of the texts of the rational x: reduced or not, padded, with
+    the signs on the denominator."""
+    k = draw(st.integers(1, 3))
+    p, q = x.numerator * k, x.denominator * k
+    forms = [f"{p}/{q}", f" {p}/{q} ", f"{-p}/{-q}"]
+    if q == 1:
+        forms += [str(p), "-0" if p == 0 else str(p)]
+    return draw(st.sampled_from(forms))
+
+
+BIG = [2**62, 2**63, -(2**63) - 1, 2**70]
+MALFORMED = ["1/0", "x", "1/2/3", "", "1.5", 0.5, True, False, None, [1], {"1": 2}]
+
+
+@st.composite
+def coordinate(draw):
+    kinds = ["text"] * 30 + ["int"] * 3 + ["big"] * 4 + ["cantor"] * 3 + ["malformed"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        return draw(st.integers(-4, 4))
+    if kind == "big":
+        return draw(st.sampled_from(BIG + [f"{b}/3" for b in BIG] + [str(b) for b in BIG]))
+    if kind == "cantor":
+        # 2 / 3**17 is a middle-thirds endpoint past the depth cap
+        ends = ["0", "2/3", "2/9", "8/9", "20/27", "1/3", "1", f"2/{3**17}"]
+        return draw(st.sampled_from(ends))
+    if kind == "malformed":
+        return draw(st.sampled_from(MALFORMED))
+    x = draw(st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 9])))
+    return draw(spelling(x))
+
+
+@st.composite
+def headed(draw, points) -> dict:
+    """A space document around the points: mostly well formed, sometimes
+    with a bad metric or mesh, a missing key, or ragged points."""
+    if points and draw(st.integers(0, 9)) == 0:
+        row = draw(st.integers(0, len(points) - 1))
+        points[row] = points[row][1:] if draw(st.booleans()) else points[row] + ["0"]
+    doc = {
+        "points": points,
+        "metric": draw(
+            st.sampled_from(["euclidean"] * 4 + ["chebyshev"] * 2 + ["cantor_2adic"] * 2 + ["l1"])
+        ),
+        "mesh": draw(st.sampled_from(["1/64"] * 6 + ["0", "-1/2", 2, "1/0"])),
+        "label": draw(st.sampled_from(["", "sample"])),
+    }
+    if draw(st.integers(0, 19)) == 0:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+@st.composite
+def scattered_doc(draw) -> dict:
+    """Few points of few distinct values: duplicates that show only after
+    normalisation are common."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 8))
+    return draw(headed([[draw(coordinate()) for _ in range(dim)] for _ in range(n)]))
+
+
+@st.composite
+def lattice_doc(draw) -> dict:
+    """A grid {0, 1/m, ..., 1}**dim or a Cantor sample, in a drawn order and
+    spelling, sometimes missing a point or with one coordinate moved along
+    the lattice, past 1 or below 0."""
+    if draw(st.booleans()):
+        dim, m = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+        pts = list(itertools.product([F(k, m) for k in range(m + 1)], repeat=dim))
+    else:
+        depth = draw(st.integers(1, 3))
+        dim, m = 1, 3**depth
+        pts = cantor_points(depth)
+    pts = [list(p) for p in draw(st.permutations(pts))]
+    if len(pts) > 1 and draw(st.booleans()):
+        pts = pts[1:]
+    if draw(st.booleans()):
+        pts[0][draw(st.integers(0, dim - 1))] = F(draw(st.integers(-m, 2 * m)), m)
+    return draw(headed([[draw(spelling(x)) for x in p] for p in pts]))
+
+
+def _fields(space: SampledSpace) -> dict:
+    return {
+        "scale": space.scale,
+        "dtype": space._icoords.dtype,
+        "icoords": space._icoords.tolist(),
+        "structure": space.structure,
+        "axis_min": space.axis_min,
+        "axis_max": space.axis_max,
+        "points": space.points,
+        "digest": jsonio.digest(jsonio.space_to_json(space)),
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(scattered_doc(), lattice_doc()))
+def test_space_loads_as_the_fraction_path_did(doc):
+    try:
+        want = space_from_json_oracle(doc)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            jsonio.space_from_json(doc)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    want["dtype"], want["icoords"] = want["icoords"].dtype, want["icoords"].tolist()
+    assert _fields(jsonio.space_from_json(doc)) == want
+    # the public constructor takes the Fractions to the same table
+    mesh = F(doc["mesh"]) if isinstance(doc["mesh"], int) else F(doc["mesh"].strip())
+    space = SampledSpace(want["points"], doc["metric"], mesh, label=doc.get("label", ""))
+    assert _fields(space) == want
 
 
 class TestRegionRoundTrip:

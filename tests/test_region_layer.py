@@ -54,10 +54,9 @@ from covergames.space import (
     SampledSpace,
     build_cantor_2adic_space,
     build_grid_space,
-    cantor_points,
     doubling_delta,
 )
-from oracles import box_family, containers_oracle
+from oracles import box_family, cantor_points, containers_oracle
 
 # -- oracles ------------------------------------------------------------------------
 

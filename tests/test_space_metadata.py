@@ -27,10 +27,10 @@ from covergames.space import (
     build_cantor_2adic_space,
     build_cantor_space,
     build_grid_space,
-    cantor_points,
     detect_structure,
     diameter,
 )
+from oracles import cantor_points
 
 MESH = F(1, 64)
 
