@@ -19,9 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from covergames.jsonio import digest
-from covergames.exact import InputError, ResourceError, format_rational, parse_rational
-
 import covergames.covers as covers_module
 from covergames.covers import (
     Ball,
@@ -36,6 +33,8 @@ from covergames.covers import (
     region_mask,
     region_members,
 )
+from covergames.exact import InputError, ResourceError, format_rational, parse_rational
+from covergames.jsonio import digest
 from covergames.screenability import (
     _cantor_level_boxes,
     _grid_params,

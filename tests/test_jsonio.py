@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from covergames import jsonio
 from covergames.covers import Ball, Box, CoClosedBalls, Cover, CoverSeq
-from covergames.exact import InputError
+from covergames.exact import InputError, parse_rational
 from covergames.netting import chain_decomposition
 from covergames.space import SampledSpace, build_cantor_space, build_grid_space
 from oracles import cantor_points, space_from_json_oracle
@@ -50,11 +50,12 @@ def spelling(draw, x: F) -> str:
     p, q = x.numerator * k, x.denominator * k
     forms = [f"{p}/{q}", f" {p}/{q} ", f"{-p}/{-q}"]
     if q == 1:
-        forms += [str(p), "-0" if p == 0 else str(p)]
+        forms += [str(p), "-0" if p == 0 else f"{p} "]
     return draw(st.sampled_from(forms))
 
 
 BIG = [2**62, 2**63, -(2**63) - 1, 2**70]
+METRICS = ["euclidean"] * 4 + ["chebyshev"] * 2 + ["cantor_2adic"] * 2 + ["l1"]
 MALFORMED = ["1/0", "x", "1/2/3", "", "1.5", 0.5, True, False, None, [1], {"1": 2}]
 
 
@@ -85,9 +86,7 @@ def headed(draw, points) -> dict:
         points[row] = points[row][1:] if draw(st.booleans()) else points[row] + ["0"]
     doc = {
         "points": points,
-        "metric": draw(
-            st.sampled_from(["euclidean"] * 4 + ["chebyshev"] * 2 + ["cantor_2adic"] * 2 + ["l1"])
-        ),
+        "metric": draw(st.sampled_from(METRICS)),
         "mesh": draw(st.sampled_from(["1/64"] * 6 + ["0", "-1/2", 2, "1/0"])),
         "label": draw(st.sampled_from(["", "sample"])),
     }
@@ -151,7 +150,7 @@ def test_space_loads_as_the_fraction_path_did(doc):
     want["dtype"], want["icoords"] = want["icoords"].dtype, want["icoords"].tolist()
     assert _fields(jsonio.space_from_json(doc)) == want
     # the public constructor takes the Fractions to the same table
-    mesh = F(doc["mesh"]) if isinstance(doc["mesh"], int) else F(doc["mesh"].strip())
+    mesh = parse_rational(doc["mesh"])
     space = SampledSpace(want["points"], doc["metric"], mesh, label=doc.get("label", ""))
     assert _fields(space) == want
 
