@@ -11,6 +11,7 @@ wall_time_s field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -95,8 +96,8 @@ class Report:
         }
         self._t0 = time.monotonic()
 
-    def add_input(self, name: str, obj) -> None:
-        self.doc["inputs"][name] = jsonio.digest(obj)
+    def add_input(self, name: str, digest: str) -> None:
+        self.doc["inputs"][name] = digest
 
     def check(self, name: str, ok: bool, **details) -> bool:
         entry = {"name": name, "pass": bool(ok)}
@@ -158,11 +159,11 @@ def _load_inputs(args, cfg: RunConfig, report: Report) -> list:
         spec = getattr(args, name)
         if name in ("space", "label"):
             space = _load_space(spec, cfg, builtin_only=name == "label")
-            report.add_input("space", jsonio.space_to_json(space))
+            report.add_input("space", jsonio.space_digest(space))
             loaded.append(space)
             continue
         doc = jsonio.load_json(spec)
-        report.add_input(name, doc)
+        report.add_input(name, jsonio.digest(doc))
         loaded.append(_parsed(name, spec, _PARSERS[name], space, doc))
     return loaded
 
@@ -493,11 +494,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on first use (parsing leaves it as it
+    was), so that importing the module builds nothing."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> tuple[int, dict]:
     """Execute one subcommand; returns (exit code, report document)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return (2 if exc.code else 0), {"command": "usage", "exit_code": exc.code}
     report = Report(args.cmd, argv)
@@ -524,7 +531,7 @@ def run(argv: list[str]) -> tuple[int, dict]:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         out = getattr(args, "out", None)
     except SystemExit as exc:
         return 2 if exc.code else 0

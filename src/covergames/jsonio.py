@@ -29,7 +29,11 @@ def canonical_json(obj) -> str:
 
 
 def digest(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
+    return _text_digest(canonical_json(obj))
+
+
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def load_json(path) -> object:
@@ -49,17 +53,37 @@ def dump_json(obj, path) -> None:
 # -- spaces ------------------------------------------------------------------------
 
 
-def space_to_json(space: SampledSpace) -> dict:
-    # one text per distinct scaled coordinate; a grid has few distinct ones
+def _coordinate_texts(space: SampledSpace, quote=False) -> np.ndarray:
+    """The table's coordinates as texts (JSON string literals when quote),
+    an object array of the table's shape; one text per distinct scaled
+    coordinate, as a grid has few distinct ones."""
     values, inverse = np.unique(space._icoords.ravel(), return_inverse=True)
     texts = [format_rational(Fraction(k, space.scale)) for k in values.tolist()]
-    points = np.array(texts, dtype=object)[inverse.reshape(space._icoords.shape)]
+    if quote:
+        texts = list(map(json.dumps, texts))
+    return np.array(texts, dtype=object)[inverse.reshape(space._icoords.shape)]
+
+
+def space_to_json(space: SampledSpace) -> dict:
     return {
         "label": space.label,
         "metric": space.metric_kind,
         "mesh": format_rational(space.mesh),
-        "points": points.tolist(),
+        "points": _coordinate_texts(space).tolist(),
     }
+
+
+def space_digest(space: SampledSpace) -> str:
+    """digest(space_to_json(space)), hashing the canonical text built
+    directly: the points are joined row by row from their quoted texts,
+    with no document in between."""
+    head = canonical_json(
+        {"label": space.label, "metric": space.metric_kind, "mesh": format_rational(space.mesh)}
+    )
+    columns = _coordinate_texts(space, quote=True).T.tolist()
+    points = "],[".join(map(",".join, zip(*columns)))
+    # "points" sorts after the other keys
+    return _text_digest(f'{head[:-1]},"points":[[{points}]]}}')
 
 
 def space_from_json(doc: dict) -> SampledSpace:

@@ -55,9 +55,14 @@ def validate_net(space: SampledSpace, cert: NetCertificate) -> bool:
 TRAVERSAL_ENTRIES = 2**22
 
 
+# candidate pairs a traversal level compares at once: small batches keep a
+# level's peak memory near that of a one-center update
+LEVEL_CHUNK = 2**13
+
+
 class _Traversal:
     """Farthest-point order (Gonzalez 1985) of one subset, built only as far
-    as a query needs.
+    as a query needs, one distance level at a time.
 
     The first center is the subset's lowest index; each next center is the
     point farthest from the centers so far, ties to the lowest index.
@@ -65,42 +70,77 @@ class _Traversal:
     earlier centers when it was added; the radii never increase.  Neither
     choice depends on a radius, so the greedy net at any bound is the
     prefix of centers up to the first radius at most the bound.
+
+    While the frontier F (the largest distance to the centers) holds, the
+    next center is the lowest-index point at F that no center taken at F
+    lies within F - 1 of, and a center taken at F brings closer only the
+    points within F - 1 of it.  So one step takes every center at F: the
+    lexicographically first subset of the points at F whose members are
+    pairwise at least F apart (the technique of net-trees, Har-Peled &
+    Mendel 2006, with Gonzalez's tie order).
     """
 
     def __init__(self, space: SampledSpace, idx: np.ndarray):
         first = int(idx[0])
         self.centers = [first]
         self.radii: list[int] = []
+        self.left = len(idx) - 1  # subset points not yet centers
+        self.steps = 0  # levels plus independence rounds, an op count
         # per sample point, the scaled squared distance to the nearest
-        # center; -1 outside the subset, so it never wins the argmax
+        # center; -1 outside the subset, so it never reaches the frontier
         self.best = np.full(space.n, -1, dtype=np.int64 if space._fast else object)
         self.best[idx] = space._dist_sq_to(first, idx)
-        self._next()
+        self.frontier = int(self.best.max())
 
-    def _next(self) -> None:
-        self.worst = int(np.argmax(self.best))  # lowest index on ties
-        self.frontier = int(self.best[self.worst])
-        if not self.frontier:  # every subset point is a center
-            self.best = None
+    def _level(self, space: SampledSpace) -> None:
+        """Take every center at the frontier f, then lower the distances
+        of the points within f - 1 of one of them."""
+        f = self.frontier
+        ties = np.flatnonzero(self.best == f)
+        taken = ties[self._independent(space, ties, f)] if len(ties) > 1 else ties
+        self.centers += taken.tolist()
+        self.radii += [f] * len(taken)
+        self.left -= len(taken)
+        self.steps += 1
+        if not self.left:  # the level took every remaining point
+            self.best, self.frontier = None, 0
+            return
+        rest = np.flatnonzero(self.best > 0)
+        for p, _, d in space.ball_pairs(taken, f - 1, rest, LEVEL_CHUNK):
+            np.minimum.at(self.best, p, d)
+        self.frontier = int(self.best.max())
 
-    def _add(self, space: SampledSpace) -> None:
-        c, m = self.worst, self.frontier
-        self.centers.append(c)
-        self.radii.append(m)
-        # no point is farther than m from the earlier centers, so only a
-        # point within m - 1 of c can come closer
-        near = space.near(c, m - 1)
-        self.best[near] = np.minimum(self.best[near], space._dist_sq_to(c, near))
-        self._next()
+    def _independent(self, space: SampledSpace, ties: np.ndarray, f: int) -> np.ndarray:
+        """Mask of the lexicographically first subset of the sorted points
+        ties whose members are pairwise at scaled squared distance >= f.
+        Each round takes the candidates that no lower undecided candidate
+        lies within f - 1 of, and drops the candidates they conflict with."""
+        lo, hi = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for p, k, _ in space.ball_pairs(ties, f - 1, ties, LEVEL_CHUNK):
+            pos = ties.searchsorted(p)
+            lower = pos < k  # each conflict once, and no point with itself
+            lo.append(pos[lower])
+            hi.append(k[lower])
+        lo, hi = np.concatenate(lo), np.concatenate(hi)
+        undecided = np.ones(len(ties), dtype=bool)
+        taken = np.zeros(len(ties), dtype=bool)
+        while lo.size:  # the conflicts among undecided candidates
+            self.steps += 1
+            take = undecided.copy()
+            take[hi] = False
+            taken |= take
+            undecided &= ~take
+            undecided[hi[take[lo]]] = False
+            live = undecided[lo] & undecided[hi]
+            lo, hi = lo[live], hi[live]
+        return taken | undecided
 
     def net(self, space: SampledSpace, bound: int) -> tuple[int, ...]:
         """The greedy net's centers at a scaled squared bound >= 0: the
         centers added while the farthest point lay beyond the bound."""
+        while self.frontier > bound:
+            self._level(space)
         k = bisect_left(self.radii, -bound, key=operator.neg)
-        if k == len(self.radii):
-            while self.frontier > bound:
-                self._add(space)
-            k = len(self.radii)
         return tuple(self.centers[: k + 1])
 
 

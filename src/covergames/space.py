@@ -19,6 +19,7 @@ truncated at an explicit horizon by the callers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import os
@@ -178,6 +179,7 @@ class SampledSpace:
         # int64 fast path only when the table fits and squared scaled
         # distances cannot overflow
         span = max(b - a for a, b in zip(lo, hi))
+        self._bounds = lo, hi, span  # the cell grid's origin and size
         self._fast = (
             span * span * self.coord_dim < 2**62
             and -(2**63) <= min(lo)
@@ -294,12 +296,8 @@ class SampledSpace:
     def _dist_sq_to(self, i: int, idx) -> np.ndarray:
         """Scaled squared distances from point i to the points idx (an index
         array or slice), in O(len(idx) * dim); entries as in dist_sq_row."""
-        if self.metric_kind == "euclidean":
-            delta = self._icoords[idx] - self._icoords[i]
-            return (delta * delta).sum(axis=1)
-        if self.metric_kind == "chebyshev":
-            m = np.abs(self._icoords[idx] - self._icoords[i]).max(axis=1)
-            return m * m
+        if self.metric_kind != "cantor_2adic":
+            return _axis_dist_sq(self._icoords, self.metric_kind, idx, i)
         # cantor_2adic: d*2^D = msb(xor), so d^2*4^D = msb^2
         msb = self._msb_table[self._cantor_bits[idx] ^ self._cantor_bits[i]]
         return msb * msb
@@ -411,32 +409,56 @@ class SampledSpace:
         the given centers: ball k holds the points
         indices[indptr[k]:indptr[k + 1]], sorted.
 
-        A windowed table of at most three axes compares each point with the
-        centers in the 3**d cells around its own (ball_union's coarse
-        pass); other tables ask ball once per center."""
-        centers = np.asarray(centers, dtype=np.int64)
-        if not (centers.size and self.windowed and self.coord_dim <= 3):
-            return csr([self.ball(c, bound) for c in centers.tolist()])
+        The members come from ball_pairs over every point."""
         rows, points = [], []
-        for p, k in self._cell_pairs(centers, bound, lambda: np.arange(self.n)):
-            near = self._pair_dist_sq(p, centers[k]) <= bound
-            rows.append(k[near])
-            points.append(p[near])
+        for p, k, _ in self.ball_pairs(centers, bound, np.arange(self.n)):
+            rows.append(k)
+            points.append(p)
         return _csr_of_pairs(len(centers), rows, points)
 
-    def _cell_pairs(self, centers: np.ndarray, bound: int, rest):
-        """Candidate (points, center positions) pairs, at most PAIR_CHUNK at
-        a time: each point of rest() with the centers in the 3**d cells
-        around its own, rest() being asked afresh for each of the 3**d cell
-        offsets.  A cell's side is at least isqrt(bound) + 1, so no pair
-        within the bound is missed, and at least span / 2**20, so that its
-        key fits int64."""
-        table = self._icoords
-        span = int((table.max(axis=0) - table.min(axis=0)).max())
-        cells = table // max(isqrt(bound) + 1, (span >> 20) + 1)
-        cells -= cells.min(axis=0) - 1  # from 1: an empty cell on either side
-        stride = np.cumprod(np.r_[1, cells.max(axis=0)[:-1] + 2])
-        key = cells @ stride
+    def ball_pairs(self, centers, bound: int, points: np.ndarray, chunk=None):
+        """Every pair of a point of `points` (an index array) and a center
+        within scaled squared distance bound >= 0 of it, as (points, center
+        positions, scaled squared distances) array chunks.
+
+        On a windowed table of at most three axes, more than 3**d centers
+        take the cell grid: each point is compared with the centers in the
+        3**d cells around its own (ball_union's coarse pass), at most
+        `chunk` (default PAIR_CHUNK) candidate pairs at a time.  Otherwise
+        each center is compared with the points of its near set, which for
+        at most 3**d centers costs no more than the grid's 3**d passes."""
+        centers = np.asarray(centers, dtype=np.int64)
+        if self.windowed and self.coord_dim <= 3 and centers.size > 3**self.coord_dim:
+            for p, k in self._cell_pairs(centers, bound, lambda: points, chunk):
+                d = self._pair_dist_sq(p, centers[k])
+                near = d <= bound
+                yield p[near], k[near], d[near]
+            return
+        member = np.zeros(self.n, dtype=bool)
+        member[points] = True
+        for k, c in enumerate(centers.tolist()):
+            idx = self.near(c, bound)
+            idx = idx[member[idx]]
+            d = self._dist_sq_to(c, idx)
+            near = d <= bound
+            yield idx[near], np.full(int(near.sum()), k), d[near]
+
+    def _cell_pairs(self, centers: np.ndarray, bound: int, rest, chunk=None):
+        """Candidate (points, center positions) pairs, at most chunk (default
+        PAIR_CHUNK) at a time: each point of rest() with the centers in the
+        3**d cells around its own, rest() being asked afresh for each of the
+        3**d cell offsets.  A cell's side is at least isqrt(bound) + 1, so
+        no pair within the bound is missed, and at least span / 2**20, so
+        that its key fits int64."""
+        lo, hi, span = self._bounds
+        side = max(isqrt(bound) + 1, (span >> 20) + 1)
+        # cells from 1 on each axis, so an empty cell lies on either side
+        shift = [a // side - 1 for a in lo]
+        stride = np.cumprod([1] + [b // side - a + 2 for a, b in zip(shift, hi[:-1])])
+        key = sum(
+            (self._icoords[:, k] // side - shift[k]) * int(stride[k])
+            for k in range(self.coord_dim)
+        )
         order = np.argsort(key[centers], kind="stable")
         ckey = key[centers[order]]
         for offset in itertools.product((0, -1, 1), repeat=self.coord_dim):
@@ -446,16 +468,13 @@ class SampledSpace:
             look = key[points] + int(np.dot(offset, stride))
             first = ckey.searchsorted(look, "left")
             count = ckey.searchsorted(look, "right") - first
-            for r, pos in _runs(first, count):
+            for r, pos in _runs(first, count, chunk):
                 yield points[r], order[pos]
 
     def _pair_dist_sq(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Scaled squared distances from each point p[k] to q[k] (int64
         euclidean and chebyshev tables)."""
-        delta = self._icoords[p] - self._icoords[q]
-        if self.metric_kind == "chebyshev":
-            return np.abs(delta).max(axis=1) ** 2
-        return (delta * delta).sum(axis=1)
+        return _axis_dist_sq(self._icoords, self.metric_kind, p, q)
 
     def box(self, bounds) -> np.ndarray:
         """Sorted indices (int32) of the points whose scaled coordinates
@@ -565,21 +584,32 @@ class SampledSpace:
         )
 
 
-def _runs(first: np.ndarray, count: np.ndarray):
+def _runs(first: np.ndarray, count: np.ndarray, chunk=None):
     """The ranges first[r] .. first[r] + count[r] - 1 of the rows r, as
-    (row, position) arrays over consecutive rows holding at most
-    PAIR_CHUNK positions in all (or one row)."""
+    (row, position) arrays over consecutive rows holding at most chunk
+    (default PAIR_CHUNK) positions in all (or one row)."""
+    chunk = chunk or PAIR_CHUNK
     ends = np.cumsum(count)
     lo = 0
     while lo < len(count):
         start = int(ends[lo] - count[lo])
-        hi = max(int(ends.searchsorted(start + PAIR_CHUNK, "right")), lo + 1)
+        hi = max(int(ends.searchsorted(start + chunk, "right")), lo + 1)
         k = count[lo:hi]
         # position j of row r sits j - skip_r past first[r]
         skip = ends[lo:hi] - k - start
         pos = np.repeat(first[lo:hi] - skip, k) + np.arange(int(ends[hi - 1]) - start)
         yield np.repeat(np.arange(lo, hi), k), pos
         lo = hi
+
+
+def _axis_dist_sq(table: np.ndarray, metric_kind: str, p, q) -> np.ndarray:
+    """Scaled squared euclidean or chebyshev distances from each row p[k]
+    of the table to q[k], or to the row q.  They are taken axis by axis,
+    since gathers from one column are much faster than gathers of rows."""
+    deltas = [col[p] - col[q] for col in table.T]
+    if metric_kind == "chebyshev":
+        return functools.reduce(np.maximum, map(np.abs, deltas)) ** 2
+    return sum(x * x for x in deltas)
 
 
 def csr(parts) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,8 @@ list of `Box` objects into a `BoxFamily` through the per-box queries.  The
 finite-C candidate scan that built and tested every candidate, with no
 refutation prefilter, is kept here too, and so is the space loader that
 took every point through a tuple of Fractions on its way to the integer
-table.
+table, and so is the farthest-point traversal that added one center per
+step.
 """
 
 from __future__ import annotations
@@ -503,3 +504,39 @@ def _cantor_int(k: int, bound: int) -> bool:
         if digit == 1:
             return False
     return True
+
+
+class TraversalLoop:
+    """Farthest-point order (Gonzalez 1985) of the subset idx, one center
+    per step: each step takes the point with the largest distance to the
+    centers so far (ties to the lowest index), then lowers the distances of
+    the points within the frontier of it.  run() builds the whole order:
+    centers, and radii[k - 1], the scaled squared distance from centers[k]
+    to the earlier centers when it was added."""
+
+    def __init__(self, space: SampledSpace, idx: np.ndarray):
+        first = int(idx[0])
+        self.centers = [first]
+        self.radii: list[int] = []
+        self.best = np.full(space.n, -1, dtype=np.int64 if space._fast else object)
+        self.best[idx] = space._dist_sq_to(first, idx)
+        self._next()
+
+    def _next(self) -> None:
+        self.worst = int(np.argmax(self.best))  # lowest index on ties
+        self.frontier = int(self.best[self.worst])
+
+    def _add(self, space: SampledSpace) -> None:
+        c, m = self.worst, self.frontier
+        self.centers.append(c)
+        self.radii.append(m)
+        # no point is farther than m from the earlier centers, so only a
+        # point within m - 1 of c can come closer
+        near = space.near(c, m - 1)
+        self.best[near] = np.minimum(self.best[near], space._dist_sq_to(c, near))
+        self._next()
+
+    def run(self, space: SampledSpace) -> TraversalLoop:
+        while self.frontier:
+            self._add(space)
+        return self

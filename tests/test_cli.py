@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from covergames import jsonio
+from covergames import cli, jsonio
 from covergames.cli import main, run
 from covergames.covers import Ball, Box, Cover, CoverSeq
 from covergames.netting import chain_decomposition
@@ -340,3 +344,44 @@ class TestDeterminism:
         _, doc1 = run(argv)
         _, doc2 = run(argv)
         assert strip_walltime(doc1) == strip_walltime(doc2)
+
+
+def test_one_parser_serves_calls_after_a_usage_error(workdir, capsys):
+    # the parser is built once per process; a usage error must leave it as
+    # a fresh process finds it
+    space = str(workdir / "space.json")
+    calls = [
+        ["net", "--space", space],  # --epsilon missing
+        ["net", "--space", space, "--epsilon", "1/3", "--oracle"],
+        ["nosuch"],
+        ["scplus", "--space", space, "--covers", str(workdir / "covers.json")],
+        ["demo", "--label", "unit_interval_8", "--horizon", "2"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "covergames.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        code, doc = run(argv)
+        assert main(argv) == code == fresh.returncode
+        out = capsys.readouterr().out
+        if doc["command"] == "usage":
+            assert code == 2 and out == fresh.stdout == ""
+        else:
+            want = strip_walltime(json.loads(fresh.stdout))
+            assert strip_walltime(doc) == strip_walltime(json.loads(out)) == want
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, workdir):
+    built = []
+    inner = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or inner())
+    cli._parser.cache_clear()
+    try:
+        assert run(["nosuch"])[0] == 2
+        assert run(["net", "--space", str(workdir / "space.json"), "--epsilon", "1/2"])[0] == 0
+        assert main(["net", "--space", "single_point", "--epsilon", "1/2"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1

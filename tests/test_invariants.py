@@ -87,6 +87,7 @@ FIXTURE_API = {
     "cover_to_json",
     "coverseq_to_json",
     "selections_to_json",
+    "space_to_json",
     "SampledSpace.index_of",
     "SampledSpace.points",
     "detect_structure",

@@ -11,7 +11,12 @@ from covergames import jsonio
 from covergames.covers import Ball, Box, CoClosedBalls, Cover, CoverSeq
 from covergames.exact import InputError, parse_rational
 from covergames.netting import chain_decomposition
-from covergames.space import SampledSpace, build_cantor_space, build_grid_space
+from covergames.space import (
+    SampledSpace,
+    build_cantor_2adic_space,
+    build_cantor_space,
+    build_grid_space,
+)
 from oracles import cantor_points, space_from_json_oracle
 
 
@@ -260,3 +265,33 @@ class TestCanonical:
         a = jsonio.digest({"b": 1, "a": [1, 2]})
         b = jsonio.digest({"a": [1, 2], "b": 1})
         assert a == b
+
+
+def _file_space(tmp_path) -> SampledSpace:
+    """A 3-D chebyshev space loaded from a file, with mixed denominators,
+    negative coordinates and a label that JSON escapes."""
+    doc = {
+        "label": 'ü "x" \\ \n\t ✓',
+        "metric": "chebyshev",
+        "mesh": "1/9",
+        "points": [["-1/3", "5/7", "2"], ["0", "-0", "1/2"], ["7/3", "-5/7", "1"]],
+    }
+    path = tmp_path / "space.json"
+    jsonio.dump_json(doc, path)
+    return jsonio.space_from_json(jsonio.load_json(path))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tmp: build_grid_space(2, F(1, 16)),
+        lambda tmp: build_grid_space(3, F(1, 4), "chebyshev", label="grid \"3d\""),
+        lambda tmp: build_cantor_space(6),
+        lambda tmp: build_cantor_2adic_space(5),
+        lambda tmp: SampledSpace([(F(2**70, 3),), (F(-1, 2),)], "euclidean", F(1, 4)),
+        _file_space,
+    ],
+)
+def test_space_digest_is_the_document_digest(tmp_path, make):
+    space = make(tmp_path)
+    assert jsonio.space_digest(space) == jsonio.digest(jsonio.space_to_json(space))

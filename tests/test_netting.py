@@ -28,11 +28,13 @@ from covergames.registry import builtin_space
 from covergames.space import (
     SampledSpace,
     build_cantor_2adic_space,
+    build_cantor_space,
     build_grid_space,
     doubling_delta,
     paired_delta,
 )
-from oracles import refines_oracle
+import covergames.space as space_module
+from oracles import TraversalLoop, refines_oracle
 
 
 def is_valid_net(space, subset, centers, eps) -> bool:
@@ -162,16 +164,16 @@ class TestTraversal:
         assert [greedy_net(s, equal, eps).centers for eps in radii] == want
         assert calls == []
 
-    def test_coarse_net_extends_only_its_centers(self, monkeypatch):
+    def test_coarse_net_extends_only_its_centers(self):
         s = builtin_space("unit_square_64")
-        calls = _space_calls(monkeypatch, "_dist_sq_to")
+        bound = s.scaled_bound(F(1, 4))
         cert = greedy_net(s, s.subset_all(), F(1, 4))
         assert len(cert.centers) == 25
-        # one distance batch per center: the first against the subset, each
-        # later one against its first-axis window
-        assert [i for i, _ in calls] == list(cert.centers)
+        # the traversal stops after the levels beyond the bound: it holds
+        # the net's centers and no more
         (trav,) = s._traversals.values()
-        assert len(trav.centers) == 25
+        assert trav.centers == list(cert.centers)
+        assert trav.frontier <= bound < trav.radii[-1]
 
     def test_cache_keeps_the_most_recently_used(self, monkeypatch):
         s = build_grid_space(1, F(1, 8))
@@ -216,6 +218,92 @@ class TestTraversal:
         empty = interval_8.subset_from_indices([])
         with pytest.raises(InputError, match="nonempty subset"):
             greedy_net(interval_8, empty, F(1, 4))
+
+
+def _grid_4d(side: int) -> SampledSpace:
+    table = np.indices((side,) * 4).reshape(4, -1).T
+    return SampledSpace.from_table(side - 1, np.ascontiguousarray(table), "euclidean", F(1, 4))
+
+
+# spaces for the differential traversal tests: windowed tables of one to
+# three axes take the cell grid, four axes and 2-adic bits the near sets
+LEVEL_SPACES = {
+    "grid_33_euclidean": lambda: build_grid_space(2, F(1, 32)),
+    "grid_33_chebyshev": lambda: build_grid_space(2, F(1, 32), "chebyshev"),
+    "grid_3d": lambda: build_grid_space(3, F(1, 8)),
+    "grid_4d": lambda: _grid_4d(5),
+    "cantor_8": lambda: build_cantor_space(8),
+    "cantor_2adic_8": lambda: build_cantor_2adic_space(8),
+}
+
+
+def _traversal_pair(space, idx):
+    """The (centers, radii) of the level traversal and of the one-center
+    loop, both run to the end."""
+    trav = netting_module._Traversal(space, idx)
+    trav.net(space, 0)
+    loop = TraversalLoop(space, idx).run(space)
+    return (trav.centers, trav.radii), (loop.centers, loop.radii)
+
+
+class TestLevels:
+    @pytest.mark.parametrize("name", LEVEL_SPACES)
+    @pytest.mark.parametrize("seed,share", [(None, 1), (1, 0.1), (2, 0.5), (3, 0.9)])
+    def test_matches_the_one_center_loop(self, name, seed, share):
+        space = LEVEL_SPACES[name]()
+        idx = np.arange(space.n)
+        if seed is not None:
+            keep = np.random.default_rng(seed).random(space.n) < share
+            idx = idx[keep] if keep.any() else idx[:1]
+        got, want = _traversal_pair(space, idx)
+        assert got == want
+
+    def test_level_pairs_span_several_chunks(self, monkeypatch):
+        # the last level of the 129 x 129 grid takes 8,320 centers at once,
+        # more pairs per cell offset than one batch holds
+        space = build_grid_space(2, F(1, 128))
+        batches = []
+        inner = space_module._runs
+
+        def counted(*args):
+            runs = list(inner(*args))
+            batches.append(len(runs))
+            return iter(runs)
+
+        monkeypatch.setattr(space_module, "_runs", counted)
+        got, want = _traversal_pair(space, np.arange(space.n))
+        assert got == want
+        assert max(batches) > 1
+
+    def test_demo_traversal_steps(self, monkeypatch):
+        # 4,224 one-center steps before; unit_square_64 has 14 levels
+        steps = _traversal_steps(monkeypatch)
+        report = Report("demo", [])
+        pipeline_demo(builtin_space("unit_square_64"), 6, report)
+        assert report.all_passed
+        assert 14 <= sum(t.steps for t in steps.values()) <= 100
+
+    def test_full_traversal_steps_of_the_257_grid(self):
+        # 66,048 one-center steps before; the grid has 18 levels
+        space = build_grid_space(2, F(1, 256))
+        cert = greedy_net(space, space.subset_all(), F(1, 1024))
+        assert len(cert.centers) == space.n
+        (trav,) = space._traversals.values()
+        assert 18 <= trav.steps <= 200
+
+
+def _traversal_steps(monkeypatch) -> dict:
+    """The traversals greedy_net reads, by id, as they are asked for."""
+    seen = {}
+    inner = netting_module._traversal
+
+    def recorded(space, subset):
+        trav = inner(space, subset)
+        seen[id(trav)] = trav
+        return trav
+
+    monkeypatch.setattr(netting_module, "_traversal", recorded)
+    return seen
 
 
 class TestGreedyNet:
