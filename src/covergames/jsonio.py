@@ -29,11 +29,7 @@ def canonical_json(obj) -> str:
 
 
 def digest(obj) -> str:
-    return _text_digest(canonical_json(obj))
-
-
-def _text_digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 
 def load_json(path) -> object:
@@ -51,6 +47,10 @@ def dump_json(obj, path) -> None:
 
 
 # -- spaces ------------------------------------------------------------------------
+
+# points joined at a time by space_digest: a few small texts per point live
+# at once, so that their memory is reused rather than spread
+DIGEST_ROWS = 1024
 
 
 def _coordinate_texts(space: SampledSpace, quote=False) -> np.ndarray:
@@ -74,16 +74,20 @@ def space_to_json(space: SampledSpace) -> dict:
 
 
 def space_digest(space: SampledSpace) -> str:
-    """digest(space_to_json(space)), hashing the canonical text built
-    directly: the points are joined row by row from their quoted texts,
-    with no document in between."""
+    """digest(space_to_json(space)), hashing the canonical text as it is
+    joined, DIGEST_ROWS points at a time, from their quoted texts, with no
+    document in between."""
     head = canonical_json(
         {"label": space.label, "metric": space.metric_kind, "mesh": format_rational(space.mesh)}
     )
-    columns = _coordinate_texts(space, quote=True).T.tolist()
-    points = "],[".join(map(",".join, zip(*columns)))
     # "points" sorts after the other keys
-    return _text_digest(f'{head[:-1]},"points":[[{points}]]}}')
+    sha = hashlib.sha256(f'{head[:-1]},"points":['.encode())
+    texts = _coordinate_texts(space, quote=True)
+    for k in range(0, space.n, DIGEST_ROWS):
+        rows = zip(*texts[k : k + DIGEST_ROWS].T.tolist())
+        sha.update(f'{"," if k else ""}[{"],[".join(map(",".join, rows))}]'.encode())
+    sha.update(b"]}")
+    return sha.hexdigest()[:16]
 
 
 def space_from_json(doc: dict) -> SampledSpace:
@@ -94,13 +98,15 @@ def space_from_json(doc: dict) -> SampledSpace:
         points = doc["points"]
         if type(points) is not list or not set(map(type, points)) <= {list}:
             raise TypeError("space points must be an array of coordinate arrays")
-        flat = list(chain.from_iterable(points))
-        if not set(map(type, flat)) <= {str, int}:
+        # the coordinates are read through iterators, so that no list of
+        # them joins the document in memory
+        if not set(map(type, chain.from_iterable(points))) <= {str, int}:
             # a bool, float, null, array or object coordinate: the first
             # one is refused, after any malformed text before it
-            for c in flat:
+            for c in chain.from_iterable(points):
                 parse_rational(c)
-        scaled = dict.fromkeys(flat)  # each distinct coordinate, in order
+        # each distinct coordinate, in order
+        scaled = dict.fromkeys(chain.from_iterable(points))
         values = [parse_rational(c) for c in scaled]
         scale = lcm(*(v.denominator for v in values))
         for c, v in zip(scaled, values):
@@ -110,7 +116,10 @@ def space_from_json(doc: dict) -> SampledSpace:
     except KeyError as exc:
         raise InputError(f"space JSON missing key {exc}") from exc
     dim = point_dim(metric, map(len, points))
-    table = int_table(list(map(scaled.__getitem__, flat))).reshape(len(points), dim)
+    # int64, or object when a value exceeds it
+    dtype = int_table(list(scaled.values())).dtype
+    flat = map(scaled.__getitem__, chain.from_iterable(points))
+    table = np.fromiter(flat, dtype, count=len(points) * dim).reshape(len(points), dim)
     return SampledSpace.from_table(scale, table, metric, mesh, label=label)
 
 

@@ -284,7 +284,7 @@ def _file_space(tmp_path) -> SampledSpace:
 @pytest.mark.parametrize(
     "make",
     [
-        lambda tmp: build_grid_space(2, F(1, 16)),
+        lambda tmp: build_grid_space(2, F(1, 32)),
         lambda tmp: build_grid_space(3, F(1, 4), "chebyshev", label="grid \"3d\""),
         lambda tmp: build_cantor_space(6),
         lambda tmp: build_cantor_2adic_space(5),
@@ -292,6 +292,9 @@ def _file_space(tmp_path) -> SampledSpace:
         _file_space,
     ],
 )
-def test_space_digest_is_the_document_digest(tmp_path, make):
+@pytest.mark.parametrize("rows", [1, 7, jsonio.DIGEST_ROWS])
+def test_space_digest_is_the_document_digest(monkeypatch, tmp_path, make, rows):
+    # the 33 x 33 grid is one full batch of DIGEST_ROWS points and a part
+    monkeypatch.setattr(jsonio, "DIGEST_ROWS", rows)
     space = make(tmp_path)
     assert jsonio.space_digest(space) == jsonio.digest(jsonio.space_to_json(space))
