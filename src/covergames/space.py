@@ -48,7 +48,8 @@ DEFAULT_POINT_CAP = 2**20
 CANTOR_DEPTH_CAP = 16
 POINT_CAP_ENV = "COVER_GAMES_POINT_CAP"
 
-# pairs of a point and a center that ball_union's coarse pass tests at once
+# pairs of a point and a center that the cell search (ball_union's coarse
+# pass, ball_pairs) tests at once, unless its caller asks for fewer
 PAIR_CHUNK = 2**17
 
 # rational upper bounds for sqrt(d), d = 1..3, used for grid mesh values
