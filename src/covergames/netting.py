@@ -55,9 +55,9 @@ def validate_net(space: SampledSpace, cert: NetCertificate) -> bool:
 TRAVERSAL_ENTRIES = 2**22
 
 
-# candidate pairs a traversal level compares at once: small batches keep a
-# level's peak memory near that of a one-center update
-LEVEL_CHUNK = 2**13
+# conflicting pairs of tied points a traversal level holds at once; a level
+# with more takes its centers in blocks of its ties, in index order
+LEVEL_PAIRS = 2**16
 
 
 class _Traversal:
@@ -74,7 +74,7 @@ class _Traversal:
     While the frontier F (the largest distance to the centers) holds, the
     next center is the lowest-index point at F that no center taken at F
     lies within F - 1 of, and a center taken at F brings closer only the
-    points within F - 1 of it.  So one step takes every center at F: the
+    points within F - 1 of it.  So one level takes every center at F: the
     lexicographically first subset of the points at F whose members are
     pairwise at least F apart (the technique of net-trees, Har-Peled &
     Mendel 2006, with Gonzalez's tie order).
@@ -90,38 +90,40 @@ class _Traversal:
         # center; -1 outside the subset, so it never reaches the frontier
         self.best = np.full(space.n, -1, dtype=np.int64 if space._fast else object)
         self.best[idx] = space._dist_sq_to(first, idx)
-        self.frontier = int(self.best.max())
+        self._next()
+
+    def _next(self) -> None:
+        self.worst = int(np.argmax(self.best))  # lowest index on ties
+        self.frontier = int(self.best[self.worst])
 
     def _level(self, space: SampledSpace) -> None:
-        """Take every center at the frontier f, then lower the distances
-        of the points within f - 1 of one of them."""
+        """Take every center at the frontier f.  The lowest-index point at
+        f is one whatever the other ties, so it goes first, alone: a level
+        of one center costs one window update and one argmax, as a
+        one-center step does.  The ties it leaves at f are taken in blocks:
+        each is an index-ordered prefix of the ties left, at most twice as
+        long as the block before, whose conflicts number at most
+        LEVEL_PAIRS."""
         f = self.frontier
-        ties = np.flatnonzero(self.best == f)
-        taken = ties[self._independent(space, ties, f)] if len(ties) > 1 else ties
-        self.centers += taken.tolist()
-        self.radii += [f] * len(taken)
-        self.left -= len(taken)
         self.steps += 1
-        if not self.left:  # the level took every remaining point
-            self.best, self.frontier = None, 0
-            return
-        rest = np.flatnonzero(self.best > 0)
-        for p, _, d in space.ball_pairs(taken, f - 1, rest, LEVEL_CHUNK):
-            np.minimum.at(self.best, p, d)
-        self.frontier = int(self.best.max())
+        self._take(space, [self.worst], f)
+        size = space.n
+        while self.frontier == f:
+            ties = np.flatnonzero(self.best == f)[: 2 * size]
+            taken, size = self._independent(space, ties, f)
+            self._take(space, taken.tolist(), f)
 
-    def _independent(self, space: SampledSpace, ties: np.ndarray, f: int) -> np.ndarray:
-        """Mask of the lexicographically first subset of the sorted points
-        ties whose members are pairwise at scaled squared distance >= f.
-        Each round takes the candidates that no lower undecided candidate
-        lies within f - 1 of, and drops the candidates they conflict with."""
-        lo, hi = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for p, k, _ in space.ball_pairs(ties, f - 1, ties, LEVEL_CHUNK):
-            pos = ties.searchsorted(p)
-            lower = pos < k  # each conflict once, and no point with itself
-            lo.append(pos[lower])
-            hi.append(k[lower])
-        lo, hi = np.concatenate(lo), np.concatenate(hi)
+    def _independent(self, space: SampledSpace, ties: np.ndarray, f: int):
+        """The lexicographically first subset of a prefix of the sorted
+        points ties whose members are pairwise at scaled squared distance
+        >= f, and the prefix's length.  The prefix is the longest of ties,
+        its first half, quarter, ... with at most LEVEL_PAIRS pairs within
+        f - 1.  Each round takes the candidates that no lower undecided
+        candidate lies within f - 1 of, and drops the candidates they
+        conflict with."""
+        while (pairs := _conflicts(space, ties, f - 1)) is None:
+            ties = ties[: len(ties) // 2]
+        lo, hi = pairs
         undecided = np.ones(len(ties), dtype=bool)
         taken = np.zeros(len(ties), dtype=bool)
         while lo.size:  # the conflicts among undecided candidates
@@ -133,7 +135,27 @@ class _Traversal:
             undecided[hi[take[lo]]] = False
             live = undecided[lo] & undecided[hi]
             lo, hi = lo[live], hi[live]
-        return taken | undecided
+        return ties[taken | undecided], len(ties)
+
+    def _take(self, space: SampledSpace, taken: list[int], f: int) -> None:
+        """Add the centers taken at the frontier f, then lower the
+        distances of the points within f - 1 of one of them."""
+        self.centers += taken
+        self.radii += [f] * len(taken)
+        self.left -= len(taken)
+        if not self.left:  # every subset point is a center
+            self.best, self.frontier = None, 0
+            return
+        if len(taken) == 1:
+            # entries -1 (outside the subset) and 0 (centers) never change
+            c = taken[0]
+            near = space.near(c, f - 1)
+            self.best[near] = np.minimum(self.best[near], space._dist_sq_to(c, near))
+        else:
+            rest = np.flatnonzero(self.best > 0)
+            for p, _, d in space.ball_pairs(taken, f - 1, rest):
+                np.minimum.at(self.best, p, d)
+        self._next()
 
     def net(self, space: SampledSpace, bound: int) -> tuple[int, ...]:
         """The greedy net's centers at a scaled squared bound >= 0: the
@@ -142,6 +164,23 @@ class _Traversal:
             self._level(space)
         k = bisect_left(self.radii, -bound, key=operator.neg)
         return tuple(self.centers[: k + 1])
+
+
+def _conflicts(space: SampledSpace, ties: np.ndarray, bound: int):
+    """The pairs (lo, hi), lo < hi, of positions in the sorted points ties
+    whose points lie within scaled squared distance bound of each other, or
+    None once they number more than LEVEL_PAIRS."""
+    lo, hi, held = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], 0
+    if len(ties) > 1:
+        for p, k, _ in space.ball_pairs(ties, bound, ties):
+            pos = ties.searchsorted(p)
+            lower = pos < k  # each conflict once, and no point with itself
+            held += int(np.count_nonzero(lower))
+            if held > LEVEL_PAIRS:
+                return None
+            lo.append(pos[lower])
+            hi.append(k[lower])
+    return np.concatenate(lo), np.concatenate(hi)
 
 
 def _traversal(space: SampledSpace, subset: SubsetHandle) -> _Traversal:

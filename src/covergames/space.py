@@ -49,8 +49,9 @@ CANTOR_DEPTH_CAP = 16
 POINT_CAP_ENV = "COVER_GAMES_POINT_CAP"
 
 # pairs of a point and a center that the cell search (ball_union's coarse
-# pass, ball_pairs) tests at once, unless its caller asks for fewer
-PAIR_CHUNK = 2**17
+# pass, ball_pairs) tests at once: small batches keep a farthest-point
+# level's peak memory near that of a one-center update
+PAIR_CHUNK = 2**13
 
 # rational upper bounds for sqrt(d), d = 1..3, used for grid mesh values
 _EUCLID_MESH_FACTOR = {1: Fraction(1), 2: Fraction(3, 2), 3: Fraction(7, 4)}
@@ -417,7 +418,7 @@ class SampledSpace:
             points.append(p)
         return _csr_of_pairs(len(centers), rows, points)
 
-    def ball_pairs(self, centers, bound: int, points: np.ndarray, chunk=None):
+    def ball_pairs(self, centers, bound: int, points: np.ndarray):
         """Every pair of a point of `points` (an index array) and a center
         within scaled squared distance bound >= 0 of it, as (points, center
         positions, scaled squared distances) array chunks.
@@ -425,12 +426,12 @@ class SampledSpace:
         On a windowed table of at most three axes, more than 3**d centers
         take the cell grid: each point is compared with the centers in the
         3**d cells around its own (ball_union's coarse pass), at most
-        `chunk` (default PAIR_CHUNK) candidate pairs at a time.  Otherwise
-        each center is compared with the points of its near set, which for
-        at most 3**d centers costs no more than the grid's 3**d passes."""
+        PAIR_CHUNK candidate pairs at a time.  Otherwise each center is
+        compared with the points of its near set, which for at most 3**d
+        centers costs no more than the grid's 3**d passes."""
         centers = np.asarray(centers, dtype=np.int64)
         if self.windowed and self.coord_dim <= 3 and centers.size > 3**self.coord_dim:
-            for p, k in self._cell_pairs(centers, bound, lambda: points, chunk):
+            for p, k in self._cell_pairs(centers, bound, lambda: points):
                 d = self._pair_dist_sq(p, centers[k])
                 near = d <= bound
                 yield p[near], k[near], d[near]
@@ -444,13 +445,13 @@ class SampledSpace:
             near = d <= bound
             yield idx[near], np.full(int(near.sum()), k), d[near]
 
-    def _cell_pairs(self, centers: np.ndarray, bound: int, rest, chunk=None):
-        """Candidate (points, center positions) pairs, at most chunk (default
-        PAIR_CHUNK) at a time: each point of rest() with the centers in the
-        3**d cells around its own, rest() being asked afresh for each of the
-        3**d cell offsets.  A cell's side is at least isqrt(bound) + 1, so
-        no pair within the bound is missed, and at least span / 2**20, so
-        that its key fits int64."""
+    def _cell_pairs(self, centers: np.ndarray, bound: int, rest):
+        """Candidate (points, center positions) pairs, at most PAIR_CHUNK at
+        a time: each point of rest() with the centers in the 3**d cells
+        around its own, rest() being asked afresh for each of the 3**d cell
+        offsets.  A cell's side is at least isqrt(bound) + 1, so no pair
+        within the bound is missed, and at least span / 2**20, so that its
+        key fits int64."""
         lo, hi, span = self._bounds
         side = max(isqrt(bound) + 1, (span >> 20) + 1)
         # cells from 1 on each axis, so an empty cell lies on either side
@@ -469,7 +470,7 @@ class SampledSpace:
             look = key[points] + int(np.dot(offset, stride))
             first = ckey.searchsorted(look, "left")
             count = ckey.searchsorted(look, "right") - first
-            for r, pos in _runs(first, count, chunk):
+            for r, pos in _runs(first, count):
                 yield points[r], order[pos]
 
     def _pair_dist_sq(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -585,16 +586,15 @@ class SampledSpace:
         )
 
 
-def _runs(first: np.ndarray, count: np.ndarray, chunk=None):
+def _runs(first: np.ndarray, count: np.ndarray):
     """The ranges first[r] .. first[r] + count[r] - 1 of the rows r, as
-    (row, position) arrays over consecutive rows holding at most chunk
-    (default PAIR_CHUNK) positions in all (or one row)."""
-    chunk = chunk or PAIR_CHUNK
+    (row, position) arrays over consecutive rows holding at most
+    PAIR_CHUNK positions in all (or one row)."""
     ends = np.cumsum(count)
     lo = 0
     while lo < len(count):
         start = int(ends[lo] - count[lo])
-        hi = max(int(ends.searchsorted(start + chunk, "right")), lo + 1)
+        hi = max(int(ends.searchsorted(start + PAIR_CHUNK, "right")), lo + 1)
         k = count[lo:hi]
         # position j of row r sits j - skip_r past first[r]
         skip = ends[lo:hi] - k - start

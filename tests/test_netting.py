@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -259,8 +260,8 @@ class TestLevels:
         assert got == want
 
     def test_level_pairs_span_several_chunks(self, monkeypatch):
-        # the last level of the 129 x 129 grid takes 8,320 centers at once,
-        # more pairs per cell offset than one batch holds
+        # the last level of the 129 x 129 grid takes 8,320 centers, more
+        # pairs per cell offset than one batch holds
         space = build_grid_space(2, F(1, 128))
         batches = []
         inner = space_module._runs
@@ -274,6 +275,52 @@ class TestLevels:
         got, want = _traversal_pair(space, np.arange(space.n))
         assert got == want
         assert max(batches) > 1
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_dense_ties_resolve_in_blocks(self, shuffled):
+        # every ring point is at F = r**2 from the first center, and each
+        # lies within F - 1 of hundreds of others: 900,000 conflicts in all,
+        # which one block would hold at once (about 27 MB traced)
+        r = 300
+        ring = [(x, -r) for x in range(-r, r)] + [(r, y) for y in range(-r, r)]
+        ring += [(-x, r) for x in range(-r, r)] + [(-r, -y) for y in range(-r, r)]
+        if shuffled:
+            np.random.default_rng(5).shuffle(ring)
+        table = np.array([(0, 0)] + ring, dtype=np.int64)
+        space = SampledSpace.from_table(r, table, "chebyshev", F(1, r))
+        idx = np.arange(space.n)
+        got, want = _traversal_pair(space, idx)
+        assert got == want
+        trav = netting_module._Traversal(space, idx)
+        tracemalloc.start()
+        try:
+            trav.net(space, r * r - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trav.radii == want[1][: len(trav.radii)] and len(trav.radii) > 1
+        assert peak < 64 * netting_module.LEVEL_PAIRS
+
+    def test_a_level_of_one_center_searches_no_pairs(self, monkeypatch):
+        # on a cloud with no two equal distances to the centers every level
+        # holds one point, and costs what a one-center step does: a window
+        # update and an argmax, no pair search
+        rng = np.random.default_rng(11)
+        table = np.unique(rng.integers(0, 2**20, size=(400, 2)), axis=0)
+        rng.shuffle(table)
+        space = SampledSpace.from_table(2**20, table, "euclidean", F(1, 2**20))
+        calls = []
+        inner = SampledSpace.ball_pairs
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(SampledSpace, "ball_pairs", counted)
+        got, want = _traversal_pair(space, np.arange(space.n))
+        assert got == want
+        assert len(set(got[1])) == len(got[1]) == space.n - 1
+        assert calls == []
 
     def test_demo_traversal_steps(self, monkeypatch):
         # 4,224 one-center steps before; unit_square_64 has 14 levels

@@ -8,8 +8,11 @@ src) first on its path.  It runs cli.pipeline_demo at horizon 6 on the grid
 of side 1/DEN, timing its wall time (perf_counter) and then reading the
 process's max RSS; then, on a fresh copy of the grid, it times one full
 farthest-point traversal (the greedy net below the minimum gap) and reads
-its step count, levels plus independence rounds.  One JSON line per rung;
-DEN 64, 128, 256 and 512 give n = 4,225, 16,641, 66,049 and 263,169.
+its step count, levels plus independence rounds.  Last it times the full
+traversal of a seeded random cloud of n points, whose levels hold one point
+each: no tie to share a level, the case where a level step gains nothing.
+One JSON line per rung; DEN 64, 128, 256 and 512 give n = 4,225, 16,641,
+66,049 and 263,169.
 """
 
 from __future__ import annotations
@@ -43,16 +46,38 @@ def rung(den: int) -> dict:
     traversal_s = time.perf_counter() - t
     (trav,) = space._traversals.values()
     assert len(cert.centers) == space.n
+    cloud_s = cloud_traversal_s(space.n)
     return {
         "n": space.n,
         "traversal_s": round(traversal_s, 3),
         # absent from a one-center traversal, whose steps are its n - 1 centers
         "traversal_steps": getattr(trav, "steps", None),
         "levels": len(set(trav.radii)),
+        "cloud_traversal_s": round(cloud_s, 3),
         "demo_s": round(demo_s, 3),
         "max_rss_mb": round(rss_mb, 1),
         "checks_passed": report.all_passed,
     }
+
+
+def cloud_traversal_s(n: int) -> float:
+    """Seconds for the full traversal of n seeded random points of the
+    2-D lattice of side 2**-20, with distinct first coordinates."""
+    import numpy as np
+
+    from covergames import netting
+    from covergames.space import SampledSpace
+
+    rng = np.random.default_rng(n)
+    x = rng.choice(2**20, size=n, replace=False)
+    table = np.column_stack([x, rng.integers(0, 2**20, size=n)]).astype(np.int64)
+    scale = Fraction(1, 2**20)
+    space = SampledSpace.from_table(2**20, table, "euclidean", scale)
+    t = time.perf_counter()
+    cert = netting.greedy_net(space, space.subset_all(), scale / 2)
+    elapsed = time.perf_counter() - t
+    assert len(cert.centers) == n
+    return elapsed
 
 
 def main() -> None:
