@@ -13,8 +13,10 @@ relatively-open truncations like [0, 0.6) on [0,1] are expressed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -866,16 +868,6 @@ class _LebesgueTable:
         self.start, self.region, self.lo, self.hi = start, region, lo, hi
         self.capped, self.cap = capped, cap
 
-    def at(self, p: int):
-        """(region index, lo, hi, capped) per region containing p."""
-        a, b = int(self.start[p]), int(self.start[p + 1])
-        return zip(
-            self.region[a:b].tolist(),
-            self.lo[a:b].tolist(),
-            self.hi[a:b].tolist(),
-            self.capped[a:b].tolist(),
-        )
-
     def radius_lb(self, cover: Cover, ridx: int, capped: bool, p: int, tol):
         """_containment_radius_lb of region ridx at its member p."""
         if capped:
@@ -905,11 +897,12 @@ def _lebesgue_table(cover: Cover) -> _LebesgueTable:
     if space._fast and space.dist_scale_sq < 2**1000 and members:
         tol = _float_bounds(_base_tolerance(space))[1]
         bounds = [_radius_bounds(r, m, tol) for r, m in zip(cover.regions, members)]
+        lo, hi = (np.concatenate(b) for b in zip(*bounds))
+        del bounds  # the per-region copies go before the sort
         cap_lo, cap_hi = _float_bounds(cap)
-        lo = np.concatenate([b[0] for b in bounds])
         capped = lo >= cap_hi
-        lo = np.minimum(lo, cap_lo)
-        hi = np.minimum(np.concatenate([b[1] for b in bounds]), cap_hi)
+        np.minimum(lo, cap_lo, out=lo)
+        np.minimum(hi, cap_hi, out=hi)
     region = np.repeat(
         np.arange(len(members), dtype=np.int32), [m.size for m in members]
     )
@@ -922,20 +915,112 @@ def _lebesgue_table(cover: Cover) -> _LebesgueTable:
     return cover._table
 
 
+def _codes(n: int, columns) -> np.ndarray:
+    """Codes 0, 1, ... of the distinct rows of n-long integer columns (an
+    iterable, read only while some rows still share a code)."""
+    code = np.zeros(n, dtype=np.int64)
+    for col in columns:
+        _, col = np.unique(col, return_inverse=True)
+        _, code = np.unique(code * (int(col.max()) + 1) + col, return_inverse=True)
+        if code.max() == n - 1:
+            break
+    return code
+
+
+def _key_columns(region: Box | CoClosedBalls, idx: np.ndarray):
+    """The integers a box's or a closed-ball complement's exact radius reads
+    at the points idx: the least slack on the box's open sides, over the lcm
+    of the scale and the box's denominators (none when every side is
+    closed), or the squared distances to each ball, made as they are read."""
+    space = region.space
+    if isinstance(region, CoClosedBalls):
+        return (space._dist_sq_to(c, idx) for c, _ in region.balls)
+    den = math.lcm(space.scale, *(x.denominator for x in region.lo + region.hi))
+    f = den // space.scale
+    sides = []
+    for i in range(space.coord_dim):
+        x = space._icoords[idx, i]
+        if not region.lo_closed[i]:
+            sides.append(_scaled(x, f, -int(region.lo[i] * den)))
+        if not region.hi_closed[i]:
+            sides.append(-_scaled(x, f, -int(region.hi[i] * den)))
+    return [functools.reduce(np.minimum, sides)] if sides else []
+
+
+def _entry_keys(cover: Cover, table: _LebesgueTable, entries, points):
+    """A key per Lebesgue-table entry (the entries, at their points), shared
+    only by entries whose exact radii agree at every tolerance, and per key
+    the (region, capped, point) of its first entry.
+
+    An exact radius reads its point only through integers: a capped entry
+    is the cap; a ball's depends on the ball's radius and the point's
+    scaled squared distance to its center, so balls of one radius share
+    keys; a box's on the point's least scaled slack on its open sides; a
+    closed-ball complement's on the point's squared distances to its balls.
+    """
+    space = cover.space
+    shape, centers, _ = _region_arrays(cover)
+    region = table.region[entries]
+    kind = np.where(table.capped[entries], -1, shape[region])
+    capped = np.flatnonzero(kind == -1)
+    groups = [(capped, [np.zeros(capped.size, dtype=np.int64)])]
+    balls = np.flatnonzero(kind == _SHAPES[Ball])
+    regs, inv = np.unique(region[balls], return_inverse=True)
+    radii: dict[Fraction, int] = {}
+    rid = [radii.setdefault(cover.regions[r].radius, len(radii)) for r in regs.tolist()]
+    dsq = space._pair_dist_sq(points[balls], centers[region[balls]])
+    groups.append((balls, [np.array(rid, dtype=np.int64)[inv], dsq]))
+    rest = np.flatnonzero((kind >= 0) & (kind != _SHAPES[Ball]))
+    rest = rest[np.argsort(region[rest], kind="stable")]
+    regs, first = np.unique(region[rest], return_index=True)
+    for r, pos in zip(regs.tolist(), np.split(rest, first[1:])):
+        groups.append((pos, _key_columns(cover.regions[r], points[pos])))
+    key = np.zeros(len(entries), dtype=np.int64)
+    top = 0
+    for pos, columns in groups:
+        if pos.size:
+            key[pos] = top + _codes(pos.size, columns)
+            top = int(key[pos].max()) + 1
+    _, first, key = np.unique(key, return_index=True, return_inverse=True)
+    reps = zip(region[first].tolist(), kind[first].tolist(), points[first].tolist())
+    return key, [(r, k < 0, p) for r, k, p in reps]
+
+
+def _exact_radii(cover: Cover, table: _LebesgueTable, key, reps, tol):
+    """The exact radii at tol of the keys present in key, sorted, and the
+    rank of each key's radius among them: one _containment_radius_lb per
+    key, at its representative entry."""
+    need, key = np.unique(key, return_inverse=True)
+    radii = [table.radius_lb(cover, *reps[k], tol) for k in need.tolist()]
+    order = sorted(range(len(radii)), key=radii.__getitem__)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return [radii[i] for i in order], rank[key]
+
+
+def _table_rows(table: _LebesgueTable, points: np.ndarray):
+    """(indptr, entries, row): the table entries of the points as CSR rows
+    in the points' order, and the row of each entry."""
+    indptr, entries = _csr_positions(table.start, points)
+    return indptr, entries, np.repeat(np.arange(len(points)), np.diff(indptr))
+
+
 def lebesgue_number(cover: Cover) -> Fraction:
     """A certified positive refinement radius for a validated cover.
 
     lambda = min over sample points p of max over regions containing p of a
-    rational lower bound of the analytic containment radius.  Guarantee: for
-    every sample point p there is a single cover region that analytically
+    rational lower bound of the analytic containment radius, taken at the
+    first sqrt tolerance where that max is positive.  Guarantee: for every
+    sample point p there is a single cover region that analytically
     contains the open ball B(p, lambda); in particular all sample points
     within lambda of p lie in one region.
 
-    The cover's Lebesgue table bounds every point's value by floats; the
-    exact per-point computation runs only on the points whose lower bound
-    does not exceed the least upper bound, since no other point can attain
-    the minimum.  Within a point, regions whose upper bound lies below
-    another region's lower bound cannot attain the maximum.
+    The cover's Lebesgue table bounds every point's value by floats; only
+    the points whose lower bound does not exceed the least upper bound can
+    attain the minimum, and within a point only the regions whose upper
+    bound reaches every other region's lower bound can attain the maximum.
+    Their exact bounds are computed once per distinct key (_entry_keys), and
+    the maxima and the minimum are taken on the ranks of those values.
     """
     if cover._lebesgue is not None:
         return cover._lebesgue
@@ -950,79 +1035,79 @@ def lebesgue_number(cover: Cover) -> Fraction:
     table = _lebesgue_table(cover)
     # every point is covered, so every point holds at least one entry
     lo_max = np.maximum.reduceat(table.lo, table.start[:-1])
-    hi_max = np.maximum.reduceat(table.hi, table.start[:-1])
+    hi_min = np.maximum.reduceat(table.hi, table.start[:-1]).min()
+    points = np.flatnonzero(lo_max <= hi_min)
+    lo_max = lo_max[points]  # the point-long bounds go before the exact work
+    indptr, entries, row = _table_rows(table, points)
+    ask = np.flatnonzero(table.hi[entries] >= lo_max[row])
+    key, reps = _entry_keys(cover, table, entries[ask], points[row[ask]])
+    unsettled = np.ones(len(points), dtype=bool)
     lam: Fraction | None = None
-    for p in np.flatnonzero(lo_max <= hi_max.min()).tolist():
-        entries = [e for e in table.at(p) if e[2] >= lo_max[p]]
-        # the true radius is positive; refine the sqrt tolerance until the
-        # bound is too
-        for tol in _tolerances(space, p):
-            best: Fraction | None = None
-            for ridx, _, _, capped in entries:
-                cr = table.radius_lb(cover, ridx, capped, p, tol)
-                if cr is not None and (best is None or cr > best):
-                    best = cr
-            if best is not None and best > 0:
-                break
-        lam = best if lam is None else min(lam, best)
-    if lam is None:
-        raise AssertionError("no point of a validated cover attains the minimum")
+    tol = _base_tolerance(space)
+    while True:
+        radii, rank = _exact_radii(cover, table, key, reps, tol)
+        best = np.full(entries.size, -1, dtype=np.int64)
+        best[ask] = rank
+        best = np.maximum.reduceat(best, indptr[:-1])
+        done = unsettled & (best >= bisect_right(radii, 0))
+        if done.any():
+            low = radii[int(best[done].min())]
+            lam = low if lam is None else min(lam, low)
+        unsettled &= ~done
+        if not unsettled.any():
+            break
+        # the true radius is positive: refine the sqrt tolerance at the
+        # points whose bound is not yet
+        tol = _finer_tolerance(space, int(points[unsettled.argmax()]), tol)
+        keep = unsettled[row[ask]]
+        ask, key = ask[keep], key[keep]
     cover._lebesgue = lam
     return lam
-
-
-def lebesgue_argmax_region(cover: Cover, p: int, lam: Fraction) -> int:
-    """Index of a cover region analytically containing B(p, lam).
-
-    Deterministic: the lowest region index whose containment-radius lower
-    bound at p reaches lam.  The Lebesgue table settles every region whose
-    float bounds lie on one side of lam; only the others reach the exact
-    code.
-    """
-    space = cover.space
-    if not 0 <= p < space.n:
-        raise InputError(f"point index {p} out of range")
-    lam_lo, lam_hi = _float_bounds(lam)
-    table = _lebesgue_table(cover)
-    # an upper bound below lam excludes a region at every tolerance
-    entries = [e for e in table.at(p) if e[2] >= lam_lo]
-    for tol in _tolerances(space, p):
-        for ridx, lo, _, capped in entries:
-            if lo >= lam_hi:
-                return ridx
-            cr = table.radius_lb(cover, ridx, capped, p, tol)
-            if cr is not None and cr >= lam:
-                return ridx
 
 
 def lebesgue_argmax_regions(
     cover: Cover, points: np.ndarray, lam: Fraction
 ) -> np.ndarray:
-    """lebesgue_argmax_region at each of the points, in one pass over the
-    Lebesgue table: a point whose first region with an upper bound of at
-    least lam also has a lower bound of at least lam gets that region, as
-    the per-point lookup would; only the others reach it."""
+    """Per point p, the index of a cover region analytically containing
+    B(p, lam): the lowest region index whose containment-radius lower bound
+    at p reaches lam, at the first sqrt tolerance where one does.
+
+    The Lebesgue table settles every entry whose float bounds lie on one
+    side of lam, so a point's search ends at its first entry whose lower
+    bound is above lam (the only one a point needs when it comes first).
+    The undecided entries before it reach the exact code once per distinct
+    key (_entry_keys).
+    """
+    space = cover.space
     table = _lebesgue_table(cover)
     lam_lo, lam_hi = _float_bounds(lam)
-    # each point's entries, and the first whose upper bound reaches lam
-    indptr, entries = _csr_positions(table.start, np.asarray(points, dtype=np.int64))
-    first = _first_in_rows(table.hi[entries] >= lam_lo, indptr)
-    out = np.full(len(first), -1, dtype=np.int64)
-    found = np.flatnonzero(first >= 0)
-    entry = entries[first[found]]
-    sure = table.lo[entry] >= lam_hi
-    out[found[sure]] = table.region[entry[sure]]
-    for k in np.flatnonzero(out < 0).tolist():
-        out[k] = lebesgue_argmax_region(cover, int(points[k]), lam)
-    return out
-
-
-def _tolerances(space: SampledSpace, p: int):
-    """The sqrt tolerances tried at p: the base one, then ever finer ones."""
+    points = np.asarray(points, dtype=np.int64)
+    indptr, entries, row = _table_rows(table, points)
+    stop = _first_in_rows(table.lo[entries] >= lam_hi, indptr)
+    out = np.full(len(points), -1, dtype=np.int64)
+    found = stop >= 0
+    out[found] = table.region[entries[stop[found]]]
+    # an entry whose upper bound is below lam reaches it at no tolerance
+    limit = np.where(found, stop, entries.size)[row]
+    ask = np.flatnonzero(
+        (table.hi[entries] >= lam_lo) & (np.arange(entries.size) < limit)
+    )
+    key, reps = _entry_keys(cover, table, entries[ask], points[row[ask]])
     tol = _base_tolerance(space)
     while True:
-        yield tol
-        tol = _finer_tolerance(space, p, tol)
+        if ask.size:
+            radii, rank = _exact_radii(cover, table, key, reps, tol)
+            hit = np.zeros(entries.size, dtype=bool)
+            hit[ask[rank >= bisect_left(radii, lam)]] = True
+            first = _first_in_rows(hit, indptr)
+            found = first >= 0
+            out[found] = table.region[entries[first[found]]]
+        pending = out < 0
+        if not pending.any():
+            return out
+        tol = _finer_tolerance(space, int(points[pending.argmax()]), tol)
+        keep = pending[row[ask]]
+        ask, key = ask[keep], key[keep]
 
 
 def _finer_tolerance(space: SampledSpace, p: int, tol: Fraction) -> Fraction:

@@ -24,7 +24,7 @@ import numpy as np
 from .covers import (
     Ball,
     CoverSeq,
-    lebesgue_argmax_region,
+    lebesgue_argmax_regions,
     lebesgue_number,
     union_mask,
 )
@@ -447,7 +447,7 @@ def select_from_decomposition(
             nets.append(NetCertificate(lam / 2, (), stage))
             continue
         net = greedy_net(space, stage, lam / 2)
-        chosen = {lebesgue_argmax_region(cover, c, lam) for c in net.centers}
-        picks.append(tuple(sorted(chosen)))
+        chosen = lebesgue_argmax_regions(cover, np.asarray(net.centers), lam)
+        picks.append(tuple(np.unique(chosen).tolist()))
         nets.append(net)
     return HurewiczSelection(tuple(picks), tuple(nets))

@@ -474,8 +474,10 @@ class SampledSpace:
                 yield points[r], order[pos]
 
     def _pair_dist_sq(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Scaled squared distances from each point p[k] to q[k] (int64
-        euclidean and chebyshev tables)."""
+        """Scaled squared distances from each point p[k] to q[k]."""
+        if self.metric_kind == "cantor_2adic":
+            msb = self._msb_table[self._cantor_bits[p] ^ self._cantor_bits[q]]
+            return msb * msb
         return _axis_dist_sq(self._icoords, self.metric_kind, p, q)
 
     def box(self, bounds) -> np.ndarray:

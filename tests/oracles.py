@@ -10,7 +10,9 @@ finite-C candidate scan that built and tested every candidate, with no
 refutation prefilter, is kept here too, and so is the space loader that
 took every point through a tuple of Fractions on its way to the integer
 table, and so is the farthest-point traversal that added one center per
-step.
+step.  The Lebesgue oracles are the exact bounds of every region at every
+point over dense masks, and the per-point loops over the Lebesgue table
+that ran before the exact bounds were shared by key.
 """
 
 from __future__ import annotations
@@ -34,7 +36,15 @@ from covergames.covers import (
     region_mask,
     region_members,
 )
-from covergames.exact import InputError, ResourceError, format_rational, parse_rational
+from covergames.exact import (
+    InputError,
+    ResourceError,
+    clamp_int64,
+    format_rational,
+    int_le_bound,
+    int_lt_bound,
+    parse_rational,
+)
 from covergames.jsonio import digest
 from covergames.screenability import (
     _cantor_level_boxes,
@@ -540,3 +550,137 @@ class TraversalLoop:
         while self.frontier:
             self._add(space)
         return self
+
+
+# -- Lebesgue numbers ---------------------------------------------------------------
+
+
+def _ball_oracle(space, center, radius, closed=False):
+    x = radius * radius * space.dist_scale_sq
+    bound = int_le_bound(x) if closed else int_lt_bound(x)
+    if space._fast:
+        bound = clamp_int64(bound)
+    return np.asarray(space.dist_sq_row(center) <= bound, dtype=bool)
+
+
+def mask_oracle(region) -> np.ndarray:
+    """The dense membership mask, computed over every sample point."""
+    space = region.space
+    if isinstance(region, Ball):
+        return _ball_oracle(space, region.center, region.radius)
+    mask = np.ones(space.n, dtype=bool)
+    if isinstance(region, Box):
+        for i in range(space.coord_dim):
+            lo_s = region.lo[i] * space.scale
+            hi_s = region.hi[i] * space.scale
+            col = space._icoords[:, i]
+            if region.lo_closed[i]:
+                b = -int_le_bound(-lo_s) - 1
+            else:
+                b = int_le_bound(lo_s)
+            mask &= np.asarray(col > (clamp_int64(b) if space._fast else b), bool)
+            if region.hi_closed[i]:
+                b = int_le_bound(hi_s)
+            else:
+                b = int_lt_bound(hi_s)
+            mask &= np.asarray(col <= (clamp_int64(b) if space._fast else b), bool)
+        return mask
+    for c, r in region.balls:
+        mask &= ~_ball_oracle(space, c, r, closed=True)
+    return mask
+
+
+def lebesgue_oracle(cover: Cover) -> Fraction:
+    """min over every sample point of the max containment radius bound."""
+    space = cover.space
+    masks = [mask_oracle(r) for r in cover.regions]
+    tol = space.mesh / 2**20
+    lam = None
+    for p in range(space.n):
+        local_tol = tol
+        while True:
+            best = None
+            for ridx, region in enumerate(cover.regions):
+                if not masks[ridx][p]:
+                    continue
+                cr = covers_module._containment_radius_lb(region, p, local_tol)
+                if cr is not None and (best is None or cr > best):
+                    best = cr
+            if best is not None and best > 0:
+                break
+            local_tol = covers_module._finer_tolerance(space, p, local_tol)
+        lam = best if lam is None else min(lam, best)
+    return lam
+
+
+def argmax_oracle(cover: Cover, p: int, lam: Fraction) -> int:
+    """The lowest region index whose containment radius bound at p reaches
+    lam, checking every region."""
+    space = cover.space
+    masks = [mask_oracle(r) for r in cover.regions]
+    tol = space.mesh / 2**20
+    while True:
+        for ridx, region in enumerate(cover.regions):
+            if not masks[ridx][p]:
+                continue
+            cr = covers_module._containment_radius_lb(region, p, tol)
+            if cr is not None and cr >= lam:
+                return ridx
+        tol = covers_module._finer_tolerance(space, p, tol)
+
+
+def _table_row(table, p: int):
+    """(region index, lo, hi, capped) per region containing p."""
+    a, b = int(table.start[p]), int(table.start[p + 1])
+    return zip(
+        table.region[a:b].tolist(),
+        table.lo[a:b].tolist(),
+        table.hi[a:b].tolist(),
+        table.capped[a:b].tolist(),
+    )
+
+
+def _tolerances(space: SampledSpace, p: int):
+    """The sqrt tolerances tried at p: the base one, then ever finer ones."""
+    tol = covers_module._base_tolerance(space)
+    while True:
+        yield tol
+        tol = covers_module._finer_tolerance(space, p, tol)
+
+
+def lebesgue_loop(cover: Cover) -> Fraction:
+    """lebesgue_number by the per-point loop over the Lebesgue table: the
+    exact bound of every entry at every point the floats leave open."""
+    space = cover.space
+    table = covers_module._lebesgue_table(cover)
+    lo_max = np.maximum.reduceat(table.lo, table.start[:-1])
+    hi_max = np.maximum.reduceat(table.hi, table.start[:-1])
+    lam = None
+    for p in np.flatnonzero(lo_max <= hi_max.min()).tolist():
+        entries = [e for e in _table_row(table, p) if e[2] >= lo_max[p]]
+        for tol in _tolerances(space, p):
+            best = None
+            for ridx, _, _, capped in entries:
+                cr = table.radius_lb(cover, ridx, capped, p, tol)
+                if cr is not None and (best is None or cr > best):
+                    best = cr
+            if best is not None and best > 0:
+                break
+        lam = best if lam is None else min(lam, best)
+    return lam
+
+
+def argmax_loop(cover: Cover, p: int, lam: Fraction) -> int:
+    """lebesgue_argmax_regions at one point by the per-point loop over the
+    Lebesgue table: the first entry whose float lower bound or exact bound
+    reaches lam, at the first tolerance where one does."""
+    lam_lo, lam_hi = covers_module._float_bounds(lam)
+    table = covers_module._lebesgue_table(cover)
+    entries = [e for e in _table_row(table, p) if e[2] >= lam_lo]
+    for tol in _tolerances(cover.space, p):
+        for ridx, lo, _, capped in entries:
+            if lo >= lam_hi:
+                return ridx
+            cr = table.radius_lb(cover, ridx, capped, p, tol)
+            if cr is not None and cr >= lam:
+                return ridx

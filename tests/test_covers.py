@@ -20,7 +20,7 @@ from covergames.covers import (
     containers,
     contains,
     covers_check,
-    lebesgue_argmax_region,
+    lebesgue_argmax_regions,
     lebesgue_number,
     pairwise_disjoint_check,
     region_mask,
@@ -383,8 +383,9 @@ class TestLebesgue:
             ],
         )
         lam = lebesgue_number(cover)
-        for p in (0, 32, 64):
-            ridx = lebesgue_argmax_region(cover, p, lam)
+        points = np.array([0, 32, 64])
+        found = lebesgue_argmax_regions(cover, points, lam)
+        for p, ridx in zip(points.tolist(), found.tolist()):
             ball = brute_membership(Ball(s, p, lam), s)
             assert bool(np.all(region_mask(cover.regions[ridx])[ball]))
 
@@ -414,7 +415,8 @@ class TestLebesgue:
         assert min(tols) == s.mesh / 2**400
         tols.clear()
         with pytest.raises(CheckFailure):
-            lebesgue_argmax_region(Cover(s, [Ball(s, 4, F(3, 4))]), 0, F(1, 4))
+            cover = Cover(s, [Ball(s, 4, F(3, 4))])
+            lebesgue_argmax_regions(cover, np.array([0]), F(1, 4))
         assert min(tols) == s.mesh / 2**400
 
 

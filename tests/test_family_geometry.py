@@ -35,7 +35,6 @@ from covergames.covers import (
     Cover,
     DisjointFamily,
     containers,
-    lebesgue_argmax_region,
     lebesgue_argmax_regions,
     lebesgue_number,
     pairwise_disjoint_check,
@@ -61,6 +60,7 @@ from covergames.space import (
 from oracles import (
     _old_pair_order,
     analytic_contains,
+    argmax_loop,
     box_family,
     containers_oracle,
 )
@@ -524,7 +524,7 @@ def test_box_families_match_the_per_box_path(data):
     cover = data.draw(covers(space))
     lam = lebesgue_number(cover) / data.draw(st.sampled_from([1, 2, 3]))
     held = fam.anchors[fam.anchors >= 0]
-    want = [lebesgue_argmax_region(cover, int(p), lam) for p in held]
+    want = [argmax_loop(cover, int(p), lam) for p in held]
     assert lebesgue_argmax_regions(cover, held, lam).tolist() == want
     # containment: every pair's exact verdict, and the decider's answers
     for i, box in enumerate(boxes):

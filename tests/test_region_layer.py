@@ -4,11 +4,12 @@ code it replaced.
 `region_members` tests only a first-axis window of the sample, `contains`
 searches the members, `SampledSpace.ball_union` finds the points near a
 set of centers on a cell grid (and `union_mask` and `validate_net` take
-one union per radius), and the Lebesgue functions send only the points
-and regions their float table cannot settle to the exact code.  The
-oracles below are the earlier bodies: a dense O(n) mask per region, the
-union of the balls' masks, the full cover check of a net, and the exact
-per-point Lebesgue loops over every point.  Each answer must be
+one union per radius), and the Lebesgue functions send only the entries
+their float table cannot settle to the exact code, once per distinct
+integer key.  The oracles are the earlier bodies: a dense O(n) mask per
+region (`tests/oracles.py`), the union of the balls' masks, the full
+cover check of a net, and the exact per-point Lebesgue loops, over every
+point and over the float table (`tests/oracles.py`).  Each answer must be
 identical, down to the Fraction and the region index.
 """
 
@@ -38,14 +39,14 @@ from covergames.covers import (
     containers,
     contains,
     covers_check,
-    lebesgue_argmax_region,
+    lebesgue_argmax_regions,
     lebesgue_number,
     pairwise_disjoint_check,
     region_mask,
     region_members,
     union_mask,
 )
-from covergames.exact import clamp_int64, exact_sqrt, int_le_bound, int_lt_bound
+from covergames.exact import CheckFailure, exact_sqrt, sqrt_bounds
 from covergames.netting import NetCertificate, decompose_from_hurewicz, greedy_net
 from covergames.netting import validate_net
 from covergames.registry import builtin_space
@@ -56,83 +57,19 @@ from covergames.space import (
     build_grid_space,
     doubling_delta,
 )
-from oracles import box_family, cantor_points, containers_oracle
+from oracles import (
+    _ball_oracle,
+    argmax_loop,
+    argmax_oracle,
+    box_family,
+    cantor_points,
+    containers_oracle,
+    lebesgue_loop,
+    lebesgue_oracle,
+    mask_oracle,
+)
 
 # -- oracles ------------------------------------------------------------------------
-
-
-def _ball_oracle(space, center, radius, closed=False):
-    x = radius * radius * space.dist_scale_sq
-    bound = int_le_bound(x) if closed else int_lt_bound(x)
-    if space._fast:
-        bound = clamp_int64(bound)
-    return np.asarray(space.dist_sq_row(center) <= bound, dtype=bool)
-
-
-def mask_oracle(region) -> np.ndarray:
-    """The dense membership mask, computed over every sample point."""
-    space = region.space
-    if isinstance(region, Ball):
-        return _ball_oracle(space, region.center, region.radius)
-    mask = np.ones(space.n, dtype=bool)
-    if isinstance(region, Box):
-        for i in range(space.coord_dim):
-            lo_s = region.lo[i] * space.scale
-            hi_s = region.hi[i] * space.scale
-            col = space._icoords[:, i]
-            if region.lo_closed[i]:
-                b = -int_le_bound(-lo_s) - 1
-            else:
-                b = int_le_bound(lo_s)
-            mask &= np.asarray(col > (clamp_int64(b) if space._fast else b), bool)
-            if region.hi_closed[i]:
-                b = int_le_bound(hi_s)
-            else:
-                b = int_lt_bound(hi_s)
-            mask &= np.asarray(col <= (clamp_int64(b) if space._fast else b), bool)
-        return mask
-    for c, r in region.balls:
-        mask &= ~_ball_oracle(space, c, r, closed=True)
-    return mask
-
-
-def lebesgue_oracle(cover: Cover) -> F:
-    """min over every sample point of the max containment radius bound."""
-    space = cover.space
-    masks = [mask_oracle(r) for r in cover.regions]
-    tol = space.mesh / 2**20
-    lam = None
-    for p in range(space.n):
-        local_tol = tol
-        while True:
-            best = None
-            for ridx, region in enumerate(cover.regions):
-                if not masks[ridx][p]:
-                    continue
-                cr = covers_module._containment_radius_lb(region, p, local_tol)
-                if cr is not None and (best is None or cr > best):
-                    best = cr
-            if best is not None and best > 0:
-                break
-            local_tol = covers_module._finer_tolerance(space, p, local_tol)
-        lam = best if lam is None else min(lam, best)
-    return lam
-
-
-def argmax_oracle(cover: Cover, p: int, lam: F) -> int:
-    """The lowest region index whose containment radius bound at p reaches
-    lam, checking every region."""
-    space = cover.space
-    masks = [mask_oracle(r) for r in cover.regions]
-    tol = space.mesh / 2**20
-    while True:
-        for ridx, region in enumerate(cover.regions):
-            if not masks[ridx][p]:
-                continue
-            cr = covers_module._containment_radius_lb(region, p, tol)
-            if cr is not None and cr >= lam:
-                return ridx
-        tol = covers_module._finer_tolerance(space, p, tol)
 
 
 def net_oracle(space, cert: NetCertificate) -> bool:
@@ -642,7 +579,159 @@ def test_lebesgue_number_and_argmax_match_the_per_point_loops(name, shape, seed)
         radii = {lam, lam / 3} | {b for b in bounds if b is not None and b > 0}
         for radius in sorted(radii):
             want = argmax_oracle(_fresh(cover), p, radius)
-            assert lebesgue_argmax_region(cover, p, radius) == want
+            assert lebesgue_argmax_regions(cover, np.array([p]), radius).tolist() == [want]
+
+
+@st.composite
+def lebesgue_covers(draw):
+    """Drawn balls, boxes and closed-ball complements, with a ball wider
+    than the diameter when they leave a point uncovered (or when drawn): a
+    ball of radius past twice the diameter plus one is capped at every
+    point."""
+    space = draw(spaces())
+    picked = draw(st.lists(regions(space), max_size=4))
+    if draw(st.booleans()) or not covers_check(Cover(space, picked)).ok:
+        diam = space.diameter_upper_bound()
+        radius = draw(st.sampled_from([diam + space.mesh, 2 * diam + 2]))
+        wide = Ball(space, draw(st.integers(0, space.n - 1)), radius)
+        picked.insert(draw(st.integers(0, len(picked))), wide)
+    return Cover(space, picked)
+
+
+def _assert_lebesgue_matches_the_loops(cover, points):
+    """lebesgue_number against the dense oracle and the per-point table
+    loop, and lebesgue_argmax_regions against the loop at the points: at
+    lambda, a third of it, and each point's own exact bounds, where a region
+    reaches the radius with equality."""
+    space = cover.space
+    lam = lebesgue_oracle(_fresh(cover))
+    assert lebesgue_loop(_fresh(cover)) == lam
+    assert lebesgue_number(cover) == lam
+    held = np.array(points, dtype=np.int64)
+    for radius in (lam, lam / 3):
+        want = [argmax_loop(_fresh(cover), p, radius) for p in points]
+        assert lebesgue_argmax_regions(cover, held, radius).tolist() == want
+    tol = space.mesh / 2**20
+    for p in points:
+        bounds = {
+            covers_module._containment_radius_lb(r, p, tol) for r in cover.regions
+        } - {None}
+        for radius in sorted(b for b in bounds if b > 0):
+            want = argmax_loop(_fresh(cover), p, radius)
+            got = lebesgue_argmax_regions(cover, np.array([p]), radius)
+            assert got.tolist() == [want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lebesgue_keys_match_the_per_point_loops(data):
+    cover = data.draw(lebesgue_covers())
+    n = cover.space.n
+    points = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+    _assert_lebesgue_matches_the_loops(cover, points)
+
+
+def _lattice_cover(metric, radius, co):
+    """Balls of one radius at every other point of the 9 x 9 grid, and
+    optionally the complement of their closed balls of radius 1/16: every
+    point ties with its mirror images."""
+    space = build_grid_space(2, F(1, 8), metric)
+    centers = [
+        space.index_of((F(i, 4), F(j, 4))) for i in range(5) for j in range(5)
+    ]
+    regions = [Ball(space, c, radius) for c in centers]
+    if co:
+        regions.append(CoClosedBalls(space, tuple((c, F(1, 16)) for c in centers)))
+    return Cover(space, regions)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "chebyshev"])
+@pytest.mark.parametrize("radius", [F(3, 16), F(1, 4), F(5, 16)])
+@pytest.mark.parametrize("co", [False, True])
+def test_symmetric_grid_covers_share_their_exact_radii(monkeypatch, metric, radius, co):
+    cover = _lattice_cover(metric, radius, co)
+    assert covers_check(cover).ok
+    calls = _count_calls(monkeypatch, covers_module._LebesgueTable, "radius_lb")
+    lam = lebesgue_number(cover)
+    # the open points tie at one distance to their nearest centers, which
+    # gives every exact ball radius; a complement's key is a point's whole
+    # tuple of distances to the 25 centers, shared only by mirror images
+    assert 0 < len(calls) <= (64 if co else 1)
+    monkeypatch.undo()
+    assert lam == lebesgue_oracle(_fresh(cover)) == lebesgue_loop(_fresh(cover))
+    _assert_lebesgue_matches_the_loops(cover, list(range(0, cover.space.n, 4)))
+
+
+def test_an_all_capped_cover_takes_one_exact_radius(monkeypatch):
+    space = build_grid_space(2, F(1, 16))
+    diam = space.diameter_upper_bound()
+    cover = Cover(
+        space,
+        [Ball(space, 7, 2 * diam + 1), CoClosedBalls(space, ((100, F(1, 5)),))],
+    )
+    calls = _count_calls(monkeypatch, covers_module._LebesgueTable, "radius_lb")
+    exact = _count_calls(monkeypatch, covers_module, "_containment_radius_lb")
+    assert lebesgue_number(cover) == diam + 1
+    # every point ties at the cap: one key, and no containment radius
+    assert len(calls) == 1 and exact == []
+    monkeypatch.undo()
+    assert lebesgue_loop(_fresh(cover)) == diam + 1
+
+
+def _tight_corner_cover(gap_tol):
+    """Balls at the corners (0, 0) and (1, 1) of the 9 x 9 grid whose radii
+    exceed the irrational distance sqrt(2)/8 to their diagonal neighbours by
+    at most gap_tol, and boxes that hold every other point, so that the two
+    diagonal neighbours lie in their corner's ball alone.  Returns the cover
+    and the two neighbours."""
+    space = build_grid_space(2, F(1, 8))
+    radius = sqrt_bounds(F(1, 32), gap_tol)[1]
+    corners = [space.index_of((F(0), F(0))), space.index_of((F(1), F(1)))]
+    boxes = [
+        ((F(3, 16), F(-1)), (F(13, 16), F(2))),
+        ((F(-1), F(3, 16)), (F(2), F(13, 16))),
+        ((F(-1), F(11, 16)), (F(5, 16), F(2))),
+        ((F(11, 16), F(-1)), (F(2), F(5, 16))),
+    ]
+    cover = Cover(
+        space,
+        [Ball(space, c, radius) for c in corners]
+        + [Box(space, lo, hi) for lo, hi in boxes],
+    )
+    assert covers_check(cover).ok
+    near = [space.index_of((F(1, 8), F(1, 8))), space.index_of((F(7, 8), F(7, 8)))]
+    return cover, near
+
+
+def test_an_irrational_distance_refines_the_tolerance():
+    gap = F(1, 8) / 2**30
+    cover, near = _tight_corner_cover(gap)
+    space = cover.space
+    base = space.mesh / 2**20
+    # at the base tolerance the bound at each neighbour is not yet positive
+    ball = cover.regions[0]
+    assert covers_module._containment_radius_lb(ball, near[0], base) <= 0
+    lam = lebesgue_number(cover)
+    assert 0 < lam <= gap
+    assert lam == lebesgue_oracle(_fresh(cover)) == lebesgue_loop(_fresh(cover))
+    _assert_lebesgue_matches_the_loops(cover, list(range(space.n)))
+
+
+def test_the_tolerance_floor_names_the_lowest_failing_point():
+    cover, near = _tight_corner_cover(F(1, 8) / 2**500)
+    with pytest.raises(CheckFailure) as loop:
+        lebesgue_loop(_fresh(cover))
+    with pytest.raises(CheckFailure) as keyed:
+        lebesgue_number(cover)
+    assert keyed.value.witness == loop.value.witness == min(near)
+    # a lookup fails at the first of the given points that no region serves
+    radius = F(1, 2**10)
+    points = [max(near), 0, min(near)]
+    with pytest.raises(CheckFailure) as loop:
+        [argmax_loop(_fresh(cover), p, radius) for p in points]
+    with pytest.raises(CheckFailure) as keyed:
+        lebesgue_argmax_regions(cover, np.array(points), radius)
+    assert keyed.value.witness == loop.value.witness == max(near)
 
 
 # -- op-count gates -------------------------------------------------------------------
@@ -670,6 +759,29 @@ def test_lebesgue_number_reads_few_exact_radii_on_a_box_cover(monkeypatch, seed)
     assert lebesgue_number(cover) == want
     # one exact radius per (sample point, containing region) would be > 4225
     assert 0 < len(calls) < 1000
+
+
+# exact Lebesgue work in the demos: (label, horizon, most
+# _LebesgueTable.radius_lb calls, most _containment_radius_lb calls).  A
+# per-point loop made 8,517, 4,324 and 2,351 radius_lb calls, the interval's
+# from 739 points that the argmax's float pass left open
+DEMO_LEBESGUE_GATES = [
+    ("unit_square_64", 6, 200, 59),
+    ("unit_interval_1024", 12, 50, 2271),
+    ("cantor_10", 12, 200, 301),
+]
+
+
+@pytest.mark.parametrize("label,horizon,keys,radii", DEMO_LEBESGUE_GATES)
+def test_demo_decides_lebesgue_radii_once_per_key(
+    monkeypatch, label, horizon, keys, radii
+):
+    calls = _count_calls(monkeypatch, covers_module._LebesgueTable, "radius_lb")
+    exact = _count_calls(monkeypatch, covers_module, "_containment_radius_lb")
+    code, doc = run(["demo", "--label", label, "--horizon", str(horizon)])
+    assert code == 0, doc
+    assert len(calls) <= keys, f"{len(calls)} exact evaluations"
+    assert len(exact) <= radii, f"{len(exact)} containment radii"
 
 
 def test_pointwise_family_reads_no_distance_row(monkeypatch):

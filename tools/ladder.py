@@ -6,7 +6,10 @@ build_grid_space 2-D grids of growing size.
 Each rung runs in a fresh interpreter with DIR (default: this checkout's
 src) first on its path.  It runs cli.pipeline_demo at horizon 6 on the grid
 of side 1/DEN, timing its wall time (perf_counter) and then reading the
-process's max RSS; then, on a fresh copy of the grid, it times one full
+process's max RSS.  During the demo it sums the wall time spent in
+covers.lebesgue_number and covers.lebesgue_argmax_regions (lebesgue_s) and
+counts the exact Lebesgue evaluations, the _LebesgueTable.radius_lb calls
+(lebesgue_exact).  Then, on a fresh copy of the grid, it times one full
 farthest-point traversal (the greedy net below the minimum gap) and reads
 its step count, levels plus independence rounds.  Last it times the full
 traversal of a seeded random cloud of n points, whose levels hold one point
@@ -35,6 +38,7 @@ def rung(den: int) -> dict:
 
     space = build_grid_space(2, Fraction(1, den))
     report = cli.Report("demo", [])
+    probe = lebesgue_probe()
     t = time.perf_counter()
     cli.pipeline_demo(space, 6, report)
     demo_s = time.perf_counter() - t
@@ -55,9 +59,41 @@ def rung(den: int) -> dict:
         "levels": len(set(trav.radii)),
         "cloud_traversal_s": round(cloud_s, 3),
         "demo_s": round(demo_s, 3),
+        "lebesgue_s": round(probe["lebesgue_s"], 3),
+        "lebesgue_exact": probe["lebesgue_exact"],
         "max_rss_mb": round(rss_mb, 1),
         "checks_passed": report.all_passed,
     }
+
+
+def lebesgue_probe() -> dict:
+    """Wraps the Lebesgue functions wherever the package holds them, and
+    returns the dict their calls add to: the wall time inside them
+    (lebesgue_s) and the exact evaluations (lebesgue_exact)."""
+    from covergames import cli, covers, netting, screenability
+
+    probe = {"lebesgue_s": 0.0, "lebesgue_exact": 0}
+    for name in ("lebesgue_number", "lebesgue_argmax_regions"):
+        inner = getattr(covers, name)
+
+        def timed(*args, _inner=inner):
+            t = time.perf_counter()
+            try:
+                return _inner(*args)
+            finally:
+                probe["lebesgue_s"] += time.perf_counter() - t
+
+        for module in (covers, cli, netting, screenability):
+            if getattr(module, name, None) is inner:
+                setattr(module, name, timed)
+    radius_lb = covers._LebesgueTable.radius_lb
+
+    def counted(*args):
+        probe["lebesgue_exact"] += 1
+        return radius_lb(*args)
+
+    covers._LebesgueTable.radius_lb = counted
+    return probe
 
 
 def cloud_traversal_s(n: int) -> float:
