@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import jsonio
-from .covers import Ball, covers_check, lebesgue_number
+from .covers import covers_check, lebesgue_number
 from .exact import (
     CheckFailure,
     InputError,
@@ -377,22 +377,17 @@ def _cmd_check(args, cfg: RunConfig, report: Report, space, covers, picks) -> No
         raise InputError("--kind must be menger or hurewicz")
 
 
-def _greedy_selection(space: SampledSpace, delta: Fraction) -> list[Ball]:
-    """The balls of radius delta at a greedy delta-net of the sample."""
-    net = greedy_net(space, space.subset_all(), delta)
-    return [Ball(space, c, delta) for c in net.centers]
-
-
 def pipeline_demo(space: SampledSpace, horizon: int, report: Report) -> None:
     """Chain-build, block-selection and small-diameter witness end to end on
     a built-in space: the executable composite of the main implication chain
     up to its externally-cited final step."""
     doubling_delta(horizon)  # a horizon past the cap fails before any work
-    # stage 1: chain from greedy selections at the doubling radii; the
-    # selections' balls are dropped once the chain is built
+    # stage 1: chain from the centers of greedy nets at the doubling radii;
+    # the selections are dropped once the chain is built
+    full = space.subset_all()
     dec = decompose_from_hurewicz(
         space,
-        {m: _greedy_selection(space, doubling_delta(m)) for m in range(1, horizon + 1)},
+        {m: greedy_net(space, full, doubling_delta(m)).centers for m in range(1, horizon + 1)},
         horizon,
         epsilons=[Fraction(1, 2), Fraction(1, 16)],
     )

@@ -21,7 +21,7 @@ import numpy as np
 from .covers import Ball, Box, CoClosedBalls, Cover, CoverSeq, OpenRegion
 from .exact import InputError, format_rational, parse_rational
 from .netting import SigmaDecomposition, chain_decomposition
-from .space import SampledSpace, int_table, point_dim
+from .space import MAX_DOUBLING_STAGE, SampledSpace, doubling_delta, int_table, point_dim
 
 
 def canonical_json(obj) -> str:
@@ -250,25 +250,35 @@ def chain_from_json(space: SampledSpace, doc: dict) -> SigmaDecomposition:
     return chain_decomposition(space, chain)
 
 
-def selections_to_json(selections: dict[int, list[Ball]]) -> dict:
-    return {
-        "selections": {
-            str(m): [region_to_json(b) for b in balls]
-            for m, balls in sorted(selections.items())
-        }
-    }
+def selections_to_json(selections: dict[int, tuple[int, ...]]) -> dict:
+    out = {}
+    for m, centers in sorted(selections.items()):
+        radius = format_rational(doubling_delta(m))
+        out[str(m)] = [{"shape": "ball", "center": c, "radius": radius} for c in centers]
+    return {"selections": out}
 
 
-def selections_from_json(space: SampledSpace, doc: dict) -> dict[int, list[Ball]]:
+def selections_from_json(space: SampledSpace, doc: dict) -> dict[int, tuple[int, ...]]:
+    """Stage m -> its ball centers.  Stages in 1..MAX_DOUBLING_STAGE hold
+    balls of radius (1/2)^(2^m); decompose_from_hurewicz refuses the rest."""
     out = {}
     for key, regions in doc["selections"].items():
-        balls = []
+        m = int(key)
+        if m in out:
+            raise InputError(f"selection {m} is given twice")
+        want = doubling_delta(m) if 1 <= m <= MAX_DOUBLING_STAGE else None
+        centers = []
         for r in regions:
-            region = region_from_json(space, r)
-            if not isinstance(region, Ball):
+            ball = region_from_json(space, r)
+            if not isinstance(ball, Ball):
                 raise InputError("selections must consist of balls")
-            balls.append(region)
-        out[int(key)] = balls
+            if want is not None and ball.radius != want:
+                raise InputError(
+                    f"selection {m} has a ball of radius {ball.radius}, "
+                    f"expected (1/2)^(2^{m}) = {want}"
+                )
+            centers.append(ball.center)
+        out[m] = tuple(centers)
     return out
 
 

@@ -21,13 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .covers import (
-    Ball,
-    CoverSeq,
-    lebesgue_argmax_regions,
-    lebesgue_number,
-    union_mask,
-)
+from .covers import CoverSeq, lebesgue_argmax_regions, lebesgue_number
 from .exact import CheckFailure, InputError, ResourceError
 from .space import SampledSpace, SubsetHandle, doubling_delta, first_hit, tail_start
 
@@ -41,12 +35,19 @@ class NetCertificate:
     covered: SubsetHandle
 
 
+def _sample_indices(space: SampledSpace, centers) -> np.ndarray | None:
+    """The centers as an int64 array, or None when one is no sample point."""
+    index = np.asarray(centers, dtype=np.int64)
+    return None if index.size and (index.min() < 0 or index.max() >= space.n) else index
+
+
 def validate_net(space: SampledSpace, cert: NetCertificate) -> bool:
     """Re-check a certificate pointwise: every covered point strictly within
     epsilon of some center, by one SampledSpace.ball_union of the centers."""
-    if cert.epsilon <= 0 or not all(0 <= c < space.n for c in cert.centers):
+    index = _sample_indices(space, cert.centers)
+    if cert.epsilon <= 0 or index is None:
         raise InputError("a net needs a positive epsilon and sample-point centers")
-    hit = space.ball_union(cert.centers, space.scaled_bound(cert.epsilon))
+    hit = space.ball_union(index, space.scaled_bound(cert.epsilon))
     return not (cert.covered.mask() & ~hit).any()
 
 
@@ -321,15 +322,15 @@ def chain_decomposition(
 
 def decompose_from_hurewicz(
     space: SampledSpace,
-    selections: Mapping[int, Sequence[Ball]],
+    selections: Mapping[int, Sequence[int]],
     horizon: int,
     epsilons: Sequence[Fraction] = (),
 ) -> SigmaDecomposition:
     """Chain stages as tail intersections of the selection coverages.
 
-    selections maps stage m (1-based, indices may be missing) to a finite
-    list of balls of radius exactly (1/2)**(2**m).  Stage n of the chain is
-    the intersection of the selection unions over present m in n..horizon.
+    selections maps stage m (1-based, indices may be missing) to the centers
+    of finitely many balls of the stage's radius (1/2)**(2**m).  Stage n of
+    the chain intersects the selection unions over present m in n..horizon.
     Every sample point must lie in some tail (reported otherwise); for each
     requested epsilon a net certificate for stage n is extracted from the
     selection at the least stage m >= n whose radius is <= epsilon.
@@ -337,21 +338,14 @@ def decompose_from_hurewicz(
     if horizon < 1:
         raise InputError("horizon must be >= 1")
     doubling_delta(horizon)  # a horizon past the cap fails before any work
-    sel: dict[int, tuple[Ball, ...]] = {}
-    for m, balls in selections.items():
+    sel: dict[int, Sequence[int]] = {}
+    for m, centers in selections.items():
         m = int(m)
         if not 1 <= m <= horizon:
             raise InputError(f"selection index {m} outside 1..{horizon}")
-        want = doubling_delta(m)
-        for b in balls:
-            if not isinstance(b, Ball) or b.space is not space:
-                raise InputError("selections must be balls on the given space")
-            if b.radius != want:
-                raise InputError(
-                    f"selection {m} has a ball of radius {b.radius}, "
-                    f"expected (1/2)^(2^{m}) = {want}"
-                )
-        sel[m] = tuple(balls)
+        if _sample_indices(space, centers) is None:
+            raise InputError(f"selection {m} has a center outside 0..{space.n - 1}")
+        sel[m] = centers
     epsilons = [Fraction(eps) for eps in epsilons]
     if any(eps <= 0 for eps in epsilons):
         raise InputError("epsilon must be positive")
@@ -360,7 +354,9 @@ def decompose_from_hurewicz(
     # tail start is at most n
     everything = np.ones(space.n, dtype=bool)
     unions = [
-        union_mask(space, sel[m]) if m in sel else everything
+        space.ball_union(sel[m], space.scaled_bound(doubling_delta(m)))
+        if m in sel
+        else everything
         for m in range(1, horizon + 1)
     ]
     tail = tail_start(unions, space.n)
@@ -378,23 +374,15 @@ def decompose_from_hurewicz(
     certificates: dict[tuple[int, Fraction], NetCertificate] = {}
     for n in range(1, horizon + 1):
         for eps in epsilons:
-            m = next(
-                (
-                    m
-                    for m in range(n, horizon + 1)
-                    if m in sel and doubling_delta(m) <= eps
-                ),
-                None,
-            )
+            stages = (m for m in range(n, horizon + 1) if m in sel)
+            m = next((m for m in stages if doubling_delta(m) <= eps), None)
             if m is None:
                 raise CheckFailure(
                     f"no selection stage >= {n} has radius <= {eps} "
                     f"within the horizon",
                     witness=(n, eps),
                 )
-            cert = NetCertificate(
-                eps, tuple(b.center for b in sel[m]), chain[n - 1]
-            )
+            cert = NetCertificate(eps, tuple(sel[m]), chain[n - 1])
             if not validate_net(space, cert):
                 raise CheckFailure(
                     f"extracted certificate for stage {n} at epsilon {eps} "

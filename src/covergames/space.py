@@ -388,8 +388,10 @@ class SampledSpace:
         centers in the 3**d coarse cells of side isqrt(bound) + 1 around
         its own.  Other tables loop over ball.
         """
+        # the centers sorted and distinct, by a mask: np.unique hashes them
         mask = np.zeros(self.n, dtype=bool)
-        centers = np.unique(np.asarray(centers, dtype=np.int64))
+        mask[np.asarray(centers, dtype=np.int64)] = True
+        centers = np.flatnonzero(mask)
         if not (centers.size and self.windowed and self.coord_dim <= 3):
             for c in centers.tolist():
                 mask[self.ball(c, bound)] = True

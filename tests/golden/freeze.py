@@ -94,7 +94,7 @@ def write_inputs() -> None:
     from covergames import jsonio
     from covergames.covers import Ball, Cover, CoverSeq
     from covergames.netting import chain_decomposition
-    from covergames.space import build_grid_space, doubling_delta
+    from covergames.space import build_grid_space
 
     INPUTS.mkdir(exist_ok=True)
     s = build_grid_space(1, F(1, 8))
@@ -105,7 +105,7 @@ def write_inputs() -> None:
     jsonio.dump_json(jsonio.coverseq_to_json(covers), INPUTS / "covers.json")
     dec = chain_decomposition(s, [s.subset_all()] * 4)
     jsonio.dump_json(jsonio.chain_to_json(dec), INPUTS / "chain.json")
-    selections = {m: [Ball(s, c, doubling_delta(m)) for c in range(s.n)] for m in (1, 2)}
+    selections = {m: range(s.n) for m in (1, 2)}
     jsonio.dump_json(jsonio.selections_to_json(selections), INPUTS / "selections.json")
     jsonio.dump_json(jsonio.picks_to_json([[0, 1]] * 4), INPUTS / "picks.json")
     jsonio.dump_json(jsonio.picks_to_json([[]] * 4), INPUTS / "empty_picks.json")

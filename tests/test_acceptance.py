@@ -233,9 +233,7 @@ def test_criterion_2_net_oracle_equivalence():
 def _criterion_3_one_space(space, rng, horizon=4):
     selections = {}
     for m in range(1, horizon + 1):
-        delta = doubling_delta(m)
-        net = greedy_net(space, space.subset_all(), delta)
-        selections[m] = [Ball(space, c, delta) for c in net.centers]
+        selections[m] = greedy_net(space, space.subset_all(), doubling_delta(m)).centers
     epsilons = [F(1, 2), F(1, 4), F(1, 16)]
     dec = decompose_from_hurewicz(space, selections, horizon, epsilons)
     for a, b in zip(dec.chain, dec.chain[1:]):
@@ -485,9 +483,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         jsonio.dump_json(jsonio.coverseq_to_json(covers), tmp_path / "covers.json")
         dec = chain_decomposition(s, [s.subset_all()] * 4)
         jsonio.dump_json(jsonio.chain_to_json(dec), tmp_path / "chain.json")
-        selections = {
-            m: [Ball(s, c, doubling_delta(m)) for c in range(s.n)] for m in (1, 2)
-        }
+        selections = {m: range(s.n) for m in (1, 2)}
         jsonio.dump_json(
             jsonio.selections_to_json(selections), tmp_path / "selections.json"
         )

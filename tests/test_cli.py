@@ -14,7 +14,7 @@ from covergames.cli import main, run
 from covergames.covers import Ball, Box, Cover, CoverSeq
 from covergames.netting import chain_decomposition
 from covergames.registry import builtin_names, builtin_space
-from covergames.space import build_grid_space, doubling_delta
+from covergames.space import build_grid_space
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +33,7 @@ def workdir(tmp_path_factory):
     dec = chain_decomposition(s, [s.subset_from_indices(range(5)), s.subset_all()])
     jsonio.dump_json(jsonio.chain_to_json(dec), root / "chain.json")
 
-    selections = {
-        m: [Ball(s, c, doubling_delta(m)) for c in range(s.n)] for m in (1, 2)
-    }
+    selections = {m: range(s.n) for m in (1, 2)}
     jsonio.dump_json(jsonio.selections_to_json(selections), root / "selections.json")
 
     jsonio.dump_json(jsonio.picks_to_json([[0, 1]] * 4), root / "picks.json")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from covergames import cli, netting
+from covergames import cli
 from covergames.cli import run
 from covergames.space import SampledSpace
 
@@ -192,8 +192,10 @@ def test_haver_horizon_past_the_epsilons_exits_2(monkeypatch):
 def test_decompose_nonpositive_epsilon_exits_2_before_any_union(monkeypatch, epsilons):
     # a term <= 0 has no selection stage of smaller radius: exit 1 with a
     # precondition failure when it reached the certificate loop
-    calls, union = [], netting.union_mask
-    monkeypatch.setattr(netting, "union_mask", lambda *a: calls.append(a) or union(*a))
+    calls, union = [], SampledSpace.ball_union
+    monkeypatch.setattr(
+        SampledSpace, "ball_union", lambda *a: calls.append(a) or union(*a)
+    )
     code, doc = run(
         ["decompose", "--space", SPACE, "--selections", str(INPUTS / "selections.json"),
          "--horizon", "2", f"--epsilons={epsilons}"]
@@ -201,6 +203,30 @@ def test_decompose_nonpositive_epsilon_exits_2_before_any_union(monkeypatch, eps
     assert calls == []
     assert_input_error(code, doc)
     assert "epsilon must be positive" in doc["checks"][-1]["error"]
+
+
+def _ball(center, radius="1/4") -> dict:
+    return {"shape": "ball", "center": center, "radius": radius}
+
+
+@pytest.mark.parametrize(
+    "selections,error",
+    [
+        ({"1": [_ball(0, "1/2")]},
+         "selection 1 has a ball of radius 1/2, expected (1/2)^(2^1) = 1/4"),
+        ({"1": [{"shape": "box", "lo": ["0"], "hi": ["1/2"]}]},
+         "selections must consist of balls"),
+        ({"1": [_ball(0), _ball(9)]}, "ball center index 9 out of range"),
+        # "01" replaced stage 1's list, whose stage held points 7 and 8: exit 0
+        ({"1": [_ball(0)], "01": [_ball(8)]}, "selection 1 is given twice"),
+    ],
+    ids=["wrong_radius", "not_a_ball", "center_out_of_range", "repeated_stage"],
+)
+def test_malformed_selections_exit_2(tmp_path, selections, error):
+    path = write(tmp_path, "selections.json", {"selections": selections})
+    code, doc = run(["decompose", "--space", SPACE, "--selections", path, "--horizon", "2"])
+    assert_input_error(code, doc)
+    assert doc["checks"][-1]["error"] == error
 
 
 def test_horizon_at_the_cap_still_runs():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from covergames.space import (
     build_grid_space,
 )
 from oracles import cantor_points, space_from_json_oracle
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 class TestSpaceRoundTrip:
@@ -241,13 +244,34 @@ class TestCoverAndChainFiles:
         assert dec2.chain == dec.chain
 
     def test_selections_round_trip(self, interval_8):
-        s = interval_8
-        from covergames.space import doubling_delta
-
-        sel = {1: [Ball(s, 0, doubling_delta(1)), Ball(s, 8, doubling_delta(1))]}
+        sel = {1: (0, 8), 3: (4,)}
         doc = jsonio.selections_to_json(sel)
-        sel2 = jsonio.selections_from_json(s, doc)
-        assert sel2 == sel
+        assert doc["selections"]["3"] == [{"shape": "ball", "center": 4, "radius": "1/256"}]
+        assert jsonio.selections_from_json(interval_8, doc) == sel
+
+    def test_golden_selections_file_round_trips(self):
+        doc = jsonio.load_json(GOLDEN_INPUTS / "selections.json")
+        space = jsonio.space_from_json(jsonio.load_json(GOLDEN_INPUTS / "space.json"))
+        assert jsonio.selections_to_json(jsonio.selections_from_json(space, doc)) == doc
+
+    def test_selection_of_wrong_radius_rejected(self, interval_8):
+        doc = {"selections": {"2": [{"shape": "ball", "center": 0, "radius": "1/4"}]}}
+        with pytest.raises(InputError, match=r"selection 2 has a ball of radius 1/4, "
+                           r"expected \(1/2\)\^\(2\^2\) = 1/16"):
+            jsonio.selections_from_json(interval_8, doc)
+
+    @pytest.mark.parametrize("key", ["0", "21"])
+    def test_selection_past_the_doubling_cap_keeps_its_radius(self, interval_8, key):
+        # no doubling radius to compare with: decompose_from_hurewicz
+        # refuses the stage as outside the horizon
+        doc = {"selections": {key: [{"shape": "ball", "center": 0, "radius": "1/4"}]}}
+        assert jsonio.selections_from_json(interval_8, doc) == {int(key): (0,)}
+
+    def test_selection_given_twice_rejected(self, interval_8):
+        ball = {"shape": "ball", "center": 0, "radius": "1/4"}
+        doc = {"selections": {"1": [ball], "01": [ball]}}
+        with pytest.raises(InputError, match="selection 1 is given twice"):
+            jsonio.selections_from_json(interval_8, doc)
 
     def test_picks_round_trip(self):
         picks = [[0, 2], [], [1]]

@@ -437,10 +437,7 @@ class TestDecompose:
     def test_whole_space_balls(self, interval_8):
         s = interval_8
         horizon = 3
-        selections = {
-            m: [Ball(s, c, doubling_delta(m)) for c in range(s.n)]
-            for m in range(1, horizon + 1)
-        }
+        selections = {m: range(s.n) for m in range(1, horizon + 1)}
         dec = decompose_from_hurewicz(s, selections, horizon)
         for h in dec.chain:
             assert h.count() == s.n
@@ -456,8 +453,7 @@ class TestDecompose:
         horizon = 3
         selections = {}
         for m in range(2, horizon + 1):
-            net = greedy_net(s, s.subset_all(), doubling_delta(m))
-            selections[m] = [Ball(s, c, doubling_delta(m)) for c in net.centers]
+            selections[m] = greedy_net(s, s.subset_all(), doubling_delta(m)).centers
         dec = decompose_from_hurewicz(
             s, selections, horizon, epsilons=[F(1, 16)]
         )
@@ -466,19 +462,18 @@ class TestDecompose:
         cert = dec.certificates[(1, F(1, 16))]
         assert validate_net(s, cert)
         # the certificate for eps=1/16 uses the stage-2 selection
-        assert set(cert.centers) == {b.center for b in selections[2]}
+        assert cert.centers == selections[2]
 
-    def test_wrong_radius_rejected(self, interval_8):
-        s = interval_8
-        with pytest.raises(InputError):
-            decompose_from_hurewicz(s, {1: [Ball(s, 0, F(1, 2))]}, 2)
+    @pytest.mark.parametrize("center", [-1, 9])
+    def test_center_outside_the_sample_rejected(self, interval_8, center):
+        # ball_union would read -1 as the last point
+        with pytest.raises(InputError, match="selection 2 has a center outside 0..8"):
+            decompose_from_hurewicz(interval_8, {1: [0], 2: [0, center]}, 2)
 
     def test_orphan_point_reported(self, interval_8):
         s = interval_8
         # no selection covers the right endpoint at the last stage
-        selections = {
-            2: [Ball(s, 0, doubling_delta(2))],
-        }
+        selections = {2: [0]}
         with pytest.raises(CheckFailure):
             decompose_from_hurewicz(s, selections, 2)
 
@@ -490,7 +485,7 @@ class TestDecompose:
         for m in range(1, horizon + 1):
             # random sub-nets at later stages leave early stages ragged
             centers = sorted(rng.sample(range(s.n), s.n // 2)) if m < 3 else list(range(s.n))
-            selections[m] = [Ball(s, c, doubling_delta(m)) for c in centers]
+            selections[m] = centers
         dec = decompose_from_hurewicz(s, selections, horizon)
         for a, b in zip(dec.chain, dec.chain[1:]):
             assert a.issubset(b)
@@ -548,8 +543,7 @@ class TestSelectFromDecomposition:
         horizon = 3
         selections = {}
         for m in range(1, horizon + 1):
-            net = greedy_net(s, s.subset_all(), doubling_delta(m))
-            selections[m] = [Ball(s, c, doubling_delta(m)) for c in net.centers]
+            selections[m] = greedy_net(s, s.subset_all(), doubling_delta(m)).centers
         dec = decompose_from_hurewicz(s, selections, horizon)
         covers = CoverSeq(
             s,
@@ -561,7 +555,7 @@ class TestSelectFromDecomposition:
         sel = select_from_decomposition(s, dec, covers)
         # rebuild selections from the fitted picks (balls of radius delta_m)
         rebuilt = {
-            m: [covers.cover(m).regions[i] for i in sel.picks[m - 1]]
+            m: [covers.cover(m).regions[i].center for i in sel.picks[m - 1]]
             for m in range(1, horizon + 1)
         }
         dec2 = decompose_from_hurewicz(s, rebuilt, horizon)
@@ -586,6 +580,6 @@ def test_doubling_terms_below_stage_1_raise(n):
 
 
 def test_decompose_rejects_a_horizon_past_the_cap_before_any_work(interval_8):
-    selections = {1: [Ball(interval_8, c, doubling_delta(1)) for c in range(9)]}
+    selections = {1: range(9)}
     with pytest.raises(ResourceError):
         decompose_from_hurewicz(interval_8, selections, 21)

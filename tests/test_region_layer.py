@@ -804,22 +804,20 @@ def test_decompose_takes_one_union_per_selection_and_certificate(monkeypatch):
     horizon = 4
     selections = {}
     for m in range(1, horizon + 1):
-        net = greedy_net(space, space.subset_all(), doubling_delta(m))
-        selections[m] = [Ball(space, c, doubling_delta(m)) for c in net.centers]
+        selections[m] = greedy_net(space, space.subset_all(), doubling_delta(m)).centers
     epsilons = [F(1, 2), F(1, 16)]
     unions = _count_calls(monkeypatch, SampledSpace, "ball_union")
     balls = _count_calls(monkeypatch, SampledSpace, "ball")
     rows = _count_calls(monkeypatch, SampledSpace, "dist_sq_row")
     dec = decompose_from_hurewicz(space, selections, horizon, epsilons)
-    # one union per stage's selection, one per certificate; no single ball,
-    # no distance row, and no members kept on the selections' balls
+    # one union per stage's selection, one per certificate; no single ball
+    # and no distance row
     assert len(unions) == horizon + len(dec.certificates) == horizon * 3
     assert balls == [] and rows == []
-    assert not any("_members" in b.__dict__ for sel in selections.values() for b in sel)
     for cert in dec.certificates.values():
         assert net_oracle(space, cert)
     covered = [
-        _union_oracle(space, [b.center for b in selections[m]], doubling_delta(m), False)
+        _union_oracle(space, selections[m], doubling_delta(m), False)
         for m in range(1, horizon + 1)
     ]
     for n in range(1, horizon + 1):  # stage n: the points in every union from n on

@@ -8,12 +8,14 @@ src) first on its path.  It runs cli.pipeline_demo at horizon 6 on the grid
 of side 1/DEN, timing its wall time (perf_counter) and then reading the
 process's max RSS.  During the demo it sums the wall time spent in
 covers.lebesgue_number and covers.lebesgue_argmax_regions (lebesgue_s) and
-counts the exact Lebesgue evaluations, the _LebesgueTable.radius_lb calls
-(lebesgue_exact).  Then, on a fresh copy of the grid, it times one full
-farthest-point traversal (the greedy net below the minimum gap) and reads
-its step count, levels plus independence rounds.  Last it times the full
-traversal of a seeded random cloud of n points, whose levels hold one point
-each: no tie to share a level, the case where a level step gains nothing.
+in netting.decompose_from_hurewicz (decompose_s), and counts the exact
+Lebesgue evaluations, the _LebesgueTable.radius_lb calls (lebesgue_exact),
+and the covers.Ball objects built (balls_built).  Then, on a fresh copy of
+the grid, it times one full farthest-point traversal (the greedy net below
+the minimum gap) and reads its step count, levels plus independence
+rounds.  Last it times the full traversal of a seeded random cloud of n
+points, whose levels hold one point each: no tie to share a level, the case
+where a level step gains nothing.
 One JSON line per rung; DEN 64, 128, 256 and 512 give n = 4,225, 16,641,
 66,049 and 263,169.
 """
@@ -38,10 +40,11 @@ def rung(den: int) -> dict:
 
     space = build_grid_space(2, Fraction(1, den))
     report = cli.Report("demo", [])
-    probe = lebesgue_probe()
+    totals = demo_probe()
     t = time.perf_counter()
     cli.pipeline_demo(space, 6, report)
     demo_s = time.perf_counter() - t
+    probe = dict(totals)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     space = build_grid_space(2, Fraction(1, den))
@@ -61,38 +64,52 @@ def rung(den: int) -> dict:
         "demo_s": round(demo_s, 3),
         "lebesgue_s": round(probe["lebesgue_s"], 3),
         "lebesgue_exact": probe["lebesgue_exact"],
+        "decompose_s": round(probe["decompose_s"], 3),
+        "balls_built": probe["balls_built"],
         "max_rss_mb": round(rss_mb, 1),
         "checks_passed": report.all_passed,
     }
 
 
-def lebesgue_probe() -> dict:
-    """Wraps the Lebesgue functions wherever the package holds them, and
-    returns the dict their calls add to: the wall time inside them
-    (lebesgue_s) and the exact evaluations (lebesgue_exact)."""
+def demo_probe() -> dict:
+    """Wraps the measured functions wherever the package holds them, and
+    returns the dict their calls add to: the wall time inside the Lebesgue
+    functions (lebesgue_s) and inside decompose_from_hurewicz (decompose_s),
+    the exact Lebesgue evaluations (lebesgue_exact) and the Ball objects
+    built (balls_built)."""
     from covergames import cli, covers, netting, screenability
 
-    probe = {"lebesgue_s": 0.0, "lebesgue_exact": 0}
-    for name in ("lebesgue_number", "lebesgue_argmax_regions"):
-        inner = getattr(covers, name)
+    probe = {"lebesgue_s": 0.0, "decompose_s": 0.0, "lebesgue_exact": 0, "balls_built": 0}
+    timed = [
+        (covers, "lebesgue_number", "lebesgue_s"),
+        (covers, "lebesgue_argmax_regions", "lebesgue_s"),
+        (netting, "decompose_from_hurewicz", "decompose_s"),
+    ]
+    for owner, name, key in timed:
+        inner = getattr(owner, name)
 
-        def timed(*args, _inner=inner):
+        def wrapped(*args, _inner=inner, _key=key, **kwargs):
             t = time.perf_counter()
             try:
-                return _inner(*args)
+                return _inner(*args, **kwargs)
             finally:
-                probe["lebesgue_s"] += time.perf_counter() - t
+                probe[_key] += time.perf_counter() - t
 
         for module in (covers, cli, netting, screenability):
             if getattr(module, name, None) is inner:
-                setattr(module, name, timed)
-    radius_lb = covers._LebesgueTable.radius_lb
+                setattr(module, name, wrapped)
+    counted = [
+        (covers._LebesgueTable, "radius_lb", "lebesgue_exact"),
+        (covers.Ball, "__post_init__", "balls_built"),
+    ]
+    for owner, name, key in counted:
+        inner = getattr(owner, name)
 
-    def counted(*args):
-        probe["lebesgue_exact"] += 1
-        return radius_lb(*args)
+        def wrapped(*args, _inner=inner, _key=key):
+            probe[_key] += 1
+            return _inner(*args)
 
-    covers._LebesgueTable.radius_lb = counted
+        setattr(owner, name, wrapped)
     return probe
 
 
