@@ -564,13 +564,17 @@ def _family_contains(fam: BoxFamily, i: int, outer: OpenRegion) -> bool:
 def containers(
     inner: BoxFamily,
     outer: Cover,
-    candidates: Sequence[Sequence[int]] | np.ndarray | None = None,
+    candidates: Sequence[Sequence[int]]
+    | np.ndarray
+    | tuple[np.ndarray, np.ndarray]
+    | None = None,
     sample: bool = True,
 ) -> list[tuple[int, str] | None]:
     """Per box of the family, (outer region index, evidence) for the first
     of its candidate outer regions that contains it, or None; the one
     containment decider.  Candidates default to every outer region, in
-    order; a 2-D array gives one row of candidates per box.
+    order; a 2-D array gives one row of candidates per box, and a tuple
+    (indptr, indices) of int arrays gives them as CSR rows.
 
     Analytic evidence comes first: one batch settles every pair it can
     (box-in-ball pairs by certified floats, box-in-box pairs exactly on the
@@ -586,7 +590,9 @@ def containers(
     k = len(inner)
     if candidates is None:
         candidates = np.broadcast_to(np.arange(len(regions)), (k, len(regions)))
-    if isinstance(candidates, np.ndarray):
+    if isinstance(candidates, tuple):
+        indptr, oo = candidates
+    elif isinstance(candidates, np.ndarray):
         indptr, oo = np.arange(k + 1) * candidates.shape[1], candidates.reshape(-1)
     else:
         indptr = np.zeros(k + 1, dtype=np.int64)
@@ -1171,21 +1177,31 @@ class DisjointFamily:
         self.witness_kinds = tuple(hit[1] for hit in found)
 
     def subfamily(
-        self, keep: Sequence[int], witness: Sequence[int] | None = None
+        self,
+        keep: Sequence[int],
+        witness: Sequence[int] | None = None,
+        evidence: Sequence[str] | None = None,
     ) -> "DisjointFamily":
         """The members at the indices keep, in that order, with the same
         parent.  Any subset of a pairwise-disjoint family is one; the witnesses
-        carry over, unless a new witness is given, which is checked."""
-        keep = list(keep)
-        if len(set(keep)) != len(keep) or not all(0 <= i < len(self) for i in keep):
+        carry over, unless a new witness is given, which is checked.  A new
+        witness given with its evidence is one that containers decided for
+        these members, and is recorded as it stands."""
+        keep = np.asarray(keep, dtype=np.int64).reshape(-1)
+        if keep.size and (
+            np.unique(keep).size != keep.size or keep.min() < 0 or keep.max() >= len(self)
+        ):
             raise AssertionError("subfamily indices repeat or leave the family")
         sub = object.__new__(DisjointFamily)
         sub.space, sub.parent = self.space, self.parent
         sub.family = self.family.take(keep)
-        sub.witness = tuple(self.witness[i] for i in keep)
-        sub.witness_kinds = tuple(self.witness_kinds[i] for i in keep)
-        if witness is not None:
+        if witness is None:
+            sub.witness = tuple(self.witness[i] for i in keep.tolist())
+            sub.witness_kinds = tuple(self.witness_kinds[i] for i in keep.tolist())
+        elif evidence is None:
             sub._certify(witness)
+        else:
+            sub.witness, sub.witness_kinds = tuple(witness), tuple(evidence)
         return sub
 
     @property

@@ -26,7 +26,8 @@ families.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from math import lcm
 from typing import Callable, Sequence
 
@@ -53,6 +54,9 @@ class Round:
     one_move: tuple[DisjointFamily, ...]  # families for covers start..horizon
     two_refs: tuple[tuple[int, int], ...]  # (stage, region idx) per selection
     block: int
+    # per selection, the earliest (stage, region idx) in the move holding its
+    # region value: two int arrays, aligned with two_refs
+    earliest: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     def two_union(self) -> np.ndarray:
         """The sample points in some region TWO selected."""
@@ -107,19 +111,49 @@ def strategy_F_move(
     )
 
 
-def _earliest_occurrence(
-    one_move: dict[int, DisjointFamily]
-) -> dict[int, list[tuple[int, int]]]:
-    """Per stage, per member of its family, the earliest (stage, member
-    index) in the move holding an equal region value.  A box's value is its
-    integer row over the lcm of the families' denominators."""
-    den = lcm(*(fam.family.den for fam in one_move.values()))
-    first: dict[tuple, tuple[int, int]] = {}
-    out = {}
-    for n in sorted(one_move):
-        rows = one_move[n].family.rows(den).tolist()
-        out[n] = [first.setdefault(tuple(r), (n, i)) for i, r in enumerate(rows)]
-    return out
+def _earliest(
+    refs: Sequence[tuple[int, int]],
+    one_move: dict[int, DisjointFamily],
+    message: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per (stage, member index) ref into ONE's move, the earliest (stage,
+    member index) in the move holding an equal region value, as two int
+    arrays; a ref outside the move raises InputError with the message.
+
+    A box's value is its integer row over the lcm of the families'
+    denominators.  One stable lexsort of the move's rows, flat in stage
+    order, puts each distinct row's earliest member first among its equals;
+    the same code serves int64 and object rows."""
+    stages = np.array(sorted(one_move), dtype=np.int64)
+    sizes = np.array([len(one_move[n]) for n in stages.tolist()], dtype=np.int64)
+    refs = np.fromiter(itertools.chain.from_iterable(refs), np.int64).reshape(-1, 2)
+    # a stage past the last reads a family of no members
+    at = np.searchsorted(stages, refs[:, 0])
+    known = np.append(stages, 0)[at] == refs[:, 0]
+    ridx = refs[:, 1]
+    if not (known & (0 <= ridx) & (ridx < np.append(sizes, 0)[at])).all():
+        raise InputError(message)
+    if not len(refs):
+        return refs[:, 0], ridx
+    offsets = np.zeros(len(stages) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    den = lcm(*(one_move[n].family.den for n in stages.tolist()))
+    rows = np.concatenate([one_move[n].family.rows(den) for n in stages.tolist()])
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    distinct = np.ones(len(order), dtype=bool)
+    distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    first = np.empty_like(order)
+    first[order] = order[distinct][np.cumsum(distinct) - 1]
+    first = first[offsets[at] + ridx]
+    stage_of = np.searchsorted(offsets, first, "right") - 1
+    return stages[stage_of], first - offsets[stage_of]
+
+
+def _next_block(stage: np.ndarray, start_index: int) -> int:
+    """The block index after a selection whose regions occur earliest at
+    the given stages: the vacuous minimum, the suffix start, when empty."""
+    return max(start_index, int(stage.max())) + 1 if stage.size else start_index
 
 
 def block_index(
@@ -134,15 +168,8 @@ def block_index(
     families counts at its earliest stage.  The empty selection yields the
     vacuous minimum, the suffix start itself.
     """
-    if not two_refs:
-        return start_index
-    occurrence = _earliest_occurrence(one_move)
-    worst = start_index
-    for n, ridx in two_refs:
-        if n not in one_move or not 0 <= ridx < len(one_move[n]):
-            raise InputError("TWO selected a region outside ONE's move")
-        worst = max(worst, occurrence[n][ridx][0])
-    return worst + 1
+    stage, _ = _earliest(two_refs, one_move, "TWO selected a region outside ONE's move")
+    return _next_block(stage, start_index)
 
 
 def covering_two_policy(
@@ -154,11 +181,14 @@ def covering_two_policy(
     earliest (stage, index).  Staying in the earliest covering prefix keeps
     the block indices advancing one block per round.
 
-    The greedy is lazy: a heap holds each region's gain as of its last
-    push, and a point-to-region index keeps every gain exact (a pick
-    decrements the gains of the regions holding the points it covers).  A
-    popped gain that is still exact heads every fresh gain, ties by index,
-    so it is picked; a stale one is pushed again at its exact value."""
+    On a prefix of one family, which is pairwise disjoint, no pick changes
+    another member's gain: the greedy takes the nonempty members by size,
+    largest first, ties to the lower index.  Otherwise the greedy is lazy
+    (Minoux 1978): a heap holds each region's gain as of its last push, and
+    a point-to-region index keeps every gain exact (a pick decrements the
+    gains of the regions holding the points it covers).  A popped gain that
+    is still exact heads every fresh gain, ties by index, so it is picked; a
+    stale one is pushed again at its exact value."""
     some_fam = next(iter(one_move.values()))
     space = some_fam.space
     stages = sorted(one_move)
@@ -174,6 +204,11 @@ def covering_two_policy(
             "ONE's move does not cover the sample",
             witness=int(np.flatnonzero(~covered)[0]),
         )
+    if len(prefix) == 1:
+        (n,) = prefix
+        sizes = np.diff(one_move[n].family.indptr)
+        order = np.argsort(-sizes, kind="stable")
+        return [(n, ridx) for ridx in order[sizes[order] > 0].tolist()]
     refs = [(n, ridx) for n in prefix for ridx in range(len(one_move[n]))]
     boxes = [one_move[n].family for n in prefix]
     sizes = np.concatenate([np.diff(b.indptr) for b in boxes])
@@ -254,11 +289,11 @@ def play_hurewicz_game(
         move = strategy_F_move(space, suffix, start)
         fams = _by_stage(start, move)
         refs = policy(fams)
-        for n, ridx in refs:
-            if n not in fams or not 0 <= ridx < len(fams[n]):
-                raise InputError("TWO's policy referenced a region outside the move")
-        m = block_index(refs, fams, start)
-        rounds.append(Round(start, move, tuple(refs), m))
+        earliest = _earliest(
+            refs, fams, "TWO's policy referenced a region outside the move"
+        )
+        m = _next_block(earliest[0], start)
+        rounds.append(Round(start, move, tuple(refs), m, earliest))
         blocks.append(m)
         if m <= start:  # empty or stalled selection: no progress possible
             break
@@ -337,15 +372,17 @@ def assemble_W(
     horizon = transcript.horizon
     # round 1 starts at stage 1, so its move has a family at every stage
     source = transcript.move_families(1)
-    keep: dict[int, dict[int, None]] = {j: {} for j in range(1, horizon + 1)}
+    keep = {j: np.zeros(0, dtype=np.int64) for j in range(1, horizon + 1)}
     for k, rnd in enumerate(transcript.rounds, start=1):
         fams = transcript.move_families(k)
-        occurrence = _earliest_occurrence(fams)
-        for n, ridx in rnd.two_refs:
-            stage, ridx = occurrence[n][ridx]
-            if rnd.start_index <= stage < rnd.block and stage <= horizon:
-                source[stage] = fams[stage]
-                keep[stage][ridx] = None
+        stage, ridx = rnd.earliest
+        routed = (rnd.start_index <= stage) & (stage < rnd.block) & (stage <= horizon)
+        stage, ridx = stage[routed], ridx[routed]
+        for j in np.unique(stage).tolist():
+            picked = ridx[stage == j]
+            _, first = np.unique(picked, return_index=True)
+            source[j] = fams[j]
+            keep[j] = picked[np.sort(first)]  # once each, in TWO's order
     families = [source[j].subfamily(keep[j]) for j in range(1, horizon + 1)]
     blocks = transcript.blocks
     for a, b in zip(blocks, blocks[1:]):

@@ -14,19 +14,20 @@ strictly below half its predecessor):
 
 The block-selection engine is then run on (U_n) to the same horizon, its
 families are filtered to the members analytically inside some eps_n/2 ball,
-and the covering claim is replayed point by point: pick a materialized block
+and the covering claim is replayed for every point: pick a materialized block
 at or past the point's chain entry stage, find a covering stage j inside it,
 and observe that the region containing the point cannot sit in the
 complement piece (the point is in stage j), so it survived the filter.
 Points whose replay would need blocks past the horizon raise a documented
-horizon-exhausted error rather than being silently accepted.
+horizon-exhausted error rather than being silently accepted.  The replay
+runs on per-point int arrays, and a point's trace is built when read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .covers import (
     Cover,
     CoverSeq,
     DisjointFamily,
+    _csr_take,
     containers,
     covers_check,
     region_members,
@@ -45,7 +47,14 @@ from .covers import (
 from .exact import CheckFailure, InputError
 from .game import sc_plus_select
 from .netting import SigmaDecomposition, greedy_net
-from .space import SampledSpace, Schedule, diameter, epsilon_schedule, paired_delta
+from .space import (
+    SampledSpace,
+    Schedule,
+    diameter_of_sq,
+    diameters_sq,
+    epsilon_schedule,
+    paired_delta,
+)
 
 
 class ClaimHorizonError(CheckFailure):
@@ -164,13 +173,32 @@ class ClaimTrace:
     region_index: int
 
 
+class ClaimTraces(Sequence):
+    """The claim trace of every point, held as int arrays: a ClaimTrace is
+    built when it is read."""
+
+    def __init__(self, entry: np.ndarray, witness: np.ndarray, spans: np.ndarray):
+        self._entry, self._witness, self._spans = entry, witness, spans
+
+    def __len__(self) -> int:
+        return len(self._entry)
+
+    def __getitem__(self, p):
+        if isinstance(p, slice):
+            return [self[q] for q in range(*p.indices(len(self)))]
+        p = range(len(self))[p]
+        stage, region = self._witness[p].tolist()
+        lo, hi = self._spans[p].tolist()
+        return ClaimTrace(p, int(self._entry[p]), (lo, hi), stage, region)
+
+
 @dataclass(frozen=True)
 class HaverWitness:
     epsilon_schedule: Schedule
     families: tuple[DisjointFamily, ...]  # 1-based stages, filtered
     diam_bounds: tuple[Fraction, ...]  # per stage: max region diameter (upper bound)
-    covering_witness: tuple[tuple[int, int], ...]  # per point: (stage, region idx)
-    traces: tuple[ClaimTrace, ...]
+    covering_witness: np.ndarray  # (n, 2): per point (stage, region idx)
+    traces: ClaimTraces
     blocks: tuple[int, ...]
     stage_covers: StageCovers
     # families in the game's first block of the stage covers; None when it
@@ -213,23 +241,25 @@ def build_haver_witness(
         found = _containing_balls(
             raw.family, cover, stage_covers.nets[n - 1], eps_n / 2, space
         )
-        keep = [i for i, ball_idx in enumerate(found) if ball_idx is not None]
-        fam = raw.subfamily(keep, witness=[found[i] for i in keep])
-        worst = Fraction(0)
-        for d in _member_diameters(fam):
-            if not d.value_sq < eps_n * eps_n:
-                raise AssertionError(
-                    f"a filtered region at stage {n} has diameter >= eps_{n}"
-                )
-            worst = max(worst, d.value)
+        kept = [(i, hit) for i, hit in enumerate(found) if hit is not None]
+        keep = [i for i, _ in kept]
+        fam = raw.subfamily(
+            keep, witness=[hit[0] for _, hit in kept], evidence=[hit[1] for _, hit in kept]
+        )
+        # squared diameters as scaled integers: one comparison per stage, and
+        # one diameter per distinct value
+        worst = diameters_sq(space, fam.family.indptr, fam.family.indices)
+        if len(worst) and not worst.max() <= space.scaled_bound(eps_n):
+            raise AssertionError(
+                f"a filtered region at stage {n} has diameter >= eps_{n}"
+            )
+        values = (diameter_of_sq(space, w).value for w in set(worst.tolist()))
         families.append(fam)
-        diam_bounds.append(worst)
+        diam_bounds.append(max(values, default=Fraction(0)))
 
-    # replay the covering claim per point; per-stage owner tables make the
-    # per-point lookups O(1): the index of the point's filtered region, -2
+    # per-stage owner tables: the index of the point's filtered region, -2
     # in an engine region the filter dropped, -1 in none
     blocks = engine_out.blocks
-    usable = engine_out.usable_blocks()
     owners = []
     for n, fam in enumerate(families, start=1):
         owner = np.full(space.n, -1, dtype=np.int64)
@@ -237,13 +267,10 @@ def build_haver_witness(
         boxes = fam.family
         owner[boxes.indices] = np.repeat(np.arange(len(fam)), np.diff(boxes.indptr))
         owners.append(owner)
-    witness: list[tuple[int, int]] = []
-    traces: list[ClaimTrace] = []
-    for p in range(space.n):
-        entry = chain.tail_start[p]
-        trace = _replay_claim(p, entry, usable, blocks, owners, horizon)
-        traces.append(trace)
-        witness.append((trace.stage, trace.region_index))
+    entry = np.array(chain.tail_start, dtype=np.int64)
+    witness, spans = _replay_claims(
+        entry, engine_out.usable_blocks(), blocks, owners, horizon
+    )
 
     covered = union_of(space, families)
     if not covered.all():
@@ -253,8 +280,8 @@ def build_haver_witness(
         schedule,
         tuple(families),
         tuple(diam_bounds),
-        tuple(witness),
-        tuple(traces),
+        witness,
+        ClaimTraces(entry, witness, spans),
         blocks,
         stage_covers,
         first_block_families,
@@ -267,79 +294,84 @@ def _containing_balls(
     net: tuple[int, ...],
     radius: Fraction,
     space: SampledSpace,
-) -> list[int | None]:
-    """Per box, the index (within the cover) of the first net ball
-    analytically containing it, or None.
+) -> list[tuple[int, str] | None]:
+    """Per box, containers' verdict for the first net ball (by its index
+    within the cover) analytically containing it: (ball index, evidence),
+    or None.
 
     Only the balls holding the box's anchor point can contain it (the anchor
     lies in the box), so the candidate prune is exact and complete; one
-    SampledSpace.balls call gives them.  Boxes with no sample points are
-    dropped: they contribute nothing to any invariant.
+    SampledSpace.balls call gives them, handed to containers as CSR rows.
+    Boxes with no sample points are dropped: they contribute nothing to any
+    invariant.
     """
     if not len(boxes):
         return []
     indptr, points = space.balls(net, space.scaled_bound(radius))
-    # per point, the balls holding it, in net order
+    # per point, the balls holding it, in net order; a box with no anchor
+    # reads the empty row past the last point
     ball = np.repeat(np.arange(len(net)), np.diff(indptr))
-    by_point = np.argsort(points, kind="stable")
-    held = np.zeros(space.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(points, minlength=space.n), out=held[1:])
-    cands = [
-        ball[by_point[held[p] : held[p + 1]]] if p >= 0 else ()
-        for p in boxes.anchors.tolist()
-    ]
-    found = containers(boxes, cover, cands, sample=False)
-    return [None if hit is None else hit[0] for hit in found]
+    ball = ball[np.argsort(points, kind="stable")]
+    held = np.zeros(space.n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(points, minlength=space.n), out=held[1:-1])
+    held[-1] = held[-2]
+    anchors = boxes.anchors
+    cands = _csr_take(held, ball, np.where(anchors < 0, space.n, anchors))
+    return containers(boxes, cover, cands, sample=False)
 
 
-def _member_diameters(fam: DisjointFamily) -> list:
-    """space.diameter of every member; a member of one point has 0 with no
-    query (every member of a point-isolating family)."""
-    boxes = fam.family
-    point = diameter(fam.space, [0])
-    return [
-        point if k == 1 else diameter(fam.space, boxes.members(i))
-        for i, k in enumerate(np.diff(boxes.indptr).tolist())
-    ]
-
-
-def _replay_claim(
-    p: int,
-    entry: int,
+def _replay_claims(
+    entry: np.ndarray,
     usable: list[tuple[int, int]],
     blocks: tuple[int, ...],
     owners: list[np.ndarray],
     horizon: int,
-) -> ClaimTrace:
-    """The claim for point p: the first covering stage j of the first usable
-    block at or past its entry stage; owners[j - 1][p] is the filtered region
-    covering p at stage j, -2 when only a dropped region covers it, or -1."""
-    saw_eligible = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The claim for every point p: the first covering stage j of the first
+    usable block at or past its entry stage entry[p]; owners[j - 1][p] is
+    the filtered region covering p at stage j, -2 when only a dropped region
+    covers it, or -1.  Returns per point (stage, region index) and the
+    block (start, end), as two (n, 2) int arrays.
+
+    Every point is replayed at once, block by block and stage by stage, each
+    point settled at its first stage with an owner.  A failure is reported
+    for the lowest failing point, as the replay of that point alone finds
+    it."""
+    n = len(entry)
+    witness = np.full((n, 2), -1, dtype=np.int64)
+    spans = np.zeros((n, 2), dtype=np.int64)
+    open_ = np.ones(n, dtype=bool)
     for lo, hi in usable:
-        if lo < entry:
-            continue
-        saw_eligible = True
+        eligible = open_ & (entry <= lo)
         for j in range(lo, min(hi, horizon + 1)):
-            region_idx = int(owners[j - 1][p])
-            if region_idx == -1:
-                continue
-            if region_idx == -2:
-                raise CheckFailure(
-                    f"claim replay failed at point {p}: the region covering it "
-                    f"at stage {j} did not survive the filter (an "
-                    f"implementation bug, not a math failure)",
-                    witness=(p, j, blocks),
-                )
-            return ClaimTrace(p, entry, (lo, hi), j, region_idx)
-    if saw_eligible:
+            owner = owners[j - 1]
+            hit = eligible & (owner != -1)
+            witness[hit, 0], witness[hit, 1] = j, owner[hit]
+            spans[hit] = (lo, hi)
+            eligible &= ~hit
+            open_ &= ~hit
+    failed = np.flatnonzero(open_ | (witness[:, 1] == -2))
+    if not failed.size:
+        return witness, spans
+    p = int(failed[0])
+    if witness[p, 1] == -2:
+        j = int(witness[p, 0])
+        raise CheckFailure(
+            f"claim replay failed at point {p}: the region covering it "
+            f"at stage {j} did not survive the filter (an "
+            f"implementation bug, not a math failure)",
+            witness=(p, j, blocks),
+        )
+    entry_p = int(entry[p])
+    if any(lo >= entry_p for lo, _ in usable):
         raise CheckFailure(
             f"claim replay failed at point {p}: no eligible block contains a "
             f"covering stage (an implementation bug, not a math failure)",
-            witness=(p, entry, blocks),
+            witness=(p, entry_p, blocks),
         )
     raise ClaimHorizonError(
-        f"claim replay for point {p} (chain entry stage {entry}) needs a "
-        f"materialized block at or past stage {entry}; blocks {blocks} within "
+        f"claim replay for point {p} (chain entry stage {entry_p}) needs a "
+        f"materialized block at or past stage {entry_p}; blocks {blocks} within "
         f"horizon {horizon} are exhausted",
-        witness=(p, entry, blocks),
+        witness=(p, entry_p, blocks),
     )

@@ -333,7 +333,8 @@ def decompose_from_hurewicz(
     the chain intersects the selection unions over present m in n..horizon.
     Every sample point must lie in some tail (reported otherwise); for each
     requested epsilon a net certificate for stage n is extracted from the
-    selection at the least stage m >= n whose radius is <= epsilon.
+    selection at the least stage m >= n whose radius is <= epsilon, and
+    checked against that selection's union, which holds stage n.
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
@@ -353,10 +354,9 @@ def decompose_from_hurewicz(
     # a missing stage constrains nothing; stage n holds the points whose
     # tail start is at most n
     everything = np.ones(space.n, dtype=bool)
+    bounds = {m: space.scaled_bound(doubling_delta(m)) for m in sel}
     unions = [
-        space.ball_union(sel[m], space.scaled_bound(doubling_delta(m)))
-        if m in sel
-        else everything
+        space.ball_union(sel[m], bounds[m]) if m in sel else everything
         for m in range(1, horizon + 1)
     ]
     tail = tail_start(unions, space.n)
@@ -382,8 +382,11 @@ def decompose_from_hurewicz(
                     f"within the horizon",
                     witness=(n, eps),
                 )
+            # the selection's open balls at its own radius lie within eps
+            # of its centers: the certificate needs no union of its own
             cert = NetCertificate(eps, tuple(sel[m]), chain[n - 1])
-            if not validate_net(space, cert):
+            within = bounds[m] <= space.scaled_bound(eps)
+            if not within or (cert.covered.mask() & ~unions[m - 1]).any():
                 raise CheckFailure(
                     f"extracted certificate for stage {n} at epsilon {eps} "
                     f"does not validate",

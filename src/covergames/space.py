@@ -771,24 +771,87 @@ def diameter(space: SampledSpace, subset) -> DiameterResult:
     arr = np.asarray(subset, dtype=np.int64)
     if arr.size < 2:
         return DiameterResult(Fraction(0), Fraction(0), not arr.size, True)
-    if space.metric_kind == "cantor_2adic":
-        bits = space._cantor_bits[arr]
-        worst = _msb(int(np.bitwise_or.reduce(bits) ^ np.bitwise_and.reduce(bits))) ** 2
-    else:
-        table = space._icoords[arr]
-        lo, hi = table.min(axis=0), table.max(axis=0)
-        extents = [b - a for a, b in zip(lo.tolist(), hi.tolist())]
-        if space.metric_kind == "chebyshev":
-            worst = max(extents) ** 2
-        elif _has_opposite_corners(table, lo, hi):
-            worst = sum(e * e for e in extents)
-        else:
-            worst = _pair_scan_sq(space, arr)
-    dsq = Fraction(worst, space.dist_scale_sq)
+    return diameter_of_sq(space, _diameter_sq(space, arr))
+
+
+def diameter_of_sq(space: SampledSpace, worst: int) -> DiameterResult:
+    """The diameter of a nonempty set whose scaled squared diameter is
+    worst: exact when rational, else a certified upper bound."""
+    dsq = Fraction(int(worst), space.dist_scale_sq)
     root = exact_sqrt(dsq)
     if root is not None:
         return DiameterResult(root, dsq, False, True)
     return DiameterResult(sqrt_upper(dsq, space.mesh / 1024), dsq, False, False)
+
+
+def _diameter_sq(space: SampledSpace, arr: np.ndarray) -> int:
+    """The scaled squared diameter of two or more points arr."""
+    if space.metric_kind == "cantor_2adic":
+        bits = space._cantor_bits[arr]
+        return _msb(int(np.bitwise_or.reduce(bits) ^ np.bitwise_and.reduce(bits))) ** 2
+    table = space._icoords[arr]
+    lo, hi = table.min(axis=0), table.max(axis=0)
+    extents = [b - a for a, b in zip(lo.tolist(), hi.tolist())]
+    if space.metric_kind == "chebyshev":
+        return max(extents) ** 2
+    if _has_opposite_corners(table, lo, hi):
+        return sum(e * e for e in extents)
+    return _pair_scan_sq(space, arr)
+
+
+# axes up to which diameters_sq codes a member's corners in one int64 key
+_CORNER_AXES = 30
+
+
+def diameters_sq(space: SampledSpace, indptr: np.ndarray, indices: np.ndarray):
+    """Per CSR row of point indices, the scaled squared diameter of its
+    points, as diameter finds it: a row of at most one point has 0.
+
+    On an int64 table that is not 2-adic, every row's axis extents come
+    from one reduceat, and a row holding two opposite corners of its
+    bounding box (every row under chebyshev) takes its value from them.
+    The other rows take diameter's per-set path."""
+    sizes = np.diff(indptr)
+    multi = np.flatnonzero(sizes > 1)
+    table = space._icoords
+    d = space.coord_dim
+    if table.dtype == object or space.metric_kind == "cantor_2adic" or d > _CORNER_AXES:
+        out = np.zeros(len(sizes), dtype=object)
+        for i in multi.tolist():
+            out[i] = _diameter_sq(space, indices[indptr[i] : indptr[i + 1]])
+        return out
+    out = np.zeros(len(sizes), dtype=np.int64)
+    if not multi.size:
+        return out
+    counts = sizes[multi]
+    at = np.zeros(len(multi) + 1, dtype=np.int64)
+    np.cumsum(counts, out=at[1:])
+    row = np.repeat(np.arange(len(multi)), counts)
+    table = table[indices[np.repeat(indptr[multi] - at[:-1], counts) + np.arange(at[-1])]]
+    lo = np.minimum.reduceat(table, at[:-1], axis=0)
+    hi = np.maximum.reduceat(table, at[:-1], axis=0)
+    extents = hi - lo
+    if space.metric_kind == "chebyshev":
+        out[multi] = extents.max(axis=1) ** 2
+        return out
+    # a corner is coded by the live axes on which it takes the maximum, as
+    # in _has_opposite_corners; a row has opposite corners when some code's
+    # complement within its live axes is a code of the same row
+    bit = np.int64(1) << np.arange(d, dtype=np.int64)
+    live = extents > 0
+    at_lo, at_hi = table == lo[row], table == hi[row]
+    corner = (at_lo | at_hi).all(axis=1)
+    code = (at_hi & live[row]).astype(np.int64) @ bit
+    full = live.astype(np.int64) @ bit
+    row, code = row[corner], code[corner]
+    key = (row << d) | code
+    paired = np.isin(key ^ full[row], key)
+    opposite = np.zeros(len(multi), dtype=bool)
+    opposite[row[paired]] = True
+    out[multi] = (extents * extents).sum(axis=1)
+    for i in multi[~opposite].tolist():
+        out[i] = _pair_scan_sq(space, indices[indptr[i] : indptr[i + 1]])
+    return out
 
 
 def _pair_scan_sq(space: SampledSpace, arr: np.ndarray) -> int:

@@ -12,13 +12,19 @@ took every point through a tuple of Fractions on its way to the integer
 table, and so is the farthest-point traversal that added one center per
 step.  The Lebesgue oracles are the exact bounds of every region at every
 point over dense masks, and the per-point loops over the Lebesgue table
-that ran before the exact bounds were shared by key.
+that ran before the exact bounds were shared by key.  Last come the game's
+and the Haver assembly's loops over members and points: the occurrence
+table as a dict of row tuples, TWO's lazy-heap greedy on every prefix, the
+per-member diameter check in Fraction arithmetic, and the claim replay one
+point at a time.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -37,6 +43,7 @@ from covergames.covers import (
     region_members,
 )
 from covergames.exact import (
+    CheckFailure,
     InputError,
     ResourceError,
     clamp_int64,
@@ -45,6 +52,7 @@ from covergames.exact import (
     int_lt_bound,
     parse_rational,
 )
+from covergames.haver import ClaimHorizonError, ClaimTrace
 from covergames.jsonio import digest
 from covergames.screenability import (
     _cantor_level_boxes,
@@ -60,6 +68,7 @@ from covergames.space import (
     GridStructure,
     SampledSpace,
     csr,
+    diameter,
 )
 
 
@@ -684,3 +693,134 @@ def argmax_loop(cover: Cover, p: int, lam: Fraction) -> int:
             cr = table.radius_lb(cover, ridx, capped, p, tol)
             if cr is not None and cr >= lam:
                 return ridx
+
+
+# -- the game and the Haver assembly, per member and per point ---------------------
+
+
+def earliest_occurrence(one_move: dict[int, DisjointFamily]):
+    """Per stage, per member of its family, the earliest (stage, member
+    index) in the move holding an equal region value: a box's value is its
+    integer row over the lcm of the families' denominators."""
+    den = lcm(*(fam.family.den for fam in one_move.values()))
+    first: dict[tuple, tuple[int, int]] = {}
+    out = {}
+    for n in sorted(one_move):
+        rows = one_move[n].family.rows(den).tolist()
+        out[n] = [first.setdefault(tuple(r), (n, i)) for i, r in enumerate(rows)]
+    return out
+
+
+def block_index_loop(two_refs, one_move, start_index: int) -> int:
+    """block_index by the dict occurrence, each ref range-checked alone."""
+    if not two_refs:
+        return start_index
+    occurrence = earliest_occurrence(one_move)
+    worst = start_index
+    for n, ridx in two_refs:
+        if n not in one_move or not 0 <= ridx < len(one_move[n]):
+            raise InputError("TWO selected a region outside ONE's move")
+        worst = max(worst, occurrence[n][ridx][0])
+    return worst + 1
+
+
+def heap_covering_policy(one_move: dict[int, DisjointFamily]):
+    """covering_two_policy with its lazy heap on every prefix: a heap of
+    each region's gain as of its last push, kept exact through a
+    point-to-region index; a stale top is pushed again at its exact gain."""
+    some_fam = next(iter(one_move.values()))
+    space = some_fam.space
+    stages = sorted(one_move)
+    prefix: list[int] = []
+    covered = np.zeros(space.n, dtype=bool)
+    for n in stages:
+        prefix.append(n)
+        covered |= one_move[n].union_mask()
+        if covered.all():
+            break
+    if not covered.all():
+        raise CheckFailure(
+            "ONE's move does not cover the sample",
+            witness=int(np.flatnonzero(~covered)[0]),
+        )
+    refs = [(n, ridx) for n in prefix for ridx in range(len(one_move[n]))]
+    boxes = [one_move[n].family for n in prefix]
+    sizes = np.concatenate([np.diff(b.indptr) for b in boxes])
+    points = np.concatenate([b.indices for b in boxes])
+    region = np.repeat(np.arange(len(refs)), sizes)
+    held = np.zeros(space.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(points, minlength=space.n), out=held[1:])
+    holders = region[np.argsort(points, kind="stable")].tolist()
+    at, held = np.r_[0, np.cumsum(sizes)].tolist(), held.tolist()
+    points = points.tolist()
+    gain = sizes.tolist()
+    heap = [(-g, i) for i, g in enumerate(gain) if g]
+    heapq.heapify(heap)
+    uncovered = [True] * space.n
+    left = space.n
+    picks: list[tuple[int, int]] = []
+    while left:
+        g, i = heapq.heappop(heap)
+        if -g != gain[i]:  # stale
+            if gain[i]:
+                heapq.heappush(heap, (-gain[i], i))
+            continue
+        picks.append(refs[i])
+        for p in points[at[i] : at[i + 1]]:
+            if uncovered[p]:
+                uncovered[p] = False
+                left -= 1
+                for r in holders[held[p] : held[p + 1]]:
+                    gain[r] -= 1
+    return picks
+
+
+def diameter_bound_loop(fam: DisjointFamily, n: int, eps_n: Fraction) -> Fraction:
+    """The Haver stage's diameter bound member by member: space.diameter of
+    each member (0 with no query for one point), its squared value checked
+    below eps_n ** 2 in Fraction arithmetic, and the largest value."""
+    boxes = fam.family
+    point = diameter(fam.space, [0])
+    worst = Fraction(0)
+    for i, k in enumerate(np.diff(boxes.indptr).tolist()):
+        d = point if k == 1 else diameter(fam.space, boxes.members(i))
+        if not d.value_sq < eps_n * eps_n:
+            raise AssertionError(f"a filtered region at stage {n} has diameter >= eps_{n}")
+        worst = max(worst, d.value)
+    return worst
+
+
+def replay_claim(p: int, entry: int, usable, blocks, owners, horizon: int) -> ClaimTrace:
+    """The claim for point p alone: the first covering stage j of the first
+    usable block at or past its entry stage; owners[j - 1][p] is the
+    filtered region covering p at stage j, -2 when only a dropped region
+    covers it, or -1."""
+    saw_eligible = False
+    for lo, hi in usable:
+        if lo < entry:
+            continue
+        saw_eligible = True
+        for j in range(lo, min(hi, horizon + 1)):
+            region_idx = int(owners[j - 1][p])
+            if region_idx == -1:
+                continue
+            if region_idx == -2:
+                raise CheckFailure(
+                    f"claim replay failed at point {p}: the region covering it "
+                    f"at stage {j} did not survive the filter (an "
+                    f"implementation bug, not a math failure)",
+                    witness=(p, j, blocks),
+                )
+            return ClaimTrace(p, entry, (lo, hi), j, region_idx)
+    if saw_eligible:
+        raise CheckFailure(
+            f"claim replay failed at point {p}: no eligible block contains a "
+            f"covering stage (an implementation bug, not a math failure)",
+            witness=(p, entry, blocks),
+        )
+    raise ClaimHorizonError(
+        f"claim replay for point {p} (chain entry stage {entry}) needs a "
+        f"materialized block at or past stage {entry}; blocks {blocks} within "
+        f"horizon {horizon} are exhausted",
+        witness=(p, entry, blocks),
+    )

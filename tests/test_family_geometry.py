@@ -405,9 +405,10 @@ def test_containing_balls_match_the_per_region_filter(metric):
     for _ in range(300):
         lo = tuple(F(rng.randint(-4, 64), 64) for _ in range(2))
         regions.append(Box(space, lo, tuple(x + F(rng.randint(1, 12), 64) for x in lo)))
-    got = haver._containing_balls(box_family(space, regions), cover, net, radius, space)
+    found = haver._containing_balls(box_family(space, regions), cover, net, radius, space)
     want = [_old_containing_ball(r, cover, net, radius, space) for r in regions]
-    assert got == want
+    assert [None if hit is None else hit[0] for hit in found] == want
+    assert {hit[1] for hit in found if hit is not None} == {"analytic"}
     assert sum(w is not None for w in want) > 30 and want.count(None) > 30
 
 

@@ -3,12 +3,15 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covergames.game as game
+from covergames.cli import run
 from covergames.covers import (
     Ball,
     Box,
@@ -21,6 +24,7 @@ from covergames.covers import (
 )
 from covergames.exact import CheckFailure, InputError
 from covergames.game import (
+    _by_stage,
     adversarial_two_policy,
     assemble_W,
     block_index,
@@ -32,9 +36,18 @@ from covergames.game import (
     strategy_F_move,
     transcript_loss_report,
 )
+from covergames.jsonio import coverseq_from_json, load_json, space_from_json
 from covergames.netting import greedy_net
 from covergames.space import build_cantor_space, build_grid_space
-from oracles import box_family, pairwise_disjoint_check, refines_oracle
+from oracles import (
+    block_index_loop,
+    box_family,
+    earliest_occurrence,
+    heap_covering_policy,
+    pairwise_disjoint_check,
+    refines_oracle,
+)
+from test_family_geometry import _count_calls
 
 
 def overlapping_interval_covers(s, horizon, step=F(3, 100)):
@@ -671,3 +684,121 @@ def test_moves_match_a_fresh_sequence(name):
     assert rounds >= 12 and shared >= 1
     if d:
         assert off_grid >= 1
+
+
+# -- the occurrence table and the greedy against their per-member loops -------------
+
+GOLDEN = Path(__file__).parent / "golden" / "inputs"
+
+
+def golden_game():
+    space = space_from_json(load_json(GOLDEN / "space.json"))
+    return space, coverseq_from_json(space, load_json(GOLDEN / "covers.json"))
+
+
+def object_row_move(rng):
+    """A move of families on a 1-D grid whose box ends sit 2**-70 off the
+    grid: their rows are Python ints.  Later stages repeat some boxes of
+    earlier ones, so values occur at several stages."""
+    s = build_grid_space(1, F(1, 16))
+    parent = Cover(s, [Ball(s, 0, F(2))])
+    h, tiny = s.structure.h, F(1, 2**70)
+    pool = [Box(s, (k * h - h / 4 - tiny,), (k * h + h / 4 + tiny,)) for k in range(s.n)]
+    pool += [Box(s, (k * h - h / 4,), ((k + 1) * h + h / 4,)) for k in range(0, s.n - 1, 2)]
+    move, start = {}, rng.randint(1, 3)
+    for n in range(start, start + rng.randint(1, 4)):
+        boxes, taken = [], np.zeros(s.n, dtype=bool)
+        for box in rng.sample(pool, len(pool)):
+            members = region_members(box)
+            if len(members) and not taken[max(members.min() - 1, 0) : members.max() + 2].any():
+                taken[members] = True
+                boxes.append(box)
+        move[n] = DisjointFamily(box_family(s, boxes), parent, witness=[0] * len(boxes))
+    return move
+
+
+def game_moves():
+    """(label, start, move) of every round of the golden game under the
+    covering and the adversarial policy, of seeded ball-cover games whose
+    first block is bricks (covering, adversarial and noisy policies), and
+    of moves of object-row families."""
+    space, covers = golden_game()
+    games = [("golden", space, covers, None), ("golden", space, covers, adversarial_two_policy(4))]
+    for name, s in [
+        ("interval", build_grid_space(1, F(1, 16))),
+        ("square", build_grid_space(2, F(1, 8))),
+        ("cantor", build_cantor_space(4)),
+    ]:
+        rng = random.Random(f"occurrence-{name}")
+        for seed in range(6):
+            covers = random_ball_covers(s, rng.randint(3, 7), rng)
+            policy = [None, adversarial_two_policy(rng.randrange(s.n)), noisy_two_policy(rng)]
+            games.append((name, s, covers, policy[seed % 3]))
+    for label, s, covers, policy in games:
+        for rnd in play_hurewicz_game(s, covers, policy).rounds:
+            yield label, rnd, _by_stage(rnd.start_index, rnd.one_move)
+    rng = random.Random("object rows")
+    for _ in range(30):
+        move = object_row_move(rng)
+        yield "object", None, move
+
+
+def test_occurrence_table_matches_the_dict_table():
+    seen, bricks, shared = set(), 0, 0
+    for label, rnd, move in game_moves():
+        want = earliest_occurrence(move)
+        refs = [(n, i) for n in sorted(move) for i in range(len(move[n]))]
+        stage, ridx = game._earliest(refs, move, "outside")
+        assert list(zip(stage.tolist(), ridx.tolist())) == [want[n][i] for n, i in refs]
+        shared += sum(want[n][i] != (n, i) for n, i in refs)
+        if rnd is not None:
+            # the round's table is the one its block index and routing read
+            stage, ridx = rnd.earliest
+            routed = [want[n][i] for n, i in rnd.two_refs]
+            assert list(zip(stage.tolist(), ridx.tolist())) == routed
+            got = block_index(rnd.two_refs, move, rnd.start_index)
+            assert got == block_index_loop(rnd.two_refs, move, rnd.start_index) == rnd.block
+            bricks += len(move[rnd.start_index]) < rnd.one_move[0].space.n
+        else:
+            assert {fam.family.lo.dtype for fam in move.values()} == {np.dtype(object)}
+        seen.add(label)
+    assert seen == {"golden", "interval", "square", "cantor", "object"}
+    assert bricks >= 20 and shared >= 20
+
+
+def test_one_occurrence_table_per_round(monkeypatch):
+    # a round is one ONE move; its table serves its block index and routing
+    tables = _count_calls(monkeypatch, game, "_earliest")
+    moves = _count_calls(monkeypatch, game, "strategy_F_move")
+    for label in ("unit_interval_1024", "cantor_10", "unit_square_64"):
+        code, _ = run(["demo", "--label", label, "--horizon", "6"])
+        assert code == 0
+    assert len(moves) >= 6 and len(tables) == len(moves)
+
+
+def test_covering_policy_matches_the_heap_greedy():
+    single = several = 0
+    for _, _, move in game_moves():
+        try:
+            want = heap_covering_policy(move)
+        except CheckFailure as exc:
+            with pytest.raises(CheckFailure) as got:
+                covering_two_policy(move)
+            assert (str(got.value), got.value.witness) == (str(exc), exc.witness)
+            continue
+        assert covering_two_policy(move) == want
+        first = move[min(move)]
+        if first.union_mask().all():
+            single += 1
+        else:
+            several += 1
+    assert single >= 20 and several >= 5
+
+
+def test_policy_refs_outside_the_move_are_refused(interval_64):
+    s = interval_64
+    covers = overlapping_interval_covers(s, 4)
+    size = len(strategy_F_move(s, covers, 1)[0])
+    for ref in ((0, 0), (5, 0), (1, size), (1, -1)):
+        with pytest.raises(InputError, match="TWO's policy referenced a region outside"):
+            play_hurewicz_game(s, covers, lambda move, ref=ref: [(1, 0), ref])

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covergames.haver as haver_module
 import covergames.space as space_module
 from covergames.cli import run
 from covergames.covers import (
@@ -16,15 +18,33 @@ from covergames.covers import (
     region_mask,
 )
 from covergames.exact import CheckFailure, InputError
+from covergames.game import _usable_blocks
 from covergames.haver import (
     ClaimHorizonError,
+    ClaimTrace,
     build_haver_witness,
     normalize_epsilons,
     build_stage_covers,
 )
-from covergames.netting import chain_decomposition
-from covergames.space import diameter, paired_delta
-from oracles import analytic_contains, pairwise_disjoint_check
+from covergames.jsonio import chain_from_json, load_json, space_from_json
+from covergames.netting import (
+    chain_decomposition,
+    decompose_from_hurewicz,
+    greedy_net,
+)
+from covergames.registry import builtin_space
+from covergames.space import (
+    build_grid_space,
+    diameter,
+    doubling_delta,
+    paired_delta,
+)
+from oracles import (
+    analytic_contains,
+    diameter_bound_loop,
+    pairwise_disjoint_check,
+    replay_claim,
+)
 
 
 def staircase_chain(s, horizon, quarter=4):
@@ -208,3 +228,188 @@ def test_demo_region_diameters_take_closed_forms(monkeypatch, label, horizon):
     monkeypatch.setattr(space_module, "_pair_scan_sq", lambda *a: scans.append(a))
     code, doc = run(["demo", "--label", label, "--horizon", horizon])
     assert code == 0 and scans == []
+
+
+# -- the assembly on arrays against its per-member and per-point loops --------------
+
+GOLDEN = Path(__file__).parent / "golden" / "inputs"
+
+
+def _replayed(monkeypatch):
+    """The arguments of every claim replay build_haver_witness runs."""
+    calls = []
+    inner = haver_module._replay_claims
+
+    def recorded(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(haver_module, "_replay_claims", recorded)
+    return calls
+
+
+def _witness_cases():
+    """(space, chain, schedule) of the golden haver report, the demo's
+    pipeline on small built-ins, and staircase chains."""
+    space = space_from_json(load_json(GOLDEN / "space.json"))
+    chain = chain_from_json(space, load_json(GOLDEN / "chain.json"))
+    yield space, chain, normalize_epsilons([F(1), F(1, 4), F(1, 16), F(1, 64)])
+    for label in ("unit_interval_64", "unit_square_8", "cantor_5"):
+        s = builtin_space(label)
+        full = s.subset_all()
+        horizon = 6
+        dec = decompose_from_hurewicz(
+            s,
+            {m: greedy_net(s, full, doubling_delta(m)).centers for m in range(1, horizon + 1)},
+            horizon,
+        )
+        diam = max(s.diameter_upper_bound(), s.mesh)
+        yield s, dec, normalize_epsilons(
+            [16 * diam * F(15, 32) ** (n - 1) for n in range(1, horizon + 1)]
+        )
+    s = build_grid_space(1, F(1, 64))
+    for quarter in (2, 4):
+        yield s, staircase_chain(s, 8, quarter), normalize_epsilons(
+            [F(1, 4) ** n for n in range(1, 9)]
+        )
+
+
+def test_witness_matches_the_member_and_point_loops(monkeypatch):
+    for space, chain, sched in _witness_cases():
+        calls = _replayed(monkeypatch)
+        w = build_haver_witness(space, chain, sched)
+        for n, fam in enumerate(w.families, start=1):
+            assert w.diam_bounds[n - 1] == diameter_bound_loop(fam, n, sched.value(n))
+        ((entry, usable, blocks, owners, horizon),) = calls
+        want = [
+            replay_claim(p, int(entry[p]), usable, blocks, owners, horizon)
+            for p in range(space.n)
+        ]
+        assert list(w.traces) == want and len(w.traces) == space.n
+        assert w.traces[-1] == want[-1] and w.traces[3:9:2] == want[3:9:2]
+        assert w.covering_witness.tolist() == [[t.stage, t.region_index] for t in want]
+
+
+def _replay_outcome(replay, *args):
+    try:
+        return replay(*args)
+    except CheckFailure as exc:
+        return type(exc), str(exc), exc.witness
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_replay_matches_the_point_loop(data):
+    # random owner tables: regions, dropped regions (-2) and none (-1) per
+    # stage; entry stages up to past the last block
+    horizon = data.draw(st.integers(1, 7))
+    cuts = data.draw(st.lists(st.integers(1, horizon + 2), min_size=1, max_size=5))
+    blocks = tuple(sorted(set(cuts)))
+    usable = _usable_blocks(blocks, horizon)
+    n = data.draw(st.integers(1, 12))
+    owner = st.sampled_from([-1, -1, -1, -2, 0, 1, 2])
+    owners = [
+        np.array(data.draw(st.lists(owner, min_size=n, max_size=n)), dtype=np.int64)
+        for _ in range(horizon)
+    ]
+    entry = np.array(
+        data.draw(st.lists(st.integers(1, horizon + 1), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    args = (usable, blocks, owners, horizon)
+    got = _replay_outcome(haver_module._replay_claims, entry, *args)
+    want = None
+    for p in range(n):
+        trace = _replay_outcome(replay_claim, p, int(entry[p]), *args)
+        if not isinstance(trace, ClaimTrace):
+            want = trace
+            break
+    if want is not None:
+        assert got == want
+        return
+    witness, spans = got
+    traces = [replay_claim(p, int(entry[p]), *args) for p in range(n)]
+    assert witness.tolist() == [[t.stage, t.region_index] for t in traces]
+    assert spans.tolist() == [list(t.block) for t in traces]
+
+
+def test_replay_failures_name_the_lowest_failing_point():
+    # one table per failure path: point 1 fails each way, point 3 another
+    usable, blocks, horizon = [(2, 3), (3, 5)], (2, 3, 5), 4
+    none, dropped = np.full(4, -1), np.array([0, -2, 0, -2])
+    cases = [
+        ([1, 1, 1, 1], [none, dropped, dropped, dropped], CheckFailure, "did not survive"),
+        ([1, 1, 1, 1], [none, np.array([0, -1, 0, -2])] + [none] * 2, CheckFailure,
+         "no eligible block"),
+        ([1, 4, 1, 4], [none, np.array([0, -1, 0, -1])] + [none] * 2, ClaimHorizonError,
+         "are exhausted"),
+    ]
+    for entry, owners, kind, message in cases:
+        entry = np.array(entry, dtype=np.int64)
+        args = (usable, blocks, owners, horizon)
+        with pytest.raises(kind, match=message) as got:
+            haver_module._replay_claims(entry, *args)
+        with pytest.raises(kind) as want:
+            replay_claim(1, int(entry[1]), *args)
+        assert type(got.value) is kind
+        assert (str(got.value), got.value.witness) == (str(want.value), want.value.witness)
+
+
+def test_demo_builds_no_trace_and_one_diameter_per_distinct_value(monkeypatch):
+    traces = _count_inits(monkeypatch, ClaimTrace)
+    sets = _count_calls(monkeypatch, space_module, "_diameter_sq")
+    pairs = _count_calls(monkeypatch, space_module, "_pair_scan_sq")
+    per_stage, member_scans = [], []
+    inner = haver_module.diameters_sq
+
+    def per_stage_sq(*args):
+        before = len(sets) + len(pairs)
+        per_stage.append(inner(*args))
+        member_scans.append(len(sets) + len(pairs) - before)
+        return per_stage[-1]
+
+    monkeypatch.setattr(haver_module, "diameters_sq", per_stage_sq)
+    results = _count_calls(monkeypatch, haver_module, "diameter_of_sq")
+    for label in ("unit_interval_1024", "cantor_10", "unit_square_64"):
+        code, _ = run(["demo", "--label", label, "--horizon", "6"])
+        assert code == 0
+    # every member's squared diameter came from its extents: no per-member
+    # query, and no Fraction until one diameter per distinct value
+    assert traces == [] and member_scans == [0] * 18
+    assert len(results) == sum(len(set(worst.tolist())) for worst in per_stage)
+    # the square's point-isolating stage: 4,225 members, one diameter
+    assert max(len(worst) for worst in per_stage) == 4225
+
+
+def test_haver_command_builds_only_the_reported_traces(monkeypatch):
+    traces = _count_inits(monkeypatch, ClaimTrace)
+    code, doc = run(
+        ["haver", "--space", str(GOLDEN / "space.json"), "--chain",
+         str(GOLDEN / "chain.json"), "--epsilons", "1,1/4,1/16,1/64"]
+    )
+    assert code == 0 and len(traces) == len(doc["result"]["traces"]) == 9
+
+
+def _count_inits(monkeypatch, cls):
+    calls = []
+    inner = cls.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        inner(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -92,6 +92,7 @@ FIXTURE_API = {
     "SampledSpace.points",
     "detect_structure",
     "region_mask",
+    "block_index",
 }
 
 

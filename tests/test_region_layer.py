@@ -799,7 +799,7 @@ def test_pointwise_family_reads_no_distance_row(monkeypatch):
     assert rows == []
 
 
-def test_decompose_takes_one_union_per_selection_and_certificate(monkeypatch):
+def test_decompose_takes_one_union_per_selection_and_none_per_certificate(monkeypatch):
     space = build_grid_space(2, F(1, 16))
     horizon = 4
     selections = {}
@@ -810,9 +810,9 @@ def test_decompose_takes_one_union_per_selection_and_certificate(monkeypatch):
     balls = _count_calls(monkeypatch, SampledSpace, "ball")
     rows = _count_calls(monkeypatch, SampledSpace, "dist_sq_row")
     dec = decompose_from_hurewicz(space, selections, horizon, epsilons)
-    # one union per stage's selection, one per certificate; no single ball
-    # and no distance row
-    assert len(unions) == horizon + len(dec.certificates) == horizon * 3
+    # one union per stage's selection and none per certificate, which the
+    # union of its selection stage proves; no single ball and no distance row
+    assert len(unions) == horizon and len(dec.certificates) == horizon * 2
     assert balls == [] and rows == []
     for cert in dec.certificates.values():
         assert net_oracle(space, cert)

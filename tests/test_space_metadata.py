@@ -29,6 +29,8 @@ from covergames.space import (
     build_grid_space,
     detect_structure,
     diameter,
+    diameter_of_sq,
+    diameters_sq,
 )
 from oracles import cantor_points
 
@@ -257,6 +259,45 @@ def test_subset_diameters_match_pair_oracle(drawn):
             assert d.value_sq == want and d.empty == (not sub)
             assert d.value == upper_bound_of(want, space.mesh)
             assert d.exact == (exact_sqrt(want) is not None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subsets_of_spaces(), st.data())
+def test_row_diameters_match_the_per_set_diameter(drawn, data):
+    # CSR rows: the whole subset, then the subset cut at random places into
+    # empty rows, single points, and rows with and without two opposite
+    # corners
+    space, idx = drawn
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(idx)), max_size=3)))
+    bounds = [0, *[len(idx) + c for c in [0, *cuts, len(idx)]]]
+    indices = np.array(idx + idx, dtype=np.int64)
+    got = diameters_sq(space, np.array(bounds, dtype=np.int64), indices)
+    want = [
+        diameter(space, indices[a:b]).value_sq * space.dist_scale_sq
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    assert got.tolist() == want
+    for worst in set(got.tolist()) - {0}:
+        d = diameter_of_sq(space, worst)
+        assert d.value_sq * space.dist_scale_sq == worst and not d.empty
+        assert d.value == upper_bound_of(d.value_sq, space.mesh)
+
+
+@pytest.mark.parametrize("dim, metric", [(2, "euclidean"), (3, "euclidean"), (2, "chebyshev")])
+def test_row_diameters_of_seeded_clouds(monkeypatch, dim, metric):
+    # random rows of a random cloud: most euclidean rows have no two
+    # opposite corners and take the pair scan
+    rng = np.random.default_rng(dim)
+    coords = {tuple(rng.integers(0, 64, dim).tolist()) for _ in range(80)}
+    space = SampledSpace([tuple(F(c, 64) for c in p) for p in sorted(coords)], metric, MESH)
+    rows = [np.sort(rng.choice(space.n, rng.integers(0, 12), replace=False)) for _ in range(60)]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    scans = []
+    inner = space_module._pair_scan_sq
+    monkeypatch.setattr(space_module, "_pair_scan_sq", lambda *a: scans.append(a) or inner(*a))
+    got = diameters_sq(space, indptr, np.concatenate(rows).astype(np.int64))
+    assert (len(scans) > 30) == (metric == "euclidean")
+    assert got.tolist() == [diameter(space, r).value_sq * space.dist_scale_sq for r in rows]
 
 
 @pytest.mark.parametrize(

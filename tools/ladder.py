@@ -10,7 +10,12 @@ process's max RSS.  During the demo it sums the wall time spent in
 covers.lebesgue_number and covers.lebesgue_argmax_regions (lebesgue_s) and
 in netting.decompose_from_hurewicz (decompose_s), and counts the exact
 Lebesgue evaluations, the _LebesgueTable.radius_lb calls (lebesgue_exact),
-and the covers.Ball objects built (balls_built).  Then, on a fresh copy of
+and the covers.Ball objects built (balls_built).  It splits the Haver
+witness into three phases: ONE's blocks, the wall time in
+game.strategy_F_move (pointwise_s); the rest of the game,
+game.sc_plus_select less ONE's blocks (game_rest_s); and the Haver
+assembly after the game, haver.build_haver_witness less the game and
+haver.build_stage_covers (haver_rest_s).  Then, on a fresh copy of
 the grid, it times one full farthest-point traversal (the greedy net below
 the minimum gap) and reads its step count, levels plus independence
 rounds.  Last it times the full traversal of a seeded random cloud of n
@@ -65,6 +70,11 @@ def rung(den: int) -> dict:
         "lebesgue_s": round(probe["lebesgue_s"], 3),
         "lebesgue_exact": probe["lebesgue_exact"],
         "decompose_s": round(probe["decompose_s"], 3),
+        "pointwise_s": round(probe["pointwise_s"], 3),
+        "game_rest_s": round(probe["game_s"] - probe["pointwise_s"], 3),
+        "haver_rest_s": round(
+            probe["haver_s"] - probe["game_s"] - probe["stage_covers_s"], 3
+        ),
         "balls_built": probe["balls_built"],
         "max_rss_mb": round(rss_mb, 1),
         "checks_passed": report.all_passed,
@@ -74,17 +84,24 @@ def rung(den: int) -> dict:
 def demo_probe() -> dict:
     """Wraps the measured functions wherever the package holds them, and
     returns the dict their calls add to: the wall time inside the Lebesgue
-    functions (lebesgue_s) and inside decompose_from_hurewicz (decompose_s),
+    functions (lebesgue_s), inside decompose_from_hurewicz (decompose_s),
+    strategy_F_move (pointwise_s), sc_plus_select (game_s),
+    build_haver_witness (haver_s) and build_stage_covers (stage_covers_s),
     the exact Lebesgue evaluations (lebesgue_exact) and the Ball objects
     built (balls_built)."""
-    from covergames import cli, covers, netting, screenability
+    from covergames import cli, covers, game, haver, netting, screenability
 
-    probe = {"lebesgue_s": 0.0, "decompose_s": 0.0, "lebesgue_exact": 0, "balls_built": 0}
+    probe = {"lebesgue_exact": 0, "balls_built": 0}
     timed = [
         (covers, "lebesgue_number", "lebesgue_s"),
         (covers, "lebesgue_argmax_regions", "lebesgue_s"),
         (netting, "decompose_from_hurewicz", "decompose_s"),
+        (game, "strategy_F_move", "pointwise_s"),
+        (game, "sc_plus_select", "game_s"),
+        (haver, "build_haver_witness", "haver_s"),
+        (haver, "build_stage_covers", "stage_covers_s"),
     ]
+    probe.update({key: 0.0 for _, _, key in timed})
     for owner, name, key in timed:
         inner = getattr(owner, name)
 
@@ -95,7 +112,7 @@ def demo_probe() -> dict:
             finally:
                 probe[_key] += time.perf_counter() - t
 
-        for module in (covers, cli, netting, screenability):
+        for module in (covers, cli, netting, screenability, game, haver):
             if getattr(module, name, None) is inner:
                 setattr(module, name, wrapped)
     counted = [
