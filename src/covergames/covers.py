@@ -1189,15 +1189,16 @@ class DisjointFamily:
         these members, and is recorded as it stands."""
         keep = np.asarray(keep, dtype=np.int64).reshape(-1)
         if keep.size and (
-            np.unique(keep).size != keep.size or keep.min() < 0 or keep.max() >= len(self)
+            keep.min() < 0 or keep.max() >= len(self) or np.bincount(keep).max() > 1
         ):
             raise AssertionError("subfamily indices repeat or leave the family")
         sub = object.__new__(DisjointFamily)
         sub.space, sub.parent = self.space, self.parent
         sub.family = self.family.take(keep)
         if witness is None:
-            sub.witness = tuple(self.witness[i] for i in keep.tolist())
-            sub.witness_kinds = tuple(self.witness_kinds[i] for i in keep.tolist())
+            keep = keep.tolist()
+            sub.witness = tuple(map(self.witness.__getitem__, keep))
+            sub.witness_kinds = tuple(map(self.witness_kinds.__getitem__, keep))
         elif evidence is None:
             sub._certify(witness)
         else:

@@ -60,13 +60,12 @@ class Round:
 
     def two_union(self) -> np.ndarray:
         """The sample points in some region TWO selected."""
-        fams = _by_stage(self.start_index, self.one_move)
-        picked: dict[int, list[int]] = {}
-        for n, ridx in self.two_refs:
-            picked.setdefault(n, []).append(ridx)
+        refs = _ref_array(self.two_refs)
         mask = np.zeros(self.one_move[0].space.n, dtype=bool)
-        for n, keep in picked.items():
-            mask |= fams[n].union_mask(keep)
+        for n, fam in _by_stage(self.start_index, self.one_move).items():
+            keep = refs[refs[:, 0] == n, 1]
+            if keep.size:
+                mask |= fam.union_mask(keep)
         return mask
 
 
@@ -86,6 +85,11 @@ class Transcript:
 
 def _by_stage(start: int, move) -> dict[int, DisjointFamily]:
     return {start + off: fam for off, fam in enumerate(move)}
+
+
+def _ref_array(refs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """(stage, member index) refs as a (k, 2) int array."""
+    return np.fromiter(itertools.chain.from_iterable(refs), np.int64).reshape(-1, 2)
 
 
 TwoPolicy = Callable[[dict[int, DisjointFamily]], list[tuple[int, int]]]
@@ -126,7 +130,7 @@ def _earliest(
     the same code serves int64 and object rows."""
     stages = np.array(sorted(one_move), dtype=np.int64)
     sizes = np.array([len(one_move[n]) for n in stages.tolist()], dtype=np.int64)
-    refs = np.fromiter(itertools.chain.from_iterable(refs), np.int64).reshape(-1, 2)
+    refs = _ref_array(refs)
     # a stage past the last reads a family of no members
     at = np.searchsorted(stages, refs[:, 0])
     known = np.append(stages, 0)[at] == refs[:, 0]

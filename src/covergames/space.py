@@ -655,23 +655,6 @@ def _msb(x: int) -> int:
     return 1 << (x.bit_length() - 1) if x else 0
 
 
-def _has_opposite_corners(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Whether two rows of the table sit at opposite corners of its bounding
-    box.
-
-    A corner is coded by the set of axes on which it takes the maximum;
-    axes of zero extent are left out, since every point is at both ends.
-    """
-    live = np.asarray(hi > lo, dtype=bool)
-    table, lo, hi = table[:, live], lo[live], hi[live]
-    at_lo = np.asarray(table == lo, dtype=bool)
-    at_hi = np.asarray(table == hi, dtype=bool)
-    corner = (at_lo | at_hi).all(axis=1)
-    codes = set((at_hi[corner] @ (1 << np.arange(table.shape[1]))).tolist())
-    full = (1 << table.shape[1]) - 1
-    return any(full ^ code in codes for code in codes)
-
-
 def _ternary_digits(k: int, scale: int) -> list[int] | None:
     """Finite base-3 digits of k / scale in [0,1) with digits in {0,2}, or
     None."""
@@ -771,7 +754,7 @@ def diameter(space: SampledSpace, subset) -> DiameterResult:
     arr = np.asarray(subset, dtype=np.int64)
     if arr.size < 2:
         return DiameterResult(Fraction(0), Fraction(0), not arr.size, True)
-    return diameter_of_sq(space, _diameter_sq(space, arr))
+    return diameter_of_sq(space, diameters_sq(space, np.array([0, arr.size]), arr)[0])
 
 
 def diameter_of_sq(space: SampledSpace, worst: int) -> DiameterResult:
@@ -784,74 +767,67 @@ def diameter_of_sq(space: SampledSpace, worst: int) -> DiameterResult:
     return DiameterResult(sqrt_upper(dsq, space.mesh / 1024), dsq, False, False)
 
 
-def _diameter_sq(space: SampledSpace, arr: np.ndarray) -> int:
-    """The scaled squared diameter of two or more points arr."""
-    if space.metric_kind == "cantor_2adic":
-        bits = space._cantor_bits[arr]
-        return _msb(int(np.bitwise_or.reduce(bits) ^ np.bitwise_and.reduce(bits))) ** 2
-    table = space._icoords[arr]
-    lo, hi = table.min(axis=0), table.max(axis=0)
-    extents = [b - a for a, b in zip(lo.tolist(), hi.tolist())]
-    if space.metric_kind == "chebyshev":
-        return max(extents) ** 2
-    if _has_opposite_corners(table, lo, hi):
-        return sum(e * e for e in extents)
-    return _pair_scan_sq(space, arr)
-
-
-# axes up to which diameters_sq codes a member's corners in one int64 key
-_CORNER_AXES = 30
-
-
 def diameters_sq(space: SampledSpace, indptr: np.ndarray, indices: np.ndarray):
     """Per CSR row of point indices, the scaled squared diameter of its
-    points, as diameter finds it: a row of at most one point has 0.
-
-    On an int64 table that is not 2-adic, every row's axis extents come
-    from one reduceat, and a row holding two opposite corners of its
-    bounding box (every row under chebyshev) takes its value from them.
-    The other rows take diameter's per-set path."""
+    points, exact: 0 for a row of at most one point.  Each row's bits or
+    axis extents come from one reduceat each way, for every row at once;
+    only a euclidean row without two opposite bounding-box corners scans
+    its pairs."""
     sizes = np.diff(indptr)
     multi = np.flatnonzero(sizes > 1)
     table = space._icoords
-    d = space.coord_dim
-    if table.dtype == object or space.metric_kind == "cantor_2adic" or d > _CORNER_AXES:
-        out = np.zeros(len(sizes), dtype=object)
-        for i in multi.tolist():
-            out[i] = _diameter_sq(space, indices[indptr[i] : indptr[i + 1]])
-        return out
-    out = np.zeros(len(sizes), dtype=np.int64)
+    out = np.zeros(len(sizes), dtype=table.dtype)
     if not multi.size:
         return out
     counts = sizes[multi]
     at = np.zeros(len(multi) + 1, dtype=np.int64)
     np.cumsum(counts, out=at[1:])
-    row = np.repeat(np.arange(len(multi)), counts)
-    table = table[indices[np.repeat(indptr[multi] - at[:-1], counts) + np.arange(at[-1])]]
+    points = indices[np.repeat(indptr[multi] - at[:-1], counts) + np.arange(at[-1])]
+    if space.metric_kind == "cantor_2adic":
+        bits = space._cantor_bits[points]
+        differ = np.bitwise_or.reduceat(bits, at[:-1]) ^ np.bitwise_and.reduceat(bits, at[:-1])
+        out[multi] = [_msb(x) ** 2 for x in differ.tolist()]
+        return out
+    table = table[points]
     lo = np.minimum.reduceat(table, at[:-1], axis=0)
     hi = np.maximum.reduceat(table, at[:-1], axis=0)
     extents = hi - lo
     if space.metric_kind == "chebyshev":
         out[multi] = extents.max(axis=1) ** 2
         return out
-    # a corner is coded by the live axes on which it takes the maximum, as
-    # in _has_opposite_corners; a row has opposite corners when some code's
-    # complement within its live axes is a code of the same row
-    bit = np.int64(1) << np.arange(d, dtype=np.int64)
-    live = extents > 0
-    at_lo, at_hi = table == lo[row], table == hi[row]
-    corner = (at_lo | at_hi).all(axis=1)
-    code = (at_hi & live[row]).astype(np.int64) @ bit
-    full = live.astype(np.int64) @ bit
-    row, code = row[corner], code[corner]
-    key = (row << d) | code
-    paired = np.isin(key ^ full[row], key)
-    opposite = np.zeros(len(multi), dtype=bool)
-    opposite[row[paired]] = True
     out[multi] = (extents * extents).sum(axis=1)
-    for i in multi[~opposite].tolist():
+    for i in multi[~_opposite_corners(table, lo, hi, at)].tolist():
         out[i] = _pair_scan_sq(space, indices[indptr[i] : indptr[i + 1]])
     return out
+
+
+# axes up to which _opposite_corners codes a corner within one int64 key
+_CORNER_AXES = 30
+
+
+def _opposite_corners(table: np.ndarray, lo: np.ndarray, hi: np.ndarray, at: np.ndarray):
+    """Per run of rows table[at[k]:at[k + 1]], whether two of its rows sit
+    at opposite corners of its bounding box lo[k], hi[k]: then the box's
+    diagonal is the run's euclidean diameter.
+
+    A corner is coded by the axes of nonzero extent on which it takes the
+    maximum (on the others every row is at both ends); two corners are
+    opposite when their codes are complements within those axes.  Past
+    _CORNER_AXES axes no run is found to have them."""
+    k, d = lo.shape
+    if d > _CORNER_AXES:
+        return np.zeros(k, dtype=bool)
+    run = np.repeat(np.arange(k), np.diff(at))
+    bit = np.int64(1) << np.arange(d, dtype=np.int64)
+    live = np.asarray(hi > lo, dtype=bool)
+    at_hi = np.asarray(table == hi[run], dtype=bool)
+    corner = (np.asarray(table == lo[run], dtype=bool) | at_hi).all(axis=1)
+    code = (at_hi & live[run]).astype(np.int64) @ bit
+    run, code = run[corner], code[corner]
+    key = (run << d) | code
+    opposite = np.zeros(k, dtype=bool)
+    opposite[run[np.isin(key ^ (live.astype(np.int64) @ bit)[run], key)]] = True
+    return opposite
 
 
 def _pair_scan_sq(space: SampledSpace, arr: np.ndarray) -> int:

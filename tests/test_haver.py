@@ -357,15 +357,14 @@ def test_replay_failures_name_the_lowest_failing_point():
 
 def test_demo_builds_no_trace_and_one_diameter_per_distinct_value(monkeypatch):
     traces = _count_inits(monkeypatch, ClaimTrace)
-    sets = _count_calls(monkeypatch, space_module, "_diameter_sq")
     pairs = _count_calls(monkeypatch, space_module, "_pair_scan_sq")
     per_stage, member_scans = [], []
     inner = haver_module.diameters_sq
 
     def per_stage_sq(*args):
-        before = len(sets) + len(pairs)
+        before = len(pairs)
         per_stage.append(inner(*args))
-        member_scans.append(len(sets) + len(pairs) - before)
+        member_scans.append(len(pairs) - before)
         return per_stage[-1]
 
     monkeypatch.setattr(haver_module, "diameters_sq", per_stage_sq)

@@ -261,9 +261,23 @@ def test_subset_diameters_match_pair_oracle(drawn):
             assert d.exact == (exact_sqrt(want) is not None)
 
 
+def pair_oracle_sq(space, rows):
+    """Per row of point indices, the largest scaled squared distance of two
+    of its points, from the Fraction coordinates."""
+    pts = space.points
+    return [
+        max(
+            (fraction_dist_sq(space.metric_kind, pts[i], pts[j])
+             for i, j in itertools.combinations(row.tolist(), 2)),
+            default=F(0),
+        ) * space.dist_scale_sq
+        for row in rows
+    ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(subsets_of_spaces(), st.data())
-def test_row_diameters_match_the_per_set_diameter(drawn, data):
+def test_row_diameters_match_pair_oracle(drawn, data):
     # CSR rows: the whole subset, then the subset cut at random places into
     # empty rows, single points, and rows with and without two opposite
     # corners
@@ -272,11 +286,8 @@ def test_row_diameters_match_the_per_set_diameter(drawn, data):
     bounds = [0, *[len(idx) + c for c in [0, *cuts, len(idx)]]]
     indices = np.array(idx + idx, dtype=np.int64)
     got = diameters_sq(space, np.array(bounds, dtype=np.int64), indices)
-    want = [
-        diameter(space, indices[a:b]).value_sq * space.dist_scale_sq
-        for a, b in zip(bounds, bounds[1:])
-    ]
-    assert got.tolist() == want
+    rows = [indices[a:b] for a, b in zip(bounds, bounds[1:])]
+    assert got.tolist() == pair_oracle_sq(space, rows)
     for worst in set(got.tolist()) - {0}:
         d = diameter_of_sq(space, worst)
         assert d.value_sq * space.dist_scale_sq == worst and not d.empty
@@ -297,7 +308,7 @@ def test_row_diameters_of_seeded_clouds(monkeypatch, dim, metric):
     monkeypatch.setattr(space_module, "_pair_scan_sq", lambda *a: scans.append(a) or inner(*a))
     got = diameters_sq(space, indptr, np.concatenate(rows).astype(np.int64))
     assert (len(scans) > 30) == (metric == "euclidean")
-    assert got.tolist() == [diameter(space, r).value_sq * space.dist_scale_sq for r in rows]
+    assert got.tolist() == pair_oracle_sq(space, rows)
 
 
 @pytest.mark.parametrize(
