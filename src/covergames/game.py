@@ -130,7 +130,10 @@ def _earliest(
     the same code serves int64 and object rows."""
     stages = np.array(sorted(one_move), dtype=np.int64)
     sizes = np.array([len(one_move[n]) for n in stages.tolist()], dtype=np.int64)
-    refs = _ref_array(refs)
+    try:
+        refs = _ref_array(refs)
+    except OverflowError:  # a ref past int64 is outside every move
+        raise InputError(message) from None
     # a stage past the last reads a family of no members
     at = np.searchsorted(stages, refs[:, 0])
     known = np.append(stages, 0)[at] == refs[:, 0]

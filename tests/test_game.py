@@ -154,7 +154,7 @@ class TestBlockIndex:
 
     def test_foreign_region_rejected(self, interval_64):
         fams = self._move(interval_64)
-        for ref in ((5, 0), (1, len(fams[1])), (1, -1)):
+        for ref in ((5, 0), (1, len(fams[1])), (1, -1), (1, 2**70), (2**70, 0)):
             with pytest.raises(InputError):
                 block_index([(1, 0), ref], fams, 1)
 
@@ -799,6 +799,6 @@ def test_policy_refs_outside_the_move_are_refused(interval_64):
     s = interval_64
     covers = overlapping_interval_covers(s, 4)
     size = len(strategy_F_move(s, covers, 1)[0])
-    for ref in ((0, 0), (5, 0), (1, size), (1, -1)):
+    for ref in ((0, 0), (5, 0), (1, size), (1, -1), (1, 2**70), (2**70, 0)):
         with pytest.raises(InputError, match="TWO's policy referenced a region outside"):
             play_hurewicz_game(s, covers, lambda move, ref=ref: [(1, 0), ref])
