@@ -35,7 +35,7 @@ from .exact import (
     sqrt_lower,
     sqrt_upper,
 )
-from .space import SampledSpace, first_hit
+from .space import CellIndex, SampledSpace, first_hit
 
 UNCOVERED_REPORT_CAP = 16
 
@@ -701,43 +701,74 @@ def pairwise_disjoint_check(fam: BoxFamily, margin: Fraction) -> DisjointReport:
     return DisjointReport(True, None, None, None)
 
 
-_SWEEP_BATCH = 2**15  # candidate pairs per batch of the sweep (bounds memory)
-
-
 def _pair_order(fam: BoxFamily, margin: Fraction):
     """The index pairs (i, j), i < j, in lexicographic order, that the exact
     gap test must see.
 
     A box pair is skipped only when a conservatively-rounded axis gap
-    already exceeds margin in float, which lower-bounds the true metric gap
-    in both supported metrics.  The boxes are swept in the order of their
-    lower ends on axis 0: a box's candidates are the later boxes whose lower
-    end lies below its upper end plus the margin (a binary search), and
-    only they see the float test on every axis.
+    already exceeds margin in float (_float_close), which lower-bounds the
+    true metric gap in both supported metrics.  Only pairs of boxes whose
+    lower corners lie in the same or neighbouring cells of
+    _family_cells see that test: a 3**k-neighbour cell search
+    (space.CellIndex) over half the offsets, since the pairs are
+    unordered, PAIR_CHUNK candidates at a time.
     """
-    n = len(fam)
+    if len(fam) < 2:
+        return []
     # conservative float bounding boxes: lo rounded down, hi rounded up
     lo, hi = fam.float_bounds()
     lo, hi = lo[..., 0], hi[..., 1]
     pad = np.nextafter(float(margin), np.inf)
-    order = np.argsort(lo[:, 0], kind="stable")
-    lo, hi = lo[order], hi[order]
-    # every box past this end is certainly more than pad above on axis 0
-    reach = _above(hi[:, 0] + pad, np.abs(hi[:, 0]) + pad)
-    counts = np.searchsorted(lo[:, 0], reach, "right") - np.arange(1, n + 1)
-    total = np.concatenate(([0], np.cumsum(counts)))
-    pairs = []
-    a = 0
-    while a < n:
-        b = max(a + 1, int(total.searchsorted(total[a] + _SWEEP_BATCH, "right")) - 1)
-        s = np.repeat(np.arange(a, b), counts[a:b])
-        t = np.arange(total[a], total[b]) - np.repeat(total[a:b], counts[a:b]) + s + 1
-        close = ((lo[t] - hi[s] <= pad) & (lo[s] - hi[t] <= pad)).all(axis=1)
-        i, j = order[s[close]], order[t[close]]
-        pairs.append(np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1))
-        a = b
+    index = CellIndex(_family_cells(fam, lo, hi, pad))
+    held = index.held()
+    pairs = [np.zeros((0, 2), dtype=np.int64)]
+    # each pair of neighbouring cells once: the offsets with a key offset
+    # of at least 0, and within one cell each pair once
+    for offset in (x for x in index.offsets if x >= 0):
+        for i, j in index.pairs(held, index.key + offset):
+            if offset:
+                i, j = np.minimum(i, j), np.maximum(i, j)
+            else:
+                i, j = i[i < j], j[i < j]
+            close = _float_close(lo, hi, i, j, pad)
+            pairs.append(np.stack([i[close], j[close]], axis=1))
     out = np.concatenate(pairs)
     return [tuple(p) for p in out[np.lexsort((out[:, 1], out[:, 0]))].tolist()]
+
+
+def _float_close(lo: np.ndarray, hi: np.ndarray, i: np.ndarray, j: np.ndarray, pad):
+    """Per candidate pair (i[k], j[k]) of float boxes, whether no axis gap
+    exceeds pad in float: the pairs the exact gap test must see."""
+    close = np.ones(len(i), dtype=bool)
+    for a, b in zip(lo.T, hi.T):  # axis by axis: gathers from one column
+        close &= (a[j] - b[i] <= pad) & (a[i] - b[j] <= pad)
+    return close
+
+
+def _family_cells(fam: BoxFamily, lo: np.ndarray, hi: np.ndarray, pad) -> np.ndarray:
+    """Per box, the cell of its lower corner on the first three axes, such
+    that two boxes _float_close keeps (on the float bounds lo, hi) lie in
+    the same or neighbouring cells; one cell when the bounds are infinite.
+
+    Close boxes' lower ends differ by at most the widest box plus pad on
+    every axis, up to the float bounds' slack: a few ulps of the largest
+    magnitude and of pad, and of the underflow threshold.  reach adds
+    (top + pad) * 2**-43 and 2**-1000, which cover that slack and the
+    roundings of reach itself many times over.  The cell side exceeds
+    reach in the family's integer units, and is coarsened until at most
+    2**(60 // k) cells lie along each of the k axes, so that the cell keys
+    fit int64."""
+    rows = fam.lo[:, :3]
+    k = rows.shape[1]
+    if not np.isfinite(hi).all():  # float_bounds: all infinite or none
+        return np.zeros((len(rows), 1), dtype=np.int64)
+    top = max(float(np.abs(lo).max()), float(np.abs(hi).max()))
+    reach = float((hi - lo).max()) + pad + (top + pad) * 2**-43 + 2**-1000
+    extent = max(int(col.max()) - int(col.min()) for col in rows.T)
+    side = max(math.floor(Fraction(reach) * fam.den) + 1, (extent >> (60 // k)) + 1)
+    if side > min(extent, 2**62):  # a few cells on each axis: take one
+        return np.zeros((len(rows), 1), dtype=np.int64)
+    return rows // side
 
 
 # -- Lebesgue numbers ------------------------------------------------------------------

@@ -463,7 +463,6 @@ def hurewicz_selection_check(
 @dataclass(frozen=True)
 class MengerReport:
     ok: bool
-    witness: tuple[tuple[int, int], ...] | None  # per point: (stage, region idx)
     failure_point: int | None
 
     def __bool__(self) -> bool:
@@ -476,10 +475,9 @@ def menger_selection_check(
     picks: Sequence[Sequence[int]],
 ) -> MengerReport:
     """The concatenation of all picks must cover; reports the first orphan
-    point otherwise, and per-point (stage, region) witnesses when it does."""
+    point otherwise."""
     picked = _picked_regions(covers, picks)
-    refs = [(n, ridx) for n, chosen in enumerate(picks, start=1) for ridx in chosen]
     hit = first_hit([region_members(r) for regions in picked for r in regions], space.n)
     if (hit < 0).any():
-        return MengerReport(False, None, int(np.flatnonzero(hit < 0)[0]))
-    return MengerReport(True, tuple(refs[h] for h in hit.tolist()), None)
+        return MengerReport(False, int(np.flatnonzero(hit < 0)[0]))
+    return MengerReport(True, None)

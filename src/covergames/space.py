@@ -48,10 +48,18 @@ DEFAULT_POINT_CAP = 2**20
 CANTOR_DEPTH_CAP = 16
 POINT_CAP_ENV = "COVER_GAMES_POINT_CAP"
 
-# pairs of a point and a center that the cell search (ball_union's coarse
-# pass, ball_pairs) tests at once: small batches keep a farthest-point
-# level's peak memory near that of a one-center update
+# candidate pairs that a cell search (CellIndex) yields at once: small
+# batches keep a farthest-point level's peak memory near that of a
+# one-center update
 PAIR_CHUNK = 2**13
+
+# a cell index keeps a dense per-cell CSR while its keys number at most
+# this many per row (plus a few); a sparser grid binary-searches its keys
+DENSE_CELLS = 2
+
+# cell indexes a space keeps, by cell side, the least recently used going
+# first: one farthest-point traversal asks for a side per level
+CELL_ENTRIES = 3
 
 # rational upper bounds for sqrt(d), d = 1..3, used for grid mesh values
 _EUCLID_MESH_FACTOR = {1: Fraction(1), 2: Fraction(3, 2), 3: Fraction(7, 4)}
@@ -181,7 +189,7 @@ class SampledSpace:
         # int64 fast path only when the table fits and squared scaled
         # distances cannot overflow
         span = max(b - a for a, b in zip(lo, hi))
-        self._bounds = lo, hi, span  # the cell grid's origin and size
+        self._bounds = lo, hi, span
         self._fast = (
             span * span * self.coord_dim < 2**62
             and -(2**63) <= min(lo)
@@ -201,6 +209,9 @@ class SampledSpace:
         self._points: tuple[tuple[Fraction, ...], ...] | None = None
         self._index: dict[tuple[int, ...], int] | None = None
         self._sorted: tuple[np.ndarray, np.ndarray, int, int] | None = None
+        # cell indexes by side (_cells), under the lock
+        self._cell_cache: dict[int, CellIndex] = {}
+        self._cell_lock = threading.Lock()
         # farthest-point traversals by subset mask, extended in place under
         # the lock (netting.greedy_net)
         self._traversals: dict[bytes, object] = {}
@@ -384,9 +395,10 @@ class SampledSpace:
         (fixed-radius near neighbours, Bentley, Stanat & Williams 1977).
         The fine cells are small enough that any two points in one are
         within the bound, so a point sharing a fine cell with a center is
-        in at once.  Each point left compares exact distances with the
-        centers in the 3**d coarse cells of side isqrt(bound) + 1 around
-        its own.  Other tables loop over ball.
+        in at once; a side too fine for the index's keys skips this pass.
+        Each point left compares exact distances with the centers in the
+        3**d coarse cells of side isqrt(bound) + 1 around its own.  Other
+        tables loop over ball.
         """
         # the centers sorted and distinct, by a mask: np.unique hashes them
         mask = np.zeros(self.n, dtype=bool)
@@ -397,10 +409,9 @@ class SampledSpace:
                 mask[self.ball(c, bound)] = True
             return mask
         per_axis = bound if self.metric_kind == "chebyshev" else bound // self.coord_dim
-        fine = _cell_ids(self._icoords // (isqrt(per_axis) + 1))
-        hit = np.zeros(int(fine.max()) + 1, dtype=bool)
-        hit[fine[centers]] = True
-        mask = hit[fine]
+        fine = isqrt(per_axis) + 1
+        if fine >= self._min_side:
+            mask = self._cells(min(fine, self._bounds[2] + 1)).shared(centers)
         # at bound 0 the fine cells have side 1: the fine pass found the
         # centers, which are the whole answer
         if bound and not mask.all():
@@ -452,28 +463,34 @@ class SampledSpace:
         a time: each point of rest() with the centers in the 3**d cells
         around its own, rest() being asked afresh for each of the 3**d cell
         offsets.  A cell's side is at least isqrt(bound) + 1, so no pair
-        within the bound is missed, and at least span / 2**20, so that its
-        key fits int64."""
-        lo, hi, span = self._bounds
-        side = max(isqrt(bound) + 1, (span >> 20) + 1)
-        # cells from 1 on each axis, so an empty cell lies on either side
-        shift = [a // side - 1 for a in lo]
-        stride = np.cumprod([1] + [b // side - a + 2 for a, b in zip(shift, hi[:-1])])
-        key = sum(
-            (self._icoords[:, k] // side - shift[k]) * int(stride[k])
-            for k in range(self.coord_dim)
-        )
-        order = np.argsort(key[centers], kind="stable")
-        ckey = key[centers[order]]
-        for offset in itertools.product((0, -1, 1), repeat=self.coord_dim):
-            points = rest()
-            if not points.size:
-                return
-            look = key[points] + int(np.dot(offset, stride))
-            first = ckey.searchsorted(look, "left")
-            count = ckey.searchsorted(look, "right") - first
-            for r, pos in _runs(first, count):
-                yield points[r], order[pos]
+        within the bound is missed."""
+        index = self._cells(self._cell_side(isqrt(bound) + 1))
+        return index.near_pairs(index.held(centers), rest)
+
+    @property
+    def _min_side(self) -> int:
+        """The finest cell side whose cell keys fit int64: at most
+        2**(60 // k) cells along each of the k <= 3 axes indexed."""
+        return (self._bounds[2] >> (60 // min(self.coord_dim, 3))) + 1
+
+    def _cell_side(self, side: int) -> int:
+        """A cell side of at least side (one past the span at most, past
+        which the cells do not change), coarsened where its keys would not
+        fit int64."""
+        return max(self._min_side, min(side, self._bounds[2] + 1))
+
+    def _cells(self, side: int) -> CellIndex:
+        """The cell index of the points, int64 tables only: the cell of a
+        point is its scaled coordinates floor-divided by side on its first
+        three axes.  The last CELL_ENTRIES sides asked for are kept."""
+        with self._cell_lock:
+            index = self._cell_cache.pop(side, None)
+            if index is None:
+                index = CellIndex(self._icoords[:, :3] // side)
+                if len(self._cell_cache) >= CELL_ENTRIES:
+                    del self._cell_cache[next(iter(self._cell_cache))]
+            self._cell_cache[side] = index
+        return index
 
     def _pair_dist_sq(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Scaled squared distances from each point p[k] to q[k]."""
@@ -502,25 +519,41 @@ class SampledSpace:
     def boxes(self, gt: np.ndarray, le: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR members of many boxes: box k holds the points whose scaled
         coordinates satisfy gt[k, j] < x_j <= le[k, j] on every axis j (int64
-        arrays), as indices[indptr[k]:indptr[k + 1]], sorted.  A windowed
-        table finds each box's first-axis window by binary search and tests
-        the other axes on the windows' points, at most PAIR_CHUNK at a time;
-        other tables ask box once per box."""
-        if not self.windowed:
+        arrays), as indices[indptr[k]:indptr[k + 1]], sorted.  An int64
+        table reads the cell index at the side of the widest box (its ends
+        clipped to the sample), where a box spans at most two cells on
+        each of the first three axes, and tests every axis on those cells'
+        points, at most PAIR_CHUNK at a time; other tables ask box once per
+        box."""
+        if not self._fast:
             boxes = zip(gt.tolist(), le.tolist())
             return csr([self.box(list(zip(g, l))) for g, l in boxes])
-        order, col, _, _ = self._sorted_by(self._icoords[:, 0])
-        first = col.searchsorted(gt[:, 0], "right")
-        count = np.maximum(col.searchsorted(le[:, 0], "right") - first, 0)
+        lo, hi, _ = self._bounds
+        k = min(self.coord_dim, 3)
+        # clipped to [min - 1, max], the ends select the same points
+        floor = np.array([max(v - 1, -(2**63)) for v in lo[:k]], dtype=np.int64)
+        ceil = np.array(hi[:k], dtype=np.int64)
+        g, l = np.clip(gt[:, :k], floor, ceil), np.clip(le[:, :k], floor, ceil)
+        side = self._cell_side(int((l - g).max(initial=1)))
+        index = self._cells(side)
+        # the cells from the first one above g to the one holding l
+        first = g // side + (g % side == side - 1)
+        more = (l // side - first).T  # per axis, the cells spanned past the first
+        key = index.key_of(first)
+        held = index.held()
         rows, points = [], []
-        for r, pos in _runs(first, count):
-            p = order[pos]
-            if self.coord_dim > 1:
-                t = self._icoords[p, 1:]
-                inside = ((t > gt[r, 1:]) & (t <= le[r, 1:])).all(axis=1)
-                r, p = r[inside], p[inside]
-            rows.append(r)
-            points.append(p)
+        for step in itertools.product((0, 1), repeat=k):
+            at = np.flatnonzero(np.logical_and.reduce([m >= s for m, s in zip(more, step)]))
+            offset = sum(map(operator.mul, step, index.stride.tolist()))
+            for r, p in index.pairs(held, key[at] + offset):
+                r = at[r]
+                inside = functools.reduce(
+                    operator.and_,
+                    ((col[p] > gt[r, j]) & (col[p] <= le[r, j])
+                     for j, col in enumerate(self._icoords.T)),
+                )
+                rows.append(r[inside])
+                points.append(p[inside])
         return _csr_of_pairs(len(gt), rows, points)
 
     def scaled_bound(self, radius: Fraction, closed: bool = False) -> int:
@@ -607,6 +640,102 @@ def _runs(first: np.ndarray, count: np.ndarray):
         lo = hi
 
 
+class CellIndex:
+    """Rows of an integer table grouped by cell: the grid of the
+    fixed-radius near-neighbour search (Bentley, Stanat & Williams 1977).
+
+    Row i lies in the cell cells[i] of a grid of k axes.  Its key key[i]
+    numbers that cell in mixed radix over the occupied cells padded by an
+    empty cell on every side, so a neighbour cell's key is the key plus a
+    fixed offset: offsets holds the 3**k of them, the cell itself first.
+    A set of rows is grouped by held: the rows in key order, with each
+    cell's run found by a dense per-cell CSR while the keys number at most
+    about DENSE_CELLS per row, or by binary search in the sorted keys when
+    their range is far larger.  The caller keeps the key range in int64.
+    """
+
+    def __init__(self, cells: np.ndarray):
+        # column by column: a reduction down a short row is slow
+        self.base = np.array([int(col.min()) - 1 for col in cells.T], dtype=np.int64)
+        ext = [int(col.max()) - b + 2 for col, b in zip(cells.T, self.base.tolist())]
+        stride = list(itertools.accumulate([1] + ext[:-1], operator.mul))
+        self.stride = np.array(stride, dtype=np.int64)
+        self.size = prod(ext)
+        self.key = self.key_of(cells)
+        self.dense = self.size <= DENSE_CELLS * (len(cells) + 3**len(ext))
+        self.offsets = [
+            sum(map(operator.mul, step, stride))
+            for step in itertools.product((0, -1, 1), repeat=len(ext))
+        ]
+        self._all: CellRuns | None = None
+
+    def key_of(self, cells: np.ndarray) -> np.ndarray:
+        """The keys of cells at most one cell outside the occupied range
+        on every axis."""
+        return sum((col - b) * s for col, b, s in zip(cells.T, self.base, self.stride))
+
+    def held(self, rows=None) -> CellRuns:
+        """The rows given (an index array), or every row, grouped by cell:
+        positions into rows, or the rows themselves."""
+        size = self.size if self.dense else None
+        if rows is not None:
+            return CellRuns(self.key[rows], size)
+        if self._all is None:
+            self._all = CellRuns(self.key, size)
+        return self._all
+
+    def shared(self, rows: np.ndarray) -> np.ndarray:
+        """Boolean mask of the rows sharing a cell with one of rows."""
+        if self.dense:
+            hit = np.zeros(self.size, dtype=bool)
+            hit[self.key[rows]] = True
+            return hit[self.key]
+        mask = np.zeros(len(self.key), dtype=bool)
+        for _, k in self.pairs(self.held(), np.unique(self.key[rows])):
+            mask[k] = True
+        return mask
+
+    def pairs(self, held: CellRuns, keys: np.ndarray):
+        """(r, held) array pairs, at most PAIR_CHUNK at a time: each
+        position r of keys with each held row in the cell keyed keys[r]."""
+        first, count = held.runs(keys)
+        for r, pos in _runs(first, count):
+            yield r, held.order[pos]
+
+    def near_pairs(self, held: CellRuns, rest):
+        """(row, held) array pairs, at most PAIR_CHUNK at a time: each row
+        of rest() with each held row in the 3**k cells around its own,
+        rest() being asked afresh for each cell offset."""
+        for offset in self.offsets:
+            rows = rest()
+            if not rows.size:
+                return
+            for r, k in self.pairs(held, self.key[rows] + offset):
+                yield rows[r], k
+
+
+class CellRuns:
+    """Rows grouped by cell key: order lists them in key order, and
+    runs(q) spans the rows of the cells keyed q in order, by a dense
+    per-cell CSR over size keys, or by binary search when size is None."""
+
+    def __init__(self, key: np.ndarray, size: int | None):
+        self.order = np.argsort(key, kind="stable")
+        if size is None:
+            self.start, self.sorted = None, key[self.order]
+        else:
+            self.start = np.zeros(size + 1, dtype=np.int64)
+            np.cumsum(np.bincount(key, minlength=size), out=self.start[1:])
+
+    def runs(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(first, count) per key: the rows order[first:first + count]."""
+        if self.start is not None:
+            first = self.start[q]
+            return first, self.start[q + 1] - first
+        first = self.sorted.searchsorted(q, "left")
+        return first, self.sorted.searchsorted(q, "right") - first
+
+
 def _axis_dist_sq(table: np.ndarray, metric_kind: str, p, q) -> np.ndarray:
     """Scaled squared euclidean or chebyshev distances from each row p[k]
     of the table to q[k], or to the row q.  They are taken axis by axis,
@@ -636,18 +765,6 @@ def _csr_of_pairs(k: int, rows: list, points: list) -> tuple[np.ndarray, np.ndar
     indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
     return indptr, points[order].astype(np.int32)
-
-
-def _cell_ids(cells: np.ndarray) -> np.ndarray:
-    """Per row of an integer table, an id in 0..k-1 that equal rows share
-    and different rows do not: the row's rank among the k distinct rows."""
-    order = np.lexsort(cells.T)
-    rows = cells[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids
 
 
 def _msb(x: int) -> int:

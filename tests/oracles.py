@@ -12,11 +12,13 @@ took every point through a tuple of Fractions on its way to the integer
 table, and so is the farthest-point traversal that added one center per
 step.  The Lebesgue oracles are the exact bounds of every region at every
 point over dense masks, and the per-point loops over the Lebesgue table
-that ran before the exact bounds were shared by key.  Last come the game's
+that ran before the exact bounds were shared by key.  Then come the game's
 and the Haver assembly's loops over members and points: the occurrence
 table as a dict of row tuples, TWO's lazy-heap greedy on every prefix, the
 per-member diameter check in Fraction arithmetic, and the claim replay one
-point at a time.
+point at a time.  Last come the two axis-0 searches that the cell index
+replaced: the disjointness sweep in the order of the boxes' lower ends,
+and the box query that windows the sorted first coordinates.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ from covergames.space import (
     CantorStructure,
     GridStructure,
     SampledSpace,
+    _csr_of_pairs,
+    _runs,
     csr,
     diameter,
 )
@@ -824,3 +828,66 @@ def replay_claim(p: int, entry: int, usable, blocks, owners, horizon: int) -> Cl
         f"horizon {horizon} are exhausted",
         witness=(p, entry, blocks),
     )
+
+
+# -- axis-0 searches ------------------------------------------------------------------
+
+SWEEP_BATCH = 2**15  # candidate pairs per batch of the sweep (bounds memory)
+
+
+def sweep_pair_order(fam: BoxFamily, margin: Fraction, batch: int = SWEEP_BATCH):
+    """covers._pair_order by the sweep on axis 0: the boxes in the order of
+    their lower ends, each box's candidates the later boxes whose lower end
+    lies below its upper end plus the margin (a binary search), and only
+    they see the float test on every axis."""
+    n = len(fam)
+    lo, hi = fam.float_bounds()
+    lo, hi = lo[..., 0], hi[..., 1]
+    pad = np.nextafter(float(margin), np.inf)
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo, hi = lo[order], hi[order]
+    # every box past this end is certainly more than pad above on axis 0
+    reach = covers_module._above(hi[:, 0] + pad, np.abs(hi[:, 0]) + pad)
+    counts = np.searchsorted(lo[:, 0], reach, "right") - np.arange(1, n + 1)
+    total = np.concatenate(([0], np.cumsum(counts)))
+    pairs = [np.zeros((0, 2), dtype=np.int64)]
+    a = 0
+    while a < n:
+        b = max(a + 1, int(total.searchsorted(total[a] + batch, "right")) - 1)
+        s = np.repeat(np.arange(a, b), counts[a:b])
+        t = np.arange(total[a], total[b]) - np.repeat(total[a:b], counts[a:b]) + s + 1
+        close = ((lo[t] - hi[s] <= pad) & (lo[s] - hi[t] <= pad)).all(axis=1)
+        i, j = order[s[close]], order[t[close]]
+        pairs.append(np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1))
+        a = b
+    out = np.concatenate(pairs)
+    return [tuple(p) for p in out[np.lexsort((out[:, 1], out[:, 0]))].tolist()]
+
+
+def sweep_candidates(fam: BoxFamily, margin: Fraction) -> int:
+    """The candidate pairs the sweep sends to the float test."""
+    lo, hi = fam.float_bounds()
+    order = np.argsort(lo[:, 0, 0], kind="stable")
+    lo, hi = lo[order, 0, 0], hi[order, 0, 1]
+    pad = np.nextafter(float(margin), np.inf)
+    reach = covers_module._above(hi + pad, np.abs(hi) + pad)
+    return int((np.searchsorted(lo, reach, "right") - np.arange(1, len(lo) + 1)).sum())
+
+
+def window_boxes(space: SampledSpace, gt: np.ndarray, le: np.ndarray):
+    """SampledSpace.boxes on an int64 euclidean or chebyshev table by
+    first-axis windows: each box's window of the sorted first coordinates
+    by binary search, the other axes tested on the window's points."""
+    order, col, _, _ = space._sorted_by(space._icoords[:, 0])
+    first = col.searchsorted(gt[:, 0], "right")
+    count = np.maximum(col.searchsorted(le[:, 0], "right") - first, 0)
+    rows, points = [], []
+    for r, pos in _runs(first, count):
+        p = order[pos]
+        if space.coord_dim > 1:
+            t = space._icoords[p, 1:]
+            inside = ((t > gt[r, 1:]) & (t <= le[r, 1:])).all(axis=1)
+            r, p = r[inside], p[inside]
+        rows.append(r)
+        points.append(p)
+    return _csr_of_pairs(len(gt), rows, points)

@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covergames.covers as covers_module
+import covergames.space as space_module
 from covergames import cli, game, haver, netting, screenability
 from covergames.cli import run
 from covergames.covers import (
@@ -63,6 +64,9 @@ from oracles import (
     argmax_loop,
     box_family,
     containers_oracle,
+    sweep_candidates,
+    sweep_pair_order,
+    window_boxes,
 )
 from oracles import pairwise_disjoint_check as disjoint_oracle
 
@@ -261,18 +265,20 @@ def test_pair_order_is_lexicographic():
 
 
 def test_pair_order_batches_a_large_window(monkeypatch):
-    # thin slabs stacked on axis 1 all overlap on axis 0, so every box is a
-    # candidate of every other; batches of 100 candidates split the sweep
+    # thin slabs stacked on axis 1 all overlap on axis 0, and their lower
+    # corners share a few cells, so every box is a candidate of nearly every
+    # other; batches of 100 candidates split the cell search and the sweep
     space = build_grid_space(2, F(1, 4))
     boxes = [
         Box(space, (F(0), F(k, 400)), (F(1, 8), F(k, 400) + F(1, 800 + k % 3)))
         for k in range(60)
     ]
     fam = box_family(space, boxes)
-    monkeypatch.setattr(covers_module, "_SWEEP_BATCH", 100)
+    monkeypatch.setattr(space_module, "PAIR_CHUNK", 100)
     for margin in (F(0), F(1, 1000), F(1, 700)):
         got = covers_module._pair_order(fam, margin)
         assert got == _old_pair_order(*family_ends(fam), margin)
+        assert got == sweep_pair_order(fam, margin, batch=100)
 
 
 def test_pair_order_sends_box_ends_past_float_range_to_the_exact_gap():

@@ -10,7 +10,9 @@ process's max RSS.  During the demo it sums the wall time spent in
 covers.lebesgue_number and covers.lebesgue_argmax_regions (lebesgue_s) and
 in netting.decompose_from_hurewicz (decompose_s), and counts the exact
 Lebesgue evaluations, the _LebesgueTable.radius_lb calls (lebesgue_exact),
-and the covers.Ball objects built (balls_built).  It splits the Haver
+the covers.Ball objects built (balls_built) and the box pairs the
+disjointness broad phase sends to the float test, covers._float_close
+(broad_candidates; null for a source without that function).  It splits the Haver
 witness into three phases: ONE's blocks, the wall time in
 game.strategy_F_move (pointwise_s); the rest of the game,
 game.sc_plus_select less ONE's blocks (game_rest_s); and the Haver
@@ -76,6 +78,7 @@ def rung(den: int) -> dict:
             probe["haver_s"] - probe["game_s"] - probe["stage_covers_s"], 3
         ),
         "balls_built": probe["balls_built"],
+        "broad_candidates": probe["broad_candidates"],
         "max_rss_mb": round(rss_mb, 1),
         "checks_passed": report.all_passed,
     }
@@ -87,11 +90,12 @@ def demo_probe() -> dict:
     functions (lebesgue_s), inside decompose_from_hurewicz (decompose_s),
     strategy_F_move (pointwise_s), sc_plus_select (game_s),
     build_haver_witness (haver_s) and build_stage_covers (stage_covers_s),
-    the exact Lebesgue evaluations (lebesgue_exact) and the Ball objects
-    built (balls_built)."""
+    the exact Lebesgue evaluations (lebesgue_exact), the Ball objects
+    built (balls_built) and the candidate box pairs of the disjointness
+    broad phase (broad_candidates)."""
     from covergames import cli, covers, game, haver, netting, screenability
 
-    probe = {"lebesgue_exact": 0, "balls_built": 0}
+    probe = {"lebesgue_exact": 0, "balls_built": 0, "broad_candidates": None}
     timed = [
         (covers, "lebesgue_number", "lebesgue_s"),
         (covers, "lebesgue_argmax_regions", "lebesgue_s"),
@@ -127,6 +131,15 @@ def demo_probe() -> dict:
             return _inner(*args)
 
         setattr(owner, name, wrapped)
+    close = getattr(covers, "_float_close", None)
+    if close is not None:
+        probe["broad_candidates"] = 0
+
+        def counted_close(lo, hi, i, j, pad):
+            probe["broad_candidates"] += len(i)
+            return close(lo, hi, i, j, pad)
+
+        covers._float_close = counted_close
     return probe
 
 
