@@ -293,35 +293,51 @@ def _box_bounds(region: Box) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _make_members(region: OpenRegion) -> np.ndarray:
-    space = region.space
-    if isinstance(region, Ball):
-        members = space.ball(region.center, space.scaled_bound(region.radius))
-    elif isinstance(region, Box):
-        members = space.box(_box_bounds(region))
-    else:
-        inside = np.zeros(space.n, dtype=bool)
-        for r, centers in _by_radius(region.balls).items():
-            inside |= space.ball_union(centers, space.scaled_bound(r, closed=True))
-        members = np.flatnonzero(~inside).astype(np.int32)
-    members.flags.writeable = False
-    return members
+def _make_members(regions: list[OpenRegion]) -> None:
+    """Give each region its members, for regions on one space.
+
+    The balls of one radius take one SampledSpace.balls call, and each
+    keeps its row of the answer; a box takes one SampledSpace.box call
+    (a batched query reads every cell a wide box spans, which costs more
+    than the box's own window); a complement of closed balls is the
+    complement of one SampledSpace.ball_union per radius.
+    """
+    space = regions[0].space
+    if any(r.space is not space for r in regions):
+        raise InputError("regions queried together must share one space")
+    balls, rows = [], []
+    for region in regions:
+        if isinstance(region, Ball):
+            balls.append((region, region.radius))
+        elif isinstance(region, Box):
+            rows.append((region, space.box(_box_bounds(region))))
+        else:
+            inside = np.zeros(space.n, dtype=bool)
+            for r, centers in _by_radius(region.balls).items():
+                inside |= space.ball_union(centers, space.scaled_bound(r, closed=True))
+            rows.append((region, np.flatnonzero(~inside).astype(np.int32)))
+    for r, group in _by_radius(balls).items():
+        indptr, indices = space.balls([b.center for b in group], space.scaled_bound(r))
+        rows += zip(group, np.split(indices, indptr[1:-1]))
+    for region, members in rows:
+        members.flags.writeable = False
+        object.__setattr__(region, "_members", members)
+
+
+def _members(regions) -> list[np.ndarray]:
+    """region_members of each region; the regions that have none yet get
+    theirs from one _make_members call."""
+    missing = {id(r): r for r in regions if "_members" not in r.__dict__}
+    if missing:
+        _make_members(list(missing.values()))
+    return [r.__dict__["_members"] for r in regions]
 
 
 def region_members(region: OpenRegion) -> np.ndarray:
     """Sorted, read-only int32 indices of the sample points inside the
-    region, computed once and kept on the region.
-
-    The space answers the query (SampledSpace.ball and .box, which on an
-    int64 euclidean or chebyshev table read only a first-axis window); a
-    complement of closed balls is the complement of one
-    SampledSpace.ball_union per radius.
-    """
-    members = region.__dict__.get("_members")
-    if members is None:
-        members = _make_members(region)
-        object.__setattr__(region, "_members", members)
-    return members
+    region, computed once (_make_members, which batches the regions of a
+    cover) and kept on the region."""
+    return _members([region])[0]
 
 
 def region_mask(region: OpenRegion) -> np.ndarray:
@@ -375,10 +391,9 @@ class Cover:
         self.regions = tuple(regions)
         self._lebesgue: Fraction | None = None
         self._table: _LebesgueTable | None = None
-        # built on first use: _region_arrays, _box_ends by den, _member_mask
+        # built on first use: _region_arrays, and _box_ends by den
         self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._ends: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._masks: dict[int, np.ndarray] = {}
 
 
 _SHAPES = {Ball: 1, Box: 2, CoClosedBalls: 0}
@@ -398,14 +413,6 @@ def _region_arrays(cover: Cover) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cover._arrays
 
 
-def _member_mask(cover: Cover, c: int) -> np.ndarray:
-    """region_mask of cover region c, made on first use and kept on the
-    cover."""
-    if c not in cover._masks:
-        cover._masks[c] = region_mask(cover.regions[c])
-    return cover._masks[c]
-
-
 def _box_ends(cover: Cover, den: int, dtype) -> np.ndarray:
     """Per cover region, its box ends scaled by den, inward to integers:
     ceil(lo * den) per axis, then floor(hi * den) (0 for other shapes), in
@@ -423,31 +430,25 @@ def _box_ends(cover: Cover, den: int, dtype) -> np.ndarray:
     return ends[0] if dtype == object else ends[1]
 
 
-def _by_radius(balls) -> dict[Fraction, list[int]]:
-    """The centers of (center, radius) pairs, grouped by radius.  A run of
-    pairs sharing one radius object hashes it once, not once per pair."""
-    groups: dict[Fraction, list[int]] = {}
+def _by_radius(pairs) -> dict[Fraction, list]:
+    """The items of (item, radius) pairs (ball centers, or Ball regions),
+    grouped by radius.  A run of pairs sharing one radius object hashes it
+    once, not once per pair."""
+    groups: dict[Fraction, list] = {}
     last = group = None
-    for c, r in balls:
+    for item, r in pairs:
         if r is not last:
             group, last = groups.setdefault(r, []), r
-        group.append(c)
+        group.append(item)
     return groups
 
 
 def union_mask(space: SampledSpace, regions) -> np.ndarray:
-    """Boolean mask of the sample points lying in some region: the balls of
-    one radius are one SampledSpace.ball_union, which keeps no members on
-    them; every other region adds its members."""
+    """Boolean mask of the sample points lying in some region: the union of
+    their members."""
     out = np.zeros(space.n, dtype=bool)
-    balls = []
-    for r in regions:
-        if isinstance(r, Ball):
-            balls.append((r.center, r.radius))
-        else:
-            out[region_members(r)] = True
-    for r, centers in _by_radius(balls).items():
-        out |= space.ball_union(centers, space.scaled_bound(r))
+    for members in _members(regions):
+        out[members] = True
     return out
 
 
@@ -458,8 +459,7 @@ def covers_check(cover: Cover) -> CoverageReport:
     failure point is the lowest-index uncovered point, with further uncovered
     points reported up to a cap.
     """
-    members = [region_members(r) for r in cover.regions]
-    assignment = first_hit(members, cover.space.n)
+    assignment = first_hit(_members(cover.regions), cover.space.n)
     uncovered = np.flatnonzero(assignment < 0)
     if uncovered.size:
         return CoverageReport(
@@ -604,9 +604,6 @@ def containers(
     def exact(i, c):
         return _family_contains(inner, i, regions[c])
 
-    def holds(i, c):
-        return bool(_member_mask(outer, c)[inner.members(i)].all())
-
     # a row's first pair the batch did not rule out is a hit, or where the
     # exact test starts
     hit = _first_in_rows(verdict != 0, indptr)
@@ -615,8 +612,11 @@ def containers(
         tried = (q for q in range(hit[i], indptr[i + 1]) if verdict[q])
         hit[i] = next((q for q in tried if verdict[q] > 0 or exact(i, flat[q])), -1)
     out = [None if q < 0 else (flat[q], "analytic") for q in hit.tolist()]
-    for i in np.flatnonzero(hit < 0).tolist() if sample else ():
-        c = next((c for c in flat[indptr[i] : indptr[i + 1]] if holds(i, c)), None)
+    pending = np.flatnonzero(hit < 0).tolist() if sample else []
+    rows = _members(regions) if pending else []
+    for i in pending:
+        held = inner.members(i)
+        c = next((c for c in flat[indptr[i] : indptr[i + 1]] if _all_in(held, rows[c])), None)
         out[i] = None if c is None else (c, "sample")
     return out
 
@@ -848,30 +848,35 @@ def _diff_bounds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([_below(lo, mag), _above(hi, mag)], axis=-1)
 
 
-def _dist_bounds(space: SampledSpace, c: int, idx: np.ndarray):
-    """Float bounds on the distances from point c to the points idx."""
-    d = np.sqrt(space._dist_sq_to(c, idx).astype(float) / float(space.dist_scale_sq))
+def _dist_bounds(space: SampledSpace, dsq: np.ndarray):
+    """Float bounds on the distances whose scaled squares are dsq."""
+    d = np.sqrt(dsq.astype(float) / float(space.dist_scale_sq))
     return _below(d, d), _above(d, d)
 
 
-def _radius_bounds(region: OpenRegion, idx: np.ndarray, tol: float):
-    """Float bounds lo <= _containment_radius_lb(region, p, t) <= hi for the
-    member points p = idx at every tolerance t <= tol, before the cap.
+def _ball_radius_bounds(cover: Cover, points, region, tol: float, lo, hi) -> None:
+    """_radius_bounds of the Lebesgue-table entries (points[k], region[k])
+    whose region is a ball, written into lo and hi at those entries: r - d
+    - tol <= r - d_upper <= r - d, from one pass over their distances."""
+    shape, centers, radius = _region_arrays(cover)
+    at = np.flatnonzero(shape[region] == _SHAPES[Ball])
+    region = region[at]
+    dsq = cover.space._pair_dist_sq(points[at], centers[region])
+    dl, dh = _dist_bounds(cover.space, dsq)
+    rl, rh = radius[region, 0], radius[region, 1]
+    lo[at] = _below(rl - dh - tol, np.abs(rl) + dh + tol)
+    hi[at] = _above(rh - dl, np.abs(rh) + dl)
 
-    A ball gives r - d - tol <= r - d_upper <= r - d; a box its exact slack;
-    a co-ball complement min(d_i - r_i) - tol <= min(d_lower_i - r_i) <=
-    min(d_i - r_i).
+
+def _radius_bounds(region: Box | CoClosedBalls, idx: np.ndarray, tol: float, lo, hi):
+    """Float bounds lo <= _containment_radius_lb(region, p, t) <= hi for the
+    member points p = idx at every tolerance t <= tol, before the cap,
+    written into lo and hi, which hold inf on entry.
+
+    A box gives its exact slack; a co-ball complement min(d_i - r_i) - tol
+    <= min(d_lower_i - r_i) <= min(d_i - r_i).
     """
     space = region.space
-    if isinstance(region, Ball):
-        dl, dh = _dist_bounds(space, region.center, idx)
-        rl, rh = _float_bounds(region.radius)
-        return (
-            _below(rl - dh - tol, abs(rl) + dh + tol),
-            _above(rh - dl, abs(rh) + dl),
-        )
-    lo = np.full(len(idx), math.inf)
-    hi = np.full(len(idx), math.inf)
     if isinstance(region, Box):
         table = space._icoords[idx].astype(float) / float(space.scale)
         for i in range(space.coord_dim):
@@ -879,19 +884,18 @@ def _radius_bounds(region: OpenRegion, idx: np.ndarray, tol: float):
             xl, xh = _below(x, np.abs(x)), _above(x, np.abs(x))
             if not region.lo_closed[i]:  # slack x - lo
                 bl, bh = _float_bounds(region.lo[i])
-                lo = np.minimum(lo, _below(xl - bh, np.abs(xl) + abs(bh)))
-                hi = np.minimum(hi, _above(xh - bl, np.abs(xh) + abs(bl)))
+                np.minimum(lo, _below(xl - bh, np.abs(xl) + abs(bh)), out=lo)
+                np.minimum(hi, _above(xh - bl, np.abs(xh) + abs(bl)), out=hi)
             if not region.hi_closed[i]:  # slack hi - x
                 bl, bh = _float_bounds(region.hi[i])
-                lo = np.minimum(lo, _below(bl - xh, np.abs(xh) + abs(bl)))
-                hi = np.minimum(hi, _above(bh - xl, np.abs(xl) + abs(bh)))
-        return lo, hi
+                np.minimum(lo, _below(bl - xh, np.abs(xh) + abs(bl)), out=lo)
+                np.minimum(hi, _above(bh - xl, np.abs(xl) + abs(bh)), out=hi)
+        return
     for c, r in region.balls:
-        dl, dh = _dist_bounds(space, c, idx)
+        dl, dh = _dist_bounds(space, space._dist_sq_to(c, idx))
         rl, rh = _float_bounds(r)
-        lo = np.minimum(lo, _below(dl - rh - tol, dl + abs(rh) + tol))
-        hi = np.minimum(hi, _above(dh - rl, dh + abs(rl)))
-    return lo, hi
+        np.minimum(lo, _below(dl - rh - tol, dl + abs(rh) + tol), out=lo)
+        np.minimum(hi, _above(dh - rl, dh + abs(rl)), out=hi)
 
 
 class _LebesgueTable:
@@ -926,23 +930,25 @@ def _lebesgue_table(cover: Cover) -> _LebesgueTable:
         return cover._table
     space = cover.space
     cap = space.diameter_upper_bound() + 1
-    members = [region_members(r) for r in cover.regions]
+    members = _members(cover.regions)
+    sizes = [m.size for m in members]
     points = np.concatenate(members) if members else np.zeros(0, np.int32)
-    lo = np.full(points.size, -math.inf)
+    region = np.repeat(np.arange(len(members), dtype=np.int32), sizes)
+    bounded = bool(members) and space._fast and space.dist_scale_sq < 2**1000
+    lo = np.full(points.size, math.inf if bounded else -math.inf)
     hi = np.full(points.size, math.inf)
     capped = np.zeros(points.size, dtype=bool)
-    if space._fast and space.dist_scale_sq < 2**1000 and members:
+    if bounded:
         tol = _float_bounds(_base_tolerance(space))[1]
-        bounds = [_radius_bounds(r, m, tol) for r, m in zip(cover.regions, members)]
-        lo, hi = (np.concatenate(b) for b in zip(*bounds))
-        del bounds  # the per-region copies go before the sort
+        _ball_radius_bounds(cover, points, region, tol, lo, hi)
+        ends = np.cumsum([0] + sizes).tolist()
+        for c in np.flatnonzero(_region_arrays(cover)[0] != _SHAPES[Ball]).tolist():
+            at = slice(ends[c], ends[c + 1])
+            _radius_bounds(cover.regions[c], members[c], tol, lo[at], hi[at])
         cap_lo, cap_hi = _float_bounds(cap)
         capped = lo >= cap_hi
         np.minimum(lo, cap_lo, out=lo)
         np.minimum(hi, cap_hi, out=hi)
-    region = np.repeat(
-        np.arange(len(members), dtype=np.int32), [m.size for m in members]
-    )
     order = np.argsort(points, kind="stable")
     start = np.zeros(space.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(points, minlength=space.n), out=start[1:])

@@ -37,7 +37,7 @@ from .covers import (
     CoverSeq,
     DisjointFamily,
     OpenRegion,
-    region_members,
+    _members,
     union_mask,
     union_of,
 )
@@ -451,8 +451,11 @@ def hurewicz_selection_check(
     picks: Sequence[Sequence[int]],
 ) -> TailReport:
     """Per point, the least K with the point in every pick-union from K to
-    the horizon; fails listing the points with no such K."""
-    unions = [union_mask(space, regions) for regions in _picked_regions(covers, picks)]
+    the horizon; fails listing the points with no such K.  The picks of
+    every stage get their members in one batch."""
+    picked = _picked_regions(covers, picks)
+    _members([r for regions in picked for r in regions])
+    unions = [union_mask(space, regions) for regions in picked]
     tail = tail_start(unions, space.n)
     bad = np.flatnonzero(tail == 0)
     if bad.size:
@@ -477,7 +480,7 @@ def menger_selection_check(
     """The concatenation of all picks must cover; reports the first orphan
     point otherwise."""
     picked = _picked_regions(covers, picks)
-    hit = first_hit([region_members(r) for regions in picked for r in regions], space.n)
+    hit = first_hit(_members([r for regions in picked for r in regions]), space.n)
     if (hit < 0).any():
         return MengerReport(False, int(np.flatnonzero(hit < 0)[0]))
     return MengerReport(True, None)

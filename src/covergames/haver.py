@@ -39,6 +39,7 @@ from .covers import (
     CoverSeq,
     DisjointFamily,
     _csr_take,
+    _members,
     containers,
     covers_check,
     region_members,
@@ -50,6 +51,8 @@ from .netting import SigmaDecomposition, greedy_net
 from .space import (
     SampledSpace,
     Schedule,
+    _csr_of_pairs,
+    csr,
     diameter_of_sq,
     diameters_sq,
     epsilon_schedule,
@@ -90,10 +93,9 @@ def normalize_epsilons(raw: Sequence[Fraction]) -> Schedule:
 
 @dataclass(frozen=True)
 class StageCovers:
-    """The per-stage two-piece covers with their nets and radii."""
+    """The per-stage two-piece covers with their net radii."""
 
     covers: CoverSeq
-    nets: tuple[tuple[int, ...], ...]  # F_n center indices, 1-based stages
     deltas: tuple[Fraction, ...]
     complement_index: tuple[int, ...]  # index of the complement region per stage
 
@@ -122,7 +124,6 @@ def build_stage_covers(
     # every radius first: a stage past the doubling cap fails before any net
     deltas = [paired_delta(eps, n) for n, eps in enumerate(schedule.values, start=1)]
     covers = []
-    nets = []
     comp_idx = []
     for n in range(1, schedule.horizon + 1):
         eps_n = schedule.value(n)
@@ -135,9 +136,9 @@ def build_stage_covers(
                 f"chain stage {n} is empty; nets need a nonempty stage",
                 witness=n,
             )
-        net = greedy_net(space, stage, delta_n)
-        centers = net.centers
-        regions: list = [Ball(space, c, eps_n / 2) for c in centers]
+        centers = greedy_net(space, stage, delta_n).centers
+        half = eps_n / 2  # one radius object: the member builder hashes it once
+        regions: list = [Ball(space, c, half) for c in centers]
         comp = CoClosedBalls(space, tuple((c, delta_n) for c in centers))
         regions.append(comp)
         cover = Cover(space, regions)
@@ -157,11 +158,8 @@ def build_stage_covers(
                 f"stage {n} meets the complement piece of its own cover"
             )
         covers.append(cover)
-        nets.append(tuple(centers))
         comp_idx.append(len(regions) - 1)
-    return StageCovers(
-        CoverSeq(space, covers), tuple(nets), tuple(deltas), tuple(comp_idx)
-    )
+    return StageCovers(CoverSeq(space, covers), tuple(deltas), tuple(comp_idx))
 
 
 @dataclass(frozen=True)
@@ -236,11 +234,8 @@ def build_haver_witness(
     diam_bounds: list[Fraction] = []
     for n in range(1, horizon + 1):
         eps_n = schedule.value(n)
-        cover = stage_covers.covers.cover(n)
         raw = engine_out.family(n)
-        found = _containing_balls(
-            raw.family, cover, stage_covers.nets[n - 1], eps_n / 2, space
-        )
+        found = _containing_balls(raw.family, stage_covers.covers.cover(n))
         kept = [(i, hit) for i, hit in enumerate(found) if hit is not None]
         keep = [i for i, _ in kept]
         fam = raw.subfamily(
@@ -288,33 +283,26 @@ def build_haver_witness(
     )
 
 
-def _containing_balls(
-    boxes: BoxFamily,
-    cover: Cover,
-    net: tuple[int, ...],
-    radius: Fraction,
-    space: SampledSpace,
-) -> list[tuple[int, str] | None]:
-    """Per box, containers' verdict for the first net ball (by its index
-    within the cover) analytically containing it: (ball index, evidence),
-    or None.
+def _containing_balls(boxes: BoxFamily, cover: Cover) -> list[tuple[int, str] | None]:
+    """Per box, containers' verdict for the first net ball of a stage cover
+    (its regions but the last, the complement piece) analytically
+    containing it: (ball index, evidence), or None.
 
     Only the balls holding the box's anchor point can contain it (the anchor
-    lies in the box), so the candidate prune is exact and complete; one
-    SampledSpace.balls call gives them, handed to containers as CSR rows.
-    Boxes with no sample points are dropped: they contribute nothing to any
-    invariant.
+    lies in the box), so the candidate prune is exact and complete; the
+    balls' members, kept on them since the cover was checked, give them,
+    handed to containers as CSR rows.  Boxes with no sample points are
+    dropped: they contribute nothing to any invariant.
     """
     if not len(boxes):
         return []
-    indptr, points = space.balls(net, space.scaled_bound(radius))
+    space = cover.space
+    indptr, points = csr(_members(cover.regions[:-1]))
+    k = len(indptr) - 1
+    ball = np.repeat(np.arange(k), np.diff(indptr))
     # per point, the balls holding it, in net order; a box with no anchor
     # reads the empty row past the last point
-    ball = np.repeat(np.arange(len(net)), np.diff(indptr))
-    ball = ball[np.argsort(points, kind="stable")]
-    held = np.zeros(space.n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(points, minlength=space.n), out=held[1:-1])
-    held[-1] = held[-2]
+    held, ball = _csr_of_pairs(space.n + 1, k, [points.astype(np.int64) * k + ball])
     anchors = boxes.anchors
     cands = _csr_take(held, ball, np.where(anchors < 0, space.n, anchors))
     return containers(boxes, cover, cands, sample=False)

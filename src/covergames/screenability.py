@@ -145,10 +145,12 @@ def _witness_class(boxes: BoxFamily, cover: Cover, lam: Fraction) -> DisjointFam
 def _queried_family(space: SampledSpace, den: int, lo, hi) -> BoxFamily:
     """The open boxes lo / den < x < hi / den with their members from one
     batched box query: x > lo / den iff x > floor(lo / f) and x < hi / den
-    iff x <= ceil(hi / f) - 1 for a scaled coordinate x, f = den / scale."""
+    iff x <= ceil(hi / f) - 1 for a scaled coordinate x, f = den / scale.
+    On an int64 table, ends past int64 are clamped to its range, which
+    selects the same points."""
     f = den // space.scale
     gt, le = lo // f, -((-hi) // f) - 1
-    if gt.dtype == object:
+    if gt.dtype == object and space._fast:
         gt, le = _clamped(gt.tolist()), _clamped(le.tolist())
     return BoxFamily(space, den, lo, hi, *space.boxes(gt, le))
 

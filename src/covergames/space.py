@@ -132,7 +132,7 @@ class SampledSpace:
     Instances are immutable after construction and safe to share between
     threads; every derived quantity (integer coordinate table, nearest gap,
     farthest-point traversals) is precomputed or cached once.  Every metric
-    query on the coordinate table (ball, box, first-axis window, diameter)
+    query on the coordinate table (balls, box, first-axis window, diameter)
     is answered here.  Distance rows are computed on each call, and region
     members are kept on the regions (covers.region_members), not here.
     """
@@ -375,18 +375,6 @@ class SampledSpace:
         c0, w = int(self._icoords[c, 0]), isqrt(bound)
         return self.axis0_window(c0 - w - 1, c0 + w)
 
-    def ball(self, c: int, bound: int) -> np.ndarray:
-        """Sorted indices (int32) of the points within scaled squared
-        distance bound of point c: the points of near whose distance is in
-        bound, where a 2-adic range or a window in dimension one needs no
-        test."""
-        idx = self.near(c, bound)
-        if self.metric_kind != "cantor_2adic" and (
-            self.coord_dim > 1 or not self.windowed
-        ):
-            idx = idx[self._dist_sq_to(c, idx) <= bound]
-        return np.sort(idx)
-
     def ball_union(self, centers, bound: int) -> np.ndarray:
         """Boolean mask of the points within scaled squared distance
         bound >= 0 of some center, on any table.
@@ -398,15 +386,15 @@ class SampledSpace:
         in at once; a side too fine for the index's keys skips this pass.
         Each point left compares exact distances with the centers in the
         3**d coarse cells of side isqrt(bound) + 1 around its own.  Other
-        tables loop over ball.
+        tables take the pairs of ball_pairs.
         """
         # the centers sorted and distinct, by a mask: np.unique hashes them
         mask = np.zeros(self.n, dtype=bool)
         mask[np.asarray(centers, dtype=np.int64)] = True
         centers = np.flatnonzero(mask)
         if not (centers.size and self.windowed and self.coord_dim <= 3):
-            for c in centers.tolist():
-                mask[self.ball(c, bound)] = True
+            for p, _, _ in self.ball_pairs(centers, bound, np.arange(self.n)):
+                mask[p] = True
             return mask
         per_axis = bound if self.metric_kind == "chebyshev" else bound // self.coord_dim
         fine = isqrt(per_axis) + 1
@@ -422,14 +410,22 @@ class SampledSpace:
     def balls(self, centers, bound: int) -> tuple[np.ndarray, np.ndarray]:
         """CSR members of the balls of scaled squared radius bound >= 0 at
         the given centers: ball k holds the points
-        indices[indptr[k]:indptr[k + 1]], sorted.
-
-        The members come from ball_pairs over every point."""
-        rows, points = [], []
-        for p, k, _ in self.ball_pairs(centers, bound, np.arange(self.n)):
-            rows.append(k)
-            points.append(p)
-        return _csr_of_pairs(len(centers), rows, points)
+        indices[indptr[k]:indptr[k + 1]], sorted.  Where ball_pairs takes
+        the cell grid, each center reads the points in the 3**d cells around
+        its own; otherwise the members come from ball_pairs."""
+        centers = np.asarray(centers, dtype=np.int64)
+        codes = []
+        if self.windowed and self.coord_dim <= 3 and centers.size > 3**self.coord_dim:
+            index = self._cells(self._cell_side(isqrt(bound) + 1))
+            held = index.held()
+            for offset in index.offsets:
+                for k, p in index.pairs(held, index.key[centers] + offset):
+                    near = self._pair_dist_sq(p, centers[k]) <= bound
+                    codes.append(k[near] * self.n + p[near])
+        else:
+            for p, k, _ in self.ball_pairs(centers, bound, np.arange(self.n)):
+                codes.append(k * self.n + p)
+        return _csr_of_pairs(len(centers), self.n, codes)
 
     def ball_pairs(self, centers, bound: int, points: np.ndarray):
         """Every pair of a point of `points` (an index array) and a center
@@ -541,7 +537,7 @@ class SampledSpace:
         more = (l // side - first).T  # per axis, the cells spanned past the first
         key = index.key_of(first)
         held = index.held()
-        rows, points = [], []
+        codes = []
         for step in itertools.product((0, 1), repeat=k):
             at = np.flatnonzero(np.logical_and.reduce([m >= s for m, s in zip(more, step)]))
             offset = sum(map(operator.mul, step, index.stride.tolist()))
@@ -552,9 +548,8 @@ class SampledSpace:
                     ((col[p] > gt[r, j]) & (col[p] <= le[r, j])
                      for j, col in enumerate(self._icoords.T)),
                 )
-                rows.append(r[inside])
-                points.append(p[inside])
-        return _csr_of_pairs(len(gt), rows, points)
+                codes.append(r[inside] * self.n + p[inside])
+        return _csr_of_pairs(len(gt), self.n, codes)
 
     def scaled_bound(self, radius: Fraction, closed: bool = False) -> int:
         """The largest scaled squared distance inside the ball of the given
@@ -756,15 +751,15 @@ def csr(parts) -> tuple[np.ndarray, np.ndarray]:
     return indptr, np.concatenate(parts).astype(np.int32)
 
 
-def _csr_of_pairs(k: int, rows: list, points: list) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of k rows from (row, point) pair chunks: each row's points
-    sorted."""
-    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    points = np.concatenate(points) if points else np.zeros(0, dtype=np.int64)
-    order = np.lexsort((points, rows))
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
-    return indptr, points[order].astype(np.int32)
+def _csr_of_pairs(k: int, m: int, codes: list) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of k rows from chunks of (row, point) pairs, each an int64 code
+    row * m + point with 0 <= point < m: each row's points sorted, by one
+    sort of the codes."""
+    codes = np.concatenate(codes) if codes else np.zeros(0, dtype=np.int64)
+    codes.sort()
+    indptr = codes.searchsorted(np.arange(k + 1, dtype=np.int64) * m)
+    codes %= m
+    return indptr, codes.astype(np.int32)
 
 
 def _msb(x: int) -> int:

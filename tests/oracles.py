@@ -18,7 +18,8 @@ table as a dict of row tuples, TWO's lazy-heap greedy on every prefix, the
 per-member diameter check in Fraction arithmetic, and the claim replay one
 point at a time.  Last come the two axis-0 searches that the cell index
 replaced: the disjointness sweep in the order of the boxes' lower ends,
-and the box query that windows the sorted first coordinates.
+and the box query that windows the sorted first coordinates; and the
+one-ball query that the batched ball members replaced.
 """
 
 from __future__ import annotations
@@ -881,13 +882,24 @@ def window_boxes(space: SampledSpace, gt: np.ndarray, le: np.ndarray):
     order, col, _, _ = space._sorted_by(space._icoords[:, 0])
     first = col.searchsorted(gt[:, 0], "right")
     count = np.maximum(col.searchsorted(le[:, 0], "right") - first, 0)
-    rows, points = [], []
+    codes = []
     for r, pos in _runs(first, count):
         p = order[pos]
         if space.coord_dim > 1:
             t = space._icoords[p, 1:]
             inside = ((t > gt[r, 1:]) & (t <= le[r, 1:])).all(axis=1)
             r, p = r[inside], p[inside]
-        rows.append(r)
-        points.append(p)
-    return _csr_of_pairs(len(gt), rows, points)
+        codes.append(r * space.n + p)
+    return _csr_of_pairs(len(gt), space.n, codes)
+
+
+def window_ball(space: SampledSpace, c: int, bound: int) -> np.ndarray:
+    """The members of one ball, the query SampledSpace.balls batches:
+    sorted indices (int32) of the points within scaled squared distance
+    bound of point c, the points of SampledSpace.near whose distance is in
+    bound, where a 2-adic range or a window in dimension one needs no
+    test."""
+    idx = space.near(c, bound)
+    if space.metric_kind != "cantor_2adic" and (space.coord_dim > 1 or not space.windowed):
+        idx = idx[space._dist_sq_to(c, idx) <= bound]
+    return np.sort(idx)

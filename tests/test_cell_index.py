@@ -8,7 +8,7 @@ same index, dense or binary-searched.  The oracles are the axis-0 sweep
 (`oracles.sweep_pair_order`), the float filter of every pair
 (`oracles._old_pair_order`), the per-region disjointness check with an
 exact gap for every pair, the first-axis window box query
-(`oracles.window_boxes`) and the per-ball queries.  Pair lists, reports
+(`oracles.window_boxes`) and the one-ball query (`oracles.window_ball`).  Pair lists, reports
 and members must be identical.
 """
 
@@ -34,6 +34,7 @@ from oracles import (
     box_family,
     sweep_candidates,
     sweep_pair_order,
+    window_ball,
     window_boxes,
 )
 from oracles import pairwise_disjoint_check as disjoint_oracle
@@ -219,7 +220,7 @@ def test_ball_queries_match_the_per_ball_members_on_wide_clouds(data):
     a, b = data.draw(st.integers(0, space.n - 1)), data.draw(st.integers(0, space.n - 1))
     d = int(space._dist_sq_to(a, np.array([b]))[0])
     bound = data.draw(st.sampled_from([0, d, max(d - 1, 0), d + 1, d // 9]))
-    want = [space.ball(c, bound) for c in centers]
+    want = [window_ball(space, c, bound) for c in centers]
     union = np.zeros(space.n, dtype=bool)
     for members in want:
         union[members] = True

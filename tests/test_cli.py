@@ -147,6 +147,24 @@ class TestSubcommands:
         assert code == 0
         assert doc["checks"][1]["count"] == 2
 
+    @pytest.mark.parametrize("coord", ["5", str(2**70)])
+    def test_refine_one_point_past_int64(self, tmp_path, coord):
+        # at 2**70 the table holds Python ints, and the point-isolating box
+        # ends must select against them unclamped
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps(
+            {"label": "one", "metric": "euclidean", "mesh": "1", "points": [[coord]]}
+        ))
+        cover = tmp_path / "cover.json"
+        cover.write_text(json.dumps(
+            {"regions": [{"shape": "ball", "center": 0, "radius": "1"}]}
+        ))
+        code, doc = run(["refine", "--space", str(space), "--cover", str(cover)])
+        assert code == 0, doc["checks"]
+        # the Lebesgue number is 1: the point's box is (x - 1/2, x + 1/2)
+        box = doc["result"]["families"][0][0]
+        assert box["lo"] == [f"{2 * int(coord) - 1}/2"]
+
     def test_scfin_and_fincspace(self, workdir):
         code, doc = run(
             [

@@ -411,7 +411,7 @@ def test_containing_balls_match_the_per_region_filter(metric):
     for _ in range(300):
         lo = tuple(F(rng.randint(-4, 64), 64) for _ in range(2))
         regions.append(Box(space, lo, tuple(x + F(rng.randint(1, 12), 64) for x in lo)))
-    found = haver._containing_balls(box_family(space, regions), cover, net, radius, space)
+    found = haver._containing_balls(box_family(space, regions), cover)
     want = [_old_containing_ball(r, cover, net, radius, space) for r in regions]
     assert [None if hit is None else hit[0] for hit in found] == want
     assert {hit[1] for hit in found if hit is not None} == {"analytic"}
@@ -622,7 +622,7 @@ def test_square_demo_settles_containment_in_floats(monkeypatch):
     boxes, pointwise = _count_boxes_inside(monkeypatch, screenability, "_pointwise_family")
     members = _count_everywhere(monkeypatch, "region_members")
     floats = _count_everywhere(monkeypatch, "_float_bounds")
-    balls = _count_calls(monkeypatch, SampledSpace, "ball")
+    balls = _count_calls(monkeypatch, SampledSpace, "balls")
     built = _count_calls(monkeypatch, Ball, "__post_init__")
     code, _ = run(["demo", "--label", "unit_square_64", "--horizon", "6"])
     assert code == 0
@@ -639,8 +639,11 @@ def test_square_demo_settles_containment_in_floats(monkeypatch):
     assert pointwise == [0] and len(boxes) <= 100
     assert len(members) <= 2000 and len(floats) <= 1000
     # a selection's union and a net's check are one ball_union each: 19,048
-    # single balls when every selection ball and net center took one
-    assert len(balls) <= 100
+    # single balls when every selection ball and net center took one; a
+    # stage cover's balls take one batched query: 23 single balls and 4
+    # batched queries when each ball took its own and Haver's filter
+    # queried the balls again
+    assert len(balls) <= 6
     # a selection is its stage's centers: 17,237 Ball objects, 17,214 of
     # them selection balls, when each center was a Ball
     assert len(built) <= 100

@@ -237,3 +237,26 @@ def test_only_the_block_builder_builds_block_families():
         if name in {"_point_boxes", "_cantor_level_boxes", "_queried_family"}
     ]
     assert reached == [], f"box family builders reached outside screenability: {reached}"
+
+
+
+def test_only_the_member_builder_queries_ball_members():
+    # region members have one builder, covers._make_members: only it asks
+    # the space for the members of balls (the complements' field of the same
+    # name is read, never called), and no class has a query that answers
+    # for one ball at a time
+    calls = {
+        (path.name, top.name)
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "balls"
+    }
+    assert calls == {("covers.py", "_make_members")}, calls
+    single = [
+        f"{path.name} {qualified}"
+        for path in sorted(SRC.glob("*.py"))
+        for qualified, name, method in _definitions(ast.parse(path.read_text(), str(path)))
+        if method and name == "ball"
+    ]
+    assert single == [], f"a one-ball query is defined: {single}"

@@ -1,15 +1,20 @@
 """Differential tests of the region layer against the dense and per-point
 code it replaced.
 
-`region_members` tests only a first-axis window of the sample, `contains`
-searches the members, `SampledSpace.ball_union` finds the points near a
-set of centers on a cell grid (and `union_mask` and `validate_net` take
-one union per radius), and the Lebesgue functions send only the entries
-their float table cannot settle to the exact code, once per distinct
-integer key.  The oracles are the earlier bodies: a dense O(n) mask per
-region (`tests/oracles.py`), the union of the balls' masks, the full
-cover check of a net, and the exact per-point Lebesgue loops, over every
-point and over the float table (`tests/oracles.py`).  Each answer must be
+Region members have one builder, `covers._make_members`: a batch of
+regions takes one `SampledSpace.balls` call per ball radius, one
+`SampledSpace.box` call per box and one `ball_union` per radius of a
+closed-ball complement, and `region_members`, `contains` (a search in the
+members), `union_mask` and `covers_check` read its rows.
+`SampledSpace.ball_union` finds the points near a set of centers on a
+cell grid (and `validate_net` takes one union per radius), and the
+Lebesgue functions send only the entries their float table cannot settle
+to the exact code, once per distinct integer key; the table's ball
+entries get their float bounds in one pass.  The oracles are the earlier
+bodies: a dense O(n) mask per region and the one-ball window query
+(`tests/oracles.py`), the union of the balls' masks, the full cover check
+of a net, and the exact per-point Lebesgue loops, over every point and
+over the float table (`tests/oracles.py`).  Each answer must be
 identical, down to the Fraction and the region index.
 """
 
@@ -30,6 +35,7 @@ from hypothesis import strategies as st
 
 import covergames.covers as covers_module
 import covergames.space as space_module
+from covergames import haver
 from covergames.cli import run
 from covergames.covers import (
     Ball,
@@ -67,6 +73,7 @@ from oracles import (
     lebesgue_loop,
     lebesgue_oracle,
     mask_oracle,
+    window_ball,
 )
 
 # -- oracles ------------------------------------------------------------------------
@@ -196,7 +203,8 @@ def test_members_mask_and_contains_match_the_dense_oracle(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_space_queries_match_dense_membership(data):
-    # near, ball and box against a per-point test of every sample point
+    # near, the one-ball oracle and box against a per-point test of every
+    # sample point
     space = data.draw(spaces())
     table = space._icoords.tolist()
     for _ in range(4):
@@ -207,7 +215,7 @@ def test_space_queries_match_dense_membership(data):
             p for p in range(space.n)
             if space.distance_sq(c, p) * space.dist_scale_sq <= bound
         ]
-        ball, near = space.ball(c, bound), space.near(c, bound)
+        ball, near = window_ball(space, c, bound), space.near(c, bound)
         assert ball.dtype == near.dtype == np.int32
         assert ball.tolist() == want
         assert set(want) <= set(near.tolist())
@@ -321,7 +329,7 @@ def test_balls_match_the_per_ball_members(data):
         indptr, indices = space.balls(centers, bound)
     assert indptr[0] == 0 and len(indptr) == len(centers) + 1
     got = [indices[a:b].tolist() for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
-    assert got == [space.ball(c, bound).tolist() for c in centers]
+    assert got == [window_ball(space, c, bound).tolist() for c in centers]
 
 
 @settings(max_examples=150, deadline=None)
@@ -427,12 +435,25 @@ def test_refine_on_a_cover_missing_the_lowest_point_exits_1(tmp_path):
 
 def test_members_are_computed_once_and_kept_on_the_region(monkeypatch):
     calls = _count_calls(monkeypatch, covers_module, "_make_members")
+    balls = _count_calls(monkeypatch, SampledSpace, "balls")
     s = build_grid_space(2, F(1, 8))
     for region in (Ball(s, 3, F(1, 4)), Box(s, (F(0), F(0)), (F(1, 2), F(1, 2)))):
         first = region_members(region)
         assert region_members(region) is first
         assert not first.flags.writeable
-        assert len(calls) == 1 and calls.pop()[0] is region
+        assert len(calls) == 1 and [r is region for r in calls.pop()[0]] == [True]
+    # a cover's regions take one batch, and its balls of one radius one query
+    r = F(3, 8)
+    cover = Cover(s, [Ball(s, c, r) for c in range(0, s.n, 9)] + [CoClosedBalls(s, ((0, r),))])
+    balls.clear()
+    for _ in range(2):
+        covers_check(cover)
+    assert len(calls) == 1 and len(balls) == 1
+    for region in cover.regions:
+        members = region_members(region)
+        assert not members.flags.writeable
+        assert np.array_equal(members, np.flatnonzero(mask_oracle(region)))
+    assert len(calls) == 1
 
 
 def test_member_cache_does_not_keep_its_space_alive():
@@ -446,6 +467,31 @@ def test_member_cache_does_not_keep_its_space_alive():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_batched_members_match_the_dense_oracle(data):
+    # one batch of mixed regions: balls of one to three radii, some at one
+    # center twice, boxes (closed ends at the sample's edge) and closed-ball
+    # complements, in any order; each radius's balls take one query
+    space = data.draw(spaces())
+    point = st.integers(0, space.n - 1)
+    radii = [_radius(data.draw, space, data.draw(point)) for _ in range(data.draw(st.integers(1, 3)))]
+    centers = data.draw(st.lists(point, min_size=1, max_size=8))
+    centers += data.draw(st.lists(st.sampled_from(centers), max_size=3))
+    balls = [Ball(space, c, data.draw(st.sampled_from(radii))) for c in centers]
+    mixed = data.draw(st.permutations(balls + data.draw(st.lists(regions(space), max_size=4))))
+    chunk = data.draw(st.sampled_from([1, 5, space_module.PAIR_CHUNK]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(space_module, "PAIR_CHUNK", chunk)
+        queries = _count_calls(patch, SampledSpace, "balls")
+        rows = covers_module._members(mixed)
+    assert len(queries) == len({r.radius for r in mixed if isinstance(r, Ball)})
+    for region, members in zip(mixed, rows):
+        assert members.dtype == np.int32 and not members.flags.writeable
+        assert np.array_equal(members, np.flatnonzero(mask_oracle(region)))
+        assert region_members(region) is members
 
 
 # -- containment --------------------------------------------------------------------
@@ -517,6 +563,19 @@ def _ball_cover(space, rng, count):
     return Cover(space, balls + [co])
 
 
+def _shared_radii_cover(space, rng):
+    """Open balls of two or three shared radii at random centers, two of
+    the centers taken twice, plus the complement of closed balls of half
+    the least radius at three of them: each radius's balls are one batch
+    of the member builder and of the Lebesgue table's ball bounds."""
+    diam = space.diameter_upper_bound()
+    radii = [diam * F(rng.randint(1, 24), 16) for _ in range(rng.randint(2, 3))]
+    centers = rng.sample(range(space.n), 8)
+    balls = [Ball(space, c, rng.choice(radii)) for c in centers + centers[:2]]
+    co = CoClosedBalls(space, tuple((c, min(radii) / 2) for c in centers[:3]))
+    return Cover(space, balls + [co])
+
+
 def _box_cover(space, rng, cuts):
     """Overlapping boxes from random cuts per axis, open at every end."""
     axes = []
@@ -556,13 +615,15 @@ def _fresh(cover: Cover) -> Cover:
 
 
 @pytest.mark.parametrize("name", sorted(LEBESGUE_SPACES))
-@pytest.mark.parametrize("shape", ["balls", "boxes"])
+@pytest.mark.parametrize("shape", ["balls", "shared_radii", "boxes"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lebesgue_number_and_argmax_match_the_per_point_loops(name, shape, seed):
     space = LEBESGUE_SPACES[name]()
     rng = random.Random(f"{name}-{shape}-{seed}")
     if shape == "balls":
         cover = _ball_cover(space, rng, rng.randint(1, 6))
+    elif shape == "shared_radii":
+        cover = _shared_radii_cover(space, rng)
     else:
         cover = _box_cover(space, rng, rng.randint(1, 3))
     assert covers_check(cover).ok
@@ -784,6 +845,30 @@ def test_demo_decides_lebesgue_radii_once_per_key(
     assert len(exact) <= radii, f"{len(exact)} containment radii"
 
 
+def test_interval_demo_queries_ball_members_once_per_stage_cover(monkeypatch):
+    # a stage cover's balls get their members from one batched query, its
+    # Lebesgue table their float bounds from one pass, and Haver's filter
+    # reads the same members: 779 single-ball queries, 779 per-ball bounds
+    # and 11 batched queries (all in the filter) when each was its own
+    batched = _count_calls(monkeypatch, SampledSpace, "balls")
+    bounds = _count_calls(monkeypatch, covers_module, "_radius_bounds")
+    filtering = []
+    inner = haver._containing_balls
+
+    def counted(*args):
+        before = len(batched)
+        out = inner(*args)
+        filtering.append(len(batched) - before)
+        return out
+
+    monkeypatch.setattr(haver, "_containing_balls", counted)
+    code, doc = run(["demo", "--label", "unit_interval_1024", "--horizon", "12"])
+    assert code == 0, doc
+    assert not [args for args in bounds if isinstance(args[0], Ball)]
+    assert len(batched) <= 12
+    assert len(filtering) == 12 and sum(filtering) == 0
+
+
 def test_pointwise_family_reads_no_distance_row(monkeypatch):
     space = build_grid_space(2, F(1, 64))
     rng = random.Random(7)
@@ -807,11 +892,11 @@ def test_decompose_takes_one_union_per_selection_and_none_per_certificate(monkey
         selections[m] = greedy_net(space, space.subset_all(), doubling_delta(m)).centers
     epsilons = [F(1, 2), F(1, 16)]
     unions = _count_calls(monkeypatch, SampledSpace, "ball_union")
-    balls = _count_calls(monkeypatch, SampledSpace, "ball")
+    balls = _count_calls(monkeypatch, SampledSpace, "balls")
     rows = _count_calls(monkeypatch, SampledSpace, "dist_sq_row")
     dec = decompose_from_hurewicz(space, selections, horizon, epsilons)
     # one union per stage's selection and none per certificate, which the
-    # union of its selection stage proves; no single ball and no distance row
+    # union of its selection stage proves; no ball members and no distance row
     assert len(unions) == horizon and len(dec.certificates) == horizon * 2
     assert balls == [] and rows == []
     for cert in dec.certificates.values():
