@@ -177,7 +177,7 @@ def _emit(report_doc: dict, out: str | None) -> None:
 
 
 def _families_json(families) -> list:
-    return [[jsonio.region_to_json(r) for r in fam.regions] for fam in families]
+    return [jsonio.box_family_to_json(fam.family) for fam in families]
 
 
 # -- subcommand handlers -----------------------------------------------------------

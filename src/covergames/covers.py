@@ -484,7 +484,7 @@ def _corner_verdicts(space, lo, hi, centers, radius) -> np.ndarray:
     """1 where the box with end bounds lo, hi (k, d, 2) certainly lies in
     the open ball at centers[k] with radius bounds radius[k], 0 where it
     certainly does not, -1 where floats cannot tell."""
-    c = space._icoords[centers] / float(space.scale)
+    c = space._icoords.take(centers, axis=0) / float(space.scale)
     c = np.stack([_below(c, np.abs(c)), _above(c, np.abs(c))], axis=-1)
     up, down = _diff_bounds(hi, c), _diff_bounds(c, lo)  # hi - c, c - lo
     far = np.maximum(np.maximum(up, down), 0) ** 2
@@ -878,9 +878,8 @@ def _radius_bounds(region: Box | CoClosedBalls, idx: np.ndarray, tol: float, lo,
     """
     space = region.space
     if isinstance(region, Box):
-        table = space._icoords[idx].astype(float) / float(space.scale)
         for i in range(space.coord_dim):
-            x = table[:, i]
+            x = space._icoords[idx, i] / float(space.scale)
             xl, xh = _below(x, np.abs(x)), _above(x, np.abs(x))
             if not region.lo_closed[i]:  # slack x - lo
                 bl, bh = _float_bounds(region.lo[i])

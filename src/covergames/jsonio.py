@@ -11,14 +11,15 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
+from collections import defaultdict
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import lcm
 from pathlib import Path
 
 import numpy as np
 
-from .covers import Ball, Box, CoClosedBalls, Cover, CoverSeq, OpenRegion
+from .covers import Ball, Box, BoxFamily, CoClosedBalls, Cover, CoverSeq, OpenRegion
 from .exact import InputError, format_rational, parse_rational
 from .netting import SigmaDecomposition, chain_decomposition
 from .space import MAX_DOUBLING_STAGE, SampledSpace, doubling_delta, int_table, point_dim
@@ -53,15 +54,15 @@ def dump_json(obj, path) -> None:
 DIGEST_ROWS = 1024
 
 
-def _coordinate_texts(space: SampledSpace, quote=False) -> np.ndarray:
-    """The table's coordinates as texts (JSON string literals when quote),
-    an object array of the table's shape; one text per distinct scaled
-    coordinate, as a grid has few distinct ones."""
-    values, inverse = np.unique(space._icoords.ravel(), return_inverse=True)
-    texts = [format_rational(Fraction(k, space.scale)) for k in values.tolist()]
+def _rational_texts(table: np.ndarray, den: int, quote=False) -> np.ndarray:
+    """The texts of the rationals table / den (JSON string literals when
+    quote), an object array of the table's shape; one text per distinct
+    integer, as a grid or a box family has few distinct ones."""
+    values, inverse = np.unique(table.ravel(), return_inverse=True)
+    texts = [format_rational(Fraction(k, den)) for k in values.tolist()]
     if quote:
         texts = list(map(json.dumps, texts))
-    return np.array(texts, dtype=object)[inverse.reshape(space._icoords.shape)]
+    return np.array(texts, dtype=object)[inverse.reshape(table.shape)]
 
 
 def space_to_json(space: SampledSpace) -> dict:
@@ -69,7 +70,7 @@ def space_to_json(space: SampledSpace) -> dict:
         "label": space.label,
         "metric": space.metric_kind,
         "mesh": format_rational(space.mesh),
-        "points": _coordinate_texts(space).tolist(),
+        "points": _rational_texts(space._icoords, space.scale).tolist(),
     }
 
 
@@ -82,7 +83,7 @@ def space_digest(space: SampledSpace) -> str:
     )
     # "points" sorts after the other keys
     sha = hashlib.sha256(f'{head[:-1]},"points":['.encode())
-    texts = _coordinate_texts(space, quote=True)
+    texts = _rational_texts(space._icoords, space.scale, quote=True)
     for k in range(0, space.n, DIGEST_ROWS):
         rows = zip(*texts[k : k + DIGEST_ROWS].T.tolist())
         sha.update(f'{"," if k else ""}[{"],[".join(map(",".join, rows))}]'.encode())
@@ -98,29 +99,32 @@ def space_from_json(doc: dict) -> SampledSpace:
         points = doc["points"]
         if type(points) is not list or not set(map(type, points)) <= {list}:
             raise TypeError("space points must be an array of coordinate arrays")
-        # the coordinates are read through iterators, so that no list of
-        # them joins the document in memory
-        if not set(map(type, chain.from_iterable(points))) <= {str, int}:
+        # one pass numbers the distinct coordinates in order; they are read
+        # through iterators, so that no list of them joins the document
+        codes = defaultdict(count().__next__)
+        try:
+            flat = np.fromiter(map(codes.__getitem__, chain.from_iterable(points)), np.int64)
+            # a text equals no other JSON value, but a bool or a float can hide
+            # behind an equal int before it, where only a scan of every type sees it
+            texts = set(map(type, codes)) <= {str}
+        except TypeError:  # an array or object coordinate, which the scan refuses
+            texts = False
+        if not texts and not set(map(type, chain.from_iterable(points))) <= {str, int}:
             # a bool, float, null, array or object coordinate: the first
             # one is refused, after any malformed text before it
             for c in chain.from_iterable(points):
                 parse_rational(c)
-        # each distinct coordinate, in order
-        scaled = dict.fromkeys(chain.from_iterable(points))
-        values = [parse_rational(c) for c in scaled]
+        values = [parse_rational(c) for c in codes]
         scale = lcm(*(v.denominator for v in values))
-        for c, v in zip(scaled, values):
-            scaled[c] = v.numerator * (scale // v.denominator)
         metric, mesh = doc["metric"], parse_rational(doc["mesh"])
         label = doc.get("label", "")
     except KeyError as exc:
         raise InputError(f"space JSON missing key {exc}") from exc
     dim = point_dim(metric, map(len, points))
-    # int64, or object when a value exceeds it
-    dtype = int_table(list(scaled.values())).dtype
-    flat = map(scaled.__getitem__, chain.from_iterable(points))
-    table = np.fromiter(flat, dtype, count=len(points) * dim).reshape(len(points), dim)
-    return SampledSpace.from_table(scale, table, metric, mesh, label=label)
+    # int64, or object when a value exceeds it; the codes give way to the
+    # table before the table is checked
+    flat = int_table([v.numerator * (scale // v.denominator) for v in values]).take(flat)
+    return SampledSpace.from_table(scale, flat.reshape(-1, dim), metric, mesh, label=label)
 
 
 # -- regions and covers --------------------------------------------------------------
@@ -148,6 +152,14 @@ def region_to_json(region: OpenRegion) -> dict:
         "shape": "co_closed_balls",
         "balls": [[c, format_rational(r)] for c, r in region.balls],
     }
+
+
+def box_family_to_json(family: BoxFamily) -> list:
+    """The family's open boxes as region_to_json writes them, from its
+    integer ends."""
+    d = family.lo.shape[1]
+    rows = _rational_texts(np.concatenate([family.lo, family.hi], axis=1), family.den)
+    return [{"shape": "box", "lo": r[:d], "hi": r[d:]} for r in rows.tolist()]
 
 
 def _json_index(value, what: str = "a point index") -> int:

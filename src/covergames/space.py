@@ -171,9 +171,14 @@ class SampledSpace:
     def _init_table(self, scale, table, metric_kind, mesh, label, structure) -> None:
         n = len(table)
         self.coord_dim = point_dim(metric_kind, [table.shape[1]] if n else [])
-        ranked = table[np.lexsort(table.T)]  # equal rows become neighbours
-        if np.asarray(ranked[1:] == ranked[:-1], dtype=bool).all(axis=1).any():
+        order = np.lexsort(table.T)  # equal rows become neighbours
+        same = np.ones(n - 1, dtype=bool)
+        for col in table.T:  # a column at a time, one sorted column held
+            col = col.take(order)
+            same &= col[1:] == col[:-1]
+        if same.any():
             raise InputError("point identifiers (coordinates) must be unique")
+        del order, col  # not held through the structure scan
         mesh = Fraction(mesh)
         if mesh <= 0:
             raise InputError("mesh must be positive")
@@ -183,7 +188,7 @@ class SampledSpace:
         self.n = n
         self.scale = scale
 
-        lo, hi = table.min(axis=0).tolist(), table.max(axis=0).tolist()
+        lo, hi = [int(c.min()) for c in table.T], [int(c.max()) for c in table.T]
         self.axis_min = tuple(Fraction(v, scale) for v in lo)
         self.axis_max = tuple(Fraction(v, scale) for v in hi)
         # int64 fast path only when the table fits and squared scaled
@@ -498,19 +503,15 @@ class SampledSpace:
     def box(self, bounds) -> np.ndarray:
         """Sorted indices (int32) of the points whose scaled coordinates
         satisfy gt < x_k <= le on every axis k, bounds[k] = (gt, le).  A
-        windowed table tests only the window of the first axis, which in
-        dimension one is the answer."""
-        if self.windowed:
-            idx = self.axis0_window(*bounds[0])
-            if self.coord_dim == 1:
-                return np.sort(idx)
-        else:
-            idx = np.arange(self.n, dtype=np.int32)
-        table = self._icoords[idx]
-        keep = np.ones(len(idx), dtype=bool)
-        for k, (gt, le) in enumerate(bounds):
-            keep &= np.asarray((table[:, k] > gt) & (table[:, k] <= le), dtype=bool)
-        return np.sort(idx[keep])
+        windowed table tests the window of the first axis on the other
+        axes, one column gather each (not a take of the column, which
+        would copy the whole strided column first)."""
+        idx = self.axis0_window(*bounds[0]) if self.windowed else np.arange(self.n, dtype=np.int32)
+        for k in range(int(self.windowed), self.coord_dim):
+            col = self._icoords[idx, k]
+            idx = idx[np.asarray((col > bounds[k][0]) & (col <= bounds[k][1]), dtype=bool)]
+        # a window in axis order is in index order on a grid built row by row
+        return idx if (idx[1:] > idx[:-1]).all() else np.sort(idx)
 
     def boxes(self, gt: np.ndarray, le: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR members of many boxes: box k holds the points whose scaled
@@ -894,13 +895,16 @@ def diameters_sq(space: SampledSpace, indptr: np.ndarray, indices: np.ndarray):
     counts = sizes[multi]
     at = np.zeros(len(multi) + 1, dtype=np.int64)
     np.cumsum(counts, out=at[1:])
-    points = indices[np.repeat(indptr[multi] - at[:-1], counts) + np.arange(at[-1])]
+    if len(multi) == 1:
+        points = indices[indptr[multi[0]] : indptr[multi[0] + 1]]
+    else:
+        points = indices[np.repeat(indptr[multi] - at[:-1], counts) + np.arange(at[-1])]
     if space.metric_kind == "cantor_2adic":
         bits = space._cantor_bits[points]
         differ = np.bitwise_or.reduceat(bits, at[:-1]) ^ np.bitwise_and.reduceat(bits, at[:-1])
         out[multi] = [_msb(x) ** 2 for x in differ.tolist()]
         return out
-    table = table[points]
+    table = table.take(points, axis=0)
     lo = np.minimum.reduceat(table, at[:-1], axis=0)
     hi = np.maximum.reduceat(table, at[:-1], axis=0)
     extents = hi - lo
@@ -932,9 +936,12 @@ def _opposite_corners(table: np.ndarray, lo: np.ndarray, hi: np.ndarray, at: np.
     run = np.repeat(np.arange(k), np.diff(at))
     bit = np.int64(1) << np.arange(d, dtype=np.int64)
     live = np.asarray(hi > lo, dtype=bool)
-    at_hi = np.asarray(table == hi[run], dtype=bool)
-    corner = (np.asarray(table == lo[run], dtype=bool) | at_hi).all(axis=1)
-    code = (at_hi & live[run]).astype(np.int64) @ bit
+    # column by column, each run's ends gathered to its rows by a take
+    corner, code = np.ones(len(run), dtype=bool), np.zeros(len(run), dtype=np.int64)
+    for j, col in enumerate(table.T):
+        at_hi = np.asarray(col == hi[:, j].take(run), dtype=bool)
+        corner &= at_hi | np.asarray(col == lo[:, j].take(run), dtype=bool)
+        code |= (at_hi & live[:, j].take(run)).astype(np.int64) << j
     run, code = run[corner], code[corner]
     key = (run << d) | code
     opposite = np.zeros(k, dtype=bool)

@@ -19,7 +19,10 @@ per-member diameter check in Fraction arithmetic, and the claim replay one
 point at a time.  Last come the two axis-0 searches that the cell index
 replaced: the disjointness sweep in the order of the boxes' lower ends,
 and the box query that windows the sorted first coordinates; and the
-one-ball query that the batched ball members replaced.
+one-ball query that the batched ball members replaced.  At the end stand
+the file command's fixed costs as they were: the space loader that
+type-checked every coordinate, the one-box query that gathered whole rows
+of its window, and the family report written from `Box` objects.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -56,7 +60,7 @@ from covergames.exact import (
     parse_rational,
 )
 from covergames.haver import ClaimHorizonError, ClaimTrace
-from covergames.jsonio import digest
+from covergames.jsonio import digest, region_to_json
 from covergames.screenability import (
     _cantor_level_boxes,
     _grid_params,
@@ -74,6 +78,8 @@ from covergames.space import (
     _runs,
     csr,
     diameter,
+    int_table,
+    point_dim,
 )
 
 
@@ -903,3 +909,54 @@ def window_ball(space: SampledSpace, c: int, bound: int) -> np.ndarray:
     if space.metric_kind != "cantor_2adic" and (space.coord_dim > 1 or not space.windowed):
         idx = idx[space._dist_sq_to(c, idx) <= bound]
     return np.sort(idx)
+
+
+# -- the file command's fixed costs ----------------------------------------------------
+
+
+def scan_space_from_json(doc: dict) -> SampledSpace:
+    """jsonio.space_from_json with the type of every coordinate checked:
+    the same space, or the same InputError or TypeError."""
+    try:
+        points = doc["points"]
+        if type(points) is not list or not set(map(type, points)) <= {list}:
+            raise TypeError("space points must be an array of coordinate arrays")
+        if not set(map(type, chain.from_iterable(points))) <= {str, int}:
+            # a bool, float, null, array or object coordinate: the first
+            # one is refused, after any malformed text before it
+            for c in chain.from_iterable(points):
+                parse_rational(c)
+        scaled = dict.fromkeys(chain.from_iterable(points))
+        values = [parse_rational(c) for c in scaled]
+        scale = lcm(*(v.denominator for v in values))
+        for c, v in zip(scaled, values):
+            scaled[c] = v.numerator * (scale // v.denominator)
+        metric, mesh = doc["metric"], parse_rational(doc["mesh"])
+        label = doc.get("label", "")
+    except KeyError as exc:
+        raise InputError(f"space JSON missing key {exc}") from exc
+    dim = point_dim(metric, map(len, points))
+    dtype = int_table(list(scaled.values())).dtype
+    flat = map(scaled.__getitem__, chain.from_iterable(points))
+    table = np.fromiter(flat, dtype, count=len(points) * dim).reshape(len(points), dim)
+    return SampledSpace.from_table(scale, table, metric, mesh, label=label)
+
+
+def row_box(space: SampledSpace, bounds) -> np.ndarray:
+    """SampledSpace.box by a gather of whole rows: the first-axis window's
+    rows (every row off a windowed table) tested on every axis, sorted."""
+    if space.windowed:
+        idx = space.axis0_window(*bounds[0])
+    else:
+        idx = np.arange(space.n, dtype=np.int32)
+    table = space._icoords[idx]
+    keep = np.ones(len(idx), dtype=bool)
+    for k, (gt, le) in enumerate(bounds):
+        keep &= np.asarray((table[:, k] > gt) & (table[:, k] <= le), dtype=bool)
+    return np.sort(idx[keep])
+
+
+def families_json_loop(families) -> list:
+    """The families of a report, each box built as a `Box` and written by
+    region_to_json."""
+    return [[region_to_json(r) for r in fam.regions] for fam in families]

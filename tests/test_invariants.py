@@ -260,3 +260,26 @@ def test_only_the_member_builder_queries_ball_members():
         if method and name == "ball"
     ]
     assert single == [], f"a one-ball query is defined: {single}"
+
+
+def test_box_gathers_columns():
+    # SampledSpace.box reads the coordinate table one column at a time, as
+    # table[rows, axis]: a gather of whole rows of a window costs about ten
+    # times its columns, and a take of a whole strided column copies it
+    tree = ast.parse((SRC / "space.py").read_text())
+    (box,) = [
+        item
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "SampledSpace"
+        for item in node.body
+        if isinstance(item, _FUNCTIONS) and item.name == "box"
+    ]
+    reads = [n for n in ast.walk(box) if isinstance(n, ast.Attribute) and n.attr == "_icoords"]
+    columns = [
+        n.value
+        for n in ast.walk(box)
+        if isinstance(n, ast.Subscript)
+        and isinstance(n.slice, ast.Tuple)
+        and not isinstance(n.slice.elts[-1], ast.Slice)
+    ]
+    assert reads and all(any(r is c for c in columns) for r in reads), ast.unparse(box)

@@ -20,9 +20,12 @@ assembly after the game, haver.build_haver_witness less the game and
 haver.build_stage_covers (haver_rest_s).  Then, on a fresh copy of
 the grid, it times one full farthest-point traversal (the greedy net below
 the minimum gap) and reads its step count, levels plus independence
-rounds.  Last it times the full traversal of a seeded random cloud of n
+rounds.  Then it times the full traversal of a seeded random cloud of n
 points, whose levels hold one point each: no tie to share a level, the case
-where a level step gains nothing.
+where a level step gains nothing.  Last it writes the grid's space file, as
+the benchmark's grid_files workload writes one, and times the load that
+each file command makes of it: decode, table and digest (load_s, the
+median of three loads).
 One JSON line per rung; DEN 64, 128, 256 and 512 give n = 4,225, 16,641,
 66,049 and 263,169.
 """
@@ -61,6 +64,7 @@ def rung(den: int) -> dict:
     (trav,) = space._traversals.values()
     assert len(cert.centers) == space.n
     cloud_s = cloud_traversal_s(space.n)
+    load_s = space_load_s(space)
     return {
         "n": space.n,
         "traversal_s": round(traversal_s, 3),
@@ -68,6 +72,7 @@ def rung(den: int) -> dict:
         "traversal_steps": getattr(trav, "steps", None),
         "levels": len(set(trav.radii)),
         "cloud_traversal_s": round(cloud_s, 3),
+        "load_s": round(load_s, 4),
         "demo_s": round(demo_s, 3),
         "lebesgue_s": round(probe["lebesgue_s"], 3),
         "lebesgue_exact": probe["lebesgue_exact"],
@@ -161,6 +166,25 @@ def cloud_traversal_s(n: int) -> float:
     elapsed = time.perf_counter() - t
     assert len(cert.centers) == n
     return elapsed
+
+
+def space_load_s(space) -> float:
+    """The median wall time of three loads of the space's file, each as a
+    file command makes it: the JSON decode, the space built from the
+    document and its digest."""
+    import tempfile
+
+    from covergames import jsonio
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "space.json"
+        path.write_text(json.dumps(jsonio.space_to_json(space), separators=(",", ":")))
+        times = []
+        for _ in range(3):
+            t = time.perf_counter()
+            jsonio.space_digest(jsonio.space_from_json(jsonio.load_json(path)))
+            times.append(time.perf_counter() - t)
+    return sorted(times)[1]
 
 
 def main() -> None:
