@@ -8,6 +8,7 @@ canonical (sorted keys) so identical inputs produce byte-identical outputs.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import operator
@@ -34,13 +35,19 @@ def digest(obj) -> str:
 
 
 def load_json(path) -> object:
+    """The JSON document in the file at path, decoded with the cyclic garbage
+    collector paused: the decode frees nothing for its passes to find."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def dump_json(obj, path) -> None:

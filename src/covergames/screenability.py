@@ -13,11 +13,11 @@ what keeps the search honest: a single color class can never cover a grid
 sample (the face at h/2 separates the points 0 and h), which is exactly the
 dimension-theoretic behavior the construction is meant to exhibit.  Past
 the 64 refutations it reports, the finite-C search refutes a candidate
-whose classes miss a point from the point-cell table alone.  Covers
-strictly finer than the sample resolution admit no such brick grid; the game
-pipelines then fall back to point-isolating boxes (a finite sample is
-honestly zero-dimensional at sub-resolution scales), but the public
-refinement operations never do.
+whose classes miss a point from the residues of the cells each axis holds
+at its side alone.  Covers strictly finer than the sample resolution
+admit no such brick grid; the game pipelines then fall back to
+point-isolating boxes (a finite sample is honestly zero-dimensional at
+sub-resolution scales), but the public refinement operations never do.
 
 Cantor samples use level boxes instead: fattened hulls of the surviving
 level-L interval groups, one class, gaps at least a removed middle third.
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
-from math import lcm
+from math import ceil, lcm
 
 import numpy as np
 
@@ -75,13 +74,10 @@ def _screen_dim(space: SampledSpace) -> int:
     return d
 
 
-def admissible_cell_sides(space: SampledSpace, below: Fraction) -> list[Fraction]:
-    """Whole-h cell sides strictly below the given bound, largest first."""
-    _, h = _grid_params(space)
-    m = -((-below.numerator * h.denominator) // (below.denominator * h.numerator))
-    m -= 1  # largest m with m*h < below
-    top = max(0, m)
-    return [h * k for k in range(top, 0, -1)]
+def _cell_multiple(space: SampledSpace, below: Fraction) -> int:
+    """The largest whole m with cell side m*h strictly below the given
+    bound, or 0 when there is none."""
+    return max(0, ceil(below / _grid_params(space)[1]) - 1)
 
 
 def build_brick_grid(space: SampledSpace, cell_side: Fraction) -> tuple[BoxFamily, ...]:
@@ -301,8 +297,8 @@ def _block(
     try:
         if not isinstance(space.structure, GridStructure):
             blk = (_cantor_level_family(space, block[0], lams[0]),), False
-        elif sides := admissible_cell_sides(space, min(lams) / (2 * d)):
-            grid = build_brick_grid(space, sides[0])
+        elif m := _cell_multiple(space, min(lams) / (2 * d)):
+            grid = build_brick_grid(space, m * space.structure.h)
             blk = tuple(map(_witness_class, grid, block, lams)), False
             if hi - lo == d:
                 _assert_jointly_cover(space, blk[0])
@@ -393,7 +389,8 @@ def finite_c_search(
     refutations, each the lowest sample point the kept boxes miss.  Past
     those 64, a candidate whose unfiltered classes for stages 1..n miss a
     point is refuted by that alone (the kept boxes are some of the class
-    boxes), with no containment test and no brick layout.
+    boxes), as per-axis cell residues show, with no containment test, no
+    brick layout and no point visited.
     """
     covers.validate()
     d = _screen_dim(space)
@@ -417,29 +414,37 @@ def finite_c_search(
     )
 
 
-def _candidates(space: SampledSpace, horizon_extent: Fraction):
-    """All brick candidates at the working resolution, in scan order:
-    (label, held, grid, order).  grid() lays out the classes (a grid side's
-    once for all its rotations), the candidate's j-th class is
-    grid()[order[j]], and held[j] masks the points that class holds before
-    any filtering: a grid point is in class c unless (cell - c) mod (d+1)
-    == d on some axis."""
+def _candidates(space: SampledSpace, horizon_extent: Fraction, n: int):
+    """All brick candidates at the working resolution, in scan order, as
+    (misses, candidate): candidate() gives the label and class list (a
+    side's layout is built once, when first tested), and misses says that
+    the unfiltered classes for stages 1..n leave a point out.  At side m*h
+    every axis of the full grid holds exactly the cells -1 .. (2N-1)//(2m),
+    N = 1/h, and class c leaves out the points with some cell = c-1 mod d+1,
+    so a class set S misses a point iff |S| <= d and each (c-1) mod (d+1),
+    c in S, is among those cells.  A Cantor level family holds every point."""
     if isinstance(space.structure, GridStructure):
         d, h = _grid_params(space)
         period = d + 1
-        for s in reversed(admissible_cell_sides(space, horizon_extent)):
-            r = _brick_cells(space, int(s / h)) % period
-            held = np.stack([(r != (c - 1) % period).all(axis=1) for c in range(period)])
-            grid = cache(partial(build_brick_grid, space, s))
+        # under rotation rot, stage j+1 takes class (rot + j) mod (d+1)
+        needs = [{(rot + j - 1) % period for j in range(n)} for rot in range(period)]
+        for m in range(1, _cell_multiple(space, horizon_extent) + 1):
+            cells = range(-1, (2 * int(1 / h) - 1) // (2 * m) + 1)
+            present = {c % period for c in cells[:period]}
+            layout = []  # the side's classes, once one rotation is tested
             for rot in range(period):
-                order = [(c + rot) % period for c in range(period)]
-                yield f"side={s},rot={rot}", held[order], grid, order
+
+                def candidate(m=m, rot=rot, layout=layout):
+                    if not layout:
+                        layout.extend(build_brick_grid(space, m * h))
+                    return f"side={m * h},rot={rot}", layout[rot:] + layout[:rot]
+
+                yield n <= d and needs[rot] <= present, candidate
     elif isinstance(space.structure, CantorStructure):
         for L in range(space.structure.depth + 1):
-            family = _cantor_level_boxes(space, L, Fraction(1, 4 * 3**L))
-            held = np.zeros((1, space.n), dtype=bool)
-            held[0, family.indices] = True
-            yield f"level={L}", held, lambda f=family: (f,), [0]
+            yield False, lambda L=L: (
+                f"level={L}", [_cantor_level_boxes(space, L, Fraction(1, 4 * 3**L))]
+            )
 
 
 def _max_element_extent(covers: CoverSeq) -> Fraction:
@@ -467,12 +472,11 @@ def _scan_candidates(
     counted)."""
     n = prefix.horizon
     tried = 0
-    extent = _max_element_extent(prefix)
-    for label, held, grid, order in _candidates(space, extent):
+    for misses, candidate in _candidates(space, _max_element_extent(prefix), n):
         tried += 1
-        if len(refutations) >= _REFUTATIONS_KEPT and not held[:n].any(axis=0).all():
+        if misses and len(refutations) >= _REFUTATIONS_KEPT:
             continue
-        classes = [grid()[c] for c in order]
+        label, classes = candidate()
         staged = []  # (class, indices of the boxes kept, their parents)
         union = np.zeros(space.n, dtype=bool)
         for stage in range(1, n + 1):

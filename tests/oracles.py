@@ -62,10 +62,10 @@ from covergames.exact import (
 from covergames.haver import ClaimHorizonError, ClaimTrace
 from covergames.jsonio import digest, region_to_json
 from covergames.screenability import (
+    _brick_cells,
     _cantor_level_boxes,
     _grid_params,
     _max_element_extent,
-    admissible_cell_sides,
     build_brick_grid,
 )
 from covergames.space import (
@@ -359,6 +359,27 @@ def containers_oracle(boxes, cover: Cover, candidates=None, sample=True):
 
 
 # -- the finite-C candidate scan ----------------------------------------------------
+
+
+def admissible_cell_sides(space: SampledSpace, below: Fraction) -> list[Fraction]:
+    """Whole-h cell sides strictly below the given bound, largest first."""
+    _, h = _grid_params(space)
+    sides = []
+    while h * (len(sides) + 1) < below:
+        sides.append(h * (len(sides) + 1))
+    return sides[::-1]
+
+
+def classes_miss_a_point(space: SampledSpace, m: int, order, n: int) -> bool:
+    """Whether the unfiltered classes order[0], ..., order[n-1] (cycling) of
+    the brick grid at cell side m*h leave a sample point out, from the
+    point-cell table: a grid point is in class c unless (cell - c) mod
+    (d+1) == d on some axis."""
+    d, _ = _grid_params(space)
+    period = d + 1
+    r = _brick_cells(space, m) % period
+    held = np.stack([(r != (c - 1) % period).all(axis=1) for c in range(period)])
+    return not held[order][:n].any(axis=0).all()
 
 
 def _candidate_class_lists(space: SampledSpace, horizon_extent: Fraction):

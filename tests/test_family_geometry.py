@@ -667,21 +667,49 @@ def test_fincspace_decides_box_pairs_in_integers(monkeypatch, tmp_path):
 
 
 def test_fincspace_refutes_from_the_unfiltered_classes(monkeypatch, tmp_path):
-    # the same scan: all 2,814 candidates at n = 1 are refuted, and past the
-    # 64 refutations a report carries none needs a containment test or a
-    # brick layout
+    # the same scan at two seeds: every candidate at n = 1 is refuted, and
+    # past the 64 refutations a report carries none needs a containment
+    # test, a brick layout or a point-cell table; the sides are integer
+    # multiples of h, with no list of Fraction sides (3 calls per search of
+    # admissible_cell_sides when there was one)
     sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    argv = dict(workloads.build("line_search", 1305, tmp_path))["fincspace"]
-    decided = _count_calls(monkeypatch, screenability, "containers")
-    laid_out = _count_calls(monkeypatch, screenability, "build_brick_grid")
-    code, doc = run(argv)
-    assert code == 0 and doc["result"]["n"] == 2
-    # 2,814 and 1,409 when every candidate was laid out and tested
-    assert len(decided) <= 100 and len(laid_out) <= 64
+    assert not hasattr(screenability, "admissible_cell_sides")
+    for seed, candidates in ((1305, 2814), (1, 2750)):
+        argv = dict(workloads.build("line_search", seed, tmp_path))["fincspace"]
+        scanning, tried, laid_out = [], [], []
+        scan, layout = screenability._scan_candidates, screenability.build_brick_grid
+
+        def counted_scan(*args):
+            scanning.append(True)
+            try:
+                found, count = scan(*args)
+            finally:
+                scanning.pop()
+            tried.append(count)
+            return found, count
+
+        def counted_layout(*args):
+            laid_out.append(bool(scanning))
+            return layout(*args)
+
+        monkeypatch.setattr(screenability, "_scan_candidates", counted_scan)
+        monkeypatch.setattr(screenability, "build_brick_grid", counted_layout)
+        decided = _count_calls(monkeypatch, screenability, "containers")
+        tables = _count_calls(monkeypatch, screenability, "_brick_cells")
+        code, doc = run(argv)
+        monkeypatch.undo()
+        assert code == 0 and doc["result"]["n"] == 2
+        assert tried == [candidates] and len(decided) == 64
+        # 32 sides in the scan, both rotations of each tried, and one
+        # block at each of n = 1, 2
+        assert laid_out.count(True) == 32 and laid_out.count(False) == 2
+        # one point-cell table per layout: 1,441 and 1,409 when every
+        # side built one for the prefilter
+        assert len(tables) == 34
 
 
 def test_golden_refine_sweeps_each_family_once(monkeypatch):

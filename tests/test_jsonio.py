@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 from fractions import Fraction as F
 from pathlib import Path
@@ -282,6 +283,22 @@ class TestCoverAndChainFiles:
         p.write_text("{not json")
         with pytest.raises(InputError):
             jsonio.load_json(p)
+
+    def test_load_leaves_the_collector_as_it_found_it(self, tmp_path):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text('{"points": [["0"], ["1/2"]]}')
+        bad.write_text("{not json")
+        was = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                assert jsonio.load_json(good) == {"points": [["0"], ["1/2"]]}
+                assert gc.isenabled() is enabled
+                with pytest.raises(InputError, match="malformed JSON"):
+                    jsonio.load_json(bad)
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestCanonical:

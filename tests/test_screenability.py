@@ -27,9 +27,10 @@ from covergames.screenability import (
     NoWitnessAtHorizon,
     ResolutionError,
     _block,
+    _candidates,
     _cantor_level_boxes,
     _cantor_level_family,
-    admissible_cell_sides,
+    _cell_multiple,
     brick_refinement,
     build_brick_grid,
     finite_c_search,
@@ -132,8 +133,7 @@ class TestBrickGrid:
         assert len(families) == 2
         assert_valid_refinement(s, cover, families)
         # lambda = 1/10 so cell sides sit below 1/20
-        sides = admissible_cell_sides(s, F(1, 20))
-        assert sides[0] == F(3, 64)
+        assert _cell_multiple(s, F(1, 20)) == 3  # side 3/64
 
     def test_square_three_families(self, square_8):
         s = square_8
@@ -413,6 +413,34 @@ def test_scan_matches_the_full_scan(case, recorded):
             found = None if found is None else finite_c_value(FiniteCWitness(n, found))
             answers.append((found, tried, refutations[:64]))
         assert answers[0] == answers[1]
+
+
+@pytest.mark.parametrize(
+    "dim, den", [(1, 2), (1, 3), (1, 7), (1, 16), (2, 2), (2, 3), (2, 8), (3, 2), (3, 3), (3, 4)]
+)
+def test_residue_rule_matches_the_point_cell_table(dim, den):
+    """Every candidate's misses flag, at every side up to past the sample's
+    width (where fewer than d+1 cells, and so some residues, remain on an
+    axis) and every n in 1..d+2, is the point-cell table's answer; the
+    sides are the whole-h sides below the extent."""
+    s = build_grid_space(dim, F(1, den))
+    period = dim + 1
+    extent = F(den + 3, den)  # sides h .. (den + 2) * h
+    sides = oracles.admissible_cell_sides(s, extent)
+    assert _cell_multiple(s, extent) == len(sides) == den + 2
+    for below in (F(1, 3 * den), s.structure.h, F(5, 2 * den)):
+        assert _cell_multiple(s, below) == len(oracles.admissible_cell_sides(s, below))
+    flags = set()
+    for n in range(1, dim + 3):
+        got = [misses for misses, _ in _candidates(s, extent, n)]
+        want = [
+            oracles.classes_miss_a_point(s, m, [(c + rot) % period for c in range(period)], n)
+            for m in range(1, len(sides) + 1)
+            for rot in range(period)
+        ]
+        assert got == want, n
+        flags.update(want)
+    assert flags == {False, True}
 
 
 def cantor_level_boxes_loop(space, level, gamma):
