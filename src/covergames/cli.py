@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 import time
@@ -118,23 +119,32 @@ class Report:
         return all(c["pass"] for c in self.doc["checks"])
 
 
-def _parsed(name: str, spec: str, parse, *args):
-    """parse(*args), turning a malformed document into an input error that
-    names the input."""
+def _parsed(name: str, spec: str, parse):
+    """parse(doc) of the JSON document in the file spec, turning a
+    malformed document into an input error that names the input.  The
+    cyclic collector is paused from the decode until the document is
+    dropped: gc.disable() keeps the count of new containers, so the first
+    one made after a pause of the decode alone starts a collection that
+    walks every array of the live document, while the document's release
+    brings the count back down."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return parse(*args)
+        return parse(jsonio.load_json(spec))
     except InputError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed {name} input {spec}: {exc!r}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load_space(spec: str, cfg: RunConfig, builtin_only: bool) -> SampledSpace:
     if builtin_only or spec in builtin_names():
         space = builtin_space(spec)
     else:
-        doc = jsonio.load_json(spec)
-        space = _parsed("space", spec, jsonio.space_from_json, doc)
+        space = _parsed("space", spec, jsonio.space_from_json)
     if space.n > cfg.point_cap:
         raise ResourceError(f"space has {space.n} points, cap is {cfg.point_cap}")
     return space
@@ -162,9 +172,12 @@ def _load_inputs(args, cfg: RunConfig, report: Report) -> list:
             report.add_input("space", jsonio.space_digest(space))
             loaded.append(space)
             continue
-        doc = jsonio.load_json(spec)
-        report.add_input(name, jsonio.digest(doc))
-        loaded.append(_parsed(name, spec, _PARSERS[name], space, doc))
+
+        def parse(doc, name=name):
+            report.add_input(name, jsonio.digest(doc))
+            return _PARSERS[name](space, doc)
+
+        loaded.append(_parsed(name, spec, parse))
     return loaded
 
 

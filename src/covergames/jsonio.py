@@ -8,14 +8,12 @@ canonical (sorted keys) so identical inputs produce byte-identical outputs.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import operator
 from collections import defaultdict
-from fractions import Fraction
 from itertools import chain, count
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import numpy as np
@@ -35,19 +33,13 @@ def digest(obj) -> str:
 
 
 def load_json(path) -> object:
-    """The JSON document in the file at path, decoded with the cyclic garbage
-    collector paused: the decode frees nothing for its passes to find."""
-    enabled = gc.isenabled()
-    gc.disable()
+    """The JSON document in the file at path."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def dump_json(obj, path) -> None:
@@ -61,15 +53,37 @@ def dump_json(obj, path) -> None:
 DIGEST_ROWS = 1024
 
 
-def _rational_texts(table: np.ndarray, den: int, quote=False) -> np.ndarray:
-    """The texts of the rationals table / den (JSON string literals when
-    quote), an object array of the table's shape; one text per distinct
-    integer, as a grid or a box family has few distinct ones."""
-    values, inverse = np.unique(table.ravel(), return_inverse=True)
-    texts = [format_rational(Fraction(k, den)) for k in values.tolist()]
-    if quote:
-        texts = list(map(json.dumps, texts))
-    return np.array(texts, dtype=object)[inverse.reshape(table.shape)]
+def _distinct(table: np.ndarray) -> tuple[list, np.ndarray]:
+    """The table's distinct integers in increasing order, and the index of
+    each entry among them, in the table's shape.  An int64 table whose
+    values span at most a few times its size numbers them through a mask
+    of the span; any other table sorts them."""
+    flat = table.ravel()
+    if table.dtype == np.int64 and flat.size:
+        lo = int(flat.min())
+        span = int(flat.max()) - lo + 1
+        if span <= 4 * flat.size:
+            offsets = flat - lo
+            present = np.zeros(span, dtype=bool)
+            present[offsets] = True
+            rank = np.cumsum(present) - 1
+            values = (np.flatnonzero(present) + lo).tolist()
+            return values, rank[offsets].reshape(table.shape)
+    values, inverse = np.unique(flat, return_inverse=True)
+    return values.tolist(), inverse.reshape(table.shape)
+
+
+def _rational_texts(values: list, den: int) -> list[str]:
+    """format_rational(Fraction(k, den)) of each integer k, for den > 0."""
+    return [f"{k // g}/{den // g}" for k in values for g in (gcd(k, den),)]
+
+
+def _table_texts(table: np.ndarray, den: int) -> np.ndarray:
+    """The texts of the rationals table / den, an object array of the
+    table's shape; one text per distinct integer, as a grid or a box family
+    has few distinct ones."""
+    values, inverse = _distinct(table)
+    return np.array(_rational_texts(values, den), dtype=object)[inverse]
 
 
 def space_to_json(space: SampledSpace) -> dict:
@@ -77,23 +91,32 @@ def space_to_json(space: SampledSpace) -> dict:
         "label": space.label,
         "metric": space.metric_kind,
         "mesh": format_rational(space.mesh),
-        "points": _rational_texts(space._icoords, space.scale).tolist(),
+        "points": _table_texts(space._icoords, space.scale).tolist(),
     }
 
 
 def space_digest(space: SampledSpace) -> str:
     """digest(space_to_json(space)), hashing the canonical text as it is
-    joined, DIGEST_ROWS points at a time, from their quoted texts, with no
-    document in between."""
+    joined, DIGEST_ROWS points at a time, with no document in between.
+    Column j reads its texts from table j of one quoted text per distinct
+    value, the first table's texts opening the point's array and the last
+    one's closing it, so that a block of points is one join of its
+    entries."""
     head = canonical_json(
         {"label": space.label, "metric": space.metric_kind, "mesh": format_rational(space.mesh)}
     )
     # "points" sorts after the other keys
     sha = hashlib.sha256(f'{head[:-1]},"points":['.encode())
-    texts = _rational_texts(space._icoords, space.scale, quote=True)
+    values, inverse = _distinct(space._icoords)
+    rationals = _rational_texts(values, space.scale)
+    d = inverse.shape[1]
+    ends = zip(["["] + [""] * (d - 1), [""] * (d - 1) + ["]"])
+    texts = np.array([f'{a}"{t}"{b}' for a, b in ends for t in rationals], dtype=object)
+    # column j's entries index table j
+    inverse += np.arange(0, d * len(values), len(values))
     for k in range(0, space.n, DIGEST_ROWS):
-        rows = zip(*texts[k : k + DIGEST_ROWS].T.tolist())
-        sha.update(f'{"," if k else ""}[{"],[".join(map(",".join, rows))}]'.encode())
+        block = ",".join(texts.take(inverse[k : k + DIGEST_ROWS].ravel()).tolist())
+        sha.update(f'{"," if k else ""}{block}'.encode())
     sha.update(b"]}")
     return sha.hexdigest()[:16]
 
@@ -165,7 +188,7 @@ def box_family_to_json(family: BoxFamily) -> list:
     """The family's open boxes as region_to_json writes them, from its
     integer ends."""
     d = family.lo.shape[1]
-    rows = _rational_texts(np.concatenate([family.lo, family.hi], axis=1), family.den)
+    rows = _table_texts(np.concatenate([family.lo, family.hi], axis=1), family.den)
     return [{"shape": "box", "lo": r[:d], "hi": r[d:]} for r in rows.tolist()]
 
 

@@ -22,12 +22,15 @@ and the box query that windows the sorted first coordinates; and the
 one-ball query that the batched ball members replaced.  At the end stand
 the file command's fixed costs as they were: the space loader that
 type-checked every coordinate, the one-box query that gathered whole rows
-of its window, and the family report written from `Box` objects.
+of its window, and the family report written from `Box` objects, and
+the space digest that joined each point's quoted texts on its own.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import json
 import math
 from fractions import Fraction
 from itertools import chain
@@ -60,7 +63,7 @@ from covergames.exact import (
     parse_rational,
 )
 from covergames.haver import ClaimHorizonError, ClaimTrace
-from covergames.jsonio import digest, region_to_json
+from covergames.jsonio import DIGEST_ROWS, canonical_json, digest, region_to_json
 from covergames.screenability import (
     _brick_cells,
     _cantor_level_boxes,
@@ -654,20 +657,22 @@ def lebesgue_oracle(cover: Cover) -> Fraction:
     return lam
 
 
-def argmax_oracle(cover: Cover, p: int, lam: Fraction) -> int:
+def argmax_oracle(cover: Cover, p: int, lam: Fraction, masks, bounds) -> int:
     """The lowest region index whose containment radius bound at p reaches
-    lam, checking every region."""
+    lam, checking every region.  masks are the regions' dense masks
+    (mask_oracle) and bounds their bounds at p at the tolerance
+    mesh / 2**20; finer tolerances are tried while no bound reaches lam."""
     space = cover.space
-    masks = [mask_oracle(r) for r in cover.regions]
     tol = space.mesh / 2**20
     while True:
-        for ridx, region in enumerate(cover.regions):
-            if not masks[ridx][p]:
-                continue
-            cr = covers_module._containment_radius_lb(region, p, tol)
-            if cr is not None and cr >= lam:
+        for ridx, cr in enumerate(bounds):
+            if masks[ridx][p] and cr is not None and cr >= lam:
                 return ridx
         tol = covers_module._finer_tolerance(space, p, tol)
+        bounds = [
+            covers_module._containment_radius_lb(region, p, tol) if mask[p] else None
+            for region, mask in zip(cover.regions, masks)
+        ]
 
 
 def _table_row(table, p: int):
@@ -981,3 +986,21 @@ def families_json_loop(families) -> list:
     """The families of a report, each box built as a `Box` and written by
     region_to_json."""
     return [[region_to_json(r) for r in fam.regions] for fam in families]
+
+
+def space_digest_oracle(space: SampledSpace, rows: int = DIGEST_ROWS) -> str:
+    """jsonio.space_digest as the quoted-join writer made it: the distinct
+    values sorted, each written through a Fraction and json.dumps, and one
+    join per point, rows points at a time."""
+    head = canonical_json(
+        {"label": space.label, "metric": space.metric_kind, "mesh": format_rational(space.mesh)}
+    )
+    sha = hashlib.sha256(f'{head[:-1]},"points":['.encode())
+    values, inverse = np.unique(space._icoords.ravel(), return_inverse=True)
+    texts = [json.dumps(format_rational(Fraction(k, space.scale))) for k in values.tolist()]
+    texts = np.array(texts, dtype=object)[inverse.reshape(space._icoords.shape)]
+    for k in range(0, space.n, rows):
+        points = zip(*texts[k : k + rows].T.tolist())
+        sha.update(f'{"," if k else ""}[{"],[".join(map(",".join, points))}]'.encode())
+    sha.update(b"]}")
+    return sha.hexdigest()[:16]

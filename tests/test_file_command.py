@@ -13,6 +13,7 @@ and documents must be identical.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from fractions import Fraction as F
@@ -118,7 +119,7 @@ def test_refused_space_exits_2_as_the_scanning_loader_did(tmp_path, points):
     doc = _doc(points)
     Path(path).write_text(json.dumps(doc))
     with pytest.raises(InputError) as want:
-        cli._parsed("space", path, scan_space_from_json, doc)
+        cli._parsed("space", path, scan_space_from_json)
     code, report = cli.run(["net", "--space", path, "--epsilon", "1/2"])
     assert code == 2
     assert report["checks"][-1] == {"name": "input", "pass": False, "error": str(want.value)}
@@ -147,6 +148,39 @@ def test_text_space_file_checks_each_distinct_coordinate_once(monkeypatch, tmp_p
     # an int coordinate may hide a bool or a float: the scan runs, once
     doc["points"][0] = [0, 0]
     assert _type_checks(monkeypatch, doc) == 1 + n + (distinct + 1) + 2 * n
+
+
+def test_space_load_runs_no_collection_over_its_document(monkeypatch, tmp_path):
+    # the collector stays paused until the 16,641 decoded point arrays are
+    # dropped: no collection walks them (11 per workload pass, all inside
+    # the space parse, when only the decode was paused)
+    argv = _workload("grid_files", tmp_path)["check:hurewicz:0"]
+    loading, collections = [], []
+    load_space = cli._load_space
+
+    def timed_load(*args, **kwargs):
+        loading.append(True)
+        try:
+            return load_space(*args, **kwargs)
+        finally:
+            loading.pop()
+
+    def counted(phase, info):
+        if phase == "start" and loading:
+            collections.append(info["generation"])
+
+    monkeypatch.setattr(cli, "_load_space", timed_load)
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(counted)
+    try:
+        code, report = cli.run(argv)
+    finally:
+        gc.callbacks.remove(counted)
+        (gc.enable if was else gc.disable)()
+    assert code in (0, 1) and report["inputs"]["space"]
+    assert collections == []
 
 
 # -- the one-box query ----------------------------------------------------------------

@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import gc
 import itertools
+import json
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covergames import jsonio
+from covergames import cli, jsonio
 from covergames.covers import Ball, Box, CoClosedBalls, Cover, CoverSeq
 from covergames.exact import InputError, parse_rational
 from covergames.netting import chain_decomposition
@@ -18,8 +21,9 @@ from covergames.space import (
     build_cantor_2adic_space,
     build_cantor_space,
     build_grid_space,
+    build_single_point_space,
 )
-from oracles import cantor_points, space_from_json_oracle
+from oracles import cantor_points, space_digest_oracle, space_from_json_oracle
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
@@ -284,19 +288,35 @@ class TestCoverAndChainFiles:
         with pytest.raises(InputError):
             jsonio.load_json(p)
 
-    def test_load_leaves_the_collector_as_it_found_it(self, tmp_path):
-        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-        good.write_text('{"points": [["0"], ["1/2"]]}')
-        bad.write_text("{not json")
+    @pytest.mark.parametrize(
+        "space,cover,code",
+        [
+            (None, None, 0),
+            ("{not json", None, 2),
+            ({"metric": "euclidean", "mesh": "1/16", "points": [["0"], ["1/0"]]}, None, 2),
+            ({"metric": "euclidean", "points": [["0"], ["1/2"]]}, None, 2),
+            (None, {"space": "grid1d_h8"}, 2),
+        ],
+        ids=["loads", "malformed_json", "bad_coordinate", "space_without_mesh",
+             "cover_without_regions"],
+    )
+    def test_file_load_leaves_the_collector_as_it_found_it(self, tmp_path, space, cover, code):
+        # the file command pauses the collector over each input document
+        # and restores it, whether the load succeeds or exits 2
+        paths = []
+        for name, doc in (("space", space), ("cover", cover)):
+            path = GOLDEN_INPUTS / f"{name}.json"
+            if doc is not None:
+                path = tmp_path / f"{name}.json"
+                path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            paths += [f"--{name}", str(path)]
         was = gc.isenabled()
         try:
             for enabled in (True, False):
                 (gc.enable if enabled else gc.disable)()
-                assert jsonio.load_json(good) == {"points": [["0"], ["1/2"]]}
+                got, report = cli.run(["refine", *paths])
                 assert gc.isenabled() is enabled
-                with pytest.raises(InputError, match="malformed JSON"):
-                    jsonio.load_json(bad)
-                assert gc.isenabled() is enabled
+                assert got == code, report["checks"][-1]
         finally:
             (gc.enable if was else gc.disable)()
 
@@ -308,34 +328,97 @@ class TestCanonical:
         assert a == b
 
 
-def _file_space(tmp_path) -> SampledSpace:
-    """A 3-D chebyshev space loaded from a file, with mixed denominators,
-    negative coordinates and a label that JSON escapes."""
+def _file_space(tmp_path, points=None) -> SampledSpace:
+    """A space loaded from a file: by default 3-D chebyshev, with mixed
+    denominators, negative coordinates and a label that JSON escapes."""
     doc = {
         "label": 'ü "x" \\ \n\t ✓',
         "metric": "chebyshev",
         "mesh": "1/9",
-        "points": [["-1/3", "5/7", "2"], ["0", "-0", "1/2"], ["7/3", "-5/7", "1"]],
+        "points": points or [["-1/3", "5/7", "2"], ["0", "-0", "1/2"], ["7/3", "-5/7", "1"]],
     }
     path = tmp_path / "space.json"
     jsonio.dump_json(doc, path)
     return jsonio.space_from_json(jsonio.load_json(path))
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda tmp: build_grid_space(2, F(1, 32)),
-        lambda tmp: build_grid_space(3, F(1, 4), "chebyshev", label="grid \"3d\""),
-        lambda tmp: build_cantor_space(6),
-        lambda tmp: build_cantor_2adic_space(5),
-        lambda tmp: SampledSpace([(F(2**70, 3),), (F(-1, 2),)], "euclidean", F(1, 4)),
-        _file_space,
-    ],
-)
+def _line(n: int) -> SampledSpace:
+    """n points k/n of the line, from k = -2."""
+    table = np.arange(-2, n - 2, dtype=np.int64).reshape(-1, 1)
+    return SampledSpace.from_table(n, table, "euclidean", F(1, 2 * n))
+
+
+# name -> the space, made in a temporary directory
+DIGEST_SPACES = {
+    # int64 tables whose values span a few times their size
+    "grid_2d": lambda tmp: build_grid_space(2, F(1, 32)),
+    "grid_3d": lambda tmp: build_grid_space(3, F(1, 4), "chebyshev", label="grid \"3d\""),
+    "negative_2d": lambda tmp: SampledSpace.from_table(
+        6, np.array([(i, j) for i in range(-5, 3) for j in range(-9, 4)]), "euclidean", F(1, 12)
+    ),
+    "single_point": lambda tmp: build_single_point_space(),
+    "cantor": lambda tmp: build_cantor_space(6),
+    "cantor_2adic": lambda tmp: build_cantor_2adic_space(5),
+    # an int64 table whose values span far more than its size
+    "wide_int64": lambda tmp: SampledSpace(
+        [(F(2**40),), (F(-3, 7),), (F(0),)], "euclidean", F(1, 4)
+    ),
+    "past_int64": lambda tmp: SampledSpace([(F(2**70, 3),), (F(-1, 2),)], "euclidean", F(1, 4)),
+    "file": _file_space,
+    "unreduced_file": lambda tmp: _file_space(
+        tmp, [["2/4", "-3/6", "4/2"], ["0/5", "6/9", "-10/4"], ["1", "2/4", "-0/3"]]
+    ),
+    **{f"line_{n}": lambda tmp, n=n: _line(n) for n in (1023, 1024, 1025)},
+}
+
+
+@pytest.mark.parametrize("name", DIGEST_SPACES)
 @pytest.mark.parametrize("rows", [1, 7, jsonio.DIGEST_ROWS])
-def test_space_digest_is_the_document_digest(monkeypatch, tmp_path, make, rows):
-    # the 33 x 33 grid is one full batch of DIGEST_ROWS points and a part
+def test_space_digest_is_the_document_digest(monkeypatch, tmp_path, name, rows):
+    # the 33 x 33 grid is one full batch of DIGEST_ROWS points and a part;
+    # the lines are one point short of a batch, a batch, and one point past it
+    space = DIGEST_SPACES[name](tmp_path)
+    want = jsonio.digest(jsonio.space_to_json(space))
+    assert space_digest_oracle(space) == want
     monkeypatch.setattr(jsonio, "DIGEST_ROWS", rows)
-    space = make(tmp_path)
-    assert jsonio.space_digest(space) == jsonio.digest(jsonio.space_to_json(space))
+    assert jsonio.space_digest(space) == want
+
+
+@pytest.mark.parametrize(
+    "name,masked",
+    [("grid_2d", True), ("negative_2d", True), ("wide_int64", False), ("past_int64", False)],
+)
+def test_distinct_values_are_the_sorted_ones(tmp_path, name, masked):
+    table = DIGEST_SPACES[name](tmp_path)._icoords
+    values, inverse = jsonio._distinct(table)
+    want, where = np.unique(table, return_inverse=True)
+    assert values == want.tolist() and np.array_equal(inverse, where.reshape(table.shape))
+    # numbered through a mask of the span, or sorted: a span far wider than
+    # the table, or an object table
+    span = int(table.max()) - int(table.min()) + 1
+    assert (table.dtype == np.int64 and span <= 4 * table.size) is masked
+
+
+def _fraction_calls(run) -> int:
+    """The Fraction constructions while run() runs."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is F.__new__.__code__:
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", ["grid_2d", "cantor", "line_1025"])
+def test_int64_digest_builds_no_fraction(tmp_path, name):
+    space = DIGEST_SPACES[name](tmp_path)
+    assert space._icoords.dtype == np.int64
+    assert _fraction_calls(lambda: jsonio.space_digest(space)) == 0
+    # the probe sees the constructions of the writer it replaced
+    assert _fraction_calls(lambda: space_digest_oracle(space)) > 0

@@ -632,6 +632,7 @@ def test_lebesgue_number_and_argmax_match_the_per_point_loops(name, shape, seed)
     assert lebesgue_number(cover) is cover._lebesgue
     # argmax at lambda, below it, and at each bound at p itself, where a
     # region reaches the radius with equality
+    masks = [mask_oracle(r) for r in cover.regions]
     tol = space.mesh / 2**20
     for p in range(space.n):
         bounds = [
@@ -639,7 +640,7 @@ def test_lebesgue_number_and_argmax_match_the_per_point_loops(name, shape, seed)
         ]
         radii = {lam, lam / 3} | {b for b in bounds if b is not None and b > 0}
         for radius in sorted(radii):
-            want = argmax_oracle(_fresh(cover), p, radius)
+            want = argmax_oracle(cover, p, radius, masks, bounds)
             assert lebesgue_argmax_regions(cover, np.array([p]), radius).tolist() == [want]
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 from unittest import mock
 
@@ -500,5 +501,6 @@ def test_cantor_level_family_is_built_at_every_positive_lebesgue_number(depth, a
     assert len(family) == 2**level and 0 <= level <= depth
     assert family.parent is cover and family.witness == (0,) * len(family)
     assert union_mask(space, family.regions).all()
+    column = sorted(p for (p,) in space.points)
     for box in family.regions:  # inside the Lebesgue ball of its leftmost point
-        assert box.hi[0] - min(p for (p,) in space.points if box.lo[0] < p) < lam
+        assert box.hi[0] - column[bisect_right(column, box.lo[0])] < lam

@@ -24,8 +24,9 @@ rounds.  Then it times the full traversal of a seeded random cloud of n
 points, whose levels hold one point each: no tie to share a level, the case
 where a level step gains nothing.  Last it writes the grid's space file, as
 the benchmark's grid_files workload writes one, and times the load that
-each file command makes of it: decode, table and digest (load_s, the
-median of three loads).
+each file command makes of it: decode, table and digest, through the
+command's own loader and its collector pause (load_s, the median of three
+loads).
 One JSON line per rung; DEN 64, 128, 256 and 512 give n = 4,225, 16,641,
 66,049 and 263,169.
 """
@@ -170,11 +171,12 @@ def cloud_traversal_s(n: int) -> float:
 
 def space_load_s(space) -> float:
     """The median wall time of three loads of the space's file, each as a
-    file command makes it: the JSON decode, the space built from the
-    document and its digest."""
+    file command makes it: cli._load_space (the JSON decode and the space
+    built from the document, with the file command's collector pause) and
+    the space's digest."""
     import tempfile
 
-    from covergames import jsonio
+    from covergames import cli, jsonio
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "space.json"
@@ -182,7 +184,8 @@ def space_load_s(space) -> float:
         times = []
         for _ in range(3):
             t = time.perf_counter()
-            jsonio.space_digest(jsonio.space_from_json(jsonio.load_json(path)))
+            loaded = cli._load_space(str(path), cli.RunConfig(point_cap=space.n), False)
+            jsonio.space_digest(loaded)
             times.append(time.perf_counter() - t)
     return sorted(times)[1]
 
